@@ -13,15 +13,13 @@
 //    shards across partitions: parallelism wins.
 //
 // Both regimes produce identical results at any parallelism (test-enforced
-// in spe/parallel_test.cc).
+// in spe/parallel_test.cc and the dataflow determinism suites).
 #include <cmath>
 #include <cstdio>
 
 #include "bench/harness.h"
 #include "common/stats.h"
-#include "genealog/provenance_sink.h"
-#include "genealog/su.h"
-#include "spe/parallel.h"
+#include "spe/dataflow.h"
 
 namespace genealog::bench {
 namespace {
@@ -59,40 +57,34 @@ AggregateCombiner<MeterReading, DailyConsumption, int64_t> HeavyKde() {
   };
 }
 
+// One GL run: a single Aggregate at parallelism 1, otherwise the fluent
+// key-partitioned stage `.KeyBy(meter).Parallel(n).Aggregate(...)`; the
+// dataflow weaves the SU and provenance sink either way.
 double RunOnce(const SgWorkload& workload, int replays, int parallelism,
                int64_t ws,
                AggregateCombiner<MeterReading, DailyConsumption, int64_t>
                    combiner) {
-  Topology topo(1, ProvenanceMode::kGenealog);
+  DataflowOptions options;
+  options.mode = ProvenanceMode::kGenealog;
+  Dataflow df(options);
   SourceOptions so;
   so.replays = replays;
   so.replay_ts_shift = workload.span_hours;
-  auto* source = topo.Add<VectorSourceNode<MeterReading>>(
-      "source", workload.data.readings, so);
+  Stream<MeterReading> readings =
+      df.Source<MeterReading>("source", workload.data.readings, so);
   auto key_fn = [](const MeterReading& r) { return r.meter_id; };
-  Node* exit = nullptr;
-  if (parallelism <= 1) {
-    auto* agg = topo.Add<AggregateNode<MeterReading, DailyConsumption>>(
-        "agg", AggregateOptions{ws, ws}, key_fn, combiner);
-    topo.Connect(source, agg);
-    exit = agg;
-  } else {
-    ParallelStage stage =
-        AddParallelAggregate<MeterReading, DailyConsumption, int64_t>(
-            topo, "par", parallelism, AggregateOptions{ws, ws}, key_fn,
-            combiner);
-    topo.Connect(source, stage.entry);
-    exit = stage.exit;
-  }
-  auto* su = topo.Add<SuNode>("su");
-  auto* sink = topo.Add<SinkNode>("sink");
-  ProvenanceSinkSpec pso;
-  pso.finalize_slack = ws;
-  auto* prov = topo.Add<ProvenanceSinkNode>("k2", pso);
-  topo.Connect(exit, su);
-  topo.Connect(su, sink);
-  topo.Connect(su, prov);
-  RunToCompletion(topo);
+  const AggregateOptions agg_options{ws, ws};
+  Stream<DailyConsumption> scores =
+      parallelism <= 1
+          ? readings.Aggregate<DailyConsumption>("agg", agg_options, key_fn,
+                                                 combiner)
+          : readings.KeyBy(key_fn)
+                .Parallel(parallelism)
+                .Aggregate<DailyConsumption>("par", agg_options, combiner);
+  scores.Sink("sink");
+  BuiltDataflow flow = df.Build();
+  flow.Run();
+  const SourceNodeBase* source = flow.source();
   return static_cast<double>(source->tuples_processed()) /
          (static_cast<double>(source->active_ns()) / 1e9);
 }

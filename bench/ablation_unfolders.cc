@@ -39,7 +39,7 @@ int Main() {
       options.distributed = distributed;
       options.composed_unfolders = composed;
       ApplyReplays(options, env.replays, lr_span);
-      return queries::BuildQ1(lr_data, std::move(options));
+      return queries::BuildQ1Fluent(lr_data, std::move(options));
     };
     rows.push_back(
         AggregateCell(query, variant, factory, env.reps, lr_bytes));
@@ -51,7 +51,7 @@ int Main() {
   QueryFactory np_intra = [&lr_data, lr_span, &env] {
     queries::QueryBuildOptions options;
     ApplyReplays(options, env.replays, lr_span);
-    return queries::BuildQ1(lr_data, std::move(options));
+    return queries::BuildQ1Fluent(lr_data, std::move(options));
   };
   rows.push_back(AggregateCell("Q1i", "NP", np_intra, env.reps, lr_bytes));
   AddRow("Q1i", "GLf", /*distributed=*/false, /*composed=*/false);
@@ -61,7 +61,7 @@ int Main() {
     queries::QueryBuildOptions options;
     options.distributed = true;
     ApplyReplays(options, env.replays, lr_span);
-    return queries::BuildQ1(lr_data, std::move(options));
+    return queries::BuildQ1Fluent(lr_data, std::move(options));
   };
   rows.push_back(AggregateCell("Q1d", "NP", np_dist, env.reps, lr_bytes));
   AddRow("Q1d", "GLf", /*distributed=*/true, /*composed=*/false);
@@ -83,7 +83,7 @@ int Main() {
       options.mode = ProvenanceMode::kBaseline;
       options.baseline_oracle_eviction = evict;
       ApplyReplays(options, env.replays, lr_span);
-      return queries::BuildQ1(lr_data, std::move(options));
+      return queries::BuildQ1Fluent(lr_data, std::move(options));
     };
     bl_rows.push_back(AggregateCell("Q1", evict ? "BLe" : "BL", factory,
                                     env.reps, lr_bytes));

@@ -56,10 +56,10 @@ int Main() {
     }
   };
 
-  RunQuery("Q1", queries::BuildQ1, lr.data, lr.span_s, lr.bytes);
-  RunQuery("Q2", queries::BuildQ2, lr.data, lr.span_s, lr.bytes);
-  RunQuery("Q3", queries::BuildQ3, sg.data, sg.span_hours, sg.bytes);
-  RunQuery("Q4", queries::BuildQ4, sg.data, sg.span_hours, sg.bytes);
+  RunQuery("Q1", queries::BuildQ1Fluent, lr.data, lr.span_s, lr.bytes);
+  RunQuery("Q2", queries::BuildQ2Fluent, lr.data, lr.span_s, lr.bytes);
+  RunQuery("Q3", queries::BuildQ3Fluent, sg.data, sg.span_hours, sg.bytes);
+  RunQuery("Q4", queries::BuildQ4Fluent, sg.data, sg.span_hours, sg.bytes);
 
   std::printf("\n%s\n",
               metrics::RenderOverheadTable(

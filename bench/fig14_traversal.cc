@@ -75,10 +75,10 @@ int Main() {
   std::printf("query | traversal(ms)  mean-graph-size\n");
   std::printf("---------------------------------------\n");
   std::vector<std::pair<std::string, QueryFactory>> intra{
-      {"Q1", Factory(queries::BuildQ1, lr.data, lr.span_s, false)},
-      {"Q2", Factory(queries::BuildQ2, lr.data, lr.span_s, false)},
-      {"Q3", Factory(queries::BuildQ3, sg.data, sg.span_hours, false)},
-      {"Q4", Factory(queries::BuildQ4, sg.data, sg.span_hours, false)},
+      {"Q1", Factory(queries::BuildQ1Fluent, lr.data, lr.span_s, false)},
+      {"Q2", Factory(queries::BuildQ2Fluent, lr.data, lr.span_s, false)},
+      {"Q3", Factory(queries::BuildQ3Fluent, sg.data, sg.span_hours, false)},
+      {"Q4", Factory(queries::BuildQ4Fluent, sg.data, sg.span_hours, false)},
   };
   for (auto& [name, factory] : intra) {
     TraversalRow row = RunTraversal(name, factory, env.reps);
@@ -96,10 +96,10 @@ int Main() {
   std::printf("query | instance | traversal(ms)  mean-graph-size\n");
   std::printf("--------------------------------------------------\n");
   std::vector<std::pair<std::string, QueryFactory>> inter{
-      {"Q1", Factory(queries::BuildQ1, lr.data, lr.span_s, true)},
-      {"Q2", Factory(queries::BuildQ2, lr.data, lr.span_s, true)},
-      {"Q3", Factory(queries::BuildQ3, sg.data, sg.span_hours, true)},
-      {"Q4", Factory(queries::BuildQ4, sg.data, sg.span_hours, true)},
+      {"Q1", Factory(queries::BuildQ1Fluent, lr.data, lr.span_s, true)},
+      {"Q2", Factory(queries::BuildQ2Fluent, lr.data, lr.span_s, true)},
+      {"Q3", Factory(queries::BuildQ3Fluent, sg.data, sg.span_hours, true)},
+      {"Q4", Factory(queries::BuildQ4Fluent, sg.data, sg.span_hours, true)},
   };
   for (auto& [name, factory] : inter) {
     TraversalRow row = RunTraversal(name, factory, env.reps);

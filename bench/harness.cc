@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "common/memory_accounting.h"
 #include "common/stats.h"
@@ -66,28 +67,31 @@ SgWorkload MakeSgWorkload(double scale) {
 
 CellMetrics RunCell(const QueryFactory& factory) {
   mem::ResetAll();
-  queries::BuiltQuery q = factory();
+  BuiltDataflow q = factory();
+  SourceNodeBase* source = q.source();
+  SinkNode* sink = q.sink();
 
   // Sample instances 1..3 every 2 ms while the query runs.
   mem::MemorySampler sampler(/*n_instances=*/4, /*period_ms=*/2);
   // Latency warm-up: skip the first 10% of wall-clock time, approximated by
   // a short absolute warm-up (workloads here run a few seconds).
-  q.sink->set_record_after_ns(NowNanos() + 100'000'000);  // +100 ms
+  sink->set_record_after_ns(NowNanos() + 100'000'000);  // +100 ms
 
   q.Run();
   sampler.Stop();
 
   CellMetrics cell;
-  cell.sink_tuples = q.sink->count();
-  const int64_t active_ns = q.source->active_ns();
+  cell.sink_tuples = sink->count();
+  const int64_t active_ns = source->active_ns();
   if (active_ns > 0) {
-    cell.throughput_tps = static_cast<double>(q.source->tuples_processed()) /
+    cell.throughput_tps = static_cast<double>(source->tuples_processed()) /
                           (static_cast<double>(active_ns) / 1e9);
   }
-  if (q.sink->latency_samples() > 0) {
-    cell.latency_ms = q.sink->mean_latency_ms();
-    cell.latency_p50_ms = q.sink->latency_percentile_ms(50);
-    cell.latency_p99_ms = q.sink->latency_percentile_ms(99);
+  cell.latency_samples = sink->latency_samples();
+  if (cell.latency_samples > 0) {
+    cell.latency_ms = sink->mean_latency_ms();
+    cell.latency_p50_ms = sink->latency_percentile_ms(50);
+    cell.latency_p99_ms = sink->latency_percentile_ms(99);
   }
 
   constexpr double kMb = 1024.0 * 1024.0;
@@ -100,15 +104,13 @@ CellMetrics RunCell(const QueryFactory& factory) {
     cell.max_mem_mb += static_cast<double>(series.max_bytes) / kMb;
   }
 
+  cell.provenance_records = q.provenance_records();
+  cell.mean_origins = q.mean_origins_per_record();
   if (q.provenance_sink != nullptr) {
-    cell.provenance_records = q.provenance_sink->records();
     cell.provenance_bytes = q.provenance_sink->bytes_written();
-    cell.mean_origins = q.provenance_sink->mean_origins_per_record();
   }
   if (q.baseline_resolver != nullptr) {
-    cell.provenance_records = q.baseline_resolver->records();
     cell.provenance_bytes = q.baseline_resolver->bytes_written();
-    cell.mean_origins = q.baseline_resolver->mean_origins_per_record();
   }
   cell.network_bytes = q.network_bytes();
   const WireStats wire = q.wire_stats();
@@ -146,7 +148,9 @@ metrics::QueryVariantResult AggregateCell(const std::string& query,
     CellMetrics cell = RunCell(factory);
     if (raw != nullptr) raw->push_back(cell);
     tput.Add(cell.throughput_tps);
-    latency.Add(cell.latency_ms);
+    // A run without latency samples has no latency reading; leaving it out
+    // keeps the row's latency absent (runs == 0) rather than 0.00.
+    if (cell.latency_samples > 0) latency.Add(cell.latency_ms);
     avg_mem.Add(cell.avg_mem_mb);
     max_mem.Add(cell.max_mem_mb);
     records.Add(static_cast<double>(cell.provenance_records));
@@ -228,11 +232,18 @@ CellMetrics MeanCells(const std::vector<CellMetrics>& cells) {
   uint64_t wire_frames = 0;
   uint64_t wire_raw_bytes = 0;
   uint64_t wire_encoded_bytes = 0;
+  const double sampled = static_cast<double>(
+      std::count_if(cells.begin(), cells.end(), [](const CellMetrics& c) {
+        return c.latency_samples > 0;
+      }));
   for (const CellMetrics& c : cells) {
     mean.throughput_tps += c.throughput_tps / n;
-    mean.latency_ms += c.latency_ms / n;
-    mean.latency_p50_ms += c.latency_p50_ms / n;
-    mean.latency_p99_ms += c.latency_p99_ms / n;
+    if (c.latency_samples > 0) {
+      mean.latency_samples += c.latency_samples;
+      mean.latency_ms += c.latency_ms / sampled;
+      mean.latency_p50_ms += c.latency_p50_ms / sampled;
+      mean.latency_p99_ms += c.latency_p99_ms / sampled;
+    }
     mean.avg_mem_mb += c.avg_mem_mb / n;
     mean.max_mem_mb += c.max_mem_mb / n;
     mean.mean_origins += c.mean_origins / n;
@@ -290,12 +301,19 @@ void WriteBenchJson(const std::string& bench, const BenchEnv& env,
   std::fprintf(f, ",\n  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const BenchJsonRow& r = rows[i];
+    // Absent latency (no samples) is null, never a 0.0 reading.
+    auto latency = [&r](double ms) {
+      if (r.mean.latency_samples == 0) return std::string("null");
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.4f", ms);
+      return std::string(buf);
+    };
     std::fprintf(
         f,
         "    {\"query\": \"%s\", \"variant\": \"%s\", \"deployment\": \"%s\", "
         "\"batch_size\": %zu, \"reps\": %d, "
-        "\"throughput_tps\": %.1f, \"latency_ms\": %.4f, "
-        "\"latency_p50_ms\": %.4f, \"latency_p99_ms\": %.4f, "
+        "\"throughput_tps\": %.1f, \"latency_ms\": %s, "
+        "\"latency_p50_ms\": %s, \"latency_p99_ms\": %s, "
         "\"avg_mem_mb\": %.2f, \"max_mem_mb\": %.2f, "
         "\"sink_tuples\": %llu, \"provenance_records\": %llu, "
         "\"provenance_bytes\": %llu, \"network_bytes\": %llu, "
@@ -303,8 +321,10 @@ void WriteBenchJson(const std::string& bench, const BenchEnv& env,
         "\"wire_encoded_bytes\": %llu, "
         "\"traversal\": [",
         r.query.c_str(), r.variant.c_str(), r.deployment.c_str(), r.batch_size,
-        r.reps, r.mean.throughput_tps, r.mean.latency_ms, r.mean.latency_p50_ms,
-        r.mean.latency_p99_ms, r.mean.avg_mem_mb, r.mean.max_mem_mb,
+        r.reps, r.mean.throughput_tps, latency(r.mean.latency_ms).c_str(),
+        latency(r.mean.latency_p50_ms).c_str(),
+        latency(r.mean.latency_p99_ms).c_str(), r.mean.avg_mem_mb,
+        r.mean.max_mem_mb,
         static_cast<unsigned long long>(r.mean.sink_tuples),
         static_cast<unsigned long long>(r.mean.provenance_records),
         static_cast<unsigned long long>(r.mean.provenance_bytes),

@@ -94,6 +94,10 @@ uint64_t SerializedBytes(const std::vector<IntrusivePtr<T>>& data) {
 
 struct CellMetrics {
   double throughput_tps = 0;
+  // Sink latency samples behind the three latency fields. Zero means latency
+  // is absent (the run ended inside the warm-up): the fields then carry no
+  // reading, tables print n/a and BENCH JSON writes null.
+  uint64_t latency_samples = 0;
   double latency_ms = 0;
   double latency_p50_ms = 0;
   double latency_p99_ms = 0;
@@ -117,7 +121,7 @@ struct CellMetrics {
 };
 
 // One full run of a built query; the builder is invoked fresh per call.
-using QueryFactory = std::function<queries::BuiltQuery()>;
+using QueryFactory = std::function<BuiltDataflow()>;
 CellMetrics RunCell(const QueryFactory& factory);
 
 // Repetition + aggregation into a table row.
@@ -140,7 +144,8 @@ struct BenchJsonRow {
   CellMetrics mean;  // per-field mean over the repetitions
 };
 
-// Per-field mean over repeated cells (empty input yields zeros).
+// Per-field mean over repeated cells (empty input yields zeros). Latency is
+// averaged over the cells that sampled it; latency_samples is the total.
 CellMetrics MeanCells(const std::vector<CellMetrics>& cells);
 
 // Writes the shared `"spsc_ring": ..., "adaptive_batch": ...,

@@ -46,6 +46,7 @@ struct ModeResult {
   double wall_s = 0;
   double items_per_s = 0;  // aggregate source emissions / wall clock
   double p99_ms = 0;       // mean of the per-sink p99s
+  uint64_t latency_samples = 0;  // summed over the sinks; 0 = p99 absent
   uint64_t sink_tuples = 0;
 };
 
@@ -56,14 +57,14 @@ ModeResult RunFleet(const LrWorkload& lr, const BenchEnv& env, int n_queries,
   // finish in comparable time.
   const int replays = std::max(1, env.replays / n_queries);
 
-  std::vector<queries::BuiltQuery> fleet;
+  std::vector<BuiltDataflow> fleet;
   fleet.reserve(n_queries);
   for (int i = 0; i < n_queries; ++i) {
     queries::QueryBuildOptions options;
     options.mode = ProvenanceMode::kGenealog;
     options.engine() = env.engine;
     ApplyReplays(options, replays, lr.span_s);
-    fleet.push_back(queries::BuildQ1(lr.data, std::move(options)));
+    fleet.push_back(queries::BuildQ1Fluent(lr.data, std::move(options)));
   }
 
   std::vector<Topology*> topologies;
@@ -83,13 +84,17 @@ ModeResult RunFleet(const LrWorkload& lr, const BenchEnv& env, int n_queries,
   r.wall_s = static_cast<double>(t1 - t0) / 1e9;
   uint64_t emitted = 0;
   double p99_sum = 0;
+  int sampled = 0;
   for (auto& q : fleet) {
-    emitted += q.source->tuples_processed();
-    r.sink_tuples += q.sink->count();
-    p99_sum += q.sink->latency_percentile_ms(99);
+    emitted += q.source()->tuples_processed();
+    r.sink_tuples += q.sink()->count();
+    if (q.sink()->latency_samples() == 0) continue;
+    r.latency_samples += q.sink()->latency_samples();
+    p99_sum += q.sink()->latency_percentile_ms(99);
+    ++sampled;
   }
   r.items_per_s = r.wall_s > 0 ? static_cast<double>(emitted) / r.wall_s : 0;
-  r.p99_ms = n_queries > 0 ? p99_sum / n_queries : 0;
+  r.p99_ms = sampled > 0 ? p99_sum / sampled : 0;
   return r;
 }
 
@@ -120,6 +125,7 @@ int Main() {
                   r.p99_ms, r.wall_s);
       CellMetrics m;
       m.throughput_tps = r.items_per_s;
+      m.latency_samples = r.latency_samples;
       m.latency_p99_ms = r.p99_ms;
       m.sink_tuples = r.sink_tuples;
       rows.push_back(BenchJsonRow{"Q1x" + std::to_string(n), name, "multi",

@@ -4,11 +4,12 @@
 // The workload is the compute-bound regime from bench/ablation_parallel.cc —
 // kernel-density anomaly scoring over weekly windows, O(bandwidths * n^2)
 // exp() calls per window — because that is the regime key partitioning is
-// *for*: window computation dominates and shards across the replicas. Unlike
-// the ablation (which hand-wires AddParallelAggregate), this bench builds
-// the query exactly as an API user would, so it measures the whole lowered
-// stage: KeyPartitionNode routing, the replicas, the KeyedMergeNode
-// re-sort, and the woven provenance plane. Emits BENCH_parallel_scaling.json
+// *for*: window computation dominates and shards across the replicas. Where
+// the ablation compares a cheap and a heavy combiner on the default
+// scheduler, this bench sweeps the scheduler too; both build the stage with
+// `.KeyBy(...).Parallel(n)`, so they measure the whole lowered stage:
+// KeyPartitionNode routing, the replicas, the KeyedMergeNode re-sort, and
+// the woven provenance plane. Emits BENCH_parallel_scaling.json
 // (one row per shard count x scheduler).
 //
 // Extra knobs on top of the harness environment (bench/harness.h):

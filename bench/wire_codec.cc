@@ -176,7 +176,7 @@ E2eResult RunQ1Distributed(const BenchEnv& env, const LrWorkload& lr,
   options.wire_codec = codec;
   options.provenance_file = prov_file;
   ApplyReplays(options, env.replays, lr.span_s);
-  queries::BuiltQuery q = queries::BuildQ1(lr.data, std::move(options));
+  BuiltDataflow q = queries::BuildQ1Fluent(lr.data, std::move(options));
   q.Run();
 
   E2eResult r;

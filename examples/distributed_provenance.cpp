@@ -47,7 +47,7 @@ int main() {
     std::printf("\n");
   };
 
-  queries::BuiltQuery query = queries::BuildQ1(data, std::move(options));
+  BuiltDataflow query = queries::BuildQ1Fluent(data, std::move(options));
   std::printf("deployed %d SPE instances, %zu TCP channels\n\n",
               query.n_instances, query.channels.size() / 2);
   query.Run();

@@ -57,13 +57,14 @@ int main(int argc, char** argv) {
     std::printf(")\n");
   };
 
-  queries::BuiltQuery query = queries::BuildQ3(data, std::move(options));
+  BuiltDataflow query = queries::BuildQ3Fluent(data, std::move(options));
   query.Run();
 
   std::printf("\nprocessed %llu readings, %llu alerts, avg contribution "
               "graph %.0f tuples\n",
-              static_cast<unsigned long long>(query.source->tuples_processed()),
-              static_cast<unsigned long long>(query.sink->count()),
+              static_cast<unsigned long long>(
+                  query.source()->tuples_processed()),
+              static_cast<unsigned long long>(query.sink()->count()),
               query.provenance_sink->mean_origins_per_record());
   return 0;
 }

@@ -38,7 +38,13 @@ void BaselineResolverNode::OnMergedWatermark(int64_t wm) {
   }
 }
 
-void BaselineResolverNode::OnAllFlushed() { ResolveBefore(kWatermarkMax); }
+void BaselineResolverNode::OnAllFlushed() {
+  ResolveBefore(kWatermarkMax);
+  // End-of-stream: every record must be in the file before the node reports
+  // done — probes may read the file while the node (and its FILE*) is still
+  // alive, as with ProvenanceSinkNode::OnFlush.
+  if (file_ != nullptr) std::fflush(file_);
+}
 
 void BaselineResolverNode::ResolveBefore(int64_t ts_horizon) {
   // The merged stream delivers sink tuples in ts order, so pending_sinks_ is

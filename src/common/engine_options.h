@@ -4,11 +4,12 @@
 // One knob, three spellings used to exist (environment variable, Topology
 // setter, QueryBuildOptions field); EngineOptions is now the single source of
 // truth: a default-constructed instance carries the process-wide defaults
-// (each boolean policy honoring its GENEALOG_* environment variable via
-// env_knob.h), Topology::Configure stamps the data-plane subset on a
-// topology, QueryBuildOptions embeds the struct as a base, the dataflow
-// builder forwards it to every topology it lowers, and the bench harness
-// records the same instance in BENCH_*.json.
+// (each policy honoring its GENEALOG_* environment variable, parsed strictly
+// by env_knob.h: malformed values throw instead of defaulting),
+// Topology::Configure stamps the data-plane subset on a topology,
+// QueryBuildOptions embeds the struct as a base, the dataflow builder
+// forwards it to every topology it lowers, and the bench harness records the
+// same instance in BENCH_*.json.
 //
 // | Field            | Env var                  | Default         |
 // |------------------|--------------------------|-----------------|
@@ -44,6 +45,7 @@
 #ifndef GENEALOG_COMMON_ENGINE_OPTIONS_H_
 #define GENEALOG_COMMON_ENGINE_OPTIONS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -73,82 +75,86 @@ enum class SchedulerMode : uint8_t { kThreadPerNode, kPool };
 //    announces, so the knob only needs to reach the Send side.
 enum class WireCodec : uint8_t { kRaw = 0, kCompact = 1 };
 
+// The enum-valued knobs, parsed like the boolean and count knobs in
+// env_knob.h: unset or empty keeps `fallback`, any other spelling throws
+// std::invalid_argument.
+inline SchedulerMode ParseSchedulerKnob(const char* name, const char* value,
+                                        SchedulerMode fallback) {
+  if (KnobUnset(value)) return fallback;
+  if (std::strcmp(value, "pool") == 0) return SchedulerMode::kPool;
+  if (std::strcmp(value, "thread-per-node") == 0) {
+    return SchedulerMode::kThreadPerNode;
+  }
+  RejectKnob(name, value, "pool or thread-per-node");
+}
+
+inline WireCodec ParseWireCodecKnob(const char* name, const char* value,
+                                    WireCodec fallback) {
+  if (KnobUnset(value)) return fallback;
+  if (std::strcmp(value, "compact") == 0) return WireCodec::kCompact;
+  if (std::strcmp(value, "raw") == 0) return WireCodec::kRaw;
+  RejectKnob(name, value, "compact or raw");
+}
+
 namespace engine_defaults {
 
 // Each helper reads its environment variable once per process and caches the
 // result, so defaults cannot drift mid-run when a test mutates the
-// environment. These are the definitions the per-subsystem Default*()
-// functions (node.cc, provenance_sink.cc, tuple_pool.cc, traversal.cc)
-// delegate to.
+// environment. A malformed value throws std::invalid_argument from the first
+// read (see env_knob.h). These are the definitions the per-subsystem
+// Default*() functions (node.cc, provenance_sink.cc, tuple_pool.cc,
+// traversal.cc) delegate to.
 inline bool SpscEdges() {
-  static const bool v = EnvKnobEnabled("GENEALOG_SPSC_RING");
+  static const bool v = EnvBoolKnob("GENEALOG_SPSC_RING", true);
   return v;
 }
 inline bool AdaptiveBatch() {
-  static const bool v = EnvKnobEnabled("GENEALOG_ADAPTIVE_BATCH");
+  static const bool v = EnvBoolKnob("GENEALOG_ADAPTIVE_BATCH", true);
   return v;
 }
 inline bool TuplePool() {
-  static const bool v = EnvKnobEnabled("GENEALOG_TUPLE_POOL");
+  static const bool v = EnvBoolKnob("GENEALOG_TUPLE_POOL", true);
   return v;
 }
 inline bool EpochTraversal() {
-  static const bool v = EnvKnobEnabled("GENEALOG_EPOCH_TRAVERSAL");
+  static const bool v = EnvBoolKnob("GENEALOG_EPOCH_TRAVERSAL", true);
   return v;
 }
 inline bool AsyncProvSink() {
-  static const bool v = EnvKnobEnabled("GENEALOG_ASYNC_PROV_SINK");
+  static const bool v = EnvBoolKnob("GENEALOG_ASYNC_PROV_SINK", true);
   return v;
 }
+// 0 clamps to 1 (item-at-a-time handover).
 inline size_t BatchSize() {
-  static const size_t v = [] {
-    const char* s = std::getenv("GENEALOG_BATCH_SIZE");
-    const int n = s != nullptr ? std::atoi(s) : 64;
-    return static_cast<size_t>(n < 1 ? 1 : n);
-  }();
+  static const size_t v = static_cast<size_t>(
+      std::max<int64_t>(1, EnvCountKnob("GENEALOG_BATCH_SIZE", 64)));
   return v;
 }
 inline SchedulerMode Scheduler() {
-  static const SchedulerMode v = [] {
-    const char* s = std::getenv("GENEALOG_SCHEDULER");
-    if (s != nullptr && std::strcmp(s, "pool") == 0) {
-      return SchedulerMode::kPool;
-    }
-    // Anything else (unset, "thread-per-node", typos) keeps the safe
-    // thread-per-node fallback.
-    return SchedulerMode::kThreadPerNode;
-  }();
+  static const SchedulerMode v = ParseSchedulerKnob(
+      "GENEALOG_SCHEDULER", std::getenv("GENEALOG_SCHEDULER"),
+      SchedulerMode::kThreadPerNode);
   return v;
 }
 inline size_t Workers() {
-  static const size_t v = [] {
-    const char* s = std::getenv("GENEALOG_WORKERS");
-    const int n = s != nullptr ? std::atoi(s) : 0;
-    return static_cast<size_t>(n < 0 ? 0 : n);
-  }();
+  static const size_t v =
+      static_cast<size_t>(EnvCountKnob("GENEALOG_WORKERS", 0));
   return v;
 }
 // The lineage store is the one opt-in knob: it buys a live query surface at
 // the price of retaining records in memory, so it must cost nothing unless
 // asked for (GENEALOG_LINEAGE_STORE unset/0 == off).
 inline bool LineageStore() {
-  static const bool v = EnvKnobOptIn("GENEALOG_LINEAGE_STORE");
+  static const bool v = EnvBoolKnob("GENEALOG_LINEAGE_STORE", false);
   return v;
 }
 inline size_t LineageRetainRecords() {
-  static const size_t v = [] {
-    const char* s = std::getenv("GENEALOG_LINEAGE_RETAIN_RECORDS");
-    const long long n = s != nullptr ? std::atoll(s) : (1ll << 20);
-    return static_cast<size_t>(n < 0 ? 0 : n);
-  }();
+  static const size_t v = static_cast<size_t>(
+      EnvCountKnob("GENEALOG_LINEAGE_RETAIN_RECORDS", int64_t{1} << 20));
   return v;
 }
 inline int64_t LineageRetainSpan() {
-  static const int64_t v = [] {
-    const char* s = std::getenv("GENEALOG_LINEAGE_RETAIN_SPAN");
-    const long long n = s != nullptr ? std::atoll(s) : 0;
-    return static_cast<int64_t>(n < 0 ? 0 : n);
-  }();
+  static const int64_t v = EnvCountKnob("GENEALOG_LINEAGE_RETAIN_SPAN", 0);
   return v;
 }
 inline std::string LineageServeAddr() {
@@ -158,21 +164,17 @@ inline std::string LineageServeAddr() {
   }();
   return v;
 }
+// Compact is the default since its one-release soak (equivalence suites pin
+// decoded streams byte-identical); "raw" keeps the seed wire format as the
+// fallback.
 inline WireCodec WireCodecDefault() {
-  static const WireCodec v = [] {
-    const char* s = std::getenv("GENEALOG_WIRE_CODEC");
-    if (s != nullptr && std::strcmp(s, "raw") == 0) {
-      return WireCodec::kRaw;
-    }
-    // Compact is the default since its one-release soak (PR 9 shipped it,
-    // equivalence suites pin decoded streams byte-identical); "raw" keeps
-    // the seed wire format as the fallback.
-    return WireCodec::kCompact;
-  }();
+  static const WireCodec v = ParseWireCodecKnob(
+      "GENEALOG_WIRE_CODEC", std::getenv("GENEALOG_WIRE_CODEC"),
+      WireCodec::kCompact);
   return v;
 }
 inline bool WireBlockCompress() {
-  static const bool v = EnvKnobEnabled("GENEALOG_WIRE_BLOCK_COMPRESS");
+  static const bool v = EnvBoolKnob("GENEALOG_WIRE_BLOCK_COMPRESS", true);
   return v;
 }
 

@@ -1,26 +1,65 @@
-// Shared parse for boolean environment knobs (GENEALOG_TUPLE_POOL,
-// GENEALOG_SPSC_RING, GENEALOG_ADAPTIVE_BATCH, GENEALOG_EPOCH_TRAVERSAL,
-// GENEALOG_ASYNC_PROV_SINK): unset, empty, or any non-zero value means
-// enabled — an empty var passed through by a wrapper script keeps the
-// default. One definition so the knobs can never drift apart.
+// Parsing for the GENEALOG_* environment knobs. Each Parse* function is a
+// pure function of the knob's name and raw value, so the accepted spellings
+// are unit-testable without touching the environment:
+//   * unset (nullptr) or empty keeps the default — an empty var passed
+//     through by a wrapper script changes nothing;
+//   * anything but an accepted spelling throws std::invalid_argument naming
+//     the knob and the value — a typo fails loudly instead of silently
+//     running the default.
+// One definition per knob kind so the knobs can never drift apart; the
+// enum-valued knobs (scheduler, wire codec) parse in engine_options.h.
 #ifndef GENEALOG_COMMON_ENV_KNOB_H_
 #define GENEALOG_COMMON_ENV_KNOB_H_
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <system_error>
 
 namespace genealog {
 
-inline bool EnvKnobEnabled(const char* name) {
-  const char* v = std::getenv(name);
-  return v == nullptr || v[0] == '\0' || std::atoi(v) != 0;
+inline bool KnobUnset(const char* value) {
+  return value == nullptr || value[0] == '\0';
 }
 
-// Opt-in variant for features that default *off* (GENEALOG_LINEAGE_STORE):
-// enabled only when the variable is set to a non-zero value. Unset or empty
-// keeps the feature disabled, so an idle knob costs nothing.
-inline bool EnvKnobOptIn(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && std::atoi(v) != 0;
+[[noreturn]] inline void RejectKnob(const char* name, const char* value,
+                                    const char* expected) {
+  throw std::invalid_argument(std::string(name) + "=\"" + value +
+                              "\": expected " + expected);
+}
+
+// Boolean knobs (GENEALOG_TUPLE_POOL, GENEALOG_SPSC_RING, ...): exactly "0"
+// or "1".
+inline bool ParseBoolKnob(const char* name, const char* value, bool fallback) {
+  if (KnobUnset(value)) return fallback;
+  if (std::strcmp(value, "0") == 0) return false;
+  if (std::strcmp(value, "1") == 0) return true;
+  RejectKnob(name, value, "0 or 1");
+}
+
+// Count knobs (GENEALOG_BATCH_SIZE, GENEALOG_WORKERS, retention bounds): a
+// non-negative decimal integer that fits an int64_t, digits only.
+inline int64_t ParseCountKnob(const char* name, const char* value,
+                              int64_t fallback) {
+  if (KnobUnset(value)) return fallback;
+  const char* end = value + std::strlen(value);
+  int64_t n = 0;
+  const auto [ptr, ec] = std::from_chars(value, end, n);
+  if (ec != std::errc() || ptr != end || n < 0) {
+    RejectKnob(name, value, "a non-negative integer");
+  }
+  return n;
+}
+
+inline bool EnvBoolKnob(const char* name, bool fallback) {
+  return ParseBoolKnob(name, std::getenv(name), fallback);
+}
+
+inline int64_t EnvCountKnob(const char* name, int64_t fallback) {
+  return ParseCountKnob(name, std::getenv(name), fallback);
 }
 
 }  // namespace genealog

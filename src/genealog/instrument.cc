@@ -20,23 +20,26 @@ using dataflow_internal::Plan;
 using dataflow_internal::PlanInput;
 using dataflow_internal::PlanOp;
 
-ChannelEnds AddChannel(BuiltDataflow& out, bool use_tcp) {
-  return AddChannelTo(out.channels, use_tcp);
-}
+struct Crossing {
+  SendNode* send;
+  ReceiveNode* recv;
+};
 
-// Adds a Send node carrying the engine's wire-codec knobs and registers it
-// for BuiltDataflow::wire_stats(). Mirrors queries::AddSend.
-SendNode* WeaveSend(BuiltDataflow& out, Topology& topo,
-                    const std::string& name, ByteChannel* channel,
-                    const EngineOptions& engine) {
-  auto* send = topo.Add<SendNode>(name, channel, WireCodecFrom(engine));
+// Places one serializing channel from `from` to `to`: a Send node
+// "send.<tag>" carrying the engine's wire-codec knobs (registered for
+// BuiltDataflow::wire_stats()) and its Receive node "recv.<tag>".
+Crossing WeaveCrossing(BuiltDataflow& out, Topology& from, Topology& to,
+                       const std::string& tag, const EngineOptions& engine) {
+  ChannelEnds ch = AddChannelTo(out.channels, engine.use_tcp);
+  auto* send =
+      from.Add<SendNode>("send." + tag, ch.send, WireCodecFrom(engine));
   out.send_nodes.push_back(send);
-  return send;
+  return {send, to.Add<ReceiveNode>("recv." + tag, ch.recv)};
 }
 
 // Inserts an SU (fused, or the composed Figure 5B construction) whose SO
 // output feeds `so_consumer` and U output feeds `u_consumer`; returns the
-// node the delivering stream connects to. Mirrors queries::AddSu.
+// node the delivering stream connects to.
 Node* WeaveSu(BuiltDataflow& out, Topology& topo, bool composed,
               const std::string& name, Node* so_consumer, Node* u_consumer) {
   if (composed) {
@@ -235,13 +238,11 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       // the derived (sink-side) stream (§6.1).
       mu = WeaveMu(*prov_topo, engine.composed_unfolders, "MU",
                    span_of.at(plan.ops[sink_op].instance), psink);
-      ChannelEnds ch = AddChannel(out, engine.use_tcp);
-      auto* send_derived = WeaveSend(out, sink_topo, "send.U_sink", ch.send, engine);
-      auto* recv_derived =
-          prov_topo->Add<ReceiveNode>("recv.U_sink", ch.recv);
+      const Crossing derived =
+          WeaveCrossing(out, sink_topo, *prov_topo, "U_sink", engine);
       entry_of[sink_op] = WeaveSu(out, sink_topo, engine.composed_unfolders,
-                                  "SU.sink", sink_node, send_derived);
-      prov_topo->Connect(recv_derived, mu.derived_entry);  // MU port 0
+                                  "SU.sink", sink_node, derived.send);
+      prov_topo->Connect(derived.recv, mu.derived_entry);  // MU port 0
     }
   } else if (mode == ProvenanceMode::kBaseline) {
     BaselineResolverOptions bro;
@@ -266,21 +267,19 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       auto* resolver =
           prov_topo->Add<BaselineResolverNode>("bl.resolver", bro);
       out.baseline_resolver = resolver;
-      ChannelEnds ch = AddChannel(out, engine.use_tcp);
-      auto* send_ann = WeaveSend(out, sink_topo, "send.sink_ann", ch.send, engine);
-      auto* recv_ann = prov_topo->Add<ReceiveNode>("recv.sink_ann", ch.recv);
-      sink_topo.Connect(sink_tap, send_ann);
-      prov_topo->Connect(recv_ann, resolver);  // port 0
+      const Crossing ann =
+          WeaveCrossing(out, sink_topo, *prov_topo, "sink_ann", engine);
+      sink_topo.Connect(sink_tap, ann.send);
+      prov_topo->Connect(ann.recv, resolver);  // port 0
       // Whole source streams shipped to the provenance instance — the
       // network cost §7 observes sinking the distributed baseline.
       for (size_t s = 0; s < source_taps.size(); ++s) {
         auto& [src_topo, tap] = source_taps[s];
-        ChannelEnds ch_src = AddChannel(out, engine.use_tcp);
-        auto* send_src = WeaveSend(out, *src_topo, "send.source_copy" + std::to_string(s), ch_src.send, engine);
-        auto* recv_src = prov_topo->Add<ReceiveNode>(
-            "recv.source_copy" + std::to_string(s), ch_src.recv);
-        src_topo->Connect(tap, send_src);
-        prov_topo->Connect(recv_src, resolver);  // ports 1..
+        const Crossing copy =
+            WeaveCrossing(out, *src_topo, *prov_topo,
+                          "source_copy" + std::to_string(s), engine);
+        src_topo->Connect(tap, copy.send);
+        prov_topo->Connect(copy.recv, resolver);  // ports 1..
       }
     }
   }
@@ -305,21 +304,19 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
         continue;
       }
       const std::string tag = std::to_string(n_cross++);
-      ChannelEnds ch = AddChannel(out, engine.use_tcp);
-      auto* send = WeaveSend(out, from_topo, "send.data" + tag, ch.send, engine);
-      auto* recv = to_topo.Add<ReceiveNode>("recv.data" + tag, ch.recv);
+      const Crossing data =
+          WeaveCrossing(out, from_topo, to_topo, "data" + tag, engine);
       if (mode == ProvenanceMode::kGenealog) {
-        ChannelEnds ch_u = AddChannel(out, engine.use_tcp);
-        auto* send_u = WeaveSend(out, from_topo, "send.U" + tag, ch_u.send, engine);
-        auto* recv_u = prov_topo->Add<ReceiveNode>("recv.U" + tag, ch_u.recv);
+        const Crossing u =
+            WeaveCrossing(out, from_topo, *prov_topo, "U" + tag, engine);
         Node* su = WeaveSu(out, from_topo, engine.composed_unfolders,
-                           "SU.send" + tag, send, send_u);
+                           "SU.send" + tag, data.send, u.send);
         from_topo.Connect(from, su);
-        prov_topo->Connect(recv_u, mu.upstream_entry);  // MU ports 1..
+        prov_topo->Connect(u.recv, mu.upstream_entry);  // MU ports 1..
       } else {
-        from_topo.Connect(from, send);
+        from_topo.Connect(from, data.send);
       }
-      to_topo.Connect(recv, to);
+      to_topo.Connect(data.recv, to);
     }
   }
 

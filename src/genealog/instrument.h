@@ -25,8 +25,7 @@
 //    channels — the paper's §7 baseline network cost.
 //
 // EngineOptions::composed_unfolders swaps the fused SU/MU operators for the
-// literal Figure 5B / Figure 8 constructions, exactly like the hand-wired
-// deployments.
+// literal Figure 5B / Figure 8 constructions.
 #ifndef GENEALOG_GENEALOG_INSTRUMENT_H_
 #define GENEALOG_GENEALOG_INSTRUMENT_H_
 

@@ -2,13 +2,13 @@
 //
 // A running topology built with EngineOptions::lineage_store = true (env:
 // GENEALOG_LINEAGE_STORE=1) owns a store fed by its provenance consumer;
-// `BuiltQuery::lineage()` / `BuiltDataflow::lineage()` hand out a
-// LineageQuery over it, usable while the topology runs (the store's
-// shared-mutex contract: queries share, ingestion briefly excludes). The
-// handle shares ownership, so it stays valid after the topology is torn
-// down — the retained window remains queryable post-run, which is also how
-// tools/genealog_query serves offline files: ReplayProvenanceFile into a
-// fresh store, then query through this same API.
+// `BuiltDataflow::lineage()` hands out a LineageQuery over it, usable while
+// the topology runs (the store's shared-mutex contract: queries share,
+// ingestion briefly excludes). The handle shares ownership, so it stays
+// valid after the topology is torn down — the retained window remains
+// queryable post-run, which is also how tools/genealog_query serves offline
+// files: ReplayProvenanceFile into a fresh store, then query through this
+// same API.
 #ifndef GENEALOG_GENEALOG_LINEAGE_QUERY_H_
 #define GENEALOG_GENEALOG_LINEAGE_QUERY_H_
 

@@ -3,7 +3,7 @@
 // A LineageService binds a loopback/LAN endpoint and answers the full
 // LineageQuery surface (Contributors, DerivedFrom, Expand, Lookup,
 // RetainedRecordIds, Stats, Select) against a shared LineageStore — the one a
-// running BuiltQuery/BuiltDataflow maintains online, or one rebuilt offline
+// running BuiltDataflow maintains online, or one rebuilt offline
 // by ReplayProvenanceFile / LoadSnapshot. Wire format:
 // net/lineage_protocol.h over the same length-prefixed TcpChannel framing the
 // data plane uses, so the transport-level hostile-input guards (frame bound,

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "common/fnv.h"
 #include "common/int_math.h"
 #include "core/type_registry.h"
 
@@ -324,15 +325,6 @@ namespace {
 // what turns torn writes and bit flips into a load-time rejection.
 constexpr uint32_t kSnapshotMagic = 0x4E534C47;  // "GLSN" little-endian
 constexpr uint32_t kSnapshotVersion = 1;
-
-uint64_t Fnv1a(const uint8_t* data, size_t n) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::vector<uint8_t> ReadFileBytes(const std::string& path,
                                    const char* what) {

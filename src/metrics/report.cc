@@ -31,6 +31,7 @@ std::string Fmt(const char* format, double v) {
 }
 
 std::string FmtCell(const CellStats& c, const char* format) {
+  if (!c.present()) return "n/a";
   std::string s = Fmt(format, c.mean);
   if (c.runs > 1 && c.ci95 > 0) {
     s += " ±" + Fmt(format, c.ci95);
@@ -70,27 +71,26 @@ std::string RenderOverheadTable(const std::vector<QueryVariantResult>& rows,
   for (const auto& r : rows) {
     const QueryVariantResult* ref =
         np.count(r.query) != 0 && r.variant != "NP" ? np[r.query] : nullptr;
+    // Delta of one column against the NP row; empty when either is absent.
+    auto delta = [&r, ref](CellStats QueryVariantResult::*column) {
+      if (ref == nullptr || !(r.*column).present() ||
+          !(ref->*column).present()) {
+        return std::string();
+      }
+      return FormatDelta((r.*column).mean, (ref->*column).mean, false);
+    };
     std::snprintf(
         line, sizeof(line),
         "%-4s %-3s | %15s %8s | %12s %8s | %11s %8s | %11s %8s\n",
         r.query.c_str(), r.variant.c_str(),
         FmtCell(r.throughput_tps, "%.0f").c_str(),
-        ref != nullptr
-            ? FormatDelta(r.throughput_tps.mean, ref->throughput_tps.mean, false)
-                  .c_str()
-            : "",
+        delta(&QueryVariantResult::throughput_tps).c_str(),
         FmtCell(r.latency_ms, "%.2f").c_str(),
-        ref != nullptr
-            ? FormatDelta(r.latency_ms.mean, ref->latency_ms.mean, true).c_str()
-            : "",
+        delta(&QueryVariantResult::latency_ms).c_str(),
         FmtCell(r.avg_mem_mb, "%.2f").c_str(),
-        ref != nullptr
-            ? FormatDelta(r.avg_mem_mb.mean, ref->avg_mem_mb.mean, true).c_str()
-            : "",
+        delta(&QueryVariantResult::avg_mem_mb).c_str(),
         FmtCell(r.max_mem_mb, "%.2f").c_str(),
-        ref != nullptr
-            ? FormatDelta(r.max_mem_mb.mean, ref->max_mem_mb.mean, true).c_str()
-            : "");
+        delta(&QueryVariantResult::max_mem_mb).c_str());
     out += line;
   }
   return out;

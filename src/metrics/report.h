@@ -20,11 +20,15 @@ struct WireStats;   // net/frame.h
 
 namespace genealog::metrics {
 
-// One experiment cell, averaged over repetitions.
+// One experiment cell, averaged over repetitions. A cell with no runs has
+// no reading (e.g. latency when the sink recorded no samples): tables print
+// it as n/a, never as 0.
 struct CellStats {
   double mean = 0;
   double ci95 = 0;
   int runs = 0;
+
+  bool present() const { return runs > 0; }
 };
 
 struct QueryVariantResult {
@@ -51,7 +55,7 @@ struct QueryVariantResult {
 
 // Renders the Figure-12/13-style table: one block per query, one row per
 // variant, columns throughput / latency / avg mem / max mem with % deltas
-// against the NP row of the same query.
+// against the NP row of the same query. Absent cells print n/a, no delta.
 std::string RenderOverheadTable(const std::vector<QueryVariantResult>& rows,
                                 const std::string& title);
 

@@ -95,16 +95,16 @@ struct ChannelEnds {
   ByteChannel* recv;
 };
 
-// Allocates a channel into `channels` (owner) and returns its ends — the one
-// helper behind both the hand-wired deployment assembly (queries::AddChannel)
-// and the dataflow lowering (genealog/instrument.cc).
+// Allocates a channel into `channels` (owner) and returns its ends; the
+// dataflow lowering (genealog/instrument.cc) places one per instance-crossing
+// stream.
 ChannelEnds AddChannelTo(std::vector<std::unique_ptr<ByteChannel>>& channels,
                          bool use_tcp);
 
 // Runs `topologies` to completion after registering every channel as an
 // abortable resource, so a failing node tears down socket/frame-queue waits
-// along with the stream queues; rethrows the first node failure. The shared
-// body of queries::BuiltQuery::Run and BuiltDataflow::Run.
+// along with the stream queues; rethrows the first node failure. The body of
+// BuiltDataflow::Run.
 void RunTopologies(const std::vector<std::unique_ptr<Topology>>& topologies,
                    const std::vector<std::unique_ptr<ByteChannel>>& channels);
 

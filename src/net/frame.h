@@ -118,8 +118,8 @@ std::vector<uint8_t> LzBlockDecompress(std::span<const uint8_t> in,
 
 // --- compact codec (stateful) -----------------------------------------------
 
-// The Send-side knobs, lowered from EngineOptions by the deployment
-// assemblers. Sender-driven: the receiver decodes whatever codec each frame
+// The Send-side knobs, lowered from EngineOptions by the dataflow lowering.
+// Sender-driven: the receiver decodes whatever codec each frame
 // announces, so no receive-side configuration exists.
 struct WireCodecOptions {
   WireCodec codec = WireCodec::kRaw;
@@ -128,7 +128,7 @@ struct WireCodecOptions {
   bool block_compress = true;
 };
 
-// The wire slice of the unified knob struct, for the deployment assemblers.
+// The wire slice of the unified knob struct, for the dataflow lowering.
 inline WireCodecOptions WireCodecFrom(const EngineOptions& o) {
   return {o.wire_codec, o.wire_block_compress};
 }

@@ -6,33 +6,28 @@
 //     layout (2 processing instances + 1 provenance instance, Figs. 7/9C/10C/
 //     11C), connected by serializing channels (in-memory or TCP loopback).
 //
-// The returned BuiltQuery owns the topologies and channels and exposes the
-// probe nodes the benches read: source (throughput), sink (latency), SU nodes
-// (Figure 14 traversal cost), provenance sink / baseline resolver (records,
-// graph sizes, on-disk volume).
+// The builders (queries/queries.h) lower onto the fluent dataflow builder;
+// the returned BuiltDataflow owns the topologies and channels and exposes
+// the probe nodes the benches read: source (throughput), sink (latency), SU
+// nodes (Figure 14 traversal cost), provenance sink / baseline resolver
+// (records, graph sizes, on-disk volume).
 #ifndef GENEALOG_QUERIES_COMMON_H_
 #define GENEALOG_QUERIES_COMMON_H_
 
-#include <memory>
+#include <functional>
 #include <string>
-#include <vector>
 
-#include "baseline/resolver.h"
 #include "common/engine_options.h"
-#include "genealog/lineage_query.h"
-#include "genealog/lineage_service.h"
-#include "genealog/lineage_store.h"
-#include "genealog/mu.h"
-#include "genealog/provenance_sink.h"
-#include "genealog/su.h"
-#include "net/channel.h"
-#include "net/send_receive.h"
-#include "spe/aggregate.h"
-#include "spe/join.h"
+#include "core/instrumentation.h"
+#include "genealog/provenance_record.h"
 #include "spe/sink.h"
 #include "spe/source.h"
-#include "spe/stateless.h"
-#include "spe/topology.h"
+
+// The probe node types BuiltDataflow exposes (spe/dataflow.h only declares
+// them), so query callers can read sink, SU and provenance probes.
+#include "baseline/resolver.h"
+#include "genealog/provenance_sink.h"
+#include "genealog/su.h"
 
 namespace genealog::queries {
 
@@ -47,9 +42,9 @@ namespace genealog::queries {
 struct QueryBuildOptions : EngineOptions {
   ProvenanceMode mode = ProvenanceMode::kNone;
   bool distributed = false;
-  // Shard count for the query's key-partitioned aggregate (fluent builders
-  // only; > 1 lowers the stage to KeyPartitionNode -> N replicas -> keyed
-  // merge via `.KeyBy(...).Parallel(n)`). Output is emission-order-identical
+  // Shard count for the query's key-partitioned aggregate (> 1 lowers the
+  // stage to KeyPartitionNode -> N replicas -> keyed merge via
+  // `.KeyBy(...).Parallel(n)`). Output is emission-order-identical
   // to the single-instance build at any value.
   int parallelism = 1;
   // BL only: let the source store evict tuples that can no longer contribute
@@ -66,111 +61,6 @@ struct QueryBuildOptions : EngineOptions {
   const EngineOptions& engine() const { return *this; }
   EngineOptions& engine() { return *this; }
 };
-
-struct BuiltQuery {
-  QueryBuildOptions options;
-  std::string name;
-
-  std::vector<std::unique_ptr<Topology>> topologies;
-  std::vector<std::unique_ptr<ByteChannel>> channels;
-
-  // Probes (non-owning; valid while topologies live).
-  SourceNodeBase* source = nullptr;
-  SinkNode* sink = nullptr;
-  ProvenanceSinkNode* provenance_sink = nullptr;      // GL only
-  BaselineResolverNode* baseline_resolver = nullptr;  // BL only
-  std::vector<SuNode*> su_nodes;  // fused SU per instance (instance order)
-  std::vector<SendNode*> send_nodes;  // one per inter-instance channel
-
-  // Live lineage index (GL with EngineOptions::lineage_store only); fed by
-  // the provenance sink, shared with LineageQuery handles.
-  std::shared_ptr<LineageStore> lineage_store;
-
-  // Remote serving endpoint over the store (lineage_serve_addr non-empty):
-  // started before Run() and kept alive with the query, so a remote console
-  // can ask while the topology executes and after it drains.
-  std::shared_ptr<LineageService> lineage_service;
-
-  // Sum of the stateful window sizes (the MU join window / resolver slack).
-  int64_t total_window_span = 0;
-  int n_instances = 1;
-
-  // Handle for querying lineage while (or after) the query runs. Throws on
-  // use unless the query was built with mode GL and
-  // EngineOptions::lineage_store (GENEALOG_LINEAGE_STORE=1).
-  LineageQuery lineage() const { return LineageQuery(lineage_store); }
-
-  uint64_t network_bytes() const {
-    uint64_t total = 0;
-    for (const auto& c : channels) total += c->bytes_sent();
-    return total;
-  }
-
-  // Aggregated wire-codec accounting across every Send node (frames, raw vs
-  // encoded bytes; see WireStats).
-  WireStats wire_stats() const {
-    WireStats total;
-    for (const SendNode* s : send_nodes) total += s->wire_stats();
-    return total;
-  }
-
-  // Runs all topologies to completion (blocking); a failing node aborts
-  // queues *and* channels, so Receive nodes blocked on a socket or frame
-  // queue unwind too.
-  void Run() { RunTopologies(topologies, channels); }
-};
-
-// Allocates a channel on the query (see AddChannelTo in net/channel.h).
-inline ChannelEnds AddChannel(BuiltQuery& q) {
-  return AddChannelTo(q.channels, q.options.use_tcp);
-}
-
-// Adds a Send node carrying the query's wire-codec knobs and registers it
-// for wire_stats() aggregation.
-inline SendNode* AddSend(BuiltQuery& q, Topology& topology,
-                         const std::string& name, ByteChannel* channel) {
-  auto* send =
-      topology.Add<SendNode>(name, channel, WireCodecFrom(q.options.engine()));
-  q.send_nodes.push_back(send);
-  return send;
-}
-
-// Inserts an SU (fused, or composed per Figure 5B when the ablation option is
-// set) between a delivering stream and its consumers. Returns the node the
-// delivering stream must be connected to. SO feeds `so_consumer`, U feeds
-// `u_consumer`.
-inline Node* AddSu(BuiltQuery& q, Topology& topology, const std::string& name,
-                   Node* so_consumer, Node* u_consumer) {
-  if (q.options.composed_unfolders) {
-    ComposedSu composed = BuildComposedSu(topology, name);
-    topology.Connect(composed.so_node, so_consumer);
-    topology.Connect(composed.u_node, u_consumer);
-    return composed.entry;
-  }
-  auto* su = topology.Add<SuNode>(name);
-  topology.Connect(su, so_consumer);  // output 0 = SO
-  topology.Connect(su, u_consumer);   // output 1 = U
-  q.su_nodes.push_back(su);
-  return su;
-}
-
-// Inserts an MU (fused or composed per Figure 8). Returns {derived input
-// node, upstream input node}; the MU output feeds `consumer`.
-struct MuHandles {
-  Node* derived_entry;
-  Node* upstream_entry;
-};
-inline MuHandles AddMu(BuiltQuery& q, Topology& topology,
-                       const std::string& name, int64_t ws, Node* consumer) {
-  if (q.options.composed_unfolders) {
-    ComposedMu composed = BuildComposedMu(topology, name, ws);
-    topology.Connect(composed.output, consumer);
-    return {composed.derived_entry, composed.upstream_entry};
-  }
-  auto* mu = topology.Add<MuNode>(name, ws);
-  topology.Connect(mu, consumer);
-  return {mu, mu};
-}
 
 }  // namespace genealog::queries
 

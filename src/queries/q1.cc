@@ -13,7 +13,6 @@
 // instance 1 and Aggregate+Filter+Sink on instance 2.
 #include <set>
 
-#include "queries/assemble.h"
 #include "queries/queries.h"
 
 namespace genealog::queries {
@@ -21,8 +20,7 @@ namespace genealog::queries {
 using lr::PositionReport;
 using lr::StoppedCarStats;
 
-// Shared with q2.cc's fluent builder (the Q2 plan starts with the whole Q1
-// chain).
+// Shared with q2.cc (the Q2 plan starts with the whole Q1 chain).
 AggregateCombiner<PositionReport, StoppedCarStats, int64_t>
 StoppedCarCombiner() {
   return [](const WindowView<PositionReport, int64_t>& w) {
@@ -34,68 +32,9 @@ StoppedCarCombiner() {
   };
 }
 
-// Shared with q2.cc: builds Filter(speed==0) -> Aggregate -> Filter(stopped)
-// and returns the final node.
-Node* BuildStoppedCarChain(Topology& topo, Node* input,
-                           const std::string& prefix) {
-  auto* f_zero = topo.Add<FilterNode<PositionReport>>(
-      prefix + "filter.speed0",
-      [](const PositionReport& t) { return t.speed == 0.0; });
-  auto* agg = topo.Add<AggregateNode<PositionReport, StoppedCarStats>>(
-      prefix + "agg.stopped",
-      AggregateOptions{kQ1WindowSize, kQ1WindowAdvance,
-                       WindowBounds::kLeftClosedRightOpen,
-                       EmitAt::kWindowStart},
-      [](const PositionReport& t) { return t.car_id; }, StoppedCarCombiner());
-  auto* f_stopped = topo.Add<FilterNode<StoppedCarStats>>(
-      prefix + "filter.stopped", [](const StoppedCarStats& t) {
-        return t.count == kQ1StopCount && t.dist_pos == 1;
-      });
-  topo.Connect(input, f_zero);
-  topo.Connect(f_zero, agg);
-  topo.Connect(agg, f_stopped);
-  return f_stopped;
-}
-
-BuiltQuery BuildQ1(const lr::LinearRoadData& data, QueryBuildOptions options) {
-  QuerySpec spec;
-  spec.name = "Q1";
-  spec.total_window_span = kQ1WindowSize;
-  spec.mu_ws = kQ1WindowSize;  // instance 2 holds the 120 s Aggregate
-  spec.make_source = [&data](Topology& topo, const SourceOptions& so) {
-    return topo.Add<VectorSourceNode<PositionReport>>("source", data.reports,
-                                                      so);
-  };
-  // Figure 7: instance 1 = Source + Filter; instance 2 = Aggregate + Filter.
-  spec.build_stage1 = [](Topology& topo, Node* input) {
-    auto* f_zero = topo.Add<FilterNode<PositionReport>>(
-        "filter.speed0",
-        [](const PositionReport& t) { return t.speed == 0.0; });
-    topo.Connect(input, f_zero);
-    return std::vector<Node*>{f_zero};
-  };
-  spec.build_stage2 = [](Topology& topo) {
-    auto* agg = topo.Add<AggregateNode<PositionReport, StoppedCarStats>>(
-        "agg.stopped",
-        AggregateOptions{kQ1WindowSize, kQ1WindowAdvance,
-                         WindowBounds::kLeftClosedRightOpen,
-                         EmitAt::kWindowStart},
-        [](const PositionReport& t) { return t.car_id; },
-        StoppedCarCombiner());
-    auto* f_stopped = topo.Add<FilterNode<StoppedCarStats>>(
-        "filter.stopped", [](const StoppedCarStats& t) {
-          return t.count == kQ1StopCount && t.dist_pos == 1;
-        });
-    topo.Connect(agg, f_stopped);
-    return Stage2{{agg}, f_stopped};
-  };
-  return Assemble(spec, std::move(options));
-}
-
-// The same query on the fluent builder: the logical plan is the Figure 1
-// chain plus a deployment cut (Figure 7) when distributed; everything the
-// hand-wired builder spells out — SU/MU placement, provenance sink,
-// channels, ports — is woven by Dataflow::Build from options.mode. With
+// The logical plan is the Figure 1 chain plus a deployment cut (Figure 7)
+// when distributed; SU/MU placement, provenance sink, channels and ports are
+// woven by Dataflow::Build from options.mode. With
 // options.parallelism > 1 the aggregate runs as a key-partitioned parallel
 // stage (the Aggregate shorthand for .KeyBy(car_id).Parallel(n)); output and
 // provenance are identical to the single-instance build either way.

@@ -9,13 +9,10 @@
 // Filter (all of Q1), instance 2 = Aggregate + Filter + Sink.
 #include <set>
 
-#include "queries/assemble.h"
 #include "queries/queries.h"
 
 namespace genealog::queries {
 
-Node* BuildStoppedCarChain(Topology& topo, Node* input,
-                           const std::string& prefix);  // defined in q1.cc
 AggregateCombiner<lr::PositionReport, lr::StoppedCarStats, int64_t>
 StoppedCarCombiner();  // defined in q1.cc
 
@@ -36,38 +33,9 @@ AggregateCombiner<StoppedCarStats, AccidentStats, int64_t> AccidentCombiner() {
 
 }  // namespace
 
-BuiltQuery BuildQ2(const lr::LinearRoadData& data, QueryBuildOptions options) {
-  QuerySpec spec;
-  spec.name = "Q2";
-  spec.total_window_span = kQ1WindowSize + kQ2WindowSize;
-  spec.mu_ws = kQ2WindowSize;  // instance 2 holds the 30 s Aggregate
-  spec.make_source = [&data](Topology& topo, const SourceOptions& so) {
-    return topo.Add<VectorSourceNode<lr::PositionReport>>("source",
-                                                          data.reports, so);
-  };
-  spec.build_stage1 = [](Topology& topo, Node* input) {
-    return std::vector<Node*>{BuildStoppedCarChain(topo, input, "q1.")};
-  };
-  spec.build_stage2 = [](Topology& topo) {
-    auto* agg = topo.Add<AggregateNode<StoppedCarStats, AccidentStats>>(
-        "agg.accidents",
-        AggregateOptions{kQ2WindowSize, kQ2WindowAdvance,
-                         WindowBounds::kLeftClosedRightOpen,
-                         EmitAt::kWindowStart},
-        [](const StoppedCarStats& t) { return t.last_pos; },
-        AccidentCombiner());
-    auto* f_accident = topo.Add<FilterNode<AccidentStats>>(
-        "filter.accident",
-        [](const AccidentStats& t) { return t.count > 1; });
-    topo.Connect(agg, f_accident);
-    return Stage2{{agg}, f_accident};
-  };
-  return Assemble(spec, std::move(options));
-}
-
-// Q2 on the fluent builder: the whole Q1 chain, then the accident aggregate.
-// Figure 9C's split puts everything up to the stopped-car filter on instance
-// 1 and the accident stage on instance 2 — one At(2) cut.
+// The whole Q1 chain, then the accident aggregate. Figure 9C's split puts
+// everything up to the stopped-car filter on instance 1 and the accident
+// stage on instance 2 — one At(2) cut.
 BuiltDataflow BuildQ2Fluent(const lr::LinearRoadData& data,
                             QueryBuildOptions options) {
   Dataflow df(ToDataflowOptions(options));

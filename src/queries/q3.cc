@@ -12,7 +12,6 @@
 //
 // Distributed split (Figure 10C): instance 1 = Source + Aggregate + Filter,
 // instance 2 = Aggregate + Filter + Sink.
-#include "queries/assemble.h"
 #include "queries/queries.h"
 
 namespace genealog::queries {
@@ -21,7 +20,7 @@ using sg::DailyConsumption;
 using sg::MeterReading;
 using sg::ZeroDayCount;
 
-// Shared with q4.cc's fluent builder (both queries open with the daily sum).
+// Shared with q4.cc (both queries open with the daily sum).
 AggregateCombiner<MeterReading, DailyConsumption, int64_t> DailySumCombiner() {
   return [](const WindowView<MeterReading, int64_t>& w) {
     double sum = 0.0;
@@ -30,56 +29,8 @@ AggregateCombiner<MeterReading, DailyConsumption, int64_t> DailySumCombiner() {
   };
 }
 
-// Shared with q4.cc.
-AggregateNode<MeterReading, DailyConsumption>* AddDailySumAggregate(
-    Topology& topo, const std::string& name) {
-  return topo.Add<AggregateNode<MeterReading, DailyConsumption>>(
-      name,
-      AggregateOptions{kDayHours, kDayHours, WindowBounds::kLeftClosedRightOpen,
-                       EmitAt::kWindowEnd},
-      [](const MeterReading& t) { return t.meter_id; }, DailySumCombiner());
-}
-
-BuiltQuery BuildQ3(const sg::SmartGridData& data, QueryBuildOptions options) {
-  QuerySpec spec;
-  spec.name = "Q3";
-  spec.total_window_span = kDayHours + kDayHours;
-  spec.mu_ws = kDayHours;  // instance 2 holds the counting day-Aggregate
-  spec.make_source = [&data](Topology& topo, const SourceOptions& so) {
-    return topo.Add<VectorSourceNode<MeterReading>>("source", data.readings,
-                                                    so);
-  };
-  spec.build_stage1 = [](Topology& topo, Node* input) {
-    auto* agg = AddDailySumAggregate(topo, "agg.daily_sum");
-    auto* f_zero = topo.Add<FilterNode<DailyConsumption>>(
-        "filter.zero_sum",
-        [](const DailyConsumption& t) { return t.cons_sum == 0.0; });
-    topo.Connect(input, agg);
-    topo.Connect(agg, f_zero);
-    return std::vector<Node*>{f_zero};
-  };
-  spec.build_stage2 = [](Topology& topo) {
-    auto* agg = topo.Add<AggregateNode<DailyConsumption, ZeroDayCount>>(
-        "agg.zero_count",
-        AggregateOptions{kDayHours, kDayHours,
-                         WindowBounds::kLeftClosedRightOpen,
-                         EmitAt::kWindowStart},
-        [](const DailyConsumption&) { return int64_t{0}; },
-        [](const WindowView<DailyConsumption, int64_t>& w) {
-          return MakeTuple<ZeroDayCount>(
-              /*ts=*/0, static_cast<int64_t>(w.tuples.size()));
-        });
-    auto* f_alert = topo.Add<FilterNode<ZeroDayCount>>(
-        "filter.blackout",
-        [](const ZeroDayCount& t) { return t.count > kQ3ZeroMeterThreshold; });
-    topo.Connect(agg, f_alert);
-    return Stage2{{agg}, f_alert};
-  };
-  return Assemble(spec, std::move(options));
-}
-
-// Q3 on the fluent builder; Figure 10C's split cuts between the zero-sum
-// filter (instance 1) and the counting day-aggregate (instance 2).
+// Figure 10C's split cuts between the zero-sum filter (instance 1) and the
+// counting day-aggregate (instance 2).
 BuiltDataflow BuildQ3Fluent(const sg::SmartGridData& data,
                             QueryBuildOptions options) {
   Dataflow df(ToDataflowOptions(options));

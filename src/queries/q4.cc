@@ -19,7 +19,6 @@
 // upstream ports); instance 2 = Join + Filter + Sink.
 #include <cmath>
 
-#include "queries/assemble.h"
 #include "queries/queries.h"
 
 namespace genealog::queries {
@@ -31,59 +30,13 @@ using sg::MeterReading;
 
 }  // namespace
 
-AggregateNode<MeterReading, DailyConsumption>* AddDailySumAggregate(
-    Topology& topo, const std::string& name);  // defined in q3.cc
 AggregateCombiner<MeterReading, DailyConsumption, int64_t>
 DailySumCombiner();  // defined in q3.cc
 
-BuiltQuery BuildQ4(const sg::SmartGridData& data, QueryBuildOptions options) {
-  QuerySpec spec;
-  spec.name = "Q4";
-  spec.total_window_span = kDayHours + kQ4JoinWindowHours;
-  spec.mu_ws = kQ4JoinWindowHours;  // instance 2 holds the 1 h Join
-  spec.make_source = [&data](Topology& topo, const SourceOptions& so) {
-    return topo.Add<VectorSourceNode<MeterReading>>("source", data.readings,
-                                                    so);
-  };
-  spec.build_stage1 = [](Topology& topo, Node* input) {
-    auto* mux = topo.Add<MultiplexNode>("multiplex");
-    auto* agg = AddDailySumAggregate(topo, "agg.daily_sum");
-    auto* f_midnight = topo.Add<FilterNode<MeterReading>>(
-        "filter.midnight",
-        [](const MeterReading& t) { return t.ts % kDayHours == 0; });
-    topo.Connect(input, mux);
-    topo.Connect(mux, agg);
-    topo.Connect(mux, f_midnight);
-    return std::vector<Node*>{agg, f_midnight};
-  };
-  spec.build_stage2 = [](Topology& topo) {
-    auto* join =
-        topo.Add<JoinNode<DailyConsumption, MeterReading, ConsumptionDiff>>(
-            "join.meter", JoinOptions{kQ4JoinWindowHours},
-            [](const DailyConsumption& l, const MeterReading& r) {
-              return l.meter_id == r.meter_id;
-            },
-            [](const DailyConsumption& l, const MeterReading& r) {
-              return MakeTuple<ConsumptionDiff>(
-                  /*ts=*/0, l.meter_id, std::abs(l.cons_sum - r.cons));
-            });
-    auto* f_alert = topo.Add<FilterNode<ConsumptionDiff>>(
-        "filter.anomaly", [](const ConsumptionDiff& t) {
-          return t.cons_diff > kQ4DiffThreshold;
-        });
-    topo.Connect(join, f_alert);
-    // The Join appears twice: entry 0 = left (daily sums), entry 1 = right
-    // (midnight readings), matching stage 1's exit order.
-    return Stage2{{join, join}, f_alert};
-  };
-  return Assemble(spec, std::move(options));
-}
-
-// Q4 on the fluent builder: the only query with fan-out and a Join. Figure
-// 11C's split keeps Multiplex/Aggregate/Filter on instance 1 and runs the
-// Join on instance 2 — rebinding the Join's left input with At(2) places the
-// operator there, and both delivering streams get their SU + MU upstream
-// port automatically.
+// Q4 is the only query with fan-out and a Join. Figure 11C's split keeps
+// Multiplex/Aggregate/Filter on instance 1 and runs the Join on instance 2 —
+// rebinding the Join's left input with At(2) places the operator there, and
+// both delivering streams get their SU + MU upstream port automatically.
 BuiltDataflow BuildQ4Fluent(const sg::SmartGridData& data,
                             QueryBuildOptions options) {
   Dataflow df(ToDataflowOptions(options));

@@ -5,7 +5,7 @@
 //  Q3 — Smart grid, long-term blackout detection (Figure 10).
 //  Q4 — Smart grid, midnight-anomaly detection (Figure 11).
 //
-// Each builder assembles the query per the paper's figures in the requested
+// Each builder lowers the query per the paper's figures in the requested
 // provenance mode and deployment (see queries/common.h).
 #ifndef GENEALOG_QUERIES_QUERIES_H_
 #define GENEALOG_QUERIES_QUERIES_H_
@@ -28,17 +28,12 @@ inline constexpr int64_t kQ3ZeroMeterThreshold = 7;   // alert if count > 7
 inline constexpr int64_t kQ4JoinWindowHours = 1;
 inline constexpr double kQ4DiffThreshold = 200.0;
 
-BuiltQuery BuildQ1(const lr::LinearRoadData& data, QueryBuildOptions options);
-BuiltQuery BuildQ2(const lr::LinearRoadData& data, QueryBuildOptions options);
-BuiltQuery BuildQ3(const sg::SmartGridData& data, QueryBuildOptions options);
-BuiltQuery BuildQ4(const sg::SmartGridData& data, QueryBuildOptions options);
-
-// The same four queries on the fluent dataflow builder (spe/dataflow.h):
-// each logical plan in ~20 lines, with the SU/MU/provenance-sink machinery
-// woven automatically from `options.mode` and the paper's distributed split
+// Each query on the fluent dataflow builder (spe/dataflow.h): the logical
+// plan in ~20 lines, with the SU/MU/provenance-sink machinery woven
+// automatically from `options.mode` and the paper's distributed split
 // expressed as a single At(2) deployment cut. dataflow_equivalence_test pins
-// their output — sink stream and canonical provenance — to the hand-wired
-// builders above.
+// every mode and deployment — sink stream, canonical provenance and lowered
+// structure — to golden digests (tests/queries/golden/queries.golden).
 BuiltDataflow BuildQ1Fluent(const lr::LinearRoadData& data,
                             QueryBuildOptions options);
 BuiltDataflow BuildQ2Fluent(const lr::LinearRoadData& data,
@@ -48,7 +43,7 @@ BuiltDataflow BuildQ3Fluent(const sg::SmartGridData& data,
 BuiltDataflow BuildQ4Fluent(const sg::SmartGridData& data,
                             QueryBuildOptions options);
 
-// Translates the hand-wired build options into the fluent builder's options;
+// Translates the query build options into the fluent builder's options;
 // deployment cuts and sink consumers stay per-query.
 inline DataflowOptions ToDataflowOptions(const QueryBuildOptions& options) {
   DataflowOptions opts;

@@ -19,7 +19,7 @@ namespace {
 // the merge's reordering guarantees composing across stages, which is
 // exactly the shape the paper's safety argument does not cover. Reject it:
 // aggregate inside one (possibly parallel) stage, or drop the Parallel().
-void ValidateParallelStages(const dataflow_internal::Plan& plan) {
+void ValidatePartitionedStages(const dataflow_internal::Plan& plan) {
   const auto& ops = plan.ops;
   for (size_t i = 0; i < ops.size(); ++i) {
     if (!ops[i].is_parallel_stage()) continue;
@@ -107,7 +107,7 @@ void Validate(const dataflow_internal::Plan& plan) {
         "per-sink provenance construction); found " +
         std::to_string(n_sinks));
   }
-  ValidateParallelStages(plan);
+  ValidatePartitionedStages(plan);
 }
 
 }  // namespace

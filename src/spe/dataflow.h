@@ -87,9 +87,8 @@ struct DataflowOptions {
   // Optional per-record observer, called on the provenance-sink thread.
   std::function<void(const ProvenanceRecord&)> provenance_consumer;
   // Event-time slack before a provenance group / resolver join is finalized.
-  // Defaults to the sum of the plan's stateful window spans — the figure the
-  // hand-wired deployments pass — which is always sufficient; override only
-  // to experiment with tighter horizons.
+  // Defaults to the sum of the plan's stateful window spans, which is always
+  // sufficient; override only to experiment with tighter horizons.
   std::optional<int64_t> finalize_slack;
   // BL only: oracle eviction ablation for the baseline source store.
   bool baseline_oracle_eviction = false;

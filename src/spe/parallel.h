@@ -44,8 +44,8 @@ namespace genealog {
 // Filter, it *forwards* (no copies, no instrumentation): it is semantically a
 // Router whose conditions partition the key space. The hash functor is a
 // template parameter so the fluent lowering can route without a
-// std::function indirection per tuple; the std::function default keeps the
-// hand-wired spelling working.
+// std::function indirection per tuple; the std::function default is for
+// callers that build the node directly (the node-level tests).
 template <typename T, typename HashFn = std::function<uint64_t(const T&)>>
 class KeyPartitionNode final : public SingleInputNode {
  public:
@@ -166,17 +166,6 @@ class KeyedMergeNode final : public MergingNode {
   std::vector<Pending> buffer_;
 };
 
-// A key-partitioned Aggregate: partition -> N AggregateNode instances ->
-// KeyedMergeNode. The merged output is emission-order-identical to a
-// single-instance Aggregate (same tuples, same order); `parallelism` makes
-// the shard count plan-visible to harnesses.
-struct ParallelStage {
-  Node* entry = nullptr;
-  Node* exit = nullptr;
-  std::vector<Node*> instances;
-  int parallelism = 1;
-};
-
 // Wraps an aggregate combiner so each output tuple's group key is recorded
 // as its merge order token. AggregateNode emits the exact object the
 // combiner returns (spe/aggregate.h FireOne), which is what makes the
@@ -197,32 +186,6 @@ AggregateCombiner<In, Out, Key> TokenRecordingCombiner(
     }
     return out;
   };
-}
-
-template <typename In, typename Out, typename Key = int64_t>
-ParallelStage AddParallelAggregate(
-    Topology& topology, const std::string& name, int parallelism,
-    AggregateOptions options,
-    typename AggregateNode<In, Out, Key>::KeyFn key_fn,
-    AggregateCombiner<In, Out, Key> combiner) {
-  ParallelStage stage;
-  stage.parallelism = parallelism;
-  auto* partition = topology.Add<KeyPartitionNode<In>>(
-      name + ".partition",
-      [key_fn](const In& t) { return static_cast<uint64_t>(key_fn(t)); });
-  auto* merge = topology.Add<KeyedMergeNode>(name + ".merge");
-  AggregateCombiner<In, Out, Key> wrapped =
-      TokenRecordingCombiner<In, Out, Key>(std::move(combiner), merge);
-  for (int i = 0; i < parallelism; ++i) {
-    auto* agg = topology.Add<AggregateNode<In, Out, Key>>(
-        name + ".agg" + std::to_string(i), options, key_fn, wrapped);
-    topology.Connect(partition, agg);
-    topology.Connect(agg, merge);
-    stage.instances.push_back(agg);
-  }
-  stage.entry = partition;
-  stage.exit = merge;
-  return stage;
 }
 
 }  // namespace genealog

@@ -200,7 +200,7 @@ TEST(LineageServiceTest, LiveQ1RemoteEqualsInProcess) {
     options.distributed = distributed;
     options.lineage_store = true;
     options.lineage_serve_addr = "127.0.0.1:0";  // ephemeral; engine-started
-    auto q = queries::BuildQ1(lr::GenerateLinearRoad(config),
+    auto q = queries::BuildQ1Fluent(lr::GenerateLinearRoad(config),
                               std::move(options));
     ASSERT_NE(q.lineage_service, nullptr);
     ASSERT_TRUE(q.lineage_service->running());

@@ -53,7 +53,7 @@ TEST(ProvenanceFileTest, GlFileRoundTripsThroughDeserializer) {
   QueryBuildOptions options;
   options.mode = ProvenanceMode::kGenealog;
   options.provenance_file = path;
-  auto run = RunQuery(BuildQ1, data, options);
+  auto run = RunQuery(BuildQ1Fluent, data, options);
   ASSERT_FALSE(run.records.empty());
 
   auto file_records = ReadProvenanceFile(path);
@@ -83,11 +83,11 @@ TEST(ProvenanceFileTest, BlFileHasIdenticalFormat) {
   QueryBuildOptions gl;
   gl.mode = ProvenanceMode::kGenealog;
   gl.provenance_file = gl_path;
-  RunQuery(BuildQ1, data, gl);
+  RunQuery(BuildQ1Fluent, data, gl);
   QueryBuildOptions bl;
   bl.mode = ProvenanceMode::kBaseline;
   bl.provenance_file = bl_path;
-  RunQuery(BuildQ1, data, bl);
+  RunQuery(BuildQ1Fluent, data, bl);
 
   auto gl_records = ReadProvenanceFile(gl_path);
   auto bl_records = ReadProvenanceFile(bl_path);
@@ -114,6 +114,39 @@ TEST(ProvenanceFileTest, BlFileHasIdenticalFormat) {
   std::remove(bl_path.c_str());
 }
 
+// The baseline resolver's file must be complete when Run() returns, not
+// only once the query is destroyed: probes (and the golden-digest suite)
+// read it while the built dataflow, and with it the resolver's FILE*, is
+// still alive. An unflushed tail reads as a truncated record.
+TEST(ProvenanceFileTest, BlFileIsCompleteWhileQueryIsAlive) {
+  lr::LinearRoadConfig config;
+  config.n_cars = 30;
+  config.duration_s = 1800;
+  config.stop_probability = 0.03;
+  config.seed = 17;
+  auto data = lr::GenerateLinearRoad(config);
+
+  const std::string path = ::testing::TempDir() + "/bl_alive.bin";
+  QueryBuildOptions options;
+  options.mode = ProvenanceMode::kBaseline;
+  options.provenance_file = path;
+  BuiltDataflow q = BuildQ1Fluent(data, options);
+  q.Run();
+  ASSERT_NE(q.baseline_resolver, nullptr);
+  ASSERT_GT(q.provenance_records(), 0u);
+
+  std::vector<FileRecord> records;
+  EXPECT_NO_THROW(records = ReadProvenanceFile(path));
+  EXPECT_EQ(records.size(), q.provenance_records());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  EXPECT_EQ(static_cast<uint64_t>(std::ftell(f)),
+            q.baseline_resolver->bytes_written());
+  std::fclose(f);
+  std::remove(path.c_str());
+}
+
 TEST(ProvenanceFileTest, DistributedRunWritesSameRecordsAsIntra) {
   lr::LinearRoadConfig config;
   config.n_cars = 15;
@@ -127,12 +160,12 @@ TEST(ProvenanceFileTest, DistributedRunWritesSameRecordsAsIntra) {
   QueryBuildOptions intra;
   intra.mode = ProvenanceMode::kGenealog;
   intra.provenance_file = intra_path;
-  RunQuery(BuildQ1, data, intra);
+  RunQuery(BuildQ1Fluent, data, intra);
   QueryBuildOptions dist;
   dist.mode = ProvenanceMode::kGenealog;
   dist.distributed = true;
   dist.provenance_file = dist_path;
-  RunQuery(BuildQ1, data, dist);
+  RunQuery(BuildQ1Fluent, data, dist);
 
   auto intra_records = ReadProvenanceFile(intra_path);
   auto dist_records = ReadProvenanceFile(dist_path);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace genealog::metrics {
 namespace {
 
@@ -64,6 +67,49 @@ TEST(RenderOverheadTableTest, ShowsConfidenceIntervalWithMultipleRuns) {
   row.throughput_tps = {1000, 25, 3};
   const std::string table = RenderOverheadTable({row}, "T");
   EXPECT_NE(table.find("±25"), std::string::npos);
+}
+
+// The '|'-separated columns of the table row starting with `prefix`:
+// [0] query/variant, [1] throughput, [2] latency, [3] avg mem, [4] max mem.
+std::vector<std::string> RowColumns(const std::string& table,
+                                    const std::string& prefix) {
+  const size_t start = table.find(prefix);
+  EXPECT_NE(start, std::string::npos) << prefix;
+  if (start == std::string::npos) return {};
+  const std::string line = table.substr(start, table.find('\n', start) - start);
+  std::vector<std::string> columns;
+  size_t from = 0;
+  for (size_t bar; (bar = line.find('|', from)) != std::string::npos;
+       from = bar + 1) {
+    columns.push_back(line.substr(from, bar - from));
+  }
+  columns.push_back(line.substr(from));
+  return columns;
+}
+
+// A cell whose sink recorded no latency samples has no latency reading: the
+// table says n/a instead of 0.00 and computes no delta from it, in either
+// direction.
+TEST(RenderOverheadTableTest, AbsentLatencyPrintsNaWithoutDelta) {
+  QueryVariantResult np = Row("Q1", "NP", 1000, 10, 1, 2);
+  QueryVariantResult gl = Row("Q1", "GL", 900, 0, 1, 2);
+  gl.latency_ms = CellStats{};  // no run sampled latency
+  std::vector<std::string> cols =
+      RowColumns(RenderOverheadTable({np, gl}, "T"), "Q1   GL");
+  ASSERT_EQ(cols.size(), 5u);
+  EXPECT_NE(cols[2].find("n/a"), std::string::npos) << cols[2];
+  EXPECT_EQ(cols[2].find("0.00"), std::string::npos) << cols[2];
+  EXPECT_EQ(cols[2].find('%'), std::string::npos) << cols[2];
+  EXPECT_NE(cols[1].find("-10.0%"), std::string::npos) << cols[1];
+
+  np.latency_ms = CellStats{};
+  gl.latency_ms = {12, 0, 1};
+  const std::string table = RenderOverheadTable({np, gl}, "T");
+  EXPECT_NE(RowColumns(table, "Q1   NP")[2].find("n/a"), std::string::npos);
+  cols = RowColumns(table, "Q1   GL");
+  ASSERT_EQ(cols.size(), 5u);
+  EXPECT_NE(cols[2].find("12.00"), std::string::npos) << cols[2];
+  EXPECT_EQ(cols[2].find('%'), std::string::npos) << cols[2];
 }
 
 TEST(RenderProvenanceVolumeTest, ComputesRatio) {

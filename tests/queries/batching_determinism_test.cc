@@ -206,7 +206,7 @@ Q1Run RunQ1(const lr::LinearRoadData& data, size_t batch_size,
     std::sort(record.origins.begin(), record.origins.end());
     run.canonical.records.push_back(std::move(record));
   };
-  queries::BuiltQuery q = queries::BuildQ1(data, std::move(options));
+  BuiltDataflow q = queries::BuildQ1Fluent(data, std::move(options));
   q.Run();
   run.canonical.Canonicalize();
   return run;

@@ -1,20 +1,29 @@
-// The fluent dataflow builder must be a pure re-spelling of the hand-wired
-// deployments, for every evaluation query: BuildQ{1..4}Fluent
-// (spe/dataflow.h + genealog/instrument weaving) and the hand-wired
-// BuildQ{1..4} (queries/assemble.h) must produce identical sink streams (in
-// emission order) and byte-identical canonical provenance files (see
-// CanonicalProvenanceBytes in query_helpers.h for what must be masked and
-// why). Q1 is swept across batch {1, 64} x edge {ring, mutex}; Q2–Q4 ride
-// the ring at batch {1, 64} — their plans exercise what Q1 cannot (chained
-// aggregates, window-end emission, Multiplex fan-out, Join), the edge
-// implementation is already pinned by Q1. Everything runs intra and
-// distributed.
+// The four evaluation queries, pinned to golden digests. Every cell of
+// tests/queries/golden/queries.golden — Q1–Q4 x {NP, GL, BL, GL with the
+// composed unfolders} x {intra, dist} — records the sink stream (count and
+// digest in emission order), the provenance (record count and digest of the
+// canonical file bytes, see CanonicalProvenanceBytes in query_helpers.h) and
+// the lowered structure (instances, SU nodes, channels). The goldens were
+// frozen from the hand-wired deployments the fluent builders replaced, so
+// BuildQ{1..4}Fluent must reproduce the paper's wiring exactly.
+//
+// Each cell is checked at batch {1, 64} x edge {ring, mutex}, and the
+// distributed cells additionally under codec {raw, compact}: batching, the
+// edge implementation and the wire codec must all be invisible. The
+// key-partitioned `.Parallel(n)` lowering is pinned to the same sink and
+// provenance digests.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "lr/linear_road.h"
 #include "queries/query_helpers.h"
 #include "smartgrid/smartgrid.h"
@@ -53,144 +62,186 @@ sg::SmartGridData SmallSg() {
   return sg::GenerateSmartGrid(config);
 }
 
-struct RunArtifacts {
-  std::vector<std::string> ordered_sink;  // emission order
-  std::vector<uint8_t> provenance;        // canonical file bytes
-  uint64_t records = 0;
+std::string Hex(uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
+  return buf;
+}
+
+// One golden line, split into the columns the checks compare separately.
+struct CellDigest {
+  std::string key;        // "Q1 GL intra"
+  std::string outputs;    // sink_count sink_fnv prov_records prov_fnv
+  std::string structure;  // n_instances su_nodes channels
 };
 
-QueryBuildOptions MakeOptions(bool distributed, size_t batch, bool spsc,
-                              const std::string& file,
-                              std::vector<std::string>& sink_out,
-                              WireCodec codec = WireCodec::kRaw) {
-  QueryBuildOptions options;
-  options.mode = ProvenanceMode::kGenealog;
-  options.distributed = distributed;
-  options.batch_size = batch;
-  options.spsc_edges = spsc;
-  options.wire_codec = codec;
-  options.provenance_file = file;
-  options.sink_consumer = [&sink_out](const TuplePtr& t) {
-    sink_out.push_back(std::to_string(t->ts) + "|" + t->DebugPayload());
-  };
-  return options;
-}
-
-template <typename Builder, typename Data>
-RunArtifacts RunOne(Builder&& builder, const Data& data, bool distributed,
-                    size_t batch, bool spsc, const std::string& path,
-                    WireCodec codec = WireCodec::kRaw) {
-  RunArtifacts out;
-  auto q = builder(data,
-                   MakeOptions(distributed, batch, spsc, path,
-                               out.ordered_sink, codec));
-  q.Run();
-  out.records = [&] {
-    if constexpr (requires { q.provenance_records(); }) {
-      return q.provenance_records();  // BuiltDataflow
-    } else {
-      return q.provenance_sink->records();  // BuiltQuery
+// Golden lines keyed by "query mode deployment".
+const std::map<std::string, CellDigest>& Goldens() {
+  static const std::map<std::string, CellDigest> goldens = [] {
+    const std::filesystem::path path =
+        std::filesystem::path(__FILE__).parent_path() / "golden" /
+        "queries.golden";
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "cannot open " << path;
+    std::map<std::string, CellDigest> out;
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      std::istringstream fields(line);
+      std::vector<std::string> f;
+      for (std::string token; fields >> token;) f.push_back(token);
+      EXPECT_EQ(f.size(), 10u) << "malformed golden line: " << line;
+      if (f.size() != 10) continue;
+      CellDigest cell{f[0] + " " + f[1] + " " + f[2],
+                      f[3] + " " + f[4] + " " + f[5] + " " + f[6],
+                      f[7] + " " + f[8] + " " + f[9]};
+      out.emplace(cell.key, cell);
     }
+    return out;
   }();
-  out.provenance = CanonicalProvenanceBytes(path);
-  std::remove(path.c_str());
-  return out;
+  return goldens;
 }
 
-// The wire codec must be invisible: within each sweep point the hand-wired
-// build runs raw and the fluent build runs each codec in `codecs`, so the
-// compact rows are cross-codec comparisons — one side delta/dictionary
-// encodes its channels, the other does not, and the sinks and canonical
-// provenance bytes must still match exactly. Intra sweeps pass only raw
-// (no channels to encode).
-template <typename HandBuilder, typename FluentBuilder, typename Data>
-void SweepEquivalence(const char* name, HandBuilder hand_builder,
-                      FluentBuilder fluent_builder, const Data& data,
-                      bool distributed, std::vector<bool> spsc_values,
-                      std::vector<WireCodec> codecs = {WireCodec::kRaw}) {
-  const std::string hand_path = ::testing::TempDir() + "/dfeq_hand.bin";
-  const std::string fluent_path = ::testing::TempDir() + "/dfeq_fluent.bin";
-  for (const size_t batch : {size_t{1}, size_t{64}}) {
-    for (const bool spsc : spsc_values) {
-      const RunArtifacts hand =
-          RunOne(hand_builder, data, distributed, batch, spsc, hand_path);
-      ASSERT_FALSE(hand.ordered_sink.empty());
-      ASSERT_GT(hand.records, 0u);
-      for (const WireCodec codec : codecs) {
-        SCOPED_TRACE(std::string(name) + " batch " + std::to_string(batch) +
-                     " spsc " + std::to_string(spsc) + " codec " +
-                     (codec == WireCodec::kCompact ? "compact" : "raw"));
-        const RunArtifacts fluent = RunOne(fluent_builder, data, distributed,
-                                           batch, spsc, fluent_path, codec);
-        EXPECT_EQ(fluent.ordered_sink, hand.ordered_sink);
-        EXPECT_EQ(fluent.records, hand.records);
-        EXPECT_EQ(fluent.provenance, hand.provenance)
-            << "canonical provenance bytes diverged";
+const CellDigest& Golden(const std::string& key) {
+  static const CellDigest missing{};
+  const auto& goldens = Goldens();
+  const auto it = goldens.find(key);
+  EXPECT_NE(it, goldens.end()) << "no golden line for " << key;
+  return it == goldens.end() ? missing : it->second;
+}
+
+enum class Mode { kNp, kGl, kBl, kGlComposed };
+
+const char* ModeName(Mode mode) {
+  switch (mode) {
+    case Mode::kNp:
+      return "NP";
+    case Mode::kGl:
+      return "GL";
+    case Mode::kBl:
+      return "BL";
+    case Mode::kGlComposed:
+      return "GL-composed";
+  }
+  return "?";
+}
+
+ProvenanceMode ToProvenanceMode(Mode mode) {
+  switch (mode) {
+    case Mode::kNp:
+      return ProvenanceMode::kNone;
+    case Mode::kBl:
+      return ProvenanceMode::kBaseline;
+    case Mode::kGl:
+    case Mode::kGlComposed:
+      return ProvenanceMode::kGenealog;
+  }
+  return ProvenanceMode::kNone;
+}
+
+// Builds and runs one cell, then digests it in the golden's column layout.
+// The provenance file is read while the query is still alive: every
+// provenance writer must have flushed by the time Run() returns.
+template <typename Builder, typename Data>
+CellDigest RunCell(const std::string& query, Builder&& builder,
+                   const Data& data, Mode mode, bool distributed,
+                   QueryBuildOptions options) {
+  const std::string path = ::testing::TempDir() + "/dfeq_golden.bin";
+  std::remove(path.c_str());
+  std::string sink_lines;
+  uint64_t sink_count = 0;
+  options.mode = ToProvenanceMode(mode);
+  options.distributed = distributed;
+  options.composed_unfolders = mode == Mode::kGlComposed;
+  if (mode != Mode::kNp) options.provenance_file = path;
+  options.sink_consumer = [&](const TuplePtr& t) {
+    sink_lines += std::to_string(t->ts) + "|" + t->DebugPayload() + "\n";
+    ++sink_count;
+  };
+
+  BuiltDataflow q = builder(data, std::move(options));
+  q.Run();
+  std::string prov_fnv = "-";
+  if (mode != Mode::kNp) {
+    const std::vector<uint8_t> canonical = CanonicalProvenanceBytes(path);
+    prov_fnv = Hex(Fnv1a(canonical.data(), canonical.size()));
+  }
+  CellDigest cell;
+  cell.key = query + " " + ModeName(mode) + " " +
+             (distributed ? "dist" : "intra");
+  cell.outputs = std::to_string(sink_count) + " " + Hex(Fnv1a(sink_lines)) +
+                 " " + std::to_string(q.provenance_records()) + " " +
+                 prov_fnv;
+  cell.structure = std::to_string(q.n_instances) + " " +
+                   std::to_string(q.su_nodes.size()) + " " +
+                   std::to_string(q.channels.size());
+  std::remove(path.c_str());
+  return cell;
+}
+
+// Every mode and deployment of one query against its golden lines, across
+// batch {1, 64} x edge {ring, mutex} (x codec {raw, compact} when
+// distributed; intra builds have no channels to encode).
+template <typename Builder, typename Data>
+void CheckQuery(const std::string& query, Builder builder, const Data& data) {
+  for (const Mode mode : {Mode::kNp, Mode::kGl, Mode::kBl, Mode::kGlComposed}) {
+    for (const bool distributed : {false, true}) {
+      const std::vector<WireCodec> codecs =
+          distributed ? std::vector<WireCodec>{WireCodec::kRaw,
+                                               WireCodec::kCompact}
+                      : std::vector<WireCodec>{WireCodec::kRaw};
+      for (const size_t batch : {size_t{1}, size_t{64}}) {
+        for (const bool spsc : {true, false}) {
+          for (const WireCodec codec : codecs) {
+            SCOPED_TRACE(query + " " + ModeName(mode) +
+                         (distributed ? " dist" : " intra") + " batch " +
+                         std::to_string(batch) + (spsc ? " ring" : " mutex") +
+                         (codec == WireCodec::kCompact ? " compact" : " raw"));
+            QueryBuildOptions options;
+            options.batch_size = batch;
+            options.spsc_edges = spsc;
+            options.wire_codec = codec;
+            const CellDigest cell =
+                RunCell(query, builder, data, mode, distributed, options);
+            const CellDigest& golden = Golden(cell.key);
+            EXPECT_EQ(cell.outputs, golden.outputs);
+            EXPECT_EQ(cell.structure, golden.structure);
+          }
+        }
       }
     }
   }
 }
 
-TEST(DataflowEquivalenceTest, Q1GenealogIntra) {
-  SweepEquivalence("Q1", BuildQ1, BuildQ1Fluent, SmallLr(),
-                   /*distributed=*/false, {true, false});
+TEST(DataflowEquivalenceTest, GoldenFileCoversEveryCell) {
+  EXPECT_EQ(Goldens().size(), 32u);
 }
 
-TEST(DataflowEquivalenceTest, Q1GenealogDistributed) {
-  SweepEquivalence("Q1", BuildQ1, BuildQ1Fluent, SmallLr(),
-                   /*distributed=*/true, {true, false},
-                   {WireCodec::kRaw, WireCodec::kCompact});
+TEST(DataflowEquivalenceTest, Q1MatchesGolden) {
+  CheckQuery("Q1", BuildQ1Fluent, SmallLr());
 }
 
-TEST(DataflowEquivalenceTest, Q2GenealogIntra) {
-  SweepEquivalence("Q2", BuildQ2, BuildQ2Fluent, AccidentLr(),
-                   /*distributed=*/false, {true});
+TEST(DataflowEquivalenceTest, Q2MatchesGolden) {
+  CheckQuery("Q2", BuildQ2Fluent, AccidentLr());
 }
 
-TEST(DataflowEquivalenceTest, Q2GenealogDistributed) {
-  SweepEquivalence("Q2", BuildQ2, BuildQ2Fluent, AccidentLr(),
-                   /*distributed=*/true, {true},
-                   {WireCodec::kRaw, WireCodec::kCompact});
+TEST(DataflowEquivalenceTest, Q3MatchesGolden) {
+  CheckQuery("Q3", BuildQ3Fluent, SmallSg());
 }
 
-TEST(DataflowEquivalenceTest, Q3GenealogIntra) {
-  SweepEquivalence("Q3", BuildQ3, BuildQ3Fluent, SmallSg(),
-                   /*distributed=*/false, {true});
-}
-
-TEST(DataflowEquivalenceTest, Q3GenealogDistributed) {
-  SweepEquivalence("Q3", BuildQ3, BuildQ3Fluent, SmallSg(),
-                   /*distributed=*/true, {true},
-                   {WireCodec::kRaw, WireCodec::kCompact});
-}
-
-TEST(DataflowEquivalenceTest, Q4GenealogIntra) {
-  SweepEquivalence("Q4", BuildQ4, BuildQ4Fluent, SmallSg(),
-                   /*distributed=*/false, {true});
-}
-
-TEST(DataflowEquivalenceTest, Q4GenealogDistributed) {
-  SweepEquivalence("Q4", BuildQ4, BuildQ4Fluent, SmallSg(),
-                   /*distributed=*/true, {true},
-                   {WireCodec::kRaw, WireCodec::kCompact});
+TEST(DataflowEquivalenceTest, Q4MatchesGolden) {
+  CheckQuery("Q4", BuildQ4Fluent, SmallSg());
 }
 
 // The key-partitioned lowering (`.KeyBy(car).Parallel(n)` inside
-// BuildQ1Fluent when options.parallelism > 1) must be completely invisible
-// at the sink and in the provenance file: for every shard count, scheduler
-// and batch size, the emission-order sink stream and the canonical
-// provenance bytes must equal the single-instance plan's. The reference runs
-// the plain fluent build at the seed configuration (batch 1,
-// thread-per-node), so this also re-checks batching/scheduler invariance
-// through the partition -> replicas -> keyed-merge diamond.
-TEST(DataflowEquivalenceTest, Q1ParallelMatchesSingleInstanceIntra) {
+// BuildQ1Fluent when options.parallelism > 1) must be invisible at the sink
+// and in the provenance file: for every shard count, scheduler and batch
+// size, the sink and provenance digests equal the single-instance golden.
+// The structure columns differ by design (per-replica SUs), so only the
+// outputs are compared.
+TEST(DataflowEquivalenceTest, Q1ParallelMatchesGoldenIntra) {
   const lr::LinearRoadData data = SmallLr();
-  const std::string ref_path = ::testing::TempDir() + "/dfeq_par_ref.bin";
-  const std::string par_path = ::testing::TempDir() + "/dfeq_par.bin";
-  const RunArtifacts reference = RunOne(
-      BuildQ1Fluent, data, /*distributed=*/false, 1, true, ref_path);
-  ASSERT_FALSE(reference.ordered_sink.empty());
-  ASSERT_GT(reference.records, 0u);
+  const CellDigest& golden = Golden("Q1 GL intra");
   for (const int shards : {1, 2, 4}) {
     for (const SchedulerMode scheduler :
          {SchedulerMode::kThreadPerNode, SchedulerMode::kPool}) {
@@ -198,21 +249,14 @@ TEST(DataflowEquivalenceTest, Q1ParallelMatchesSingleInstanceIntra) {
         SCOPED_TRACE("shards " + std::to_string(shards) + " pool " +
                      std::to_string(scheduler == SchedulerMode::kPool) +
                      " batch " + std::to_string(batch));
-        auto parallel_builder = [shards, scheduler](
-                                    const lr::LinearRoadData& d,
-                                    QueryBuildOptions options) {
-          options.parallelism = shards;
-          options.scheduler = scheduler;
-          if (scheduler == SchedulerMode::kPool) options.workers = 3;
-          return BuildQ1Fluent(d, std::move(options));
-        };
-        const RunArtifacts par = RunOne(parallel_builder, data,
-                                        /*distributed=*/false, batch, true,
-                                        par_path);
-        EXPECT_EQ(par.ordered_sink, reference.ordered_sink);
-        EXPECT_EQ(par.records, reference.records);
-        EXPECT_EQ(par.provenance, reference.provenance)
-            << "canonical provenance bytes diverged";
+        QueryBuildOptions options;
+        options.parallelism = shards;
+        options.scheduler = scheduler;
+        if (scheduler == SchedulerMode::kPool) options.workers = 3;
+        options.batch_size = batch;
+        const CellDigest cell = RunCell("Q1", BuildQ1Fluent, data, Mode::kGl,
+                                        /*distributed=*/false, options);
+        EXPECT_EQ(cell.outputs, golden.outputs);
       }
     }
   }
@@ -221,77 +265,25 @@ TEST(DataflowEquivalenceTest, Q1ParallelMatchesSingleInstanceIntra) {
 // Same invariance across a deployment cut: the parallel stage lowers inside
 // its instance and the distributed weaving (cut SUs, MU, provenance
 // instance) composes with it unchanged.
-TEST(DataflowEquivalenceTest, Q1ParallelMatchesSingleInstanceDistributed) {
+TEST(DataflowEquivalenceTest, Q1ParallelMatchesGoldenDistributed) {
   const lr::LinearRoadData data = SmallLr();
-  const std::string ref_path = ::testing::TempDir() + "/dfeq_pard_ref.bin";
-  const std::string par_path = ::testing::TempDir() + "/dfeq_pard.bin";
-  const RunArtifacts reference = RunOne(
-      BuildQ1Fluent, data, /*distributed=*/true, 1, true, ref_path);
-  ASSERT_FALSE(reference.ordered_sink.empty());
-  ASSERT_GT(reference.records, 0u);
+  const CellDigest& golden = Golden("Q1 GL dist");
   for (const int shards : {2, 4}) {
     for (const size_t batch : {size_t{1}, size_t{64}}) {
       for (const WireCodec codec : {WireCodec::kRaw, WireCodec::kCompact}) {
         SCOPED_TRACE("shards " + std::to_string(shards) + " batch " +
                      std::to_string(batch) + " codec " +
                      (codec == WireCodec::kCompact ? "compact" : "raw"));
-        auto parallel_builder = [shards](const lr::LinearRoadData& d,
-                                         QueryBuildOptions options) {
-          options.parallelism = shards;
-          return BuildQ1Fluent(d, std::move(options));
-        };
-        const RunArtifacts par = RunOne(parallel_builder, data,
-                                        /*distributed=*/true, batch, true,
-                                        par_path, codec);
-        EXPECT_EQ(par.ordered_sink, reference.ordered_sink);
-        EXPECT_EQ(par.records, reference.records);
-        EXPECT_EQ(par.provenance, reference.provenance)
-            << "canonical provenance bytes diverged";
+        QueryBuildOptions options;
+        options.parallelism = shards;
+        options.batch_size = batch;
+        options.wire_codec = codec;
+        const CellDigest cell = RunCell("Q1", BuildQ1Fluent, data, Mode::kGl,
+                                        /*distributed=*/true, options);
+        EXPECT_EQ(cell.outputs, golden.outputs);
       }
     }
   }
-}
-
-// The fluent lowering must mirror the hand-wired deployment structurally
-// too: same instance count, same SU placement, same probe surface.
-template <typename HandBuilder, typename FluentBuilder, typename Data>
-void CheckStructure(HandBuilder hand_builder, FluentBuilder fluent_builder,
-                    const Data& data) {
-  {
-    QueryBuildOptions options;
-    options.mode = ProvenanceMode::kGenealog;
-    auto hand = hand_builder(data, options);
-    auto fluent = fluent_builder(data, options);
-    EXPECT_EQ(fluent.n_instances, hand.n_instances);
-    EXPECT_EQ(fluent.su_nodes.size(), hand.su_nodes.size());
-    EXPECT_EQ(fluent.total_window_span, hand.total_window_span);
-  }
-  {
-    QueryBuildOptions options;
-    options.mode = ProvenanceMode::kGenealog;
-    options.distributed = true;
-    auto hand = hand_builder(data, options);
-    auto fluent = fluent_builder(data, options);
-    EXPECT_EQ(fluent.n_instances, hand.n_instances);  // 3
-    EXPECT_EQ(fluent.su_nodes.size(), hand.su_nodes.size());
-    EXPECT_EQ(fluent.channels.size(), hand.channels.size());
-  }
-}
-
-TEST(DataflowEquivalenceTest, Q1StructureMatchesHandWired) {
-  CheckStructure(BuildQ1, BuildQ1Fluent, SmallLr());
-}
-
-TEST(DataflowEquivalenceTest, Q2StructureMatchesHandWired) {
-  CheckStructure(BuildQ2, BuildQ2Fluent, AccidentLr());
-}
-
-TEST(DataflowEquivalenceTest, Q3StructureMatchesHandWired) {
-  CheckStructure(BuildQ3, BuildQ3Fluent, SmallSg());
-}
-
-TEST(DataflowEquivalenceTest, Q4StructureMatchesHandWired) {
-  CheckStructure(BuildQ4, BuildQ4Fluent, SmallSg());
 }
 
 }  // namespace

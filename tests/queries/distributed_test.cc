@@ -56,10 +56,10 @@ TEST(DistributedNpTest, SinkOutputsEqualIntra) {
     ASSERT_FALSE(intra.sink_tuples.empty()) << name;
     EXPECT_EQ(intra.sink_tuples, dist.sink_tuples) << name;
   };
-  Check(BuildQ1, lr_data, "Q1");
-  Check(BuildQ2, lr_data, "Q2");
-  Check(BuildQ3, sg_data, "Q3");
-  Check(BuildQ4, sg_data, "Q4");
+  Check(BuildQ1Fluent, lr_data, "Q1");
+  Check(BuildQ2Fluent, lr_data, "Q2");
+  Check(BuildQ3Fluent, sg_data, "Q3");
+  Check(BuildQ4Fluent, sg_data, "Q4");
 }
 
 TEST(DistributedGlTest, ProvenanceEqualsIntraProvenance) {
@@ -72,10 +72,10 @@ TEST(DistributedGlTest, ProvenanceEqualsIntraProvenance) {
     EXPECT_EQ(intra.records, dist.records) << name;
     EXPECT_EQ(intra.sink_tuples, dist.sink_tuples) << name;
   };
-  Check(BuildQ1, lr_data, "Q1");
-  Check(BuildQ2, lr_data, "Q2");
-  Check(BuildQ3, sg_data, "Q3");
-  Check(BuildQ4, sg_data, "Q4");
+  Check(BuildQ1Fluent, lr_data, "Q1");
+  Check(BuildQ2Fluent, lr_data, "Q2");
+  Check(BuildQ3Fluent, sg_data, "Q3");
+  Check(BuildQ4Fluent, sg_data, "Q4");
 }
 
 TEST(DistributedBlTest, ProvenanceEqualsIntraProvenance) {
@@ -87,25 +87,26 @@ TEST(DistributedBlTest, ProvenanceEqualsIntraProvenance) {
     ASSERT_FALSE(intra.records.empty()) << name;
     EXPECT_EQ(intra.records, dist.records) << name;
   };
-  Check(BuildQ1, lr_data, "Q1");
-  Check(BuildQ2, lr_data, "Q2");
-  Check(BuildQ3, sg_data, "Q3");
-  Check(BuildQ4, sg_data, "Q4");
+  Check(BuildQ1Fluent, lr_data, "Q1");
+  Check(BuildQ2Fluent, lr_data, "Q2");
+  Check(BuildQ3Fluent, sg_data, "Q3");
+  Check(BuildQ4Fluent, sg_data, "Q4");
 }
 
 TEST(DistributedGlTest, GlAndBlAgreeAcrossProcesses) {
   auto sg_data = sg::GenerateSmartGrid(SgConfig());
-  auto gl = RunQuery(BuildQ3, sg_data, Dist(ProvenanceMode::kGenealog));
-  auto bl = RunQuery(BuildQ3, sg_data, Dist(ProvenanceMode::kBaseline));
+  auto gl = RunQuery(BuildQ3Fluent, sg_data, Dist(ProvenanceMode::kGenealog));
+  auto bl = RunQuery(BuildQ3Fluent, sg_data, Dist(ProvenanceMode::kBaseline));
   ASSERT_FALSE(gl.records.empty());
   EXPECT_EQ(gl.records, bl.records);
 }
 
 TEST(DistributedGlTest, TcpTransportEqualsInMemoryTransport) {
   auto lr_data = lr::GenerateLinearRoad(LrConfig());
-  auto inmem = RunQuery(BuildQ1, lr_data, Dist(ProvenanceMode::kGenealog));
-  auto tcp =
-      RunQuery(BuildQ1, lr_data, Dist(ProvenanceMode::kGenealog, /*tcp=*/true));
+  auto inmem =
+      RunQuery(BuildQ1Fluent, lr_data, Dist(ProvenanceMode::kGenealog));
+  auto tcp = RunQuery(BuildQ1Fluent, lr_data,
+                      Dist(ProvenanceMode::kGenealog, /*tcp=*/true));
   ASSERT_FALSE(inmem.records.empty());
   EXPECT_EQ(inmem.records, tcp.records);
   EXPECT_EQ(inmem.sink_tuples, tcp.sink_tuples);
@@ -122,8 +123,8 @@ TEST(DistributedGlTest, ComposedMuEqualsFusedMu) {
     ASSERT_FALSE(fused.records.empty()) << name;
     EXPECT_EQ(fused.records, composed.records) << name;
   };
-  Check(BuildQ1, lr_data, "Q1");
-  Check(BuildQ4, sg_data, "Q4");  // two upstream streams into the MU
+  Check(BuildQ1Fluent, lr_data, "Q1");
+  Check(BuildQ4Fluent, sg_data, "Q4");  // two upstream streams into the MU
 }
 
 TEST(DistributedGlTest, NetworkCarriesOnlyProvenanceNotSourceStream) {
@@ -138,24 +139,24 @@ TEST(DistributedGlTest, NetworkCarriesOnlyProvenanceNotSourceStream) {
   config.accident_probability = 0.01;
   config.seed = 9;
   auto lr_data = lr::GenerateLinearRoad(config);
-  BuiltQuery gl_q = BuildQ1(lr_data, Dist(ProvenanceMode::kGenealog));
+  BuiltDataflow gl_q = BuildQ1Fluent(lr_data, Dist(ProvenanceMode::kGenealog));
   gl_q.Run();
-  BuiltQuery bl_q = BuildQ1(lr_data, Dist(ProvenanceMode::kBaseline));
+  BuiltDataflow bl_q = BuildQ1Fluent(lr_data, Dist(ProvenanceMode::kBaseline));
   bl_q.Run();
   EXPECT_LT(gl_q.network_bytes(), bl_q.network_bytes());
 }
 
 TEST(DistributedTest, InstanceCountsMatchDeployment) {
   auto lr_data = lr::GenerateLinearRoad(LrConfig());
-  BuiltQuery np = BuildQ1(lr_data, Dist(ProvenanceMode::kNone));
+  BuiltDataflow np = BuildQ1Fluent(lr_data, Dist(ProvenanceMode::kNone));
   EXPECT_EQ(np.n_instances, 2);
   EXPECT_EQ(np.topologies.size(), 2u);
-  BuiltQuery gl = BuildQ1(lr_data, Dist(ProvenanceMode::kGenealog));
+  BuiltDataflow gl = BuildQ1Fluent(lr_data, Dist(ProvenanceMode::kGenealog));
   EXPECT_EQ(gl.n_instances, 3);
   EXPECT_EQ(gl.topologies.size(), 3u);
   EXPECT_EQ(gl.su_nodes.size(), 2u);  // one per delivering stream (Q1)
-  BuiltQuery q4 = BuildQ4(sg::GenerateSmartGrid(SgConfig()),
-                          Dist(ProvenanceMode::kGenealog));
+  BuiltDataflow q4 = BuildQ4Fluent(sg::GenerateSmartGrid(SgConfig()),
+                                   Dist(ProvenanceMode::kGenealog));
   EXPECT_EQ(q4.su_nodes.size(), 3u);  // two sends + one sink-side SU
 }
 

@@ -1,4 +1,4 @@
-// Whole-query memory hygiene: after a BuiltQuery (any query, any mode, any
+// Whole-query memory hygiene: after a BuiltDataflow (any query, any mode, any
 // deployment) is run and destroyed, every tuple it allocated must have been
 // reclaimed — the system-level version of the C2 reachability argument.
 #include <gtest/gtest.h>
@@ -43,20 +43,20 @@ TEST_P(QueryLeakTest, NoTuplesSurviveTheQuery) {
     QueryBuildOptions options;
     options.mode = mode;
     options.distributed = distributed;
-    BuiltQuery q = [&] {
+    BuiltDataflow q = [&] {
       switch (query_index) {
         case 1:
-          return BuildQ1(lr_data, std::move(options));
+          return BuildQ1Fluent(lr_data, std::move(options));
         case 2:
-          return BuildQ2(lr_data, std::move(options));
+          return BuildQ2Fluent(lr_data, std::move(options));
         case 3:
-          return BuildQ3(sg_data, std::move(options));
+          return BuildQ3Fluent(sg_data, std::move(options));
         default:
-          return BuildQ4(sg_data, std::move(options));
+          return BuildQ4Fluent(sg_data, std::move(options));
       }
     }();
     q.Run();
-    EXPECT_GT(q.sink->count(), 0u);
+    EXPECT_GT(q.sink()->count(), 0u);
   }
   // Only the generated datasets remain.
   EXPECT_EQ(mem::LiveTupleCount(), data_tuples);

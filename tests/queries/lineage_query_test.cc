@@ -1,9 +1,8 @@
 // LineageQuery end-to-end: the store a live Q1 maintains online must answer
 // exactly like a store rebuilt by replaying the provenance file the same run
-// wrote (intra and distributed, hand-wired and fluent), the file bytes must
-// be canonically identical with the store on or off (the store is off the
-// emit path), and a query built without the store must hand out an invalid
-// handle that throws.
+// wrote (intra and distributed), the file bytes must be canonically
+// identical with the store on or off (the store is off the emit path), and a
+// query built without the store must hand out an invalid handle that throws.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,8 +58,7 @@ QueryBuildOptions LineageOptionsFor(bool distributed,
   return options;
 }
 
-template <typename Built>
-void CheckLiveMatchesReplay(Built& q, const std::string& file) {
+void CheckLiveMatchesReplay(const BuiltDataflow& q, const std::string& file) {
   const LineageQuery live = q.lineage();
   ASSERT_TRUE(live.valid());
 
@@ -96,7 +94,8 @@ void CheckLiveMatchesReplay(Built& q, const std::string& file) {
 
 TEST(LineageQueryTest, LiveQ1MatchesReplayedFileIntra) {
   const std::string file = ::testing::TempDir() + "/lq_intra.bin";
-  auto q = BuildQ1(SmallLr(), LineageOptionsFor(/*distributed=*/false, file));
+  auto q =
+      BuildQ1Fluent(SmallLr(), LineageOptionsFor(/*distributed=*/false, file));
   q.Run();
   CheckLiveMatchesReplay(q, file);
   std::remove(file.c_str());
@@ -104,18 +103,10 @@ TEST(LineageQueryTest, LiveQ1MatchesReplayedFileIntra) {
 
 TEST(LineageQueryTest, LiveQ1MatchesReplayedFileDistributed) {
   const std::string file = ::testing::TempDir() + "/lq_dist.bin";
-  auto q = BuildQ1(SmallLr(), LineageOptionsFor(/*distributed=*/true, file));
+  auto q =
+      BuildQ1Fluent(SmallLr(), LineageOptionsFor(/*distributed=*/true, file));
   q.Run();
   CheckLiveMatchesReplay(q, file);
-  std::remove(file.c_str());
-}
-
-TEST(LineageQueryTest, FluentDataflowHandsOutWorkingHandle) {
-  const std::string file = ::testing::TempDir() + "/lq_fluent.bin";
-  auto flow =
-      BuildQ1Fluent(SmallLr(), LineageOptionsFor(/*distributed=*/false, file));
-  flow.Run();
-  CheckLiveMatchesReplay(flow, file);
   std::remove(file.c_str());
 }
 
@@ -126,12 +117,13 @@ TEST(LineageQueryTest, FileBytesIdenticalWithStoreOnOrOff) {
   const std::string file_off = ::testing::TempDir() + "/lq_off.bin";
   const lr::LinearRoadData data = SmallLr();
 
-  auto on = BuildQ1(data, LineageOptionsFor(/*distributed=*/false, file_on));
+  auto on =
+      BuildQ1Fluent(data, LineageOptionsFor(/*distributed=*/false, file_on));
   on.Run();
   QueryBuildOptions off_options =
       LineageOptionsFor(/*distributed=*/false, file_off);
   off_options.lineage_store = false;
-  auto off = BuildQ1(data, off_options);
+  auto off = BuildQ1Fluent(data, off_options);
   off.Run();
 
   EXPECT_NE(on.lineage_store, nullptr);
@@ -146,7 +138,7 @@ TEST(LineageQueryTest, DisabledStoreYieldsInvalidHandle) {
   QueryBuildOptions options;
   options.mode = ProvenanceMode::kGenealog;
   options.lineage_store = false;
-  auto q = BuildQ1(SmallLr(), options);
+  auto q = BuildQ1Fluent(SmallLr(), options);
   q.Run();
   const LineageQuery query = q.lineage();
   EXPECT_FALSE(query.valid());

@@ -105,7 +105,7 @@ Q1Artifacts RunQ1(const lr::LinearRoadData& data, bool epoch, bool async,
     out.ordered_sink.push_back(std::to_string(t->ts) + "|" +
                                t->DebugPayload());
   };
-  BuiltQuery q = BuildQ1(data, options);
+  BuiltDataflow q = BuildQ1Fluent(data, options);
   q.Run();
   out.records = ParseProvenanceFile(path);
   std::remove(path.c_str());

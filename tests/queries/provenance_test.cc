@@ -51,7 +51,7 @@ QueryBuildOptions Bl() {
 
 TEST(Q1ProvenanceTest, RecordsContainExactlyTheFourZeroSpeedReports) {
   auto data = lr::GenerateLinearRoad(LrConfig());
-  auto run = RunQuery(BuildQ1, data, Gl());
+  auto run = RunQuery(BuildQ1Fluent, data, Gl());
   ASSERT_FALSE(run.records.empty());
 
   // Index the workload's zero-speed reports by (car, ts).
@@ -73,7 +73,7 @@ TEST(Q1ProvenanceTest, RecordsContainExactlyTheFourZeroSpeedReports) {
 
 TEST(Q2ProvenanceTest, AccidentRecordsHoldAllInvolvedCarsReports) {
   auto data = lr::GenerateLinearRoad(LrConfig());
-  auto run = RunQuery(BuildQ2, data, Gl());
+  auto run = RunQuery(BuildQ2Fluent, data, Gl());
   ASSERT_FALSE(run.records.empty());
   for (const CanonicalRecord& record : run.records) {
     // >= 2 cars x 4 reports; count from the payload: "pos=<p> count=<n>".
@@ -87,7 +87,7 @@ TEST(Q2ProvenanceTest, AccidentRecordsHoldAllInvolvedCarsReports) {
 
 TEST(Q3ProvenanceTest, BlackoutRecordsHold192SourceReadings) {
   auto data = sg::GenerateSmartGrid(PaperScaleSgConfig());
-  auto run = RunQuery(BuildQ3, data, Gl());
+  auto run = RunQuery(BuildQ3Fluent, data, Gl());
   ASSERT_FALSE(run.records.empty()) << "no blackouts planted";
   for (const CanonicalRecord& record : run.records) {
     // 8 meters x 24 hourly readings = 192 (§7's average).
@@ -106,7 +106,7 @@ TEST(Q4ProvenanceTest, AnomalyRecordsHoldDayReadingsPlusMidnight) {
   config.anomaly_probability = 0.05;
   config.blackout_probability = 0.0;
   auto data = sg::GenerateSmartGrid(config);
-  auto run = RunQuery(BuildQ4, data, Gl());
+  auto run = RunQuery(BuildQ4Fluent, data, Gl());
   ASSERT_FALSE(run.records.empty()) << "no anomalies planted";
   for (const CanonicalRecord& record : run.records) {
     // 24 readings of the summed day + the midnight reading (paper: 24; the
@@ -136,18 +136,18 @@ TEST(ProvenanceEquivalenceTest, GlAndBlProduceIdenticalRecords) {
     ASSERT_FALSE(gl.records.empty()) << name;
     EXPECT_EQ(gl.records, bl.records) << name;
   };
-  Check(BuildQ1, lr_data, "Q1");
-  Check(BuildQ2, lr_data, "Q2");
-  Check(BuildQ3, sg_data, "Q3");
-  Check(BuildQ4, sg_anomaly, "Q4");
+  Check(BuildQ1Fluent, lr_data, "Q1");
+  Check(BuildQ2Fluent, lr_data, "Q2");
+  Check(BuildQ3Fluent, sg_data, "Q3");
+  Check(BuildQ4Fluent, sg_anomaly, "Q4");
 }
 
 TEST(ProvenanceEquivalenceTest, ComposedUnfoldersMatchFused) {
   auto data = lr::GenerateLinearRoad(LrConfig());
-  auto fused = RunQuery(BuildQ1, data, Gl());
+  auto fused = RunQuery(BuildQ1Fluent, data, Gl());
   QueryBuildOptions composed = Gl();
   composed.composed_unfolders = true;
-  auto composed_run = RunQuery(BuildQ1, data, composed);
+  auto composed_run = RunQuery(BuildQ1Fluent, data, composed);
   ASSERT_FALSE(fused.records.empty());
   EXPECT_EQ(fused.records, composed_run.records);
   EXPECT_EQ(fused.sink_tuples, composed_run.sink_tuples);
@@ -155,9 +155,9 @@ TEST(ProvenanceEquivalenceTest, ComposedUnfoldersMatchFused) {
 
 TEST(ProvenanceEquivalenceTest, ProvenanceIsDeterministicAcrossRuns) {
   auto data = sg::GenerateSmartGrid(PaperScaleSgConfig());
-  auto first = RunQuery(BuildQ3, data, Gl());
+  auto first = RunQuery(BuildQ3Fluent, data, Gl());
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(RunQuery(BuildQ3, data, Gl()).records, first.records);
+    EXPECT_EQ(RunQuery(BuildQ3Fluent, data, Gl()).records, first.records);
   }
 }
 

@@ -38,7 +38,7 @@ TEST(Q1CorrectnessTest, SinkTuplesMatchReferenceDetector) {
                                kQ1StopCount);
   ASSERT_FALSE(reference.empty()) << "workload must plant stopped cars";
 
-  auto run = RunQuery(BuildQ1, data, {});
+  auto run = RunQuery(BuildQ1Fluent, data, {});
   ASSERT_EQ(run.sink_tuples.size(), reference.size());
   std::vector<CanonicalSinkTuple> expected;
   for (const auto& e : reference) {
@@ -57,7 +57,7 @@ TEST(Q2CorrectnessTest, SinkTuplesMatchReferenceDetector) {
   auto reference = lr::ReferenceAccidents(stopped);
   ASSERT_FALSE(reference.empty()) << "workload must plant accidents";
 
-  auto run = RunQuery(BuildQ2, data, {});
+  auto run = RunQuery(BuildQ2Fluent, data, {});
   std::vector<CanonicalSinkTuple> expected;
   for (const auto& e : reference) {
     expected.push_back(
@@ -73,7 +73,7 @@ TEST(Q3CorrectnessTest, SinkTuplesMatchReferenceDetector) {
   auto reference = sg::ReferenceBlackouts(data.readings, kQ3ZeroMeterThreshold);
   ASSERT_FALSE(reference.empty()) << "workload must plant blackouts";
 
-  auto run = RunQuery(BuildQ3, data, {});
+  auto run = RunQuery(BuildQ3Fluent, data, {});
   std::vector<CanonicalSinkTuple> expected;
   for (const auto& e : reference) {
     // The daily sums of day d are emitted at ts = 24(d+1); the counting
@@ -90,7 +90,7 @@ TEST(Q4CorrectnessTest, SinkTuplesMatchReferenceDetector) {
   auto reference = sg::ReferenceAnomalies(data.readings, kQ4DiffThreshold);
   ASSERT_FALSE(reference.empty()) << "workload must plant anomalies";
 
-  auto run = RunQuery(BuildQ4, data, {});
+  auto run = RunQuery(BuildQ4Fluent, data, {});
   std::vector<CanonicalSinkTuple> expected;
   for (const auto& e : reference) {
     expected.push_back({(e.day + 1) * kDayHours,
@@ -121,17 +121,17 @@ TEST(QueryCorrectnessTest, AllModesProduceIdenticalSinkOutputs) {
     EXPECT_EQ(np_run.sink_tuples, bl_run.sink_tuples) << name << " BL";
     EXPECT_FALSE(np_run.sink_tuples.empty()) << name;
   };
-  Check(BuildQ1, lr_data, "Q1");
-  Check(BuildQ2, lr_data, "Q2");
-  Check(BuildQ3, sg_data, "Q3");
-  Check(BuildQ4, sg_data, "Q4");
+  Check(BuildQ1Fluent, lr_data, "Q1");
+  Check(BuildQ2Fluent, lr_data, "Q2");
+  Check(BuildQ3Fluent, sg_data, "Q3");
+  Check(BuildQ4Fluent, sg_data, "Q4");
 }
 
 TEST(QueryCorrectnessTest, RunsAreDeterministic) {
   auto data = lr::GenerateLinearRoad(LrConfig());
-  auto first = RunQuery(BuildQ2, data, {});
+  auto first = RunQuery(BuildQ2Fluent, data, {});
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(RunQuery(BuildQ2, data, {}).sink_tuples, first.sink_tuples);
+    EXPECT_EQ(RunQuery(BuildQ2Fluent, data, {}).sink_tuples, first.sink_tuples);
   }
 }
 

@@ -18,12 +18,13 @@
 
 namespace genealog::queries {
 
-// Canonical provenance-file bytes: each record re-serialized with id and
-// stimulus zeroed, origins and records sorted canonically, then
-// re-concatenated. Two runs of the same logical query yield identical bytes
-// (raw files never can: tuple ids derive from node uids drawn off a global
-// counter, stimuli are wall-clock reads, and record order follows watermark
-// arrival granularity). Every remaining byte — type tags, kinds, timestamps,
+// Canonical provenance-file bytes: each record re-serialized with id,
+// stimulus and baseline-annotation ids zeroed (the annotation keeps its
+// length), origins and records sorted canonically, then re-concatenated.
+// Two runs of the same logical query yield identical bytes (raw files never
+// can: tuple ids derive from node uids drawn off a global counter, stimuli
+// are wall-clock reads, and record order follows watermark arrival
+// granularity). Every remaining byte — type tags, kinds, timestamps,
 // payloads, origin sets — must match exactly.
 inline std::vector<uint8_t> CanonicalProvenanceBytes(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -39,6 +40,9 @@ inline std::vector<uint8_t> CanonicalProvenanceBytes(const std::string& path) {
   auto mask_and_serialize = [](const TuplePtr& t, ByteWriter& w) {
     t->id = 0;
     t->stimulus = 0;
+    if (const auto* ann = t->baseline_annotation()) {
+      t->set_baseline_annotation(std::vector<uint64_t>(ann->size(), 0));
+    }
     SerializeTuple(*t, w);
   };
 
@@ -117,7 +121,7 @@ QueryRunResult RunQuery(Builder&& builder, const Data& data,
     std::sort(record.origins.begin(), record.origins.end());
     result->records.push_back(std::move(record));
   };
-  BuiltQuery q = builder(data, std::move(options));
+  BuiltDataflow q = builder(data, std::move(options));
   q.Run();
   result->Canonicalize();
   return *result;

@@ -438,7 +438,7 @@ ParallelFuzzResult RunFluentParallel(const ParallelFuzzPlan& plan,
 // Every shard count, scheduler and batch size must reproduce the
 // single-instance plan exactly: emission-order-identical sink stream,
 // identical canonical provenance records.
-TEST_P(RandomPipelineFuzzTest, FluentParallelStageMatchesSingleInstance) {
+TEST_P(RandomPipelineFuzzTest, FluentPartitionedStageMatchesSingleInstance) {
   const uint64_t seed = GetParam();
   const ParallelFuzzPlan plan = MakeParallelFuzzPlan(seed);
   const ParallelFuzzResult reference = RunFluentParallel(

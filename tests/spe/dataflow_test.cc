@@ -314,7 +314,7 @@ AggregateCombiner<KeyedTuple, KeyedTuple, int64_t> SumPerKey() {
 // When the merged stream feeds the sink directly (GL, intra, fused
 // unfolders), each replica gets its own SU: the provenance traversal runs
 // inside the shards and the single Theorem 5.3 SU disappears.
-TEST(DataflowTest, GenealogWeavesPerReplicaSusWhenParallelStageFeedsSink) {
+TEST(DataflowTest, GenealogWeavesPerReplicaSusWhenPartitionedStageFeedsSink) {
   DataflowOptions opts;
   opts.mode = ProvenanceMode::kGenealog;
   Dataflow df(std::move(opts));
@@ -343,7 +343,7 @@ TEST(DataflowTest, GenealogWeavesPerReplicaSusWhenParallelStageFeedsSink) {
 
 // Any consumer between the merge and the sink keeps the single woven SU: the
 // per-replica placement is an optimization, not a semantic change.
-TEST(DataflowTest, GenealogKeepsSingleSuWhenParallelStageIsNotLast) {
+TEST(DataflowTest, GenealogKeepsSingleSuWhenPartitionedStageIsNotLast) {
   DataflowOptions opts;
   opts.mode = ProvenanceMode::kGenealog;
   Dataflow df(std::move(opts));
@@ -365,7 +365,7 @@ TEST(DataflowTest, GenealogKeepsSingleSuWhenParallelStageIsNotLast) {
 // A parallel stage honors .At(n) deployment cuts like any other operator;
 // distributed builds fall back to the merge-then-SU placement (the cut SU
 // and the sink SU, exactly as in the single-instance plan).
-TEST(DataflowTest, ParallelStageHonorsDeploymentCut) {
+TEST(DataflowTest, PartitionedStageHonorsDeploymentCut) {
   DataflowOptions opts;
   opts.mode = ProvenanceMode::kGenealog;
   Dataflow df(std::move(opts));
@@ -428,7 +428,7 @@ TEST(DataflowTest, ParallelRejectsNonPositiveShardCounts) {
 // The N-chain safety argument only covers a key-partitioned stage that is
 // the last stateful step before the sink: a second stateful consumer after
 // the merge would observe the interleaved stream, so validation rejects it.
-TEST(DataflowTest, RejectsStatefulConsumerDownstreamOfParallelStage) {
+TEST(DataflowTest, RejectsStatefulConsumerDownstreamOfPartitionedStage) {
   {
     Dataflow df;
     df.Source<KeyedTuple>("src", Keyed(8, 2))

@@ -6,7 +6,8 @@
 #include <map>
 
 #include "common/rng.h"
-#include "genealog/traversal.h"
+#include "genealog/provenance_record.h"
+#include "spe/dataflow.h"
 #include "spe/sink.h"
 #include "spe/source.h"
 #include "spe/topology.h"
@@ -47,33 +48,37 @@ struct Row {
   auto operator<=>(const Row&) const = default;
 };
 
+// Counts per key over tumbling windows of 10. Parallelism 0 is the
+// reference single Aggregate; n >= 1 is the fluent key-partitioned stage
+// `.KeyBy(key).Parallel(n).Aggregate(...)`. Under GL, `records` receives the
+// woven provenance sink's records.
 std::vector<Row> RunCountQuery(int parallelism, ProvenanceMode mode,
-                               std::vector<TuplePtr>* raw = nullptr) {
-  Topology topo(0, mode);
-  auto* source =
-      topo.Add<VectorSourceNode<KeyedTuple>>("src", RandomKeyed(3, 600, 16));
-  Collector c;
-  auto* sink = c.AttachSink(topo);
-  if (parallelism == 0) {  // single dedicated aggregate, the reference
-    auto* agg = topo.Add<AggregateNode<KeyedTuple, KeyedTuple>>(
-        "agg", AggregateOptions{10, 10},
-        [](const KeyedTuple& t) { return t.key; }, CountPerKey());
-    topo.Connect(source, agg);
-    topo.Connect(agg, sink);
-  } else {
-    ParallelStage stage = AddParallelAggregate<KeyedTuple, KeyedTuple>(
-        topo, "par", parallelism, AggregateOptions{10, 10},
-        [](const KeyedTuple& t) { return t.key; }, CountPerKey());
-    topo.Connect(source, stage.entry);
-    topo.Connect(stage.exit, sink);
+                               std::vector<ProvenanceRecord>* records =
+                                   nullptr) {
+  DataflowOptions options;
+  options.mode = mode;
+  if (records != nullptr) {
+    options.provenance_consumer = [records](const ProvenanceRecord& r) {
+      records->push_back(r);
+    };
   }
-  RunToCompletion(topo);
+  Dataflow df(options);
+  Stream<KeyedTuple> source =
+      df.Source<KeyedTuple>("src", RandomKeyed(3, 600, 16));
+  auto key_fn = [](const KeyedTuple& t) { return t.key; };
+  Stream<KeyedTuple> counts =
+      parallelism == 0
+          ? source.Aggregate<KeyedTuple>("agg", AggregateOptions{10, 10},
+                                         key_fn, CountPerKey())
+          : source.KeyBy(key_fn).Parallel(parallelism).Aggregate<KeyedTuple>(
+                "par", AggregateOptions{10, 10}, CountPerKey());
   std::vector<Row> rows;
-  for (const auto& t : c.tuples()) {
+  counts.Sink("sink", [&rows](const TuplePtr& t) {
     const auto& k = static_cast<const KeyedTuple&>(*t);
     rows.push_back(Row{t->ts, k.key, k.value});
-    if (raw != nullptr) raw->push_back(t);
-  }
+  });
+  BuiltDataflow flow = df.Build();
+  flow.Run();
   return rows;
 }
 
@@ -104,19 +109,19 @@ TEST_P(ParallelAggregateTest, OutputIsTimestampSorted) {
 }
 
 TEST_P(ParallelAggregateTest, ProvenanceWorksInsidePartitions) {
-  std::vector<TuplePtr> raw;
-  RunCountQuery(GetParam(), ProvenanceMode::kGenealog, &raw);
-  ASSERT_FALSE(raw.empty());
-  for (const TuplePtr& out : raw) {
-    const auto origins = FindProvenance(out.get());
+  std::vector<ProvenanceRecord> records;
+  const std::vector<Row> rows =
+      RunCountQuery(GetParam(), ProvenanceMode::kGenealog, &records);
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(records.size(), rows.size());
+  for (const ProvenanceRecord& record : records) {
+    const auto& out = static_cast<const KeyedTuple&>(*record.derived);
     // Count aggregates: provenance size equals the counted value, and all
     // origins carry the output's key.
-    EXPECT_EQ(static_cast<double>(origins.size()),
-              static_cast<const KeyedTuple&>(*out).value);
-    for (Tuple* origin : origins) {
+    EXPECT_EQ(static_cast<double>(record.origins.size()), out.value);
+    for (const TuplePtr& origin : record.origins) {
       EXPECT_EQ(origin->kind, TupleKind::kSource);
-      EXPECT_EQ(static_cast<KeyedTuple*>(origin)->key,
-                static_cast<const KeyedTuple&>(*out).key);
+      EXPECT_EQ(static_cast<const KeyedTuple&>(*origin).key, out.key);
     }
   }
 }

@@ -454,7 +454,7 @@ int main(int argc, char** argv) {
     };
   }
 
-  queries::BuiltQuery query = [&] {
+  BuiltDataflow query = [&] {
     if (is_lr) {
       lr::LinearRoadConfig config;
       config.n_cars = cli.cars;
@@ -467,8 +467,9 @@ int main(int argc, char** argv) {
       auto data = lr::GenerateLinearRoad(config);
       std::printf("workload: %zu position reports x%d replays\n",
                   data.reports.size(), cli.replays);
-      return cli.query == "q1" ? queries::BuildQ1(data, std::move(options))
-                               : queries::BuildQ2(data, std::move(options));
+      return cli.query == "q1"
+                 ? queries::BuildQ1Fluent(data, std::move(options))
+                 : queries::BuildQ2Fluent(data, std::move(options));
     }
     sg::SmartGridConfig config;
     config.n_meters = cli.meters;
@@ -482,8 +483,9 @@ int main(int argc, char** argv) {
     auto data = sg::GenerateSmartGrid(config);
     std::printf("workload: %zu meter readings x%d replays\n",
                 data.readings.size(), cli.replays);
-    return cli.query == "q3" ? queries::BuildQ3(data, std::move(options))
-                             : queries::BuildQ4(data, std::move(options));
+    return cli.query == "q3"
+               ? queries::BuildQ3Fluent(data, std::move(options))
+               : queries::BuildQ4Fluent(data, std::move(options));
   }();
 
   // Serving starts before Run(): a remote console can attach and query while
@@ -515,19 +517,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double seconds =
-      static_cast<double>(query.source->active_ns()) / 1e9;
+  const SourceNodeBase* source = query.source();
+  const double seconds = static_cast<double>(source->active_ns()) / 1e9;
   std::printf("\n--- run summary -------------------------------------------\n");
   std::printf("source tuples     %llu (%.2f s, %.0f t/s)\n",
-              static_cast<unsigned long long>(query.source->tuples_processed()),
+              static_cast<unsigned long long>(source->tuples_processed()),
               seconds,
               seconds > 0
-                  ? static_cast<double>(query.source->tuples_processed()) /
-                        seconds
+                  ? static_cast<double>(source->tuples_processed()) / seconds
                   : 0.0);
   std::printf("sink tuples       %llu (mean latency %.2f ms)\n",
-              static_cast<unsigned long long>(query.sink->count()),
-              query.sink->mean_latency_ms());
+              static_cast<unsigned long long>(query.sink()->count()),
+              query.sink()->mean_latency_ms());
   if (query.provenance_sink != nullptr) {
     std::printf("provenance        %llu records, %.1f sources each, %llu bytes\n",
                 static_cast<unsigned long long>(query.provenance_sink->records()),
