@@ -1,10 +1,14 @@
 #include "bench/harness.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <vector>
 
+#include "common/env_knob.h"
 #include "common/memory_accounting.h"
 #include "common/stats.h"
 #include "common/tuple_pool.h"
@@ -12,26 +16,48 @@
 
 namespace genealog::bench {
 
+namespace {
+
+// A repetition count from the environment: at least 1, at most INT_MAX.
+int EnvRepeatKnob(const char* name, int fallback) {
+  return static_cast<int>(std::clamp<int64_t>(
+      EnvCountKnob(name, fallback), 1, std::numeric_limits<int>::max()));
+}
+
+}  // namespace
+
 BenchEnv ReadBenchEnv() {
   BenchEnv env;
-  if (const char* reps = std::getenv("GENEALOG_BENCH_REPS")) {
-    env.reps = std::max(1, std::atoi(reps));
-  }
-  if (const char* scale = std::getenv("GENEALOG_BENCH_SCALE")) {
-    env.scale = std::max(0.05, std::atof(scale));
-  }
-  if (const char* replays = std::getenv("GENEALOG_BENCH_REPLAYS")) {
-    env.replays = std::max(1, std::atoi(replays));
-  }
+  env.reps = EnvRepeatKnob("GENEALOG_BENCH_REPS", env.reps);
+  env.scale = std::max(0.05, ParseRealKnob("GENEALOG_BENCH_SCALE",
+                                           std::getenv("GENEALOG_BENCH_SCALE"),
+                                           env.scale));
+  env.replays = EnvRepeatKnob("GENEALOG_BENCH_REPLAYS", env.replays);
   env.engine = EngineOptions::FromEnv();
-  // The process-wide switches may have been flipped programmatically; record
-  // their live state, not the env default.
-  env.engine.tuple_pool = pool::Enabled();
-  env.engine.epoch_traversal = EpochTraversalEnabled();
   if (const char* dir = std::getenv("GENEALOG_BENCH_JSON_DIR")) {
     env.json_dir = dir;
   }
   return env;
+}
+
+std::vector<int> EnvCountList(const char* name, std::vector<int> fallback) {
+  const char* value = std::getenv(name);
+  if (KnobUnset(value)) return fallback;
+  const std::string spec = value;
+  std::vector<int> counts;
+  for (size_t pos = 0;;) {
+    const size_t comma = spec.find(',', pos);
+    const std::string item = spec.substr(
+        pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    const int64_t n = item.empty() ? 0 : ParseCountKnob(name, item.c_str(), 0);
+    if (n <= 0 || n > std::numeric_limits<int>::max()) {
+      RejectKnob(name, value, "a comma-separated list of positive integers");
+    }
+    counts.push_back(static_cast<int>(n));
+    if (comma == std::string::npos) break;
+    pos = comma + 1;
+  }
+  return counts;
 }
 
 LrWorkload MakeLrWorkload(double scale) {
@@ -201,18 +227,9 @@ const char* VariantName(ProvenanceMode mode) { return ToString(mode); }
 void WritePoolStatsFields(std::FILE* f) {
   const pool::Stats s = pool::GetStats();
   std::fprintf(f,
-               "\"spsc_ring\": %s,\n  \"adaptive_batch\": %s,\n  "
-               "\"epoch_traversal\": %s,\n  \"async_prov_sink\": %s,\n  ",
-               DefaultSpscEdges() ? "true" : "false",
-               DefaultAdaptiveBatch() ? "true" : "false",
-               EpochTraversalEnabled() ? "true" : "false",
-               DefaultAsyncProvSink() ? "true" : "false");
-  std::fprintf(f,
-               "\"tuple_pool\": %s,\n"
-               "  \"pool\": {\"slabs\": %llu, \"slab_bytes\": %llu, "
+               "\"pool\": {\"slabs\": %llu, \"slab_bytes\": %llu, "
                "\"pool_allocs\": %llu, \"recycled_allocs\": %llu, "
                "\"heap_allocs\": %llu, \"recycle_hit_rate\": %.4f}",
-               pool::Enabled() ? "true" : "false",
                static_cast<unsigned long long>(s.slabs),
                static_cast<unsigned long long>(s.slab_bytes),
                static_cast<unsigned long long>(s.pool_allocs),

@@ -15,22 +15,11 @@
 //                           (default) keeps one OS thread per operator
 //   GENEALOG_WORKERS        pool worker threads (default 0 = one per
 //                           hardware thread, capped by the task count)
-//   GENEALOG_TUPLE_POOL     0 disables the recycling tuple pool (heap
-//                           allocation fallback; default on)
-//   GENEALOG_SPSC_RING      0 pins every edge to the mutex BatchQueue
-//                           (default: lock-free SPSC ring on single-producer
-//                           edges)
-//   GENEALOG_ADAPTIVE_BATCH 0 pins the static flush threshold (default:
-//                           endpoints steer it within [1, batch] from
-//                           consumer queue depth)
-//   GENEALOG_EPOCH_TRAVERSAL 0 pins FindProvenance to the pointer-set
-//                           visited check (default: mark-word epoch fast
-//                           path, hash-set fallback under concurrency)
-//   GENEALOG_ASYNC_PROV_SINK 0 makes the provenance sink fwrite on the
-//                           operator thread (default: double-buffered
-//                           background writer)
 //   GENEALOG_BENCH_JSON_DIR directory for machine-readable BENCH_*.json
 //                           result files (default ".", empty disables)
+// The numeric settings parse strictly (common/env_knob.h): a malformed value
+// throws std::invalid_argument naming the variable instead of running a
+// default.
 #ifndef GENEALOG_BENCH_HARNESS_H_
 #define GENEALOG_BENCH_HARNESS_H_
 
@@ -48,13 +37,18 @@ struct BenchEnv {
   int reps = 3;
   double scale = 1.0;
   int replays = 12;
-  // The unified knob snapshot (common/engine_options.h): GENEALOG_BATCH_SIZE
-  // plus every boolean GENEALOG_* policy, with the process-wide switches
-  // (tuple pool, epoch traversal) refined from their live state.
+  // The unified knob snapshot (common/engine_options.h): the GENEALOG_*
+  // environment defaults plus GENEALOG_BATCH_SIZE.
   EngineOptions engine;
   std::string json_dir = ".";
 };
 BenchEnv ReadBenchEnv();
+
+// Reads a comma-separated list of positive integers from the environment
+// variable `name` (GENEALOG_BENCH_QUERY_COUNTS, GENEALOG_BENCH_SHARDS).
+// Unset or empty keeps `fallback`; a malformed or zero entry throws
+// std::invalid_argument naming the variable.
+std::vector<int> EnvCountList(const char* name, std::vector<int> fallback);
 
 // A bench workload: the dataset plus its logical time span (the ts shift
 // applied per replay) and serialized volume.
@@ -148,14 +142,10 @@ struct BenchJsonRow {
 // averaged over the cells that sampled it; latency_samples is the total.
 CellMetrics MeanCells(const std::vector<CellMetrics>& cells);
 
-// Writes the shared `"spsc_ring": ..., "adaptive_batch": ...,
-// "tuple_pool": ..., "pool": {...}` JSON fragment used by every BENCH_*.json
-// writer, so the artifact series stays field-for-field uniform. The knob
-// fields record the *process-wide env defaults*; cells that override them
-// programmatically (bench_micro_genealog's in-binary batch x ring x adaptive
-// sweep) carry their actual configuration in the per-row benchmark name
-// instead. Emits no leading/trailing newline; the caller owns the
-// surrounding object.
+// Writes the shared `"pool": {...}` JSON fragment (the tuple pool's slab and
+// recycle stats) used by every BENCH_*.json writer, so the artifact series
+// stays field-for-field uniform. Emits no leading/trailing newline; the
+// caller owns the surrounding object.
 void WritePoolStatsFields(std::FILE* f);
 
 // Writes `<json_dir>/BENCH_<bench>.json` recording the environment (including

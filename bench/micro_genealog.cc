@@ -199,9 +199,8 @@ void BM_CascadeReclamation(benchmark::State& state) {
 BENCHMARK(BM_CascadeReclamation)->Arg(24)->Arg(192)->Arg(2048);
 
 // The allocation path in isolation: one MakeTuple plus last-reference release
-// per iteration. With the tuple pool on, steady state is a thread-local
-// pop/push pair; with GENEALOG_TUPLE_POOL=0 it is global new/delete — run
-// both to see the allocation-path delta directly.
+// per iteration. In steady state the tuple pool serves it as a thread-local
+// pop/push pair.
 void BM_MakeTupleChurn(benchmark::State& state) {
   for (auto _ : state) {
     auto t = Report(1);
@@ -369,15 +368,11 @@ BENCHMARK(BM_LineageLookup)->Arg(1024)->Arg(32768)->Arg(262144);
 // --- data-plane sweep --------------------------------------------------------
 // End-to-end stateless chain, GL mode: Source -> Map (creates, instrumented
 // U1) -> Filter -> Multiplex -> Sink, every operator on its own thread. The
-// arguments are (batch size, edge kind, adaptive batching):
-//   * batch:    the stream batch size; batch 1 with mutex edges and static
-//     batching is the seed data plane, so items_per_second across the sweep
-//     is the data-plane speedup;
-//   * ring:     1 = lock-free SPSC ring on the (single-producer) edges,
-//     0 = mutex BatchQueue — the chain is all single-producer, so this
-//     isolates the per-handover lock cost;
-//   * adaptive: 1 = flush threshold steered by consumer queue depth within
-//     [1, batch], 0 = static threshold at the batch knob.
+// one argument is the stream batch size: every edge of the chain has one
+// producer, so it runs on the SPSC ring, and endpoints steer their flush
+// threshold within [1, batch] from consumer queue depth. Batch 1 hands every
+// tuple over on its own, so items_per_second across the sweep is the
+// data-plane speedup of batching.
 // The dataset has realistic timestamp plateaus (many reports per LR second),
 // so watermarks — which always flush pending batches — advance once per
 // plateau, not once per tuple.
@@ -399,14 +394,10 @@ const std::vector<IntrusivePtr<PositionReport>>& ChainDataset() {
 
 void BM_StatelessChain_GL(benchmark::State& state) {
   const size_t batch_size = static_cast<size_t>(state.range(0));
-  const bool spsc = state.range(1) != 0;
-  const bool adaptive = state.range(2) != 0;
   const auto& data = ChainDataset();
   for (auto _ : state) {
     Topology topo(/*instance_id=*/0, ProvenanceMode::kGenealog);
     topo.set_default_batch_size(batch_size);
-    topo.set_spsc_edges(spsc);
-    topo.set_adaptive_batch(adaptive);
     auto* source = topo.Add<VectorSourceNode<PositionReport>>("src", data);
     auto* map = topo.Add<MapNode<PositionReport, PositionReport>>(
         "map", [](const PositionReport& r, MapCollector<PositionReport>& out) {
@@ -435,25 +426,13 @@ void BM_StatelessChain_GL(benchmark::State& state) {
                           static_cast<int64_t>(data.size()));
 }
 BENCHMARK(BM_StatelessChain_GL)
-    ->ArgNames({"batch", "ring", "adaptive"})
-    // The batch sweep on ring edges with static batching — the production
-    // default going forward (a new series as of the SPSC-ring PR).
-    ->Args({1, 1, 0})
-    ->Args({4, 1, 0})
-    ->Args({16, 1, 0})
-    ->Args({64, 1, 0})
-    ->Args({256, 1, 0})
-    ->Args({1024, 1, 0})
-    // Mutex edges: ring-vs-mutex is the lock cost on a pure single-producer
-    // chain, and these cells are the like-for-like continuation of the
-    // PR 1/2 batch-sweep series (which ran on mutex BatchQueue edges).
-    ->Args({1, 0, 0})
-    ->Args({64, 0, 0})
-    ->Args({1024, 0, 0})
-    // Adaptive batching at the knob points, both edge kinds.
-    ->Args({64, 1, 1})
-    ->Args({64, 0, 1})
-    ->Args({1024, 1, 1})
+    ->ArgNames({"batch"})
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

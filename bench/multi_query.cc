@@ -15,7 +15,6 @@
 //                                (default "1,8,64,256")
 //   GENEALOG_WORKERS             pool worker threads (default: hardware)
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -26,21 +25,6 @@
 
 namespace genealog::bench {
 namespace {
-
-std::vector<int> QueryCounts() {
-  std::vector<int> counts;
-  const char* env = std::getenv("GENEALOG_BENCH_QUERY_COUNTS");
-  std::string spec = env != nullptr ? env : "1,8,64,256";
-  for (size_t pos = 0; pos < spec.size();) {
-    const int n = std::atoi(spec.c_str() + pos);
-    if (n > 0) counts.push_back(n);
-    const size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (counts.empty()) counts = {1, 8, 64, 256};
-  return counts;
-}
 
 struct ModeResult {
   double wall_s = 0;
@@ -104,7 +88,8 @@ int Main() {
   // fleet multiplies it by the query count, so this bench runs a slimmer
   // dataset (override with GENEALOG_BENCH_SCALE as usual).
   const LrWorkload lr = MakeLrWorkload(env.scale * 0.05);
-  const std::vector<int> counts = QueryCounts();
+  const std::vector<int> counts =
+      EnvCountList("GENEALOG_BENCH_QUERY_COUNTS", {1, 8, 64, 256});
 
   std::printf(
       "GeneaLog reproduction — multi-query scheduler scaling (Q1/GL)\n"

@@ -16,7 +16,6 @@
 //   GENEALOG_BENCH_SHARDS  comma list of shard counts (default "1,2,4,8")
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,21 +30,6 @@ namespace {
 
 using sg::DailyConsumption;
 using sg::MeterReading;
-
-std::vector<int> ShardCounts() {
-  std::vector<int> counts;
-  const char* env = std::getenv("GENEALOG_BENCH_SHARDS");
-  std::string spec = env != nullptr ? env : "1,2,4,8";
-  for (size_t pos = 0; pos < spec.size();) {
-    const int n = std::atoi(spec.c_str() + pos);
-    if (n > 0) counts.push_back(n);
-    const size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (counts.empty()) counts = {1, 2, 4, 8};
-  return counts;
-}
 
 // The heavy combiner from the parallel ablation: per-reading Gaussian
 // similarity to every other reading in the window, across several
@@ -114,7 +98,8 @@ int Main() {
   // The KDE windows are deliberately expensive; a slimmer replay budget
   // keeps cells in bench-smoke time (override with GENEALOG_BENCH_REPLAYS).
   const int replays = std::max(1, env.replays / 4);
-  const std::vector<int> shard_counts = ShardCounts();
+  const std::vector<int> shard_counts =
+      EnvCountList("GENEALOG_BENCH_SHARDS", {1, 2, 4, 8});
 
   std::printf(
       "GeneaLog reproduction — fluent .Parallel(n) multi-core scaling\n"

@@ -52,8 +52,12 @@ void AsyncFileWriter::Flush() {
   std::unique_lock lock(mu_);
   producer_cv_.wait(lock, [this] { return !inflight_full_ || aborted_; });
   // inflight_full_ drops only after the handoff's fwrite returned
-  // (RunWriter), so every appended byte is in the stdio stream by now.
-  if (!aborted_ && file_ != nullptr) std::fflush(file_);
+  // (RunWriter), so every appended byte is in the stdio stream by now. The
+  // tail still in the stdio buffer reaches the disk only here, so a failed
+  // fflush is the one report of a failed write for a small file.
+  if (!aborted_ && file_ != nullptr && std::fflush(file_) != 0) {
+    write_error_ = true;
+  }
 }
 
 void AsyncFileWriter::Abort() {

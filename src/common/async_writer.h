@@ -9,7 +9,7 @@
 //
 // Bytes reach the file in exactly the order they were appended, so the file
 // contents are byte-identical to calling fwrite synchronously — the async
-// provenance-sink determinism suite pins this against the synchronous path.
+// provenance-sink suite pins this against bytes it serializes itself.
 //
 // Threading contract: Append/Flush are producer-thread-only (the owning
 // operator's processing thread); Abort may be called from any thread; the
@@ -41,7 +41,8 @@ class AsyncFileWriter {
   void Append(const uint8_t* data, size_t n);
 
   // Blocks until every appended byte has reached the FILE* and fflush
-  // returned — the clean end-of-stream semantics (ProvenanceSink OnFlush).
+  // returned — the clean end-of-stream semantics (ProvenanceSink OnFlush). A
+  // failed fflush counts as a write error.
   void Flush();
 
   // Abandons buffered-but-unwritten data and releases any blocked producer;
@@ -49,7 +50,8 @@ class AsyncFileWriter {
   // a partial file is expected anyway and nothing may block.
   void Abort();
 
-  // True once an fwrite reported a short write (disk full, I/O error).
+  // True once an fwrite reported a short write or an fflush failed (disk
+  // full, I/O error).
   bool write_error() const;
 
  private:

@@ -4,7 +4,7 @@
 // One knob, three spellings used to exist (environment variable, Topology
 // setter, QueryBuildOptions field); EngineOptions is now the single source of
 // truth: a default-constructed instance carries the process-wide defaults
-// (each policy honoring its GENEALOG_* environment variable, parsed strictly
+// (each knob honoring its GENEALOG_* environment variable, parsed strictly
 // by env_knob.h: malformed values throw instead of defaulting),
 // Topology::Configure stamps the data-plane subset on a topology,
 // QueryBuildOptions embeds the struct as a base, the dataflow builder
@@ -14,11 +14,6 @@
 // | Field            | Env var                  | Default         |
 // |------------------|--------------------------|-----------------|
 // | batch_size       | GENEALOG_BATCH_SIZE      | 64              |
-// | spsc_edges       | GENEALOG_SPSC_RING       | on              |
-// | adaptive_batch   | GENEALOG_ADAPTIVE_BATCH  | on              |
-// | tuple_pool       | GENEALOG_TUPLE_POOL      | on              |
-// | epoch_traversal  | GENEALOG_EPOCH_TRAVERSAL | on              |
-// | async_prov_sink  | GENEALOG_ASYNC_PROV_SINK | on              |
 // | prov_buffer_bytes | —                       | 256 KiB         |
 // | scheduler        | GENEALOG_SCHEDULER       | thread-per-node |
 // | workers          | GENEALOG_WORKERS         | 0 (= all cores) |
@@ -31,17 +26,20 @@
 // | use_tcp          | —                        | off             |
 // | composed_unfolders | —                      | off             |
 //
+// The data plane and provenance plane have one path each, chosen from what
+// the engine observes rather than from a switch: an edge with exactly one
+// registered producer gets the lock-free SPSC ring (fan-in keeps the mutex
+// queue), endpoints steer their flush threshold from consumer queue depth,
+// tuples come from the recycling pool (oversize blocks from the heap),
+// FindProvenance takes the mark-word epoch path unless another walk holds
+// it, and a file-backed provenance sink always writes through the
+// background AsyncFileWriter.
+//
 // batch_size is deliberately *not* read from the environment by the default
 // constructor: a plain `EngineOptions{}` is the engine default (batch 64,
 // with adaptive batching holding idle latency at the batch-1 seed level).
 // FromEnv() additionally honors GENEALOG_BATCH_SIZE — the bench harness and
 // ad-hoc tools use it so one exported variable sweeps a whole binary.
-//
-// tuple_pool and epoch_traversal are process-wide switches (the allocator and
-// the traversal fast path are globals, not per-topology state); they ride
-// here so option plumbing and BENCH_*.json reporting see one struct, but
-// flipping them on a copy does not reconfigure a running process — use
-// pool::SetEnabled / SetEpochTraversal for that.
 #ifndef GENEALOG_COMMON_ENGINE_OPTIONS_H_
 #define GENEALOG_COMMON_ENGINE_OPTIONS_H_
 
@@ -101,29 +99,7 @@ namespace engine_defaults {
 // Each helper reads its environment variable once per process and caches the
 // result, so defaults cannot drift mid-run when a test mutates the
 // environment. A malformed value throws std::invalid_argument from the first
-// read (see env_knob.h). These are the definitions the per-subsystem
-// Default*() functions (node.cc, provenance_sink.cc, tuple_pool.cc,
-// traversal.cc) delegate to.
-inline bool SpscEdges() {
-  static const bool v = EnvBoolKnob("GENEALOG_SPSC_RING", true);
-  return v;
-}
-inline bool AdaptiveBatch() {
-  static const bool v = EnvBoolKnob("GENEALOG_ADAPTIVE_BATCH", true);
-  return v;
-}
-inline bool TuplePool() {
-  static const bool v = EnvBoolKnob("GENEALOG_TUPLE_POOL", true);
-  return v;
-}
-inline bool EpochTraversal() {
-  static const bool v = EnvBoolKnob("GENEALOG_EPOCH_TRAVERSAL", true);
-  return v;
-}
-inline bool AsyncProvSink() {
-  static const bool v = EnvBoolKnob("GENEALOG_ASYNC_PROV_SINK", true);
-  return v;
-}
+// read (see env_knob.h).
 // 0 clamps to 1 (item-at-a-time handover).
 inline size_t BatchSize() {
   static const size_t v = static_cast<size_t>(
@@ -185,21 +161,12 @@ struct EngineOptions {
   // data plane; 64 = the production default, >2x throughput with adaptive
   // batching keeping idle latency at the seed level).
   size_t batch_size = 64;
-  // Lock-free SPSC ring on single-producer edges (mutex BatchQueue everywhere
-  // when false).
-  bool spsc_edges = engine_defaults::SpscEdges();
-  // Endpoints steer their flush threshold within [1, batch_size] from
-  // consumer queue depth (static threshold when false).
-  bool adaptive_batch = engine_defaults::AdaptiveBatch();
-  // Recycling slab allocator under MakeTuple. Process-wide; informational in
-  // per-query options (see header comment).
-  bool tuple_pool = engine_defaults::TuplePool();
-  // Mark-word epoch fast path in FindProvenance. Process-wide; informational
-  // in per-query options (see header comment).
-  bool epoch_traversal = engine_defaults::EpochTraversal();
-  // Double-buffered background provenance-file writer (sync fwrite when
-  // false). File bytes are identical either way.
-  bool async_prov_sink = engine_defaults::AsyncProvSink();
+  // Not a setting; edgebench's EngineJson reads it.
+  static constexpr bool spsc_edges = true;
+  // Not a setting; edgebench's EngineJson reads it.
+  static constexpr bool adaptive_batch = true;
+  // Not a setting; edgebench's EngineJson reads it.
+  static constexpr bool async_prov_sink = true;
   // Swap threshold of the async writer's buffers; tests shrink it to force
   // many background handoffs.
   size_t prov_buffer_bytes = 256 * 1024;

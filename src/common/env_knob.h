@@ -7,11 +7,14 @@
 //     the knob and the value — a typo fails loudly instead of silently
 //     running the default.
 // One definition per knob kind so the knobs can never drift apart; the
-// enum-valued knobs (scheduler, wire codec) parse in engine_options.h.
+// enum-valued knobs (scheduler, wire codec) parse in engine_options.h. The
+// bench harness and tools parse their numeric settings and flags through the
+// same functions.
 #ifndef GENEALOG_COMMON_ENV_KNOB_H_
 #define GENEALOG_COMMON_ENV_KNOB_H_
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -31,8 +34,8 @@ inline bool KnobUnset(const char* value) {
                               "\": expected " + expected);
 }
 
-// Boolean knobs (GENEALOG_TUPLE_POOL, GENEALOG_SPSC_RING, ...): exactly "0"
-// or "1".
+// Boolean knobs (GENEALOG_LINEAGE_STORE, GENEALOG_WIRE_BLOCK_COMPRESS):
+// exactly "0" or "1".
 inline bool ParseBoolKnob(const char* name, const char* value, bool fallback) {
   if (KnobUnset(value)) return fallback;
   if (std::strcmp(value, "0") == 0) return false;
@@ -52,6 +55,22 @@ inline int64_t ParseCountKnob(const char* name, const char* value,
     RejectKnob(name, value, "a non-negative integer");
   }
   return n;
+}
+
+// Real-valued settings (GENEALOG_BENCH_SCALE, genealog_query --rate): a
+// finite non-negative decimal number ("0.5", "2", "1e3"), nothing else — no
+// sign, no surrounding spaces, no trailing characters, no inf/nan.
+inline double ParseRealKnob(const char* name, const char* value,
+                            double fallback) {
+  if (KnobUnset(value)) return fallback;
+  const char* end = value + std::strlen(value);
+  double x = 0.0;
+  const auto [ptr, ec] = std::from_chars(value, end, x);
+  if (ec != std::errc() || ptr != end || !std::isfinite(x) || x < 0.0 ||
+      value[0] == '-') {
+    RejectKnob(name, value, "a non-negative number");
+  }
+  return x;
 }
 
 inline bool EnvBoolKnob(const char* name, bool fallback) {

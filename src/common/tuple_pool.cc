@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <new>
 #include <vector>
 
-#include "common/engine_options.h"
 #include "common/memory_accounting.h"
 
 namespace genealog::pool {
@@ -54,10 +52,6 @@ Central& central() {
   static Central* c = new Central;
   return *c;
 }
-
-std::atomic<int> g_enabled{-1};  // -1 unread, 0 off, 1 on
-
-bool ReadEnabledFromEnv() { return engine_defaults::TuplePool(); }
 
 // Carves a fresh slab for `cls` and points the bump region at it. Caller
 // holds cls.mu.
@@ -165,22 +159,9 @@ ThreadCache& thread_cache() {
 
 }  // namespace
 
-bool Enabled() {
-  int v = g_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = ReadEnabledFromEnv() ? 1 : 0;
-    g_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void SetEnabled(bool on) {
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
 void* Allocate(size_t bytes, uint8_t& size_class) {
   const uint8_t cls = SizeClassFor(bytes);
-  if (cls == kHeapClass || !Enabled()) {
+  if (cls == kHeapClass) {
     size_class = kHeapClass;
     central().flow.heap_allocs.fetch_add(1, std::memory_order_relaxed);
     return ::operator new(bytes);

@@ -18,10 +18,8 @@
 //    live-tuple high-water mark grows — slabs are never returned.
 //
 // Callers record the size class a block came from (tuples stash it in their
-// header, see core/tuple.h) and hand it back to Deallocate, so toggling the
-// pool at runtime can never mismatch allocate/release paths. Blocks larger
-// than the biggest class, and every allocation when the pool is disabled
-// (GENEALOG_TUPLE_POOL=0), fall back to the heap under kHeapClass.
+// header, see core/tuple.h) and hand it back to Deallocate. Blocks larger
+// than the biggest class come from the heap under kHeapClass.
 #ifndef GENEALOG_COMMON_TUPLE_POOL_H_
 #define GENEALOG_COMMON_TUPLE_POOL_H_
 
@@ -56,12 +54,8 @@ constexpr size_t ClassBytes(uint8_t size_class) {
   return (static_cast<size_t>(size_class) + 1) * kClassStride;
 }
 
-// Whether allocations go through the pool. Reads GENEALOG_TUPLE_POOL once at
-// first use (unset or any value but "0" means enabled).
-bool Enabled();
-// Overrides the env-derived setting; in-flight blocks are unaffected because
-// release is keyed on the block's recorded class, not the current setting.
-void SetEnabled(bool on);
+// Not a setting; edgebench's EngineJson reads it.
+constexpr bool Enabled() { return true; }
 
 // Allocates storage for `bytes`, writing the class the block belongs to into
 // `size_class` (kHeapClass for heap fallback). Never returns null (throws
@@ -82,7 +76,7 @@ struct Stats {
   uint64_t slab_bytes = 0;       // total bytes reserved in slabs
   uint64_t pool_allocs = 0;      // allocations served by the pool
   uint64_t recycled_allocs = 0;  // ...of which reused a released block
-  uint64_t heap_allocs = 0;      // fallback allocations (disabled / oversize)
+  uint64_t heap_allocs = 0;      // oversize allocations served by the heap
 
   // Fraction of pooled allocations served by recycling rather than carving
   // fresh slab space — ~1.0 in steady state.

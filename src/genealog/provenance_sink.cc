@@ -2,15 +2,9 @@
 
 #include <stdexcept>
 
-#include "common/engine_options.h"
 #include "genealog/lineage_store.h"
 
 namespace genealog {
-
-bool DefaultAsyncProvSink() {
-  const bool enabled = engine_defaults::AsyncProvSink();
-  return enabled;
-}
 
 ProvenanceSinkNode::ProvenanceSinkNode(std::string name,
                                        ProvenanceSinkSpec options)
@@ -21,18 +15,16 @@ ProvenanceSinkNode::ProvenanceSinkNode(std::string name,
       throw std::runtime_error("cannot open provenance file " +
                                options_.file_path);
     }
-    if (options_.engine.async_prov_sink) {
-      writer_ = std::make_unique<AsyncFileWriter>(
-          file_, options_.engine.prov_buffer_bytes);
-    }
+    writer_ = std::make_unique<AsyncFileWriter>(
+        file_, options_.engine.prov_buffer_bytes);
   }
 }
 
 ProvenanceSinkNode::~ProvenanceSinkNode() {
   if (writer_ != nullptr) {
     // Teardown after an aborted run reaches here without OnFlush: drain what
-    // is buffered (a partial-but-well-formed prefix, same as the sync path
-    // would leave), surface any write error, then join the writer thread.
+    // is buffered (a partial-but-well-formed prefix), surface any write
+    // error, then join the writer thread.
     writer_->Flush();
     WarnOnWriteError();
     writer_.reset();
@@ -80,13 +72,11 @@ void ProvenanceSinkNode::OnWatermark(int64_t wm) {
 void ProvenanceSinkNode::OnFlush() {
   FinalizeBefore(kWatermarkMax);
   // End-of-stream: everything buffered must be in the file before the node
-  // reports done, in either mode — probes may read the file while the node
-  // (and its FILE*) is still alive.
+  // reports done — probes may read the file while the node (and its FILE*)
+  // is still alive.
   if (writer_ != nullptr) {
     writer_->Flush();
     WarnOnWriteError();
-  } else if (file_ != nullptr) {
-    std::fflush(file_);
   }
 }
 
@@ -117,8 +107,6 @@ void ProvenanceSinkNode::Finalize(Group& group) {
   bytes_written_ += scratch_.size();
   if (writer_ != nullptr) {
     writer_->Append(scratch_.bytes().data(), scratch_.size());
-  } else if (file_ != nullptr) {
-    std::fwrite(scratch_.bytes().data(), 1, scratch_.size(), file_);
   }
   if (options_.lineage != nullptr) {
     options_.lineage->Ingest(group.record);

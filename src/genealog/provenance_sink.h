@@ -7,11 +7,10 @@
 // horizon (the MU join window); a group is finalized once the watermark
 // passes derived_ts + finalize_slack, and all groups finalize at flush.
 //
-// File output is double-buffered and asynchronous by default
-// (GENEALOG_ASYNC_PROV_SINK, common/async_writer.h): records serialize into
-// an in-memory buffer a background thread flushes, so disk latency leaves
-// the operator thread — with bounded buffering, and file contents
-// byte-identical to the synchronous path.
+// File output is double-buffered and asynchronous (common/async_writer.h):
+// records serialize into an in-memory buffer a background thread flushes, so
+// disk latency leaves the operator thread — with bounded buffering, and the
+// file holding exactly the serialized records in finalization order.
 #ifndef GENEALOG_GENEALOG_PROVENANCE_SINK_H_
 #define GENEALOG_GENEALOG_PROVENANCE_SINK_H_
 
@@ -38,12 +37,8 @@ namespace genealog {
 
 class LineageStore;
 
-// Process-wide default for the asynchronous provenance writer, read from the
-// environment once (on unless GENEALOG_ASYNC_PROV_SINK=0).
-bool DefaultAsyncProvSink();
-
 // What a provenance sink does with finalized records. Engine-wide knobs
-// (async writer on/off, writer buffer size) live in the embedded
+// (the writer buffer size) live in the embedded
 // EngineOptions — one struct, one FromEnv() — so this spec only adds the
 // sink-specific wiring: where the file goes, who consumes records in
 // process, and which lineage store (if any) indexes them.
@@ -61,11 +56,8 @@ struct ProvenanceSinkSpec {
   // record is Ingest()ed after it is written. Not owned; must outlive the
   // node. Null (the default) costs one pointer check per record.
   LineageStore* lineage = nullptr;
-  // Engine knobs the sink honors: async_prov_sink (double-buffered
-  // asynchronous file writing — ignored without file_path, output bytes
-  // identical either way) and prov_buffer_bytes (writer buffer swap
-  // threshold). A default-constructed EngineOptions carries the GENEALOG_*
-  // environment defaults.
+  // Engine knob the sink honors: prov_buffer_bytes (the writer's buffer
+  // swap threshold; ignored without file_path).
   EngineOptions engine;
 };
 
@@ -82,11 +74,10 @@ class ProvenanceSinkNode final : public SingleInputNode {
                          : static_cast<double>(origin_tuples_) /
                                static_cast<double>(records_);
   }
-  bool async() const { return writer_ != nullptr; }
-  // True once the background writer reported a short write (disk full, I/O
-  // error): the file is truncated even though bytes_written_ counts the
-  // serialized volume. Also surfaced as a one-shot stderr warning at flush
-  // and teardown.
+  // True once the background writer reported a failed write or flush (disk
+  // full, I/O error): the file is truncated even though bytes_written_
+  // counts the serialized volume. Also surfaced as a one-shot stderr warning
+  // at flush and teardown.
   bool write_error() const;
 
  protected:
@@ -106,7 +97,7 @@ class ProvenanceSinkNode final : public SingleInputNode {
 
   ProvenanceSinkSpec options_;
   std::FILE* file_ = nullptr;
-  std::unique_ptr<AsyncFileWriter> writer_;  // null in synchronous mode
+  std::unique_ptr<AsyncFileWriter> writer_;  // null without file_path
   // Groups in creation (= derived ts) order, with an id index.
   std::list<Group> groups_;
   std::unordered_map<uint64_t, std::list<Group>::iterator> by_id_;

@@ -2,16 +2,8 @@
 
 #include <atomic>
 
-#include "common/engine_options.h"
-
 namespace genealog {
 namespace {
-
-std::atomic<bool>& EpochFlag() {
-  static std::atomic<bool> enabled{
-      engine_defaults::EpochTraversal()};
-  return enabled;
-}
 
 // Tickets are globally unique, so a stale mark left on a tuple by a finished
 // traversal can never alias a live one. 0 is the "never visited" initializer
@@ -193,18 +185,10 @@ void WorkRing::Grow() {
 
 }  // namespace traversal_internal
 
-bool EpochTraversalEnabled() {
-  return EpochFlag().load(std::memory_order_relaxed);
-}
-
-void SetEpochTraversal(bool enabled) {
-  EpochFlag().store(enabled, std::memory_order_relaxed);
-}
-
 void FindProvenance(Tuple* root, std::vector<Tuple*>& result,
                     TraversalScratch& scratch, TraversalPath path) {
   if (root == nullptr) return;
-  if (path == TraversalPath::kAuto && EpochTraversalEnabled()) {
+  if (path == TraversalPath::kAuto) {
     if (g_active_epoch_walkers.fetch_add(1, std::memory_order_acq_rel) == 0) {
       EpochVisited visited{DrawTicket()};
       Walk(root, result, scratch.ring_, visited);

@@ -10,7 +10,7 @@
 // steady state. Two interchangeable visited-tracking implementations exist,
 // both producing byte-identical BFS discovery order:
 //
-//  * epoch fast path (default, GENEALOG_EPOCH_TRAVERSAL) — each traversal
+//  * epoch fast path (kAuto) — each traversal
 //    draws a unique 64-bit ticket and stamps it into the Tuple header's mark
 //    word, so the visited check is one cache-line touch on the tuple already
 //    being walked. Only one epoch traversal may be in flight at a time: a
@@ -37,15 +37,13 @@
 
 namespace genealog {
 
-// Process-wide default for the epoch fast path, read from the environment
-// once (on unless GENEALOG_EPOCH_TRAVERSAL=0). SetEpochTraversal overrides at
-// runtime — used by the determinism sweeps and fuzz suites to pin a path.
-bool EpochTraversalEnabled();
-void SetEpochTraversal(bool enabled);
+// Not a setting; edgebench's EngineJson reads it.
+constexpr bool EpochTraversalEnabled() { return true; }
 
 // Which visited-tracking implementation FindProvenance uses. kAuto takes the
-// epoch fast path when it is enabled and no other epoch traversal is in
-// flight; kHashSet pins the pointer-set path (tests and equivalence fuzzing).
+// epoch fast path unless another epoch traversal is in flight; kHashSet pins
+// the pointer-set path (tests, equivalence fuzzing, and the Figure 14
+// micro's fallback arm).
 enum class TraversalPath : uint8_t { kAuto, kHashSet };
 
 namespace traversal_internal {

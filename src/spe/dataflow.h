@@ -26,8 +26,8 @@
 //     derived/upstream, Multiplex taps) in deterministic plan order,
 //   * places Send/Receive pairs over serializing channels on every edge that
 //     crosses a deployment instance (see Stream::At), and
-//   * stamps the unified EngineOptions (batch size, edge implementation,
-//     adaptive batching) on every topology it creates.
+//   * stamps the unified EngineOptions (batch size, scheduler, workers) on
+//     every topology it creates.
 // The weaving rules live in genealog/instrument.{h,cc}; ARCHITECTURE.md
 // ("The dataflow builder") documents the lowering in detail.
 //
@@ -77,10 +77,10 @@ struct DataflowOptions {
   // Instrumentation woven into the lowered query: NP / GL / BL.
   ProvenanceMode mode = ProvenanceMode::kNone;
   // Data-plane and deployment knobs, stamped on every lowered topology
-  // (batch_size, spsc_edges, adaptive_batch) and consulted by the weaving
-  // (use_tcp for inter-instance channels, composed_unfolders for the
-  // Figure 5B/8 SU/MU constructions, async_prov_sink for the provenance
-  // file writer). Untouched fields follow the process-wide env defaults.
+  // (batch_size, scheduler, workers) and consulted by the weaving (use_tcp
+  // for inter-instance channels, composed_unfolders for the Figure 5B/8
+  // SU/MU constructions, prov_buffer_bytes for the provenance file writer).
+  // Untouched fields follow the process-wide env defaults.
   EngineOptions engine;
   // If non-empty, provenance records are persisted here (GL and BL).
   std::string provenance_file;

@@ -2,18 +2,12 @@
 
 #include <atomic>
 
-#include "common/engine_options.h"
-
 namespace genealog {
 namespace {
 
 std::atomic<uint64_t> g_next_node_uid{1};
 
 }  // namespace
-
-bool DefaultSpscEdges() { return engine_defaults::SpscEdges(); }
-
-bool DefaultAdaptiveBatch() { return engine_defaults::AdaptiveBatch(); }
 
 Node::Node(std::string name)
     : name_(std::move(name)),

@@ -44,13 +44,6 @@ inline constexpr size_t kDefaultBatchSize = 64;
 inline constexpr int64_t kWatermarkMin = std::numeric_limits<int64_t>::min();
 inline constexpr int64_t kWatermarkMax = std::numeric_limits<int64_t>::max();
 
-// Process-wide defaults for the data-plane knobs, read from the environment
-// once. GENEALOG_SPSC_RING=0 pins every edge to the mutex BatchQueue;
-// GENEALOG_ADAPTIVE_BATCH=0 pins the static (seed) flush threshold. Both
-// default on; Topology setters override per topology.
-bool DefaultSpscEdges();
-bool DefaultAdaptiveBatch();
-
 // The physical stream between two operator threads. A StreamEdge owns one of
 // two interchangeable queue implementations and picks between them at
 // topology-build time:
@@ -64,8 +57,8 @@ bool DefaultAdaptiveBatch();
 //    never declare their producers.
 //
 // Topology::Connect calls RegisterProducer once per wired edge; the first
-// distinct producer upgrades the edge to the ring (unless SPSC is disabled),
-// a second distinct producer downgrades it back to the mutex queue. Both
+// distinct producer upgrades the edge to the ring, a second distinct
+// producer downgrades it back to the mutex queue. Both
 // swaps happen while the topology is still being built — queues are empty
 // and no node threads exist yet — so the implementation handoff is trivially
 // safe. The observable contract (coalescing rules, weight-based capacity,
@@ -98,13 +91,6 @@ class StreamEdge {
   StreamEdge& operator=(const StreamEdge&) = delete;
 
   // --- build-time wiring (single-threaded, before any Push/Pop) ------------
-  // Allows/forbids the SPSC upgrade for this edge. Topology::Connect stamps
-  // the topology's policy before registering the producer.
-  void set_allow_spsc(bool allow) {
-    allow_spsc_ = allow;
-    ReselectImpl();
-  }
-
   // Records the node producing into this edge. Every distinct producer is a
   // distinct thread at run time, so fan-in decides the implementation.
   void RegisterProducer(const void* producer) {
@@ -212,7 +198,7 @@ class StreamEdge {
   }
 
   void ReselectImpl() {
-    const bool want_ring = allow_spsc_ && producers_.size() == 1;
+    const bool want_ring = producers_.size() == 1;
     if (want_ring == (ring_ != nullptr)) return;
     // Implementation swaps are legal only while the edge is idle (topology
     // build time); anything queued would be dropped.
@@ -227,7 +213,6 @@ class StreamEdge {
   }
 
   const size_t capacity_;
-  bool allow_spsc_ = false;
   std::vector<const void*> producers_;
   // Exactly one is non-null; mutex_ is the safe default for queues that are
   // used without declaring producers (tests, ad-hoc harnesses).
@@ -253,19 +238,18 @@ using StreamQueue = StreamEdge;
 // port up to the batch size (see BatchQueue), so chunks form wherever the
 // consumer is the bottleneck.
 //
-// Adaptive batch sizing: with `set_adaptive(true)` the endpoint treats the
-// edge's batch size as a *ceiling* rather than a fixed flush threshold. The
-// effective threshold starts at 1 (seed-level latency) and is steered by the
-// consumer-side queue depth sampled after each handoff: a backlog of at
-// least two thresholds' worth of tuples doubles it (the consumer is behind —
-// amortize), an empty queue halves it (the consumer drains instantly —
-// favor latency). The threshold only moves within [1, batch_size], so
-// adaptive batching at batch size 1 is exactly the static engine, and the
-// queue-side coalescing cap stays at the full batch size either way: under
-// load, slivers flushed by a small threshold still glue together toward the
-// knob at the queue tail. Batch boundaries are semantically invisible (the
-// determinism suites pin this), so the feedback loop affects latency and
-// throughput only.
+// Adaptive batch sizing: the endpoint treats the edge's batch size as a
+// *ceiling* rather than a fixed flush threshold. The effective threshold
+// starts at 1 (seed-level latency) and is steered by the consumer-side queue
+// depth sampled after each handoff: a backlog of at least two thresholds'
+// worth of tuples doubles it (the consumer is behind — amortize), an empty
+// queue halves it (the consumer drains instantly — favor latency). The
+// threshold only moves within [1, batch_size], so at batch size 1 every
+// tuple is handed over on its own, and the queue-side coalescing cap stays
+// at the full batch size: under load, slivers flushed by a small threshold
+// still glue together toward the batch size at the queue tail. Batch
+// boundaries are semantically invisible (the determinism suites pin this),
+// so the feedback loop affects latency and throughput only.
 class Endpoint {
  public:
   Endpoint() = default;
@@ -282,17 +266,10 @@ class Endpoint {
   size_t batch_size() const { return batch_size_; }
   void set_batch_size(size_t n) {
     batch_size_ = n == 0 ? 1 : n;
-    effective_batch_ = adaptive_ ? std::min(effective_batch_, batch_size_)
-                                 : batch_size_;
+    effective_batch_ = std::min(effective_batch_, batch_size_);
   }
 
-  bool adaptive() const { return adaptive_; }
-  void set_adaptive(bool adaptive) {
-    adaptive_ = adaptive;
-    effective_batch_ = adaptive_ ? 1 : batch_size_;
-  }
-
-  // The current flush threshold (== batch_size unless adaptive).
+  // The current flush threshold, within [1, batch_size].
   size_t effective_batch_size() const { return effective_batch_; }
 
   // --- pool mode (flipped by the scheduler before execution starts) --------
@@ -399,7 +376,7 @@ class Endpoint {
   bool Handoff(StreamBatch&& batch) {
     if (!nonblocking_) {
       const bool ok = queue_->Push(std::move(batch), batch_size_);
-      if (adaptive_ && ok) Adapt();
+      if (ok) Adapt();
       return ok;
     }
     if (!spill_.empty()) {
@@ -408,7 +385,7 @@ class Endpoint {
     }
     switch (queue_->TryPush(batch, batch_size_)) {
       case PushStatus::kOk:
-        if (adaptive_) Adapt();
+        Adapt();
         return true;
       case PushStatus::kAborted:
         return false;
@@ -418,7 +395,7 @@ class Endpoint {
     queue_->MarkProducerWaiting();
     switch (queue_->TryPush(batch, batch_size_)) {
       case PushStatus::kOk:
-        if (adaptive_) Adapt();
+        Adapt();
         return true;
       case PushStatus::kAborted:
         return false;
@@ -442,7 +419,6 @@ class Endpoint {
   uint16_t port_ = 0;
   size_t batch_size_ = 1;
   size_t effective_batch_ = 1;
-  bool adaptive_ = false;
   bool nonblocking_ = false;
   StreamBatch pending_;
   std::deque<StreamBatch> spill_;

@@ -44,20 +44,6 @@ class Topology {
     default_batch_size_ = n == 0 ? 1 : n;
   }
 
-  // Edge implementation policy: when true (default unless
-  // GENEALOG_SPSC_RING=0), Connect upgrades single-producer edges to the
-  // lock-free SPSC ring; multi-producer edges always keep the mutex
-  // BatchQueue. When false, every edge uses the mutex queue.
-  bool spsc_edges() const { return spsc_edges_; }
-  void set_spsc_edges(bool enabled) { spsc_edges_ = enabled; }
-
-  // Adaptive batch sizing policy stamped on every endpoint wired by Connect
-  // (default unless GENEALOG_ADAPTIVE_BATCH=0): endpoints steer their flush
-  // threshold within [1, batch_size] from consumer-side queue depth. A no-op
-  // at batch size 1.
-  bool adaptive_batch() const { return adaptive_batch_; }
-  void set_adaptive_batch(bool enabled) { adaptive_batch_ = enabled; }
-
   // Execution model requested for this topology (default from
   // GENEALOG_SCHEDULER): thread-per-node, or the shared morsel-driven worker
   // pool. The Runner resolves the effective mode across all its topologies
@@ -70,15 +56,11 @@ class Topology {
   size_t workers() const { return workers_; }
   void set_workers(size_t n) { workers_ = n; }
 
-  // Stamps the data-plane subset of a unified EngineOptions (batch size, edge
-  // implementation, adaptive batching, scheduler) in one call; the per-knob
-  // setters above remain for targeted overrides. The process-wide knobs
-  // (tuple_pool, epoch_traversal) and the provenance-sink policy are not
-  // topology state and are ignored here.
+  // Stamps the data-plane subset of a unified EngineOptions (batch size,
+  // scheduler, workers) in one call; the per-knob setters above remain for
+  // targeted overrides.
   void Configure(const EngineOptions& engine) {
     set_default_batch_size(engine.batch_size);
-    set_spsc_edges(engine.spsc_edges);
-    set_adaptive_batch(engine.adaptive_batch);
     set_scheduler(engine.scheduler);
     set_workers(engine.workers);
   }
@@ -119,8 +101,6 @@ class Topology {
   int instance_id_;
   ProvenanceMode mode_;
   size_t default_batch_size_ = kDefaultBatchSize;
-  bool spsc_edges_ = DefaultSpscEdges();
-  bool adaptive_batch_ = DefaultAdaptiveBatch();
   SchedulerMode scheduler_ = engine_defaults::Scheduler();
   size_t workers_ = engine_defaults::Workers();
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -1,8 +1,8 @@
 // AsyncFileWriter semantics: append order is preserved across buffer
 // handoffs (including records larger than the buffer cap), Flush makes every
-// byte durable in the stdio stream, Abort unblocks and drops cleanly, and a
-// tiny buffer cap forces the double-buffer swap protocol through thousands of
-// handoffs.
+// byte durable in the stdio stream and reports a failed fflush, Abort
+// unblocks and drops cleanly, and a tiny buffer cap forces the double-buffer
+// swap protocol through thousands of handoffs.
 #include "common/async_writer.h"
 
 #include <gtest/gtest.h>
@@ -116,6 +116,21 @@ TEST(AsyncFileWriterTest, NoWriteErrorOnHealthyFile) {
   }
   std::fclose(f);
   std::remove(path.c_str());
+}
+
+TEST(AsyncFileWriterTest, FailedTailFlushIsAWriteError) {
+  // 100 bytes fit in the stdio buffer, so the background fwrite succeeds and
+  // the failure surfaces only at Flush's fflush.
+  std::FILE* f = std::fopen("/dev/full", "wb");
+  ASSERT_NE(f, nullptr);
+  {
+    AsyncFileWriter writer(f);
+    const std::vector<uint8_t> data(100, 0x5a);
+    writer.Append(data.data(), data.size());
+    writer.Flush();
+    EXPECT_TRUE(writer.write_error());
+  }
+  std::fclose(f);
 }
 
 }  // namespace

@@ -135,10 +135,13 @@ TEST(BatchQueueCoalesceTest, AbortedQueueRejects) {
 
 TEST(BatchQueueCoalesceTest, OversizedBatchEntersEmptyQueue) {
   // A batch bigger than the queue capacity must not deadlock: it is admitted
-  // once the queue is empty.
+  // once the queue is empty. ForwardBatch hands a chunk at least as large as
+  // the flush threshold over whole.
   auto queue = std::make_unique<StreamQueue>(2);
   Endpoint e{queue.get(), 0, /*batch_size=*/8};
-  for (int i = 0; i < 8; ++i) e.PushTuple(V(i, i));  // flushes at 8 > cap 2
+  StreamBatch batch;
+  for (int i = 0; i < 8; ++i) batch.tuples.push_back(V(i, i));
+  EXPECT_TRUE(e.ForwardBatch(std::move(batch)));  // 8 tuples > cap 2
   EXPECT_EQ(queue->Size(), 1u);
   EXPECT_EQ(queue->Weight(), 8u);
 }
@@ -155,12 +158,12 @@ class AbortDuringProducerWaitTest
     : public ::testing::TestWithParam<StreamEdge::Kind> {};
 
 TEST_P(AbortDuringProducerWaitTest, DoesNotCoalesceIntoDeadTail) {
+  // No registered producer keeps the mutex queue; one upgrades to the ring.
   auto queue = std::make_unique<StreamQueue>(2);
   if (GetParam() == StreamEdge::Kind::kSpsc) {
-    queue->set_allow_spsc(true);
     queue->RegisterProducer(queue.get());
-    ASSERT_EQ(queue->kind(), StreamEdge::Kind::kSpsc);
   }
+  ASSERT_EQ(queue->kind(), GetParam());
   std::atomic<bool> push_result{true};
   std::thread producer([&] {
     // Two weight-1 batches fill the queue; the third is coalescible with the

@@ -27,14 +27,14 @@ std::string RejectionOf(Fn&& parse) {
 }
 
 TEST(EnvKnobTest, BoolKnobAcceptsZeroAndOne) {
-  EXPECT_FALSE(ParseBoolKnob("GENEALOG_TUPLE_POOL", "0", true));
-  EXPECT_TRUE(ParseBoolKnob("GENEALOG_TUPLE_POOL", "1", false));
+  EXPECT_FALSE(ParseBoolKnob("GENEALOG_WIRE_BLOCK_COMPRESS", "0", true));
+  EXPECT_TRUE(ParseBoolKnob("GENEALOG_WIRE_BLOCK_COMPRESS", "1", false));
 }
 
 TEST(EnvKnobTest, BoolKnobUnsetOrEmptyKeepsDefault) {
-  EXPECT_TRUE(ParseBoolKnob("GENEALOG_TUPLE_POOL", nullptr, true));
+  EXPECT_TRUE(ParseBoolKnob("GENEALOG_WIRE_BLOCK_COMPRESS", nullptr, true));
   EXPECT_FALSE(ParseBoolKnob("GENEALOG_LINEAGE_STORE", nullptr, false));
-  EXPECT_TRUE(ParseBoolKnob("GENEALOG_TUPLE_POOL", "", true));
+  EXPECT_TRUE(ParseBoolKnob("GENEALOG_WIRE_BLOCK_COMPRESS", "", true));
   EXPECT_FALSE(ParseBoolKnob("GENEALOG_LINEAGE_STORE", "", false));
 }
 
@@ -42,8 +42,8 @@ TEST(EnvKnobTest, BoolKnobRejectsOtherSpellings) {
   for (const char* bad : {"yes", "true", "on", "2", "-1", " 1", "1 ", "01"}) {
     SCOPED_TRACE(bad);
     const std::string message = RejectionOf(
-        [bad] { return ParseBoolKnob("GENEALOG_TUPLE_POOL", bad, true); });
-    EXPECT_NE(message.find("GENEALOG_TUPLE_POOL"), std::string::npos)
+        [bad] { return ParseBoolKnob("GENEALOG_WIRE_BLOCK_COMPRESS", bad, true); });
+    EXPECT_NE(message.find("GENEALOG_WIRE_BLOCK_COMPRESS"), std::string::npos)
         << message;
     EXPECT_NE(message.find(std::string("\"") + bad + "\""), std::string::npos)
         << message;
@@ -68,6 +68,29 @@ TEST(EnvKnobTest, CountKnobRejectsMalformedValues) {
     const std::string message = RejectionOf(
         [bad] { return ParseCountKnob("GENEALOG_BATCH_SIZE", bad, 64); });
     EXPECT_NE(message.find("GENEALOG_BATCH_SIZE"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(std::string("\"") + bad + "\""), std::string::npos)
+        << message;
+  }
+}
+
+TEST(EnvKnobTest, RealKnobAcceptsNonNegativeNumbers) {
+  EXPECT_DOUBLE_EQ(ParseRealKnob("GENEALOG_BENCH_SCALE", "0.5", 1.0), 0.5);
+  EXPECT_DOUBLE_EQ(ParseRealKnob("GENEALOG_BENCH_SCALE", "2", 1.0), 2.0);
+  EXPECT_DOUBLE_EQ(ParseRealKnob("GENEALOG_BENCH_SCALE", "0", 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(ParseRealKnob("--rate", "1e3", 0.0), 1000.0);
+  EXPECT_DOUBLE_EQ(ParseRealKnob("--rate", ".25", 0.0), 0.25);
+  EXPECT_DOUBLE_EQ(ParseRealKnob("GENEALOG_BENCH_SCALE", nullptr, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(ParseRealKnob("GENEALOG_BENCH_SCALE", "", 0.3), 0.3);
+}
+
+TEST(EnvKnobTest, RealKnobRejectsMalformedValues) {
+  for (const char* bad : {"abc", "-1", "-0", "+2", "0.5x", "1,5", " 1", "1 ",
+                          "inf", "nan", "1e999", "."}) {
+    SCOPED_TRACE(bad);
+    const std::string message = RejectionOf(
+        [bad] { return ParseRealKnob("GENEALOG_BENCH_SCALE", bad, 1.0); });
+    EXPECT_NE(message.find("GENEALOG_BENCH_SCALE"), std::string::npos)
         << message;
     EXPECT_NE(message.find(std::string("\"") + bad + "\""), std::string::npos)
         << message;

@@ -1,8 +1,8 @@
 // TuplePool unit tests: size-class selection, same-thread recycling,
 // thread-cache overflow into the central free list, cross-thread release
 // (the TSan-gated path: producer allocates, a downstream thread drops the
-// last reference), recycled-memory reinitialization, and the heap fallback —
-// including runtime toggling with blocks in flight.
+// last reference), recycled-memory reinitialization, and the heap fallback
+// for oversize blocks.
 #include "common/tuple_pool.h"
 
 #include <gtest/gtest.h>
@@ -21,8 +21,7 @@ namespace {
 
 using testing::ValueTuple;
 
-// Larger than the biggest size class: must fall back to the heap even with
-// the pool enabled.
+// Larger than the biggest size class: must fall back to the heap.
 struct OversizeTuple final : TupleCrtp<OversizeTuple, 0x7F01> {
   static constexpr const char* kTypeName = "test.Oversize";
 
@@ -37,18 +36,8 @@ static_assert(sizeof(OversizeTuple) > pool::kMaxPooledBytes);
 
 class TuplePoolTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    was_enabled_ = pool::Enabled();
-    pool::SetEnabled(true);
-    pool::ResetStats();
-  }
-  void TearDown() override {
-    pool::FlushThreadCache();
-    pool::SetEnabled(was_enabled_);
-  }
-
- private:
-  bool was_enabled_ = true;
+  void SetUp() override { pool::ResetStats(); }
+  void TearDown() override { pool::FlushThreadCache(); }
 };
 
 TEST_F(TuplePoolTest, SizeClassSelection) {
@@ -206,33 +195,6 @@ TEST_F(TuplePoolTest, OversizeTuplesFallBackToHeap) {
   const pool::Stats s = pool::GetStats();
   EXPECT_EQ(s.pool_allocs, 0u);
   EXPECT_GE(s.heap_allocs, 1u);
-}
-
-TEST_F(TuplePoolTest, DisabledPoolFallsBackToHeap) {
-  pool::SetEnabled(false);
-  pool::ResetStats();
-  {
-    auto t = MakeTuple<ValueTuple>(1, 5);
-    EXPECT_EQ(t->value, 5);
-  }
-  const pool::Stats s = pool::GetStats();
-  EXPECT_EQ(s.pool_allocs, 0u);
-  EXPECT_GE(s.heap_allocs, 1u);
-}
-
-TEST_F(TuplePoolTest, ToggleMidFlightReleasesToTheRecordedOwner) {
-  // Release is keyed on the class recorded at allocation, never on the
-  // current setting — so toggling with blocks in flight cannot mismatch
-  // allocate/release (ASan would flag either direction).
-  auto pooled = MakeTuple<ValueTuple>(1, 1);
-  pool::SetEnabled(false);
-  auto heaped = MakeTuple<ValueTuple>(2, 2);
-  pooled.reset();  // pool block released while the pool is off
-  pool::SetEnabled(true);
-  heaped.reset();  // heap block released while the pool is on
-  const pool::Stats s = pool::GetStats();
-  EXPECT_GE(s.heap_allocs, 1u);
-  EXPECT_GE(s.pool_allocs, 1u);
 }
 
 TEST_F(TuplePoolTest, SlabAccountingIsVisible) {

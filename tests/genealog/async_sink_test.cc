@@ -1,23 +1,23 @@
-// The asynchronous provenance sink must be invisible in the data: for the
-// same unfolded stream, the on-disk provenance file must be *byte-identical*
-// with the async writer on or off — also when a tiny buffer cap forces the
-// double-buffer swap through many background handoffs mid-run. The input
-// stream is built once and shared across configurations, so the comparison
-// really is byte-for-byte (ids and stimuli of the recorded tuples are pinned
-// by construction). Runs under TSan in CI (repeated until-fail) to gate the
-// producer/writer protocol.
+// The asynchronous provenance sink must be invisible in the data: for a
+// pinned unfolded stream, the on-disk provenance file must hold exactly the
+// bytes the test serializes itself (per record: the derived tuple, a u32
+// origin count, then every origin) — also when a tiny buffer cap forces the
+// double-buffer swap through many background handoffs mid-run. Ids and
+// stimuli of the recorded tuples are pinned by construction, so the
+// comparison really is byte-for-byte. A file that cannot take the bytes
+// (/dev/full) must be reported as a write error. Runs under TSan in CI
+// (repeated until-fail) to gate the producer/writer protocol.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "common/serialize.h"
+#include "core/type_registry.h"
 #include "genealog/provenance_sink.h"
-#include "genealog/su.h"
-#include "spe/sink.h"
 #include "spe/source.h"
 #include "spe/topology.h"
-#include "testing/harness.h"
 #include "testing/test_tuples.h"
 
 namespace genealog {
@@ -43,6 +43,9 @@ std::string ReadAll(const std::string& path) {
 struct PinnedStream {
   std::vector<IntrusivePtr<ValueTuple>> keep_alive;
   std::vector<IntrusivePtr<UnfoldedTuple>> unfolded;
+  // The provenance file the stream must produce, serialized record by record
+  // in derived-ts order.
+  std::string want_bytes;
 };
 
 PinnedStream MakePinnedStream(int n_records, int origins_per_record) {
@@ -53,12 +56,16 @@ PinnedStream MakePinnedStream(int n_records, int origins_per_record) {
     derived->id = next_id++;
     derived->stimulus = 7;  // pinned: wall clock must not leak into the file
     s.keep_alive.push_back(derived);
+    ByteWriter record;
+    SerializeTuple(*derived, record);
+    record.PutU32(static_cast<uint32_t>(origins_per_record));
     for (int o = 0; o < origins_per_record; ++o) {
       auto origin = V(r, 100 * r + o);
       origin->kind = TupleKind::kSource;
       origin->id = next_id++;
       origin->stimulus = 7;
       s.keep_alive.push_back(origin);
+      SerializeTuple(*origin, record);
       auto u = MakeTuple<UnfoldedTuple>(derived->ts);
       u->derived = derived;
       u->derived_id = derived->id;
@@ -69,76 +76,61 @@ PinnedStream MakePinnedStream(int n_records, int origins_per_record) {
       u->origin_kind = origin->kind;
       s.unfolded.push_back(std::move(u));
     }
+    s.want_bytes.append(record.bytes().begin(), record.bytes().end());
   }
   return s;
 }
 
-// Streams the pinned unfolded tuples through a ProvenanceSinkNode and
-// returns the file contents.
-std::string RunToFile(const PinnedStream& stream, const std::string& path,
-                      bool async, size_t buffer_bytes) {
+// Streams the pinned unfolded tuples through a ProvenanceSinkNode writing
+// to `path` and returns the node's write-error flag after the run.
+bool RunSink(const PinnedStream& stream, const std::string& path,
+             size_t buffer_bytes) {
   Topology topo(1, ProvenanceMode::kGenealog);
   auto* source =
       topo.Add<VectorSourceNode<UnfoldedTuple>>("src", stream.unfolded);
   ProvenanceSinkSpec pso;
   pso.file_path = path;
-  pso.engine.async_prov_sink = async;
   pso.engine.prov_buffer_bytes = buffer_bytes;
   auto* prov = topo.Add<ProvenanceSinkNode>("k2", pso);
-  EXPECT_EQ(prov->async(), async);
   topo.Connect(source, prov);
   RunToCompletion(topo);
   EXPECT_GT(prov->records(), 0u);
-  EXPECT_FALSE(prov->write_error());
+  EXPECT_EQ(prov->bytes_written(), stream.want_bytes.size());
+  return prov->write_error();
+}
+
+// Runs the sink into a temporary file and returns the file contents.
+std::string RunToFile(const PinnedStream& stream, const std::string& path,
+                      size_t buffer_bytes) {
+  EXPECT_FALSE(RunSink(stream, path, buffer_bytes));
   const std::string bytes = ReadAll(path);
-  EXPECT_EQ(prov->bytes_written(), bytes.size());
   std::remove(path.c_str());
   return bytes;
 }
 
-TEST(AsyncProvenanceSinkTest, FileBytesIdenticalToSynchronousPath) {
+TEST(AsyncProvenanceSinkTest, FileBytesMatchSerializedRecords) {
   const PinnedStream stream = MakePinnedStream(400, 5);
+  ASSERT_FALSE(stream.want_bytes.empty());
   const std::string path = ::testing::TempDir() + "/prov_async_a.bin";
-  const std::string sync_bytes =
-      RunToFile(stream, path, /*async=*/false, /*buffer_bytes=*/256 * 1024);
-  const std::string async_bytes =
-      RunToFile(stream, path, /*async=*/true, /*buffer_bytes=*/256 * 1024);
-  ASSERT_FALSE(sync_bytes.empty());
-  EXPECT_EQ(async_bytes, sync_bytes);
+  EXPECT_EQ(RunToFile(stream, path, /*buffer_bytes=*/256 * 1024),
+            stream.want_bytes);
 }
 
 TEST(AsyncProvenanceSinkTest, TinyBufferForcesHandoffsAndStaysIdentical) {
   const PinnedStream stream = MakePinnedStream(600, 3);
+  ASSERT_FALSE(stream.want_bytes.empty());
   const std::string path = ::testing::TempDir() + "/prov_async_b.bin";
-  const std::string sync_bytes =
-      RunToFile(stream, path, /*async=*/false, /*buffer_bytes=*/256 * 1024);
+  EXPECT_EQ(RunToFile(stream, path, /*buffer_bytes=*/256 * 1024),
+            stream.want_bytes);
   // 48-byte buffers: every record spans multiple background handoffs.
-  const std::string async_bytes =
-      RunToFile(stream, path, /*async=*/true, /*buffer_bytes=*/48);
-  ASSERT_FALSE(sync_bytes.empty());
-  EXPECT_EQ(async_bytes, sync_bytes);
+  EXPECT_EQ(RunToFile(stream, path, /*buffer_bytes=*/48), stream.want_bytes);
 }
 
-TEST(AsyncProvenanceSinkTest, EnvDefaultIsHonoredWhenUnset) {
-  // Options left unset follow the process default (GENEALOG_ASYNC_PROV_SINK;
-  // on when the test environment does not override it).
-  const std::string path = ::testing::TempDir() + "/prov_async_c.bin";
-  Topology topo(1, ProvenanceMode::kGenealog);
-  std::vector<IntrusivePtr<ValueTuple>> data;
-  data.push_back(V(1, 1));
-  auto* source = topo.Add<VectorSourceNode<ValueTuple>>("src", std::move(data));
-  auto* su = topo.Add<SuNode>("su");
-  auto* sink = topo.Add<SinkNode>("sink");
-  ProvenanceSinkSpec pso;
-  pso.file_path = path;
-  auto* prov = topo.Add<ProvenanceSinkNode>("k2", pso);
-  EXPECT_EQ(prov->async(), DefaultAsyncProvSink());
-  topo.Connect(source, su);
-  topo.Connect(su, sink);
-  topo.Connect(su, prov);
-  RunToCompletion(topo);
-  EXPECT_FALSE(ReadAll(path).empty());
-  std::remove(path.c_str());
+TEST(AsyncProvenanceSinkTest, FullDeviceReportsWriteError) {
+  // The whole file fits in the writer's first buffer and in the stdio
+  // buffer, so the bytes first fail at the end-of-stream fflush.
+  const PinnedStream stream = MakePinnedStream(4, 2);
+  EXPECT_TRUE(RunSink(stream, "/dev/full", /*buffer_bytes=*/256 * 1024));
 }
 
 }  // namespace

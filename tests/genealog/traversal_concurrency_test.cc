@@ -64,8 +64,6 @@ SharedGraphs MakeSharedGraphs(int n_sources, int n_roots) {
 }
 
 TEST(TraversalConcurrencyTest, OverlappingWalksReturnExactSequences) {
-  const bool epoch_was = EpochTraversalEnabled();
-  SetEpochTraversal(true);
   SharedGraphs g = MakeSharedGraphs(/*n_sources=*/96, /*n_roots=*/8);
 
   // Single-threaded reference per root, on the pointer-set path.
@@ -97,14 +95,11 @@ TEST(TraversalConcurrencyTest, OverlappingWalksReturnExactSequences) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
-  SetEpochTraversal(epoch_was);
 }
 
 // Same stress with two SUs' worth of threads pinned to *the same root* — the
 // worst case for ticket claiming, since every node of both walks collides.
 TEST(TraversalConcurrencyTest, TwoWalkersOneGraph) {
-  const bool epoch_was = EpochTraversalEnabled();
-  SetEpochTraversal(true);
   SharedGraphs g = MakeSharedGraphs(/*n_sources=*/192, /*n_roots=*/1);
   std::vector<Tuple*> want;
   {
@@ -126,7 +121,6 @@ TEST(TraversalConcurrencyTest, TwoWalkersOneGraph) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
-  SetEpochTraversal(epoch_was);
 }
 
 }  // namespace

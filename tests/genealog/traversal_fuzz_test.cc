@@ -140,7 +140,6 @@ RandomGraph MakeRandomGraph(SplitMix64& rng) {
 // --- the equivalence property ------------------------------------------------
 
 TEST(TraversalFuzzTest, AllPathsMatchReferenceBfsSequence) {
-  const bool epoch_was = EpochTraversalEnabled();
   SplitMix64 rng(20260729);
   TraversalScratch scratch;  // shared across all graphs: also fuzzes reuse
   std::vector<Tuple*> got;
@@ -150,30 +149,21 @@ TEST(TraversalFuzzTest, AllPathsMatchReferenceBfsSequence) {
     const std::vector<Tuple*> want = ReferenceFindProvenance(g.root);
 
     // Epoch fast path (single-threaded here, so kAuto always takes it).
-    SetEpochTraversal(true);
     got.clear();
     FindProvenance(g.root, got, scratch);
     ASSERT_EQ(got, want) << "epoch path diverged on graph " << i;
 
-    // Pointer-set path, forced two ways: explicitly and via the knob.
+    // Pointer-set path, forced explicitly.
     got.clear();
     FindProvenance(g.root, got, scratch, TraversalPath::kHashSet);
     ASSERT_EQ(got, want) << "pointer-set path diverged on graph " << i;
-
-    SetEpochTraversal(false);
-    got.clear();
-    FindProvenance(g.root, got, scratch);
-    ASSERT_EQ(got, want) << "disabled-epoch path diverged on graph " << i;
   }
-  SetEpochTraversal(epoch_was);
 }
 
 // Re-traversing the same graph must be idempotent on both paths (epoch marks
 // persist on tuples between calls; a fresh ticket must not be confused by
 // them).
 TEST(TraversalFuzzTest, RepeatedTraversalsOfOneGraphAreIdempotent) {
-  const bool epoch_was = EpochTraversalEnabled();
-  SetEpochTraversal(true);
   SplitMix64 rng(7);
   RandomGraph g = MakeRandomGraph(rng);
   const std::vector<Tuple*> want = ReferenceFindProvenance(g.root);
@@ -187,7 +177,6 @@ TEST(TraversalFuzzTest, RepeatedTraversalsOfOneGraphAreIdempotent) {
     FindProvenance(g.root, got, scratch, TraversalPath::kHashSet);
     ASSERT_EQ(got, want);
   }
-  SetEpochTraversal(epoch_was);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
-// The data-plane knobs must be invisible in the data: for every batch size,
-// edge implementation (lock-free SPSC ring vs. mutex BatchQueue) and
-// adaptive-batching setting, the engine must produce byte-identical sink
-// output sequences and identical provenance traversals. These tests sweep
-// batch {1, 4, 64, 1024} x edge {ring, mutex} x adaptive {on, off} over
-// determinism_test-style topologies (the hostile diamond merge), a
-// multi-source union chain, and full Q1 provenance runs (intra-process and
-// distributed GL, which also exercises the batch wire frames), always
-// comparing against the seed configuration (batch 1, mutex, static).
+// The batch size must be invisible in the data: at every batch size the
+// engine must produce byte-identical sink output sequences and identical
+// provenance traversals. These tests sweep batch {1, 4, 64, 1024} over
+// determinism_test-style topologies (the hostile diamond merge, whose
+// single-producer edges run on the SPSC ring and whose join is fed by two
+// producers over the mutex queue), a multi-source union chain, and full Q1
+// provenance runs (intra-process and distributed GL, which also exercises
+// the batch wire frames), always comparing against batch 1, where every
+// tuple is handed over on its own.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -35,20 +35,6 @@ using testing::KeyedTuple;
 
 constexpr size_t kSweep[] = {1, 4, 64, 1024};
 
-// Edge implementation x adaptive batching. Every cell must match the seed
-// configuration (mutex/static at batch 1) byte for byte.
-struct EdgeConfig {
-  bool spsc;
-  bool adaptive;
-  const char* name;
-};
-constexpr EdgeConfig kEdgeConfigs[] = {
-    {false, false, "mutex/static"},
-    {false, true, "mutex/adaptive"},
-    {true, false, "ring/static"},
-    {true, true, "ring/adaptive"},
-};
-
 std::vector<IntrusivePtr<KeyedTuple>> RandomKeyed(uint64_t seed, int n) {
   SplitMix64 rng(seed);
   std::vector<IntrusivePtr<KeyedTuple>> out;
@@ -66,11 +52,9 @@ std::vector<IntrusivePtr<KeyedTuple>> RandomKeyed(uint64_t seed, int n) {
 // deterministic merging — and for batching, since the branches chunk
 // independently.
 std::vector<std::tuple<int64_t, int64_t, double>> RunDiamond(
-    uint64_t seed, size_t batch_size, const EdgeConfig& config) {
+    uint64_t seed, size_t batch_size) {
   Topology topo;
   topo.set_default_batch_size(batch_size);
-  topo.set_spsc_edges(config.spsc);
-  topo.set_adaptive_batch(config.adaptive);
   auto* source =
       topo.Add<VectorSourceNode<KeyedTuple>>("src", RandomKeyed(seed, 400));
   auto* mux = topo.Add<MultiplexNode>("mux");
@@ -109,25 +93,20 @@ std::vector<std::tuple<int64_t, int64_t, double>> RunDiamond(
 }
 
 TEST(BatchingDeterminismTest, DiamondOutputIsDataPlaneInvariant) {
-  const auto reference = RunDiamond(7, 1, kEdgeConfigs[0]);
+  const auto reference = RunDiamond(7, 1);
   ASSERT_FALSE(reference.empty());
   for (size_t batch_size : kSweep) {
-    for (const EdgeConfig& config : kEdgeConfigs) {
-      for (int run = 0; run < 2; ++run) {
-        EXPECT_EQ(RunDiamond(7, batch_size, config), reference)
-            << "batch_size " << batch_size << " config " << config.name
-            << " run " << run;
-      }
+    for (int run = 0; run < 2; ++run) {
+      EXPECT_EQ(RunDiamond(7, batch_size), reference)
+          << "batch_size " << batch_size << " run " << run;
     }
   }
 }
 
-std::vector<std::pair<int64_t, double>> RunUnionChain(
-    uint64_t seed, size_t batch_size, const EdgeConfig& config) {
+std::vector<std::pair<int64_t, double>> RunUnionChain(uint64_t seed,
+                                                      size_t batch_size) {
   Topology topo;
   topo.set_default_batch_size(batch_size);
-  topo.set_spsc_edges(config.spsc);
-  topo.set_adaptive_batch(config.adaptive);
   auto* a = topo.Add<VectorSourceNode<KeyedTuple>>("a", RandomKeyed(seed, 300));
   auto* b =
       topo.Add<VectorSourceNode<KeyedTuple>>("b", RandomKeyed(seed + 1, 300));
@@ -152,15 +131,12 @@ std::vector<std::pair<int64_t, double>> RunUnionChain(
 }
 
 TEST(BatchingDeterminismTest, UnionChainIsDataPlaneInvariant) {
-  const auto reference = RunUnionChain(11, 1, kEdgeConfigs[0]);
+  const auto reference = RunUnionChain(11, 1);
   ASSERT_FALSE(reference.empty());
   for (size_t batch_size : kSweep) {
-    for (const EdgeConfig& config : kEdgeConfigs) {
-      for (int run = 0; run < 2; ++run) {
-        EXPECT_EQ(RunUnionChain(11, batch_size, config), reference)
-            << "batch_size " << batch_size << " config " << config.name
-            << " run " << run;
-      }
+    for (int run = 0; run < 2; ++run) {
+      EXPECT_EQ(RunUnionChain(11, batch_size), reference)
+          << "batch_size " << batch_size << " run " << run;
     }
   }
 }
@@ -185,14 +161,12 @@ struct Q1Run {
 };
 
 Q1Run RunQ1(const lr::LinearRoadData& data, size_t batch_size,
-            bool distributed, const EdgeConfig& config) {
+            bool distributed) {
   Q1Run run;
   QueryBuildOptions options;
   options.mode = ProvenanceMode::kGenealog;
   options.distributed = distributed;
   options.batch_size = batch_size;
-  options.spsc_edges = config.spsc;
-  options.adaptive_batch = config.adaptive;
   options.sink_consumer = [&run](const TuplePtr& t) {
     run.ordered_sink.push_back(std::to_string(t->ts) + "|" + t->DebugPayload());
   };
@@ -214,23 +188,15 @@ Q1Run RunQ1(const lr::LinearRoadData& data, size_t batch_size,
 
 void SweepQ1(bool distributed) {
   const lr::LinearRoadData data = SmallLr();
-  const Q1Run reference = RunQ1(data, 1, distributed, kEdgeConfigs[0]);
+  const Q1Run reference = RunQ1(data, 1, distributed);
   ASSERT_FALSE(reference.ordered_sink.empty());
   ASSERT_FALSE(reference.canonical.records.empty());
-  auto check = [&](size_t batch_size, const EdgeConfig& config) {
-    const Q1Run run = RunQ1(data, batch_size, distributed, config);
-    EXPECT_EQ(run.ordered_sink, reference.ordered_sink)
-        << "batch_size " << batch_size << " config " << config.name;
-    EXPECT_EQ(run.canonical.records, reference.canonical.records)
-        << "batch_size " << batch_size << " config " << config.name;
-  };
-  // The full batch sweep rides on the production default (ring + adaptive);
-  // at batch 64 every edge/adaptive combination is crossed.
   for (size_t batch_size : kSweep) {
-    check(batch_size, kEdgeConfigs[3]);
-  }
-  for (const EdgeConfig& config : kEdgeConfigs) {
-    check(64, config);
+    const Q1Run run = RunQ1(data, batch_size, distributed);
+    EXPECT_EQ(run.ordered_sink, reference.ordered_sink)
+        << "batch_size " << batch_size;
+    EXPECT_EQ(run.canonical.records, reference.canonical.records)
+        << "batch_size " << batch_size;
   }
 }
 

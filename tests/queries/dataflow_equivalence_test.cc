@@ -7,9 +7,9 @@
 // frozen from the hand-wired deployments the fluent builders replaced, so
 // BuildQ{1..4}Fluent must reproduce the paper's wiring exactly.
 //
-// Each cell is checked at batch {1, 64} x edge {ring, mutex}, and the
-// distributed cells additionally under codec {raw, compact}: batching, the
-// edge implementation and the wire codec must all be invisible. The
+// Each cell is checked at batch {1, 64}, and the distributed cells
+// additionally under codec {raw, compact}: batching and the wire codec must
+// both be invisible. The
 // key-partitioned `.Parallel(n)` lowering is pinned to the same sink and
 // provenance digests.
 #include <gtest/gtest.h>
@@ -180,8 +180,8 @@ CellDigest RunCell(const std::string& query, Builder&& builder,
 }
 
 // Every mode and deployment of one query against its golden lines, across
-// batch {1, 64} x edge {ring, mutex} (x codec {raw, compact} when
-// distributed; intra builds have no channels to encode).
+// batch {1, 64} (x codec {raw, compact} when distributed; intra builds have
+// no channels to encode).
 template <typename Builder, typename Data>
 void CheckQuery(const std::string& query, Builder builder, const Data& data) {
   for (const Mode mode : {Mode::kNp, Mode::kGl, Mode::kBl, Mode::kGlComposed}) {
@@ -191,22 +191,19 @@ void CheckQuery(const std::string& query, Builder builder, const Data& data) {
                                                WireCodec::kCompact}
                       : std::vector<WireCodec>{WireCodec::kRaw};
       for (const size_t batch : {size_t{1}, size_t{64}}) {
-        for (const bool spsc : {true, false}) {
-          for (const WireCodec codec : codecs) {
-            SCOPED_TRACE(query + " " + ModeName(mode) +
-                         (distributed ? " dist" : " intra") + " batch " +
-                         std::to_string(batch) + (spsc ? " ring" : " mutex") +
-                         (codec == WireCodec::kCompact ? " compact" : " raw"));
-            QueryBuildOptions options;
-            options.batch_size = batch;
-            options.spsc_edges = spsc;
-            options.wire_codec = codec;
-            const CellDigest cell =
-                RunCell(query, builder, data, mode, distributed, options);
-            const CellDigest& golden = Golden(cell.key);
-            EXPECT_EQ(cell.outputs, golden.outputs);
-            EXPECT_EQ(cell.structure, golden.structure);
-          }
+        for (const WireCodec codec : codecs) {
+          SCOPED_TRACE(query + " " + ModeName(mode) +
+                       (distributed ? " dist" : " intra") + " batch " +
+                       std::to_string(batch) +
+                       (codec == WireCodec::kCompact ? " compact" : " raw"));
+          QueryBuildOptions options;
+          options.batch_size = batch;
+          options.wire_codec = codec;
+          const CellDigest cell =
+              RunCell(query, builder, data, mode, distributed, options);
+          const CellDigest& golden = Golden(cell.key);
+          EXPECT_EQ(cell.outputs, golden.outputs);
+          EXPECT_EQ(cell.structure, golden.structure);
         }
       }
     }

@@ -185,14 +185,10 @@ std::vector<IntrusivePtr<KeyedTuple>> MakeInput(uint64_t seed) {
 
 std::vector<CanonicalRecord> RunPlan(const PipelinePlan& plan, uint64_t seed,
                                      ProvenanceMode mode, size_t batch_size = 1,
-                                     bool spsc_edges = true,
-                                     bool adaptive_batch = true,
                                      std::optional<SchedulerMode> scheduler = {},
                                      size_t workers = 0) {
   Topology topo(1, mode);
   topo.set_default_batch_size(batch_size);
-  topo.set_spsc_edges(spsc_edges);
-  topo.set_adaptive_batch(adaptive_batch);
   // Scheduler left unset keeps the environment default, so the CI scheduler
   // sweeps (GENEALOG_SCHEDULER=pool) cover every test in this file.
   if (scheduler.has_value()) topo.set_scheduler(*scheduler);
@@ -257,67 +253,46 @@ TEST_P(RandomPipelineFuzzTest, GenealogIsRunDeterministic) {
   EXPECT_EQ(RunPlan(plan, seed, ProvenanceMode::kGenealog), first);
 }
 
-// The data-plane knobs — batch size, edge implementation (SPSC ring vs.
-// mutex queue), adaptive batching — must be invisible in the provenance
-// records of every randomly generated pipeline. The reference runs the seed
-// configuration (batch 1, mutex edges, static batching).
+// The batch size must be invisible in the provenance records of every
+// randomly generated pipeline. The reference runs batch 1, where every
+// tuple is handed over on its own.
 TEST_P(RandomPipelineFuzzTest, GenealogIsDataPlaneInvariant) {
   const uint64_t seed = GetParam();
   const PipelinePlan plan = MakePlan(seed);
-  const auto reference = RunPlan(plan, seed, ProvenanceMode::kGenealog,
-                                 /*batch_size=*/1, /*spsc_edges=*/false,
-                                 /*adaptive_batch=*/false);
-  struct Config {
-    size_t batch;
-    bool spsc;
-    bool adaptive;
-  };
-  constexpr Config kConfigs[] = {
-      {1, true, false},   // ring at the seed batch size
-      {16, false, false}, // batched mutex, static
-      {16, true, false},  // batched ring, static
-      {16, false, true},  // batched mutex, adaptive
-      {16, true, true},   // batched ring, adaptive
-      {64, true, true},   // the production default shape
-  };
-  for (const Config& config : kConfigs) {
-    EXPECT_EQ(RunPlan(plan, seed, ProvenanceMode::kGenealog, config.batch,
-                      config.spsc, config.adaptive),
-              reference)
-        << "seed " << seed << " batch " << config.batch << " spsc "
-        << config.spsc << " adaptive " << config.adaptive;
+  const auto reference =
+      RunPlan(plan, seed, ProvenanceMode::kGenealog, /*batch_size=*/1);
+  for (size_t batch : {4, 16, 64, 1024}) {
+    EXPECT_EQ(RunPlan(plan, seed, ProvenanceMode::kGenealog, batch), reference)
+        << "seed " << seed << " batch " << batch;
   }
 }
 
-// Scheduler invariance: the worker pool — at any worker count, over either
-// edge implementation — must reproduce the thread-per-node seed
-// configuration's provenance byte for byte on every randomly generated
-// pipeline. workers=1 is the fully serialized round-robin case; the larger
-// counts migrate tasks between workers mid-stream.
+// Scheduler invariance: the worker pool — at any worker count and batch
+// size — must reproduce the thread-per-node batch-1 provenance byte for byte
+// on every randomly generated pipeline. workers=1 is the fully serialized
+// round-robin case; the larger counts migrate tasks between workers
+// mid-stream.
 TEST_P(RandomPipelineFuzzTest, GenealogIsSchedulerInvariant) {
   const uint64_t seed = GetParam();
   const PipelinePlan plan = MakePlan(seed);
-  const auto reference = RunPlan(plan, seed, ProvenanceMode::kGenealog,
-                                 /*batch_size=*/1, /*spsc_edges=*/false,
-                                 /*adaptive_batch=*/false,
-                                 SchedulerMode::kThreadPerNode);
+  const auto reference =
+      RunPlan(plan, seed, ProvenanceMode::kGenealog, /*batch_size=*/1,
+              SchedulerMode::kThreadPerNode);
   struct Config {
     size_t workers;
     size_t batch;
-    bool spsc;
   };
   constexpr Config kConfigs[] = {
-      {1, 1, false},  // serialized pool over the seed data plane
-      {2, 16, true},  // two workers, batched rings
-      {4, 64, true},  // production default shape on the pool
+      {1, 1},   // serialized pool, one tuple per handover
+      {2, 16},  // two workers, batched
+      {4, 64},  // production default shape on the pool
   };
   for (const Config& config : kConfigs) {
     EXPECT_EQ(RunPlan(plan, seed, ProvenanceMode::kGenealog, config.batch,
-                      config.spsc, /*adaptive_batch=*/false,
                       SchedulerMode::kPool, config.workers),
               reference)
         << "seed " << seed << " workers " << config.workers << " batch "
-        << config.batch << " spsc " << config.spsc;
+        << config.batch;
   }
 }
 

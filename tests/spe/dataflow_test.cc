@@ -230,8 +230,7 @@ TEST(DataflowTest, BaselineDistributedShipsSourceStream) {
 TEST(DataflowTest, EngineOptionsStampEveryTopology) {
   DataflowOptions opts;
   opts.engine.batch_size = 64;
-  opts.engine.spsc_edges = false;
-  opts.engine.adaptive_batch = false;
+  opts.engine.workers = 3;  // ignored under thread-per-node, still stamped
   Dataflow df(std::move(opts));
   df.Source<ValueTuple>("src", Values(4))
       .At(2)
@@ -240,25 +239,14 @@ TEST(DataflowTest, EngineOptionsStampEveryTopology) {
   BuiltDataflow flow = df.Build();
   for (const auto& topo : flow.topologies) {
     EXPECT_EQ(topo->default_batch_size(), 64u);
-    EXPECT_FALSE(topo->spsc_edges());
-    EXPECT_FALSE(topo->adaptive_batch());
-  }
-  // With SPSC disabled, even single-producer edges use the mutex queue.
-  for (const auto& topo : flow.topologies) {
-    for (const auto& node : topo->nodes()) {
-      if (node->input_queue() != nullptr) {
-        EXPECT_EQ(node->input_queue()->kind(), StreamEdge::Kind::kMutex);
-      }
-    }
+    EXPECT_EQ(topo->workers(), 3u);
   }
   flow.Run();
   EXPECT_EQ(flow.sink()->count(), 4u);
 }
 
 TEST(DataflowTest, SingleProducerEdgesUpgradeToSpscRing) {
-  DataflowOptions opts;
-  opts.engine.spsc_edges = true;
-  Dataflow df(std::move(opts));
+  Dataflow df;
   auto a = df.Source<ValueTuple>("a", Values(4));
   auto b = df.Source<ValueTuple>("b", Values(4));
   // The Union is fed by two *distinct* producer nodes (two threads) — it
@@ -278,9 +266,7 @@ TEST(DataflowTest, SingleProducerEdgesUpgradeToSpscRing) {
   EXPECT_EQ(flow.sink()->count(), 8u);
 
   // One producer node, two taps into one merging consumer: still SPSC.
-  DataflowOptions opts2;
-  opts2.engine.spsc_edges = true;  // pin against GENEALOG_SPSC_RING=0
-  Dataflow df2(std::move(opts2));
+  Dataflow df2;
   auto taps = df2.Source<ValueTuple>("src", Values(4)).Multiplex("mux", 2);
   taps[0].Union("u2", taps[1]).Sink("k2");
   BuiltDataflow flow2 = df2.Build();

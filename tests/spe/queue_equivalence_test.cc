@@ -22,11 +22,11 @@ namespace {
 
 using testing::V;
 
-// A StreamEdge forced to the requested implementation.
+// A StreamEdge of the requested implementation: one registered producer
+// upgrades it to the ring, none keeps the mutex queue.
 std::unique_ptr<StreamEdge> MakeEdge(StreamEdge::Kind kind, size_t capacity) {
   auto edge = std::make_unique<StreamEdge>(capacity);
   if (kind == StreamEdge::Kind::kSpsc) {
-    edge->set_allow_spsc(true);
     edge->RegisterProducer(edge.get());  // one producer: upgrades to the ring
     EXPECT_EQ(edge->kind(), StreamEdge::Kind::kSpsc);
   } else {
@@ -173,12 +173,11 @@ TEST_P(QueueEquivalenceTest, IdenticalAbortBehavior) {
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueEquivalenceTest,
                          ::testing::Range<uint64_t>(1, 41));
 
-// The StreamEdge selection rules themselves: single producer and policy on
-// -> ring; fan-in or policy off -> mutex; a second producer downgrades an
+// The StreamEdge selection rules themselves: exactly one producer -> ring;
+// fan-in or no declared producer -> mutex; a second producer downgrades an
 // already-upgraded edge.
 TEST(StreamEdgeSelectionTest, SingleProducerUpgradesToRing) {
   StreamEdge edge(16);
-  edge.set_allow_spsc(true);
   int producer_a = 0;
   edge.RegisterProducer(&producer_a);
   EXPECT_EQ(edge.kind(), StreamEdge::Kind::kSpsc);
@@ -189,20 +188,11 @@ TEST(StreamEdgeSelectionTest, SingleProducerUpgradesToRing) {
 
 TEST(StreamEdgeSelectionTest, FanInDowngradesToMutex) {
   StreamEdge edge(16);
-  edge.set_allow_spsc(true);
   int producer_a = 0;
   int producer_b = 0;
   edge.RegisterProducer(&producer_a);
   EXPECT_EQ(edge.kind(), StreamEdge::Kind::kSpsc);
   edge.RegisterProducer(&producer_b);
-  EXPECT_EQ(edge.kind(), StreamEdge::Kind::kMutex);
-}
-
-TEST(StreamEdgeSelectionTest, PolicyOffPinsMutex) {
-  StreamEdge edge(16);
-  edge.set_allow_spsc(false);
-  int producer_a = 0;
-  edge.RegisterProducer(&producer_a);
   EXPECT_EQ(edge.kind(), StreamEdge::Kind::kMutex);
 }
 

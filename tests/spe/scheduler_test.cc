@@ -47,13 +47,14 @@ std::vector<IntrusivePtr<KeyedTuple>> KeyedSequence(int n) {
 // A pipeline that exercises every schedulable node class: a re-armable
 // source, SingleInputNode stages (filter/map/aggregate), and a
 // multiplex/join diamond whose join is a MergingNode (watermark-ordered
-// multi-port merge). Returns the exact sink sequence.
+// multi-port merge). Single-producer edges run on the SPSC ring; the join's
+// two producers keep its input on the mutex queue, so both edge
+// implementations run under the pool. Returns the exact sink sequence.
 std::vector<std::string> RunDiamondPipeline(SchedulerMode scheduler,
-                                            size_t workers, bool spsc_edges) {
+                                            size_t workers) {
   Topology topo;
   topo.set_scheduler(scheduler);
   topo.set_workers(workers);
-  topo.set_spsc_edges(spsc_edges);
   auto* source =
       topo.Add<VectorSourceNode<KeyedTuple>>("src", KeyedSequence(400));
   auto* filter = topo.Add<FilterNode<KeyedTuple>>(
@@ -95,18 +96,13 @@ std::vector<std::string> RunDiamondPipeline(SchedulerMode scheduler,
 
 // The data plane must be invisible to the scheduler choice: pool output is
 // byte-identical to thread-per-node at every worker count (1 = fully
-// serialized round-robin, >tasks = more workers than work) and under both
-// edge implementations.
+// serialized round-robin, >tasks = more workers than work).
 TEST(SchedulerTest, PoolOutputMatchesThreadPerNodeAcrossWorkerCounts) {
-  const auto reference =
-      RunDiamondPipeline(SchedulerMode::kThreadPerNode, 0, true);
+  const auto reference = RunDiamondPipeline(SchedulerMode::kThreadPerNode, 0);
   ASSERT_FALSE(reference.empty());
   for (size_t workers : {1u, 2u, 4u, 8u}) {
-    for (bool spsc : {true, false}) {
-      EXPECT_EQ(RunDiamondPipeline(SchedulerMode::kPool, workers, spsc),
-                reference)
-          << "workers " << workers << " spsc " << spsc;
-    }
+    EXPECT_EQ(RunDiamondPipeline(SchedulerMode::kPool, workers), reference)
+        << "workers " << workers;
   }
 }
 

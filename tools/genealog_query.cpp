@@ -55,14 +55,19 @@
 //   --lineage-stats          print LineageStore retention/eviction counters
 //   --retain-records N       lineage retention bound (0 = unbounded)
 //   --retain-span T          lineage event-time horizon (0 = none)
+// Numeric flags parse strictly (common/env_knob.h): a malformed value such as
+// "--cars abc" prints the reason and the usage and exits 2.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/env_knob.h"
 #include "genealog/lineage_query.h"
 #include "genealog/lineage_service.h"
 #include "genealog/lineage_store.h"
@@ -143,6 +148,40 @@ uint64_t ParseId(const char* s, const char* argv0) {
   return id;
 }
 
+// A non-negative integer flag value no larger than `max`; anything else
+// (including an empty value) exits through Usage.
+int64_t CountFlag(const char* flag, const char* value, const char* argv0,
+                  int64_t max = std::numeric_limits<int64_t>::max()) {
+  try {
+    const int64_t n = ParseCountKnob(flag, value, -1);
+    if (n < 0 || n > max) {
+      RejectKnob(flag, value,
+                 ("a non-negative integer up to " + std::to_string(max))
+                     .c_str());
+    }
+    return n;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    Usage(argv0);
+  }
+}
+
+int IntFlag(const char* flag, const char* value, const char* argv0) {
+  return static_cast<int>(
+      CountFlag(flag, value, argv0, std::numeric_limits<int>::max()));
+}
+
+// A finite non-negative real flag value; anything else exits through Usage.
+double RealFlag(const char* flag, const char* value, const char* argv0) {
+  try {
+    if (KnobUnset(value)) RejectKnob(flag, value, "a non-negative number");
+    return ParseRealKnob(flag, value, 0.0);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    Usage(argv0);
+  }
+}
+
 int64_t ParseTsBound(const std::string& s, int64_t open_bound,
                      const char* argv0) {
   if (s.empty()) return open_bound;  // "100:" / ":200" leave one side open
@@ -180,19 +219,20 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (arg == "--composed") {
       options.composed = true;
     } else if (arg == "--replays") {
-      options.replays = std::atoi(next_value(i));
+      options.replays = IntFlag("--replays", next_value(i), argv[0]);
     } else if (arg == "--rate") {
-      options.rate = std::atof(next_value(i));
+      options.rate = RealFlag("--rate", next_value(i), argv[0]);
     } else if (arg == "--cars") {
-      options.cars = std::atoi(next_value(i));
+      options.cars = IntFlag("--cars", next_value(i), argv[0]);
     } else if (arg == "--meters") {
-      options.meters = std::atoi(next_value(i));
+      options.meters = IntFlag("--meters", next_value(i), argv[0]);
     } else if (arg == "--duration") {
-      options.duration_s = std::atol(next_value(i));
+      options.duration_s = CountFlag("--duration", next_value(i), argv[0]);
     } else if (arg == "--days") {
-      options.days = std::atoi(next_value(i));
+      options.days = IntFlag("--days", next_value(i), argv[0]);
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(next_value(i), nullptr, 10);
+      options.seed = static_cast<uint64_t>(
+          CountFlag("--seed", next_value(i), argv[0]));
     } else if (arg == "--provenance-file") {
       options.provenance_file = next_value(i);
     } else if (arg == "--print-alerts") {
@@ -223,7 +263,7 @@ CliOptions ParseArgs(int argc, char** argv) {
       if (colon == std::string::npos) Usage(argv[0]);
       options.expands.push_back(
           {ParseId(value.substr(0, colon).c_str(), argv[0]),
-           std::atoi(value.c_str() + colon + 1)});
+           IntFlag("--expand", value.c_str() + colon + 1, argv[0])});
     } else if (arg == "--select") {
       const std::string value = next_value(i);
       const size_t colon = value.find(':');
@@ -239,13 +279,15 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (arg == "--records-only") {
       options.predicate.records_only = true;
     } else if (arg == "--limit") {
-      options.predicate.limit = std::strtoull(next_value(i), nullptr, 10);
+      options.predicate.limit = static_cast<uint64_t>(
+          CountFlag("--limit", next_value(i), argv[0]));
     } else if (arg == "--lineage-stats") {
       options.lineage_stats = true;
     } else if (arg == "--retain-records") {
-      options.retain_records = std::strtoull(next_value(i), nullptr, 10);
+      options.retain_records = static_cast<size_t>(
+          CountFlag("--retain-records", next_value(i), argv[0]));
     } else if (arg == "--retain-span") {
-      options.retain_span = std::atol(next_value(i));
+      options.retain_span = CountFlag("--retain-span", next_value(i), argv[0]);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       Usage(argv[0]);
