@@ -17,9 +17,10 @@
 //    dictionary-coded per channel, sequences are delta-encoded against the
 //    per-uid previous value, and timestamps/stimuli against a running
 //    previous, all as zigzag varints. Payload bytes are the registered
-//    SerializePayload encoding, unchanged. Optionally the whole encoded body
-//    runs through the dependency-free LZ block compressor and ships
-//    compressed when that wins.
+//    SerializePayload encoding, unchanged, except for unfolded tuples
+//    (below). Optionally the whole encoded body runs through the
+//    dependency-free LZ block compressor and ships compressed when that
+//    wins.
 //
 //    Dictionaries are sender-driven and build incrementally: every entry is
 //    defined inline ((index << 1) | 1 followed by the definition) the first
@@ -29,6 +30,27 @@
 //    stream incarnation), and a decoder seeing an unexpected generation
 //    drops its dictionaries and delta state before decoding — reset-safe
 //    because the first post-reset frame redefines every entry it uses.
+//
+//    Unfolded tuples (tags::kUnfolded, the SU -> MU provenance streams) get
+//    a structural payload instead of their SerializePayload bytes. An SU
+//    emits one U tuple per (derived, origin) pair, all of a derived tuple's
+//    U tuples holding the same `derived` object, so the payload is:
+//      u8 form = 1 | varint (derived_index << 1) | is_new
+//                  | [derived: nested header + payload, when is_new]
+//                  | origin: nested header + payload
+//    Derived tuples are interned per frame by pointer identity: the first
+//    U tuple of a frame that holds one defines it, later ones reference
+//    its frame-local index, and the decoder hands all of them the same
+//    TuplePtr — the sharing the SU produced on the sender. Nested headers
+//    go through the channel's descriptor and uid dictionaries and per-uid
+//    sequence deltas like any outer header; ts and stimulus deltas are kept
+//    per role (outer, derived, origin), so interleaving the three does not
+//    inflate them. derived_id/derived_ts/origin_id/origin_ts/origin_kind
+//    are not sent: the decoder rebuilds them from the nested headers. A U
+//    tuple whose fields disagree with its nested tuples (or whose nested
+//    tuple is itself unfolded, or missing) ships as form 0 followed by its
+//    SerializePayload bytes. A nested tuple is never unfolded, so decoding
+//    recurses at most one level.
 //
 // The compact path is stateful on both sides, hence the FrameEncoder /
 // FrameDecoder classes; the stateless free functions below remain the raw
@@ -118,6 +140,19 @@ std::vector<uint8_t> LzBlockDecompress(std::span<const uint8_t> in,
 
 // --- compact codec (stateful) -----------------------------------------------
 
+struct UnfoldedTuple;
+
+// The header slots a compact body interleaves: top-level tuples, and the
+// derived and origin tuples nested in structural U payloads. Each role keeps
+// its own ts/stimulus delta base.
+enum class WireRole : uint8_t { kOuter = 0, kDerived = 1, kOrigin = 2 };
+inline constexpr size_t kWireRoles = 3;
+
+struct WireDeltas {
+  int64_t ts = 0;
+  int64_t stimulus = 0;
+};
+
 // The Send-side knobs, lowered from EngineOptions by the dataflow lowering.
 // Sender-driven: the receiver decodes whatever codec each frame
 // announces, so no receive-side configuration exists.
@@ -181,6 +216,13 @@ class FrameEncoder {
   std::vector<uint8_t> EncodeCompactBatch(std::span<const Tuple* const> tuples,
                                           int64_t watermark, bool remotify);
 
+  // Each returns the bytes the raw codec spends on what it encoded.
+  uint64_t PutTuple(ByteWriter& body, const Tuple& t, TupleKind kind,
+                    WireRole role);
+  uint64_t PutHeader(ByteWriter& body, const Tuple& t, TupleKind kind,
+                     WireRole role);
+  uint64_t PutUnfoldedPayload(ByteWriter& body, const UnfoldedTuple& u);
+
   WireCodecOptions opts_;
   WireStats stats_;
 
@@ -190,8 +232,15 @@ class FrameEncoder {
   std::unordered_map<uint32_t, uint32_t> desc_index_;
   std::unordered_map<uint32_t, uint32_t> uid_index_;
   std::vector<uint64_t> uid_last_seq_;
-  int64_t last_ts_ = 0;
-  int64_t last_stimulus_ = 0;
+  WireDeltas last_[kWireRoles];
+
+  // The derived tuples defined in the frame being encoded: frame-local
+  // index and raw-codec bytes, keyed by object identity.
+  struct DerivedEntry {
+    uint32_t index = 0;
+    uint64_t raw_bytes = 0;
+  };
+  std::unordered_map<const Tuple*, DerivedEntry> frame_derived_;
 };
 
 // The receive-side mirror: decodes every frame kind, carrying the compact
@@ -205,6 +254,8 @@ class FrameDecoder {
 
  private:
   DecodedFrame DecodeCompactBatch(const std::vector<uint8_t>& frame);
+  TuplePtr GetTuple(ByteReader& body, WireRole role);
+  TuplePtr GetUnfoldedPayload(ByteReader& body, int64_t ts);
 
   struct Descriptor {
     uint16_t tag = 0;
@@ -218,8 +269,11 @@ class FrameDecoder {
   std::vector<Descriptor> descs_;
   std::vector<uint64_t> uids_;
   std::vector<uint64_t> uid_last_seq_;
-  int64_t last_ts_ = 0;
-  int64_t last_stimulus_ = 0;
+  WireDeltas last_[kWireRoles];
+
+  // The derived tuples defined so far in the frame being decoded, by
+  // frame-local index. Cleared after every frame so it pins nothing.
+  std::vector<TuplePtr> frame_derived_;
 };
 
 }  // namespace genealog

@@ -3,9 +3,11 @@
 // reset point — and malformed input must be rejected, never mis-decoded.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 
 #include "common/serialize.h"
+#include "genealog/unfolded.h"
 #include "net/frame.h"
 #include "spe/stream_batch.h"
 #include "testing/test_tuples.h"
@@ -76,6 +78,60 @@ TuplePtr RandomTuple(std::mt19937_64& rng, int64_t i) {
   return t;
 }
 
+// An unfolded tuple as SuNode::UnfoldOne builds it: ts, stimulus and the
+// redundant fields copied from the nested tuples.
+IntrusivePtr<UnfoldedTuple> MakeU(const TuplePtr& derived,
+                                  const TuplePtr& origin, uint64_t id) {
+  auto u = MakeTuple<UnfoldedTuple>(derived->ts);
+  u->stimulus = derived->stimulus;
+  u->derived = derived;
+  u->derived_id = derived->id;
+  u->derived_ts = derived->ts;
+  u->origin = origin;
+  u->origin_id = origin->id;
+  u->origin_ts = origin->ts;
+  u->origin_kind = origin->kind;
+  u->id = id;
+  u->kind = TupleKind::kMultiplex;
+  return u;
+}
+
+// RandomTuple, or now and then an unfolded tuple wrapping random tuples.
+// Runs of U tuples share one derived object (held in `derived` across
+// calls), as an SU's output does; some disagree with their nested tuples
+// and take the fallback form.
+TuplePtr RandomStreamTuple(std::mt19937_64& rng, int64_t i,
+                           TuplePtr& derived) {
+  if (rng() % 3 != 0) return RandomTuple(rng, i);
+  if (derived == nullptr || rng() % 3 == 0) derived = RandomTuple(rng, i);
+  auto u = MakeU(derived, RandomTuple(rng, i),
+                 (uint64_t{9} << 40) | static_cast<uint64_t>(i));
+  u->kind = static_cast<TupleKind>(rng() % 6);
+  if (rng() % 8 == 0) u->derived_id ^= 1;
+  if (rng() % 8 == 0) u->origin_ts += 1;
+  return u;
+}
+
+// An SU-shaped U batch: `n_derived` aggregate outputs, each unfolded into
+// `k` U tuples sharing that derived object, with source origins.
+std::vector<TuplePtr> SuShapedBatch(int n_derived, int k) {
+  std::vector<TuplePtr> batch;
+  uint64_t u_seq = 1, origin_seq = 1;
+  for (int d = 0; d < n_derived; ++d) {
+    auto derived = MakeTuple<KeyedTuple>(1000 + 60 * d, d, 2.5 * d);
+    derived->id = (uint64_t{12} << 40) | static_cast<uint64_t>(d + 1);
+    derived->kind = TupleKind::kAggregate;
+    derived->stimulus = 5000 + d;
+    for (int j = 0; j < k; ++j) {
+      auto origin = V(1000 + 60 * d - 15 * j, d * k + j);
+      origin->id = (uint64_t{7} << 40) | origin_seq++;
+      origin->stimulus = 4000 + d * k + j;
+      batch.push_back(MakeU(derived, origin, (uint64_t{13} << 40) | u_seq++));
+    }
+  }
+  return batch;
+}
+
 TEST(FrameCodecTest, CompactBatchRoundTripsAllFields) {
   std::vector<TuplePtr> batch;
   for (int i = 0; i < 10; ++i) {
@@ -103,7 +159,10 @@ TEST(FrameCodecTest, CompactEqualsRawAtEveryBatchSize) {
   std::mt19937_64 rng(42);
   for (size_t batch_size : {1u, 2u, 3u, 7u, 64u}) {
     std::vector<TuplePtr> stream;
-    for (int64_t i = 0; i < 200; ++i) stream.push_back(RandomTuple(rng, i));
+    TuplePtr derived;
+    for (int64_t i = 0; i < 200; ++i) {
+      stream.push_back(RandomStreamTuple(rng, i, derived));
+    }
 
     for (bool remotify : {false, true}) {
       std::vector<TuplePtr> raw_decoded, compact_decoded;
@@ -142,6 +201,7 @@ TEST(FrameCodecTest, FuzzRandomBatchesWatermarksAndResets) {
     std::vector<int64_t> raw_wms, compact_wms;
 
     int64_t seq = 0;
+    TuplePtr derived;
     const int n_batches = 1 + static_cast<int>(rng() % 20);
     for (int b = 0; b < n_batches; ++b) {
       if (rng() % 5 == 0) {
@@ -152,7 +212,7 @@ TEST(FrameCodecTest, FuzzRandomBatchesWatermarksAndResets) {
       std::vector<TuplePtr> batch;
       const size_t count = rng() % 8;  // including empty batches
       for (size_t i = 0; i < count; ++i) {
-        batch.push_back(RandomTuple(rng, seq++));
+        batch.push_back(RandomStreamTuple(rng, seq++, derived));
       }
       const int64_t wm =
           rng() % 2 == 0 ? static_cast<int64_t>(rng() % 4096) - 48
@@ -204,7 +264,10 @@ TEST(FrameCodecTest, TruncatedCompactFramesAreRejected) {
   for (bool compress : {false, true}) {
     FrameEncoder encoder({WireCodec::kCompact, compress});
     std::vector<TuplePtr> batch;
-    for (int64_t i = 0; i < 32; ++i) batch.push_back(RandomTuple(rng, i));
+    TuplePtr derived;
+    for (int64_t i = 0; i < 32; ++i) {
+      batch.push_back(RandomStreamTuple(rng, i, derived));
+    }
     auto frames = encoder.EncodeBatch(batch, /*watermark=*/99, false);
     ASSERT_EQ(frames.size(), 1u);
     const auto& full = frames[0];
@@ -222,7 +285,10 @@ TEST(FrameCodecTest, CorruptCompactBodyIsRejectedOrEquivalent) {
   std::mt19937_64 rng(11);
   FrameEncoder encoder({WireCodec::kCompact, true});
   std::vector<TuplePtr> batch;
-  for (int64_t i = 0; i < 16; ++i) batch.push_back(RandomTuple(rng, i));
+  TuplePtr derived;
+  for (int64_t i = 0; i < 16; ++i) {
+    batch.push_back(RandomStreamTuple(rng, i, derived));
+  }
   auto frames = encoder.EncodeBatch(batch, 5, false);
   for (int trial = 0; trial < 200; ++trial) {
     auto corrupt = frames[0];
@@ -269,6 +335,194 @@ TEST(FrameCodecTest, WireStatsTrackRawEquivalentBytes) {
   EXPECT_EQ(raw1.stats().frames, 2u);
   EXPECT_EQ(compact1.stats().frames, 1u);
   EXPECT_EQ(compact1.stats().raw_bytes, raw1.stats().raw_bytes);
+
+  // A U batch, structural and fallback forms mixed: the raw-equivalent
+  // count still equals the raw codec's bytes.
+  std::vector<TuplePtr> u_batch = SuShapedBatch(4, 6);
+  static_cast<UnfoldedTuple&>(*u_batch[3]).derived_ts += 1;
+  FrameEncoder raw_u({WireCodec::kRaw, false});
+  FrameEncoder compact_u({WireCodec::kCompact, false});
+  raw_u.EncodeBatch(u_batch, 99, true);
+  compact_u.EncodeBatch(u_batch, 99, true);
+  EXPECT_EQ(compact_u.stats().raw_bytes, raw_u.stats().raw_bytes);
+  EXPECT_LT(compact_u.stats().encoded_bytes, compact_u.stats().raw_bytes);
+}
+
+TEST(FrameCodecTest, SuShapedUBatchSharesDerivedAndMatchesRaw) {
+  const std::vector<TuplePtr> batch = SuShapedBatch(5, 4);
+  for (bool compress : {false, true}) {
+    FrameEncoder raw_enc({WireCodec::kRaw, false});
+    FrameEncoder compact_enc({WireCodec::kCompact, compress});
+    FrameDecoder raw_dec, compact_dec;
+    auto raw = DecodeAll(raw_dec, raw_enc.EncodeBatch(batch, 7, true));
+    auto compact =
+        DecodeAll(compact_dec, compact_enc.EncodeBatch(batch, 7, true));
+    ASSERT_EQ(compact.size(), batch.size());
+    EXPECT_EQ(CanonicalBytes(compact), CanonicalBytes(raw))
+        << "compress=" << compress;
+
+    // Decoded tuples of one sender-side derived share one object; distinct
+    // sender-side derived tuples stay distinct.
+    for (size_t i = 0; i < batch.size(); ++i) {
+      for (size_t j = 0; j < batch.size(); ++j) {
+        const bool sender_shared =
+            static_cast<const UnfoldedTuple&>(*batch[i]).derived ==
+            static_cast<const UnfoldedTuple&>(*batch[j]).derived;
+        const bool decoded_shared =
+            static_cast<const UnfoldedTuple&>(*compact[i]).derived ==
+            static_cast<const UnfoldedTuple&>(*compact[j]).derived;
+        EXPECT_EQ(decoded_shared, sender_shared) << i << "," << j;
+      }
+    }
+  }
+  // Sending each derived tuple once per frame is the structural win: even
+  // without LZ the body is well under half the raw bytes.
+  FrameEncoder compact_enc({WireCodec::kCompact, false});
+  compact_enc.EncodeBatch(batch, 7, true);
+  EXPECT_GT(compact_enc.stats().ratio(), 2.0);
+}
+
+TEST(FrameCodecTest, UnfoldedFallbackFormRoundTripsByteExact) {
+  // A U tuple whose redundant fields disagree with its nested tuples cannot
+  // be rebuilt from them; it ships its SerializePayload bytes instead, in
+  // the same frame as structural ones.
+  std::vector<TuplePtr> batch = SuShapedBatch(2, 3);
+  auto& odd = static_cast<UnfoldedTuple&>(*batch[1]);
+  odd.derived_id = odd.derived->id + 1;
+  auto& odd_kind = static_cast<UnfoldedTuple&>(*batch[4]);
+  odd_kind.origin_kind = TupleKind::kRemote;
+  for (bool compress : {false, true}) {
+    FrameEncoder encoder({WireCodec::kCompact, compress});
+    FrameDecoder decoder;
+    auto decoded = DecodeAll(decoder, encoder.EncodeBatch(batch, 3, false));
+    ASSERT_EQ(decoded.size(), batch.size());
+    EXPECT_EQ(CanonicalBytes(decoded), CanonicalBytes(batch));
+    EXPECT_EQ(static_cast<const UnfoldedTuple&>(*decoded[1]).derived_id,
+              odd.derived_id);
+    EXPECT_EQ(static_cast<const UnfoldedTuple&>(*decoded[4]).origin_kind,
+              TupleKind::kRemote);
+  }
+}
+
+// A hand-built single-frame compact stream (generation 0, no flags) holding
+// one U tuple whose payload `payload` writes. The U header defines
+// descriptor 0 (kUnfolded) and uid 0.
+std::vector<uint8_t> HandBuiltUFrame(
+    const std::function<void(ByteWriter&)>& payload) {
+  ByteWriter w;
+  w.PutU8(static_cast<uint8_t>(FrameKind::kCompactBatch));
+  w.PutU8(0);   // generation
+  w.PutU8(0);   // flags
+  PutVarint(w, 1);  // count
+  PutVarint(w, (0 << 1) | 1);
+  w.PutU16(tags::kUnfolded);
+  w.PutU8(static_cast<uint8_t>(TupleKind::kRemote));
+  w.PutU8(0);  // no annotation
+  PutVarint(w, (0 << 1) | 1);
+  PutVarint(w, 13);  // uid
+  PutZigzag(w, 1);    // seq
+  PutZigzag(w, 100);  // ts
+  PutZigzag(w, 0);    // stimulus
+  payload(w);
+  return w.TakeBytes();
+}
+
+// A nested ValueTuple header referencing uid 0: defines descriptor
+// `desc_index` when `define` is set.
+void PutNestedValue(ByteWriter& w, uint64_t desc_index, bool define,
+                    int64_t seq_delta) {
+  PutVarint(w, (desc_index << 1) | (define ? 1 : 0));
+  if (define) {
+    w.PutU16(ValueTuple::kTypeTag);
+    w.PutU8(static_cast<uint8_t>(TupleKind::kSource));
+    w.PutU8(0);
+  }
+  PutVarint(w, (0 << 1) | 0);
+  PutZigzag(w, seq_delta);
+  PutZigzag(w, 100);  // ts
+  PutZigzag(w, 0);    // stimulus
+  w.PutI64(42);       // ValueTuple payload
+}
+
+TEST(FrameCodecTest, MalformedUnfoldedPayloadsAreRejected) {
+  // Control: the hand-built frame is well formed when its payload is.
+  {
+    FrameDecoder decoder;
+    DecodedFrame d = decoder.Decode(HandBuiltUFrame([](ByteWriter& w) {
+      w.PutU8(1);                  // structural form
+      PutVarint(w, (0 << 1) | 1);  // define derived 0
+      PutNestedValue(w, 1, true, 1);
+      PutNestedValue(w, 1, false, 1);  // origin
+    }));
+    ASSERT_EQ(d.tuples.size(), 1u);
+    const auto& u = static_cast<const UnfoldedTuple&>(*d.tuples[0]);
+    EXPECT_EQ(u.derived_id, (uint64_t{13} << 40) | 2);
+    EXPECT_EQ(u.origin_id, (uint64_t{13} << 40) | 3);
+    EXPECT_EQ(u.origin_kind, TupleKind::kSource);
+  }
+  const auto rejects = [](const std::function<void(ByteWriter&)>& payload) {
+    FrameDecoder decoder;
+    EXPECT_THROW(decoder.Decode(HandBuiltUFrame(payload)), std::runtime_error);
+  };
+  // A reference to a derived tuple the frame never defined.
+  rejects([](ByteWriter& w) {
+    w.PutU8(1);
+    PutVarint(w, (0 << 1) | 0);
+    PutNestedValue(w, 1, true, 1);
+  });
+  // A definition that skips an index.
+  rejects([](ByteWriter& w) {
+    w.PutU8(1);
+    PutVarint(w, (1 << 1) | 1);
+    PutNestedValue(w, 1, true, 1);
+    PutNestedValue(w, 1, false, 1);
+  });
+  // An unknown form byte.
+  rejects([](ByteWriter& w) {
+    w.PutU8(7);
+    PutVarint(w, (0 << 1) | 1);
+    PutNestedValue(w, 1, true, 1);
+    PutNestedValue(w, 1, false, 1);
+  });
+  // A nested tuple whose descriptor is kUnfolded, by reference...
+  rejects([](ByteWriter& w) {
+    w.PutU8(1);
+    PutVarint(w, (0 << 1) | 1);
+    PutVarint(w, (0 << 1) | 0);  // descriptor 0: the outer kUnfolded
+    PutVarint(w, (0 << 1) | 0);
+    PutZigzag(w, 1);
+    PutZigzag(w, 100);
+    PutZigzag(w, 0);
+    w.PutU8(1);
+  });
+  // ...and by a fresh definition.
+  rejects([](ByteWriter& w) {
+    w.PutU8(1);
+    PutVarint(w, (0 << 1) | 1);
+    PutVarint(w, (1 << 1) | 1);
+    w.PutU16(tags::kUnfolded);
+    w.PutU8(static_cast<uint8_t>(TupleKind::kSource));
+    w.PutU8(0);
+    PutVarint(w, (0 << 1) | 0);
+    PutZigzag(w, 1);
+    PutZigzag(w, 100);
+    PutZigzag(w, 0);
+    w.PutU8(1);
+  });
+}
+
+TEST(FrameCodecTest, NestedUnfoldedTuplesTakeTheFallbackForm) {
+  // An unfolded tuple wrapping another unfolded tuple still round-trips:
+  // the encoder never emits a structural nested kUnfolded.
+  std::vector<TuplePtr> inner = SuShapedBatch(1, 2);
+  auto origin = V(5, 5);
+  origin->id = (uint64_t{7} << 40) | 99;
+  std::vector<TuplePtr> batch = {MakeU(inner[0], origin, uint64_t{14} << 40),
+                                 inner[1]};
+  FrameEncoder encoder({WireCodec::kCompact, false});
+  FrameDecoder decoder;
+  auto decoded = DecodeAll(decoder, encoder.EncodeBatch(batch, 0, false));
+  EXPECT_EQ(CanonicalBytes(decoded), CanonicalBytes(batch));
 }
 
 TEST(LzBlockTest, RoundTripsCompressibleAndRandomData) {
@@ -299,6 +553,58 @@ TEST(LzBlockTest, RoundTripsCompressibleAndRandomData) {
   }
   // The run-heavy inputs must actually shrink.
   EXPECT_LT(LzBlockCompress(std::vector<uint8_t>(100, 7)).size(), 20u);
+}
+
+TEST(LzBlockTest, OverlappingMatchesReplicateRuns) {
+  // Hand-built blocks: `period` literal bytes, then one match at offset
+  // `period` (shorter than the match, so source and destination overlap)
+  // whose length needs a continuation byte and ends exactly at raw_size.
+  for (size_t period : {1u, 2u, 3u}) {
+    for (size_t match_len : {19u, 20u, 37u, 300u}) {
+      const size_t ml = match_len - 4;  // >= 15: nibble 15 + continuation
+      std::vector<uint8_t> block = {static_cast<uint8_t>((period << 4) | 15)};
+      std::vector<uint8_t> expected;
+      for (size_t i = 0; i < period; ++i) {
+        block.push_back(static_cast<uint8_t>('a' + i));
+        expected.push_back(static_cast<uint8_t>('a' + i));
+      }
+      block.push_back(static_cast<uint8_t>(period));
+      block.push_back(0);
+      size_t rest = ml - 15;
+      for (; rest >= 255; rest -= 255) block.push_back(255);
+      block.push_back(static_cast<uint8_t>(rest));
+      for (size_t i = 0; i < match_len; ++i) {
+        expected.push_back(expected[expected.size() - period]);
+      }
+      EXPECT_EQ(LzBlockDecompress(block, expected.size()), expected)
+          << "period " << period << " match " << match_len;
+      // One byte short of the match overflows the declared size.
+      EXPECT_THROW(LzBlockDecompress(block, expected.size() - 1),
+                   std::runtime_error);
+    }
+    // The compressor's own encoding of a periodic run round-trips too.
+    std::vector<uint8_t> run;
+    for (size_t i = 0; i < 200; ++i) {
+      run.push_back(static_cast<uint8_t>(i % period));
+    }
+    EXPECT_EQ(LzBlockDecompress(LzBlockCompress(run), run.size()), run);
+  }
+}
+
+TEST(LzBlockTest, NonOverlappingMatchEndingAtRawSize) {
+  // 8 literals, then an 8-byte match at offset 8 ending exactly at
+  // raw_size: no trailing literals-only sequence follows.
+  const std::vector<uint8_t> block = {(8 << 4) | (8 - 4), 'A', 'B', 'C', 'D',
+                                      'E', 'F', 'G', 'H', 8, 0};
+  const std::vector<uint8_t> expected = {'A', 'B', 'C', 'D', 'E', 'F',
+                                         'G', 'H', 'A', 'B', 'C', 'D',
+                                         'E', 'F', 'G', 'H'};
+  EXPECT_EQ(LzBlockDecompress(block, expected.size()), expected);
+  // A byte after the final match is trailing garbage.
+  std::vector<uint8_t> trailing = block;
+  trailing.push_back(0);
+  EXPECT_THROW(LzBlockDecompress(trailing, expected.size()),
+               std::runtime_error);
 }
 
 TEST(LzBlockTest, MalformedBlocksAreRejected) {
