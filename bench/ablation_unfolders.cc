@@ -10,9 +10,6 @@
 #include <cstdio>
 
 #include "bench/harness.h"
-#include "common/stats.h"
-#include "common/wall_clock.h"
-#include "spe/chain.h"
 
 namespace genealog::bench {
 namespace {
@@ -99,63 +96,7 @@ int Main() {
   std::printf(
       "Expected shape: composition costs extra queue hops and copies but is\n"
       "semantically identical (the equivalence is test-enforced); oracle\n"
-      "eviction bounds BL's memory but not its annotation cost.\n\n");
-
-  // --- Ablation C: operator chaining (§2) -----------------------------------
-  // Three consecutive Filters as dedicated threads vs. one chained thread —
-  // the paper's own example of when chaining beats thread-per-operator.
-  auto run_filters = [&](bool chained) {
-    Topology topo;
-    SourceOptions so;
-    so.replays = env.replays;
-    so.replay_ts_shift = lr_span;
-    auto* source = topo.Add<VectorSourceNode<lr::PositionReport>>(
-        "source", lr_data.reports, so);
-    auto* sink = topo.Add<SinkNode>("sink");
-    auto fast = [](const lr::PositionReport& t) { return t.speed < 60.0; };
-    auto on_road = [](const lr::PositionReport& t) { return t.pos >= 0; };
-    auto moving = [](const lr::PositionReport& t) { return t.speed > 0.0; };
-    if (chained) {
-      auto* chain = ChainBuilder("filters")
-                        .Filter<lr::PositionReport>(fast)
-                        .Filter<lr::PositionReport>(on_road)
-                        .Filter<lr::PositionReport>(moving)
-                        .AddTo(topo);
-      topo.Connect(source, chain);
-      topo.Connect(chain, sink);
-    } else {
-      auto* f1 = topo.Add<FilterNode<lr::PositionReport>>("f1", fast);
-      auto* f2 = topo.Add<FilterNode<lr::PositionReport>>("f2", on_road);
-      auto* f3 = topo.Add<FilterNode<lr::PositionReport>>("f3", moving);
-      topo.Connect(source, f1);
-      topo.Connect(f1, f2);
-      topo.Connect(f2, f3);
-      topo.Connect(f3, sink);
-    }
-    RunToCompletion(topo);
-    Node* src_node = source;
-    (void)src_node;
-    return static_cast<double>(source->tuples_processed()) /
-           (static_cast<double>(source->active_ns()) / 1e9);
-  };
-  std::printf(
-      "Ablation C — thread-per-operator vs chained (3 consecutive Filters, "
-      "§2's example)\n");
-  std::printf("---------------------------------------------------------------\n");
-  for (bool chained : {false, true}) {
-    RunStats tput;
-    for (int rep = 0; rep < env.reps; ++rep) tput.Add(run_filters(chained));
-    std::printf("%-20s | %10.0f t/s ±%.0f\n",
-                chained ? "chained (1 thread)" : "3 dedicated threads",
-                tput.mean(), tput.ci95());
-  }
-  std::printf(
-      "\nReading: the chained pipeline trades two queue hops per tuple for\n"
-      "serialized execution on one core. On the paper's core-constrained\n"
-      "Odroids (and whenever per-tuple work is cheap relative to queue\n"
-      "costs) chaining wins; on a many-core host the dedicated threads can\n"
-      "pipeline in parallel and pull ahead. Both configurations are\n"
-      "semantically identical (test-enforced).\n");
+      "eviction bounds BL's memory but not its annotation cost.\n");
   return 0;
 }
 

@@ -368,8 +368,7 @@ BENCHMARK(BM_LineageLookup)->Arg(1024)->Arg(32768)->Arg(262144);
 // --- data-plane sweep --------------------------------------------------------
 // End-to-end stateless chain, GL mode: Source -> Map (creates, instrumented
 // U1) -> Filter -> Multiplex -> Sink, every operator on its own thread. The
-// one argument is the stream batch size: every edge of the chain has one
-// producer, so it runs on the SPSC ring, and endpoints steer their flush
+// one argument is the stream batch size: endpoints steer their flush
 // threshold within [1, batch] from consumer queue depth. Batch 1 hands every
 // tuple over on its own, so items_per_second across the sweep is the
 // data-plane speedup of batching.

@@ -1,11 +1,11 @@
 // Bounded blocking queue — the generic building block behind the in-memory
 // byte channels (frame queues) and anything else that needs a simple
 // mutex+condvar stream between two threads. The operator-to-operator streams
-// of the SPE use the batch-aware BatchQueue (spe/batch_queue.h) instead.
+// of the SPE use the batch-aware StreamQueue (spe/batch_queue.h) instead.
 //
 // Back-pressure is provided by the capacity bound: producers block when the
 // consumer is slower. The busy-path cost is kept low the same way as in
-// BatchQueue: waiter counts let the active side skip condvar notifies
+// StreamQueue: waiter counts let the active side skip condvar notifies
 // entirely when nobody sleeps, so an uncontended push or pop is one lock
 // round-trip and no syscalls.
 #ifndef GENEALOG_COMMON_BOUNDED_QUEUE_H_

@@ -27,10 +27,9 @@
 // | composed_unfolders | —                      | off             |
 //
 // The data plane and provenance plane have one path each, chosen from what
-// the engine observes rather than from a switch: an edge with exactly one
-// registered producer gets the lock-free SPSC ring (fan-in keeps the mutex
-// queue), endpoints steer their flush threshold from consumer queue depth,
-// tuples come from the recycling pool (oversize blocks from the heap),
+// the engine observes rather than from a switch: every edge is the same
+// StreamQueue, endpoints steer their flush threshold from consumer queue
+// depth, tuples come from the recycling pool (oversize blocks from the heap),
 // FindProvenance takes the mark-word epoch path unless another walk holds
 // it, and a file-backed provenance sink always writes through the
 // background AsyncFileWriter.
@@ -161,8 +160,9 @@ struct EngineOptions {
   // data plane; 64 = the production default, >2x throughput with adaptive
   // batching keeping idle latency at the seed level).
   size_t batch_size = 64;
-  // Not a setting; edgebench's EngineJson reads it.
-  static constexpr bool spsc_edges = true;
+  // Not a setting; edgebench's EngineJson reads it. False: every edge is a
+  // mutex StreamQueue.
+  static constexpr bool spsc_edges = false;
   // Not a setting; edgebench's EngineJson reads it.
   static constexpr bool adaptive_batch = true;
   // Not a setting; edgebench's EngineJson reads it.

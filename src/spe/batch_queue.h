@@ -1,5 +1,8 @@
-// Bounded blocking queue of StreamBatches — the physical stream between
-// operator threads.
+// Bounded blocking queue of StreamBatches — the physical stream between two
+// operator nodes. Every node owns one as its input queue; logical ports are
+// tags on the batches, so fan-in edges (parallel partitions merging into a
+// Union, Multiplex taps, MU upstream ports fed by several Receive nodes) and
+// the dominant one-producer edge share the same queue.
 //
 // Three things distinguish it from the generic BoundedQueue:
 //
@@ -14,10 +17,13 @@
 //    (watermark advances, flush) always merge — the batched form of the
 //    seed's watermark coalescing, which keeps watermark-dominated streams
 //    (high fan-out partitioners, selective filters) from flooding queues.
-//  * A lighter fast path for the dominant single-producer case: waiter
-//    counts let the busy side skip condvar notifies entirely (no syscalls
-//    when nobody sleeps), and PopMany drains the whole backlog under one
-//    lock so the consumer amortizes its round-trips over the burst.
+//  * A light busy path: waiter counts let the busy side skip condvar
+//    notifies entirely (no syscalls when nobody sleeps), and PopMany drains
+//    the whole backlog under one lock so the consumer amortizes its
+//    round-trips over the burst.
+//
+// The pool scheduler (spe/scheduler.h) never blocks on a queue: it uses
+// TryPush/TryPopSome and listens for readiness through an attached Signal.
 #ifndef GENEALOG_SPE_BATCH_QUEUE_H_
 #define GENEALOG_SPE_BATCH_QUEUE_H_
 
@@ -34,12 +40,40 @@
 
 namespace genealog {
 
-class BatchQueue {
+class StreamQueue {
  public:
-  explicit BatchQueue(size_t capacity) : capacity_(capacity) {}
+  // Readiness listener for the pool scheduler. At most one per queue,
+  // attached after the topology is built and before execution starts,
+  // detached after every node retired. Callbacks fire on the calling thread
+  // with no queue lock held.
+  class Signal {
+   public:
+    virtual ~Signal() = default;
+    // A batch was pushed: the consumer has input and is runnable.
+    virtual void DataReady() = 0;
+    // A pop freed capacity after a producer declared itself waiting: spilled
+    // producers can retry.
+    virtual void RoomFreed() = 0;
+  };
 
-  BatchQueue(const BatchQueue&) = delete;
-  BatchQueue& operator=(const BatchQueue&) = delete;
+  explicit StreamQueue(size_t capacity)
+      : capacity_(capacity == 0 ? 1 : capacity) {}
+
+  StreamQueue(const StreamQueue&) = delete;
+  StreamQueue& operator=(const StreamQueue&) = delete;
+
+  // Attaches/detaches the scheduler's readiness listener. Pushes and pops by
+  // any thread (pool workers and pinned node threads alike) fire through it,
+  // so readiness crosses the pool boundary.
+  void set_signal(Signal* signal) { signal_ = signal; }
+
+  // A producer whose TryPush reported kFull publishes its interest here,
+  // *then* retries once: either the retry succeeds, or a pop after the flag
+  // became visible claims it and fires RoomFreed — no lost wakeup either
+  // way (the retry and the pop serialize on the queue lock).
+  void MarkProducerWaiting() {
+    producer_waiting_.store(true, std::memory_order_seq_cst);
+  }
 
   // Pushes one batch, coalescing into the tail when possible. `max_coalesce`
   // caps the tuple count of a merged tail (the producing endpoint's batch
@@ -162,6 +196,13 @@ class BatchQueue {
     }
     not_full_.notify_all();
     not_empty_.notify_all();
+    // Parked pool tasks on either side must observe the abort: wake the
+    // consumer (its next TryPopSome reports kAborted once drained) and any
+    // spilled producers (their retry discards the spill).
+    if (signal_ != nullptr) {
+      signal_->DataReady();
+      NotifyRoom();
+    }
   }
 
   // Queued batches / queued weight (tuples; control-only batches count 1).
@@ -190,8 +231,8 @@ class BatchQueue {
     // parked in the producer wait when Abort fired — must fail without
     // mutating the queue. The guard lives here, not only at the call sites,
     // so the no-coalesce-into-a-dead-tail rule holds structurally instead of
-    // by check ordering in Push (the queue_equivalence_test drives abort
-    // schedules through both this queue and SpscRing to pin it down).
+    // by check ordering in Push (AbortDuringProducerWaitTest in
+    // coalesce_test drives that schedule).
     if (aborted_) return false;
     if (items_.empty()) return false;
     StreamBatch& tail = items_.back();
@@ -221,15 +262,28 @@ class BatchQueue {
 
   // Notify-if-waiting: the waiter counts are maintained under mu_, so a
   // consumer between its empty-check and its wait is always observed here.
+  // Both release the lock before notifying or signalling.
   void NotifyConsumer(std::unique_lock<std::mutex>& lock) {
     const bool wake = waiting_consumers_ > 0;
     lock.unlock();
     if (wake) not_empty_.notify_one();
+    if (signal_ != nullptr) signal_->DataReady();
   }
   void NotifyProducers(std::unique_lock<std::mutex>& lock) {
     const bool wake = waiting_producers_ > 0;
     lock.unlock();
     if (wake) not_full_.notify_all();
+    NotifyRoom();
+  }
+
+  // Fires RoomFreed only when a producer declared itself waiting, claiming
+  // the flag so each wait round costs one callback.
+  void NotifyRoom() {
+    if (signal_ == nullptr) return;
+    if (producer_waiting_.load(std::memory_order_seq_cst) &&
+        producer_waiting_.exchange(false, std::memory_order_seq_cst)) {
+      signal_->RoomFreed();
+    }
   }
 
   // Caller holds the lock; keeps the lock-free mirror in sync.
@@ -248,6 +302,9 @@ class BatchQueue {
   size_t waiting_producers_ = 0;
   size_t waiting_consumers_ = 0;
   bool aborted_ = false;
+  // Scheduler plumbing: null (and never fired) under thread-per-node.
+  Signal* signal_ = nullptr;
+  std::atomic<bool> producer_waiting_{false};
 };
 
 }  // namespace genealog

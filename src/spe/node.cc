@@ -1,6 +1,8 @@
 #include "spe/node.h"
 
 #include <atomic>
+#include <cassert>
+#include <stdexcept>
 
 namespace genealog {
 namespace {
@@ -11,7 +13,27 @@ std::atomic<uint64_t> g_next_node_uid{1};
 
 Node::Node(std::string name)
     : name_(std::move(name)),
-      uid_(g_next_node_uid.fetch_add(1, std::memory_order_relaxed)) {}
+      uid_(g_next_node_uid.fetch_add(1, std::memory_order_relaxed)) {
+  // The counter only grows, so once exhausted every later construction
+  // fails too: no node ever gets an id range another node owns.
+  if (uid_ > kMaxNodeUid) {
+    throw std::overflow_error("node uid space exhausted: '" + name_ +
+                              "' would be node " + std::to_string(uid_) +
+                              ", tuple ids hold " +
+                              std::to_string(kMaxNodeUid));
+  }
+}
+
+uint64_t Node::ExchangeNextUidForTesting(uint64_t next) {
+  return g_next_node_uid.exchange(next, std::memory_order_relaxed);
+}
+
+void Node::ThrowSequenceOverflow() const {
+  throw std::overflow_error("tuple id sequence exhausted at node '" + name_ +
+                            "' (uid " + std::to_string(uid_) + "): " +
+                            std::to_string(kTupleSeqMask + 1) +
+                            " ids minted");
+}
 
 Endpoint Node::AddInput(size_t capacity) {
   if (in_queue_ == nullptr) {

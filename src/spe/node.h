@@ -22,19 +22,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/instrumentation.h"
 #include "spe/batch_queue.h"
-#include "spe/spsc_ring.h"
 #include "spe/stream_batch.h"
 
 namespace genealog {
@@ -43,187 +40,6 @@ inline constexpr size_t kDefaultQueueCapacity = 4096;
 inline constexpr size_t kDefaultBatchSize = 64;
 inline constexpr int64_t kWatermarkMin = std::numeric_limits<int64_t>::min();
 inline constexpr int64_t kWatermarkMax = std::numeric_limits<int64_t>::max();
-
-// The physical stream between two operator threads. A StreamEdge owns one of
-// two interchangeable queue implementations and picks between them at
-// topology-build time:
-//
-//  * SpscRing — lock-free, for the dominant edge shape where every input
-//    port of the consumer is fed by the same producer node (one producer
-//    thread, one consumer thread);
-//  * BatchQueue — mutex + condvar, for edges with producer fan-in (parallel
-//    partitions merging into a Union, Multiplex taps, MU upstream ports fed
-//    by several Receive nodes) and for directly-constructed queues that
-//    never declare their producers.
-//
-// Topology::Connect calls RegisterProducer once per wired edge; the first
-// distinct producer upgrades the edge to the ring, a second distinct
-// producer downgrades it back to the mutex queue. Both
-// swaps happen while the topology is still being built — queues are empty
-// and no node threads exist yet — so the implementation handoff is trivially
-// safe. The observable contract (coalescing rules, weight-based capacity,
-// blocking and abort semantics) is identical across implementations; the
-// queue_equivalence_test drives both through identical schedules to keep it
-// that way.
-class StreamEdge {
- public:
-  enum class Kind : uint8_t { kMutex, kSpsc };
-
-  // Readiness listener for the pool scheduler (spe/scheduler.h). At most one
-  // per edge, attached after the topology is built and before execution
-  // starts, detached after every node retired. Callbacks fire on the calling
-  // thread with no queue lock held.
-  class Signal {
-   public:
-    virtual ~Signal() = default;
-    // A batch was pushed: the consumer has input and is runnable.
-    virtual void DataReady() = 0;
-    // A pop freed capacity after a producer declared itself waiting: spilled
-    // producers can retry.
-    virtual void RoomFreed() = 0;
-  };
-
-  explicit StreamEdge(size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity),
-        mutex_(std::make_unique<BatchQueue>(capacity_)) {}
-
-  StreamEdge(const StreamEdge&) = delete;
-  StreamEdge& operator=(const StreamEdge&) = delete;
-
-  // --- build-time wiring (single-threaded, before any Push/Pop) ------------
-  // Records the node producing into this edge. Every distinct producer is a
-  // distinct thread at run time, so fan-in decides the implementation.
-  void RegisterProducer(const void* producer) {
-    if (producer != nullptr &&
-        std::find(producers_.begin(), producers_.end(), producer) ==
-            producers_.end()) {
-      producers_.push_back(producer);
-    }
-    ReselectImpl();
-  }
-
-  Kind kind() const { return ring_ != nullptr ? Kind::kSpsc : Kind::kMutex; }
-
-  // Attaches/detaches the scheduler's readiness listener. Pushes and pops by
-  // any thread (pool workers and pinned node threads alike) fire through it,
-  // so readiness crosses the pool boundary.
-  void set_signal(Signal* signal) { signal_ = signal; }
-
-  // A producer whose TryPush reported kFull publishes its interest here,
-  // *then* retries once: either the retry succeeds, or a pop after the flag
-  // became visible claims it and fires RoomFreed — no lost wakeup either
-  // way.
-  void MarkProducerWaiting() {
-    producer_waiting_.store(true, std::memory_order_seq_cst);
-  }
-
-  // --- data plane (forwarded to the selected implementation) ---------------
-  bool Push(StreamBatch batch, size_t max_coalesce) {
-    const bool ok = ring_ != nullptr
-                        ? ring_->Push(std::move(batch), max_coalesce)
-                        : mutex_->Push(std::move(batch), max_coalesce);
-    if (ok) NotifyData();
-    return ok;
-  }
-  PushStatus TryPush(StreamBatch& batch, size_t max_coalesce) {
-    const PushStatus status = ring_ != nullptr
-                                  ? ring_->TryPush(batch, max_coalesce)
-                                  : mutex_->TryPush(batch, max_coalesce);
-    if (status == PushStatus::kOk) NotifyData();
-    return status;
-  }
-  std::optional<StreamBatch> Pop() {
-    std::optional<StreamBatch> batch =
-        ring_ != nullptr ? ring_->Pop() : mutex_->Pop();
-    if (batch.has_value()) NotifyRoom();
-    return batch;
-  }
-  bool PopMany(std::vector<StreamBatch>& out) {
-    const bool ok = ring_ != nullptr ? ring_->PopMany(out) : mutex_->PopMany(out);
-    if (ok) NotifyRoom();
-    return ok;
-  }
-  std::optional<StreamBatch> TryPop() {
-    std::optional<StreamBatch> batch =
-        ring_ != nullptr ? ring_->TryPop() : mutex_->TryPop();
-    if (batch.has_value()) NotifyRoom();
-    return batch;
-  }
-  PopStatus TryPopSome(std::vector<StreamBatch>& out, size_t max_batches) {
-    const PopStatus status = ring_ != nullptr
-                                 ? ring_->TryPopSome(out, max_batches)
-                                 : mutex_->TryPopSome(out, max_batches);
-    if (status == PopStatus::kPopped) NotifyRoom();
-    return status;
-  }
-  void Abort() {
-    if (ring_ != nullptr) {
-      ring_->Abort();
-    } else {
-      mutex_->Abort();
-    }
-    // Parked tasks on either side must observe the abort: wake the consumer
-    // (next TryPopSome reports kAborted once drained) and any spilled
-    // producers (their retry discards the spill).
-    if (signal_ != nullptr) {
-      signal_->DataReady();
-      NotifyRoom();
-    }
-  }
-  size_t Size() const {
-    return ring_ != nullptr ? ring_->Size() : mutex_->Size();
-  }
-  size_t Weight() const {
-    return ring_ != nullptr ? ring_->Weight() : mutex_->Weight();
-  }
-  size_t ApproxWeight() const {
-    return ring_ != nullptr ? ring_->ApproxWeight() : mutex_->ApproxWeight();
-  }
-  size_t capacity() const { return capacity_; }
-
- private:
-  void NotifyData() {
-    Signal* signal = signal_;
-    if (signal != nullptr) signal->DataReady();
-  }
-  // Fires RoomFreed only when a producer declared itself waiting, claiming
-  // the flag so each wait round costs one callback.
-  void NotifyRoom() {
-    Signal* signal = signal_;
-    if (signal == nullptr) return;
-    if (producer_waiting_.load(std::memory_order_seq_cst) &&
-        producer_waiting_.exchange(false, std::memory_order_seq_cst)) {
-      signal->RoomFreed();
-    }
-  }
-
-  void ReselectImpl() {
-    const bool want_ring = producers_.size() == 1;
-    if (want_ring == (ring_ != nullptr)) return;
-    // Implementation swaps are legal only while the edge is idle (topology
-    // build time); anything queued would be dropped.
-    assert(Size() == 0 && "StreamEdge implementation swap on a live queue");
-    if (want_ring) {
-      mutex_.reset();
-      ring_ = std::make_unique<SpscRing>(capacity_);
-    } else {
-      ring_.reset();
-      mutex_ = std::make_unique<BatchQueue>(capacity_);
-    }
-  }
-
-  const size_t capacity_;
-  std::vector<const void*> producers_;
-  // Exactly one is non-null; mutex_ is the safe default for queues that are
-  // used without declaring producers (tests, ad-hoc harnesses).
-  std::unique_ptr<BatchQueue> mutex_;
-  std::unique_ptr<SpscRing> ring_;
-  // Scheduler plumbing: null (and never fired) under thread-per-node.
-  Signal* signal_ = nullptr;
-  std::atomic<bool> producer_waiting_{false};
-};
-
-using StreamQueue = StreamEdge;
 
 // A producer-side handle to one logical input port of a downstream node.
 //
@@ -235,7 +51,7 @@ using StreamQueue = StreamEdge;
 //     held back; the tuples they vouch for travel in the same batch), or
 //   * the stream ends (flush trigger).
 // The queue additionally coalesces consecutive small batches of the same
-// port up to the batch size (see BatchQueue), so chunks form wherever the
+// port up to the batch size (see StreamQueue), so chunks form wherever the
 // consumer is the bottleneck.
 //
 // Adaptive batch sizing: the endpoint treats the edge's batch size as a
@@ -483,6 +299,10 @@ class Node {
   const std::string& name() const { return name_; }
   uint64_t uid() const { return uid_; }
 
+  // Test-only: sets the uid the next constructed node receives and returns
+  // the previous value, so a test can reach kMaxNodeUid and restore.
+  static uint64_t ExchangeNextUidForTesting(uint64_t next);
+
   int instance_id() const { return instance_id_; }
   void set_instance_id(int id) { instance_id_ = id; }
 
@@ -507,15 +327,17 @@ class Node {
   }
 
  protected:
-  // Globally unique tuple id: node uid in the high bits, sequence in the low
-  // 40. The sequence is masked into its field — overflowing it would silently
-  // corrupt the uid bits and alias ids across nodes, so debug builds assert.
+  // Globally unique tuple id: node uid in the high 24 bits, sequence in the
+  // low 40. A sequence past its field would corrupt the uid bits and alias
+  // ids across nodes, so an exhausted node throws std::overflow_error (in
+  // every build type) instead of minting an id.
   uint64_t NextTupleId() {
-    const uint64_t seq = next_seq_++;
-    assert(seq <= kTupleSeqMask &&
-           "tuple sequence overflowed its 40-bit field");
-    return (uid_ << kTupleSeqBits) | (seq & kTupleSeqMask);
+    if (next_seq_ > kTupleSeqMask) ThrowSequenceOverflow();
+    return (uid_ << kTupleSeqBits) | next_seq_++;
   }
+  // Test-only: lets a test reach the end of the sequence field without
+  // minting 2^40 ids.
+  void StartSequenceAtForTesting(uint64_t seq) { next_seq_ = seq; }
 
   // Emission helpers. All return false when a downstream queue was aborted,
   // which the Run loops treat as a request to stop.
@@ -546,10 +368,16 @@ class Node {
   static constexpr int kTupleSeqBits = 40;
   static constexpr uint64_t kTupleSeqMask =
       (uint64_t{1} << kTupleSeqBits) - 1;
+  // Largest uid whose shifted value keeps all its bits: node construction
+  // past it throws std::overflow_error rather than alias ids.
+  static constexpr uint64_t kMaxNodeUid =
+      (uint64_t{1} << (64 - kTupleSeqBits)) - 1;
 
   std::vector<Endpoint> outputs_;
 
  private:
+  [[noreturn]] void ThrowSequenceOverflow() const;
+
   std::string name_;
   uint64_t uid_;
   uint64_t next_seq_ = 0;

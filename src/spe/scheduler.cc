@@ -160,8 +160,8 @@ void WorkerPool::Start(std::function<void(std::exception_ptr)> on_error) {
   // consumer is pinned still get a signal when a pool task produces into
   // them (RoomFreed must reach the spilled producer); edges fed only by
   // pinned producers still wake their pool consumer through DataReady.
-  std::unordered_map<StreamEdge*, EdgeSignal*> by_edge;
-  auto signal_for = [&](StreamEdge* edge) -> EdgeSignal* {
+  std::unordered_map<StreamQueue*, EdgeSignal*> by_edge;
+  auto signal_for = [&](StreamQueue* edge) -> EdgeSignal* {
     auto it = by_edge.find(edge);
     if (it != by_edge.end()) return it->second;
     auto signal = std::make_unique<EdgeSignal>();

@@ -7,7 +7,7 @@
 // multi-tenant north star. The pool turns every schedulable node into a
 // *task*:
 //
-//  * Readiness is batch arrival. Every StreamEdge push fires a DataReady
+//  * Readiness is batch arrival. Every StreamQueue push fires a DataReady
 //    signal that enqueues the consuming task (if it was parked); every pop
 //    fires RoomFreed toward producers that spilled against a full edge.
 //  * A task quantum (Node::Step) drains up to a morsel budget of input
@@ -29,12 +29,6 @@
 // rate-limiter clocks) report NeedsDedicatedThread() and keep their thread
 // even in pool mode; the edge signals still fire on their pushes and pops,
 // so readiness crosses the boundary in both directions.
-//
-// SPSC rings under the pool: "single producer/single consumer" becomes
-// producer-at-a-time/consumer-at-a-time. The task state machine guarantees a
-// node is executed by at most one worker and hands it between workers with
-// seq_cst transitions, which carry the happens-before edge the ring's
-// single-threaded counters need.
 #ifndef GENEALOG_SPE_SCHEDULER_H_
 #define GENEALOG_SPE_SCHEDULER_H_
 
@@ -111,8 +105,7 @@ class TaskDeque {
 // pre-re-check read. The seq_cst epoch bump after an enqueue and the seq_cst
 // epoch read before the re-check give the Dekker-style guarantee that either
 // the parker's re-check sees the enqueued work or the enqueuer sees a moved
-// epoch waiter — no lost wakeups (the same protocol SpscRing uses for its
-// producer/consumer parking, lifted to the pool).
+// epoch waiter — no lost wakeups.
 class EventCount {
  public:
   uint64_t Epoch() const { return epoch_.load(std::memory_order_seq_cst); }
@@ -178,9 +171,9 @@ class WorkerPool {
   };
 
   // Relays one edge's readiness signals into task notifications.
-  struct EdgeSignal final : StreamEdge::Signal {
+  struct EdgeSignal final : StreamQueue::Signal {
     WorkerPool* pool = nullptr;
-    StreamEdge* edge = nullptr;
+    StreamQueue* edge = nullptr;
     NodeTask* consumer = nullptr;       // null: pinned (blocking) consumer
     std::vector<NodeTask*> producers;   // pool tasks producing into the edge
 

@@ -17,9 +17,6 @@
 
 namespace genealog {
 
-template <typename In, typename Out>
-class InlineMap;  // chain.h
-
 // Collects the outputs a Map function produces for one input tuple.
 template <typename Out>
 class MapCollector {
@@ -29,8 +26,6 @@ class MapCollector {
  private:
   template <typename In_, typename Out_>
   friend class MapNode;
-  template <typename In_, typename Out_>
-  friend class InlineMap;
   std::vector<IntrusivePtr<Out>> outs_;
 };
 

@@ -12,11 +12,8 @@ size_t Topology::Connect(Node* from, Node* to, size_t capacity,
                          size_t batch_size) {
   Endpoint e = to->AddInput(capacity);
   e.set_batch_size(batch_size == 0 ? default_batch_size_ : batch_size);
-  // Edge selection: the consumer's queue picks the lock-free SPSC ring while
-  // all its ports are fed by one producer node (one producer thread), and
-  // falls back to the mutex BatchQueue the moment a second producer wires in
-  // (parallel merges, taps, MU fan-in). Build-time only — no threads yet.
-  to->input_queue()->RegisterProducer(from);
+  // Every edge is a port on the consumer's one StreamQueue, whether `to` has
+  // one producer or many (parallel merges, taps, MU fan-in).
   const size_t port = e.port();
   from->AddOutput(std::move(e));
   return port;

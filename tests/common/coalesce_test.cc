@@ -1,4 +1,4 @@
-// BatchQueue coalescing and the endpoint-level batching protocol built on it.
+// StreamQueue coalescing and the endpoint-level batching protocol built on it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,7 @@ namespace {
 
 using testing::V;
 
-TEST(BatchQueueCoalesceTest, ConsecutiveWatermarksCollapse) {
+TEST(StreamQueueCoalesceTest, ConsecutiveWatermarksCollapse) {
   auto queue = std::make_unique<StreamQueue>(64);
   Endpoint e{queue.get(), 0};
   e.PushWatermark(5);
@@ -28,7 +28,7 @@ TEST(BatchQueueCoalesceTest, ConsecutiveWatermarksCollapse) {
   EXPECT_EQ(batch->watermark, 9);
 }
 
-TEST(BatchQueueCoalesceTest, DifferentPortsDoNotMerge) {
+TEST(StreamQueueCoalesceTest, DifferentPortsDoNotMerge) {
   auto queue = std::make_unique<StreamQueue>(64);
   Endpoint a{queue.get(), 0};
   Endpoint b{queue.get(), 1};
@@ -37,7 +37,7 @@ TEST(BatchQueueCoalesceTest, DifferentPortsDoNotMerge) {
   EXPECT_EQ(queue->Size(), 2u);
 }
 
-TEST(BatchQueueCoalesceTest, WatermarkJoinsTailTupleBatch) {
+TEST(StreamQueueCoalesceTest, WatermarkJoinsTailTupleBatch) {
   // A watermark following a tuple lands in the same batch (it applies after
   // the tuples), so the pair costs one queue slot.
   auto queue = std::make_unique<StreamQueue>(64);
@@ -53,7 +53,7 @@ TEST(BatchQueueCoalesceTest, WatermarkJoinsTailTupleBatch) {
   EXPECT_FALSE(batch->flush);
 }
 
-TEST(BatchQueueCoalesceTest, TuplesNeverMergeAtBatchSizeOne) {
+TEST(StreamQueueCoalesceTest, TuplesNeverMergeAtBatchSizeOne) {
   // Batch size 1 reproduces the unbatched engine: every tuple is its own
   // queue entry.
   auto queue = std::make_unique<StreamQueue>(64);
@@ -65,7 +65,7 @@ TEST(BatchQueueCoalesceTest, TuplesNeverMergeAtBatchSizeOne) {
   EXPECT_EQ(queue->Weight(), 3u);
 }
 
-TEST(BatchQueueCoalesceTest, TuplesChunkUpToBatchSize) {
+TEST(StreamQueueCoalesceTest, TuplesChunkUpToBatchSize) {
   auto queue = std::make_unique<StreamQueue>(64);
   Endpoint e{queue.get(), 0, /*batch_size=*/4};
   for (int i = 0; i < 10; ++i) {
@@ -92,7 +92,7 @@ TEST(BatchQueueCoalesceTest, TuplesChunkUpToBatchSize) {
   EXPECT_EQ(total, 10u);
 }
 
-TEST(BatchQueueCoalesceTest, FlushMergesIntoTailButSealsIt) {
+TEST(StreamQueueCoalesceTest, FlushMergesIntoTailButSealsIt) {
   auto queue = std::make_unique<StreamQueue>(64);
   Endpoint e{queue.get(), 0, /*batch_size=*/8};
   e.PushTuple(V(1, 1));
@@ -110,7 +110,7 @@ TEST(BatchQueueCoalesceTest, FlushMergesIntoTailButSealsIt) {
   EXPECT_EQ(queue->Size(), 2u);
 }
 
-TEST(BatchQueueCoalesceTest, WatermarkMergesIntoFullQueueWithoutBlocking) {
+TEST(StreamQueueCoalesceTest, WatermarkMergesIntoFullQueueWithoutBlocking) {
   auto queue = std::make_unique<StreamQueue>(2);
   Endpoint e{queue.get(), 0};
   e.PushTuple(V(1, 1));
@@ -125,7 +125,7 @@ TEST(BatchQueueCoalesceTest, WatermarkMergesIntoFullQueueWithoutBlocking) {
   EXPECT_EQ(tail->watermark, 9);
 }
 
-TEST(BatchQueueCoalesceTest, AbortedQueueRejects) {
+TEST(StreamQueueCoalesceTest, AbortedQueueRejects) {
   auto queue = std::make_unique<StreamQueue>(2);
   queue->Abort();
   Endpoint e{queue.get(), 0};
@@ -133,7 +133,7 @@ TEST(BatchQueueCoalesceTest, AbortedQueueRejects) {
   EXPECT_FALSE(e.PushTuple(V(1, 1)));
 }
 
-TEST(BatchQueueCoalesceTest, OversizedBatchEntersEmptyQueue) {
+TEST(StreamQueueCoalesceTest, OversizedBatchEntersEmptyQueue) {
   // A batch bigger than the queue capacity must not deadlock: it is admitted
   // once the queue is empty. ForwardBatch hands a chunk at least as large as
   // the flush threshold over whole.
@@ -152,18 +152,8 @@ TEST(BatchQueueCoalesceTest, OversizedBatchEntersEmptyQueue) {
 // up during teardown. The schedule arranges exactly that temptation: the
 // blocked batch is coalescible with the tail, and a post-abort pop frees
 // enough weight that a retry-coalesce would succeed if it were attempted.
-// Runs against both edge implementations (the ring's producer is the helper
-// thread; the main thread only pops — legal SPSC roles).
-class AbortDuringProducerWaitTest
-    : public ::testing::TestWithParam<StreamEdge::Kind> {};
-
-TEST_P(AbortDuringProducerWaitTest, DoesNotCoalesceIntoDeadTail) {
-  // No registered producer keeps the mutex queue; one upgrades to the ring.
+TEST(AbortDuringProducerWaitTest, DoesNotCoalesceIntoDeadTail) {
   auto queue = std::make_unique<StreamQueue>(2);
-  if (GetParam() == StreamEdge::Kind::kSpsc) {
-    queue->RegisterProducer(queue.get());
-  }
-  ASSERT_EQ(queue->kind(), GetParam());
   std::atomic<bool> push_result{true};
   std::thread producer([&] {
     // Two weight-1 batches fill the queue; the third is coalescible with the
@@ -209,11 +199,7 @@ TEST_P(AbortDuringProducerWaitTest, DoesNotCoalesceIntoDeadTail) {
   EXPECT_FALSE(queue->Pop().has_value());
 }
 
-INSTANTIATE_TEST_SUITE_P(EdgeKinds, AbortDuringProducerWaitTest,
-                         ::testing::Values(StreamEdge::Kind::kMutex,
-                                           StreamEdge::Kind::kSpsc));
-
-TEST(BatchQueueCoalesceTest, ConcurrentProducersStayConsistent) {
+TEST(StreamQueueCoalesceTest, ConcurrentProducersStayConsistent) {
   auto queue = std::make_unique<StreamQueue>(4096);
   constexpr int kPerProducer = 20000;
   std::vector<std::thread> producers;

@@ -1,9 +1,8 @@
 // The batch size must be invisible in the data: at every batch size the
 // engine must produce byte-identical sink output sequences and identical
 // provenance traversals. These tests sweep batch {1, 4, 64, 1024} over
-// determinism_test-style topologies (the hostile diamond merge, whose
-// single-producer edges run on the SPSC ring and whose join is fed by two
-// producers over the mutex queue), a multi-source union chain, and full Q1
+// determinism_test-style topologies (the hostile diamond merge, whose join
+// queue is fed by two producers), a multi-source union chain, and full Q1
 // provenance runs (intra-process and distributed GL, which also exercises
 // the batch wire frames), always comparing against batch 1, where every
 // tuple is handed over on its own.

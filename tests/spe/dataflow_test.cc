@@ -2,8 +2,7 @@
 // left/right, Union merge order, Multiplex taps), provenance weaving per
 // ProvenanceMode (SU/MU/provenance sink for GL, taps + resolver for BL,
 // nothing for NP), deployment cuts (Send/Receive over channels), edge
-// policies (EngineOptions batch size / SPSC vs mutex edges), and plan
-// validation errors.
+// policies (EngineOptions batch size), and plan validation errors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -243,40 +242,6 @@ TEST(DataflowTest, EngineOptionsStampEveryTopology) {
   }
   flow.Run();
   EXPECT_EQ(flow.sink()->count(), 4u);
-}
-
-TEST(DataflowTest, SingleProducerEdgesUpgradeToSpscRing) {
-  Dataflow df;
-  auto a = df.Source<ValueTuple>("a", Values(4));
-  auto b = df.Source<ValueTuple>("b", Values(4));
-  // The Union is fed by two *distinct* producer nodes (two threads) — it
-  // must stay on the mutex queue; the single-producer sink edge rides the
-  // ring. A Multiplex's taps both come from one node, so even a fan-out
-  // into one consumer keeps the ring (covered by the mux flow below).
-  a.Union("u", b).Sink("k");
-  BuiltDataflow flow = df.Build();
-  const Topology& topo = *flow.topologies[0];
-  for (const auto& node : topo.nodes()) {
-    if (node->input_queue() == nullptr) continue;
-    const auto want = node->name() == "u" ? StreamEdge::Kind::kMutex
-                                          : StreamEdge::Kind::kSpsc;
-    EXPECT_EQ(node->input_queue()->kind(), want) << node->name();
-  }
-  flow.Run();
-  EXPECT_EQ(flow.sink()->count(), 8u);
-
-  // One producer node, two taps into one merging consumer: still SPSC.
-  Dataflow df2;
-  auto taps = df2.Source<ValueTuple>("src", Values(4)).Multiplex("mux", 2);
-  taps[0].Union("u2", taps[1]).Sink("k2");
-  BuiltDataflow flow2 = df2.Build();
-  for (const auto& node : flow2.topologies[0]->nodes()) {
-    if (node->input_queue() == nullptr) continue;
-    EXPECT_EQ(node->input_queue()->kind(), StreamEdge::Kind::kSpsc)
-        << node->name();
-  }
-  flow2.Run();
-  EXPECT_EQ(flow2.sink()->count(), 8u);
 }
 
 // --- parallel stages --------------------------------------------------------

@@ -47,9 +47,9 @@ std::vector<IntrusivePtr<KeyedTuple>> KeyedSequence(int n) {
 // A pipeline that exercises every schedulable node class: a re-armable
 // source, SingleInputNode stages (filter/map/aggregate), and a
 // multiplex/join diamond whose join is a MergingNode (watermark-ordered
-// multi-port merge). Single-producer edges run on the SPSC ring; the join's
-// two producers keep its input on the mutex queue, so both edge
-// implementations run under the pool. Returns the exact sink sequence.
+// multi-port merge). The join's input queue has two producers, every other
+// edge one, so both fan-in shapes run under the pool. Returns the exact sink
+// sequence.
 std::vector<std::string> RunDiamondPipeline(SchedulerMode scheduler,
                                             size_t workers) {
   Topology topo;
