@@ -76,7 +76,7 @@ void SuNode::OnBatch(StreamBatch& batch) {
 }
 
 void SuNode::OnTuple(TuplePtr t) {
-  // Run() dispatches whole batches to OnBatch; this exists for the
+  // Step dispatches whole batches to OnBatch; this exists for the
   // SingleInputNode contract (and direct per-tuple drivers in tests).
   StreamBatch batch = StreamBatch::MakeTuple(std::move(t));
   OnBatch(batch);

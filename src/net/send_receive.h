@@ -19,6 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "net/channel.h"
 #include "net/frame.h"
@@ -73,52 +74,61 @@ class ReceiveNode final : public Node {
   ReceiveNode(std::string name, ByteChannel* channel)
       : Node(std::move(name)), channel_(channel) {}
 
-  void Run() override {
-    std::vector<uint8_t> frame;
-    while (channel_->RecvFrame(frame)) {
+  // Blocks on the channel for each frame, so Receive keeps a dedicated
+  // thread under the pool.
+  bool NeedsDedicatedThread() const override { return true; }
+
+  // Replays up to `max_frames` frames into the outputs.
+  StepResult Step(size_t max_frames) override {
+    for (size_t n = 0; n < max_frames; ++n) {
+      if (!channel_->RecvFrame(frame_)) {
+        // Channel closed without an explicit flush (sender aborted): still
+        // propagate end-of-stream so the rest of the instance can unwind.
+        EmitFlushAll();
+        return StepResult::kDone;
+      }
       DecodedFrame decoded;
       try {
-        decoded = decoder_.Decode(frame);
+        decoded = decoder_.Decode(frame_);
       } catch (const std::exception& e) {
         // Name the channel endpoint and the claimed frame kind: a corrupt
         // frame must fail the run loudly, not read as a clean end-of-stream.
         throw std::runtime_error(
             name() + ": malformed " +
-            FrameKindName(frame.empty() ? 0 : frame[0]) + " frame (" +
-            std::to_string(frame.size()) + " bytes): " + e.what());
+            FrameKindName(frame_.empty() ? 0 : frame_[0]) + " frame (" +
+            std::to_string(frame_.size()) + " bytes): " + e.what());
       }
       switch (decoded.kind) {
         case FrameKind::kTuple:
           CountProcessed();
-          if (!EmitTupleAll(decoded.tuple)) return;
+          if (!EmitTupleAll(decoded.tuple)) return StepResult::kDone;
           break;
         case FrameKind::kBatch:
         case FrameKind::kCompactBatch:
           CountProcessed(decoded.tuples.size());
           for (TuplePtr& t : decoded.tuples) {
-            if (!EmitTupleAll(t)) return;
+            if (!EmitTupleAll(t)) return StepResult::kDone;
           }
           if (decoded.watermark != kNoWatermark &&
               !ForwardWatermark(decoded.watermark)) {
-            return;
+            return StepResult::kDone;
           }
           break;
         case FrameKind::kWatermark:
-          if (!ForwardWatermark(decoded.watermark)) return;
+          if (!ForwardWatermark(decoded.watermark)) return StepResult::kDone;
           break;
         case FrameKind::kFlush:
           EmitFlushAll();
-          return;
+          return StepResult::kDone;
       }
     }
-    // Channel closed without an explicit flush (sender aborted): still
-    // propagate end-of-stream so the rest of the instance can unwind.
-    EmitFlushAll();
+    return StepResult::kReady;
   }
 
  private:
   ByteChannel* channel_;
   FrameDecoder decoder_;
+  std::vector<uint8_t> frame_;
 };
 
 }  // namespace genealog

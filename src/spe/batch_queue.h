@@ -18,12 +18,13 @@
 //    seed's watermark coalescing, which keeps watermark-dominated streams
 //    (high fan-out partitioners, selective filters) from flooding queues.
 //  * A light busy path: waiter counts let the busy side skip condvar
-//    notifies entirely (no syscalls when nobody sleeps), and PopMany drains
-//    the whole backlog under one lock so the consumer amortizes its
-//    round-trips over the burst.
+//    notifies entirely (no syscalls when nobody sleeps), and PopSome drains
+//    a whole burst under one lock so the consumer amortizes its round-trips
+//    over the backlog.
 //
 // The pool scheduler (spe/scheduler.h) never blocks on a queue: it uses
-// TryPush/TryPopSome and listens for readiness through an attached Signal.
+// TryPush and the non-waiting PopSome, and listens for readiness through an
+// attached Signal.
 #ifndef GENEALOG_SPE_BATCH_QUEUE_H_
 #define GENEALOG_SPE_BATCH_QUEUE_H_
 
@@ -127,12 +128,16 @@ class StreamQueue {
     return PushStatus::kOk;
   }
 
-  // Non-blocking bounded drain for the pool scheduler: moves up to
-  // `max_batches` queued batches into `out` (appending) without waiting.
-  // kAborted is only reported once the queue is also drained, preserving the
-  // abort-then-drain teardown contract of Pop/PopMany.
-  PopStatus TryPopSome(std::vector<StreamBatch>& out, size_t max_batches) {
+  // Bounded drain: moves up to `max_batches` queued batches into `out`
+  // (appending) under one lock. With `wait` it blocks while the queue is
+  // empty — the dedicated-thread pop, one lock round-trip per burst;
+  // without it an empty queue reports kEmpty at once — the pool's pop.
+  // kAborted is only reported once the queue is also drained (the
+  // abort-then-drain teardown contract).
+  PopStatus PopSome(std::vector<StreamBatch>& out, size_t max_batches,
+                    bool wait) {
     std::unique_lock lock(mu_);
+    if (wait) WaitNotEmpty(lock);
     if (items_.empty()) {
       return aborted_ ? PopStatus::kAborted : PopStatus::kEmpty;
     }
@@ -161,21 +166,6 @@ class StreamQueue {
     return batch;
   }
 
-  // Drains every queued batch into `out` under one lock, blocking while
-  // empty. Returns false once aborted and drained.
-  bool PopMany(std::vector<StreamBatch>& out) {
-    std::unique_lock lock(mu_);
-    WaitNotEmpty(lock);
-    if (items_.empty()) return false;
-    while (!items_.empty()) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    SetWeight(0);
-    NotifyProducers(lock);
-    return true;
-  }
-
   // Non-blocking pop, for draining in tests.
   std::optional<StreamBatch> TryPop() {
     std::unique_lock lock(mu_);
@@ -197,7 +187,7 @@ class StreamQueue {
     not_full_.notify_all();
     not_empty_.notify_all();
     // Parked pool tasks on either side must observe the abort: wake the
-    // consumer (its next TryPopSome reports kAborted once drained) and any
+    // consumer (its next PopSome reports kAborted once drained) and any
     // spilled producers (their retry discards the spill).
     if (signal_ != nullptr) {
       signal_->DataReady();

@@ -1,7 +1,6 @@
 #include "spe/node.h"
 
 #include <atomic>
-#include <cassert>
 #include <stdexcept>
 
 namespace genealog {
@@ -92,38 +91,6 @@ bool Node::ForwardBatchAll(StreamBatch&& batch) {
   return true;
 }
 
-StepResult Node::Step(size_t /*max_batches*/) {
-  // Schedulable node types override this; pinned nodes (the base default of
-  // NeedsDedicatedThread) are never stepped.
-  assert(false && "Step() called on a node without a step implementation");
-  return StepResult::kDone;
-}
-
-bool SingleInputNode::ProcessBatch(StreamBatch& batch) {
-  CountProcessed(batch.tuples.size());
-  const bool flush = batch.flush;
-  batch.flush = false;  // Run/Step own end-of-stream, OnBatch never sees it
-  OnBatch(batch);
-  if (flush) {
-    OnFlush();
-    EmitFlushAll();
-    return true;
-  }
-  return false;
-}
-
-void SingleInputNode::Run() {
-  StreamQueue* in = input_queue();
-  std::vector<StreamBatch> burst;
-  for (;;) {
-    burst.clear();
-    if (!in->PopMany(burst)) return;  // aborted
-    for (StreamBatch& batch : burst) {
-      if (ProcessBatch(batch)) return;
-    }
-  }
-}
-
 StepResult SingleInputNode::Step(size_t max_batches) {
   // Poll until the queue reports empty/aborted or the budget runs out. A
   // quantum must never park after an underfull drain without re-polling: an
@@ -133,19 +100,27 @@ StepResult SingleInputNode::Step(size_t max_batches) {
   size_t remaining = max_batches;
   while (remaining > 0) {
     step_burst_.clear();
-    switch (input_queue()->TryPopSome(step_burst_, remaining)) {
+    switch (PopInput(step_burst_, remaining)) {
       case PopStatus::kAborted:
         return StepResult::kDone;
       case PopStatus::kEmpty:
-        // Parking is safe: any push or abort after this observation fires
-        // DataReady at the task.
+        // Pool mode only. Parking is safe: any push or abort after this
+        // observation fires DataReady at the task.
         return StepResult::kIdle;
       case PopStatus::kPopped:
         break;
     }
     remaining -= std::min(remaining, step_burst_.size());
     for (StreamBatch& batch : step_burst_) {
-      if (ProcessBatch(batch)) return StepResult::kDone;
+      CountProcessed(batch.tuples.size());
+      const bool flush = batch.flush;
+      batch.flush = false;  // Step owns end-of-stream, OnBatch never sees it
+      OnBatch(batch);
+      if (flush) {
+        OnFlush();
+        EmitFlushAll();
+        return StepResult::kDone;
+      }
     }
   }
   return StepResult::kReady;
@@ -212,24 +187,10 @@ void MergingNode::ConsumeBatch(StreamBatch& batch) {
   ReleaseReady();
 }
 
-void MergingNode::Run() {
-  EnsureMergeState();
-  std::vector<StreamBatch> burst;
-  while (flushed_ports_ < ports_.size()) {
-    burst.clear();
-    if (!input_queue()->PopMany(burst)) return;  // aborted
-    for (StreamBatch& batch : burst) ConsumeBatch(batch);
-  }
-  // All inputs flushed: the merged watermark is +inf and ReleaseReady above
-  // already drained the buffers in order.
-  OnAllFlushed();
-  EmitFlushAll();
-}
-
 StepResult MergingNode::Step(size_t max_batches) {
   EnsureMergeState();
   if (flushed_ports_ >= ports_.size()) {
-    // A previous quantum saw the last flush mid-burst; finish now.
+    // No input ports: nothing to merge (and no queue to pop).
     OnAllFlushed();
     EmitFlushAll();
     return StepResult::kDone;
@@ -239,7 +200,7 @@ StepResult MergingNode::Step(size_t max_batches) {
   size_t remaining = max_batches;
   while (remaining > 0) {
     step_burst_.clear();
-    switch (input_queue()->TryPopSome(step_burst_, remaining)) {
+    switch (PopInput(step_burst_, remaining)) {
       case PopStatus::kAborted:
         return StepResult::kDone;
       case PopStatus::kEmpty:

@@ -1,9 +1,11 @@
 // Operator node framework.
 //
 // A Node is a runtime operator instance: it owns one physical input queue
-// (logical ports are tags on the batches), holds endpoints into the input
-// queues of downstream nodes, and runs as a dedicated thread (the Liebre
-// execution model). Two base behaviours cover all operators:
+// (logical ports are tags on the batches) and holds endpoints into the input
+// queues of downstream nodes. Its one execution body is Step: a dedicated
+// thread (the Liebre execution model) runs it once with an unbounded budget,
+// the worker pool runs it as a sequence of bounded quanta. Two base
+// behaviours cover all operators:
 //
 //  * SingleInputNode — processes its one (already timestamp-sorted) input
 //    stream batch by batch;
@@ -131,8 +133,8 @@ class Endpoint {
 
   StreamQueue* queue() const { return queue_; }
 
-  // All return false when the downstream queue was aborted, which the Run
-  // loops treat as a request to stop.
+  // All return false when the downstream queue was aborted, which Step
+  // treats as a request to stop.
   bool PushTuple(TuplePtr t) {
     pending_.tuples.push_back(std::move(t));
     if (pending_.tuples.size() >= effective_batch_) return Flush();
@@ -240,13 +242,17 @@ class Endpoint {
   std::deque<StreamBatch> spill_;
 };
 
-// Outcome of one pool-scheduler execution quantum (Node::Step):
-//  * kIdle  — out of input: park until an edge signal re-arms the task;
-//  * kReady — the morsel budget ran out with work left: reschedule through
-//             the fair injector;
+// Outcome of one execution quantum (Node::Step):
+//  * kIdle  — out of input (pool mode only): park until an edge signal
+//             re-arms the task;
+//  * kReady — the budget ran out with work left: the pool reschedules
+//             through the fair injector, a dedicated thread steps again;
 //  * kDone  — end of stream (flush processed, or input queue aborted and
-//             drained): the task retires once its output spills drain.
+//             drained): the node is finished once its output spills drain.
 enum class StepResult : uint8_t { kIdle, kReady, kDone };
+
+// The budget a dedicated thread steps with: run until end of stream.
+inline constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
 
 class Node {
  public:
@@ -255,26 +261,25 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  // Thread body. Must drain inputs until flush/abort and emit a final flush.
-  virtual void Run() = 0;
+  // The execution body: consume up to `max_batches` input batches (sources:
+  // emit up to that many chunks), emit downstream, and report how to
+  // continue. Must drain inputs until flush/abort and emit a final flush
+  // before reporting kDone. Outside pool mode Step may block — the input
+  // pop waits while empty and emission waits for room — so a dedicated
+  // thread is just `while (Step(kUnbounded) != StepResult::kDone) {}`. In
+  // pool mode it must never block on a stream queue.
+  virtual StepResult Step(size_t max_batches) = 0;
 
-  // --- pool-scheduler surface (spe/scheduler.h) ----------------------------
-  // One non-blocking execution quantum: consume up to `max_batches` input
-  // batches (the morsel), emit downstream (spilling instead of blocking),
-  // and report how to reschedule. Must never block on a stream queue. Only
-  // called when NeedsDedicatedThread() is false.
-  virtual StepResult Step(size_t max_batches);
-
-  // Nodes whose Run() blocks on resources other than their stream queues —
+  // Nodes whose Step blocks on resources other than their stream queues —
   // network channels (Receive/Send), rate-limiter clocks — keep a dedicated
-  // thread even under the pool scheduler. Defaults to true so node types
-  // without a Step implementation are pinned rather than broken; the
-  // steppable bases (SingleInputNode, MergingNode, sources) opt in.
-  virtual bool NeedsDedicatedThread() const { return true; }
+  // thread even under the pool scheduler.
+  virtual bool NeedsDedicatedThread() const { return false; }
 
-  // Flips every output endpoint to non-blocking spill mode. Called once by
-  // the scheduler between topology build and execution.
+  // Switches the node to pool mode: output endpoints spill instead of
+  // blocking, and the input pop reports empty instead of waiting. Called
+  // once by the scheduler between topology build and execution.
   void EnterPoolMode() {
+    pool_mode_ = true;
     for (Endpoint& e : outputs_) e.set_nonblocking(true);
   }
   // Re-offers spilled output batches; true when every endpoint drained.
@@ -339,8 +344,14 @@ class Node {
   // minting 2^40 ids.
   void StartSequenceAtForTesting(uint64_t seq) { next_seq_ = seq; }
 
+  // Moves up to `max_batches` input batches into `out`. Outside pool mode
+  // the pop waits while the queue is empty, so it never reports kEmpty.
+  PopStatus PopInput(std::vector<StreamBatch>& out, size_t max_batches) {
+    return in_queue_->PopSome(out, max_batches, /*wait=*/!pool_mode_);
+  }
+
   // Emission helpers. All return false when a downstream queue was aborted,
-  // which the Run loops treat as a request to stop.
+  // which Step treats as a request to stop.
   bool EmitTupleTo(size_t out_idx, TuplePtr t) {
     return outputs_[out_idx].PushTuple(std::move(t));
   }
@@ -358,7 +369,7 @@ class Node {
   void EmitFlushAll();
   // Forwards a chunk to every output, applying the same watermark
   // de-duplication as ForwardWatermark. With a single output the chunk moves
-  // wholesale; the flush flag must be left to Run (see OnBatch).
+  // wholesale; the flush flag must be left to Step (see OnBatch).
   bool ForwardBatchAll(StreamBatch&& batch);
 
   void CountProcessed(uint64_t n = 1) {
@@ -387,6 +398,7 @@ class Node {
   std::atomic<uint64_t> tuples_processed_{0};
   std::unique_ptr<StreamQueue> in_queue_;
   size_t num_ports_ = 0;
+  bool pool_mode_ = false;
 };
 
 // Base for one-input operators (Map, Filter, Multiplex, Aggregate, Sink, SU,
@@ -395,9 +407,7 @@ class SingleInputNode : public Node {
  public:
   using Node::Node;
 
-  void Run() final;
   StepResult Step(size_t max_batches) override;
-  bool NeedsDedicatedThread() const override { return false; }
 
  protected:
   virtual void OnTuple(TuplePtr t) = 0;
@@ -408,7 +418,7 @@ class SingleInputNode : public Node {
   // Whole-batch hook: the default dispatches to OnTuple/OnWatermark in
   // stream order. Operators that can exploit the chunk (Send's
   // batch-at-a-time serialization, Filter's in-place chunk filtering)
-  // override this; the flush marker is owned by Run — it is cleared before
+  // override this; the flush marker is owned by Step — it is cleared before
   // this call and never visible here.
   virtual void OnBatch(StreamBatch& batch) {
     for (TuplePtr& t : batch.tuples) OnTuple(std::move(t));
@@ -416,9 +426,6 @@ class SingleInputNode : public Node {
   }
 
  private:
-  // Shared by Run and Step: returns true when the batch carried the
-  // end-of-stream marker (flush forwarded, node done).
-  bool ProcessBatch(StreamBatch& batch);
   std::vector<StreamBatch> step_burst_;
 };
 
@@ -428,9 +435,7 @@ class MergingNode : public Node {
  public:
   using Node::Node;
 
-  void Run() final;
   StepResult Step(size_t max_batches) override;
-  bool NeedsDedicatedThread() const override { return false; }
 
  protected:
   // Tuples arrive in deterministic (ts, port, arrival) order.
@@ -448,9 +453,8 @@ class MergingNode : public Node {
     bool flushed = false;
   };
 
-  // The merge state lives in members (not Run-locals) so the pool scheduler
-  // can execute the node as a resumable sequence of Steps; Run uses the same
-  // state, initialized once.
+  // The merge state lives in members so the pool scheduler can execute the
+  // node as a resumable sequence of Steps; initialized once.
   void EnsureMergeState();
   // Folds one input batch into the per-port buffers and releases what the
   // advanced watermark allows.

@@ -1,8 +1,6 @@
 #include "spe/scheduler.h"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 #include <utility>
 
@@ -10,10 +8,6 @@
 #include "common/memory_accounting.h"
 
 namespace genealog {
-
-static const bool g_trace = std::getenv("GENEALOG_SCHED_TRACE") != nullptr;
-#define SCHED_TRACE(...) do { if (g_trace) { fprintf(stderr, __VA_ARGS__); fflush(stderr);} } while (0)
-
 
 namespace scheduler_internal {
 
@@ -231,7 +225,6 @@ void WorkerPool::Kick() { ec_.Notify(/*all=*/true); }
 void WorkerPool::Notify(NodeTask* task) {
   for (;;) {
     uint32_t state = task->state.load(std::memory_order_seq_cst);
-    SCHED_TRACE("notify %s state=%u\n", task->node->name().c_str(), state);
     switch (state) {
       case NodeTask::kQueued:
       case NodeTask::kNotified:
@@ -333,15 +326,12 @@ void WorkerPool::WorkerLoop(size_t index) {
     // is visible to the re-check through the seq_cst epoch bump.
     const uint64_t epoch = ec_.Epoch();
     if (done_.load(std::memory_order_seq_cst) || AnyWorkVisible()) continue;
-    SCHED_TRACE("park w%zu epoch=%llu live=%zu\n", index, (unsigned long long)epoch, live_tasks_.load());
     ec_.Wait(epoch);
-    SCHED_TRACE("wake w%zu\n", index);
   }
   t_current_worker = {};
 }
 
 void WorkerPool::Execute(NodeTask* task) {
-  SCHED_TRACE("exec %s state=%u\n", task->node->name().c_str(), task->state.load());
   task->state.store(NodeTask::kRunning, std::memory_order_seq_cst);
   mem::SetCurrentInstance(task->node->instance_id());
   StepResult result = StepResult::kIdle;
@@ -374,9 +364,6 @@ void WorkerPool::Execute(NodeTask* task) {
     return;
   }
 
-  SCHED_TRACE("exec-end %s result=%d blocked=%d spills=%d state=%u\n",
-              task->node->name().c_str(), (int)result, (int)output_blocked,
-              (int)task->node->HasSpills(), task->state.load());
   if (result == StepResult::kDone && !output_blocked) {
     Retire(task);
     return;
@@ -403,7 +390,6 @@ void WorkerPool::Execute(NodeTask* task) {
 }
 
 void WorkerPool::Retire(NodeTask* task) {
-  SCHED_TRACE("retire %s live=%zu\n", task->node->name().c_str(), live_tasks_.load());
   task->state.store(NodeTask::kFinished, std::memory_order_seq_cst);
   if (live_tasks_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
     done_.store(true, std::memory_order_seq_cst);

@@ -48,82 +48,6 @@ class VectorSourceNode final : public SourceNodeBase {
                    SourceOptions options = {})
       : SourceNodeBase(std::move(name)), data_(std::move(data)), options_(options) {}
 
-  void Run() override {
-    const int64_t start_ns = NowNanos();
-    start_ns_.store(start_ns, std::memory_order_relaxed);
-    const double ns_per_tuple =
-        options_.max_rate_tps > 0 ? 1e9 / options_.max_rate_tps : 0;
-    // Stimulus granularity: at full speed the wall-clock read is a real
-    // per-tuple cost, so it is refreshed once per outgoing chunk (the
-    // smallest output batch size). Rate-limited runs — the latency
-    // measurements — keep the exact per-tuple stimulus, and so does batch
-    // size 1.
-    size_t stimulus_every = 1;
-    if (ns_per_tuple == 0 && !outputs_.empty()) {
-      stimulus_every = outputs_[0].batch_size();
-      for (const Endpoint& e : outputs_) {
-        stimulus_every = std::min(stimulus_every, e.batch_size());
-      }
-    }
-    int64_t stimulus = start_ns;
-    uint64_t emitted = 0;
-    bool stopped = false;
-    for (int lap = 0; lap < options_.replays && !stopped; ++lap) {
-      const int64_t ts_shift = static_cast<int64_t>(lap) * options_.replay_ts_shift;
-      for (size_t i = 0; i < data_.size(); ++i) {
-        if (options_.stop != nullptr &&
-            options_.stop->load(std::memory_order_relaxed)) {
-          stopped = true;
-          break;
-        }
-        if (ns_per_tuple > 0) {
-          const int64_t due =
-              start_ns + static_cast<int64_t>(ns_per_tuple * static_cast<double>(emitted));
-          while (NowNanos() < due) {
-            // Sub-millisecond sleeps overshoot badly; spin for short waits.
-            if (due - NowNanos() > 2'000'000) {
-              std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            }
-          }
-        }
-        // Sources may replay shared datasets; each emission is a fresh tuple
-        // object so provenance graphs and instance attribution stay exact.
-        // T is known statically, so this is the same-class clone fast path
-        // by construction — no virtual dispatch.
-        TuplePtr t = MakeTuple<T>(*data_[i]);
-        t->ts = data_[i]->ts + ts_shift;
-        t->id = NextTupleId();
-        if (stimulus_every == 1 || emitted % stimulus_every == 0) {
-          stimulus = NowNanos();
-        }
-        t->stimulus = stimulus;
-        InstrumentSource(mode(), *t);
-        CountProcessed();
-        ++emitted;
-        if (!EmitTupleAll(t)) {
-          stopped = true;
-          break;
-        }
-        // Watermark: future tuples have ts >= this tuple's ts; if the next
-        // tuple is strictly later we can promise its ts already.
-        int64_t wm = t->ts;
-        if (i + 1 < data_.size()) {
-          const int64_t next_ts = data_[i + 1]->ts + ts_shift;
-          if (next_ts > t->ts) wm = next_ts;
-        } else if (lap + 1 < options_.replays) {
-          const int64_t next_ts = data_[0]->ts + ts_shift + options_.replay_ts_shift;
-          if (next_ts > t->ts) wm = next_ts;
-        }
-        if (!ForwardWatermark(wm)) {
-          stopped = true;
-          break;
-        }
-      }
-    }
-    end_ns_.store(NowNanos(), std::memory_order_relaxed);
-    EmitFlushAll();
-  }
-
   // Wall-clock span of the emission loop, for throughput computation.
   int64_t active_ns() const override {
     return end_ns_.load(std::memory_order_relaxed) -
@@ -137,71 +61,93 @@ class VectorSourceNode final : public SourceNodeBase {
     return options_.max_rate_tps > 0;
   }
 
-  // Pool-mode emission quantum: the Run loop unrolled into a resumable step
-  // that emits up to max_batches chunks' worth of tuples, then yields
-  // kReady (sources re-arm through the fair injector, so one hot source
-  // cannot starve other queries). Emission into a full edge spills at the
-  // endpoint; the scheduler then holds this task until the consumer frees
+  // The emission loop as a resumable step: emits up to max_batches chunks'
+  // worth of tuples (paced: max_batches tuples), then yields kReady. Under
+  // the pool, sources re-arm through the fair injector, so one hot source
+  // cannot starve other queries; emission into a full edge spills at the
+  // endpoint, and the scheduler holds this task until the consumer frees
   // room, which is what bounds an unthrottled source's memory footprint.
   StepResult Step(size_t max_batches) override {
-    if (!step_started_) {
-      step_started_ = true;
-      const int64_t start_ns = NowNanos();
-      start_ns_.store(start_ns, std::memory_order_relaxed);
-      step_stimulus_ = start_ns;
-      // Same stimulus granularity rule as Run: steppable sources are always
-      // unthrottled, so the wall-clock read is refreshed per outgoing chunk.
-      step_stimulus_every_ = 1;
-      if (!outputs_.empty()) {
-        step_stimulus_every_ = outputs_[0].batch_size();
-        for (const Endpoint& e : outputs_) {
-          step_stimulus_every_ = std::min(step_stimulus_every_, e.batch_size());
-        }
-      }
-    }
-    if (data_.empty()) return FinishStep();
-    size_t budget = max_batches * step_stimulus_every_;
-    if (budget < max_batches) budget = max_batches;  // overflow guard
-    while (budget-- > 0) {
-      if (step_lap_ >= options_.replays) return FinishStep();
+    if (!started_) Start();
+    if (data_.empty()) return Finish();
+    const size_t budget = max_batches > kUnbounded / stimulus_every_
+                              ? kUnbounded
+                              : max_batches * stimulus_every_;
+    for (size_t n = 0; n < budget; ++n) {
+      if (lap_ >= options_.replays) return Finish();
       if (options_.stop != nullptr &&
           options_.stop->load(std::memory_order_relaxed)) {
-        return FinishStep();
+        return Finish();
       }
+      if (options_.max_rate_tps > 0) Pace();
       const int64_t ts_shift =
-          static_cast<int64_t>(step_lap_) * options_.replay_ts_shift;
-      TuplePtr t = MakeTuple<T>(*data_[step_index_]);
-      t->ts = data_[step_index_]->ts + ts_shift;
+          static_cast<int64_t>(lap_) * options_.replay_ts_shift;
+      // Sources may replay shared datasets; each emission is a fresh tuple
+      // object so provenance graphs and instance attribution stay exact.
+      // T is known statically, so this is the same-class clone fast path
+      // by construction — no virtual dispatch.
+      TuplePtr t = MakeTuple<T>(*data_[index_]);
+      t->ts = data_[index_]->ts + ts_shift;
       t->id = NextTupleId();
-      if (step_stimulus_every_ == 1 ||
-          step_emitted_ % step_stimulus_every_ == 0) {
-        step_stimulus_ = NowNanos();
+      if (stimulus_every_ == 1 || emitted_ % stimulus_every_ == 0) {
+        stimulus_ = NowNanos();
       }
-      t->stimulus = step_stimulus_;
+      t->stimulus = stimulus_;
       InstrumentSource(mode(), *t);
       CountProcessed();
-      ++step_emitted_;
-      if (!EmitTupleAll(t)) return FinishStep();
+      ++emitted_;
+      if (!EmitTupleAll(t)) return Finish();
+      // Watermark: future tuples have ts >= this tuple's ts; if the next
+      // tuple is strictly later we can promise its ts already.
       int64_t wm = t->ts;
-      if (step_index_ + 1 < data_.size()) {
-        const int64_t next_ts = data_[step_index_ + 1]->ts + ts_shift;
+      if (index_ + 1 < data_.size()) {
+        const int64_t next_ts = data_[index_ + 1]->ts + ts_shift;
         if (next_ts > t->ts) wm = next_ts;
-      } else if (step_lap_ + 1 < options_.replays) {
+      } else if (lap_ + 1 < options_.replays) {
         const int64_t next_ts =
             data_[0]->ts + ts_shift + options_.replay_ts_shift;
         if (next_ts > t->ts) wm = next_ts;
       }
-      if (!ForwardWatermark(wm)) return FinishStep();
-      if (++step_index_ >= data_.size()) {
-        step_index_ = 0;
-        ++step_lap_;
+      if (!ForwardWatermark(wm)) return Finish();
+      if (++index_ >= data_.size()) {
+        index_ = 0;
+        ++lap_;
       }
     }
     return StepResult::kReady;
   }
 
  private:
-  StepResult FinishStep() {
+  void Start() {
+    started_ = true;
+    start_ns_.store(NowNanos(), std::memory_order_relaxed);
+    // Stimulus granularity: at full speed the wall-clock read is a real
+    // per-tuple cost, so it is refreshed once per outgoing chunk (the
+    // smallest output batch size). Rate-limited runs — the latency
+    // measurements — keep the exact per-tuple stimulus, and so does batch
+    // size 1.
+    if (options_.max_rate_tps > 0 || outputs_.empty()) return;
+    stimulus_every_ = outputs_[0].batch_size();
+    for (const Endpoint& e : outputs_) {
+      stimulus_every_ = std::min(stimulus_every_, e.batch_size());
+    }
+  }
+
+  // Waits until the next tuple is due on the max_rate_tps schedule.
+  void Pace() const {
+    const int64_t due =
+        start_ns_.load(std::memory_order_relaxed) +
+        static_cast<int64_t>(1e9 / options_.max_rate_tps *
+                             static_cast<double>(emitted_));
+    while (NowNanos() < due) {
+      // Sub-millisecond sleeps overshoot badly; spin for short waits.
+      if (due - NowNanos() > 2'000'000) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  }
+
+  StepResult Finish() {
     end_ns_.store(NowNanos(), std::memory_order_relaxed);
     EmitFlushAll();
     return StepResult::kDone;
@@ -211,14 +157,15 @@ class VectorSourceNode final : public SourceNodeBase {
   SourceOptions options_;
   std::atomic<int64_t> start_ns_{0};
   std::atomic<int64_t> end_ns_{0};
-  // Step-mode cursor (touched only by the executing worker; the task state
-  // machine hands the node from worker to worker with release/acquire).
-  bool step_started_ = false;
-  int step_lap_ = 0;
-  size_t step_index_ = 0;
-  uint64_t step_emitted_ = 0;
-  size_t step_stimulus_every_ = 1;
-  int64_t step_stimulus_ = 0;
+  // Emission cursor (touched only by the executing thread; under the pool
+  // the task state machine hands the node from worker to worker with
+  // release/acquire).
+  bool started_ = false;
+  int lap_ = 0;
+  size_t index_ = 0;
+  uint64_t emitted_ = 0;
+  size_t stimulus_every_ = 1;
+  int64_t stimulus_ = 0;
 };
 
 // Callback-driven source for tests and examples: `gen` returns tuples in
@@ -230,22 +177,6 @@ class CallbackSourceNode final : public SourceNodeBase {
 
   CallbackSourceNode(std::string name, Generator gen)
       : SourceNodeBase(std::move(name)), gen_(std::move(gen)) {}
-
-  void Run() override {
-    int64_t last_ts = kWatermarkMin;
-    while (IntrusivePtr<T> t = gen_()) {
-      t->id = NextTupleId();
-      t->stimulus = NowNanos();
-      InstrumentSource(mode(), *t);
-      last_ts = t->ts;
-      CountProcessed();
-      if (!EmitTupleAll(t)) break;
-      if (!ForwardWatermark(last_ts)) break;
-    }
-    EmitFlushAll();
-  }
-
-  bool NeedsDedicatedThread() const override { return false; }
 
   StepResult Step(size_t max_batches) override {
     for (size_t i = 0; i < max_batches; ++i) {

@@ -64,51 +64,49 @@ void Runner::Start() {
     if (topologies_.empty()) scheduler_ = SchedulerMode::kThreadPerNode;
   }
 
-  auto spawn_thread = [this](Node* raw) {
-    threads_.emplace_back([this, raw] {
-      mem::SetCurrentInstance(raw->instance_id());
+  // One placement rule: under the pool, every node that does not block on a
+  // non-queue resource (network, rate-limiter clock) joins the shared pool
+  // under its topology's fairness bucket; every other node gets a dedicated
+  // thread that steps it to the end of its stream.
+  if (scheduler_ == SchedulerMode::kPool) {
+    WorkerPoolOptions pool_options;
+    if (options_.workers.has_value()) {
+      pool_options.workers = *options_.workers;
+    } else {
+      for (Topology* topology : topologies_) {
+        pool_options.workers =
+            std::max(pool_options.workers, topology->workers());
+      }
+    }
+    pool_ = std::make_unique<WorkerPool>(pool_options);
+  }
+  std::vector<Node*> dedicated;
+  for (uint32_t q = 0; q < topologies_.size(); ++q) {
+    for (auto& node : topologies_[q]->nodes()) {
+      if (pool_ != nullptr && !node->NeedsDedicatedThread()) {
+        pool_->AddNode(node.get(), q);
+      } else {
+        dedicated.push_back(node.get());
+      }
+    }
+  }
+  // Start the pool (which attaches the edge signal hooks) before any
+  // dedicated thread runs: a dedicated producer's first Push may race the
+  // signal attachment otherwise.
+  if (pool_ != nullptr) {
+    pool_->Start([this](std::exception_ptr error) { RecordFailure(error); });
+  }
+  for (Node* node : dedicated) {
+    threads_.emplace_back([this, node] {
+      mem::SetCurrentInstance(node->instance_id());
       try {
-        raw->Run();
+        while (node->Step(kUnbounded) != StepResult::kDone) {
+        }
       } catch (...) {
         RecordFailure(std::current_exception());
       }
     });
-  };
-
-  if (scheduler_ == SchedulerMode::kThreadPerNode) {
-    for (Topology* topology : topologies_) {
-      for (auto& node : topology->nodes()) spawn_thread(node.get());
-    }
-    return;
   }
-
-  // Pool mode: schedulable nodes join the shared pool under their topology's
-  // fairness bucket; nodes that block on non-queue resources (network, rate
-  // limiter clocks, unknown node types) keep dedicated threads.
-  WorkerPoolOptions pool_options;
-  if (options_.workers.has_value()) {
-    pool_options.workers = *options_.workers;
-  } else {
-    for (Topology* topology : topologies_) {
-      pool_options.workers = std::max(pool_options.workers, topology->workers());
-    }
-  }
-  pool_ = std::make_unique<WorkerPool>(pool_options);
-  std::vector<Node*> pinned;
-  for (uint32_t q = 0; q < topologies_.size(); ++q) {
-    for (auto& node : topologies_[q]->nodes()) {
-      if (node->NeedsDedicatedThread()) {
-        pinned.push_back(node.get());
-      } else {
-        pool_->AddNode(node.get(), q);
-      }
-    }
-  }
-  // Start the pool (which attaches the edge signal hooks) before any pinned
-  // node thread runs: a pinned producer's first Push may race the signal
-  // attachment otherwise.
-  pool_->Start([this](std::exception_ptr error) { RecordFailure(error); });
-  for (Node* node : pinned) spawn_thread(node);
 }
 
 void Runner::Join() {

@@ -1,8 +1,9 @@
 // Query topology and execution.
 //
 // A Topology owns the operator nodes of one SPE instance and wires streams
-// between them; a Runner executes one or more topologies, one thread per node
-// (the Liebre model), propagating the first failure by aborting all queues.
+// between them; a Runner executes one or more topologies, on a thread per node
+// (the Liebre model) or a shared worker pool, propagating the first failure
+// by aborting all queues.
 #ifndef GENEALOG_SPE_TOPOLOGY_H_
 #define GENEALOG_SPE_TOPOLOGY_H_
 
@@ -125,10 +126,12 @@ struct RunnerOptions {
 //   runner.Start();
 //   runner.Join();   // rethrows the first node failure, if any
 //
-// Thread-per-node mode gives every node its own thread (the Liebre model).
-// Pool mode hands schedulable nodes to one shared morsel-driven WorkerPool
-// (see spe/scheduler.h) keyed by topology index for fairness; nodes that
-// report NeedsDedicatedThread() keep a thread of their own either way.
+// Every node runs the same body, Node::Step, in one of two places. Under the
+// pool, nodes join one shared morsel-driven WorkerPool (see spe/scheduler.h)
+// keyed by topology index for fairness, and Step runs in bounded quanta.
+// Every other node — all of them under thread-per-node (the Liebre model),
+// and those reporting NeedsDedicatedThread() under the pool — gets a
+// dedicated thread that steps it once with an unbounded budget.
 class Runner {
  public:
   explicit Runner(std::vector<Topology*> topologies, RunnerOptions options = {});

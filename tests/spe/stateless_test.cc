@@ -329,6 +329,106 @@ TEST(SourceTest, StopFlagEndsEmissionEarly) {
   EXPECT_GT(collector.tuples().size(), 0u);
 }
 
+// Records every tuple (ts and stimulus) and watermark reaching it, in
+// order. It pops nothing before `source` has counted `total` emissions, so
+// at batch size 1 the queue keeps each tuple and the watermark it carries
+// apart from the next, and the record is the exact emission sequence rather
+// than one that depends on when the queue was drained.
+class EmissionProbe final : public SingleInputNode {
+ public:
+  struct Event {
+    bool is_tuple;
+    int64_t value;  // tuple ts or watermark
+    bool operator==(const Event&) const = default;
+  };
+
+  EmissionProbe(std::string name, const Node* source, uint64_t total)
+      : SingleInputNode(std::move(name)), source_(source), total_(total) {}
+
+  StepResult Step(size_t max_batches) override {
+    if (source_->tuples_processed() < total_) {
+      // A pool task parks and is re-armed by the source's next push; a
+      // dedicated thread steps again.
+      std::this_thread::yield();
+      return StepResult::kIdle;
+    }
+    return SingleInputNode::Step(max_batches);
+  }
+
+  const std::vector<Event>& events() const { return events_; }
+  const std::vector<int64_t>& stimuli() const { return stimuli_; }
+
+ protected:
+  void OnTuple(TuplePtr t) override {
+    events_.push_back({true, t->ts});
+    stimuli_.push_back(t->stimulus);
+  }
+  void OnWatermark(int64_t wm) override { events_.push_back({false, wm}); }
+
+ private:
+  const Node* source_;
+  uint64_t total_;
+  std::vector<Event> events_;
+  std::vector<int64_t> stimuli_;
+};
+
+struct EmissionRecord {
+  std::vector<EmissionProbe::Event> events;
+  std::vector<int64_t> stimuli;
+};
+
+EmissionRecord RunReplayingSource(SchedulerMode scheduler, double rate_tps,
+                                  size_t batch_size) {
+  // Equal neighbours (a swallowed watermark) and a lap boundary whose
+  // watermark promises the next lap's first ts.
+  const auto data = Values({{1, 1}, {2, 2}, {2, 3}, {5, 4}});
+  SourceOptions options;
+  options.max_rate_tps = rate_tps;
+  options.replays = 3;
+  options.replay_ts_shift = 10;
+  Topology topo;
+  topo.set_scheduler(scheduler);
+  topo.set_workers(2);
+  auto* source =
+      topo.Add<VectorSourceNode<ValueTuple>>("src", data, options);
+  auto* probe = topo.Add<EmissionProbe>("probe", source,
+                                        data.size() * options.replays);
+  topo.Connect(source, probe, kDefaultQueueCapacity, batch_size);
+  EXPECT_EQ(source->NeedsDedicatedThread(), rate_tps > 0);
+  RunToCompletion(topo);
+  return {probe->events(), probe->stimuli()};
+}
+
+TEST(SourceTest, PacedReplayMatchesUnpaced) {
+  const EmissionRecord unpaced =
+      RunReplayingSource(SchedulerMode::kThreadPerNode, 0, 1);
+  using E = EmissionProbe::Event;
+  const std::vector<E> expected = {
+      {true, 1},   {false, 2},  {true, 2},   {true, 2},   {false, 5},
+      {true, 5},   {false, 11}, {true, 11},  {false, 12}, {true, 12},
+      {true, 12},  {false, 15}, {true, 15},  {false, 21}, {true, 21},
+      {false, 22}, {true, 22},  {true, 22},  {false, 25}, {true, 25}};
+  ASSERT_EQ(unpaced.events, expected);
+
+  for (SchedulerMode mode :
+       {SchedulerMode::kThreadPerNode, SchedulerMode::kPool}) {
+    SCOPED_TRACE(mode == SchedulerMode::kPool ? "pool" : "thread-per-node");
+    // ~2000 t/s: 12 tuples take ~6 ms.
+    const EmissionRecord paced = RunReplayingSource(mode, 2000, 1);
+    EXPECT_EQ(paced.events, unpaced.events);
+    // A paced source stamps every tuple with its own stimulus, and so it
+    // does at a batch size that would share one per chunk unpaced.
+    const EmissionRecord chunked =
+        RunReplayingSource(mode, 2000, kDefaultBatchSize);
+    for (const EmissionRecord* record : {&paced, &chunked}) {
+      ASSERT_EQ(record->stimuli.size(), 12u);
+      for (size_t i = 1; i < record->stimuli.size(); ++i) {
+        EXPECT_GT(record->stimuli[i], record->stimuli[i - 1]) << "tuple " << i;
+      }
+    }
+  }
+}
+
 TEST(SourceTest, RateLimitThrottlesEmission) {
   Topology topo;
   SourceOptions options;

@@ -19,6 +19,7 @@
 
 #include "common/rng.h"
 #include "spe/batch_queue.h"
+#include "spe/node.h"
 #include "testing/test_tuples.h"
 
 namespace genealog {
@@ -91,18 +92,29 @@ TEST(StreamQueueTest, AbortRejectsPushAndDrainsPops) {
   StreamQueue queue(8);
   queue.Push(StreamBatch::MakeTuple(V(1, 1)), 1);
   queue.Push(StreamBatch::MakeTuple(V(2, 2)), 1);
+  queue.Push(StreamBatch::MakeTuple(V(3, 3)), 1);
   queue.Abort();
-  EXPECT_FALSE(queue.Push(StreamBatch::MakeTuple(V(3, 3)), 1));
+  EXPECT_FALSE(queue.Push(StreamBatch::MakeTuple(V(4, 4)), 1));
   // Post-abort pushes must not have coalesced into the dead tail either.
   auto a = queue.Pop();
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->tuples.size(), 1u);
-  auto b = queue.Pop();
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->tuples.size(), 1u);
-  EXPECT_FALSE(queue.Pop().has_value());
+  // The waiting pop dedicated nodes make returns the residue first, bounded
+  // by its budget, and only then reports the abort.
   std::vector<StreamBatch> rest;
-  EXPECT_FALSE(queue.PopMany(rest));
+  ASSERT_EQ(queue.PopSome(rest, 1, /*wait=*/true), PopStatus::kPopped);
+  ASSERT_EQ(rest.size(), 1u);
+  EXPECT_EQ(rest[0].tuples[0]->ts, 2);
+  ASSERT_EQ(queue.PopSome(rest, kUnbounded, /*wait=*/true),
+            PopStatus::kPopped);
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[1].tuples.size(), 1u);
+  EXPECT_FALSE(queue.Pop().has_value());
+  EXPECT_EQ(queue.PopSome(rest, kUnbounded, /*wait=*/true),
+            PopStatus::kAborted);
+  EXPECT_EQ(queue.PopSome(rest, kUnbounded, /*wait=*/false),
+            PopStatus::kAborted);
+  EXPECT_EQ(rest.size(), 2u);
 }
 
 TEST(StreamQueueTest, AbortUnblocksParkedProducer) {
@@ -131,9 +143,17 @@ TEST(StreamQueueTest, AbortUnblocksParkedConsumer) {
   std::thread consumer([&] {
     EXPECT_FALSE(queue.Pop().has_value());  // blocks until abort, then empty
   });
+  std::thread burst_consumer([&] {
+    // The dedicated-thread pop: waits while empty, then reports the abort.
+    std::vector<StreamBatch> out;
+    EXPECT_EQ(queue.PopSome(out, kUnbounded, /*wait=*/true),
+              PopStatus::kAborted);
+    EXPECT_TRUE(out.empty());
+  });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   queue.Abort();
   consumer.join();
+  burst_consumer.join();
 }
 
 // --- readiness hook ----------------------------------------------------------
@@ -172,11 +192,11 @@ TEST(StreamQueueSignalTest, PushFiresDataReadyWaitingPopFiresRoomFreedOnce) {
 
   // The first pop after the declaration claims it: exactly one RoomFreed.
   std::vector<StreamBatch> out;
-  ASSERT_EQ(queue.TryPopSome(out, 8), PopStatus::kPopped);
+  ASSERT_EQ(queue.PopSome(out, 8, /*wait=*/false), PopStatus::kPopped);
   EXPECT_EQ(signal.room_freed, 1);
   ASSERT_EQ(queue.TryPush(blocked, 1), PushStatus::kOk);
   EXPECT_EQ(signal.data_ready, 4);
-  ASSERT_EQ(queue.TryPopSome(out, 8), PopStatus::kPopped);
+  ASSERT_EQ(queue.PopSome(out, 8, /*wait=*/false), PopStatus::kPopped);
   EXPECT_EQ(signal.room_freed, 1);  // the claim was spent
   EXPECT_EQ(out.size(), 2u);
 
@@ -185,7 +205,7 @@ TEST(StreamQueueSignalTest, PushFiresDataReadyWaitingPopFiresRoomFreedOnce) {
   queue.Abort();
   EXPECT_EQ(signal.data_ready, 5);
   EXPECT_EQ(signal.room_freed, 2);
-  EXPECT_EQ(queue.TryPopSome(out, 8), PopStatus::kAborted);
+  EXPECT_EQ(queue.PopSome(out, 8, /*wait=*/false), PopStatus::kAborted);
   EXPECT_EQ(signal.room_freed, 2);
   queue.set_signal(nullptr);
 }
@@ -197,13 +217,14 @@ struct StressConfig {
   int batches = 1'000'000;
   size_t capacity = 256;
   size_t max_coalesce = 16;
-  bool use_pop_many = true;
+  bool use_pop_some = true;
 };
 
 // Producer: `batches` randomized batches — ~70% data (1-3 tuples carrying a
 // global sequence number in `value`), ~30% watermark advances — with
-// occasional stalls, then a final flush. Consumer: Pop/PopMany with its own
-// stalls. Asserts the full stream contract on the consumer side.
+// occasional stalls, then a final flush. Consumer: Pop or the waiting,
+// unbounded PopSome that dedicated node threads make, with its own stalls.
+// Asserts the full stream contract on the consumer side.
 void RunStress(const StressConfig& config) {
   StreamQueue queue(config.capacity);
 
@@ -242,8 +263,9 @@ void RunStress(const StressConfig& config) {
   std::vector<StreamBatch> burst;
   while (!flushed) {
     burst.clear();
-    if (config.use_pop_many && rng.UniformInt(0, 1) == 0) {
-      ASSERT_TRUE(queue.PopMany(burst));
+    if (config.use_pop_some && rng.UniformInt(0, 1) == 0) {
+      ASSERT_EQ(queue.PopSome(burst, kUnbounded, /*wait=*/true),
+                PopStatus::kPopped);
     } else {
       auto batch = queue.Pop();
       ASSERT_TRUE(batch.has_value());
@@ -303,7 +325,7 @@ TEST(StreamQueueStressTest, PopOnlyConsumerKeepsOrder) {
   StressConfig config;
   config.seed = 13;
   config.batches = 200'000;
-  config.use_pop_many = false;
+  config.use_pop_some = false;
   RunStress(config);
 }
 
@@ -331,12 +353,18 @@ TEST(StreamQueueStressTest, AbortMidStreamDrainsExactPrefix) {
   producer.join();
   // The drain must be an exact prefix of the pushed sequence: every batch
   // that entered the queue arrives, in order, nothing after — the batch
-  // whose push failed never entered.
-  while (auto batch = queue.Pop()) {
-    for (const TuplePtr& t : batch->tuples) {
-      ASSERT_EQ(static_cast<const testing::ValueTuple&>(*t).value, next);
-      ++next;
+  // whose push failed never entered. The waiting pop a dedicated node makes
+  // returns the residue first and only then reports the abort.
+  std::vector<StreamBatch> burst;
+  while (queue.PopSome(burst, kUnbounded, /*wait=*/true) ==
+         PopStatus::kPopped) {
+    for (const StreamBatch& batch : burst) {
+      for (const TuplePtr& t : batch.tuples) {
+        ASSERT_EQ(static_cast<const testing::ValueTuple&>(*t).value, next);
+        ++next;
+      }
     }
+    burst.clear();
   }
   EXPECT_EQ(next, pushed.load());
   EXPECT_FALSE(queue.TryPop().has_value());

@@ -14,7 +14,9 @@ namespace {
 class IdProbe final : public Node {
  public:
   IdProbe() : Node("id_probe") {}
-  void Run() override {}
+  StepResult Step(size_t /*max_batches*/) override {
+    return StepResult::kDone;
+  }
   uint64_t Next() { return NextTupleId(); }
   void StartSequenceAt(uint64_t seq) { StartSequenceAtForTesting(seq); }
   static constexpr int kSeqBits = kTupleSeqBits;
