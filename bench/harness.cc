@@ -310,10 +310,10 @@ void WriteBenchJson(const std::string& bench, const BenchEnv& env,
   std::fprintf(f,
                "{\n  \"bench\": \"%s\",\n  \"reps\": %d,\n"
                "  \"scale\": %g,\n  \"replays\": %d,\n"
-               "  \"wire_codec\": \"%s\",\n  \"wire_block_compress\": %s,\n  ",
+               "  \"wire_codec\": \"%s\",\n  ",
                bench.c_str(), env.reps, env.scale, env.replays,
-               env.engine.wire_codec == WireCodec::kCompact ? "compact" : "raw",
-               env.engine.wire_block_compress ? "true" : "false");
+               env.engine.wire_codec == WireCodec::kCompact ? "compact"
+                                                             : "raw");
   WritePoolStatsFields(f);
   std::fprintf(f, ",\n  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {

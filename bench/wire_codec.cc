@@ -12,8 +12,8 @@
 // and the provenance files of the two runs are compared canonically — the
 // compact codec must be invisible in the decoded provenance. Results land in
 // BENCH_wire.json. The binary fails (and with it CI bench-smoke) when the
-// end-to-end U-stream ratio or the micro's compact-without-LZ ratio falls
-// below 2x, or when the decoded provenance differs across codecs.
+// end-to-end U-stream ratio or the micro's compact ratio falls below 2x, or
+// when the decoded provenance differs across codecs.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -82,9 +82,9 @@ struct MicroResult {
   }
 };
 
-MicroResult RunMicro(const WireCodecOptions& opts,
-                     const std::vector<TuplePtr>& u, size_t batch_size) {
-  FrameEncoder encoder(opts);
+MicroResult RunMicro(WireCodec codec, const std::vector<TuplePtr>& u,
+                     size_t batch_size) {
+  FrameEncoder encoder(codec);
   std::vector<std::vector<uint8_t>> frames;
   const int64_t enc_start = NowNanos();
   for (size_t i = 0; i < u.size(); i += batch_size) {
@@ -215,20 +215,19 @@ int Main() {
 
   struct MicroRow {
     const char* name;
-    WireCodecOptions opts;
+    WireCodec codec;
     MicroResult result;
   };
   std::vector<MicroRow> micro = {
-      {"raw", {WireCodec::kRaw, false}, {}},
-      {"compact", {WireCodec::kCompact, false}, {}},
-      {"compact+lz", {WireCodec::kCompact, true}, {}},
+      {"raw", WireCodec::kRaw, {}},
+      {"compact", WireCodec::kCompact, {}},
   };
   std::printf("U-stream micro (%zu tuples, batch %zu)\n", micro_tuples, batch);
   std::printf("---------------------------------------------------------\n");
   for (MicroRow& row : micro) {
     // Warm-up pass (page-in, dictionaries), then the measured pass.
-    RunMicro(row.opts, u, batch);
-    row.result = RunMicro(row.opts, u, batch);
+    RunMicro(row.codec, u, batch);
+    row.result = RunMicro(row.codec, u, batch);
     std::printf(
         "%-10s | encode %7.1f ns/t | decode %7.1f ns/t | %9llu B | %5.2fx\n",
         row.name, row.result.encode_ns_per_tuple,
@@ -237,13 +236,12 @@ int Main() {
         row.result.ratio());
   }
 
-  // Compact without LZ isolates the codec's structural coding (each derived
-  // tuple once per frame, dictionary-coded nested headers) from the block
-  // compressor, so a regression to per-tuple nested payloads shows here.
+  // The compact ratio is the codec's structural coding (each derived tuple
+  // once per frame, dictionary-coded nested headers), so a regression to
+  // per-tuple nested payloads shows here.
   const double micro_compact_ratio = micro[1].result.ratio();
-  std::printf(
-      "U-stream micro compact (no LZ) reduction: %.2fx (target >= 2x)\n",
-      micro_compact_ratio);
+  std::printf("U-stream micro compact reduction: %.2fx (target >= 2x)\n",
+              micro_compact_ratio);
 
   // --- end-to-end: Q1 distributed GL, raw vs compact ------------------------
   const std::string dir = env.json_dir.empty() ? "." : env.json_dir;
@@ -334,8 +332,8 @@ int Main() {
   }
   if (micro_compact_ratio < 2.0) {
     std::fprintf(stderr,
-                 "FAIL: micro U-stream compact (no LZ) reduction %.2fx below "
-                 "the 2x target\n",
+                 "FAIL: micro U-stream compact reduction %.2fx below the 2x "
+                 "target\n",
                  micro_compact_ratio);
     return 1;
   }

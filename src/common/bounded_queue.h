@@ -1,7 +1,7 @@
-// Bounded blocking queue — the generic building block behind the in-memory
-// byte channels (frame queues) and anything else that needs a simple
-// mutex+condvar stream between two threads. The operator-to-operator streams
-// of the SPE use the batch-aware StreamQueue (spe/batch_queue.h) instead.
+// Bounded blocking queue — the frame queue behind InMemoryChannel
+// (net/channel.h), a plain mutex+condvar FIFO between the Send and Receive
+// threads of one in-process channel. The operator-to-operator streams of the
+// SPE use the batch-aware StreamQueue (spe/batch_queue.h) instead.
 //
 // Back-pressure is provided by the capacity bound: producers block when the
 // consumer is slower. The busy-path cost is kept low the same way as in
@@ -32,29 +32,6 @@ class BoundedQueue {
     std::unique_lock lock(mu_);
     WaitNotFull(lock);
     if (aborted_) return false;
-    items_.push_back(std::move(item));
-    NotifyConsumers(lock);
-    return true;
-  }
-
-  // Push with coalescing: if `try_merge(tail, item)` absorbs the new item
-  // into the current tail, no slot is consumed (and a full queue does not
-  // block). Streams use this to collapse consecutive watermarks, which
-  // otherwise dominate queue traffic at high fan-out.
-  template <typename Merge>
-  bool PushCoalesce(T item, Merge&& try_merge) {
-    std::unique_lock lock(mu_);
-    if (aborted_) return false;
-    if (!items_.empty() && try_merge(items_.back(), item)) {
-      NotifyConsumers(lock);
-      return true;
-    }
-    WaitNotFull(lock);
-    if (aborted_) return false;
-    if (!items_.empty() && try_merge(items_.back(), item)) {
-      NotifyConsumers(lock);
-      return true;
-    }
     items_.push_back(std::move(item));
     NotifyConsumers(lock);
     return true;

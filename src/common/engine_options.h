@@ -22,7 +22,6 @@
 // | lineage_retain_span    | GENEALOG_LINEAGE_RETAIN_SPAN    | 0 (= no horizon)   |
 // | lineage_serve_addr | GENEALOG_LINEAGE_SERVE_ADDR | "" (= no serving) |
 // | wire_codec       | GENEALOG_WIRE_CODEC      | compact         |
-// | wire_block_compress | GENEALOG_WIRE_BLOCK_COMPRESS | on (compact only) |
 // | use_tcp          | —                        | off             |
 // | composed_unfolders | —                      | off             |
 //
@@ -66,10 +65,10 @@ enum class SchedulerMode : uint8_t { kThreadPerNode, kPool };
 //    another (a batch-size-1 deployment puts the seed's exact frame sequence
 //    on the wire);
 //  * kCompact — delta/zigzag/varint tuple ids and timestamps, per-channel
-//    dictionaries for node uids and tuple type descriptors, and (with
-//    wire_block_compress) an LZ block compressor over the encoded body when
-//    it wins. Sender-driven: the receiver decodes whatever codec each frame
-//    announces, so the knob only needs to reach the Send side.
+//    dictionaries for node uids and tuple type descriptors, and structural
+//    coding of unfolded (U) tuples. Sender-driven: the receiver decodes
+//    whatever codec each frame announces, so the knob only needs to reach
+//    the Send side.
 enum class WireCodec : uint8_t { kRaw = 0, kCompact = 1 };
 
 // The enum-valued knobs, parsed like the boolean and count knobs in
@@ -148,10 +147,6 @@ inline WireCodec WireCodecDefault() {
       WireCodec::kCompact);
   return v;
 }
-inline bool WireBlockCompress() {
-  static const bool v = EnvBoolKnob("GENEALOG_WIRE_BLOCK_COMPRESS", true);
-  return v;
-}
 
 }  // namespace engine_defaults
 
@@ -199,10 +194,9 @@ struct EngineOptions {
   // frames and is decoded back to the exact raw tuple stream;
   // GENEALOG_WIRE_CODEC=raw keeps the seed wire format.
   WireCodec wire_codec = engine_defaults::WireCodecDefault();
-  // Under kCompact, additionally run the dependency-free LZ block compressor
-  // over each encoded frame body and keep the compressed form when smaller.
-  // Ignored under kRaw.
-  bool wire_block_compress = engine_defaults::WireBlockCompress();
+  // Not a setting; edgebench's EngineJson reads it. False: compact frame
+  // bodies ship as encoded, with no block compressor.
+  static constexpr bool wire_block_compress = false;
   // Distributed deployments: TCP loopback channels when true, in-memory
   // serializing channels otherwise.
   bool use_tcp = false;

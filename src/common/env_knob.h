@@ -34,8 +34,7 @@ inline bool KnobUnset(const char* value) {
                               "\": expected " + expected);
 }
 
-// Boolean knobs (GENEALOG_LINEAGE_STORE, GENEALOG_WIRE_BLOCK_COMPRESS):
-// exactly "0" or "1".
+// Boolean knobs (GENEALOG_LINEAGE_STORE): exactly "0" or "1".
 inline bool ParseBoolKnob(const char* name, const char* value, bool fallback) {
   if (KnobUnset(value)) return fallback;
   if (std::strcmp(value, "0") == 0) return false;

@@ -26,13 +26,12 @@ struct Crossing {
 };
 
 // Places one serializing channel from `from` to `to`: a Send node
-// "send.<tag>" carrying the engine's wire-codec knobs (registered for
+// "send.<tag>" carrying the engine's wire codec (registered for
 // BuiltDataflow::wire_stats()) and its Receive node "recv.<tag>".
 Crossing WeaveCrossing(BuiltDataflow& out, Topology& from, Topology& to,
                        const std::string& tag, const EngineOptions& engine) {
   ChannelEnds ch = AddChannelTo(out.channels, engine.use_tcp);
-  auto* send =
-      from.Add<SendNode>("send." + tag, ch.send, WireCodecFrom(engine));
+  auto* send = from.Add<SendNode>("send." + tag, ch.send, engine.wire_codec);
   out.send_nodes.push_back(send);
   return {send, to.Add<ReceiveNode>("recv." + tag, ch.recv)};
 }

@@ -173,8 +173,7 @@ void LineageService::ServeConnection(std::shared_ptr<TcpChannel> channel) {
       resp.error = e.what();
       stream_ok = false;
     }
-    std::vector<uint8_t> out =
-        EncodeLineageResponse(resp, options_.compress_responses);
+    std::vector<uint8_t> out = EncodeLineageResponse(resp);
     const size_t out_bytes = out.size();
     const bool sent = channel->SendFrame(std::move(out));
     const double latency_us =

@@ -63,8 +63,6 @@ struct LineageServiceOptions {
   // Upper bound on concurrent connection-serving threads; the accept loop
   // parks when every slot is busy.
   size_t max_connections = 4;
-  // LZ-compress response bodies when that wins (protocol flag bit 0).
-  bool compress_responses = true;
   // Honor the kShutdown op (CLI serve/connect pairs and tests use it for
   // deterministic teardown); off by default — a remote peer must not be able
   // to stop an operator console's service unasked.

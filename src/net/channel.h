@@ -39,9 +39,6 @@ class ByteChannel : public Abortable {
 
   // Total payload bytes accepted by SendFrame, for network-volume metrics.
   virtual uint64_t bytes_sent() const = 0;
-  // Frames accepted by SendFrame — together with bytes_sent this gives the
-  // mean frame size, the denominator the wire-codec metrics report against.
-  virtual uint64_t frames_sent() const = 0;
 };
 
 class InMemoryChannel final : public ByteChannel {
@@ -53,12 +50,10 @@ class InMemoryChannel final : public ByteChannel {
   void CloseSend() override;
   void Abort() override;
   uint64_t bytes_sent() const override;
-  uint64_t frames_sent() const override;
 
  private:
   BoundedQueue<std::vector<uint8_t>> queue_;
   std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> frames_sent_{0};
 };
 
 class TcpChannel final : public ByteChannel {
@@ -75,12 +70,10 @@ class TcpChannel final : public ByteChannel {
   void CloseSend() override;
   void Abort() override;
   uint64_t bytes_sent() const override;
-  uint64_t frames_sent() const override;
 
  private:
   int fd_;
   std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> frames_sent_{0};
 };
 
 // Creates a connected (sender, receiver) TCP pair over loopback.

@@ -1,8 +1,5 @@
 #include "net/frame.h"
 
-#include <algorithm>
-#include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -56,13 +53,8 @@ TupleKind WireKind(const Tuple& t, bool remotify) {
   return t.kind == TupleKind::kSource ? TupleKind::kSource : TupleKind::kRemote;
 }
 
-// Compact frame header flags.
-constexpr uint8_t kFlagCompressed = 0x1;
+// Compact frame header flags. Bit 0 is reserved.
 constexpr uint8_t kFlagHasWatermark = 0x2;
-
-// Guard against hostile declared sizes before allocating (matches the TCP
-// transport's frame bound).
-constexpr uint64_t kMaxDeclaredBytes = 64ull << 20;
 
 }  // namespace
 
@@ -72,15 +64,6 @@ void PutVarint(ByteWriter& w, uint64_t v) {
     v >>= 7;
   }
   w.PutU8(static_cast<uint8_t>(v));
-}
-
-size_t VarintSize(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
 }
 
 uint64_t GetVarint(ByteReader& r) {
@@ -187,139 +170,6 @@ DecodedFrame DecodeFrame(const std::vector<uint8_t>& frame) {
   return out;
 }
 
-// --- LZ block compressor ----------------------------------------------------
-
-std::vector<uint8_t> LzBlockCompress(std::span<const uint8_t> in) {
-  const size_t n = in.size();
-  std::vector<uint8_t> out;
-  out.reserve(n / 2 + 16);
-
-  const auto emit = [&](size_t lit_start, size_t lit_len, size_t match_len,
-                        size_t offset) {
-    const size_t ml = match_len >= 4 ? match_len - 4 : 0;
-    out.push_back(static_cast<uint8_t>(
-        (std::min<size_t>(lit_len, 15) << 4) | std::min<size_t>(ml, 15)));
-    if (lit_len >= 15) {
-      size_t rest = lit_len - 15;
-      for (; rest >= 255; rest -= 255) out.push_back(255);
-      out.push_back(static_cast<uint8_t>(rest));
-    }
-    out.insert(out.end(), in.begin() + lit_start,
-               in.begin() + lit_start + lit_len);
-    if (match_len == 0) return;  // final literals carry no match
-    out.push_back(static_cast<uint8_t>(offset & 0xFF));
-    out.push_back(static_cast<uint8_t>(offset >> 8));
-    if (ml >= 15) {
-      size_t rest = ml - 15;
-      for (; rest >= 255; rest -= 255) out.push_back(255);
-      out.push_back(static_cast<uint8_t>(rest));
-    }
-  };
-
-  size_t anchor = 0;
-  if (n >= 5) {
-    constexpr int kHashBits = 13;
-    std::vector<uint32_t> table(size_t{1} << kHashBits, 0);  // position + 1
-    const auto hash4 = [&](size_t p) {
-      uint32_t v;
-      std::memcpy(&v, in.data() + p, 4);
-      return (v * 2654435761u) >> (32 - kHashBits);
-    };
-    size_t pos = 0;
-    const size_t last_start = n - 4;  // last position a 4-byte probe fits
-    while (pos <= last_start) {
-      const uint32_t h = hash4(pos);
-      const uint32_t cand = table[h];
-      table[h] = static_cast<uint32_t>(pos + 1);
-      if (cand != 0) {
-        const size_t mstart = cand - 1;
-        if (pos - mstart <= 0xFFFF &&
-            std::memcmp(in.data() + mstart, in.data() + pos, 4) == 0) {
-          size_t len = 4;
-          while (pos + len < n && in[mstart + len] == in[pos + len]) ++len;
-          emit(anchor, pos - anchor, len, pos - mstart);
-          pos += len;
-          anchor = pos;
-          continue;
-        }
-      }
-      ++pos;
-    }
-  }
-  // Final literals-only sequence. When a match consumed the input to its very
-  // end there is nothing left to flush — the decompressor stops at raw_size,
-  // so an empty trailing token would be unread garbage. The empty input still
-  // emits its single zero token so the block is never zero bytes.
-  if (anchor < n || n == 0) emit(anchor, n - anchor, 0, 0);
-  return out;
-}
-
-std::vector<uint8_t> LzBlockDecompress(std::span<const uint8_t> in,
-                                       size_t raw_size) {
-  if (raw_size == 0) {
-    // LzBlockCompress({}) emits the single zero token.
-    if (!in.empty() && !(in.size() == 1 && in[0] == 0)) {
-      throw std::runtime_error("LzBlockDecompress: trailing bytes");
-    }
-    return {};
-  }
-  std::vector<uint8_t> out(raw_size);
-  size_t op = 0;  // bytes of `out` written so far
-  size_t pos = 0;
-  const auto need = [&](size_t k) {
-    if (in.size() - pos < k) {
-      throw std::runtime_error("LzBlockDecompress: truncated input");
-    }
-  };
-  const auto extend = [&](size_t base) {
-    if (base != 15) return base;
-    uint8_t b;
-    do {
-      need(1);
-      b = in[pos++];
-      base += b;
-    } while (b == 255);
-    return base;
-  };
-  while (op < raw_size) {
-    need(1);
-    const uint8_t token = in[pos++];
-    const size_t lit = extend(token >> 4);
-    need(lit);
-    if (lit > raw_size - op) {
-      throw std::runtime_error("LzBlockDecompress: literals overflow size");
-    }
-    if (lit > 0) std::memcpy(out.data() + op, in.data() + pos, lit);
-    op += lit;
-    pos += lit;
-    if (op == raw_size) break;
-    need(2);
-    const size_t offset =
-        static_cast<size_t>(in[pos]) | (static_cast<size_t>(in[pos + 1]) << 8);
-    pos += 2;
-    if (offset == 0 || offset > op) {
-      throw std::runtime_error("LzBlockDecompress: bad match offset");
-    }
-    const size_t match_len = extend(token & 0xF) + 4;
-    if (match_len > raw_size - op) {
-      throw std::runtime_error("LzBlockDecompress: match overflows size");
-    }
-    uint8_t* dst = out.data() + op;
-    const uint8_t* src = dst - offset;
-    if (offset >= match_len) {
-      std::memcpy(dst, src, match_len);
-    } else {
-      // Overlapping match: a byte-wise copy replicates the run.
-      for (size_t i = 0; i < match_len; ++i) dst[i] = src[i];
-    }
-    op += match_len;
-  }
-  if (pos != in.size()) {
-    throw std::runtime_error("LzBlockDecompress: trailing bytes");
-  }
-  return out;
-}
-
 // --- compact codec ----------------------------------------------------------
 
 uint64_t FrameEncoder::PutHeader(ByteWriter& body, const Tuple& t,
@@ -406,15 +256,18 @@ uint64_t FrameEncoder::PutUnfoldedPayload(ByteWriter& body,
 std::vector<uint8_t> FrameEncoder::EncodeCompactBatch(
     std::span<const Tuple* const> tuples, int64_t watermark, bool remotify) {
   const bool has_wm = watermark != kNoWatermark;
-  ByteWriter body;
-  PutVarint(body, tuples.size());
-  if (has_wm) PutZigzag(body, watermark);
+  ByteWriter frame;
+  frame.PutU8(static_cast<uint8_t>(FrameKind::kCompactBatch));
+  frame.PutU8(generation_);
+  frame.PutU8(has_wm ? kFlagHasWatermark : 0);
+  PutVarint(frame, tuples.size());
+  if (has_wm) PutZigzag(frame, watermark);
 
   frame_derived_.clear();  // a freed derived's address may be reused
   uint64_t raw_tuple_bytes = 0;
   for (const Tuple* t : tuples) {
     raw_tuple_bytes +=
-        PutTuple(body, *t, WireKind(*t, remotify), WireRole::kOuter);
+        PutTuple(frame, *t, WireKind(*t, remotify), WireRole::kOuter);
   }
 
   // What the raw Send path would have shipped for this StreamBatch: one batch
@@ -425,27 +278,6 @@ std::vector<uint8_t> FrameEncoder::EncodeCompactBatch(
   } else {
     raw_equiv = (tuples.size() == 1 ? 1 + raw_tuple_bytes : 0) +
                 (has_wm ? kRawWatermarkFrameBytes : 0);
-  }
-
-  std::vector<uint8_t> body_bytes = body.TakeBytes();
-  ByteWriter frame;
-  frame.PutU8(static_cast<uint8_t>(FrameKind::kCompactBatch));
-  frame.PutU8(generation_);
-  uint8_t flags = has_wm ? kFlagHasWatermark : 0;
-  std::vector<uint8_t> compressed;
-  if (opts_.block_compress) {
-    compressed = LzBlockCompress(body_bytes);
-    if (compressed.size() + VarintSize(body_bytes.size()) <
-        body_bytes.size()) {
-      flags |= kFlagCompressed;
-    }
-  }
-  frame.PutU8(flags);
-  if ((flags & kFlagCompressed) != 0) {
-    PutVarint(frame, body_bytes.size());
-    frame.PutBytes(compressed.data(), compressed.size());
-  } else {
-    frame.PutBytes(body_bytes.data(), body_bytes.size());
   }
 
   std::vector<uint8_t> out = frame.TakeBytes();
@@ -459,7 +291,7 @@ std::vector<std::vector<uint8_t>> FrameEncoder::EncodeBatch(
     std::span<const TuplePtr> tuples, int64_t watermark, bool remotify) {
   const bool has_wm = watermark != kNoWatermark;
   std::vector<std::vector<uint8_t>> frames;
-  if (opts_.codec == WireCodec::kCompact) {
+  if (codec_ == WireCodec::kCompact) {
     if (tuples.empty() && !has_wm) return frames;
     std::vector<const Tuple*> ptrs;
     ptrs.reserve(tuples.size());
@@ -487,7 +319,7 @@ std::vector<std::vector<uint8_t>> FrameEncoder::EncodeBatch(
 }
 
 std::vector<uint8_t> FrameEncoder::EncodeTuple(const Tuple& t, bool remotify) {
-  if (opts_.codec == WireCodec::kCompact) {
+  if (codec_ == WireCodec::kCompact) {
     const Tuple* ptr = &t;
     return EncodeCompactBatch(std::span<const Tuple* const>(&ptr, 1),
                               kNoWatermark, remotify);
@@ -549,43 +381,28 @@ DecodedFrame FrameDecoder::DecodeCompactBatch(
     for (WireDeltas& d : last_) d = {};
   }
   const uint8_t flags = r.GetU8();
-  if ((flags & ~(kFlagCompressed | kFlagHasWatermark)) != 0) {
+  if ((flags & ~kFlagHasWatermark) != 0) {
     throw std::runtime_error("compact frame: unknown flags");
   }
 
-  std::vector<uint8_t> decompressed;
-  std::optional<ByteReader> storage;
-  ByteReader* body = &r;
-  if ((flags & kFlagCompressed) != 0) {
-    const uint64_t raw_size = GetVarint(r);
-    if (raw_size > kMaxDeclaredBytes) {
-      throw std::runtime_error("compact frame: declared body too large");
-    }
-    decompressed = LzBlockDecompress(
-        std::span<const uint8_t>(frame).last(r.remaining()),
-        static_cast<size_t>(raw_size));
-    storage.emplace(decompressed);
-    body = &*storage;
-  }
-
-  const uint64_t count = GetVarint(*body);
+  const uint64_t count = GetVarint(r);
   // Every encoded tuple costs at least one body byte, so a count beyond the
   // remaining bytes is malformed — reject before reserving for it.
-  if (count > body->remaining()) {
+  if (count > r.remaining()) {
     throw std::runtime_error("compact frame: declared count too large");
   }
   DecodedFrame out;
   out.kind = FrameKind::kCompactBatch;
   out.watermark =
-      (flags & kFlagHasWatermark) != 0 ? GetZigzag(*body) : kNoWatermark;
+      (flags & kFlagHasWatermark) != 0 ? GetZigzag(r) : kNoWatermark;
   out.tuples.reserve(static_cast<size_t>(count));
 
   frame_derived_.clear();
   for (uint64_t i = 0; i < count; ++i) {
-    out.tuples.push_back(GetTuple(*body, WireRole::kOuter));
+    out.tuples.push_back(GetTuple(r, WireRole::kOuter));
   }
   frame_derived_.clear();
-  if (!body->AtEnd()) {
+  if (!r.AtEnd()) {
     throw std::runtime_error("compact frame: trailing bytes");
   }
   return out;

@@ -18,9 +18,7 @@
 //    per-uid previous value, and timestamps/stimuli against a running
 //    previous, all as zigzag varints. Payload bytes are the registered
 //    SerializePayload encoding, unchanged, except for unfolded tuples
-//    (below). Optionally the whole encoded body runs through the
-//    dependency-free LZ block compressor and ships compressed when that
-//    wins.
+//    (below).
 //
 //    Dictionaries are sender-driven and build incrementally: every entry is
 //    defined inline ((index << 1) | 1 followed by the definition) the first
@@ -76,7 +74,6 @@ namespace genealog {
 // GetVarint throws std::runtime_error on encodings longer than 10 bytes or
 // overflowing 64 bits; truncation surfaces as ByteReader's std::out_of_range.
 void PutVarint(ByteWriter& w, uint64_t v);
-size_t VarintSize(uint64_t v);
 uint64_t GetVarint(ByteReader& r);
 void PutZigzag(ByteWriter& w, int64_t v);
 int64_t GetZigzag(ByteReader& r);
@@ -90,10 +87,10 @@ enum class FrameKind : uint8_t {
   // per-message framing and syscall costs amortized across the chunk.
   kBatch = 4,
   // A StreamBatch under the compact codec:
-  //   u8 kind | u8 generation | u8 flags | [varint raw_body_size] | body
-  // flags bit 0 = body is LZ-block-compressed (raw_body_size present),
-  // flags bit 1 = the batch carries a watermark. The body is the dictionary/
-  // delta encoding described in the header comment.
+  //   u8 kind | u8 generation | u8 flags | body
+  // flags bit 1 = the batch carries a watermark; every other bit is reserved
+  // and rejected. The body is the dictionary/delta encoding described in the
+  // header comment.
   kCompactBatch = 5,
 };
 
@@ -126,18 +123,6 @@ struct DecodedFrame {
 // needs the per-channel state a FrameDecoder carries.
 DecodedFrame DecodeFrame(const std::vector<uint8_t>& frame);
 
-// --- LZ block compressor ----------------------------------------------------
-
-// Dependency-free byte-oriented LZ with an LZ4-flavored block layout: per
-// sequence a token byte (literal-length nibble, match-length nibble, 15 =
-// continue in 255-steps), the literals, a little-endian u16 match offset and
-// any match-length continuation bytes; the final sequence is literals only.
-// Minimum match 4, window 64 KiB. Decompression needs the exact raw size and
-// bounds-checks every copy, throwing std::runtime_error on malformed input.
-std::vector<uint8_t> LzBlockCompress(std::span<const uint8_t> in);
-std::vector<uint8_t> LzBlockDecompress(std::span<const uint8_t> in,
-                                       size_t raw_size);
-
 // --- compact codec (stateful) -----------------------------------------------
 
 struct UnfoldedTuple;
@@ -153,19 +138,12 @@ struct WireDeltas {
   int64_t stimulus = 0;
 };
 
-// The Send-side knobs, lowered from EngineOptions by the dataflow lowering.
-// Sender-driven: the receiver decodes whatever codec each frame
-// announces, so no receive-side configuration exists.
-struct WireCodecOptions {
-  WireCodec codec = WireCodec::kRaw;
-  // Under kCompact, additionally LZ-compress each encoded body and keep the
-  // compressed form when smaller. Ignored under kRaw.
-  bool block_compress = true;
-};
-
-// The wire slice of the unified knob struct, for the dataflow lowering.
-inline WireCodecOptions WireCodecFrom(const EngineOptions& o) {
-  return {o.wire_codec, o.wire_block_compress};
+// The wire slice of the unified knob struct, for callers that build a
+// FrameEncoder from EngineOptions (edgebench's codec replay). The codec is
+// sender-driven: the receiver decodes whatever codec each frame announces,
+// so no receive-side configuration exists.
+inline WireCodec WireCodecFrom(const EngineOptions& o) {
+  return o.wire_codec;
 }
 
 // Per-channel wire accounting. raw_bytes is what the raw codec would have
@@ -197,7 +175,7 @@ struct WireStats {
 // kCompact; watermark and flush frames are raw under either codec.
 class FrameEncoder {
  public:
-  explicit FrameEncoder(WireCodecOptions opts = {}) : opts_(opts) {}
+  explicit FrameEncoder(WireCodec codec = WireCodec::kRaw) : codec_(codec) {}
 
   std::vector<std::vector<uint8_t>> EncodeBatch(
       std::span<const TuplePtr> tuples, int64_t watermark, bool remotify);
@@ -209,7 +187,6 @@ class FrameEncoder {
   // the stream can resume against a decoder in any state (reconnect).
   void Reset();
 
-  const WireCodecOptions& options() const { return opts_; }
   const WireStats& stats() const { return stats_; }
 
  private:
@@ -223,7 +200,7 @@ class FrameEncoder {
                      WireRole role);
   uint64_t PutUnfoldedPayload(ByteWriter& body, const UnfoldedTuple& u);
 
-  WireCodecOptions opts_;
+  WireCodec codec_;
   WireStats stats_;
 
   // Compact-codec state. Descriptor keys pack (type_tag << 16 | wire kind
@@ -247,7 +224,7 @@ class FrameEncoder {
 // dictionaries across frames and resetting them whenever the generation byte
 // moves. Throws std::runtime_error / std::out_of_range on malformed input
 // (truncated bodies, dangling dictionary references, unregistered tags,
-// oversized declared sizes).
+// oversized declared counts, unknown flags).
 class FrameDecoder {
  public:
   DecodedFrame Decode(const std::vector<uint8_t>& frame);

@@ -11,7 +11,6 @@ InMemoryChannel::InMemoryChannel(size_t capacity_frames)
 bool InMemoryChannel::SendFrame(std::vector<uint8_t> frame) {
   if (frame.empty()) return false;
   bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
   return queue_.Push(std::move(frame));
 }
 
@@ -28,10 +27,6 @@ void InMemoryChannel::Abort() { queue_.Abort(); }
 
 uint64_t InMemoryChannel::bytes_sent() const {
   return bytes_sent_.load(std::memory_order_relaxed);
-}
-
-uint64_t InMemoryChannel::frames_sent() const {
-  return frames_sent_.load(std::memory_order_relaxed);
 }
 
 ChannelEnds AddChannelTo(std::vector<std::unique_ptr<ByteChannel>>& channels,

@@ -8,12 +8,8 @@
 namespace genealog {
 namespace {
 
-// Same hostile-size guard the frame codec and the TCP transport apply before
-// allocating for a declared size.
-constexpr uint64_t kMaxDeclaredBytes = 64ull << 20;
-
-// Response header flags.
-constexpr uint8_t kFlagCompressed = 0x1;
+// Response header flags: none are defined, every bit is reserved.
+constexpr uint8_t kResponseFlags = 0;
 
 constexpr uint8_t kStatusOk = 0;
 constexpr uint8_t kStatusError = 1;
@@ -236,42 +232,28 @@ LineageRequest DecodeLineageRequest(const std::vector<uint8_t>& frame) {
   return req;
 }
 
-std::vector<uint8_t> EncodeLineageResponse(const LineageResponse& resp,
-                                           bool block_compress) {
-  ByteWriter body;
-  if (!resp.ok) {
-    body.PutString(resp.error);
-  } else if (IsEntryListOp(resp.op)) {
-    PutEntries(body, resp.entries);
-  } else if (resp.op == LineageOp::kRetainedRecordIds) {
-    PutVarint(body, resp.ids.size());
-    uint64_t prev = 0;
-    for (const uint64_t id : resp.ids) {
-      PutZigzag(body, static_cast<int64_t>(id - prev));
-      prev = id;
-    }
-  } else if (resp.op == LineageOp::kStats) {
-    PutStats(body, resp.stats);
-  }
-  // kShutdown: empty body.
-
+std::vector<uint8_t> EncodeLineageResponse(const LineageResponse& resp) {
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(LineageMsg::kResponse));
   w.PutU8(static_cast<uint8_t>(resp.op));
   PutVarint(w, resp.request_id);
   w.PutU8(resp.ok ? kStatusOk : kStatusError);
-  if (block_compress && body.size() > 64) {
-    const std::vector<uint8_t> compressed =
-        LzBlockCompress({body.bytes().data(), body.size()});
-    if (compressed.size() + VarintSize(body.size()) < body.size()) {
-      w.PutU8(kFlagCompressed);
-      PutVarint(w, body.size());
-      w.PutBytes(compressed.data(), compressed.size());
-      return w.TakeBytes();
+  w.PutU8(kResponseFlags);
+  if (!resp.ok) {
+    w.PutString(resp.error);
+  } else if (IsEntryListOp(resp.op)) {
+    PutEntries(w, resp.entries);
+  } else if (resp.op == LineageOp::kRetainedRecordIds) {
+    PutVarint(w, resp.ids.size());
+    uint64_t prev = 0;
+    for (const uint64_t id : resp.ids) {
+      PutZigzag(w, static_cast<int64_t>(id - prev));
+      prev = id;
     }
+  } else if (resp.op == LineageOp::kStats) {
+    PutStats(w, resp.stats);
   }
-  w.PutU8(0);
-  w.PutBytes(body.bytes().data(), body.size());
+  // kShutdown: empty body.
   return w.TakeBytes();
 }
 
@@ -288,47 +270,31 @@ LineageResponse DecodeLineageResponse(const std::vector<uint8_t>& frame) {
   }
   resp.ok = status == kStatusOk;
   const uint8_t flags = r.GetU8();
-  if ((flags & ~kFlagCompressed) != 0) {
+  if (flags != kResponseFlags) {
     throw std::runtime_error("lineage protocol: unknown response flags " +
                              std::to_string(flags));
   }
 
-  std::vector<uint8_t> body;
-  if ((flags & kFlagCompressed) != 0) {
-    const uint64_t raw_size = GetVarint(r);
-    if (raw_size > kMaxDeclaredBytes) {
-      throw std::runtime_error("lineage protocol: declared body size " +
-                               std::to_string(raw_size) + " exceeds bound");
-    }
-    std::vector<uint8_t> compressed(r.remaining());
-    r.GetBytes(compressed.data(), compressed.size());
-    body = LzBlockDecompress(compressed, raw_size);
-  } else {
-    body.resize(r.remaining());
-    r.GetBytes(body.data(), body.size());
-  }
-
-  ByteReader br(body);
   if (!resp.ok) {
-    resp.error = br.GetString();
+    resp.error = r.GetString();
   } else if (IsEntryListOp(resp.op)) {
-    resp.entries = GetEntries(br);
+    resp.entries = GetEntries(r);
   } else if (resp.op == LineageOp::kRetainedRecordIds) {
-    const uint64_t count = GetVarint(br);
-    if (count > br.remaining()) {
+    const uint64_t count = GetVarint(r);
+    if (count > r.remaining()) {
       throw std::runtime_error("lineage protocol: id count " +
                                std::to_string(count) + " exceeds frame");
     }
     resp.ids.reserve(count);
     uint64_t prev = 0;
     for (uint64_t i = 0; i < count; ++i) {
-      prev += static_cast<uint64_t>(GetZigzag(br));
+      prev += static_cast<uint64_t>(GetZigzag(r));
       resp.ids.push_back(prev);
     }
   } else if (resp.op == LineageOp::kStats) {
-    resp.stats = GetStats(br);
+    resp.stats = GetStats(r);
   }
-  CheckAtEnd(br, "response body");
+  CheckAtEnd(r, "response body");
   return resp;
 }
 

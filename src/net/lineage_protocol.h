@@ -8,7 +8,7 @@
 //   hello     u8 kHello | u32 magic | u8 version | u8 generation
 //   request   u8 kRequest | u8 op | varint request_id | op-specific args
 //   response  u8 kResponse | u8 op | varint request_id | u8 status | u8 flags
-//             | [varint raw_body_size] | body
+//             | body
 //
 // The server sends one hello per connection; magic and version reject
 // cross-protocol and cross-release connects, and the generation byte (bumped
@@ -21,12 +21,12 @@
 // Encodings reuse the compact codec's varint/zigzag primitives (net/frame.h).
 // Entry lists ship each tuple through SerializeTuple (self-delimiting; id,
 // ts and type_tag are recovered from the tuple itself), record-id lists are
-// zigzag-delta coded, and response bodies optionally run through the LZ
-// block compressor exactly like compact batch frames (flags bit 0, declared
-// raw size bounds-checked before allocation). Every decoder rejects unknown
-// message kinds/ops/flags, oversized declared counts and trailing bytes with
-// named std::runtime_error / std::out_of_range — hostile frames must never
-// crash or over-allocate either side.
+// zigzag-delta coded, and response bodies ship as encoded: every flags bit
+// is reserved (version 1 used bit 0 for an LZ-compressed body, which version
+// 2 dropped). Every decoder rejects unknown message kinds/ops/flags,
+// oversized declared counts and trailing bytes with named
+// std::runtime_error / std::out_of_range — hostile frames must never crash
+// or over-allocate either side.
 #ifndef GENEALOG_NET_LINEAGE_PROTOCOL_H_
 #define GENEALOG_NET_LINEAGE_PROTOCOL_H_
 
@@ -39,7 +39,7 @@
 namespace genealog {
 
 inline constexpr uint32_t kLineageProtocolMagic = 0x31514C47;  // "GLQ1"
-inline constexpr uint8_t kLineageProtocolVersion = 1;
+inline constexpr uint8_t kLineageProtocolVersion = 2;
 
 enum class LineageMsg : uint8_t {
   kHello = 1,
@@ -95,11 +95,7 @@ LineageHello DecodeLineageHello(const std::vector<uint8_t>& frame);
 std::vector<uint8_t> EncodeLineageRequest(const LineageRequest& req);
 LineageRequest DecodeLineageRequest(const std::vector<uint8_t>& frame);
 
-// With `block_compress`, the encoded body additionally runs through
-// LzBlockCompress and ships compressed when that wins (mirroring compact
-// batch frames); the decoder handles either form regardless.
-std::vector<uint8_t> EncodeLineageResponse(const LineageResponse& resp,
-                                           bool block_compress);
+std::vector<uint8_t> EncodeLineageResponse(const LineageResponse& resp);
 LineageResponse DecodeLineageResponse(const std::vector<uint8_t>& frame);
 
 }  // namespace genealog

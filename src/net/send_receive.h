@@ -30,7 +30,8 @@ namespace genealog {
 class SendNode final : public SingleInputNode {
  public:
   // `channel` must outlive the node.
-  SendNode(std::string name, ByteChannel* channel, WireCodecOptions codec = {})
+  SendNode(std::string name, ByteChannel* channel,
+           WireCodec codec = WireCodec::kRaw)
       : SingleInputNode(std::move(name)), channel_(channel), encoder_(codec) {}
 
   // Channel sends can block on the transport (TCP back-pressure), which a

@@ -54,7 +54,6 @@ TcpChannel::~TcpChannel() {
 bool TcpChannel::SendFrame(std::vector<uint8_t> frame) {
   if (frame.empty()) return false;
   bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
   uint32_t len = static_cast<uint32_t>(frame.size());
   uint8_t header[4];
   std::memcpy(header, &len, 4);
@@ -83,10 +82,6 @@ void TcpChannel::Abort() { ::shutdown(fd_, SHUT_RDWR); }
 
 uint64_t TcpChannel::bytes_sent() const {
   return bytes_sent_.load(std::memory_order_relaxed);
-}
-
-uint64_t TcpChannel::frames_sent() const {
-  return frames_sent_.load(std::memory_order_relaxed);
 }
 
 std::pair<std::unique_ptr<TcpChannel>, std::unique_ptr<TcpChannel>>

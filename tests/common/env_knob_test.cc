@@ -27,14 +27,14 @@ std::string RejectionOf(Fn&& parse) {
 }
 
 TEST(EnvKnobTest, BoolKnobAcceptsZeroAndOne) {
-  EXPECT_FALSE(ParseBoolKnob("GENEALOG_WIRE_BLOCK_COMPRESS", "0", true));
-  EXPECT_TRUE(ParseBoolKnob("GENEALOG_WIRE_BLOCK_COMPRESS", "1", false));
+  EXPECT_FALSE(ParseBoolKnob("GENEALOG_LINEAGE_STORE", "0", true));
+  EXPECT_TRUE(ParseBoolKnob("GENEALOG_LINEAGE_STORE", "1", false));
 }
 
 TEST(EnvKnobTest, BoolKnobUnsetOrEmptyKeepsDefault) {
-  EXPECT_TRUE(ParseBoolKnob("GENEALOG_WIRE_BLOCK_COMPRESS", nullptr, true));
+  EXPECT_TRUE(ParseBoolKnob("GENEALOG_LINEAGE_STORE", nullptr, true));
   EXPECT_FALSE(ParseBoolKnob("GENEALOG_LINEAGE_STORE", nullptr, false));
-  EXPECT_TRUE(ParseBoolKnob("GENEALOG_WIRE_BLOCK_COMPRESS", "", true));
+  EXPECT_TRUE(ParseBoolKnob("GENEALOG_LINEAGE_STORE", "", true));
   EXPECT_FALSE(ParseBoolKnob("GENEALOG_LINEAGE_STORE", "", false));
 }
 
@@ -42,8 +42,8 @@ TEST(EnvKnobTest, BoolKnobRejectsOtherSpellings) {
   for (const char* bad : {"yes", "true", "on", "2", "-1", " 1", "1 ", "01"}) {
     SCOPED_TRACE(bad);
     const std::string message = RejectionOf(
-        [bad] { return ParseBoolKnob("GENEALOG_WIRE_BLOCK_COMPRESS", bad, true); });
-    EXPECT_NE(message.find("GENEALOG_WIRE_BLOCK_COMPRESS"), std::string::npos)
+        [bad] { return ParseBoolKnob("GENEALOG_LINEAGE_STORE", bad, true); });
+    EXPECT_NE(message.find("GENEALOG_LINEAGE_STORE"), std::string::npos)
         << message;
     EXPECT_NE(message.find(std::string("\"") + bad + "\""), std::string::npos)
         << message;

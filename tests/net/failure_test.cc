@@ -105,7 +105,7 @@ TEST(FailureTest, MalformedFrameErrorNamesNodeAndFrameKind) {
 TEST(FailureTest, CorruptCompactFrameErrorNamesTheCodec) {
   // A compact frame whose dictionary references dangle (mid-stream join)
   // must name the compact codec in the error, not decode garbage.
-  FrameEncoder encoder({WireCodec::kCompact, false});
+  FrameEncoder encoder(WireCodec::kCompact);
   std::vector<TuplePtr> batch = {V(1, 1)};
   encoder.EncodeBatch(batch, kNoWatermark, false);  // defines the dictionary
   auto frames = encoder.EncodeBatch(batch, kNoWatermark, false);  // references

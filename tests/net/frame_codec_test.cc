@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <random>
+#include <string>
 
 #include "common/serialize.h"
 #include "genealog/unfolded.h"
@@ -141,7 +142,7 @@ TEST(FrameCodecTest, CompactBatchRoundTripsAllFields) {
     t->stimulus = 1000000 + i;
     batch.push_back(t);
   }
-  FrameEncoder encoder({WireCodec::kCompact, true});
+  FrameEncoder encoder(WireCodec::kCompact);
   auto frames = encoder.EncodeBatch(batch, /*watermark=*/109, false);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0][0], static_cast<uint8_t>(FrameKind::kCompactBatch));
@@ -170,7 +171,7 @@ TEST(FrameCodecTest, CompactEqualsRawAtEveryBatchSize) {
       for (auto [codec, decoded, wms] :
            {std::tuple{WireCodec::kRaw, &raw_decoded, &raw_wms},
             std::tuple{WireCodec::kCompact, &compact_decoded, &compact_wms}}) {
-        FrameEncoder encoder({codec, true});
+        FrameEncoder encoder(codec);
         FrameDecoder decoder;
         for (size_t i = 0; i < stream.size(); i += batch_size) {
           const size_t n = std::min(batch_size, stream.size() - i);
@@ -193,9 +194,8 @@ TEST(FrameCodecTest, CompactEqualsRawAtEveryBatchSize) {
 TEST(FrameCodecTest, FuzzRandomBatchesWatermarksAndResets) {
   std::mt19937_64 rng(1234);
   for (int round = 0; round < 30; ++round) {
-    FrameEncoder raw_enc({WireCodec::kRaw, false});
-    FrameEncoder compact_enc(
-        {WireCodec::kCompact, /*block_compress=*/round % 2 == 0});
+    FrameEncoder raw_enc(WireCodec::kRaw);
+    FrameEncoder compact_enc(WireCodec::kCompact);
     FrameDecoder raw_dec, compact_dec;
     std::vector<TuplePtr> raw_out, compact_out;
     std::vector<int64_t> raw_wms, compact_wms;
@@ -235,7 +235,7 @@ TEST(FrameCodecTest, FuzzRandomBatchesWatermarksAndResets) {
 TEST(FrameCodecTest, EncoderResetIsDecoderSafe) {
   // A decoder that followed generation 0 must survive the sender resetting:
   // the first post-reset frame redefines every dictionary entry it uses.
-  FrameEncoder encoder({WireCodec::kCompact, true});
+  FrameEncoder encoder(WireCodec::kCompact);
   FrameDecoder decoder;
   std::vector<TuplePtr> batch = {V(10, 1), V(11, 2)};
   for (auto& t : batch) t->id = (uint64_t{3} << 40) | 1;
@@ -251,7 +251,7 @@ TEST(FrameCodecTest, EncoderResetIsDecoderSafe) {
 TEST(FrameCodecTest, FreshDecoderRejectsDanglingDictionaryReferences) {
   // Joining a compact stream mid-generation (frame 2 references entries
   // defined in frame 1) must fail loudly, not fabricate tuples.
-  FrameEncoder encoder({WireCodec::kCompact, false});
+  FrameEncoder encoder(WireCodec::kCompact);
   std::vector<TuplePtr> batch = {V(1, 1)};
   auto first = encoder.EncodeBatch(batch, kNoWatermark, false);
   auto second = encoder.EncodeBatch(batch, kNoWatermark, false);
@@ -261,21 +261,19 @@ TEST(FrameCodecTest, FreshDecoderRejectsDanglingDictionaryReferences) {
 
 TEST(FrameCodecTest, TruncatedCompactFramesAreRejected) {
   std::mt19937_64 rng(7);
-  for (bool compress : {false, true}) {
-    FrameEncoder encoder({WireCodec::kCompact, compress});
-    std::vector<TuplePtr> batch;
-    TuplePtr derived;
-    for (int64_t i = 0; i < 32; ++i) {
-      batch.push_back(RandomStreamTuple(rng, i, derived));
-    }
-    auto frames = encoder.EncodeBatch(batch, /*watermark=*/99, false);
-    ASSERT_EQ(frames.size(), 1u);
-    const auto& full = frames[0];
-    for (size_t len = 0; len < full.size(); ++len) {
-      std::vector<uint8_t> cut(full.begin(), full.begin() + len);
-      FrameDecoder decoder;
-      EXPECT_ANY_THROW(decoder.Decode(cut)) << "prefix length " << len;
-    }
+  FrameEncoder encoder(WireCodec::kCompact);
+  std::vector<TuplePtr> batch;
+  TuplePtr derived;
+  for (int64_t i = 0; i < 32; ++i) {
+    batch.push_back(RandomStreamTuple(rng, i, derived));
+  }
+  auto frames = encoder.EncodeBatch(batch, /*watermark=*/99, false);
+  ASSERT_EQ(frames.size(), 1u);
+  const auto& full = frames[0];
+  for (size_t len = 0; len < full.size(); ++len) {
+    std::vector<uint8_t> cut(full.begin(), full.begin() + len);
+    FrameDecoder decoder;
+    EXPECT_ANY_THROW(decoder.Decode(cut)) << "prefix length " << len;
   }
 }
 
@@ -283,7 +281,7 @@ TEST(FrameCodecTest, CorruptCompactBodyIsRejectedOrEquivalent) {
   // Flipping bytes must never crash; it either throws or yields a frame that
   // still parses (e.g. a flipped payload bit). Nothing should hang or UB.
   std::mt19937_64 rng(11);
-  FrameEncoder encoder({WireCodec::kCompact, true});
+  FrameEncoder encoder(WireCodec::kCompact);
   std::vector<TuplePtr> batch;
   TuplePtr derived;
   for (int64_t i = 0; i < 16; ++i) {
@@ -303,7 +301,7 @@ TEST(FrameCodecTest, CorruptCompactBodyIsRejectedOrEquivalent) {
 }
 
 TEST(FrameCodecTest, StatelessDecodeFrameRejectsCompactFrames) {
-  FrameEncoder encoder({WireCodec::kCompact, false});
+  FrameEncoder encoder(WireCodec::kCompact);
   std::vector<TuplePtr> batch = {V(1, 1)};
   auto frames = encoder.EncodeBatch(batch, kNoWatermark, false);
   EXPECT_THROW(DecodeFrame(frames[0]), std::runtime_error);
@@ -317,8 +315,8 @@ TEST(FrameCodecTest, WireStatsTrackRawEquivalentBytes) {
     batch.push_back(t);
   }
   // raw_bytes under kCompact must equal what the raw codec actually ships.
-  FrameEncoder raw_enc({WireCodec::kRaw, false});
-  FrameEncoder compact_enc({WireCodec::kCompact, true});
+  FrameEncoder raw_enc(WireCodec::kRaw);
+  FrameEncoder compact_enc(WireCodec::kCompact);
   raw_enc.EncodeBatch(batch, 63, true);
   compact_enc.EncodeBatch(batch, 63, true);
   EXPECT_EQ(compact_enc.stats().raw_bytes, raw_enc.stats().raw_bytes);
@@ -327,8 +325,8 @@ TEST(FrameCodecTest, WireStatsTrackRawEquivalentBytes) {
   EXPECT_EQ(compact_enc.stats().frames, 1u);
 
   // Degenerate batch-of-1 plus watermark: the raw path ships two frames.
-  FrameEncoder raw1({WireCodec::kRaw, false});
-  FrameEncoder compact1({WireCodec::kCompact, true});
+  FrameEncoder raw1(WireCodec::kRaw);
+  FrameEncoder compact1(WireCodec::kCompact);
   std::vector<TuplePtr> one = {batch[0]};
   raw1.EncodeBatch(one, 5, true);
   compact1.EncodeBatch(one, 5, true);
@@ -340,8 +338,8 @@ TEST(FrameCodecTest, WireStatsTrackRawEquivalentBytes) {
   // count still equals the raw codec's bytes.
   std::vector<TuplePtr> u_batch = SuShapedBatch(4, 6);
   static_cast<UnfoldedTuple&>(*u_batch[3]).derived_ts += 1;
-  FrameEncoder raw_u({WireCodec::kRaw, false});
-  FrameEncoder compact_u({WireCodec::kCompact, false});
+  FrameEncoder raw_u(WireCodec::kRaw);
+  FrameEncoder compact_u(WireCodec::kCompact);
   raw_u.EncodeBatch(u_batch, 99, true);
   compact_u.EncodeBatch(u_batch, 99, true);
   EXPECT_EQ(compact_u.stats().raw_bytes, raw_u.stats().raw_bytes);
@@ -350,35 +348,30 @@ TEST(FrameCodecTest, WireStatsTrackRawEquivalentBytes) {
 
 TEST(FrameCodecTest, SuShapedUBatchSharesDerivedAndMatchesRaw) {
   const std::vector<TuplePtr> batch = SuShapedBatch(5, 4);
-  for (bool compress : {false, true}) {
-    FrameEncoder raw_enc({WireCodec::kRaw, false});
-    FrameEncoder compact_enc({WireCodec::kCompact, compress});
-    FrameDecoder raw_dec, compact_dec;
-    auto raw = DecodeAll(raw_dec, raw_enc.EncodeBatch(batch, 7, true));
-    auto compact =
-        DecodeAll(compact_dec, compact_enc.EncodeBatch(batch, 7, true));
-    ASSERT_EQ(compact.size(), batch.size());
-    EXPECT_EQ(CanonicalBytes(compact), CanonicalBytes(raw))
-        << "compress=" << compress;
+  FrameEncoder raw_enc(WireCodec::kRaw);
+  FrameEncoder compact_enc(WireCodec::kCompact);
+  FrameDecoder raw_dec, compact_dec;
+  auto raw = DecodeAll(raw_dec, raw_enc.EncodeBatch(batch, 7, true));
+  auto compact =
+      DecodeAll(compact_dec, compact_enc.EncodeBatch(batch, 7, true));
+  ASSERT_EQ(compact.size(), batch.size());
+  EXPECT_EQ(CanonicalBytes(compact), CanonicalBytes(raw));
 
-    // Decoded tuples of one sender-side derived share one object; distinct
-    // sender-side derived tuples stay distinct.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      for (size_t j = 0; j < batch.size(); ++j) {
-        const bool sender_shared =
-            static_cast<const UnfoldedTuple&>(*batch[i]).derived ==
-            static_cast<const UnfoldedTuple&>(*batch[j]).derived;
-        const bool decoded_shared =
-            static_cast<const UnfoldedTuple&>(*compact[i]).derived ==
-            static_cast<const UnfoldedTuple&>(*compact[j]).derived;
-        EXPECT_EQ(decoded_shared, sender_shared) << i << "," << j;
-      }
+  // Decoded tuples of one sender-side derived share one object; distinct
+  // sender-side derived tuples stay distinct.
+  for (size_t i = 0; i < batch.size(); ++i) {
+    for (size_t j = 0; j < batch.size(); ++j) {
+      const bool sender_shared =
+          static_cast<const UnfoldedTuple&>(*batch[i]).derived ==
+          static_cast<const UnfoldedTuple&>(*batch[j]).derived;
+      const bool decoded_shared =
+          static_cast<const UnfoldedTuple&>(*compact[i]).derived ==
+          static_cast<const UnfoldedTuple&>(*compact[j]).derived;
+      EXPECT_EQ(decoded_shared, sender_shared) << i << "," << j;
     }
   }
-  // Sending each derived tuple once per frame is the structural win: even
-  // without LZ the body is well under half the raw bytes.
-  FrameEncoder compact_enc({WireCodec::kCompact, false});
-  compact_enc.EncodeBatch(batch, 7, true);
+  // Sending each derived tuple once per frame is the structural win: the
+  // body is well under half the raw bytes.
   EXPECT_GT(compact_enc.stats().ratio(), 2.0);
 }
 
@@ -391,28 +384,26 @@ TEST(FrameCodecTest, UnfoldedFallbackFormRoundTripsByteExact) {
   odd.derived_id = odd.derived->id + 1;
   auto& odd_kind = static_cast<UnfoldedTuple&>(*batch[4]);
   odd_kind.origin_kind = TupleKind::kRemote;
-  for (bool compress : {false, true}) {
-    FrameEncoder encoder({WireCodec::kCompact, compress});
-    FrameDecoder decoder;
-    auto decoded = DecodeAll(decoder, encoder.EncodeBatch(batch, 3, false));
-    ASSERT_EQ(decoded.size(), batch.size());
-    EXPECT_EQ(CanonicalBytes(decoded), CanonicalBytes(batch));
-    EXPECT_EQ(static_cast<const UnfoldedTuple&>(*decoded[1]).derived_id,
-              odd.derived_id);
-    EXPECT_EQ(static_cast<const UnfoldedTuple&>(*decoded[4]).origin_kind,
-              TupleKind::kRemote);
-  }
+  FrameEncoder encoder(WireCodec::kCompact);
+  FrameDecoder decoder;
+  auto decoded = DecodeAll(decoder, encoder.EncodeBatch(batch, 3, false));
+  ASSERT_EQ(decoded.size(), batch.size());
+  EXPECT_EQ(CanonicalBytes(decoded), CanonicalBytes(batch));
+  EXPECT_EQ(static_cast<const UnfoldedTuple&>(*decoded[1]).derived_id,
+            odd.derived_id);
+  EXPECT_EQ(static_cast<const UnfoldedTuple&>(*decoded[4]).origin_kind,
+            TupleKind::kRemote);
 }
 
-// A hand-built single-frame compact stream (generation 0, no flags) holding
-// one U tuple whose payload `payload` writes. The U header defines
-// descriptor 0 (kUnfolded) and uid 0.
+// A hand-built single-frame compact stream (generation 0, `flags`, no
+// watermark) holding one U tuple whose payload `payload` writes. The U header
+// defines descriptor 0 (kUnfolded) and uid 0.
 std::vector<uint8_t> HandBuiltUFrame(
-    const std::function<void(ByteWriter&)>& payload) {
+    const std::function<void(ByteWriter&)>& payload, uint8_t flags = 0) {
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(FrameKind::kCompactBatch));
   w.PutU8(0);   // generation
-  w.PutU8(0);   // flags
+  w.PutU8(flags);
   PutVarint(w, 1);  // count
   PutVarint(w, (0 << 1) | 1);
   w.PutU16(tags::kUnfolded);
@@ -511,6 +502,31 @@ TEST(FrameCodecTest, MalformedUnfoldedPayloadsAreRejected) {
   });
 }
 
+TEST(FrameCodecTest, ReservedFlagBitsAreRejected) {
+  // Bit 0 is reserved (it once announced an LZ-compressed body); a frame
+  // setting it fails as an unknown flag, with or without the watermark bit.
+  const auto payload = [](ByteWriter& w) {
+    w.PutU8(1);
+    PutVarint(w, (0 << 1) | 1);
+    PutNestedValue(w, 1, true, 1);
+    PutNestedValue(w, 1, false, 1);
+  };
+  for (uint8_t flags : {uint8_t{0x1}, uint8_t{0x3}}) {
+    FrameDecoder decoder;
+    try {
+      decoder.Decode(HandBuiltUFrame(payload, flags));
+      ADD_FAILURE() << "flags " << int{flags} << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown flags"),
+                std::string::npos)
+          << "flags " << int{flags} << ": " << e.what();
+    }
+  }
+  // The same frame with no flags decodes.
+  FrameDecoder decoder;
+  EXPECT_EQ(decoder.Decode(HandBuiltUFrame(payload)).tuples.size(), 1u);
+}
+
 TEST(FrameCodecTest, NestedUnfoldedTuplesTakeTheFallbackForm) {
   // An unfolded tuple wrapping another unfolded tuple still round-trips:
   // the encoder never emits a structural nested kUnfolded.
@@ -519,112 +535,10 @@ TEST(FrameCodecTest, NestedUnfoldedTuplesTakeTheFallbackForm) {
   origin->id = (uint64_t{7} << 40) | 99;
   std::vector<TuplePtr> batch = {MakeU(inner[0], origin, uint64_t{14} << 40),
                                  inner[1]};
-  FrameEncoder encoder({WireCodec::kCompact, false});
+  FrameEncoder encoder(WireCodec::kCompact);
   FrameDecoder decoder;
   auto decoded = DecodeAll(decoder, encoder.EncodeBatch(batch, 0, false));
   EXPECT_EQ(CanonicalBytes(decoded), CanonicalBytes(batch));
-}
-
-TEST(LzBlockTest, RoundTripsCompressibleAndRandomData) {
-  std::mt19937_64 rng(3);
-  std::vector<std::vector<uint8_t>> inputs;
-  inputs.push_back({});                       // empty
-  inputs.push_back({1, 2, 3});                // below min-match
-  inputs.push_back(std::vector<uint8_t>(100, 7));  // one long run
-  {
-    std::vector<uint8_t> repeats;  // repeated 8-byte pattern
-    for (int i = 0; i < 500; ++i) repeats.push_back(static_cast<uint8_t>(i % 8));
-    inputs.push_back(std::move(repeats));
-  }
-  {
-    std::vector<uint8_t> random(4096);  // incompressible
-    for (auto& b : random) b = static_cast<uint8_t>(rng());
-    inputs.push_back(std::move(random));
-  }
-  {
-    std::vector<uint8_t> mixed;  // literals then a match ending at the end
-    for (int i = 0; i < 64; ++i) mixed.push_back(static_cast<uint8_t>(rng()));
-    mixed.insert(mixed.end(), mixed.begin(), mixed.begin() + 32);
-    inputs.push_back(std::move(mixed));
-  }
-  for (const auto& in : inputs) {
-    auto packed = LzBlockCompress(in);
-    EXPECT_EQ(LzBlockDecompress(packed, in.size()), in) << in.size();
-  }
-  // The run-heavy inputs must actually shrink.
-  EXPECT_LT(LzBlockCompress(std::vector<uint8_t>(100, 7)).size(), 20u);
-}
-
-TEST(LzBlockTest, OverlappingMatchesReplicateRuns) {
-  // Hand-built blocks: `period` literal bytes, then one match at offset
-  // `period` (shorter than the match, so source and destination overlap)
-  // whose length needs a continuation byte and ends exactly at raw_size.
-  for (size_t period : {1u, 2u, 3u}) {
-    for (size_t match_len : {19u, 20u, 37u, 300u}) {
-      const size_t ml = match_len - 4;  // >= 15: nibble 15 + continuation
-      std::vector<uint8_t> block = {static_cast<uint8_t>((period << 4) | 15)};
-      std::vector<uint8_t> expected;
-      for (size_t i = 0; i < period; ++i) {
-        block.push_back(static_cast<uint8_t>('a' + i));
-        expected.push_back(static_cast<uint8_t>('a' + i));
-      }
-      block.push_back(static_cast<uint8_t>(period));
-      block.push_back(0);
-      size_t rest = ml - 15;
-      for (; rest >= 255; rest -= 255) block.push_back(255);
-      block.push_back(static_cast<uint8_t>(rest));
-      for (size_t i = 0; i < match_len; ++i) {
-        expected.push_back(expected[expected.size() - period]);
-      }
-      EXPECT_EQ(LzBlockDecompress(block, expected.size()), expected)
-          << "period " << period << " match " << match_len;
-      // One byte short of the match overflows the declared size.
-      EXPECT_THROW(LzBlockDecompress(block, expected.size() - 1),
-                   std::runtime_error);
-    }
-    // The compressor's own encoding of a periodic run round-trips too.
-    std::vector<uint8_t> run;
-    for (size_t i = 0; i < 200; ++i) {
-      run.push_back(static_cast<uint8_t>(i % period));
-    }
-    EXPECT_EQ(LzBlockDecompress(LzBlockCompress(run), run.size()), run);
-  }
-}
-
-TEST(LzBlockTest, NonOverlappingMatchEndingAtRawSize) {
-  // 8 literals, then an 8-byte match at offset 8 ending exactly at
-  // raw_size: no trailing literals-only sequence follows.
-  const std::vector<uint8_t> block = {(8 << 4) | (8 - 4), 'A', 'B', 'C', 'D',
-                                      'E', 'F', 'G', 'H', 8, 0};
-  const std::vector<uint8_t> expected = {'A', 'B', 'C', 'D', 'E', 'F',
-                                         'G', 'H', 'A', 'B', 'C', 'D',
-                                         'E', 'F', 'G', 'H'};
-  EXPECT_EQ(LzBlockDecompress(block, expected.size()), expected);
-  // A byte after the final match is trailing garbage.
-  std::vector<uint8_t> trailing = block;
-  trailing.push_back(0);
-  EXPECT_THROW(LzBlockDecompress(trailing, expected.size()),
-               std::runtime_error);
-}
-
-TEST(LzBlockTest, MalformedBlocksAreRejected) {
-  std::vector<uint8_t> data(64, 9);
-  auto packed = LzBlockCompress(data);
-  // Truncations.
-  for (size_t len = 0; len < packed.size(); ++len) {
-    std::vector<uint8_t> cut(packed.begin(), packed.begin() + len);
-    EXPECT_THROW(LzBlockDecompress(cut, data.size()), std::runtime_error);
-  }
-  // Wrong declared size (too large wants more input; too small overflows).
-  EXPECT_THROW(LzBlockDecompress(packed, data.size() + 100),
-               std::runtime_error);
-  EXPECT_THROW(LzBlockDecompress(packed, data.size() - 1), std::runtime_error);
-  // A match offset pointing before the start of the output.
-  const std::vector<uint8_t> bad_offset = {0x10, 0xAA, 0x05, 0x00};
-  EXPECT_THROW(LzBlockDecompress(bad_offset, 6), std::runtime_error);
-  // Offset zero is never valid.
-  const std::vector<uint8_t> zero_offset = {0x10, 0xAA, 0x00, 0x00};
-  EXPECT_THROW(LzBlockDecompress(zero_offset, 6), std::runtime_error);
 }
 
 }  // namespace

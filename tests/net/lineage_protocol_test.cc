@@ -1,12 +1,13 @@
-// Lineage protocol: every message kind must round-trip exactly (with and
-// without body compression), and hostile bytes — truncated prefixes, random
-// byte flips, oversized declared counts — must be rejected with named errors
-// or decode to something valid, never crash or over-allocate (same contract
-// and fuzz style as frame_codec_test).
+// Lineage protocol: every message kind must round-trip exactly, and hostile
+// bytes — truncated prefixes, random byte flips, oversized declared counts,
+// reserved flags, retired protocol versions — must be rejected with named
+// errors or decode to something valid, never crash or over-allocate (same
+// contract and fuzz style as frame_codec_test).
 #include <gtest/gtest.h>
 
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/serialize.h"
@@ -106,29 +107,25 @@ TEST(LineageProtocolTest, RequestsRoundTripEveryOp) {
 }
 
 TEST(LineageProtocolTest, EntryListResponsesRoundTrip) {
-  for (const bool compress : {false, true}) {
-    LineageResponse resp;
-    resp.op = LineageOp::kContributors;
-    resp.request_id = 7;
-    // Enough repetitive entries that the LZ path actually engages.
-    for (int i = 0; i < 64; ++i) {
-      resp.entries.push_back(
-          MakeEntry((uint64_t{3} << 40) | static_cast<uint64_t>(i), 100 + i,
-                    i % 4));
-    }
-    const LineageResponse decoded =
-        DecodeLineageResponse(EncodeLineageResponse(resp, compress));
-    EXPECT_EQ(decoded.op, LineageOp::kContributors);
-    EXPECT_EQ(decoded.request_id, 7u);
-    EXPECT_TRUE(decoded.ok);
-    ASSERT_EQ(decoded.entries.size(), resp.entries.size());
-    EXPECT_EQ(CanonicalEntries(decoded.entries),
-              CanonicalEntries(resp.entries));
-    for (size_t i = 0; i < decoded.entries.size(); ++i) {
-      EXPECT_EQ(decoded.entries[i].id, resp.entries[i].id);
-      EXPECT_EQ(decoded.entries[i].ts, resp.entries[i].ts);
-      EXPECT_EQ(decoded.entries[i].type_tag, resp.entries[i].type_tag);
-    }
+  LineageResponse resp;
+  resp.op = LineageOp::kContributors;
+  resp.request_id = 7;
+  for (int i = 0; i < 64; ++i) {
+    resp.entries.push_back(
+        MakeEntry((uint64_t{3} << 40) | static_cast<uint64_t>(i), 100 + i,
+                  i % 4));
+  }
+  const LineageResponse decoded =
+      DecodeLineageResponse(EncodeLineageResponse(resp));
+  EXPECT_EQ(decoded.op, LineageOp::kContributors);
+  EXPECT_EQ(decoded.request_id, 7u);
+  EXPECT_TRUE(decoded.ok);
+  ASSERT_EQ(decoded.entries.size(), resp.entries.size());
+  EXPECT_EQ(CanonicalEntries(decoded.entries), CanonicalEntries(resp.entries));
+  for (size_t i = 0; i < decoded.entries.size(); ++i) {
+    EXPECT_EQ(decoded.entries[i].id, resp.entries[i].id);
+    EXPECT_EQ(decoded.entries[i].ts, resp.entries[i].ts);
+    EXPECT_EQ(decoded.entries[i].type_tag, resp.entries[i].type_tag);
   }
 }
 
@@ -139,7 +136,7 @@ TEST(LineageProtocolTest, IdStatsAndErrorResponsesRoundTrip) {
   // Deliberately unsorted: delta coding must not assume monotone ids.
   ids.ids = {500, 3, 0xFFFFFFFFFFull, 3, 7};
   const LineageResponse ids_decoded =
-      DecodeLineageResponse(EncodeLineageResponse(ids, true));
+      DecodeLineageResponse(EncodeLineageResponse(ids));
   EXPECT_EQ(ids_decoded.ids, ids.ids);
 
   LineageResponse stats;
@@ -156,7 +153,7 @@ TEST(LineageProtocolTest, IdStatsAndErrorResponsesRoundTrip) {
   stats.stats.min_retained_ts = -5;
   stats.stats.max_retained_ts = 995;
   const LineageResponse stats_decoded =
-      DecodeLineageResponse(EncodeLineageResponse(stats, false));
+      DecodeLineageResponse(EncodeLineageResponse(stats));
   EXPECT_EQ(stats_decoded.stats.records_ingested, 1000u);
   EXPECT_EQ(stats_decoded.stats.records_retained, 900u);
   EXPECT_EQ(stats_decoded.stats.tuples_retained, 5000u);
@@ -174,7 +171,7 @@ TEST(LineageProtocolTest, IdStatsAndErrorResponsesRoundTrip) {
   err.ok = false;
   err.error = "store evicted the epoch";
   const LineageResponse err_decoded =
-      DecodeLineageResponse(EncodeLineageResponse(err, true));
+      DecodeLineageResponse(EncodeLineageResponse(err));
   EXPECT_FALSE(err_decoded.ok);
   EXPECT_EQ(err_decoded.error, "store evicted the epoch");
 }
@@ -198,12 +195,10 @@ TEST(LineageProtocolTest, TruncatedFramesAreRejected) {
   resp.op = LineageOp::kLookup;
   resp.request_id = 99;
   resp.entries.push_back(MakeEntry(1, 2, 3));
-  for (const bool compress : {false, true}) {
-    cases.emplace_back(EncodeLineageResponse(resp, compress),
-                       +[](const std::vector<uint8_t>& f) {
-                         DecodeLineageResponse(f);
-                       });
-  }
+  cases.emplace_back(EncodeLineageResponse(resp),
+                     +[](const std::vector<uint8_t>& f) {
+                       DecodeLineageResponse(f);
+                     });
 
   for (size_t c = 0; c < cases.size(); ++c) {
     const auto& [full, decode] = cases[c];
@@ -225,8 +220,7 @@ TEST(LineageProtocolTest, RandomByteFlipsNeverCrash) {
   const std::vector<std::vector<uint8_t>> frames = {
       EncodeLineageHello({}),
       EncodeLineageRequest({LineageOp::kExpand, 5, 12, 2, {}}),
-      EncodeLineageResponse(resp, /*block_compress=*/false),
-      EncodeLineageResponse(resp, /*block_compress=*/true),
+      EncodeLineageResponse(resp),
   };
   for (const auto& frame : frames) {
     for (int trial = 0; trial < 200; ++trial) {
@@ -259,12 +253,12 @@ TEST(LineageProtocolTest, OversizedDeclaredCountsAreRejectedNotAllocated) {
   w.PutU8(static_cast<uint8_t>(LineageOp::kContributors));
   PutVarint(w, 1);   // request id
   w.PutU8(0);        // status ok
-  w.PutU8(0);        // flags: uncompressed
+  w.PutU8(0);        // flags
   PutVarint(w, uint64_t{1} << 40);  // entry count >> remaining bytes
   const std::vector<uint8_t> frame = w.TakeBytes();
   EXPECT_THROW(DecodeLineageResponse(frame), std::runtime_error);
 
-  // Same for the id list and for a compressed body declaring > 64 MiB raw.
+  // Same for the id list.
   ByteWriter w2;
   w2.PutU8(static_cast<uint8_t>(LineageMsg::kResponse));
   w2.PutU8(static_cast<uint8_t>(LineageOp::kRetainedRecordIds));
@@ -273,16 +267,37 @@ TEST(LineageProtocolTest, OversizedDeclaredCountsAreRejectedNotAllocated) {
   w2.PutU8(0);
   PutVarint(w2, uint64_t{1} << 50);
   EXPECT_THROW(DecodeLineageResponse(w2.TakeBytes()), std::runtime_error);
+}
 
-  ByteWriter w3;
-  w3.PutU8(static_cast<uint8_t>(LineageMsg::kResponse));
-  w3.PutU8(static_cast<uint8_t>(LineageOp::kStats));
-  PutVarint(w3, 1);
-  w3.PutU8(0);
-  w3.PutU8(1);                        // compressed
-  PutVarint(w3, uint64_t{1} << 60);   // declared raw size: absurd
-  w3.PutU8(0);
-  EXPECT_THROW(DecodeLineageResponse(w3.TakeBytes()), std::runtime_error);
+// The named rejection message `decode` throws, or "" when it accepts.
+template <typename Fn>
+std::string RejectionOf(Fn&& decode) {
+  try {
+    decode();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(LineageProtocolTest, RetiredCompressionFlagAndVersionOneAreRejected) {
+  // Version 1 used response flags bit 0 for an LZ-compressed body. Version 2
+  // reserves every bit, and a version-1 server is refused at hello rather
+  // than partway through a conversation.
+  LineageResponse resp;
+  resp.op = LineageOp::kStats;
+  resp.request_id = 4;
+  auto flagged = EncodeLineageResponse(resp);
+  flagged[4] = 0x1;  // kind | op | varint id (1 byte) | status | flags
+  EXPECT_NE(RejectionOf([&] { DecodeLineageResponse(flagged); })
+                .find("unknown response flags"),
+            std::string::npos);
+
+  LineageHello v1;
+  v1.version = 1;
+  EXPECT_NE(RejectionOf([&] { DecodeLineageHello(EncodeLineageHello(v1)); })
+                .find("unsupported version"),
+            std::string::npos);
 }
 
 TEST(LineageProtocolTest, UnknownOpsAndTrailingBytesAreRejected) {
@@ -301,7 +316,7 @@ TEST(LineageProtocolTest, UnknownOpsAndTrailingBytesAreRejected) {
   LineageResponse resp;
   resp.op = LineageOp::kStats;
   resp.request_id = 4;
-  auto rframe = EncodeLineageResponse(resp, false);
+  auto rframe = EncodeLineageResponse(resp);
   auto bad_flags = rframe;
   // flags byte: offset 1 (op) is fixed; locate flags as the byte after
   // status. Layout: kind | op | varint id | status | flags | body.
