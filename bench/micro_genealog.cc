@@ -113,60 +113,43 @@ void BM_InstrumentAggregate_BL(benchmark::State& state) {
 }
 BENCHMARK(BM_InstrumentAggregate_BL)->Arg(4)->Arg(24)->Arg(192)->Arg(1024);
 
-// Traversal micros sweep the visited-check implementation: epoch=1 is the
-// mark-word fast path (kAuto on a single thread always takes it), epoch=0
-// pins the open-addressing pointer-set fallback. The Figure 14 / SU hot-path
-// cost is the epoch=1 series; the delta is the price of the fallback that
-// concurrent traversers pay.
+// Traversal micros: the Figure 14 / SU hot-path cost of one FindProvenance
+// call with a warmed scratch, over an aggregate window of n tuples and over
+// a join tree. n=192 is Q3-sized; the benchmark workloads walk graphs of
+// 4-12 nodes, inside the pointer set's inline slots.
 void BM_TraversalAggregate(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const TraversalPath path = state.range(1) != 0 ? TraversalPath::kAuto
-                                                 : TraversalPath::kHashSet;
   TuplePtr root = AggregateGraph(n);
   TraversalScratch scratch;
   std::vector<Tuple*> result;
   for (auto _ : state) {
     result.clear();
-    FindProvenance(root.get(), result, scratch, path);
+    FindProvenance(root.get(), result, scratch);
     benchmark::DoNotOptimize(result.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_TraversalAggregate)
-    ->ArgNames({"n", "epoch"})
-    ->Args({4, 1})
-    ->Args({8, 1})
-    ->Args({24, 1})
-    ->Args({192, 1})
-    ->Args({2048, 1})
-    ->Args({4, 0})
-    ->Args({8, 0})
-    ->Args({24, 0})
-    ->Args({192, 0})
-    ->Args({2048, 0});
+    ->ArgNames({"n"})
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(24)
+    ->Arg(192)
+    ->Arg(2048);
 
 void BM_TraversalJoinTree(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
-  const TraversalPath path = state.range(1) != 0 ? TraversalPath::kAuto
-                                                 : TraversalPath::kHashSet;
   TuplePtr root = JoinTree(depth);
   TraversalScratch scratch;
   std::vector<Tuple*> result;
   for (auto _ : state) {
     result.clear();
-    FindProvenance(root.get(), result, scratch, path);
+    FindProvenance(root.get(), result, scratch);
     benchmark::DoNotOptimize(result.data());
   }
   state.SetItemsProcessed(state.iterations() * (1 << depth));
 }
-BENCHMARK(BM_TraversalJoinTree)
-    ->ArgNames({"depth", "epoch"})
-    ->Args({3, 1})
-    ->Args({6, 1})
-    ->Args({10, 1})
-    ->Args({3, 0})
-    ->Args({6, 0})
-    ->Args({10, 0});
+BENCHMARK(BM_TraversalJoinTree)->ArgNames({"depth"})->Arg(3)->Arg(6)->Arg(10);
 
 // The whole SU inner loop for one sink tuple: traversal plus building the
 // unfolded tuples (pool-allocated, straight into a chunk-like buffer). This

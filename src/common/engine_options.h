@@ -29,9 +29,9 @@
 // the engine observes rather than from a switch: every edge is the same
 // StreamQueue, endpoints steer their flush threshold from consumer queue
 // depth, tuples come from the recycling pool (oversize blocks from the heap),
-// FindProvenance takes the mark-word epoch path unless another walk holds
-// it, and a file-backed provenance sink always writes through the
-// background AsyncFileWriter.
+// FindProvenance checks visited tuples in its caller's scratch pointer set,
+// and a file-backed provenance sink always writes through the background
+// AsyncFileWriter.
 //
 // batch_size is deliberately *not* read from the environment by the default
 // constructor: a plain `EngineOptions{}` is the engine default (batch 64,

@@ -33,7 +33,7 @@ namespace genealog::pool {
 inline constexpr size_t kBlockAlign = alignof(std::max_align_t);
 
 // Size classes are multiples of 64 bytes: 64, 128, ..., 512. Tuples cluster
-// tightly here — the Tuple header is ~96 bytes and payloads add a few words —
+// tightly here — the Tuple header is 96 bytes and payloads add a few words —
 // so a linear stride wastes less than a geometric one would.
 inline constexpr size_t kClassStride = 64;
 inline constexpr int kNumClasses = 8;

@@ -1,6 +1,8 @@
 #include "core/tuple.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace genealog {
@@ -21,6 +23,13 @@ const char* ToString(TupleKind kind) {
       return "REMOTE";
   }
   return "?";
+}
+
+TupleKind TupleKindFromWire(uint8_t byte) {
+  if (byte > static_cast<uint8_t>(TupleKind::kRemote)) {
+    throw std::runtime_error("invalid tuple kind " + std::to_string(byte));
+  }
+  return static_cast<TupleKind>(byte);
 }
 
 Tuple::~Tuple() {

@@ -49,6 +49,12 @@ enum class TupleKind : uint8_t {
 
 const char* ToString(TupleKind kind);
 
+// Decodes a wire byte into a TupleKind. Throws std::runtime_error ("invalid
+// tuple kind") for a byte outside kSource..kRemote, so a corrupt header can
+// never reach the traversal's switch (which would drop its origins) or MU
+// (which would treat it as REMOTE).
+TupleKind TupleKindFromWire(uint8_t byte);
+
 class Tuple;
 using TuplePtr = IntrusivePtr<Tuple>;
 
@@ -114,15 +120,6 @@ class Tuple {
   // virtual CloneTuple then.
   uint16_t fast_type_tag() const { return fast_tag_; }
 
-  // Traversal mark word (genealog/traversal.cc): the epoch fast path of
-  // FindProvenance stamps a per-traversal ticket here with a relaxed CAS, so
-  // the visited check touches only the cache line of the tuple already being
-  // walked instead of a side hash table. 0 = never visited; any other value
-  // is the ticket of the (unique, monotonically drawn) traversal that last
-  // claimed this tuple. Stale tickets are harmless — a new traversal's ticket
-  // can never equal one already stamped.
-  std::atomic<uint64_t>& traversal_mark() const { return mark_; }
-
  protected:
   // Clone/copy support: copies ts and stimulus only. Reference count, meta
   // pointers, id, kind and annotation all start fresh.
@@ -146,7 +143,6 @@ class Tuple {
   // Cached type_tag(), stamped by MakeTuple (see fast_type_tag()). Shares
   // the same padding bytes as pool_class_ — no size growth.
   uint16_t fast_tag_ = 0;
-  mutable std::atomic<uint64_t> mark_{0};
   std::atomic<Tuple*> next_{nullptr};
   Tuple* u1_ = nullptr;
   Tuple* u2_ = nullptr;

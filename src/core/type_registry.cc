@@ -86,7 +86,7 @@ void SerializeTupleForSend(const Tuple& t, ByteWriter& w) {
 
 TuplePtr DeserializeTuple(ByteReader& r) {
   const uint16_t tag = r.GetU16();
-  const auto kind = static_cast<TupleKind>(r.GetU8());
+  const TupleKind kind = TupleKindFromWire(r.GetU8());
   const int64_t ts = r.GetI64();
   const uint64_t id = r.GetU64();
   const int64_t stimulus = r.GetI64();

@@ -7,24 +7,13 @@
 //
 // The traversal is the per-sink-tuple cost the paper studies in Figure 14 and
 // sits on the SU hot path, so it is engineered to touch no allocator in
-// steady state. Two interchangeable visited-tracking implementations exist,
-// both producing byte-identical BFS discovery order:
-//
-//  * epoch fast path (kAuto) — each traversal
-//    draws a unique 64-bit ticket and stamps it into the Tuple header's mark
-//    word, so the visited check is one cache-line touch on the tuple already
-//    being walked. Only one epoch traversal may be in flight at a time: a
-//    second concurrent traverser (parallel SUs, multiple queries) detects
-//    the claim collision on entry — or on the root claim's relaxed CAS, the
-//    defensive canary — and falls back to the hash-set path, whose side
-//    table it owns exclusively. The exclusivity token is what lets interior
-//    claims be a relaxed load + store instead of a (~20x dearer) locked CAS
-//    per node.
-//  * pointer-set path — an open-addressing identity-hash set of tuple
-//    pointers (traversal_internal::PointerSet below): power-of-two capacity,
-//    inline small-buffer sized for the common ≤32-node graph, geometric
-//    growth, generation-tagged slots so Clear() is O(1) instead of a rehash
-//    or a memset.
+// steady state. The visited check is an open-addressing identity-hash set of
+// tuple pointers (traversal_internal::PointerSet below): power-of-two
+// capacity, inline small-buffer sized for the common ≤32-node graph,
+// geometric growth, generation-tagged slots so Clear() is O(1) instead of a
+// rehash or a memset. The set lives in the caller's scratch, so concurrent
+// walks over shared graphs (parallel SUs, multiple queries) each own their
+// visited state and only read the tuples they walk.
 #ifndef GENEALOG_GENEALOG_TRAVERSAL_H_
 #define GENEALOG_GENEALOG_TRAVERSAL_H_
 
@@ -37,14 +26,9 @@
 
 namespace genealog {
 
-// Not a setting; edgebench's EngineJson reads it.
-constexpr bool EpochTraversalEnabled() { return true; }
-
-// Which visited-tracking implementation FindProvenance uses. kAuto takes the
-// epoch fast path unless another epoch traversal is in flight; kHashSet pins
-// the pointer-set path (tests, equivalence fuzzing, and the Figure 14
-// micro's fallback arm).
-enum class TraversalPath : uint8_t { kAuto, kHashSet };
+// Not a setting; edgebench's EngineJson reads it. False: FindProvenance has
+// one path, the scratch pointer set.
+constexpr bool EpochTraversalEnabled() { return false; }
 
 namespace traversal_internal {
 
@@ -170,11 +154,10 @@ class WorkRing {
 
 }  // namespace traversal_internal
 
-// Reusable scratch space: the BFS frontier ring plus the pointer-set fallback
-// for the visited check. Both structures keep their buffers across calls, so
-// after warm-up to the workload's largest graph a traversal performs zero
-// allocations on either path (the epoch fast path does not even read the
-// pointer set).
+// Reusable scratch space: the BFS frontier ring plus the pointer set for the
+// visited check. Both structures keep their buffers across calls, so after
+// warm-up to the workload's largest graph a traversal performs zero
+// allocations.
 class TraversalScratch {
  public:
   void Clear() {
@@ -190,18 +173,16 @@ class TraversalScratch {
 
  private:
   friend void FindProvenance(Tuple* root, std::vector<Tuple*>& result,
-                             TraversalScratch& scratch, TraversalPath path);
+                             TraversalScratch& scratch);
   traversal_internal::WorkRing ring_;
   traversal_internal::PointerSet visited_;
 };
 
 // Appends the originating tuples of `root` to `result` in BFS discovery
-// order (deterministic for a given contribution graph, identical across
-// traversal paths). The caller must keep `root` alive; returned pointers are
-// valid as long as `root` is.
+// order (deterministic for a given contribution graph). The caller must keep
+// `root` alive; returned pointers are valid as long as `root` is.
 void FindProvenance(Tuple* root, std::vector<Tuple*>& result,
-                    TraversalScratch& scratch,
-                    TraversalPath path = TraversalPath::kAuto);
+                    TraversalScratch& scratch);
 
 // Convenience overload for tests and examples.
 std::vector<Tuple*> FindProvenance(Tuple* root);

@@ -18,7 +18,7 @@ TuplePtr UnfoldedTuple::Deserialize(ByteReader& r, int64_t ts) {
   t->derived_ts = r.GetI64();
   t->origin_id = r.GetU64();
   t->origin_ts = r.GetI64();
-  t->origin_kind = static_cast<TupleKind>(r.GetU8());
+  t->origin_kind = TupleKindFromWire(r.GetU8());
   t->derived = DeserializeTuple(r);
   t->origin = DeserializeTuple(r);
   return t;

@@ -417,7 +417,7 @@ TuplePtr FrameDecoder::GetTuple(ByteReader& body, WireRole role) {
     }
     Descriptor d;
     d.tag = body.GetU16();
-    d.kind = body.GetU8();
+    d.kind = TupleKindFromWire(body.GetU8());
     d.has_annotation = body.GetU8() != 0;
     d.fn = DeserializerForTag(d.tag);
     if (d.fn == nullptr) {
@@ -472,7 +472,7 @@ TuplePtr FrameDecoder::GetTuple(ByteReader& body, WireRole role) {
   }
 
   TuplePtr t = unfolded ? GetUnfoldedPayload(body, ts) : desc.fn(body, ts);
-  t->kind = static_cast<TupleKind>(desc.kind);
+  t->kind = desc.kind;
   t->id = id;
   t->stimulus = stimulus;
   if (desc.has_annotation) t->set_baseline_annotation(std::move(annotation));

@@ -236,7 +236,7 @@ class FrameDecoder {
 
   struct Descriptor {
     uint16_t tag = 0;
-    uint8_t kind = 0;
+    TupleKind kind = TupleKind::kSource;
     bool has_annotation = false;
     PayloadDeserializer fn = nullptr;
   };

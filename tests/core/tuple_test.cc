@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/memory_accounting.h"
+#include "common/tuple_pool.h"
+#include "lr/linear_road.h"
 #include "testing/test_tuples.h"
 
 namespace genealog {
@@ -205,6 +207,15 @@ TEST_F(TupleTest, AggregateChainSharedByTwoOutputsSurvivesPartialRelease) {
   EXPECT_EQ(LiveDelta(), 4);
   w2.reset();
   EXPECT_EQ(LiveDelta(), 0);
+}
+
+// The header is the paper's constant per-tuple provenance cost plus the
+// engine's bookkeeping; a new field silently moves schema types up a pool
+// size class. Q1's aggregate output must stay in the 128-byte class.
+TEST(TupleHeaderTest, HeaderSizeAndSizeClassArePinned) {
+  EXPECT_EQ(sizeof(Tuple), 96u);
+  EXPECT_EQ(pool::SizeClassFor(sizeof(lr::StoppedCarStats)),
+            pool::SizeClassFor(128));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Steady-state allocation regression for the traversal scratch: after one
 // warm-up traversal of the workload's largest graph, repeated traversals —
-// same size or smaller, either path — must perform zero heap growths. The
+// same size or smaller — must perform zero heap growths. The
 // old std::unordered_set scratch rehashed every node on every call after
 // clear(); the generation-tagged pointer set and the recycled work ring are
 // pinned here via the scratch's grow counters and the process-wide
@@ -46,28 +46,26 @@ Graph AggregateChain(int n) {
   return g;
 }
 
-class TraversalAllocTest : public ::testing::TestWithParam<TraversalPath> {};
-
-TEST_P(TraversalAllocTest, ZeroGrowthsAfterWarmUp) {
+TEST(TraversalAllocTest, ZeroGrowthsAfterWarmUp) {
   Graph big = AggregateChain(512);
   Graph small = AggregateChain(24);
   TraversalScratch scratch;
   std::vector<Tuple*> result;
   result.reserve(1024);
 
-  // Warm-up: grows the ring and (on the pointer-set path) the table.
+  // Warm-up: grows the ring and the pointer set.
   result.clear();
-  FindProvenance(big.root, result, scratch, GetParam());
+  FindProvenance(big.root, result, scratch);
   ASSERT_EQ(result.size(), 512u);
 
   const uint64_t grows = scratch.grows();
   const int64_t scratch_bytes = mem::TraversalScratchBytes();
   for (int i = 0; i < 1000; ++i) {
     result.clear();
-    FindProvenance(big.root, result, scratch, GetParam());
+    FindProvenance(big.root, result, scratch);
     ASSERT_EQ(result.size(), 512u);
     result.clear();
-    FindProvenance(small.root, result, scratch, GetParam());
+    FindProvenance(small.root, result, scratch);
     ASSERT_EQ(result.size(), 24u);
   }
   EXPECT_EQ(scratch.grows(), grows)
@@ -75,10 +73,6 @@ TEST_P(TraversalAllocTest, ZeroGrowthsAfterWarmUp) {
   EXPECT_EQ(mem::TraversalScratchBytes(), scratch_bytes)
       << "process-wide scratch gauge moved after warm-up";
 }
-
-INSTANTIATE_TEST_SUITE_P(Paths, TraversalAllocTest,
-                         ::testing::Values(TraversalPath::kAuto,
-                                           TraversalPath::kHashSet));
 
 // The small-buffer case: a ≤32-node graph must never touch the heap at all.
 TEST(TraversalAllocTest, SmallGraphStaysInline) {
@@ -89,7 +83,7 @@ TEST(TraversalAllocTest, SmallGraphStaysInline) {
   const int64_t before = mem::TraversalScratchBytes();
   for (int i = 0; i < 100; ++i) {
     result.clear();
-    FindProvenance(g.root, result, scratch, TraversalPath::kHashSet);
+    FindProvenance(g.root, result, scratch);
     ASSERT_EQ(result.size(), 30u);
   }
   EXPECT_EQ(scratch.grows(), 0u);

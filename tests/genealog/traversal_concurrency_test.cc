@@ -1,9 +1,11 @@
 // Concurrent-traversal stress: several threads walk overlapping contribution
-// graphs at once. The epoch fast path hands mark-word ownership to at most
-// one traversal at a time (the rest fall back to their private pointer sets),
-// so every call must return the exact reference BFS sequence no matter how
-// the threads interleave. Run under TSan in CI (repeated until-fail) to gate
-// the counter handoff and the relaxed mark-word protocol.
+// graphs at once, each with its own TraversalScratch, the way parallel SUs
+// and concurrent queries do. A walk only reads the shared tuples (U1/U2 and
+// the N-chain's acquire loads of next()) and keeps its visited state in its
+// own pointer set, so every call must return the exact single-threaded BFS
+// sequence no matter how the threads interleave. Run under TSan in CI
+// (repeated until-fail) to gate those concurrent read-only walks over shared
+// N-chains.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,7 +23,7 @@ using testing::ValueTuple;
 
 // A shared N-chained source run with a layer of aggregates whose windows
 // overlap heavily, plus join diamonds on top — every thread's walk visits
-// mostly the *same* tuples, maximizing mark-word contention.
+// mostly the *same* tuples, maximizing sharing between concurrent walks.
 struct SharedGraphs {
   std::vector<IntrusivePtr<ValueTuple>> all;
   std::vector<Tuple*> roots;
@@ -66,13 +68,13 @@ SharedGraphs MakeSharedGraphs(int n_sources, int n_roots) {
 TEST(TraversalConcurrencyTest, OverlappingWalksReturnExactSequences) {
   SharedGraphs g = MakeSharedGraphs(/*n_sources=*/96, /*n_roots=*/8);
 
-  // Single-threaded reference per root, on the pointer-set path.
+  // Single-threaded reference per root.
   std::vector<std::vector<Tuple*>> want;
   {
     TraversalScratch scratch;
     for (Tuple* root : g.roots) {
       std::vector<Tuple*> result;
-      FindProvenance(root, result, scratch, TraversalPath::kHashSet);
+      FindProvenance(root, result, scratch);
       want.push_back(std::move(result));
     }
   }
@@ -98,13 +100,13 @@ TEST(TraversalConcurrencyTest, OverlappingWalksReturnExactSequences) {
 }
 
 // Same stress with two SUs' worth of threads pinned to *the same root* — the
-// worst case for ticket claiming, since every node of both walks collides.
+// worst case for sharing, since both walks read every node of one graph.
 TEST(TraversalConcurrencyTest, TwoWalkersOneGraph) {
   SharedGraphs g = MakeSharedGraphs(/*n_sources=*/192, /*n_roots=*/1);
   std::vector<Tuple*> want;
   {
     TraversalScratch scratch;
-    FindProvenance(g.roots[0], want, scratch, TraversalPath::kHashSet);
+    FindProvenance(g.roots[0], want, scratch);
   }
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;

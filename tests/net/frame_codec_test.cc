@@ -419,13 +419,14 @@ std::vector<uint8_t> HandBuiltUFrame(
 }
 
 // A nested ValueTuple header referencing uid 0: defines descriptor
-// `desc_index` when `define` is set.
+// `desc_index` with wire kind `kind` when `define` is set.
 void PutNestedValue(ByteWriter& w, uint64_t desc_index, bool define,
-                    int64_t seq_delta) {
+                    int64_t seq_delta,
+                    uint8_t kind = static_cast<uint8_t>(TupleKind::kSource)) {
   PutVarint(w, (desc_index << 1) | (define ? 1 : 0));
   if (define) {
     w.PutU16(ValueTuple::kTypeTag);
-    w.PutU8(static_cast<uint8_t>(TupleKind::kSource));
+    w.PutU8(kind);
     w.PutU8(0);
   }
   PutVarint(w, (0 << 1) | 0);
@@ -499,6 +500,61 @@ TEST(FrameCodecTest, MalformedUnfoldedPayloadsAreRejected) {
     PutZigzag(w, 100);
     PutZigzag(w, 0);
     w.PutU8(1);
+  });
+
+  // Tuple kinds are 0..5 (SOURCE..REMOTE). Every decode site that reads a
+  // kind byte — the raw header, the compact descriptor and the fallback U
+  // payload's origin_kind — must reject anything else by name.
+  const auto rejects_kind = [](const std::function<void()>& decode) {
+    try {
+      decode();
+      ADD_FAILURE() << "out-of-range tuple kind accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid tuple kind"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  // A raw tuple frame: u8 frame kind | u16 type tag | u8 tuple kind | ...
+  std::vector<uint8_t> raw = EncodeTupleFrame(*V(5, 42), false);
+  EXPECT_EQ(DecodeFrame(raw).tuple->kind, TupleKind::kSource);
+  raw[3] = 6;
+  rejects_kind([&] { DecodeFrame(raw); });
+  // A compact descriptor defining kind 0xFF for the derived tuple.
+  rejects_kind([] {
+    FrameDecoder decoder;
+    decoder.Decode(HandBuiltUFrame([](ByteWriter& w) {
+      w.PutU8(1);
+      PutVarint(w, (0 << 1) | 1);
+      PutNestedValue(w, 1, true, 1, 0xFF);
+      PutNestedValue(w, 2, true, 1);
+    }));
+  });
+  // The fallback form (UnfoldedTuple::SerializePayload bytes) with
+  // origin_kind 9; the control with origin_kind SOURCE decodes.
+  const auto payload_form = [](uint8_t origin_kind) {
+    return HandBuiltUFrame([origin_kind](ByteWriter& w) {
+      w.PutU8(0);  // payload form
+      w.PutU64(2);
+      w.PutI64(100);
+      w.PutU64(3);
+      w.PutI64(100);
+      w.PutU8(origin_kind);
+      SerializeTuple(*V(100, 1), w);
+      SerializeTuple(*V(100, 2), w);
+    });
+  };
+  {
+    FrameDecoder decoder;
+    DecodedFrame d = decoder.Decode(
+        payload_form(static_cast<uint8_t>(TupleKind::kSource)));
+    ASSERT_EQ(d.tuples.size(), 1u);
+    EXPECT_EQ(static_cast<const UnfoldedTuple&>(*d.tuples[0]).origin_kind,
+              TupleKind::kSource);
+  }
+  rejects_kind([&] {
+    FrameDecoder decoder;
+    decoder.Decode(payload_form(9));
   });
 }
 
