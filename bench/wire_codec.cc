@@ -22,6 +22,7 @@
 
 #include "bench/harness.h"
 #include "common/wall_clock.h"
+#include "genealog/pull.h"
 #include "genealog/unfolded.h"
 #include "net/frame.h"
 
@@ -122,7 +123,9 @@ MicroResult RunMicro(WireCodec codec, const std::vector<TuplePtr>& u,
 
 struct E2eResult {
   WireStats total;
-  WireStats u_stream;  // channels named send.U* (the GL provenance streams)
+  // The GL provenance streams: the Send nodes named send.U* (the derived
+  // stream), the pulled U streams' servers and their requests.
+  WireStats u_stream;
   std::vector<uint8_t> canonical_provenance;
 };
 
@@ -195,6 +198,8 @@ E2eResult RunQ1Distributed(const BenchEnv& env, const LrWorkload& lr,
   for (const SendNode* s : q.send_nodes) {
     if (s->name().rfind("send.U", 0) == 0) r.u_stream += s->wire_stats();
   }
+  for (const UServeNode* s : q.u_servers) r.u_stream += s->wire_stats();
+  if (q.u_demand != nullptr) r.u_stream += q.u_demand->wire_stats();
   r.canonical_provenance = CanonicalProvenance(prov_file);
   return r;
 }

@@ -10,9 +10,14 @@
 namespace genealog::mem {
 namespace {
 
-struct Counters {
+// One cache line per instance. A tuple's birth and death update its
+// instance's live bytes and tuple count on the same line, and no two
+// instances share one. Left to the linker, the hot counters' line sharing
+// moved with unrelated code size and swung the data plane by 10-15%.
+struct alignas(64) Counters {
   std::atomic<int64_t> live{0};
   std::atomic<int64_t> peak{0};
+  std::atomic<int64_t> tuples{0};
 };
 
 std::array<Counters, kMaxInstances>& counters() {
@@ -20,7 +25,6 @@ std::array<Counters, kMaxInstances>& counters() {
   return c;
 }
 
-std::atomic<int64_t> g_tuple_count{0};
 std::atomic<int64_t> g_pool_slab_bytes{0};
 std::atomic<int64_t> g_traversal_scratch_bytes{0};
 
@@ -72,10 +76,15 @@ void ResetAll() {
 }
 
 int64_t LiveTupleCount() {
-  return g_tuple_count.load(std::memory_order_relaxed);
+  int64_t total = 0;
+  for (const Counters& c : counters()) {
+    total += c.tuples.load(std::memory_order_relaxed);
+  }
+  return total;
 }
-void AddTupleCount(int64_t delta) {
-  g_tuple_count.fetch_add(delta, std::memory_order_relaxed);
+void AddTupleCount(int instance_id, int64_t delta) {
+  counters()[static_cast<size_t>(instance_id)].tuples.fetch_add(
+      delta, std::memory_order_relaxed);
 }
 
 int64_t PoolSlabBytes() {

@@ -34,9 +34,10 @@ int64_t TotalLiveBytes();
 // respect to concurrent Add/Sub; call only while no query is running.
 void ResetAll();
 
-// Count of live Tuple objects (all instances), for leak assertions in tests.
+// Count of live Tuple objects (all instances), for leak assertions in tests;
+// kept per instance beside that instance's live bytes.
 int64_t LiveTupleCount();
-void AddTupleCount(int64_t delta);
+void AddTupleCount(int instance_id, int64_t delta);
 
 // Bytes the tuple pool has reserved from the OS in slabs (process-wide,
 // monotonic — slabs are never returned). Tracked separately from LiveBytes:

@@ -83,7 +83,7 @@ void Tuple::FinishAccounting() {
   accounted_bytes_ =
       static_cast<int64_t>(SelfBytes()) + static_cast<int64_t>(DynamicBytes());
   mem::Add(owner_instance_, accounted_bytes_);
-  mem::AddTupleCount(1);
+  mem::AddTupleCount(owner_instance_, 1);
 }
 
 void intrusive_unref(const Tuple* tc) noexcept {
@@ -108,7 +108,7 @@ void intrusive_unref(const Tuple* tc) noexcept {
     d->u2_ = nullptr;
     d->next_.store(nullptr, std::memory_order_relaxed);
     mem::Sub(d->owner_instance_, d->accounted_bytes_);
-    mem::AddTupleCount(-1);
+    mem::AddTupleCount(d->owner_instance_, -1);
     const uint8_t pool_class = d->pool_class_;
     d->~Tuple();  // virtual: destroys the most-derived tuple
     pool::Deallocate(d, pool_class);

@@ -8,6 +8,7 @@
 #include "baseline/resolver.h"
 #include "genealog/mu.h"
 #include "genealog/provenance_sink.h"
+#include "genealog/pull.h"
 #include "genealog/su.h"
 #include "net/send_receive.h"
 #include "spe/parallel.h"
@@ -204,6 +205,14 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
 
   // --- provenance weaving around the sink -----------------------------------
   MuEnds mu{nullptr, nullptr};
+  // Fused distributed GL pulls the upstream U streams (genealog/pull.h): the
+  // derived stream's Receive gets the demand tap once the crossings below
+  // have their U channels.
+  const bool pull = mode == ProvenanceMode::kGenealog && distributed &&
+                    !engine.composed_unfolders;
+  int64_t mu_ws = 0;
+  ReceiveNode* derived_recv = nullptr;
+  std::vector<UDemand::Upstream> upstreams;
   if (mode == ProvenanceMode::kGenealog) {
     ProvenanceSinkSpec pso;
     pso.finalize_slack = slack;
@@ -235,10 +244,11 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       out.provenance_sink = psink;
       // MU join window: the stateful window span of the instance producing
       // the derived (sink-side) stream (§6.1).
-      mu = WeaveMu(*prov_topo, engine.composed_unfolders, "MU",
-                   span_of.at(plan.ops[sink_op].instance), psink);
+      mu_ws = span_of.at(plan.ops[sink_op].instance);
+      mu = WeaveMu(*prov_topo, engine.composed_unfolders, "MU", mu_ws, psink);
       const Crossing derived =
           WeaveCrossing(out, sink_topo, *prov_topo, "U_sink", engine);
+      derived_recv = derived.recv;
       entry_of[sink_op] = WeaveSu(out, sink_topo, engine.composed_unfolders,
                                   "SU.sink", sink_node, derived.send);
       prov_topo->Connect(derived.recv, mu.derived_entry);  // MU port 0
@@ -305,7 +315,25 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       const std::string tag = std::to_string(n_cross++);
       const Crossing data =
           WeaveCrossing(out, from_topo, to_topo, "data" + tag, engine);
-      if (mode == ProvenanceMode::kGenealog) {
+      if (pull) {
+        // The crossing SU retains; the serving node "send.U<tag>" answers
+        // the demand step's requests over the same U channel.
+        ChannelEnds u = AddChannelTo(out.channels, engine.use_tcp);
+        auto* su = from_topo.Add<SuNode>("SU.send" + tag,
+                                         RetentionSpec{.ws = mu_ws});
+        from_topo.Connect(from, su);
+        from_topo.Connect(su, data.send);  // the only output: SO
+        out.su_nodes.push_back(su);
+        out.u_servers.push_back(from_topo.Add<UServeNode>(
+            "send.U" + tag, su, u.send, engine.wire_codec));
+        // An upstream U stream cut short must fail the run: read as an end
+        // of stream it would let the MU release derived tuples whose
+        // origins never came.
+        auto* recv = prov_topo->Add<ReceiveNode>("recv.U" + tag, u.recv,
+                                                 /*flush_required=*/true);
+        prov_topo->Connect(recv, mu.upstream_entry);  // MU ports 1..
+        upstreams.push_back({"U" + tag, u.recv});
+      } else if (mode == ProvenanceMode::kGenealog) {
         const Crossing u =
             WeaveCrossing(out, from_topo, *prov_topo, "U" + tag, engine);
         Node* su = WeaveSu(out, from_topo, engine.composed_unfolders,
@@ -319,6 +347,14 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
     }
   }
 
+  if (pull && !upstreams.empty()) {
+    auto demand = std::make_unique<UDemand>(derived_recv->name(), mu_ws,
+                                            std::move(upstreams),
+                                            engine.wire_codec);
+    out.u_demand = demand.get();
+    derived_recv->set_tap(std::move(demand));
+  }
+
   // Remote lineage serving rides on the store: bind the endpoint at Build()
   // so a console can attach before (and while) the dataflow runs.
   if (out.lineage_store != nullptr && !engine.lineage_serve_addr.empty()) {
@@ -326,6 +362,14 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
         out.lineage_store, ParseServeAddr(engine.lineage_serve_addr));
     out.lineage_service->Start();
   }
+}
+
+WireStats BuiltDataflow::wire_stats() const {
+  WireStats total;
+  for (const SendNode* s : send_nodes) total += s->wire_stats();
+  for (const UServeNode* s : u_servers) total += s->wire_stats();
+  if (u_demand != nullptr) total += u_demand->wire_stats();
+  return total;
 }
 
 uint64_t BuiltDataflow::provenance_records() const {

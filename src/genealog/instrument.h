@@ -16,7 +16,11 @@
 //    the consumer over the data channel while its U stream feeds the next MU
 //    upstream port (ports 1..). The MU join window is the stateful window
 //    span of the sink's instance (§6.1); the finalize slack is the plan's
-//    total stateful span.
+//    total stateful span. The upstream U streams are pulled, not pushed
+//    (genealog/pull.h): each crossing SU retains its delivering tuples, the
+//    derived stream's Receive asks for the REMOTE origins it names over the
+//    reverse direction of every upstream U channel, and a serving node
+//    "send.U<n>" at the edge ships just those, unfolded.
 //  * kBaseline — every source is tapped (Multiplex) and a tap copy of the
 //    annotated sink stream plus every source stream feed the baseline
 //    resolver (port 0 = sink stream, ports 1.. = source streams, the order
@@ -25,7 +29,8 @@
 //    channels — the paper's §7 baseline network cost.
 //
 // EngineOptions::composed_unfolders swaps the fused SU/MU operators for the
-// literal Figure 5B / Figure 8 constructions.
+// literal Figure 5B / Figure 8 constructions, with the paper's push U
+// streams.
 #ifndef GENEALOG_GENEALOG_INSTRUMENT_H_
 #define GENEALOG_GENEALOG_INSTRUMENT_H_
 

@@ -1,11 +1,9 @@
 #include "genealog/su.h"
 
 namespace genealog {
-namespace {
 
-// One tuple of the unfolded stream (Def. 5.1): `derived` paired with the
-// originating tuple `o`. The id is left to the caller (SuNode stamps its
-// own sequence; the composed path's MapCollector stamps on emit).
+// SuNode stamps its own sequence, the serving node its own, and the composed
+// path's MapCollector stamps on emit.
 IntrusivePtr<UnfoldedTuple> MakeUnfolded(const TuplePtr& derived, Tuple* o) {
   auto u = MakeTuple<UnfoldedTuple>(derived->ts);
   u->stimulus = derived->stimulus;
@@ -18,8 +16,6 @@ IntrusivePtr<UnfoldedTuple> MakeUnfolded(const TuplePtr& derived, Tuple* o) {
   u->origin_kind = o->kind;
   return u;
 }
-
-}  // namespace
 
 void UnfoldInto(const TuplePtr& derived, std::vector<Tuple*>& origins,
                 TraversalScratch& scratch,
@@ -57,7 +53,56 @@ void SuNode::UnfoldOne(const TuplePtr& t, StreamBatch& u_chunk) {
   }
 }
 
+SuNode::SuNode(std::string name, RetentionSpec retention)
+    : SingleInputNode(std::move(name)),
+      retention_(std::make_unique<RetentionIndex>(this->name(), retention)) {}
+
+void SuNode::AbortQueues() {
+  Node::AbortQueues();
+  if (retention_ != nullptr) retention_->Abort();
+}
+
+void SuNode::RetainBatch(StreamBatch& batch) {
+  // Retain before forwarding: a request can only follow the SO copy, so the
+  // index holds every tuple before anyone can ask for it.
+  auto& tuples = batch.tuples;
+  size_t retained = 0;
+  size_t forwarded = 0;
+  for (;;) {
+    retained += retention_->Retain(
+        std::span<const TuplePtr>(tuples.data() + retained,
+                                  tuples.size() - retained));
+    if (retained == tuples.size()) break;
+    // Full. Only the MU frontier frees room, and it moves only as far as
+    // the SO stream got: hand the retained prefix downstream now, with the
+    // watermark the sorted stream implies (nothing later is older than the
+    // tuple waiting here), then wait.
+    for (; forwarded < retained; ++forwarded) {
+      if (!EmitTupleTo(0, std::move(tuples[forwarded]))) return;
+    }
+    if (!outputs_[0].Flush()) return;
+    if (!ForwardWatermark(tuples[retained]->ts)) return;
+    if (!retention_->AwaitRoom()) return;
+  }
+  if (forwarded == 0) {
+    if (!tuples.empty()) {
+      StreamBatch so_chunk;
+      so_chunk.tuples = std::move(tuples);
+      if (!EmitBatchTo(0, std::move(so_chunk))) return;
+    }
+  } else {
+    for (; forwarded < tuples.size(); ++forwarded) {
+      if (!EmitTupleTo(0, std::move(tuples[forwarded]))) return;
+    }
+  }
+  if (batch.has_watermark()) OnWatermark(batch.watermark);
+}
+
 void SuNode::OnBatch(StreamBatch& batch) {
+  if (retention_ != nullptr) {
+    RetainBatch(batch);
+    return;
+  }
   if (!batch.tuples.empty()) {
     // U first: unfolding borrows the delivering tuples before their handles
     // move into the SO chunk. Both outputs still observe their own streams in
@@ -85,13 +130,30 @@ void SuNode::OnTuple(TuplePtr t) {
 void SuNode::OnFlush() { PublishStats(); }
 
 void SuNode::PublishStats() {
-  if (pending_samples_.empty()) return;
+  PublishSamples(pending_samples_);
+  pending_samples_.clear();
+}
+
+void SuNode::PublishSamples(
+    std::span<const std::pair<double, double>> samples) {
+  if (samples.empty()) return;
   std::lock_guard lock(stats_mu_);
-  for (const auto& [ms, graph_size] : pending_samples_) {
+  for (const auto& [ms, graph_size] : samples) {
     traversal_ms_.Add(ms);
     graph_size_.Add(graph_size);
   }
-  pending_samples_.clear();
+}
+
+uint64_t SuNode::retained_count() const {
+  return retention_ == nullptr ? 0 : retention_->retained();
+}
+
+uint64_t SuNode::requested_count() const {
+  return retention_ == nullptr ? 0 : retention_->requested();
+}
+
+uint64_t SuNode::evicted_unrequested_count() const {
+  return retention_ == nullptr ? 0 : retention_->evicted_unrequested();
 }
 
 double SuNode::mean_traversal_ms() const {

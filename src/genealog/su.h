@@ -16,15 +16,26 @@
 // origin buffer across the batch, and building every unfolded tuple of the
 // batch straight into one outgoing U chunk (EmitBatchTo), so per-tuple queue
 // handovers disappear at batch sizes > 1.
+//
+// An SU before an instance-crossing Send runs in pull mode instead
+// (genealog/pull.h): constructed with a RetentionSpec it has the SO output
+// only, and retains each delivering tuple in a RetentionIndex; the edge's
+// UServeNode unfolds just the tuples the provenance instance asks for and
+// records their traversal samples here, so the accessors below cover both
+// modes.
 #ifndef GENEALOG_GENEALOG_SU_H_
 #define GENEALOG_GENEALOG_SU_H_
 
+#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
 #include "common/wall_clock.h"
+#include "genealog/retention.h"
 #include "genealog/traversal.h"
 #include "genealog/unfolded.h"
 #include "spe/node.h"
@@ -38,6 +49,27 @@ class SuNode final : public SingleInputNode {
   explicit SuNode(std::string name) : SingleInputNode(std::move(name)) {
     pending_samples_.reserve(kPublishEvery);
   }
+  // Pull mode: retains instead of unfolding.
+  SuNode(std::string name, RetentionSpec retention);
+
+  // A full retention index blocks the SU (backpressure), which a pool task
+  // must never do; a pull-mode SU keeps a dedicated thread under the pool.
+  bool NeedsDedicatedThread() const override { return retention_ != nullptr; }
+  void AbortQueues() override;
+
+  // --- pull mode ------------------------------------------------------------
+  // Null for a push-mode SU.
+  RetentionIndex* retention() const { return retention_.get(); }
+  // Delivering tuples retained, then requested by the provenance instance
+  // or evicted by its frontier without a request. Exact after
+  // Runner::Join, where retained = requested + evicted_unrequested; all 0
+  // in push mode.
+  uint64_t retained_count() const;
+  uint64_t requested_count() const;
+  uint64_t evicted_unrequested_count() const;
+  // Folds traversal samples (ms, graph size) taken on another thread — the
+  // serving node's unfolds — into the stats below.
+  void PublishSamples(std::span<const std::pair<double, double>> samples);
 
   // --- contribution-graph traversal cost (Figure 14) -----------------------
   //
@@ -67,6 +99,7 @@ class SuNode final : public SingleInputNode {
   // tuple per origin to `u_chunk`.
   void UnfoldOne(const TuplePtr& t, StreamBatch& u_chunk);
   void PublishStats();
+  void RetainBatch(StreamBatch& batch);
 
   // --- node-thread state (never touched by readers) ------------------------
   TraversalScratch scratch_;
@@ -77,7 +110,14 @@ class SuNode final : public SingleInputNode {
   mutable std::mutex stats_mu_;
   SampleStats traversal_ms_;
   SampleStats graph_size_;
+
+  std::unique_ptr<RetentionIndex> retention_;  // pull mode only
 };
+
+// One tuple of the unfolded stream (Def. 5.1): `derived` paired with the
+// originating tuple `origin`. The id is left to the caller.
+IntrusivePtr<UnfoldedTuple> MakeUnfolded(const TuplePtr& derived,
+                                         Tuple* origin);
 
 // Builds one UnfoldedTuple for each originating tuple of `derived`.
 // Shared by SuNode and the composed Figure 5B Map function.

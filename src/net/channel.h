@@ -1,9 +1,15 @@
 // Byte channels between SPE instances.
 //
-// A channel is unidirectional and fully serializing: tuples are flattened to
-// frames on the sending side and rebuilt as fresh objects on the receiving
-// side, so pointers can never leak across the instance boundary — the
-// property GeneaLog's inter-process design (§6) builds on.
+// A channel carries one stream and is fully serializing: tuples are
+// flattened to frames on the sending side and rebuilt as fresh objects on the
+// receiving side, so pointers can never leak across the instance boundary —
+// the property GeneaLog's inter-process design (§6) builds on.
+//
+// Data flows sender -> receiver (SendFrame / RecvFrame). A channel also has a
+// reverse direction, receiver -> sender (SendReverse / RecvReverse), which
+// only the pull-based U streams use: the provenance instance sends its
+// requests back over the U channel whose responses it reads
+// (genealog/pull.h), so pull needs no extra channel.
 //
 // Two transports:
 //  * InMemoryChannel — a bounded frame queue; same serialization work as the
@@ -37,7 +43,15 @@ class ByteChannel : public Abortable {
   // Tears the channel down from either side (error paths).
   virtual void Abort() = 0;
 
-  // Total payload bytes accepted by SendFrame, for network-volume metrics.
+  // The reverse direction. Called on the receiving end (SendReverse,
+  // CloseReverse) and the sending end (RecvReverse), with the same blocking
+  // and end-of-stream contract as the forward calls.
+  virtual bool SendReverse(std::vector<uint8_t> frame) = 0;
+  virtual bool RecvReverse(std::vector<uint8_t>& frame) = 0;
+  virtual void CloseReverse() = 0;
+
+  // Total payload bytes written by this end in both directions, counted once
+  // the write succeeded, for network-volume metrics.
   virtual uint64_t bytes_sent() const = 0;
 };
 
@@ -49,19 +63,41 @@ class InMemoryChannel final : public ByteChannel {
   bool RecvFrame(std::vector<uint8_t>& frame) override;
   void CloseSend() override;
   void Abort() override;
+  bool SendReverse(std::vector<uint8_t> frame) override;
+  bool RecvReverse(std::vector<uint8_t>& frame) override;
+  void CloseReverse() override;
   uint64_t bytes_sent() const override;
 
  private:
-  BoundedQueue<std::vector<uint8_t>> queue_;
+  // One frame queue per direction; a zero-length frame is the end-of-stream
+  // sentinel, and sends after it fail.
+  struct Direction {
+    explicit Direction(size_t capacity) : queue(capacity) {}
+    bool Send(std::vector<uint8_t> frame, std::atomic<uint64_t>& bytes);
+    bool Recv(std::vector<uint8_t>& frame);
+    void Close();
+
+    BoundedQueue<std::vector<uint8_t>> queue;
+    std::atomic<bool> closed{false};
+  };
+
+  Direction forward_;
+  Direction reverse_;
   std::atomic<uint64_t> bytes_sent_{0};
 };
 
+// One end of a TCP connection. A socket is full duplex, so each end object
+// sends and receives on its one fd: the reverse calls are the forward calls
+// made from the other end (SendReverse on the receiving end writes the frames
+// the sending end's RecvReverse reads).
 class TcpChannel final : public ByteChannel {
  public:
   // Takes ownership of a connected socket.
   explicit TcpChannel(int fd);
   ~TcpChannel() override;
 
+  // Writes the length prefix and the body with one gather write (looping on
+  // partial writes), so a small frame leaves as one segment.
   bool SendFrame(std::vector<uint8_t> frame) override;
   // Throws std::runtime_error on a malformed length prefix (zero or above
   // the 64 MiB frame bound) — a corrupt stream must not read as a clean
@@ -69,6 +105,13 @@ class TcpChannel final : public ByteChannel {
   bool RecvFrame(std::vector<uint8_t>& frame) override;
   void CloseSend() override;
   void Abort() override;
+  bool SendReverse(std::vector<uint8_t> frame) override {
+    return SendFrame(std::move(frame));
+  }
+  bool RecvReverse(std::vector<uint8_t>& frame) override {
+    return RecvFrame(frame);
+  }
+  void CloseReverse() override { CloseSend(); }
   uint64_t bytes_sent() const override;
 
  private:

@@ -95,6 +95,8 @@ const char* FrameKindName(uint8_t kind) {
       return "batch";
     case FrameKind::kCompactBatch:
       return "compact-batch";
+    case FrameKind::kRequest:
+      return "request";
   }
   return "unknown";
 }
@@ -164,9 +166,115 @@ DecodedFrame DecodeFrame(const std::vector<uint8_t>& frame) {
     case FrameKind::kCompactBatch:
       throw std::runtime_error(
           "compact-batch frame needs a stateful FrameDecoder");
+    case FrameKind::kRequest:
+      throw std::runtime_error(
+          "request frame on a forward stream (DecodeRequestFrame reads it)");
     default:
       throw std::runtime_error("unknown frame kind");
   }
+  return out;
+}
+
+// --- pull requests ----------------------------------------------------------
+
+namespace {
+
+constexpr uint8_t kRequestFlagCompact = 0x1;
+constexpr uint8_t kRequestFlagHasWatermark = 0x2;
+constexpr uint64_t kRawRequestEntryBytes = 8 + 8;
+
+[[noreturn]] void RequestError(const std::string& what) {
+  throw std::runtime_error("request frame: " + what);
+}
+
+}  // namespace
+
+std::vector<uint8_t> EncodeRequestFrame(const PullRequest& request,
+                                        WireCodec codec) {
+  const bool compact = codec == WireCodec::kCompact;
+  const bool has_wm = request.watermark != kNoWatermark;
+  ByteWriter w;
+  w.PutU8(static_cast<uint8_t>(FrameKind::kRequest));
+  w.PutU8((compact ? kRequestFlagCompact : 0) |
+          (has_wm ? kRequestFlagHasWatermark : 0));
+  if (!compact) {
+    w.PutU32(static_cast<uint32_t>(request.entries.size()));
+    for (const PullRequestEntry& e : request.entries) {
+      w.PutU64(e.id);
+      w.PutI64(e.ts);
+    }
+    if (has_wm) w.PutI64(request.watermark);
+    return w.TakeBytes();
+  }
+  PutVarint(w, request.entries.size());
+  if (has_wm) PutZigzag(w, request.watermark);
+  PullRequestEntry prev;
+  for (const PullRequestEntry& e : request.entries) {
+    // Wrapping (unsigned) deltas: any id or ts pair round-trips.
+    PutZigzag(w, static_cast<int64_t>(e.id - prev.id));
+    PutZigzag(w, static_cast<int64_t>(static_cast<uint64_t>(e.ts) -
+                                      static_cast<uint64_t>(prev.ts)));
+    prev = e;
+  }
+  return w.TakeBytes();
+}
+
+uint64_t RawRequestFrameBytes(const PullRequest& request) {
+  return 1 + 1 + 4 + kRawRequestEntryBytes * request.entries.size() +
+         (request.watermark != kNoWatermark ? 8 : 0);
+}
+
+PullRequest DecodeRequestFrame(const std::vector<uint8_t>& frame) {
+  ByteReader r(frame);
+  PullRequest out;
+  try {
+    if (r.GetU8() != static_cast<uint8_t>(FrameKind::kRequest)) {
+      RequestError("wrong frame kind");
+    }
+    const uint8_t flags = r.GetU8();
+    if ((flags & ~(kRequestFlagCompact | kRequestFlagHasWatermark)) != 0) {
+      RequestError("reserved flag bits set");
+    }
+    const bool compact = (flags & kRequestFlagCompact) != 0;
+    const bool has_wm = (flags & kRequestFlagHasWatermark) != 0;
+    // An entry costs at least 16 bytes raw and 2 bytes compact: a count
+    // whose entries could not fit a frame is malformed, rejected before
+    // anything is reserved for it.
+    const uint64_t min_entry = compact ? 2 : kRawRequestEntryBytes;
+    const uint64_t count = compact ? GetVarint(r) : r.GetU32();
+    if (count > kMaxFrameBytes / min_entry) {
+      RequestError("declared count " + std::to_string(count) +
+                   " is past the 64 MiB frame bound");
+    }
+    if (count * min_entry > r.remaining()) {
+      RequestError("truncated id list (" + std::to_string(count) +
+                   " entries declared)");
+    }
+    out.entries.reserve(static_cast<size_t>(count));
+    if (compact) {
+      if (has_wm) out.watermark = GetZigzag(r);
+      PullRequestEntry prev;
+      for (uint64_t i = 0; i < count; ++i) {
+        PullRequestEntry e;
+        e.id = prev.id + static_cast<uint64_t>(GetZigzag(r));
+        e.ts = static_cast<int64_t>(static_cast<uint64_t>(prev.ts) +
+                                    static_cast<uint64_t>(GetZigzag(r)));
+        out.entries.push_back(e);
+        prev = e;
+      }
+    } else {
+      for (uint64_t i = 0; i < count; ++i) {
+        PullRequestEntry e;
+        e.id = r.GetU64();
+        e.ts = r.GetI64();
+        out.entries.push_back(e);
+      }
+      if (has_wm) out.watermark = r.GetI64();
+    }
+  } catch (const std::out_of_range&) {
+    RequestError("truncated id list");
+  }
+  if (!r.AtEnd()) RequestError("trailing bytes");
   return out;
 }
 

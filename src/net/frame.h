@@ -53,10 +53,17 @@
 // The compact path is stateful on both sides, hence the FrameEncoder /
 // FrameDecoder classes; the stateless free functions below remain the raw
 // codec and the compatibility surface for existing callers.
+//
+// Request frames (FrameKind::kRequest) travel the reverse direction of a
+// pull-based U channel (genealog/pull.h): the ids of the delivering tuples
+// the provenance instance needs unfolded, each with its ts, plus the
+// requester's watermark. They are stateless under both codecs: the raw body
+// is fixed-width, the compact body delta-codes ids and ts within the frame.
 #ifndef GENEALOG_NET_FRAME_H_
 #define GENEALOG_NET_FRAME_H_
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -78,6 +85,10 @@ uint64_t GetVarint(ByteReader& r);
 void PutZigzag(ByteWriter& w, int64_t v);
 int64_t GetZigzag(ByteReader& r);
 
+// Largest frame a channel carries; TcpChannel rejects a longer length prefix
+// and the request decoder a longer declared id list.
+inline constexpr size_t kMaxFrameBytes = size_t{64} << 20;
+
 enum class FrameKind : uint8_t {
   kTuple = 1,
   kWatermark = 2,
@@ -92,6 +103,15 @@ enum class FrameKind : uint8_t {
   // and rejected. The body is the dictionary/delta encoding described in the
   // header comment.
   kCompactBatch = 5,
+  // A pull request (reverse direction only):
+  //   u8 kind | u8 flags | body
+  // flags bit 0 = compact body, bit 1 = the request carries a watermark;
+  // every other bit is reserved and rejected. Bodies:
+  //   raw:     u32 count | count x (u64 id | i64 ts) | [i64 watermark]
+  //   compact: varint count | [zigzag watermark]
+  //            | count x (zigzag id delta | zigzag ts delta)
+  // with deltas against the previous entry of the frame (first against 0).
+  kRequest = 6,
 };
 
 // Human-readable frame kind, for error messages ("corrupt batch frame").
@@ -122,6 +142,33 @@ struct DecodedFrame {
 // std::out_of_range on malformed input, and on a kCompactBatch frame, which
 // needs the per-channel state a FrameDecoder carries.
 DecodedFrame DecodeFrame(const std::vector<uint8_t>& frame);
+
+// --- pull requests (stateless) ----------------------------------------------
+
+// One requested delivering tuple: its id and ts (the origin_ts the derived
+// U tuple carried for it).
+struct PullRequestEntry {
+  uint64_t id = 0;
+  int64_t ts = 0;
+  bool operator==(const PullRequestEntry&) const = default;
+};
+
+struct PullRequest {
+  std::vector<PullRequestEntry> entries;
+  int64_t watermark = std::numeric_limits<int64_t>::min();  // = kNoWatermark
+  bool operator==(const PullRequest&) const = default;
+};
+
+// Encodes `request` as one kRequest frame under `codec`.
+std::vector<uint8_t> EncodeRequestFrame(const PullRequest& request,
+                                        WireCodec codec);
+// Raw-codec size of `request`, for WireStats::raw_bytes.
+uint64_t RawRequestFrameBytes(const PullRequest& request);
+// Decodes a kRequest frame. Throws std::runtime_error naming the defect
+// ("request frame: ...") on a wrong kind byte, a reserved flag bit, a
+// declared count past the kMaxFrameBytes bound, a truncated id list, or
+// trailing bytes.
+PullRequest DecodeRequestFrame(const std::vector<uint8_t>& frame);
 
 // --- compact codec (stateful) -----------------------------------------------
 

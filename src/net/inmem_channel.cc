@@ -6,24 +6,53 @@ namespace genealog {
 // at least the FrameKind byte.
 
 InMemoryChannel::InMemoryChannel(size_t capacity_frames)
-    : queue_(capacity_frames) {}
+    : forward_(capacity_frames), reverse_(capacity_frames) {}
 
-bool InMemoryChannel::SendFrame(std::vector<uint8_t> frame) {
-  if (frame.empty()) return false;
-  bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
-  return queue_.Push(std::move(frame));
+bool InMemoryChannel::Direction::Send(std::vector<uint8_t> frame,
+                                      std::atomic<uint64_t>& bytes) {
+  if (frame.empty() || closed.load(std::memory_order_acquire)) return false;
+  const size_t n = frame.size();
+  if (!queue.Push(std::move(frame))) return false;
+  bytes.fetch_add(n, std::memory_order_relaxed);
+  return true;
 }
 
-bool InMemoryChannel::RecvFrame(std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> item = queue_.Pop();
+bool InMemoryChannel::Direction::Recv(std::vector<uint8_t>& frame) {
+  std::optional<std::vector<uint8_t>> item = queue.Pop();
   if (!item.has_value() || item->empty()) return false;
   frame = std::move(*item);
   return true;
 }
 
-void InMemoryChannel::CloseSend() { queue_.Push({}); }
+void InMemoryChannel::Direction::Close() {
+  closed.store(true, std::memory_order_release);
+  queue.Push({});
+}
 
-void InMemoryChannel::Abort() { queue_.Abort(); }
+bool InMemoryChannel::SendFrame(std::vector<uint8_t> frame) {
+  return forward_.Send(std::move(frame), bytes_sent_);
+}
+
+bool InMemoryChannel::RecvFrame(std::vector<uint8_t>& frame) {
+  return forward_.Recv(frame);
+}
+
+void InMemoryChannel::CloseSend() { forward_.Close(); }
+
+void InMemoryChannel::Abort() {
+  forward_.queue.Abort();
+  reverse_.queue.Abort();
+}
+
+bool InMemoryChannel::SendReverse(std::vector<uint8_t> frame) {
+  return reverse_.Send(std::move(frame), bytes_sent_);
+}
+
+bool InMemoryChannel::RecvReverse(std::vector<uint8_t>& frame) {
+  return reverse_.Recv(frame);
+}
+
+void InMemoryChannel::CloseReverse() { reverse_.Close(); }
 
 uint64_t InMemoryChannel::bytes_sent() const {
   return bytes_sent_.load(std::memory_order_relaxed);

@@ -13,9 +13,17 @@
 // Receive replays a decoded batch tuple-by-tuple into its outputs, where the
 // endpoint re-chunks to the receiving instance's batch knob. The codec knob
 // lives on the Send side only; Receive decodes whatever each frame announces.
+//
+// Two Receive options serve the pull-based U streams (genealog/pull.h): a
+// FrameTap sees every decoded frame before it is replayed (the MU-side
+// demand step reads the derived U stream this way), and `flush_required`
+// makes a channel that ends without a flush frame a named error instead of
+// an end of stream (an upstream U stream cut short must fail the run, not
+// let the MU release derived tuples whose origins never came).
 #ifndef GENEALOG_NET_SEND_RECEIVE_H_
 #define GENEALOG_NET_SEND_RECEIVE_H_
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -70,21 +78,43 @@ class SendNode final : public SingleInputNode {
   FrameEncoder encoder_;
 };
 
+// Observes a ReceiveNode's stream: OnFrame runs on the Receive thread for
+// every decoded frame before its tuples and watermark are replayed, OnEnd
+// once at the stream's end (flush frame, or a close the node accepts as one).
+class FrameTap {
+ public:
+  virtual ~FrameTap() = default;
+  virtual void OnFrame(const DecodedFrame& frame) = 0;
+  virtual void OnEnd() = 0;
+};
+
 class ReceiveNode final : public Node {
  public:
-  ReceiveNode(std::string name, ByteChannel* channel)
-      : Node(std::move(name)), channel_(channel) {}
+  ReceiveNode(std::string name, ByteChannel* channel,
+              bool flush_required = false)
+      : Node(std::move(name)),
+        channel_(channel),
+        flush_required_(flush_required) {}
 
   // Blocks on the channel for each frame, so Receive keeps a dedicated
   // thread under the pool.
   bool NeedsDedicatedThread() const override { return true; }
 
+  ByteChannel* channel() const { return channel_; }
+  // Installs a tap; call before the node runs.
+  void set_tap(std::unique_ptr<FrameTap> tap) { tap_ = std::move(tap); }
+
   // Replays up to `max_frames` frames into the outputs.
   StepResult Step(size_t max_frames) override {
     for (size_t n = 0; n < max_frames; ++n) {
       if (!channel_->RecvFrame(frame_)) {
+        if (flush_required_) {
+          throw std::runtime_error(name() +
+                                   ": channel closed without a flush frame");
+        }
         // Channel closed without an explicit flush (sender aborted): still
         // propagate end-of-stream so the rest of the instance can unwind.
+        if (tap_ != nullptr) tap_->OnEnd();
         EmitFlushAll();
         return StepResult::kDone;
       }
@@ -98,6 +128,13 @@ class ReceiveNode final : public Node {
             name() + ": malformed " +
             FrameKindName(frame_.empty() ? 0 : frame_[0]) + " frame (" +
             std::to_string(frame_.size()) + " bytes): " + e.what());
+      }
+      if (tap_ != nullptr) {
+        if (decoded.kind == FrameKind::kFlush) {
+          tap_->OnEnd();
+        } else {
+          tap_->OnFrame(decoded);
+        }
       }
       switch (decoded.kind) {
         case FrameKind::kTuple:
@@ -121,6 +158,8 @@ class ReceiveNode final : public Node {
         case FrameKind::kFlush:
           EmitFlushAll();
           return StepResult::kDone;
+        case FrameKind::kRequest:  // rejected by the decoder above
+          break;
       }
     }
     return StepResult::kReady;
@@ -128,6 +167,8 @@ class ReceiveNode final : public Node {
 
  private:
   ByteChannel* channel_;
+  std::unique_ptr<FrameTap> tap_;
+  bool flush_required_;
   FrameDecoder decoder_;
   std::vector<uint8_t> frame_;
 };

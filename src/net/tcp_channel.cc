@@ -2,6 +2,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -10,19 +11,33 @@
 #include <string>
 
 #include "net/channel.h"
+#include "net/frame.h"
 
 namespace genealog {
 namespace {
 
-bool WriteAll(int fd, const uint8_t* data, size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
+// Writes every byte of `iov` (advancing it in place) with gather writes,
+// looping on partial writes and EINTR.
+bool WriteAllV(int fd, iovec* iov, int iovcnt) {
+  while (iovcnt > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(iovcnt);
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w <= 0) {
       if (w < 0 && errno == EINTR) continue;
       return false;
     }
-    data += w;
-    n -= static_cast<size_t>(w);
+    auto left = static_cast<size_t>(w);
+    while (iovcnt > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --iovcnt;
+    }
+    if (iovcnt > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
   return true;
 }
@@ -53,11 +68,13 @@ TcpChannel::~TcpChannel() {
 
 bool TcpChannel::SendFrame(std::vector<uint8_t> frame) {
   if (frame.empty()) return false;
-  bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
   uint32_t len = static_cast<uint32_t>(frame.size());
   uint8_t header[4];
   std::memcpy(header, &len, 4);
-  return WriteAll(fd_, header, 4) && WriteAll(fd_, frame.data(), frame.size());
+  iovec iov[2] = {{header, sizeof(header)}, {frame.data(), frame.size()}};
+  if (!WriteAllV(fd_, iov, 2)) return false;
+  bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
+  return true;
 }
 
 bool TcpChannel::RecvFrame(std::vector<uint8_t>& frame) {
@@ -65,7 +82,7 @@ bool TcpChannel::RecvFrame(std::vector<uint8_t>& frame) {
   if (!ReadAll(fd_, header, 4)) return false;
   uint32_t len = 0;
   std::memcpy(&len, header, 4);
-  if (len == 0 || len > (64u << 20)) {  // sanity bound: 64 MiB
+  if (len == 0 || len > kMaxFrameBytes) {
     // A malformed length prefix means the stream is corrupt, not closed:
     // fail loudly so the Receive node reports it instead of reading the
     // truncation as a clean end-of-stream.

@@ -68,6 +68,8 @@ namespace genealog {
 
 class Dataflow;
 class SuNode;
+class UServeNode;
+class UDemand;
 class ProvenanceSinkNode;
 class BaselineResolverNode;
 template <typename T, typename KeyFn>
@@ -162,7 +164,13 @@ struct BuiltDataflow {
   ProvenanceSinkNode* provenance_sink = nullptr;      // GL only
   BaselineResolverNode* baseline_resolver = nullptr;  // BL only
   std::vector<SuNode*> su_nodes;    // fused SUs, in weave order
-  std::vector<SendNode*> send_nodes;  // one per inter-instance channel
+  // Send nodes: one per inter-instance channel, except the pull-based U
+  // channels (fused distributed GL), whose forward writer is a UServeNode.
+  std::vector<SendNode*> send_nodes;
+  // Pull-based U streams (genealog/pull.h): one serving node per crossing,
+  // and the provenance instance's demand step (null without crossings).
+  std::vector<UServeNode*> u_servers;
+  const UDemand* u_demand = nullptr;
 
   // Live lineage index (GL with EngineOptions::lineage_store only); fed by
   // the provenance sink, shared with LineageQuery handles.
@@ -188,13 +196,11 @@ struct BuiltDataflow {
     return total;
   }
 
-  // Aggregated wire-codec accounting across every Send node (frames, raw vs
-  // encoded bytes; see WireStats).
-  WireStats wire_stats() const {
-    WireStats total;
-    for (const SendNode* s : send_nodes) total += s->wire_stats();
-    return total;
-  }
+  // Aggregated wire-codec accounting over every frame the dataflow's
+  // channels carried: Send nodes, U-stream servers and the pull requests of
+  // the reverse direction (frames, raw vs encoded bytes; see WireStats).
+  // Defined in genealog/instrument.cc.
+  WireStats wire_stats() const;
 
   // Provenance probes without naming the sink node types (defined in
   // genealog/instrument.cc; 0 when the mode records no provenance).

@@ -323,7 +323,9 @@ class Node {
   void AddOutput(Endpoint e) { outputs_.push_back(std::move(e)); }
   size_t num_outputs() const { return outputs_.size(); }
 
-  void AbortQueues();
+  // Aborts the input queue (and, in overrides, whatever else a node blocks
+  // on) so the node's Step unwinds; the failure path of Topology::AbortAll.
+  virtual void AbortQueues();
 
   // Tuples processed by this node (inputs for operators, emissions for
   // sources); read by harnesses after the run.

@@ -120,6 +120,96 @@ TEST(TcpChannelTest, CloseSendSignalsEndOfStream) {
   EXPECT_FALSE(receiver->RecvFrame(frame));
 }
 
+TEST(TcpChannelTest, MultiMiBFrameNeedingPartialWritesRoundTrips) {
+  // 12 MiB is far past the socket buffers, and the receiver starts late: the
+  // gather write must loop over partial writes and keep the length prefix
+  // and the body in order.
+  auto [sender, receiver] = MakeTcpChannelPair();
+  std::vector<uint8_t> big(12u << 20);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<uint8_t>(i * 7 + (i >> 16));
+  }
+  std::thread tx([&, s = sender.get()] {
+    EXPECT_TRUE(s->SendFrame(big));
+    EXPECT_TRUE(s->SendFrame({1, 2, 3}));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(receiver->RecvFrame(frame));
+  EXPECT_TRUE(frame == big);
+  ASSERT_TRUE(receiver->RecvFrame(frame));
+  EXPECT_EQ(frame, (std::vector<uint8_t>{1, 2, 3}));
+  tx.join();
+  EXPECT_EQ(sender->bytes_sent(), big.size() + 3);
+}
+
+TEST(TcpChannelTest, FailedSendsAreNotCountedAsSent) {
+  auto [sender, receiver] = MakeTcpChannelPair();
+  receiver.reset();  // the peer is gone: writes fail once the RST lands
+  const std::vector<uint8_t> chunk(64u << 10, 0xAB);
+  uint64_t ok = 0;
+  bool failed = false;
+  for (int i = 0; i < 256 && !failed; ++i) {
+    if (sender->SendFrame(chunk)) {
+      ++ok;
+    } else {
+      failed = true;
+    }
+  }
+  EXPECT_TRUE(failed);
+  EXPECT_EQ(sender->bytes_sent(), ok * chunk.size());
+}
+
+TEST(TcpChannelTest, ReverseDirectionRidesTheSameConnection) {
+  auto [sender, receiver] = MakeTcpChannelPair();
+  ASSERT_TRUE(receiver->SendReverse({4, 2}));
+  ASSERT_TRUE(sender->SendFrame({9}));
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(sender->RecvReverse(frame));
+  EXPECT_EQ(frame, (std::vector<uint8_t>{4, 2}));
+  ASSERT_TRUE(receiver->RecvFrame(frame));
+  EXPECT_EQ(frame, (std::vector<uint8_t>{9}));
+  // Closing the reverse direction leaves the forward one open.
+  receiver->CloseReverse();
+  EXPECT_FALSE(sender->RecvReverse(frame));
+  ASSERT_TRUE(sender->SendFrame({8}));
+  ASSERT_TRUE(receiver->RecvFrame(frame));
+  EXPECT_EQ(frame, (std::vector<uint8_t>{8}));
+  EXPECT_EQ(receiver->bytes_sent(), 2u);
+}
+
+TEST(InMemoryChannelTest, ReverseDirectionIsASecondQueue) {
+  InMemoryChannel channel(16);
+  ASSERT_TRUE(channel.SendFrame({1}));
+  ASSERT_TRUE(channel.SendReverse({2, 2}));
+  ASSERT_TRUE(channel.SendReverse({3}));
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(channel.RecvReverse(frame));
+  EXPECT_EQ(frame, (std::vector<uint8_t>{2, 2}));
+  ASSERT_TRUE(channel.RecvFrame(frame));
+  EXPECT_EQ(frame, (std::vector<uint8_t>{1}));
+  channel.CloseReverse();
+  EXPECT_FALSE(channel.SendReverse({4}));  // sends after close fail
+  ASSERT_TRUE(channel.RecvReverse(frame));
+  EXPECT_EQ(frame, (std::vector<uint8_t>{3}));
+  EXPECT_FALSE(channel.RecvReverse(frame));
+  ASSERT_TRUE(channel.SendFrame({5}));  // forward unaffected
+  EXPECT_EQ(channel.bytes_sent(), 5u);   // both directions
+  channel.CloseSend();
+  EXPECT_FALSE(channel.SendFrame({6}));
+}
+
+TEST(InMemoryChannelTest, AbortUnblocksTheReverseReader) {
+  InMemoryChannel channel(4);
+  std::thread reader([&] {
+    std::vector<uint8_t> frame;
+    EXPECT_FALSE(channel.RecvReverse(frame));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  channel.Abort();
+  reader.join();
+}
+
 // --- Send/Receive operators across two instances ----------------------------
 
 struct BridgeRun {

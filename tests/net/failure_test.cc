@@ -5,12 +5,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "common/memory_accounting.h"
 #include "net/channel.h"
 #include "net/frame.h"
 #include "net/send_receive.h"
+#include "queries/query_helpers.h"
 #include "spe/sink.h"
 #include "spe/source.h"
 #include "spe/stateless.h"
@@ -45,6 +50,31 @@ TEST(FailureTest, ReceiverTreatsChannelCloseWithoutFlushAsEndOfStream) {
   topo.Connect(recv, sink);
   RunToCompletion(topo);  // must terminate
   EXPECT_EQ(c.tuples().size(), 1u);
+}
+
+TEST(FailureTest, FlushRequiringReceiverRejectsChannelCloseWithoutFlush) {
+  // A pulled U stream's Receive: a close without a flush frame means the
+  // edge went away mid-stream, and reading it as end-of-stream would let
+  // the MU release derived tuples whose origins never came.
+  InMemoryChannel channel;
+  channel.SendFrame(EncodeTupleFrame(*V(1, 10), false));
+  channel.CloseSend();  // no flush frame
+
+  Topology topo(2);
+  auto* recv = topo.Add<ReceiveNode>("recv.U3", &channel,
+                                     /*flush_required=*/true);
+  Collector c;
+  auto* sink = c.AttachSink(topo);
+  topo.Connect(recv, sink);
+  Runner runner({&topo});
+  runner.Start();
+  try {
+    runner.Join();
+    FAIL() << "a close without flush read as a clean end of stream";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("recv.U3"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FailureTest, CorruptFrameFailsTheRunLoudly) {
@@ -269,6 +299,112 @@ TEST(FailureTest, AbortedDownstreamQueueStopsUpstreamGracefully) {
   topo.AbortAll();
   runner.Join();
   SUCCEED();
+}
+
+// --- pull-based U streams: the reverse direction breaks ---------------------
+//
+// Q4 over three instances pulls its U stream from instance 1 over channel U0
+// (genealog/pull.h). The provenance side breaks that channel mid-run, from
+// the provenance sink's consumer after a few records: the run must end in an
+// error naming U0 — not hang, not finish with records missing origins — and
+// the provenance file must hold whole records, each one a record of the
+// clean run.
+
+sg::SmartGridData PullSg() {
+  sg::SmartGridConfig config;
+  config.n_meters = 40;
+  config.n_days = 12;
+  config.anomaly_probability = 0.15;
+  config.seed = 5;
+  return sg::GenerateSmartGrid(config);
+}
+
+std::string PullProvPath(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("genealog_pull_failure_" + tag + ".bin"))
+      .string();
+}
+
+queries::QueryBuildOptions PullQ4(bool tcp, const std::string& file) {
+  queries::QueryBuildOptions options;
+  options.mode = ProvenanceMode::kGenealog;
+  options.distributed = true;
+  options.use_tcp = tcp;
+  options.provenance_file = file;
+  // Paced (about 0.3 s for the 11,520 readings), so the fourth record
+  // finalizes while the derived stream still has most of its requests to
+  // send: the break lands mid-run, not after the request direction ended.
+  options.source.max_rate_tps = 40'000;
+  return options;
+}
+
+// The receiving end of U channel `tag`, found through its Receive node.
+ByteChannel* UChannelRecvEnd(const BuiltDataflow& flow,
+                             const std::string& tag) {
+  for (const auto& topology : flow.topologies) {
+    for (const auto& node : topology->nodes()) {
+      if (node->name() == "recv." + tag) {
+        return static_cast<ReceiveNode*>(node.get())->channel();
+      }
+    }
+  }
+  return nullptr;
+}
+
+void BreakPullChannelMidRun(const std::string& tag,
+                            const std::function<void(ByteChannel*)>& brk) {
+  const sg::SmartGridData data = PullSg();
+  for (const bool tcp : {false, true}) {
+    const std::string clean_path = PullProvPath(tag + "_clean");
+    {
+      BuiltDataflow clean =
+          queries::BuildQ4Fluent(data, PullQ4(tcp, clean_path));
+      clean.Run();
+    }
+    const auto reference = queries::CanonicalProvenanceRecords(clean_path);
+    ASSERT_GT(reference.size(), 20u);
+
+    const std::string path = PullProvPath(tag);
+    std::atomic<ByteChannel*> target{nullptr};
+    std::atomic<int> seen{0};
+    queries::QueryBuildOptions options = PullQ4(tcp, path);
+    options.provenance_consumer = [&](const ProvenanceRecord&) {
+      if (seen.fetch_add(1) == 3) brk(target.load());
+    };
+    {
+      BuiltDataflow flow = queries::BuildQ4Fluent(data, std::move(options));
+      target.store(UChannelRecvEnd(flow, "U0"));
+      ASSERT_NE(target.load(), nullptr);
+      try {
+        flow.Run();
+        ADD_FAILURE() << "tcp " << tcp << ": the run survived a broken U0";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("U0"), std::string::npos)
+            << "tcp " << tcp << ": " << e.what();
+      }
+    }
+    std::vector<std::vector<uint8_t>> got;
+    ASSERT_NO_THROW(got = queries::CanonicalProvenanceRecords(path))
+        << "tcp " << tcp << ": torn record in the provenance file";
+    EXPECT_GE(got.size(), 4u);
+    EXPECT_LT(got.size(), reference.size());
+    for (const auto& record : got) {
+      EXPECT_TRUE(std::binary_search(reference.begin(), reference.end(),
+                                     record))
+          << "tcp " << tcp << ": a record not in the clean run";
+    }
+    std::filesystem::remove(path);
+    std::filesystem::remove(clean_path);
+  }
+}
+
+TEST(FailureTest, PullUChannelAbortedFromTheProvenanceSide) {
+  BreakPullChannelMidRun("abort", [](ByteChannel* ch) { ch->Abort(); });
+}
+
+TEST(FailureTest, PullRequestDirectionClosedWithoutFlush) {
+  BreakPullChannelMidRun("close",
+                         [](ByteChannel* ch) { ch->CloseReverse(); });
 }
 
 }  // namespace

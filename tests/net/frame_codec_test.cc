@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <random>
 #include <string>
 
@@ -49,6 +50,7 @@ std::vector<TuplePtr> DecodeAll(FrameDecoder& decoder,
         if (watermarks != nullptr) watermarks->push_back(d.watermark);
         break;
       case FrameKind::kFlush:
+      case FrameKind::kRequest:  // the decoder rejects it
         break;
     }
   }
@@ -595,6 +597,152 @@ TEST(FrameCodecTest, NestedUnfoldedTuplesTakeTheFallbackForm) {
   FrameDecoder decoder;
   auto decoded = DecodeAll(decoder, encoder.EncodeBatch(batch, 0, false));
   EXPECT_EQ(CanonicalBytes(decoded), CanonicalBytes(batch));
+}
+
+// --- pull requests (the reverse direction of a U channel) ------------------
+
+PullRequest RandomRequest(std::mt19937_64& rng) {
+  PullRequest request;
+  const size_t n = rng() % 12;
+  uint64_t id = rng();
+  for (size_t i = 0; i < n; ++i) {
+    // Mostly ascending ids of one node, sometimes another node's, with
+    // extreme timestamps mixed in.
+    id = rng() % 3 == 0 ? rng() : id + rng() % 5;
+    const int64_t ts = rng() % 7 == 0 ? static_cast<int64_t>(rng())
+                                      : static_cast<int64_t>(rng() % 4096);
+    request.entries.push_back({id, ts});
+  }
+  if (rng() % 3 != 0) {
+    request.watermark = rng() % 5 == 0 ? std::numeric_limits<int64_t>::max()
+                                       : static_cast<int64_t>(rng() % 4096);
+  }
+  return request;
+}
+
+TEST(FrameCodecTest, RequestFramesRoundTripUnderBothCodecs) {
+  std::mt19937_64 rng(77);
+  for (int round = 0; round < 500; ++round) {
+    const PullRequest request = RandomRequest(rng);
+    for (const WireCodec codec : {WireCodec::kRaw, WireCodec::kCompact}) {
+      const std::vector<uint8_t> frame = EncodeRequestFrame(request, codec);
+      EXPECT_EQ(frame[0], static_cast<uint8_t>(FrameKind::kRequest));
+      EXPECT_EQ(DecodeRequestFrame(frame), request) << "round " << round;
+      if (codec == WireCodec::kRaw) {
+        EXPECT_EQ(frame.size(), RawRequestFrameBytes(request));
+      }
+    }
+  }
+  // The empty watermark-only request, and the compact body's delta coding
+  // of one node's ascending ids.
+  PullRequest wm_only;
+  wm_only.watermark = -5;
+  EXPECT_EQ(DecodeRequestFrame(EncodeRequestFrame(wm_only, WireCodec::kRaw)),
+            wm_only);
+  PullRequest run;
+  for (uint64_t i = 0; i < 100; ++i) {
+    run.entries.push_back({(uint64_t{9} << 40) | (1000 + i),
+                           static_cast<int64_t>(24 * i)});
+  }
+  EXPECT_LT(EncodeRequestFrame(run, WireCodec::kCompact).size() * 4,
+            EncodeRequestFrame(run, WireCodec::kRaw).size());
+}
+
+TEST(FrameCodecTest, MalformedRequestFramesAreRejectedByName) {
+  PullRequest request;
+  request.entries = {{11, 1}, {12, 2}, {13, 3}};
+  request.watermark = 9;
+  const auto expect_rejected = [](const std::vector<uint8_t>& frame,
+                                  const std::string& what) {
+    try {
+      DecodeRequestFrame(frame);
+      ADD_FAILURE() << "accepted: " << what;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("request frame"), std::string::npos) << msg;
+      EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    }
+  };
+  for (const WireCodec codec : {WireCodec::kRaw, WireCodec::kCompact}) {
+    const std::vector<uint8_t> good = EncodeRequestFrame(request, codec);
+    // A truncated id list, cut anywhere inside it.
+    for (size_t cut = 3; cut + 1 < good.size(); ++cut) {
+      std::vector<uint8_t> truncated(good.begin(), good.begin() + cut);
+      EXPECT_THROW(DecodeRequestFrame(truncated), std::runtime_error)
+          << "cut " << cut;
+    }
+    // A reserved flag bit, alone or with the valid ones.
+    for (const uint8_t bit : {uint8_t{0x4}, uint8_t{0x10}, uint8_t{0x80}}) {
+      std::vector<uint8_t> flagged = good;
+      flagged[1] |= bit;
+      expect_rejected(flagged, "reserved flag");
+    }
+    // Trailing bytes after a complete request.
+    std::vector<uint8_t> trailing = good;
+    trailing.push_back(0);
+    expect_rejected(trailing, "trailing bytes");
+  }
+  // Raw: a count whose entries cannot fit a frame, and one the body lacks.
+  {
+    ByteWriter w;
+    w.PutU8(static_cast<uint8_t>(FrameKind::kRequest));
+    w.PutU8(0);
+    w.PutU32(0xFFFFFFFFu);
+    expect_rejected(w.TakeBytes(), "64 MiB frame bound");
+  }
+  {
+    ByteWriter w;
+    w.PutU8(static_cast<uint8_t>(FrameKind::kRequest));
+    w.PutU8(0);
+    w.PutU32(4);
+    w.PutU64(1);
+    w.PutI64(1);
+    expect_rejected(w.TakeBytes(), "truncated id list");
+  }
+  // Compact: the same two, with a varint count.
+  {
+    ByteWriter w;
+    w.PutU8(static_cast<uint8_t>(FrameKind::kRequest));
+    w.PutU8(0x1);
+    PutVarint(w, uint64_t{1} << 40);
+    expect_rejected(w.TakeBytes(), "64 MiB frame bound");
+  }
+  {
+    ByteWriter w;
+    w.PutU8(static_cast<uint8_t>(FrameKind::kRequest));
+    w.PutU8(0x1);
+    PutVarint(w, 1000);
+    PutZigzag(w, 1);
+    PutZigzag(w, 1);
+    expect_rejected(w.TakeBytes(), "truncated id list");
+  }
+  // A data frame is not a request, and a request is not a data frame.
+  expect_rejected(EncodeWatermarkFrame(3), "wrong frame kind");
+  FrameDecoder decoder;
+  EXPECT_THROW(decoder.Decode(EncodeRequestFrame(request, WireCodec::kRaw)),
+               std::runtime_error);
+}
+
+TEST(FrameCodecTest, CorruptRequestFramesAreRejectedOrParse) {
+  // Byte flips in a request must never crash or over-allocate: they throw
+  // a named error or decode to some well-formed request.
+  std::mt19937_64 rng(23);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const PullRequest request = RandomRequest(rng);
+    const WireCodec codec =
+        trial % 2 == 0 ? WireCodec::kRaw : WireCodec::kCompact;
+    std::vector<uint8_t> frame = EncodeRequestFrame(request, codec);
+    const int flips = 1 + static_cast<int>(rng() % 3);
+    for (int f = 0; f < flips; ++f) {
+      frame[rng() % frame.size()] ^= static_cast<uint8_t>(1 + rng() % 255);
+    }
+    try {
+      const PullRequest decoded = DecodeRequestFrame(frame);
+      EXPECT_LE(decoded.entries.size(), frame.size());
+    } catch (const std::runtime_error&) {
+      // rejected by name: fine
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // and composed (Figure 8) unfolders.
 #include <gtest/gtest.h>
 
+#include "genealog/pull.h"
+#include "genealog/su.h"
 #include "queries/query_helpers.h"
 
 namespace genealog::queries {
@@ -144,6 +146,52 @@ TEST(DistributedGlTest, NetworkCarriesOnlyProvenanceNotSourceStream) {
   BuiltDataflow bl_q = BuildQ1Fluent(lr_data, Dist(ProvenanceMode::kBaseline));
   bl_q.Run();
   EXPECT_LT(gl_q.network_bytes(), bl_q.network_bytes());
+}
+
+// The pull-based U streams (genealog/pull.h): the SU before each crossing
+// retains its delivering tuples and counts what became of each. Q4's daily
+// sums cross on data0 and the midnight readings (Multiplex copies, so not
+// SOURCE tuples) on data1, one per meter-day each; every alert asks for
+// exactly its own daily sum and its own midnight reading, and the rest are
+// evicted unrequested.
+TEST(DistributedGlTest, CrossingSusCountRetainedRequestedAndEvicted) {
+  sg::SmartGridConfig config = SgConfig();
+  config.anomaly_probability = 0.15;
+  const sg::SmartGridData data = sg::GenerateSmartGrid(config);
+  for (const bool tcp : {false, true}) {
+    uint64_t records = 0;
+    QueryBuildOptions options = Dist(ProvenanceMode::kGenealog, tcp);
+    options.provenance_consumer = [&records](const ProvenanceRecord&) {
+      ++records;
+    };
+    BuiltDataflow q4 = BuildQ4Fluent(data, std::move(options));
+    q4.Run();
+    ASSERT_EQ(q4.su_nodes.size(), 3u);
+    const SuNode* sink_su = q4.su_nodes[0];
+    const SuNode* daily = q4.su_nodes[1];
+    const SuNode* midnight = q4.su_nodes[2];
+    EXPECT_EQ(sink_su->name(), "SU.sink");
+    EXPECT_EQ(sink_su->retention(), nullptr);
+    ASSERT_GT(records, 5u);
+    const uint64_t meter_days =
+        static_cast<uint64_t>(config.n_meters) * config.n_days;
+    for (const SuNode* su : {daily, midnight}) {
+      ASSERT_NE(su->retention(), nullptr) << su->name();
+      EXPECT_EQ(su->requested_count(), records)
+          << su->name() << " tcp " << tcp;
+      EXPECT_GT(su->evicted_unrequested_count(), 0u) << su->name();
+      EXPECT_EQ(su->retained_count(),
+                su->requested_count() + su->evicted_unrequested_count())
+          << su->name();
+      EXPECT_LE(su->retained_count(), meter_days) << su->name();
+      EXPECT_EQ(su->traversal_count(), su->requested_count()) << su->name();
+    }
+    EXPECT_EQ(daily->name(), "SU.send0");
+    EXPECT_EQ(midnight->name(), "SU.send1");
+    EXPECT_EQ(midnight->retained_count(), meter_days);
+    EXPECT_EQ(q4.u_servers.size(), 2u);
+    EXPECT_NE(q4.u_demand, nullptr);
+  }
 }
 
 TEST(DistributedTest, InstanceCountsMatchDeployment) {

@@ -25,8 +25,11 @@ namespace genealog::queries {
 // can: tuple ids derive from node uids drawn off a global counter, stimuli
 // are wall-clock reads, and record order follows watermark arrival
 // granularity). Every remaining byte — type tags, kinds, timestamps,
-// payloads, origin sets — must match exactly.
-inline std::vector<uint8_t> CanonicalProvenanceBytes(const std::string& path) {
+// payloads, origin sets — must match exactly. CanonicalProvenanceRecords
+// returns the sorted records one by one; a file that does not parse as
+// whole records throws (ByteReader's std::out_of_range).
+inline std::vector<std::vector<uint8_t>> CanonicalProvenanceRecords(
+    const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   EXPECT_NE(f, nullptr) << path;
   if (f == nullptr) return {};
@@ -69,8 +72,12 @@ inline std::vector<uint8_t> CanonicalProvenanceBytes(const std::string& path) {
     records.push_back(std::move(record));
   }
   std::sort(records.begin(), records.end());
+  return records;
+}
+
+inline std::vector<uint8_t> CanonicalProvenanceBytes(const std::string& path) {
   std::vector<uint8_t> canonical;
-  for (const auto& r : records) {
+  for (const auto& r : CanonicalProvenanceRecords(path)) {
     canonical.insert(canonical.end(), r.begin(), r.end());
   }
   return canonical;
