@@ -83,7 +83,7 @@ RunResult RunPeakQuery(const SgWorkload& workload, int replays,
   result.avg_mem_mb = sampler.series(1).avg_bytes / kMb;
   result.max_mem_mb = static_cast<double>(sampler.series(1).max_bytes) / kMb;
   result.provenance_bytes = provenance->bytes_written();
-  result.mean_origins = provenance->mean_origins_per_record();
+  result.mean_origins = provenance->output().mean_origins_per_record();
   result.alerts = sink->count();
   return result;
 }

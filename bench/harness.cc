@@ -132,12 +132,7 @@ CellMetrics RunCell(const QueryFactory& factory) {
 
   cell.provenance_records = q.provenance_records();
   cell.mean_origins = q.mean_origins_per_record();
-  if (q.provenance_sink != nullptr) {
-    cell.provenance_bytes = q.provenance_sink->bytes_written();
-  }
-  if (q.baseline_resolver != nullptr) {
-    cell.provenance_bytes = q.baseline_resolver->bytes_written();
-  }
+  cell.provenance_bytes = q.provenance_bytes();
   cell.network_bytes = q.network_bytes();
   const WireStats wire = q.wire_stats();
   cell.wire_frames = wire.frames;

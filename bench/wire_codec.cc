@@ -22,6 +22,7 @@
 
 #include "bench/harness.h"
 #include "common/wall_clock.h"
+#include "genealog/provenance_record.h"
 #include "genealog/pull.h"
 #include "genealog/unfolded.h"
 #include "net/frame.h"
@@ -126,60 +127,8 @@ struct E2eResult {
   // The GL provenance streams: the Send nodes named send.U* (the derived
   // stream), the pulled U streams' servers and their requests.
   WireStats u_stream;
-  std::vector<uint8_t> canonical_provenance;
+  std::vector<std::vector<uint8_t>> canonical_provenance;
 };
-
-// Canonical provenance-file bytes (the bench-side mirror of the test
-// helper): ids and stimuli masked, origins and records sorted, so two runs
-// of the same logical query compare equal exactly when the decoded
-// provenance matches.
-std::vector<uint8_t> CanonicalProvenance(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  if (std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    std::fclose(f);
-    return {};
-  }
-  std::fclose(f);
-
-  const auto mask_and_serialize = [](const TuplePtr& t, ByteWriter& w) {
-    t->id = 0;
-    t->stimulus = 0;
-    SerializeTuple(*t, w);
-  };
-  std::vector<std::vector<uint8_t>> records;
-  ByteReader reader(bytes);
-  while (!reader.AtEnd()) {
-    TuplePtr derived = DeserializeTuple(reader);
-    const uint32_t n = reader.GetU32();
-    std::vector<std::vector<uint8_t>> origins;
-    ByteWriter w;
-    for (uint32_t i = 0; i < n; ++i) {
-      w.Clear();
-      mask_and_serialize(DeserializeTuple(reader), w);
-      origins.emplace_back(w.bytes().begin(), w.bytes().end());
-    }
-    std::sort(origins.begin(), origins.end());
-    w.Clear();
-    mask_and_serialize(derived, w);
-    w.PutU32(n);
-    std::vector<uint8_t> record(w.bytes().begin(), w.bytes().end());
-    for (const auto& o : origins) {
-      record.insert(record.end(), o.begin(), o.end());
-    }
-    records.push_back(std::move(record));
-  }
-  std::sort(records.begin(), records.end());
-  std::vector<uint8_t> canonical;
-  for (const auto& r : records) {
-    canonical.insert(canonical.end(), r.begin(), r.end());
-  }
-  return canonical;
-}
 
 E2eResult RunQ1Distributed(const BenchEnv& env, const LrWorkload& lr,
                            WireCodec codec, const std::string& prov_file) {
@@ -200,7 +149,7 @@ E2eResult RunQ1Distributed(const BenchEnv& env, const LrWorkload& lr,
   }
   for (const UServeNode* s : q.u_servers) r.u_stream += s->wire_stats();
   if (q.u_demand != nullptr) r.u_stream += q.u_demand->wire_stats();
-  r.canonical_provenance = CanonicalProvenance(prov_file);
+  r.canonical_provenance = CanonicalProvenanceRecords(prov_file);
   return r;
 }
 

@@ -11,6 +11,7 @@
 //
 //   $ ./build/examples/distributed_provenance
 #include <cstdio>
+#include <string>
 
 #include "queries/queries.h"
 
@@ -37,14 +38,16 @@ int main() {
                 static_cast<long long>(alert->ts),
                 static_cast<long long>(stats.last_pos));
   };
+  // Instances 2 and 3 print from different threads: each line is built
+  // whole and printed in one call, so lines never interleave.
   options.provenance_consumer = [](const ProvenanceRecord& record) {
-    std::printf("[instance 3] provenance of alert@%lld: %zu reports:",
-                static_cast<long long>(record.derived_ts),
-                record.origins.size());
+    std::string line = "[instance 3] provenance of alert@" +
+                       std::to_string(record.derived_ts) + ": " +
+                       std::to_string(record.origins.size()) + " reports:";
     for (const TuplePtr& origin : record.origins) {
-      std::printf(" ts=%lld", static_cast<long long>(origin->ts));
+      line += " ts=" + std::to_string(origin->ts);
     }
-    std::printf("\n");
+    std::puts(line.c_str());
   };
 
   BuiltDataflow query = queries::BuildQ1Fluent(data, std::move(options));
@@ -55,8 +58,8 @@ int main() {
   std::printf("\nnetwork: %llu bytes crossed instance boundaries\n",
               static_cast<unsigned long long>(query.network_bytes()));
   std::printf("provenance records at instance 3: %llu (avg %.1f sources)\n",
-              static_cast<unsigned long long>(query.provenance_sink->records()),
-              query.provenance_sink->mean_origins_per_record());
+              static_cast<unsigned long long>(query.provenance_records()),
+              query.mean_origins_per_record());
   for (SuNode* su : query.su_nodes) {
     std::printf("SU '%s' (instance %d): %.4f ms avg traversal, %.1f avg graph\n",
                 su->name().c_str(), su->instance_id(), su->mean_traversal_ms(),

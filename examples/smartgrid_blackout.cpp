@@ -65,6 +65,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   query.source()->tuples_processed()),
               static_cast<unsigned long long>(query.sink()->count()),
-              query.provenance_sink->mean_origins_per_record());
+              query.mean_origins_per_record());
   return 0;
 }

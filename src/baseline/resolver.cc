@@ -1,24 +1,13 @@
 #include "baseline/resolver.h"
 
-#include <stdexcept>
-
 namespace genealog {
 
 BaselineResolverNode::BaselineResolverNode(std::string name,
                                            BaselineResolverOptions options)
-    : MergingNode(std::move(name)), options_(std::move(options)) {
-  if (!options_.file_path.empty()) {
-    file_ = std::fopen(options_.file_path.c_str(), "wb");
-    if (file_ == nullptr) {
-      throw std::runtime_error("cannot open baseline provenance file " +
-                               options_.file_path);
-    }
-  }
-}
-
-BaselineResolverNode::~BaselineResolverNode() {
-  if (file_ != nullptr) std::fclose(file_);
-}
+    : MergingNode(std::move(name)),
+      options_(std::move(options)),
+      output_("BaselineResolverNode " + this->name(), options_.file_path,
+              options_.buffer_bytes) {}
 
 void BaselineResolverNode::OnMergedTuple(size_t port, TuplePtr t) {
   if (port == 0) {
@@ -41,9 +30,9 @@ void BaselineResolverNode::OnMergedWatermark(int64_t wm) {
 void BaselineResolverNode::OnAllFlushed() {
   ResolveBefore(kWatermarkMax);
   // End-of-stream: every record must be in the file before the node reports
-  // done — probes may read the file while the node (and its FILE*) is still
-  // alive, as with ProvenanceSinkNode::OnFlush.
-  if (file_ != nullptr) std::fflush(file_);
+  // done — probes may read the file while the node is still alive, as with
+  // ProvenanceSinkNode::OnFlush.
+  output_.Flush();
 }
 
 void BaselineResolverNode::ResolveBefore(int64_t ts_horizon) {
@@ -70,17 +59,7 @@ void BaselineResolverNode::Resolve(const TuplePtr& sink_tuple) {
       }
     }
   }
-  ++records_;
-  origin_tuples_ += record.origins.size();
-
-  scratch_.Clear();
-  SerializeTuple(*record.derived, scratch_);
-  scratch_.PutU32(static_cast<uint32_t>(record.origins.size()));
-  for (const TuplePtr& o : record.origins) SerializeTuple(*o, scratch_);
-  bytes_written_ += scratch_.size();
-  if (file_ != nullptr) {
-    std::fwrite(scratch_.bytes().data(), 1, scratch_.size(), file_);
-  }
+  output_.Write(record);
   if (options_.consumer) options_.consumer(record);
 }
 

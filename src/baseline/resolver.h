@@ -14,15 +14,14 @@
 #ifndef GENEALOG_BASELINE_RESOLVER_H_
 #define GENEALOG_BASELINE_RESOLVER_H_
 
-#include <cstdio>
 #include <deque>
 #include <functional>
 #include <string>
 #include <utility>
 
 #include "baseline/source_store.h"
+#include "common/engine_options.h"
 #include "common/int_math.h"
-#include "core/type_registry.h"
 #include "genealog/provenance_record.h"
 #include "spe/node.h"
 
@@ -37,24 +36,19 @@ struct BaselineResolverOptions {
   bool evict = false;
   // If non-empty, serialized records are appended to this file.
   std::string file_path;
+  // The file writer's buffer swap threshold (EngineOptions::prov_buffer_bytes).
+  size_t buffer_bytes = EngineOptions{}.prov_buffer_bytes;
   std::function<void(const ProvenanceRecord&)> consumer;
 };
 
 class BaselineResolverNode final : public MergingNode {
  public:
   BaselineResolverNode(std::string name, BaselineResolverOptions options);
-  ~BaselineResolverNode() override;
 
-  uint64_t records() const { return records_; }
-  uint64_t origin_tuples() const { return origin_tuples_; }
+  // Records, origins and bytes written, and the write-error flag.
+  const ProvenanceFileWriter& output() const { return output_; }
   uint64_t missing_ids() const { return missing_ids_; }
-  uint64_t bytes_written() const { return bytes_written_; }
   size_t store_peak_size() const { return store_.peak_size(); }
-  double mean_origins_per_record() const {
-    return records_ == 0 ? 0.0
-                         : static_cast<double>(origin_tuples_) /
-                               static_cast<double>(records_);
-  }
 
  protected:
   void OnMergedTuple(size_t port, TuplePtr t) override;
@@ -66,14 +60,10 @@ class BaselineResolverNode final : public MergingNode {
   void Resolve(const TuplePtr& sink_tuple);
 
   BaselineResolverOptions options_;
-  std::FILE* file_ = nullptr;
+  ProvenanceFileWriter output_;
   BaselineSourceStore store_;
   std::deque<TuplePtr> pending_sinks_;
-  ByteWriter scratch_;
-  uint64_t records_ = 0;
-  uint64_t origin_tuples_ = 0;
   uint64_t missing_ids_ = 0;
-  uint64_t bytes_written_ = 0;
 };
 
 }  // namespace genealog

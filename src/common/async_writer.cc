@@ -20,11 +20,12 @@ AsyncFileWriter::~AsyncFileWriter() {
   }
   writer_cv_.notify_one();
   writer_.join();
+  std::fclose(file_);
 }
 
 void AsyncFileWriter::Append(const uint8_t* data, size_t n) {
   while (n > 0) {
-    if (active_.size() >= buffer_cap_ && !SwapBuffers()) return;
+    if (active_.size() >= buffer_cap_) SwapBuffers();
     // A record larger than the buffer cap splits across handoffs; order is
     // preserved because handoffs drain strictly in sequence.
     const size_t take = std::min(n, buffer_cap_ - active_.size());
@@ -34,39 +35,25 @@ void AsyncFileWriter::Append(const uint8_t* data, size_t n) {
   }
 }
 
-bool AsyncFileWriter::SwapBuffers() {
+void AsyncFileWriter::SwapBuffers() {
   std::unique_lock lock(mu_);
-  producer_cv_.wait(lock, [this] { return !inflight_full_ || aborted_; });
-  if (aborted_) {
-    active_.clear();
-    return false;
-  }
+  producer_cv_.wait(lock, [this] { return !inflight_full_; });
   std::swap(active_, inflight_);
   inflight_full_ = true;
   writer_cv_.notify_one();
-  return true;
 }
 
 void AsyncFileWriter::Flush() {
   if (!active_.empty()) SwapBuffers();
   std::unique_lock lock(mu_);
-  producer_cv_.wait(lock, [this] { return !inflight_full_ || aborted_; });
+  producer_cv_.wait(lock, [this] { return !inflight_full_; });
   // inflight_full_ drops only after the handoff's fwrite returned
   // (RunWriter), so every appended byte is in the stdio stream by now. The
   // tail still in the stdio buffer reaches the disk only here, so a failed
   // fflush is the one report of a failed write for a small file.
-  if (!aborted_ && file_ != nullptr && std::fflush(file_) != 0) {
+  if (std::fflush(file_) != 0) {
     write_error_ = true;
   }
-}
-
-void AsyncFileWriter::Abort() {
-  {
-    std::lock_guard lock(mu_);
-    aborted_ = true;
-  }
-  producer_cv_.notify_all();
-  writer_cv_.notify_one();
 }
 
 bool AsyncFileWriter::write_error() const {
@@ -80,16 +67,14 @@ void AsyncFileWriter::RunWriter() {
     writer_cv_.wait(lock, [this] { return inflight_full_ || stop_; });
     if (inflight_full_) {
       // The buffer moves to a local and the fwrite runs unlocked, so a
-      // stalled disk (hung NFS mount) cannot hold mu_ against Abort() or
-      // write_error() probes. inflight_full_ stays true for the duration,
-      // which keeps the producer's bounded-buffering wait intact; once it
-      // drops (under mu_ again), the write has completed — that ordering is
-      // what lets Flush() conclude every byte reached the stdio stream.
+      // stalled disk (hung NFS mount) cannot hold mu_ against write_error()
+      // probes. inflight_full_ stays true for the duration, which keeps the
+      // producer's bounded-buffering wait intact; once it drops (under mu_
+      // again), the write has completed — that ordering is what lets Flush()
+      // conclude every byte reached the stdio stream.
       std::vector<uint8_t> batch = std::move(inflight_);
-      const bool skip = aborted_ || batch.empty() || file_ == nullptr;
       lock.unlock();
       const bool short_write =
-          !skip &&
           std::fwrite(batch.data(), 1, batch.size(), file_) != batch.size();
       batch.clear();
       lock.lock();

@@ -12,8 +12,8 @@
 // provenance-sink suite pins this against bytes it serializes itself.
 //
 // Threading contract: Append/Flush are producer-thread-only (the owning
-// operator's processing thread); Abort may be called from any thread; the
-// destructor runs after the producer is done with Append/Flush.
+// operator's processing thread); the destructor runs after the producer is
+// done with Append/Flush.
 #ifndef GENEALOG_COMMON_ASYNC_WRITER_H_
 #define GENEALOG_COMMON_ASYNC_WRITER_H_
 
@@ -28,11 +28,10 @@ namespace genealog {
 
 class AsyncFileWriter {
  public:
-  // Does not take ownership of `file`; the caller closes it after destroying
-  // the writer. `buffer_cap` is the swap threshold per buffer (tests shrink
-  // it to force many handoffs).
+  // Takes ownership of the open `file`. `buffer_cap` is the swap threshold
+  // per buffer (tests shrink it to force many handoffs).
   explicit AsyncFileWriter(std::FILE* file, size_t buffer_cap = 256 * 1024);
-  ~AsyncFileWriter();  // Flush(), then joins the writer thread
+  ~AsyncFileWriter();  // Flush(), joins the writer thread, closes the file
   AsyncFileWriter(const AsyncFileWriter&) = delete;
   AsyncFileWriter& operator=(const AsyncFileWriter&) = delete;
 
@@ -45,11 +44,6 @@ class AsyncFileWriter {
   // failed fflush counts as a write error.
   void Flush();
 
-  // Abandons buffered-but-unwritten data and releases any blocked producer;
-  // further Appends are dropped. Used on teardown after a failed run, where
-  // a partial file is expected anyway and nothing may block.
-  void Abort();
-
   // True once an fwrite reported a short write or an fflush failed (disk
   // full, I/O error).
   bool write_error() const;
@@ -57,9 +51,8 @@ class AsyncFileWriter {
  private:
   void RunWriter();
   // Hands the active buffer to the writer thread, waiting for the previous
-  // handoff to drain first. Returns false when the writer was aborted (the
-  // buffered data is dropped).
-  bool SwapBuffers();
+  // handoff to drain first.
+  void SwapBuffers();
 
   std::FILE* const file_;
   const size_t buffer_cap_;
@@ -75,7 +68,6 @@ class AsyncFileWriter {
   std::condition_variable writer_cv_;
   bool inflight_full_ = false;
   bool stop_ = false;
-  bool aborted_ = false;
   bool write_error_ = false;
 
   std::thread writer_;  // started last, after all state is initialized

@@ -84,6 +84,7 @@ class ByteReader {
   }
 
   size_t remaining() const { return size_ - pos_; }
+  size_t position() const { return pos_; }
   bool AtEnd() const { return pos_ == size_; }
 
  private:

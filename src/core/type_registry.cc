@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
 namespace genealog {
 namespace {
@@ -95,6 +96,10 @@ TuplePtr DeserializeTuple(ByteReader& r) {
   if (r.GetU8() != 0) {
     has_annotation = true;
     const uint32_t n = r.GetU32();
+    if (n > r.remaining() / sizeof(uint64_t)) {
+      throw std::out_of_range("baseline annotation count " +
+                              std::to_string(n) + " exceeds the input");
+    }
     annotation.reserve(n);
     for (uint32_t i = 0; i < n; ++i) annotation.push_back(r.GetU64());
   }

@@ -74,6 +74,11 @@ class CloneCache {
 
 void SerializeTuple(const Tuple& t, ByteWriter& w);
 
+// The smallest SerializeTuple output: the header (tag, kind, ts, id,
+// stimulus) and the annotation flag, with an empty payload. Decoders bound a
+// declared tuple count by it before reserving.
+inline constexpr size_t kMinSerializedTupleBytes = 2 + 1 + 8 + 8 + 8 + 1;
+
 // Serializes with the kind GeneaLog's instrumented Send uses on the wire:
 // REMOTE unless the tuple is a SOURCE tuple (§4.1, Send). The local object is
 // left untouched because local provenance graphs may still reference it.

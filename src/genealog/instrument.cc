@@ -258,6 +258,7 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
     bro.slack = slack;
     bro.evict = opts.baseline_oracle_eviction;
     bro.file_path = opts.provenance_file;
+    bro.buffer_bytes = engine.prov_buffer_bytes;
     bro.consumer = opts.provenance_consumer;
     Topology& sink_topo = *topo_of.at(plan.ops[sink_op].instance);
     Node* sink_node = node_of[sink_op];
@@ -372,20 +373,28 @@ WireStats BuiltDataflow::wire_stats() const {
   return total;
 }
 
+namespace {
+
+// The GL sink's or the BL resolver's record writer; an empty one under NP.
+const ProvenanceFileWriter& ProvenanceOutput(const BuiltDataflow& q) {
+  static const ProvenanceFileWriter kNoProvenance("NP", "", 0);
+  if (q.provenance_sink != nullptr) return q.provenance_sink->output();
+  if (q.baseline_resolver != nullptr) return q.baseline_resolver->output();
+  return kNoProvenance;
+}
+
+}  // namespace
+
 uint64_t BuiltDataflow::provenance_records() const {
-  if (provenance_sink != nullptr) return provenance_sink->records();
-  if (baseline_resolver != nullptr) return baseline_resolver->records();
-  return 0;
+  return ProvenanceOutput(*this).records();
 }
 
 double BuiltDataflow::mean_origins_per_record() const {
-  if (provenance_sink != nullptr) {
-    return provenance_sink->mean_origins_per_record();
-  }
-  if (baseline_resolver != nullptr) {
-    return baseline_resolver->mean_origins_per_record();
-  }
-  return 0.0;
+  return ProvenanceOutput(*this).mean_origins_per_record();
+}
+
+uint64_t BuiltDataflow::provenance_bytes() const {
+  return ProvenanceOutput(*this).bytes_written();
 }
 
 }  // namespace genealog

@@ -317,30 +317,13 @@ namespace {
 //   payload: u64 records_ingested | u64 records_retained | u64 records_evicted
 //            | u64 epochs_evicted | i64 latest_ts | u8 any_ingested
 //            | u32 epoch count
-//            | per epoch: u8 sealed | u32 record count
-//              | per record: serialized derived tuple | u32 origin count
-//                            | serialized origin tuples
-// Records use the provenance-file record shape so a snapshot restores through
-// the exact Ingest path the live consumer exercises; the leading checksum is
-// what turns torn writes and bit flips into a load-time rejection.
+//            | per epoch: u8 sealed | u32 record count | provenance records
+// Records are the provenance-file records (genealog/provenance_record.h), so
+// a snapshot restores through the exact Ingest path the live consumer
+// exercises; the leading checksum is what turns torn writes and bit flips
+// into a load-time rejection.
 constexpr uint32_t kSnapshotMagic = 0x4E534C47;  // "GLSN" little-endian
 constexpr uint32_t kSnapshotVersion = 1;
-
-std::vector<uint8_t> ReadFileBytes(const std::string& path,
-                                   const char* what) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw std::runtime_error(std::string("cannot open ") + what + " " + path);
-  }
-  std::vector<uint8_t> bytes;
-  uint8_t chunk[1 << 16];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  std::fclose(f);
-  return bytes;
-}
 
 }  // namespace
 
@@ -355,17 +338,14 @@ void LineageStore::SaveSnapshot(const std::string& path) const {
     payload.PutI64(latest_ts_);
     payload.PutU8(any_ingested_ ? 1 : 0);
     payload.PutU32(static_cast<uint32_t>(epochs_.size()));
+    std::vector<std::span<const uint8_t>> origins;
     for (const Epoch& epoch : epochs_) {
       payload.PutU8(epoch.sealed ? 1 : 0);
       payload.PutU32(static_cast<uint32_t>(epoch.records.size()));
       for (uint32_t d : epoch.records) {
-        const Slot& derived = slots_[d];
-        payload.PutBytes(derived.bytes.data(), derived.bytes.size());
-        payload.PutU32(static_cast<uint32_t>(derived.bwd.size()));
-        for (uint32_t o : derived.bwd) {
-          const Slot& origin = slots_[o];
-          payload.PutBytes(origin.bytes.data(), origin.bytes.size());
-        }
+        origins.clear();
+        for (uint32_t o : slots_[d].bwd) origins.emplace_back(slots_[o].bytes);
+        WriteProvenanceRecord(slots_[d].bytes, origins, payload);
       }
     }
   }
@@ -409,29 +389,29 @@ uint64_t LineageStore::LoadSnapshot(const std::string& path) {
   if (bytes.size() < kHeaderBytes) {
     throw std::runtime_error("LineageStore: snapshot truncated before header");
   }
-  ByteReader header(bytes);
-  if (header.GetU32() != kSnapshotMagic) {
+  ByteReader r(bytes);
+  if (r.GetU32() != kSnapshotMagic) {
     throw std::runtime_error("LineageStore: " + path +
                              " is not a lineage snapshot (bad magic)");
   }
-  const uint32_t version = header.GetU32();
+  const uint32_t version = r.GetU32();
   if (version != kSnapshotVersion) {
     throw std::runtime_error("LineageStore: unsupported snapshot version " +
                              std::to_string(version));
   }
-  const uint64_t payload_size = header.GetU64();
-  const uint64_t checksum = header.GetU64();
-  if (payload_size != header.remaining()) {
+  const uint64_t payload_size = r.GetU64();
+  const uint64_t checksum = r.GetU64();
+  if (payload_size != r.remaining()) {
     throw std::runtime_error(
         "LineageStore: snapshot payload size mismatch (truncated or trailing "
         "bytes)");
   }
-  const uint8_t* payload = bytes.data() + (bytes.size() - payload_size);
-  if (Fnv1a(payload, payload_size) != checksum) {
+  if (Fnv1a(bytes.data() + kHeaderBytes, payload_size) != checksum) {
     throw std::runtime_error("LineageStore: snapshot checksum mismatch");
   }
 
-  ByteReader r(payload, payload_size);
+  // r now reads the payload; record errors name file offsets.
+  const std::string source = "lineage snapshot " + path;
   const uint64_t saved_ingested = r.GetU64();
   const uint64_t saved_retained = r.GetU64();
   const uint64_t saved_evicted = r.GetU64();
@@ -444,25 +424,8 @@ uint64_t LineageStore::LoadSnapshot(const std::string& path) {
   for (uint32_t e = 0; e < epoch_count; ++e) {
     const bool sealed = r.GetU8() != 0;
     const uint32_t record_count = r.GetU32();
-    if (record_count > r.remaining()) {
-      throw std::runtime_error(
-          "LineageStore: snapshot record count exceeds payload");
-    }
     for (uint32_t i = 0; i < record_count; ++i) {
-      ProvenanceRecord rec;
-      rec.derived = DeserializeTuple(r);
-      rec.derived_id = rec.derived->id;
-      rec.derived_ts = rec.derived->ts;
-      const uint32_t origin_count = r.GetU32();
-      if (origin_count > r.remaining()) {
-        throw std::runtime_error(
-            "LineageStore: snapshot origin count exceeds payload");
-      }
-      rec.origins.reserve(origin_count);
-      for (uint32_t o = 0; o < origin_count; ++o) {
-        rec.origins.push_back(DeserializeTuple(r));
-      }
-      Ingest(rec);
+      Ingest(ReadProvenanceRecord(r, source, restored));
       ++restored;
     }
     // Preserve the saving store's epoch boundaries: every group but possibly
@@ -495,23 +458,8 @@ uint64_t LineageStore::LoadSnapshot(const std::string& path) {
 }
 
 uint64_t ReplayProvenanceFile(const std::string& path, LineageStore& store) {
-  const std::vector<uint8_t> bytes = ReadFileBytes(path, "provenance file");
-  ByteReader r(bytes);
-  uint64_t records = 0;
-  while (!r.AtEnd()) {
-    ProvenanceRecord rec;
-    rec.derived = DeserializeTuple(r);
-    rec.derived_id = rec.derived->id;
-    rec.derived_ts = rec.derived->ts;
-    const uint32_t origin_count = r.GetU32();
-    rec.origins.reserve(origin_count);
-    for (uint32_t i = 0; i < origin_count; ++i) {
-      rec.origins.push_back(DeserializeTuple(r));
-    }
-    store.Ingest(rec);
-    ++records;
-  }
-  return records;
+  return ReadProvenanceFile(
+      path, [&store](ProvenanceRecord& rec) { store.Ingest(rec); });
 }
 
 }  // namespace genealog

@@ -221,11 +221,11 @@ class LineageStore {
   uint64_t bytes_retained_ = 0;
 };
 
-// Replays a provenance file (the sink's on-disk format: serialized derived
-// tuple | u32 origin count | serialized origins, repeated) into `store`,
+// Replays a provenance file (genealog/provenance_record.h) into `store`,
 // reconstructing each record through the same Ingest path the live consumer
 // uses. Returns the number of records replayed. Throws std::runtime_error on
-// unreadable files and std::out_of_range on truncated ones.
+// unreadable files and std::out_of_range on truncated ones; errors name the
+// file and the bad record.
 uint64_t ReplayProvenanceFile(const std::string& path, LineageStore& store);
 
 }  // namespace genealog

@@ -1,49 +1,15 @@
 #include "genealog/provenance_sink.h"
 
-#include <stdexcept>
-
 #include "genealog/lineage_store.h"
 
 namespace genealog {
 
 ProvenanceSinkNode::ProvenanceSinkNode(std::string name,
                                        ProvenanceSinkSpec options)
-    : SingleInputNode(std::move(name)), options_(std::move(options)) {
-  if (!options_.file_path.empty()) {
-    file_ = std::fopen(options_.file_path.c_str(), "wb");
-    if (file_ == nullptr) {
-      throw std::runtime_error("cannot open provenance file " +
-                               options_.file_path);
-    }
-    writer_ = std::make_unique<AsyncFileWriter>(
-        file_, options_.engine.prov_buffer_bytes);
-  }
-}
-
-ProvenanceSinkNode::~ProvenanceSinkNode() {
-  if (writer_ != nullptr) {
-    // Teardown after an aborted run reaches here without OnFlush: drain what
-    // is buffered (a partial-but-well-formed prefix), surface any write
-    // error, then join the writer thread.
-    writer_->Flush();
-    WarnOnWriteError();
-    writer_.reset();
-  }
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-bool ProvenanceSinkNode::write_error() const {
-  return writer_ != nullptr && writer_->write_error();
-}
-
-void ProvenanceSinkNode::WarnOnWriteError() {
-  if (!write_error() || write_error_warned_) return;
-  write_error_warned_ = true;
-  std::fprintf(stderr,
-               "ProvenanceSinkNode %s: background write to %s failed "
-               "(disk full / I/O error); the provenance file is truncated\n",
-               name().c_str(), options_.file_path.c_str());
-}
+    : SingleInputNode(std::move(name)),
+      options_(std::move(options)),
+      output_("ProvenanceSinkNode " + this->name(), options_.file_path,
+              options_.engine.prov_buffer_bytes) {}
 
 void ProvenanceSinkNode::OnTuple(TuplePtr t) {
   auto u = StaticPointerCast<UnfoldedTuple>(std::move(t));
@@ -72,12 +38,8 @@ void ProvenanceSinkNode::OnWatermark(int64_t wm) {
 void ProvenanceSinkNode::OnFlush() {
   FinalizeBefore(kWatermarkMax);
   // End-of-stream: everything buffered must be in the file before the node
-  // reports done — probes may read the file while the node (and its FILE*)
-  // is still alive.
-  if (writer_ != nullptr) {
-    writer_->Flush();
-    WarnOnWriteError();
-  }
+  // reports done — probes may read the file while the node is still alive.
+  output_.Flush();
 }
 
 void ProvenanceSinkNode::FinalizeBefore(int64_t ts_horizon) {
@@ -95,19 +57,7 @@ void ProvenanceSinkNode::FinalizeBefore(int64_t ts_horizon) {
 }
 
 void ProvenanceSinkNode::Finalize(Group& group) {
-  ++records_;
-  origin_tuples_ += group.record.origins.size();
-
-  scratch_.Clear();
-  SerializeTuple(*group.record.derived, scratch_);
-  scratch_.PutU32(static_cast<uint32_t>(group.record.origins.size()));
-  for (const TuplePtr& o : group.record.origins) {
-    SerializeTuple(*o, scratch_);
-  }
-  bytes_written_ += scratch_.size();
-  if (writer_ != nullptr) {
-    writer_->Append(scratch_.bytes().data(), scratch_.size());
-  }
+  output_.Write(group.record);
   if (options_.lineage != nullptr) {
     options_.lineage->Ingest(group.record);
   }

@@ -7,28 +7,23 @@
 // horizon (the MU join window); a group is finalized once the watermark
 // passes derived_ts + finalize_slack, and all groups finalize at flush.
 //
-// File output is double-buffered and asynchronous (common/async_writer.h):
-// records serialize into an in-memory buffer a background thread flushes, so
-// disk latency leaves the operator thread — with bounded buffering, and the
-// file holding exactly the serialized records in finalization order.
+// Records go to a ProvenanceFileWriter (genealog/provenance_record.h, which
+// also defines the record layout): double-buffered and asynchronous, with
+// bounded buffering, the file holding exactly the serialized records in
+// finalization order.
 #ifndef GENEALOG_GENEALOG_PROVENANCE_SINK_H_
 #define GENEALOG_GENEALOG_PROVENANCE_SINK_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <list>
-#include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "common/async_writer.h"
 #include "common/engine_options.h"
 #include "common/int_math.h"
-#include "core/type_registry.h"
 #include "genealog/provenance_record.h"
 #include "genealog/unfolded.h"
 #include "spe/node.h"
@@ -64,21 +59,12 @@ struct ProvenanceSinkSpec {
 class ProvenanceSinkNode final : public SingleInputNode {
  public:
   ProvenanceSinkNode(std::string name, ProvenanceSinkSpec options);
-  ~ProvenanceSinkNode() override;
 
-  uint64_t records() const { return records_; }
-  uint64_t origin_tuples() const { return origin_tuples_; }
-  uint64_t bytes_written() const { return bytes_written_; }
-  double mean_origins_per_record() const {
-    return records_ == 0 ? 0.0
-                         : static_cast<double>(origin_tuples_) /
-                               static_cast<double>(records_);
-  }
-  // True once the background writer reported a failed write or flush (disk
-  // full, I/O error): the file is truncated even though bytes_written_
-  // counts the serialized volume. Also surfaced as a one-shot stderr warning
-  // at flush and teardown.
-  bool write_error() const;
+  uint64_t records() const { return output_.records(); }
+  uint64_t origin_tuples() const { return output_.origin_tuples(); }
+  uint64_t bytes_written() const { return output_.bytes_written(); }
+  bool write_error() const { return output_.write_error(); }
+  const ProvenanceFileWriter& output() const { return output_; }
 
  protected:
   void OnTuple(TuplePtr t) override;
@@ -93,19 +79,12 @@ class ProvenanceSinkNode final : public SingleInputNode {
 
   void FinalizeBefore(int64_t ts_horizon);
   void Finalize(Group& group);
-  void WarnOnWriteError();
 
   ProvenanceSinkSpec options_;
-  std::FILE* file_ = nullptr;
-  std::unique_ptr<AsyncFileWriter> writer_;  // null without file_path
+  ProvenanceFileWriter output_;
   // Groups in creation (= derived ts) order, with an id index.
   std::list<Group> groups_;
   std::unordered_map<uint64_t, std::list<Group>::iterator> by_id_;
-  ByteWriter scratch_;
-  bool write_error_warned_ = false;
-  uint64_t records_ = 0;
-  uint64_t origin_tuples_ = 0;
-  uint64_t bytes_written_ = 0;
 };
 
 }  // namespace genealog

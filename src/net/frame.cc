@@ -156,6 +156,9 @@ DecodedFrame DecodeFrame(const std::vector<uint8_t>& frame) {
       break;
     case FrameKind::kBatch: {
       const uint32_t count = r.GetU32();
+      if (count > r.remaining() / kMinSerializedTupleBytes) {
+        throw std::runtime_error("batch frame: declared count too large");
+      }
       out.tuples.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
         out.tuples.push_back(DeserializeTuple(r));

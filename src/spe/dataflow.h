@@ -202,10 +202,12 @@ struct BuiltDataflow {
   // Defined in genealog/instrument.cc.
   WireStats wire_stats() const;
 
-  // Provenance probes without naming the sink node types (defined in
-  // genealog/instrument.cc; 0 when the mode records no provenance).
+  // Provenance probes over the GL sink's or the BL resolver's record writer
+  // (defined in genealog/instrument.cc; 0 when the mode records no
+  // provenance). provenance_bytes() is the serialized record volume.
   uint64_t provenance_records() const;
   double mean_origins_per_record() const;
+  uint64_t provenance_bytes() const;
 
   // Handle for querying lineage while (or after) the dataflow runs. Throws
   // on use unless the plan was built with mode GL and

@@ -88,7 +88,7 @@ ResolverRun RunResolver(int n_tuples, int keep_every, int64_t slack,
   topo.Connect(tap, resolver);     // port 1: source stream
   RunToCompletion(topo);
   run.missing = resolver->missing_ids();
-  run.resolved = resolver->origin_tuples();
+  run.resolved = resolver->output().origin_tuples();
   run.store_peak = resolver->store_peak_size();
   return run;
 }
@@ -149,7 +149,7 @@ TEST(BaselineResolverTest, MissingIdsCountedNotFatal) {
   RunToCompletion(topo);
   // All sinks resolve (at flush), and no crash occurred; with slack 90 the
   // eviction horizon (wm - 180) never bites on a 100-tick stream.
-  EXPECT_EQ(resolver->records(), 10u);
+  EXPECT_EQ(resolver->output().records(), 10u);
 }
 
 TEST(BaselineResolverTest, SinkTupleWithoutAnnotationYieldsEmptyRecord) {

@@ -1,8 +1,8 @@
 // AsyncFileWriter semantics: append order is preserved across buffer
 // handoffs (including records larger than the buffer cap), Flush makes every
-// byte durable in the stdio stream and reports a failed fflush, Abort
-// unblocks and drops cleanly, and a tiny buffer cap forces the double-buffer
-// swap protocol through thousands of handoffs.
+// byte durable in the stdio stream and reports a failed fflush, and a tiny
+// buffer cap forces the double-buffer swap protocol through thousands of
+// handoffs.
 #include "common/async_writer.h"
 
 #include <gtest/gtest.h>
@@ -44,8 +44,7 @@ TEST(AsyncFileWriterTest, PreservesAppendOrderAcrossHandoffs) {
         writer.Append(reinterpret_cast<const uint8_t*>(rec.data()),
                       rec.size());
       }
-    }  // destructor flushes + joins
-    std::fclose(f);
+    }  // destructor flushes, joins and closes
   }
   EXPECT_EQ(ReadAll(path), want);
   std::remove(path.c_str());
@@ -64,7 +63,6 @@ TEST(AsyncFileWriterTest, RecordLargerThanBufferSplitsInOrder) {
     writer.Append(reinterpret_cast<const uint8_t*>(big.data()), big.size());
     writer.Flush();
   }
-  std::fclose(f);
   EXPECT_EQ(ReadAll(path), big);
   std::remove(path.c_str());
 }
@@ -82,24 +80,6 @@ TEST(AsyncFileWriterTest, FlushMakesBytesVisibleBeforeDestruction) {
   writer.Append(reinterpret_cast<const uint8_t*>(msg), 5);
   writer.Flush();
   EXPECT_EQ(ReadAll(path), "hellohello");
-  std::fclose(f);
-  std::remove(path.c_str());
-}
-
-TEST(AsyncFileWriterTest, AbortDropsPendingAndUnblocks) {
-  const std::string path = TempPath("async_abort.bin");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  {
-    AsyncFileWriter writer(f, /*buffer_cap=*/8);
-    const char* msg = "0123456789abcdef";
-    writer.Append(reinterpret_cast<const uint8_t*>(msg), 16);
-    writer.Abort();
-    // Appends after abort are dropped, and nothing deadlocks on teardown.
-    writer.Append(reinterpret_cast<const uint8_t*>(msg), 16);
-    writer.Flush();
-  }
-  std::fclose(f);
   std::remove(path.c_str());
 }
 
@@ -114,7 +94,6 @@ TEST(AsyncFileWriterTest, NoWriteErrorOnHealthyFile) {
     writer.Flush();
     EXPECT_FALSE(writer.write_error());
   }
-  std::fclose(f);
   std::remove(path.c_str());
 }
 
@@ -130,7 +109,6 @@ TEST(AsyncFileWriterTest, FailedTailFlushIsAWriteError) {
     writer.Flush();
     EXPECT_TRUE(writer.write_error());
   }
-  std::fclose(f);
 }
 
 }  // namespace

@@ -112,6 +112,21 @@ TEST(TypeRegistryTest, TruncatedPayloadThrows) {
   EXPECT_THROW(DeserializeTuple(r), std::out_of_range);
 }
 
+// An annotation count the input cannot hold is reported as truncation
+// before anything is reserved for it (not std::bad_alloc).
+TEST(TypeRegistryTest, OversizedAnnotationCountThrows) {
+  ByteWriter w;
+  w.PutU16(ValueTuple::kTypeTag);
+  w.PutU8(0);  // kind
+  w.PutI64(0);  // ts
+  w.PutU64(0);  // id
+  w.PutI64(0);  // stimulus
+  w.PutU8(1);   // annotated
+  w.PutU32(0xFFFFFFFFu);
+  ByteReader r(w.bytes());
+  EXPECT_THROW(DeserializeTuple(r), std::out_of_range);
+}
+
 TEST(TypeRegistryTest, ReregisteringSameTypeIsIdempotent) {
   EXPECT_TRUE(RegisterTupleType(ValueTuple::kTypeTag, ValueTuple::kTypeName,
                                 &ValueTuple::Deserialize));

@@ -151,7 +151,7 @@ TEST(ProvenanceSinkDetailTest, CountsAndBytesAccumulate) {
   RunToCompletion(topo);
   EXPECT_EQ(sink->records(), 2u);
   EXPECT_EQ(sink->origin_tuples(), 3u);
-  EXPECT_DOUBLE_EQ(sink->mean_origins_per_record(), 1.5);
+  EXPECT_DOUBLE_EQ(sink->output().mean_origins_per_record(), 1.5);
   EXPECT_GT(sink->bytes_written(), 0u);
 }
 

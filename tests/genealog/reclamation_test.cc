@@ -157,7 +157,7 @@ TEST_F(ReclamationTest, BaselineStoreRetainsAllSourceTuples) {
   RunToCompletion(topo);
 
   EXPECT_EQ(resolver->store_peak_size(), 1000u);
-  EXPECT_EQ(resolver->records(), 100u);
+  EXPECT_EQ(resolver->output().records(), 100u);
   EXPECT_EQ(resolver->missing_ids(), 0u);
 }
 
@@ -184,7 +184,7 @@ TEST_F(ReclamationTest, BaselineOracleEvictionBoundsStore) {
   RunToCompletion(topo);
 
   EXPECT_LT(resolver->store_peak_size(), 1000u);
-  EXPECT_EQ(resolver->records(), 500u);
+  EXPECT_EQ(resolver->output().records(), 500u);
   EXPECT_EQ(resolver->missing_ids(), 0u);
 }
 

@@ -217,7 +217,7 @@ TEST(ProvenanceSinkTest, GroupsUnfoldedStreamIntoRecords) {
   EXPECT_EQ(records[1].origins.size(), 1u);
   EXPECT_EQ(k2->records(), 2u);
   EXPECT_EQ(k2->origin_tuples(), 3u);
-  EXPECT_DOUBLE_EQ(k2->mean_origins_per_record(), 1.5);
+  EXPECT_DOUBLE_EQ(k2->output().mean_origins_per_record(), 1.5);
   EXPECT_GT(k2->bytes_written(), 0u);
 }
 

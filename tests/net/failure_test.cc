@@ -361,7 +361,7 @@ void BreakPullChannelMidRun(const std::string& tag,
           queries::BuildQ4Fluent(data, PullQ4(tcp, clean_path));
       clean.Run();
     }
-    const auto reference = queries::CanonicalProvenanceRecords(clean_path);
+    const auto reference = CanonicalProvenanceRecords(clean_path);
     ASSERT_GT(reference.size(), 20u);
 
     const std::string path = PullProvPath(tag);
@@ -384,7 +384,7 @@ void BreakPullChannelMidRun(const std::string& tag,
       }
     }
     std::vector<std::vector<uint8_t>> got;
-    ASSERT_NO_THROW(got = queries::CanonicalProvenanceRecords(path))
+    ASSERT_NO_THROW(got = CanonicalProvenanceRecords(path))
         << "tcp " << tcp << ": torn record in the provenance file";
     EXPECT_GE(got.size(), 4u);
     EXPECT_LT(got.size(), reference.size());

@@ -309,6 +309,21 @@ TEST(FrameCodecTest, StatelessDecodeFrameRejectsCompactFrames) {
   EXPECT_THROW(DecodeFrame(frames[0]), std::runtime_error);
 }
 
+// A raw batch frame declaring more tuples than its bytes can hold is
+// rejected by name before anything is reserved for the count.
+TEST(FrameCodecTest, RawBatchCountBeyondFrameIsRejected) {
+  ByteWriter w;
+  w.PutU8(static_cast<uint8_t>(FrameKind::kBatch));
+  w.PutU32(0xFFFFFFFFu);
+  EXPECT_THROW(DecodeFrame(w.bytes()), std::runtime_error);
+  // One tuple declared, none delivered: the count fits no tuple either.
+  ByteWriter one;
+  one.PutU8(static_cast<uint8_t>(FrameKind::kBatch));
+  one.PutU32(1);
+  one.PutI64(0);
+  EXPECT_THROW(DecodeFrame(one.bytes()), std::runtime_error);
+}
+
 TEST(FrameCodecTest, WireStatsTrackRawEquivalentBytes) {
   std::vector<TuplePtr> batch;
   for (int64_t i = 0; i < 64; ++i) {

@@ -571,22 +571,15 @@ int main(int argc, char** argv) {
   std::printf("sink tuples       %llu (mean latency %.2f ms)\n",
               static_cast<unsigned long long>(query.sink()->count()),
               query.sink()->mean_latency_ms());
-  if (query.provenance_sink != nullptr) {
+  if (cli.mode != ProvenanceMode::kNone) {
     std::printf("provenance        %llu records, %.1f sources each, %llu bytes\n",
-                static_cast<unsigned long long>(query.provenance_sink->records()),
-                query.provenance_sink->mean_origins_per_record(),
-                static_cast<unsigned long long>(
-                    query.provenance_sink->bytes_written()));
+                static_cast<unsigned long long>(query.provenance_records()),
+                query.mean_origins_per_record(),
+                static_cast<unsigned long long>(query.provenance_bytes()));
   }
   if (query.baseline_resolver != nullptr) {
-    std::printf(
-        "provenance (BL)   %llu records, %.1f sources each, %llu bytes, "
-        "store peak %zu tuples\n",
-        static_cast<unsigned long long>(query.baseline_resolver->records()),
-        query.baseline_resolver->mean_origins_per_record(),
-        static_cast<unsigned long long>(
-            query.baseline_resolver->bytes_written()),
-        query.baseline_resolver->store_peak_size());
+    std::printf("BL source store   peak %zu tuples\n",
+                query.baseline_resolver->store_peak_size());
   }
   if (!query.channels.empty()) {
     std::printf("network           %llu bytes across %d instances\n",
