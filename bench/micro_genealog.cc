@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for GeneaLog's primitive costs:
 // meta-attribute instrumentation, contribution-graph traversal by size and
 // shape, GL pointer-setting vs BL annotation-union, cascade reclamation,
-// tuple cloning and serialization — plus the data-plane batch-size sweep
+// tuple cloning and serialization, the provenance file's per-record encoding
+// — plus the data-plane batch-size sweep
 // (end-to-end stateless chain throughput by stream batch size).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -15,6 +17,7 @@
 #include "core/instrumentation.h"
 #include "core/type_registry.h"
 #include "genealog/lineage_store.h"
+#include "genealog/provenance_record.h"
 #include "genealog/su.h"
 #include "genealog/traversal.h"
 #include "lr/linear_road.h"
@@ -273,6 +276,50 @@ void BM_AnnotationMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n);
 }
 BENCHMARK(BM_AnnotationMerge)->Arg(4)->Arg(96)->Arg(1024);
+
+// --- provenance file ---------------------------------------------------------
+// Per-record cost and size of the provenance file's block encoding (the
+// sink's and resolver's ProvenanceFileWriter without a path: encode, seal,
+// checksum and count, no I/O). Arg = origins per record: 4 is Q1's shape,
+// 25 Q4's. One record per iteration, so the time column is ns per record.
+// Ids, timestamps and stimuli advance as a live stream's do, so the deltas
+// and dictionary hits are the ones a real file sees.
+void BM_ProvenanceRecordWrite(benchmark::State& state) {
+  const int n_origins = static_cast<int>(state.range(0));
+  ProvenanceFileWriter writer("bench", /*path=*/"", /*buffer_bytes=*/0);
+  auto derived = MakeTuple<lr::StoppedCarStats>(0, 7, n_origins, 0, 1234);
+  derived->kind = TupleKind::kAggregate;
+  std::vector<IntrusivePtr<PositionReport>> origins;
+  ProvenanceRecord rec;
+  rec.derived = TuplePtr(derived.get());
+  for (int i = 0; i < n_origins; ++i) {
+    origins.push_back(Report(i));
+    rec.origins.push_back(TuplePtr(origins.back().get()));
+  }
+  uint64_t seq = 1;
+  for (auto _ : state) {
+    const int64_t ts = static_cast<int64_t>(seq) * 30;
+    derived->ts = ts;
+    derived->id = (uint64_t{9} << 40) | seq;
+    derived->stimulus = 1'700'000'000'000 + ts;
+    rec.derived_id = derived->id;
+    rec.derived_ts = ts;
+    for (size_t i = 0; i < origins.size(); ++i) {
+      origins[i]->ts = ts - static_cast<int64_t>(30 * i);
+      origins[i]->id = (uint64_t{1} << 40) | (seq * origins.size() + i);
+      origins[i]->stimulus = derived->stimulus - static_cast<int64_t>(i);
+    }
+    ++seq;
+    writer.Write(rec);
+    benchmark::ClobberMemory();
+  }
+  writer.Flush();
+  state.counters["bytes_per_record"] =
+      static_cast<double>(writer.bytes_written()) /
+      std::max(static_cast<double>(writer.records()), 1.0);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProvenanceRecordWrite)->ArgName("origins")->Arg(4)->Arg(25);
 
 // --- lineage store -----------------------------------------------------------
 // Per-record ingest cost of the live lineage index (serialize + intern +

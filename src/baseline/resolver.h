@@ -34,7 +34,7 @@ struct BaselineResolverOptions {
   // (ts < watermark - 2*slack): the "oracle eviction" ablation. The default
   // (false) reproduces the paper's unbounded-store behaviour.
   bool evict = false;
-  // If non-empty, serialized records are appended to this file.
+  // If non-empty, records are encoded and appended to this file.
   std::string file_path;
   // The file writer's buffer swap threshold (EngineOptions::prov_buffer_bytes).
   size_t buffer_bytes = EngineOptions{}.prov_buffer_bytes;

@@ -106,20 +106,10 @@ class IntrusivePtr {
   T* ptr_ = nullptr;
 };
 
-template <typename T, typename... Args>
-IntrusivePtr<T> MakeIntrusive(Args&&... args) {
-  return IntrusivePtr<T>(new T(std::forward<Args>(args)...));
-}
-
 // Casts the pointee statically; both trees share the reference count.
 template <typename To, typename From>
 IntrusivePtr<To> StaticPointerCast(const IntrusivePtr<From>& p) {
   return IntrusivePtr<To>(static_cast<To*>(p.get()));
-}
-
-template <typename To, typename From>
-IntrusivePtr<To> DynamicPointerCast(const IntrusivePtr<From>& p) {
-  return IntrusivePtr<To>(dynamic_cast<To*>(p.get()));
 }
 
 }  // namespace genealog

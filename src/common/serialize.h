@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -74,6 +75,14 @@ class ByteReader {
     std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return s;
+  }
+
+  // The next n bytes in place, without a copy.
+  std::span<const uint8_t> GetView(size_t n) {
+    Require(n);
+    const std::span<const uint8_t> view(data_ + pos_, n);
+    pos_ += n;
+    return view;
   }
 
   void GetBytes(uint8_t* out, size_t n) {

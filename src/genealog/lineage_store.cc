@@ -312,18 +312,12 @@ std::vector<LineageStore::Entry> LineageStore::Select(
 
 namespace {
 
-// Snapshot file layout:
-//   u32 magic "GLSN" | u32 version | u64 payload size | u64 FNV-1a(payload)
-//   payload: u64 records_ingested | u64 records_retained | u64 records_evicted
-//            | u64 epochs_evicted | i64 latest_ts | u8 any_ingested
-//            | u32 epoch count
-//            | per epoch: u8 sealed | u32 record count | provenance records
-// Records are the provenance-file records (genealog/provenance_record.h), so
-// a snapshot restores through the exact Ingest path the live consumer
-// exercises; the leading checksum is what turns torn writes and bit flips
-// into a load-time rejection.
+// The snapshot layout is described in genealog/provenance_record.h, beside
+// the blocks it embeds: a snapshot restores through the exact Ingest path
+// the live consumer exercises, and the leading checksum is what turns torn
+// writes and bit flips into a load-time rejection.
 constexpr uint32_t kSnapshotMagic = 0x4E534C47;  // "GLSN" little-endian
-constexpr uint32_t kSnapshotVersion = 1;
+constexpr uint32_t kSnapshotVersion = 2;
 
 }  // namespace
 
@@ -338,15 +332,20 @@ void LineageStore::SaveSnapshot(const std::string& path) const {
     payload.PutI64(latest_ts_);
     payload.PutU8(any_ingested_ ? 1 : 0);
     payload.PutU32(static_cast<uint32_t>(epochs_.size()));
-    std::vector<std::span<const uint8_t>> origins;
     for (const Epoch& epoch : epochs_) {
-      payload.PutU8(epoch.sealed ? 1 : 0);
-      payload.PutU32(static_cast<uint32_t>(epoch.records.size()));
+      ProvenanceBlockEncoder blocks(/*file_header=*/false);
       for (uint32_t d : epoch.records) {
-        origins.clear();
-        for (uint32_t o : slots_[d].bwd) origins.emplace_back(slots_[o].bytes);
-        WriteProvenanceRecord(slots_[d].bytes, origins, payload);
+        ProvenanceRecord rec;
+        rec.derived = MaterializeLocked(d).tuple;
+        for (uint32_t o : slots_[d].bwd) {
+          rec.origins.push_back(MaterializeLocked(o).tuple);
+        }
+        blocks.Add(rec);
       }
+      blocks.Seal();
+      payload.PutU8(epoch.sealed ? 1 : 0);
+      payload.PutU32(static_cast<uint32_t>(blocks.blocks()));
+      payload.PutBytes(blocks.sealed().data(), blocks.sealed().size());
     }
   }
 
@@ -410,7 +409,7 @@ uint64_t LineageStore::LoadSnapshot(const std::string& path) {
     throw std::runtime_error("LineageStore: snapshot checksum mismatch");
   }
 
-  // r now reads the payload; record errors name file offsets.
+  // r now reads the payload; block errors name file offsets.
   const std::string source = "lineage snapshot " + path;
   const uint64_t saved_ingested = r.GetU64();
   const uint64_t saved_retained = r.GetU64();
@@ -421,12 +420,13 @@ uint64_t LineageStore::LoadSnapshot(const std::string& path) {
   const uint32_t epoch_count = r.GetU32();
 
   uint64_t restored = 0;
+  uint64_t block = 0;
   for (uint32_t e = 0; e < epoch_count; ++e) {
     const bool sealed = r.GetU8() != 0;
-    const uint32_t record_count = r.GetU32();
-    for (uint32_t i = 0; i < record_count; ++i) {
-      Ingest(ReadProvenanceRecord(r, source, restored));
-      ++restored;
+    const uint32_t block_count = r.GetU32();
+    for (uint32_t i = 0; i < block_count; ++i, ++block) {
+      restored += ReadProvenanceBlock(
+          r, source, block, [this](ProvenanceRecord& rec) { Ingest(rec); });
     }
     // Preserve the saving store's epoch boundaries: every group but possibly
     // the last was sealed, and the next group must open a fresh epoch.

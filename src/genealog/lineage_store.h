@@ -154,8 +154,10 @@ class LineageStore {
   // Persists the retained window to `path`: the snapshot is written to
   // `path + ".tmp"` and atomically renamed into place, led by a versioned
   // header (magic, version, payload size, FNV-1a checksum) so a restarted
-  // node can reject torn or corrupted files instead of loading them. Safe to
-  // call while ingestion runs (takes the shared lock, like a query).
+  // node can reject torn or corrupted files instead of loading them; the
+  // records go in provenance-file blocks (layout in
+  // genealog/provenance_record.h). Safe to call while ingestion runs (takes
+  // the shared lock, like a query).
   void SaveSnapshot(const std::string& path) const;
 
   // Rebuilds a snapshot into this store through the same Ingest path the
@@ -223,9 +225,10 @@ class LineageStore {
 
 // Replays a provenance file (genealog/provenance_record.h) into `store`,
 // reconstructing each record through the same Ingest path the live consumer
-// uses. Returns the number of records replayed. Throws std::runtime_error on
-// unreadable files and std::out_of_range on truncated ones; errors name the
-// file and the bad record.
+// uses. Returns the number of records replayed. Throws like
+// ReadProvenanceFile: std::runtime_error on unreadable or corrupt files and
+// std::out_of_range on torn ones, naming the file, the block and its byte
+// offset, after the records of every earlier block went into `store`.
 uint64_t ReplayProvenanceFile(const std::string& path, LineageStore& store);
 
 }  // namespace genealog

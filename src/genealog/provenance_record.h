@@ -3,23 +3,54 @@
 // GeneaLog's provenance sink and by the baseline resolver, so equivalence
 // tests can compare the two techniques record-by-record.
 //
-// Record layout — the one description of it; only provenance_record.cc
-// writes or reads it:
+// The one description of the provenance file, its blocks and the lineage
+// snapshot that embeds them; only provenance_record.cc writes or reads a
+// block (LineageStore frames the snapshot around them). Little-endian
+// (common/serialize.h).
+//
+//   file:   u32 magic "GLPF" | u32 version = 1 | block...
+//   block:  u32 body bytes | u32 record count | u64 FNV-1a(body) | body
+//   body:   record × record count
+//   record: varint origin count n | derived | origin × n
+//
+// Tuples go through the compact tuple coder (net/tuple_coder.h): the
+// derived tuple under WireRole::kDerived, origins under WireRole::kOrigin,
+// so descriptors and node uids are dictionary-coded and ids, timestamps and
+// stimuli delta-coded. The coder starts fresh in every block, so a block
+// decodes alone from its offset. A writer seals a block once its body
+// reaches kProvenanceBlockBytes, and on Flush(); the file header goes out
+// with the first block, so a file without records is empty. Records are in
+// finalization order.
+//
+// A reader checks a block's length and checksum before decoding it and
+// hands over the records of whole blocks only. A torn or corrupt block
+// throws, naming the file, the block index and its byte offset, after the
+// records of every earlier block: what a reader sees of a file is always a
+// prefix of whole blocks, never a torn record.
+//
+// Lineage snapshot (LineageStore::SaveSnapshot / LoadSnapshot):
+//
+//   u32 magic "GLSN" | u32 version = 2 | u64 payload size
+//   | u64 FNV-1a(payload) | payload
+//   payload: u64 records_ingested | u64 records_retained
+//            | u64 records_evicted | u64 epochs_evicted | i64 latest_ts
+//            | u8 any_ingested | u32 epoch count
+//            | per epoch: u8 sealed | u32 block count | block × block count
+//
+// The raw layout of earlier versions,
 //
 //   SerializeTuple(derived) | u32 origin count n | SerializeTuple(origin) × n
 //
-// Little-endian (common/serialize.h); SerializeTuple is the self-delimiting
-// tuple encoding of core/type_registry.h. A provenance file is records back
-// to back in finalization order, with no header or trailer. A lineage
-// snapshot (LineageStore::SaveSnapshot) embeds the same records in epochs
-// behind a checksummed header.
+// (SerializeTuple is the fixed-width tuple encoding of core/type_registry.h)
+// survives only as the canonical form CanonicalProvenanceRecords emits: the
+// query goldens (tests/queries/golden/queries.golden) hash it, so they do
+// not move with the file encoding.
 #ifndef GENEALOG_GENEALOG_PROVENANCE_RECORD_H_
 #define GENEALOG_GENEALOG_PROVENANCE_RECORD_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +58,7 @@
 #include "common/async_writer.h"
 #include "common/serialize.h"
 #include "core/tuple.h"
+#include "net/tuple_coder.h"
 
 namespace genealog {
 
@@ -37,22 +69,50 @@ struct ProvenanceRecord {
   std::vector<TuplePtr> origins;  // contributing source tuples
 };
 
-// Appends `record` to `w`.
-void WriteProvenanceRecord(const ProvenanceRecord& record, ByteWriter& w);
+// Body bytes at which a block seals. A constant, not a setting: dictionary
+// reuse saturates well below it, and it bounds what a torn tail can lose.
+inline constexpr size_t kProvenanceBlockBytes = 16 * 1024;
 
-// Appends a record whose tuples are already in SerializeTuple form (the
-// lineage store interns them so; canonicalization re-serializes them).
-void WriteProvenanceRecord(std::span<const uint8_t> derived,
-                           std::span<const std::span<const uint8_t>> origins,
-                           ByteWriter& w);
+// Encodes records into sealed blocks in memory: the file writer drains it
+// into a file, and the lineage snapshot into its payload. With
+// `file_header`, the first sealed block is preceded by the file header, so
+// sealed() is a whole provenance file.
+class ProvenanceBlockEncoder {
+ public:
+  explicit ProvenanceBlockEncoder(bool file_header)
+      : file_header_(file_header) {}
 
-// Decodes the record at `r`'s position; derived_id and derived_ts come from
-// the derived tuple. Errors read "<source>: record <index> at byte <offset>:
-// ...". Throws std::out_of_range when the input ends inside the record or its
-// origin count exceeds what the remaining bytes can hold (checked before
-// reserving), and std::runtime_error on an unregistered type tag.
-ProvenanceRecord ReadProvenanceRecord(ByteReader& r, std::string_view source,
-                                      uint64_t index);
+  // Appends `record` to the open block and seals the block once its body
+  // reaches kProvenanceBlockBytes. Throws std::invalid_argument on an
+  // unfolded tuple, which the coder does not nest.
+  void Add(const ProvenanceRecord& record);
+  // Seals the open block, if it holds a record.
+  void Seal();
+
+  // The sealed bytes not yet cleared.
+  const std::vector<uint8_t>& sealed() const { return sealed_.bytes(); }
+  void ClearSealed() { sealed_.Clear(); }
+  uint64_t blocks() const { return blocks_; }
+
+ private:
+  const bool file_header_;
+  CompactTupleEncoder coder_;
+  ByteWriter body_;
+  uint32_t body_records_ = 0;
+  ByteWriter sealed_;
+  uint64_t blocks_ = 0;
+};
+
+// Decodes the block at `r`'s position and hands each of its records to
+// `fn`, all after the whole block decoded. Returns the record count. Errors
+// read "<source>: block <index> at byte <offset>: ...": std::out_of_range
+// when the input ends inside the block (its declared length is checked
+// before anything is read or reserved), std::runtime_error on a checksum
+// mismatch, a body that does not decode (naming the record) or an
+// unregistered type tag.
+uint64_t ReadProvenanceBlock(ByteReader& r, std::string_view source,
+                             uint64_t index,
+                             const std::function<void(ProvenanceRecord&)>& fn);
 
 // Reads `path` whole; throws std::runtime_error naming `what` and the path
 // when it cannot be opened.
@@ -60,11 +120,13 @@ std::vector<uint8_t> ReadFileBytes(const std::string& path, const char* what);
 
 // Decodes every record of the provenance file at `path` in file order,
 // handing each to `fn`. Returns the number of records. Throws like
-// ReadFileBytes and ReadProvenanceRecord (the source named is the file).
+// ReadFileBytes and ReadProvenanceBlock (the source named is the file), and
+// std::runtime_error on a bad magic or an unknown version.
 uint64_t ReadProvenanceFile(const std::string& path,
                             const std::function<void(ProvenanceRecord&)>& fn);
 
-// Canonical provenance-file records: each re-serialized with id, stimulus
+// Canonical provenance-file records, in the raw layout above: each
+// re-serialized with id, stimulus
 // and baseline-annotation ids zeroed (the annotation keeps its length), its
 // origins sorted by their bytes, and the records sorted. Two runs of the same
 // logical query yield identical records (raw files never can: ids derive
@@ -73,11 +135,12 @@ uint64_t ReadProvenanceFile(const std::string& path,
 std::vector<std::vector<uint8_t>> CanonicalProvenanceRecords(
     const std::string& path);
 
-// The provenance file of one sink or resolver node: Write serializes a record
-// into a double-buffered background writer (common/async_writer.h), so disk
-// latency leaves the operator thread and the file holds exactly the records
-// in write order. Counts what it writes, also without a file. Write and Flush
-// are owner-thread-only.
+// The provenance file of one sink or resolver node: Write encodes a record
+// into the open block, and every sealed block goes to a double-buffered
+// background writer (common/async_writer.h), so disk latency leaves the
+// operator thread and the file holds exactly the records in write order.
+// Encodes and counts also without a file. Write and Flush are
+// owner-thread-only.
 class ProvenanceFileWriter {
  public:
   // Opens `path` for writing (throws std::runtime_error naming it when it
@@ -86,20 +149,22 @@ class ProvenanceFileWriter {
   // swap threshold (EngineOptions::prov_buffer_bytes).
   ProvenanceFileWriter(std::string owner, std::string path,
                        size_t buffer_bytes);
-  // Flush(), so teardown after an aborted run leaves a well-formed prefix.
+  // Flush(), so teardown after an aborted run leaves whole blocks.
   ~ProvenanceFileWriter();
   ProvenanceFileWriter(const ProvenanceFileWriter&) = delete;
   ProvenanceFileWriter& operator=(const ProvenanceFileWriter&) = delete;
 
   void Write(const ProvenanceRecord& record);
 
-  // Blocks until every record written so far is in the file (probes may read
-  // it while the node lives); warns once on stderr if a write failed.
+  // Seals the open block and blocks until every record written so far is in
+  // the file (probes may read it while the node lives); warns once on stderr
+  // if a write failed.
   void Flush();
 
   uint64_t records() const { return records_; }
   uint64_t origin_tuples() const { return origin_tuples_; }
-  uint64_t bytes_written() const { return bytes_written_; }  // serialized
+  // Sealed bytes, file header included: the file's size once flushed.
+  uint64_t bytes_written() const { return bytes_written_; }
   double mean_origins_per_record() const {
     return records_ == 0 ? 0.0
                          : static_cast<double>(origin_tuples_) /
@@ -110,10 +175,13 @@ class ProvenanceFileWriter {
   bool write_error() const;
 
  private:
+  // Hands the encoder's sealed blocks to the file and the byte count.
+  void Drain();
+
   const std::string owner_;
   const std::string path_;
   std::unique_ptr<AsyncFileWriter> writer_;  // null without a path
-  ByteWriter scratch_;
+  ProvenanceBlockEncoder encoder_{/*file_header=*/true};
   bool write_error_warned_ = false;
   uint64_t records_ = 0;
   uint64_t origin_tuples_ = 0;

@@ -8,9 +8,9 @@
 // passes derived_ts + finalize_slack, and all groups finalize at flush.
 //
 // Records go to a ProvenanceFileWriter (genealog/provenance_record.h, which
-// also defines the record layout): double-buffered and asynchronous, with
-// bounded buffering, the file holding exactly the serialized records in
-// finalization order.
+// also defines the file layout): compact checksummed blocks, written
+// double-buffered and asynchronously with bounded buffering, the file
+// holding exactly the records in finalization order.
 #ifndef GENEALOG_GENEALOG_PROVENANCE_SINK_H_
 #define GENEALOG_GENEALOG_PROVENANCE_SINK_H_
 
@@ -42,7 +42,7 @@ struct ProvenanceSinkSpec {
   // stateful window span of the deployment (0 is fine for intra-process SU
   // streams, whose groups arrive contiguously).
   int64_t finalize_slack = 0;
-  // If non-empty, records are serialized and appended to this file, like the
+  // If non-empty, records are encoded and appended to this file, like the
   // paper's on-disk provenance store.
   std::string file_path;
   // Optional in-process consumer, called per finalized record.

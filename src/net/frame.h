@@ -11,44 +11,20 @@
 //  * raw — the seed format: one fixed-width serialized tuple after another
 //    (EncodeBatchFrame below). Stateless; DecodeFrame handles it.
 //
-//  * compact (FrameKind::kCompactBatch) — the edge-to-cloud format. Within a
-//    frame, tuple ids split into node uid (high 24 bits) and sequence (low
-//    40 bits); uids and (type_tag, kind, has-annotation) descriptors are
-//    dictionary-coded per channel, sequences are delta-encoded against the
-//    per-uid previous value, and timestamps/stimuli against a running
-//    previous, all as zigzag varints. Payload bytes are the registered
-//    SerializePayload encoding, unchanged, except for unfolded tuples
-//    (below).
+//  * compact (FrameKind::kCompactBatch) — the edge-to-cloud format: a
+//    frame header (below) and then the batch's tuples through the compact
+//    tuple coder (net/tuple_coder.h, which describes the tuple encoding:
+//    dictionary-coded descriptors and node uids, per-uid sequence deltas,
+//    per-role ts/stimulus deltas, and a structural payload for unfolded U
+//    tuples that ships each shared derived tuple once per frame). The
+//    coder's dictionaries and delta bases carry across the frames of one
+//    channel; its interned derived tuples do not.
 //
-//    Dictionaries are sender-driven and build incrementally: every entry is
-//    defined inline ((index << 1) | 1 followed by the definition) the first
-//    time it is used, and referenced ((index << 1) | 0) afterwards, so the
-//    receiver needs no out-of-band negotiation. Each compact frame leads
-//    with a generation byte; FrameEncoder::Reset() bumps it (reconnect, new
-//    stream incarnation), and a decoder seeing an unexpected generation
-//    drops its dictionaries and delta state before decoding — reset-safe
-//    because the first post-reset frame redefines every entry it uses.
-//
-//    Unfolded tuples (tags::kUnfolded, the SU -> MU provenance streams) get
-//    a structural payload instead of their SerializePayload bytes. An SU
-//    emits one U tuple per (derived, origin) pair, all of a derived tuple's
-//    U tuples holding the same `derived` object, so the payload is:
-//      u8 form = 1 | varint (derived_index << 1) | is_new
-//                  | [derived: nested header + payload, when is_new]
-//                  | origin: nested header + payload
-//    Derived tuples are interned per frame by pointer identity: the first
-//    U tuple of a frame that holds one defines it, later ones reference
-//    its frame-local index, and the decoder hands all of them the same
-//    TuplePtr — the sharing the SU produced on the sender. Nested headers
-//    go through the channel's descriptor and uid dictionaries and per-uid
-//    sequence deltas like any outer header; ts and stimulus deltas are kept
-//    per role (outer, derived, origin), so interleaving the three does not
-//    inflate them. derived_id/derived_ts/origin_id/origin_ts/origin_kind
-//    are not sent: the decoder rebuilds them from the nested headers. A U
-//    tuple whose fields disagree with its nested tuples (or whose nested
-//    tuple is itself unfolded, or missing) ships as form 0 followed by its
-//    SerializePayload bytes. A nested tuple is never unfolded, so decoding
-//    recurses at most one level.
+//    Each compact frame leads with a generation byte; FrameEncoder::Reset()
+//    bumps it (reconnect, new stream incarnation), and a decoder seeing an
+//    unexpected generation drops its dictionaries and delta state before
+//    decoding — reset-safe because the first post-reset frame redefines
+//    every entry it uses.
 //
 // The compact path is stateful on both sides, hence the FrameEncoder /
 // FrameDecoder classes; the stateless free functions below remain the raw
@@ -65,25 +41,14 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/engine_options.h"
 #include "common/serialize.h"
 #include "core/type_registry.h"
+#include "net/tuple_coder.h"
 
 namespace genealog {
-
-// --- varint primitives ------------------------------------------------------
-
-// The LEB128-style varint/zigzag encoders the compact codec is built on,
-// shared with the lineage request/response protocol (net/lineage_protocol.h).
-// GetVarint throws std::runtime_error on encodings longer than 10 bytes or
-// overflowing 64 bits; truncation surfaces as ByteReader's std::out_of_range.
-void PutVarint(ByteWriter& w, uint64_t v);
-uint64_t GetVarint(ByteReader& r);
-void PutZigzag(ByteWriter& w, int64_t v);
-int64_t GetZigzag(ByteReader& r);
 
 // Largest frame a channel carries; TcpChannel rejects a longer length prefix
 // and the request decoder a longer declared id list.
@@ -100,8 +65,8 @@ enum class FrameKind : uint8_t {
   // A StreamBatch under the compact codec:
   //   u8 kind | u8 generation | u8 flags | body
   // flags bit 1 = the batch carries a watermark; every other bit is reserved
-  // and rejected. The body is the dictionary/delta encoding described in the
-  // header comment.
+  // and rejected. The body is varint tuple count | [zigzag watermark] |
+  // the tuples through the compact tuple coder (net/tuple_coder.h).
   kCompactBatch = 5,
   // A pull request (reverse direction only):
   //   u8 kind | u8 flags | body
@@ -172,19 +137,6 @@ PullRequest DecodeRequestFrame(const std::vector<uint8_t>& frame);
 
 // --- compact codec (stateful) -----------------------------------------------
 
-struct UnfoldedTuple;
-
-// The header slots a compact body interleaves: top-level tuples, and the
-// derived and origin tuples nested in structural U payloads. Each role keeps
-// its own ts/stimulus delta base.
-enum class WireRole : uint8_t { kOuter = 0, kDerived = 1, kOrigin = 2 };
-inline constexpr size_t kWireRoles = 3;
-
-struct WireDeltas {
-  int64_t ts = 0;
-  int64_t stimulus = 0;
-};
-
 // The wire slice of the unified knob struct, for callers that build a
 // FrameEncoder from EngineOptions (edgebench's codec replay). The codec is
 // sender-driven: the receiver decodes whatever codec each frame announces,
@@ -240,31 +192,10 @@ class FrameEncoder {
   std::vector<uint8_t> EncodeCompactBatch(std::span<const Tuple* const> tuples,
                                           int64_t watermark, bool remotify);
 
-  // Each returns the bytes the raw codec spends on what it encoded.
-  uint64_t PutTuple(ByteWriter& body, const Tuple& t, TupleKind kind,
-                    WireRole role);
-  uint64_t PutHeader(ByteWriter& body, const Tuple& t, TupleKind kind,
-                     WireRole role);
-  uint64_t PutUnfoldedPayload(ByteWriter& body, const UnfoldedTuple& u);
-
   WireCodec codec_;
   WireStats stats_;
-
-  // Compact-codec state. Descriptor keys pack (type_tag << 16 | wire kind
-  // << 8 | has-annotation); uid keys are the high 24 id bits.
   uint8_t generation_ = 0;
-  std::unordered_map<uint32_t, uint32_t> desc_index_;
-  std::unordered_map<uint32_t, uint32_t> uid_index_;
-  std::vector<uint64_t> uid_last_seq_;
-  WireDeltas last_[kWireRoles];
-
-  // The derived tuples defined in the frame being encoded: frame-local
-  // index and raw-codec bytes, keyed by object identity.
-  struct DerivedEntry {
-    uint32_t index = 0;
-    uint64_t raw_bytes = 0;
-  };
-  std::unordered_map<const Tuple*, DerivedEntry> frame_derived_;
+  CompactTupleEncoder coder_;
 };
 
 // The receive-side mirror: decodes every frame kind, carrying the compact
@@ -278,26 +209,10 @@ class FrameDecoder {
 
  private:
   DecodedFrame DecodeCompactBatch(const std::vector<uint8_t>& frame);
-  TuplePtr GetTuple(ByteReader& body, WireRole role);
-  TuplePtr GetUnfoldedPayload(ByteReader& body, int64_t ts);
-
-  struct Descriptor {
-    uint16_t tag = 0;
-    TupleKind kind = TupleKind::kSource;
-    bool has_annotation = false;
-    PayloadDeserializer fn = nullptr;
-  };
 
   bool have_generation_ = false;
   uint8_t generation_ = 0;
-  std::vector<Descriptor> descs_;
-  std::vector<uint64_t> uids_;
-  std::vector<uint64_t> uid_last_seq_;
-  WireDeltas last_[kWireRoles];
-
-  // The derived tuples defined so far in the frame being decoded, by
-  // frame-local index. Cleared after every frame so it pins nothing.
-  std::vector<TuplePtr> frame_derived_;
+  CompactTupleDecoder coder_;
 };
 
 }  // namespace genealog

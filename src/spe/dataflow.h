@@ -204,7 +204,7 @@ struct BuiltDataflow {
 
   // Provenance probes over the GL sink's or the BL resolver's record writer
   // (defined in genealog/instrument.cc; 0 when the mode records no
-  // provenance). provenance_bytes() is the serialized record volume.
+  // provenance). provenance_bytes() is the encoded file volume.
   uint64_t provenance_records() const;
   double mean_origins_per_record() const;
   uint64_t provenance_bytes() const;

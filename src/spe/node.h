@@ -87,9 +87,6 @@ class Endpoint {
     effective_batch_ = std::min(effective_batch_, batch_size_);
   }
 
-  // The current flush threshold, within [1, batch_size].
-  size_t effective_batch_size() const { return effective_batch_; }
-
   // --- pool mode (flipped by the scheduler before execution starts) --------
   // In non-blocking mode a handoff that would block instead parks the batch
   // in a per-endpoint spill buffer (order-preserving: once anything is

@@ -158,9 +158,6 @@ class WorkerPool {
   // Wakes every parked worker (teardown aid alongside queue aborts).
   void Kick();
 
-  size_t worker_count() const { return workers_.size(); }
-  size_t task_count() const { return tasks_.size(); }
-
  private:
   using NodeTask = scheduler_internal::NodeTask;
 

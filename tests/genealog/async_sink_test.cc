@@ -1,8 +1,8 @@
 // The asynchronous provenance sink must be invisible in the data: for a
 // pinned unfolded stream, the on-disk provenance file must hold exactly the
-// bytes the test serializes itself (per record: the derived tuple, a u32
-// origin count, then every origin) — also when a tiny buffer cap forces the
-// double-buffer swap through many background handoffs mid-run. Ids and
+// bytes the in-memory block encoder (genealog/provenance_record.h) makes of
+// the same records — also when a tiny buffer cap forces the double-buffer
+// swap through many background handoffs mid-run. Ids and
 // stimuli of the recorded tuples are pinned by construction, so the
 // comparison really is byte-for-byte. A file that cannot take the bytes
 // (/dev/full) must be reported as a write error. Runs under TSan in CI
@@ -13,8 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "common/serialize.h"
-#include "core/type_registry.h"
+#include "genealog/provenance_record.h"
 #include "genealog/provenance_sink.h"
 #include "spe/source.h"
 #include "spe/topology.h"
@@ -43,29 +42,30 @@ std::string ReadAll(const std::string& path) {
 struct PinnedStream {
   std::vector<IntrusivePtr<ValueTuple>> keep_alive;
   std::vector<IntrusivePtr<UnfoldedTuple>> unfolded;
-  // The provenance file the stream must produce, serialized record by record
-  // in derived-ts order.
+  // The provenance file the stream must produce: its records in derived-ts
+  // order through the in-memory block encoder, sealed once at the end.
   std::string want_bytes;
+  uint64_t want_blocks = 0;
 };
 
 PinnedStream MakePinnedStream(int n_records, int origins_per_record) {
   PinnedStream s;
+  ProvenanceBlockEncoder encoder(/*file_header=*/true);
   uint64_t next_id = 1;
   for (int r = 0; r < n_records; ++r) {
     auto derived = V(r, 1000 + r);
     derived->id = next_id++;
     derived->stimulus = 7;  // pinned: wall clock must not leak into the file
     s.keep_alive.push_back(derived);
-    ByteWriter record;
-    SerializeTuple(*derived, record);
-    record.PutU32(static_cast<uint32_t>(origins_per_record));
+    ProvenanceRecord record;
+    record.derived = derived;
     for (int o = 0; o < origins_per_record; ++o) {
       auto origin = V(r, 100 * r + o);
       origin->kind = TupleKind::kSource;
       origin->id = next_id++;
       origin->stimulus = 7;
       s.keep_alive.push_back(origin);
-      SerializeTuple(*origin, record);
+      record.origins.push_back(origin);
       auto u = MakeTuple<UnfoldedTuple>(derived->ts);
       u->derived = derived;
       u->derived_id = derived->id;
@@ -76,8 +76,11 @@ PinnedStream MakePinnedStream(int n_records, int origins_per_record) {
       u->origin_kind = origin->kind;
       s.unfolded.push_back(std::move(u));
     }
-    s.want_bytes.append(record.bytes().begin(), record.bytes().end());
+    encoder.Add(record);
   }
+  encoder.Seal();
+  s.want_bytes.assign(encoder.sealed().begin(), encoder.sealed().end());
+  s.want_blocks = encoder.blocks();
   return s;
 }
 
@@ -110,7 +113,7 @@ std::string RunToFile(const PinnedStream& stream, const std::string& path,
 
 TEST(AsyncProvenanceSinkTest, FileBytesMatchSerializedRecords) {
   const PinnedStream stream = MakePinnedStream(400, 5);
-  ASSERT_FALSE(stream.want_bytes.empty());
+  ASSERT_GT(stream.want_blocks, 1u);
   const std::string path = ::testing::TempDir() + "/prov_async_a.bin";
   EXPECT_EQ(RunToFile(stream, path, /*buffer_bytes=*/256 * 1024),
             stream.want_bytes);
@@ -118,11 +121,11 @@ TEST(AsyncProvenanceSinkTest, FileBytesMatchSerializedRecords) {
 
 TEST(AsyncProvenanceSinkTest, TinyBufferForcesHandoffsAndStaysIdentical) {
   const PinnedStream stream = MakePinnedStream(600, 3);
-  ASSERT_FALSE(stream.want_bytes.empty());
+  ASSERT_GT(stream.want_blocks, 1u);
   const std::string path = ::testing::TempDir() + "/prov_async_b.bin";
   EXPECT_EQ(RunToFile(stream, path, /*buffer_bytes=*/256 * 1024),
             stream.want_bytes);
-  // 48-byte buffers: every record spans multiple background handoffs.
+  // 48-byte buffers: every block spans many background handoffs.
   EXPECT_EQ(RunToFile(stream, path, /*buffer_bytes=*/48), stream.want_bytes);
 }
 

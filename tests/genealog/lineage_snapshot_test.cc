@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -262,6 +263,32 @@ TEST(LineageSnapshotTest, CorruptSnapshotsAreRejected) {
   }
   std::remove(path.c_str());
   std::remove(bad.c_str());
+}
+
+// Version 1 snapshots held raw-layout records; version 2 holds provenance
+// blocks (genealog/provenance_record.h). A version-1 file, even with an
+// intact payload checksum, is rejected by name rather than mis-decoded.
+TEST(LineageSnapshotTest, VersionOneSnapshotIsRejectedByName) {
+  const std::string path = ::testing::TempDir() + "/snap_v1.bin";
+  LineageStore store;
+  uint64_t seq = 1;
+  IngestChain(store, 8, &seq);
+  store.SaveSnapshot(path);
+  std::vector<uint8_t> bytes = ReadAll(path);
+  const uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, sizeof(v1));  // after the magic
+  WriteAll(path, bytes);
+  LineageStore s;
+  try {
+    s.LoadSnapshot(path);
+    ADD_FAILURE() << "a version-1 snapshot loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(s.stats().records_ingested, 0u);
+  std::remove(path.c_str());
 }
 
 // --- Select semantics (in-process; the service test covers the wire) -------

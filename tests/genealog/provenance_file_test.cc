@@ -1,21 +1,29 @@
 // The on-disk provenance format (genealog/provenance_record.h) must be
 // readable back — the "stored on disk" artifact of §7, consumable by external
-// tooling — and a malformed file must be rejected with an error naming the
-// file and the record, never a crash or an allocation the input cannot back.
-// GL and BL write through one file writer, so both report a failed write.
+// tooling. A reader sees a prefix of whole blocks: a torn or corrupt block is
+// rejected with an error naming the file, the block and its offset, after
+// the records of the blocks before it, never a crash, a torn record or an
+// allocation the input cannot back. GL and BL write through one file
+// writer, so both report a failed write.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
 #include "core/type_registry.h"
 #include "genealog/lineage_store.h"
+#include "genealog/unfolded.h"
 #include "queries/query_helpers.h"
+#include "testing/test_tuples.h"
 
 namespace genealog::queries {
 namespace {
+
+using genealog::testing::V;
 
 std::vector<ProvenanceRecord> ReadRecords(const std::string& path) {
   std::vector<ProvenanceRecord> records;
@@ -171,54 +179,297 @@ lr::LinearRoadData SmallQ1Data() {
 void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  if (!bytes.empty()) {  // an empty vector's data() may be null
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 
-// A file cut one byte short reads as truncated, and the error names the file
-// and the torn record, so an operator can find the tear.
-TEST(ProvenanceFileTest, TruncatedFileErrorNamesFileAndRecord) {
-  const std::string path = ::testing::TempDir() + "/prov_trunc.bin";
-  QueryBuildOptions options;
-  options.mode = ProvenanceMode::kGenealog;
-  options.provenance_file = path;
-  RunQuery(BuildQ1Fluent, SmallQ1Data(), options);
-  const uint64_t n_records = ReadRecords(path).size();
-  std::vector<uint8_t> bytes = ReadFileBytes(path, "provenance file");
-  ASSERT_GT(n_records, 0u);
-  bytes.pop_back();
-  WriteBytes(path, bytes);
-  LineageStore store;
+// The SerializeTuple bytes of a record, to compare records field by field.
+std::vector<uint8_t> RecordBytes(const ProvenanceRecord& record) {
+  ByteWriter w;
+  SerializeTuple(*record.derived, w);
+  for (const TuplePtr& o : record.origins) SerializeTuple(*o, w);
+  return w.TakeBytes();
+}
+
+std::vector<std::vector<uint8_t>> AllRecordBytes(
+    const std::vector<ProvenanceRecord>& records) {
+  std::vector<std::vector<uint8_t>> out;
+  for (const ProvenanceRecord& r : records) out.push_back(RecordBytes(r));
+  return out;
+}
+
+// A Q1-shaped record: one derived tuple and four source origins, with ids,
+// timestamps and stimuli advancing as a live stream's do.
+ProvenanceRecord MakeRecord(int i) {
+  ProvenanceRecord rec;
+  auto derived = V(60 * i, i);
+  derived->id = (uint64_t{9} << 40) | static_cast<uint64_t>(i + 1);
+  derived->kind = TupleKind::kAggregate;
+  derived->stimulus = 1'000'000 + 37 * i;
+  rec.derived = derived;
+  rec.derived_id = derived->id;
+  rec.derived_ts = derived->ts;
+  for (int o = 0; o < 4; ++o) {
+    auto origin = V(60 * i - 15 * o, 100 * i + o);
+    origin->id = (uint64_t{2} << 40) | static_cast<uint64_t>(4 * i + o + 1);
+    origin->kind = TupleKind::kSource;
+    origin->stimulus = 1'000'000 + 37 * i - o;
+    rec.origins.push_back(origin);
+  }
+  return rec;
+}
+
+// Where each block of a provenance file starts, read off the block headers
+// (genealog/provenance_record.h: an 8-byte file header, then per block
+// u32 body bytes | u32 record count | u64 checksum | body).
+struct BlockSpan {
+  size_t offset = 0;
+  uint32_t records = 0;
+};
+
+std::vector<BlockSpan> Blocks(const std::vector<uint8_t>& file) {
+  std::vector<BlockSpan> blocks;
+  ByteReader r(file);
+  r.GetU64();  // magic + version
+  while (!r.AtEnd()) {
+    BlockSpan b;
+    b.offset = r.position();
+    const uint32_t body = r.GetU32();
+    b.records = r.GetU32();
+    r.GetU64();
+    r.GetView(body);
+    blocks.push_back(b);
+  }
+  return blocks;
+}
+
+// Writes records through a ProvenanceFileWriter until it has sealed two
+// full blocks, then five more into a short third block, and returns what
+// it wrote.
+std::vector<ProvenanceRecord> WriteThreeBlockFile(const std::string& path) {
+  std::vector<ProvenanceRecord> written;
+  ProvenanceFileWriter writer("test", path, 4096);
+  int i = 0;
+  for (; writer.bytes_written() < 2 * kProvenanceBlockBytes; ++i) {
+    written.push_back(MakeRecord(i));
+    writer.Write(written.back());
+  }
+  for (int end = i + 5; i < end; ++i) {
+    written.push_back(MakeRecord(i));
+    writer.Write(written.back());
+  }
+  writer.Flush();
+  return written;
+}
+
+// Reads `path` until the reader throws, returning the delivered records and
+// the error, which must be of type E.
+template <typename E>
+std::pair<std::vector<ProvenanceRecord>, std::string> ReadUntilThrow(
+    const std::string& path) {
+  std::vector<ProvenanceRecord> got;
   try {
-    ReplayProvenanceFile(path, store);
-    ADD_FAILURE() << "a truncated provenance file replayed";
-  } catch (const std::out_of_range& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(path), std::string::npos) << what;
-    EXPECT_NE(what.find("record " + std::to_string(n_records - 1)),
+    ReadProvenanceFile(path, [&got](ProvenanceRecord& r) {
+      got.push_back(std::move(r));
+    });
+  } catch (const E& e) {
+    return {std::move(got), e.what()};
+  }
+  ADD_FAILURE() << path << " read without the expected error";
+  return {std::move(got), ""};
+}
+
+TEST(ProvenanceFileTest, WriterRoundTripsRecordsAcrossBlocks) {
+  const std::string path = ::testing::TempDir() + "/prov_blocks.bin";
+  const auto written = WriteThreeBlockFile(path);
+  const std::vector<uint8_t> bytes = ReadFileBytes(path, "provenance file");
+  ASSERT_EQ(Blocks(bytes).size(), 3u);
+  EXPECT_EQ(AllRecordBytes(ReadRecords(path)), AllRecordBytes(written));
+  std::remove(path.c_str());
+}
+
+// A file cut anywhere inside its last block hands over exactly the records
+// of the blocks before it, then throws naming the file and the torn block:
+// a reader never sees part of a block.
+TEST(ProvenanceFileTest, TornLastBlockDeliversEarlierBlocksThenThrows) {
+  const std::string path = ::testing::TempDir() + "/prov_torn_src.bin";
+  const std::string cut = ::testing::TempDir() + "/prov_torn.bin";
+  const auto written = AllRecordBytes(WriteThreeBlockFile(path));
+  const std::vector<uint8_t> bytes = ReadFileBytes(path, "provenance file");
+  const std::vector<BlockSpan> blocks = Blocks(bytes);
+  ASSERT_EQ(blocks.size(), 3u);
+  const size_t earlier = blocks[0].records + blocks[1].records;
+  const std::vector<std::vector<uint8_t>> want(written.begin(),
+                                               written.begin() + earlier);
+  for (size_t len = blocks[2].offset + 1; len < bytes.size(); ++len) {
+    WriteBytes(cut, std::vector<uint8_t>(bytes.begin(), bytes.begin() + len));
+    auto [got, what] = ReadUntilThrow<std::out_of_range>(cut);
+    ASSERT_EQ(AllRecordBytes(got), want) << "cut at " << len;
+    EXPECT_NE(what.find(cut), std::string::npos) << what;
+    EXPECT_NE(what.find("block 2 at byte " +
+                        std::to_string(blocks[2].offset)),
               std::string::npos)
         << what;
   }
   std::remove(path.c_str());
+  std::remove(cut.c_str());
 }
 
-// An origin count the file cannot hold is rejected before anything is
-// reserved for it: std::out_of_range, not std::bad_alloc.
+// A cut exactly at a block boundary leaves whole blocks: it reads cleanly.
+TEST(ProvenanceFileTest, CutAtBlockBoundaryReadsCleanly) {
+  const std::string path = ::testing::TempDir() + "/prov_cut_src.bin";
+  const std::string cut = ::testing::TempDir() + "/prov_cut.bin";
+  const auto written = AllRecordBytes(WriteThreeBlockFile(path));
+  const std::vector<uint8_t> bytes = ReadFileBytes(path, "provenance file");
+  const std::vector<BlockSpan> blocks = Blocks(bytes);
+  size_t records = 0;
+  // The empty file, the bare header and every whole-block prefix.
+  std::vector<std::pair<size_t, size_t>> cuts = {{0, 0}};
+  for (const BlockSpan& b : blocks) {
+    cuts.emplace_back(b.offset, records);
+    records += b.records;
+  }
+  for (const auto& [len, n] : cuts) {
+    WriteBytes(cut, std::vector<uint8_t>(bytes.begin(), bytes.begin() + len));
+    std::vector<ProvenanceRecord> got;
+    ASSERT_NO_THROW(got = ReadRecords(cut)) << "cut at " << len;
+    EXPECT_EQ(AllRecordBytes(got),
+              std::vector<std::vector<uint8_t>>(written.begin(),
+                                                written.begin() + n));
+  }
+  std::remove(path.c_str());
+  std::remove(cut.c_str());
+}
+
+// One flipped body byte fails the block's checksum, by name, after the
+// earlier blocks' records.
+TEST(ProvenanceFileTest, FlippedBodyByteFailsTheChecksum) {
+  const std::string path = ::testing::TempDir() + "/prov_flip.bin";
+  WriteThreeBlockFile(path);
+  std::vector<uint8_t> bytes = ReadFileBytes(path, "provenance file");
+  const std::vector<BlockSpan> blocks = Blocks(bytes);
+  bytes[blocks[1].offset + 16 + 100] ^= 0x01;
+  WriteBytes(path, bytes);
+  auto [got, what] = ReadUntilThrow<std::runtime_error>(path);
+  EXPECT_EQ(got.size(), blocks[0].records);
+  EXPECT_NE(what.find(path), std::string::npos) << what;
+  EXPECT_NE(what.find("block 1 at byte " + std::to_string(blocks[1].offset)),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("checksum"), std::string::npos) << what;
+  std::remove(path.c_str());
+}
+
+// A block length past the end of the file is a torn block, named, and
+// nothing is read or reserved for it: std::out_of_range, not bad_alloc.
+TEST(ProvenanceFileTest, BlockLengthPastTheEndFailsByName) {
+  const std::string path = ::testing::TempDir() + "/prov_long_block.bin";
+  WriteThreeBlockFile(path);
+  std::vector<uint8_t> bytes = ReadFileBytes(path, "provenance file");
+  const std::vector<BlockSpan> blocks = Blocks(bytes);
+  const uint32_t huge = 0xFFFFFFF0u;
+  std::memcpy(bytes.data() + blocks[1].offset, &huge, sizeof(huge));
+  WriteBytes(path, bytes);
+  auto [got, what] = ReadUntilThrow<std::out_of_range>(path);
+  EXPECT_EQ(got.size(), blocks[0].records);
+  EXPECT_NE(what.find(path), std::string::npos) << what;
+  EXPECT_NE(what.find("block 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("4294967280-byte body runs past the end"),
+            std::string::npos)
+      << what;
+  std::remove(path.c_str());
+}
+
+// Every block decodes alone from its offset to the records a full read
+// gives: the coder's dictionaries and delta bases start fresh per block.
+TEST(ProvenanceFileTest, OneBlockDecodesAloneFromItsOffset) {
+  const std::string path = ::testing::TempDir() + "/prov_alone.bin";
+  WriteThreeBlockFile(path);
+  const auto full = AllRecordBytes(ReadRecords(path));
+  const std::vector<uint8_t> bytes = ReadFileBytes(path, "provenance file");
+  size_t first = 0;
+  for (const BlockSpan& b : Blocks(bytes)) {
+    ByteReader r(bytes.data() + b.offset, bytes.size() - b.offset);
+    std::vector<std::vector<uint8_t>> got;
+    EXPECT_EQ(ReadProvenanceBlock(r, "block alone", 0,
+                                  [&got](ProvenanceRecord& rec) {
+                                    got.push_back(RecordBytes(rec));
+                                  }),
+              b.records);
+    EXPECT_EQ(got, std::vector<std::vector<uint8_t>>(
+                       full.begin() + first, full.begin() + first + b.records));
+    first += b.records;
+  }
+  EXPECT_EQ(first, full.size());
+  std::remove(path.c_str());
+}
+
+// A writer destroyed without a Flush (a node torn down before its OnFlush)
+// seals its open block on the way out: the file decodes as whole blocks,
+// every written record in it.
+TEST(ProvenanceFileTest, WriterDestroyedBeforeFlushLeavesWholeBlocks) {
+  const std::string path = ::testing::TempDir() + "/prov_no_flush.bin";
+  std::vector<std::vector<uint8_t>> written;
+  {
+    ProvenanceFileWriter writer("test", path, 4096);
+    for (int i = 0; i < 700; ++i) {
+      const ProvenanceRecord rec = MakeRecord(i);
+      written.push_back(RecordBytes(rec));
+      writer.Write(rec);
+    }
+  }
+  EXPECT_EQ(AllRecordBytes(ReadRecords(path)), written);
+  EXPECT_GT(Blocks(ReadFileBytes(path, "provenance file")).size(), 1u);
+  std::remove(path.c_str());
+}
+
+// The coder never nests an unfolded tuple, so a record holding one is
+// refused before anything is written: the block stays decodable.
+TEST(ProvenanceFileTest, UnfoldedTupleInARecordIsRefusedWhole) {
+  ProvenanceBlockEncoder encoder(/*file_header=*/true);
+  ProvenanceRecord bad = MakeRecord(0);
+  bad.origins.push_back(MakeTuple<UnfoldedTuple>(0));
+  EXPECT_THROW(encoder.Add(bad), std::invalid_argument);
+  const ProvenanceRecord good = MakeRecord(1);
+  encoder.Add(good);
+  encoder.Seal();
+  const std::string path = ::testing::TempDir() + "/prov_refused.bin";
+  WriteBytes(path, encoder.sealed());
+  EXPECT_EQ(AllRecordBytes(ReadRecords(path)),
+            std::vector<std::vector<uint8_t>>{RecordBytes(good)});
+  std::remove(path.c_str());
+}
+
+// An origin count the block cannot hold is rejected before anything is
+// reserved for it, naming the file, the block and the record; nothing of
+// the block reaches the consumer.
 TEST(ProvenanceFileTest, OversizedOriginCountIsRejected) {
   auto derived = MakeTuple<lr::StoppedCarStats>(5, 1, 4, 0, 0);
+  ByteWriter body;
+  PutVarint(body, 0xFFFFFFFFu);
+  CompactTupleEncoder coder;
+  coder.Put(body, *derived, derived->kind, WireRole::kDerived);
   ByteWriter w;
-  SerializeTuple(*derived, w);
-  w.PutU32(0xFFFFFFFFu);
+  w.PutU32(0x46504C47);  // "GLPF"
+  w.PutU32(1);
+  w.PutU32(static_cast<uint32_t>(body.size()));
+  w.PutU32(1);
+  w.PutU64(Fnv1a(body.bytes().data(), body.size()));
+  w.PutBytes(body.bytes().data(), body.size());
   const std::string path = ::testing::TempDir() + "/prov_huge_count.bin";
   WriteBytes(path, w.bytes());
   LineageStore store;
   try {
     ReplayProvenanceFile(path, store);
     ADD_FAILURE() << "an oversized origin count replayed";
-  } catch (const std::out_of_range& e) {
+  } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find(path), std::string::npos) << what;
-    EXPECT_NE(what.find("origin count 4294967295"), std::string::npos)
+    EXPECT_NE(what.find("block 0 at byte 8: record 0: origin count "
+                        "4294967295"),
+              std::string::npos)
         << what;
   }
   EXPECT_EQ(store.stats().records_ingested, 0u);

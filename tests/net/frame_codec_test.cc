@@ -614,6 +614,82 @@ TEST(FrameCodecTest, NestedUnfoldedTuplesTakeTheFallbackForm) {
   EXPECT_EQ(CanonicalBytes(decoded), CanonicalBytes(batch));
 }
 
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+// Pinned wire bytes: the compact tuple coder is shared with the provenance
+// file (net/tuple_coder.h), and no change made for the file may move a byte
+// of a kCompactBatch frame. Both pins were recorded before the coder moved
+// out of FrameEncoder. The U frame has structural and fallback U tuples,
+// remotified; the second frame reuses the first one's dictionaries.
+TEST(FrameCodecTest, CompactUFrameBytesArePinned) {
+  std::vector<TuplePtr> batch = SuShapedBatch(2, 3);
+  auto& odd = static_cast<UnfoldedTuple&>(*batch[4]);
+  odd.origin_kind = TupleKind::kRemote;
+  FrameEncoder encoder(WireCodec::kCompact);
+  auto first = encoder.EncodeBatch(batch, 1100, true);
+  auto second = encoder.EncodeBatch(
+      std::span<const TuplePtr>(batch).subspan(0, 2), kNoWatermark, true);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(Hex(first[0]),
+            "0500020698110108000500010d02d00f904e01010302700400030c02d00f"
+            "904e000000000000000000000000000000000501700000050702d00fc03e"
+            "0000000000000000000002000001000404021d0201000000000000000000"
+            "02000001000404021d020200000000000000000002780201030202027802"
+            "01000000000000000000000000000440040402b401020300000000000000"
+            "00000200000002000000000c000024040000000000000500000000070000"
+            "150400000000000005027004240400000000000002000000000c00008913"
+            "000000000000000100000000000000000000000000044001700015040000"
+            "000000000500000000070000a40f00000000000000040000000000000000"
+            "0002000001020404043b040500000000000000");
+  EXPECT_EQ(Hex(second[0]),
+            "050000020000097701010102020177010000000000000000000000000000"
+            "00000404093b090000000000000000000002000001000404021d02010000"
+            "0000000000");
+}
+
+TEST(FrameCodecTest, CompactFlatFrameBytesArePinned) {
+  std::vector<TuplePtr> batch;
+  for (int i = 0; i < 6; ++i) {
+    TuplePtr t;
+    if (i % 2 == 0) {
+      t = V(500 + 10 * i, 40 + i);
+    } else {
+      t = MakeTuple<KeyedTuple>(500 + 10 * i, i, 0.25 * i);
+    }
+    t->id = (static_cast<uint64_t>(3 + i % 3) << 40) |
+            static_cast<uint64_t>(100 + i);
+    t->kind = static_cast<TupleKind>(i % 4);
+    t->stimulus = 9000 + 7 * i;
+    if (i == 3) t->set_baseline_annotation({11, 12, 40});
+    batch.push_back(std::move(t));
+  }
+  FrameEncoder encoder(WireCodec::kCompact);
+  auto first = encoder.EncodeBatch(batch, 560, false);
+  auto second = encoder.EncodeBatch(
+      std::span<const TuplePtr>(batch).subspan(3), kNoWatermark, true);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(Hex(first[0]),
+            "05000206e00801017000000103c801e807d08c0128000000000000000302"
+            "7001000304ca01140e0100000000000000000000000000d03f0501700200"
+            "0505cc01140e2a0000000000000007027003010006140e03160238030000"
+            "0000000000000000000000e83f000206140e2c0000000000000002040614"
+            "0e0500000000000000000000000000f43f");
+  EXPECT_EQ(Hex(second[0]),
+            "0500000309027005010000271b0316023803000000000000000000000000"
+            "00e83f000200140e2c000000000000000b027005000400140e0500000000"
+            "000000000000000000f43f");
+}
+
 // --- pull requests (the reverse direction of a U channel) ------------------
 
 PullRequest RandomRequest(std::mt19937_64& rng) {
