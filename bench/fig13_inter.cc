@@ -87,8 +87,8 @@ int Main() {
   }
   std::printf("\n%s", metrics::RenderWireTable(rows).c_str());
   std::printf(
-      "(GENEALOG_WIRE_CODEC=compact delta/dictionary-encodes the frames;\n"
-      " raw equals wire under the default raw codec.)\n");
+      "(every channel ships compact frames: delta/dictionary-encoded; raw is\n"
+      " what the fixed-width reference codec would have shipped.)\n");
   std::printf(
       "\nExpected shape (paper): GL within ~3-10%% of NP; the third instance\n"
       "adds memory; BL additionally ships the entire source stream to the\n"

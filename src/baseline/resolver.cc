@@ -7,7 +7,7 @@ BaselineResolverNode::BaselineResolverNode(std::string name,
     : MergingNode(std::move(name)),
       options_(std::move(options)),
       output_("BaselineResolverNode " + this->name(), options_.file_path,
-              options_.buffer_bytes) {}
+              EngineOptions::prov_buffer_bytes) {}
 
 void BaselineResolverNode::OnMergedTuple(size_t port, TuplePtr t) {
   if (port == 0) {

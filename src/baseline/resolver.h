@@ -36,8 +36,6 @@ struct BaselineResolverOptions {
   bool evict = false;
   // If non-empty, records are encoded and appended to this file.
   std::string file_path;
-  // The file writer's buffer swap threshold (EngineOptions::prov_buffer_bytes).
-  size_t buffer_bytes = EngineOptions{}.prov_buffer_bytes;
   std::function<void(const ProvenanceRecord&)> consumer;
 };
 

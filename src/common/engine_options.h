@@ -14,19 +14,21 @@
 // | Field            | Env var                  | Default         |
 // |------------------|--------------------------|-----------------|
 // | batch_size       | GENEALOG_BATCH_SIZE      | 64              |
-// | prov_buffer_bytes | —                       | 256 KiB         |
 // | scheduler        | GENEALOG_SCHEDULER       | thread-per-node |
 // | workers          | GENEALOG_WORKERS         | 0 (= all cores) |
 // | lineage_store    | GENEALOG_LINEAGE_STORE   | off             |
 // | lineage_retain_records | GENEALOG_LINEAGE_RETAIN_RECORDS | 1M (0 = unbounded) |
 // | lineage_retain_span    | GENEALOG_LINEAGE_RETAIN_SPAN    | 0 (= no horizon)   |
 // | lineage_serve_addr | GENEALOG_LINEAGE_SERVE_ADDR | "" (= no serving) |
-// | wire_codec       | GENEALOG_WIRE_CODEC      | compact         |
 // | use_tcp          | —                        | off             |
 // | composed_unfolders | —                      | off             |
 //
+// The provenance writer's buffer size (prov_buffer_bytes, 256 KiB) and the
+// wire codec (wire_codec, compact) are constants, not settings.
+//
 // The data plane and provenance plane have one path each, chosen from what
-// the engine observes rather than from a switch: every edge is the same
+// the engine observes rather than from a switch: every channel carries
+// compact frames, every edge is the same
 // StreamQueue, endpoints steer their flush threshold from consumer queue
 // depth, tuples come from the recycling pool (oversize blocks from the heap),
 // FindProvenance checks visited tuples in its caller's scratch pointer set,
@@ -60,15 +62,12 @@ namespace genealog {
 //    work stealing and per-query round-robin fairness (spe/scheduler.h).
 enum class SchedulerMode : uint8_t { kThreadPerNode, kPool };
 
-// Frame encoding for inter-instance byte channels (net/frame.h):
-//  * kRaw — the seed wire format, one fixed-width serialized tuple after
-//    another (a batch-size-1 deployment puts the seed's exact frame sequence
-//    on the wire);
-//  * kCompact — delta/zigzag/varint tuple ids and timestamps, per-channel
-//    dictionaries for node uids and tuple type descriptors, and structural
-//    coding of unfolded (U) tuples. Sender-driven: the receiver decodes
-//    whatever codec each frame announces, so the knob only needs to reach
-//    the Send side.
+// Frame encoding for batches on inter-instance byte channels (net/frame.h):
+//  * kCompact — what the engine puts on every channel: delta/zigzag/varint
+//    tuple ids and timestamps, per-channel dictionaries for node uids and
+//    tuple type descriptors, and structural coding of unfolded (U) tuples;
+//  * kRaw — one fixed-width serialized tuple after another, kept only as
+//    FrameEncoder's reference codec for tests and the codec bench.
 enum class WireCodec : uint8_t { kRaw = 0, kCompact = 1 };
 
 // The enum-valued knobs, parsed like the boolean and count knobs in
@@ -82,14 +81,6 @@ inline SchedulerMode ParseSchedulerKnob(const char* name, const char* value,
     return SchedulerMode::kThreadPerNode;
   }
   RejectKnob(name, value, "pool or thread-per-node");
-}
-
-inline WireCodec ParseWireCodecKnob(const char* name, const char* value,
-                                    WireCodec fallback) {
-  if (KnobUnset(value)) return fallback;
-  if (std::strcmp(value, "compact") == 0) return WireCodec::kCompact;
-  if (std::strcmp(value, "raw") == 0) return WireCodec::kRaw;
-  RejectKnob(name, value, "compact or raw");
 }
 
 namespace engine_defaults {
@@ -138,16 +129,6 @@ inline std::string LineageServeAddr() {
   }();
   return v;
 }
-// Compact is the default since its one-release soak (equivalence suites pin
-// decoded streams byte-identical); "raw" keeps the seed wire format as the
-// fallback.
-inline WireCodec WireCodecDefault() {
-  static const WireCodec v = ParseWireCodecKnob(
-      "GENEALOG_WIRE_CODEC", std::getenv("GENEALOG_WIRE_CODEC"),
-      WireCodec::kCompact);
-  return v;
-}
-
 }  // namespace engine_defaults
 
 struct EngineOptions {
@@ -162,9 +143,9 @@ struct EngineOptions {
   static constexpr bool adaptive_batch = true;
   // Not a setting; edgebench's EngineJson reads it.
   static constexpr bool async_prov_sink = true;
-  // Swap threshold of the async writer's buffers; tests shrink it to force
-  // many background handoffs.
-  size_t prov_buffer_bytes = 256 * 1024;
+  // Not a setting; edgebench's EngineJson reads it. Swap threshold of the
+  // provenance file writer's buffers.
+  static constexpr size_t prov_buffer_bytes = 256 * 1024;
   // Execution model for the Runner: thread-per-node (the seed fallback) or
   // the shared morsel-driven worker pool. Sink/provenance output is byte
   // identical across modes (the scheduler sweeps in the determinism suites
@@ -189,11 +170,9 @@ struct EngineOptions {
   // (genealog/lineage_service.h) answering LineageQuery over TCP while (and
   // after) the topology runs. Empty = no serving endpoint.
   std::string lineage_serve_addr = engine_defaults::LineageServeAddr();
-  // Frame encoding for inter-instance streams (net/frame.h). kCompact (the
-  // default since its one-release soak) delta/dictionary-encodes batch
-  // frames and is decoded back to the exact raw tuple stream;
-  // GENEALOG_WIRE_CODEC=raw keeps the seed wire format.
-  WireCodec wire_codec = engine_defaults::WireCodecDefault();
+  // Not a setting; edgebench's EngineJson reads it. Every inter-instance
+  // channel carries compact frames (net/frame.h).
+  static constexpr WireCodec wire_codec = WireCodec::kCompact;
   // Not a setting; edgebench's EngineJson reads it. False: compact frame
   // bodies ship as encoded, with no block compressor.
   static constexpr bool wire_block_compress = false;

@@ -27,12 +27,12 @@ struct Crossing {
 };
 
 // Places one serializing channel from `from` to `to`: a Send node
-// "send.<tag>" carrying the engine's wire codec (registered for
-// BuiltDataflow::wire_stats()) and its Receive node "recv.<tag>".
+// "send.<tag>" (registered for BuiltDataflow::wire_stats()) and its Receive
+// node "recv.<tag>".
 Crossing WeaveCrossing(BuiltDataflow& out, Topology& from, Topology& to,
-                       const std::string& tag, const EngineOptions& engine) {
-  ChannelEnds ch = AddChannelTo(out.channels, engine.use_tcp);
-  auto* send = from.Add<SendNode>("send." + tag, ch.send, engine.wire_codec);
+                       const std::string& tag, bool use_tcp) {
+  ChannelEnds ch = AddChannelTo(out.channels, use_tcp);
+  auto* send = from.Add<SendNode>("send." + tag, ch.send);
   out.send_nodes.push_back(send);
   return {send, to.Add<ReceiveNode>("recv." + tag, ch.recv)};
 }
@@ -107,8 +107,6 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
     out.topologies.push_back(std::move(owned));
   }
   out.n_instances = static_cast<int>(out.topologies.size());
-
-  const int64_t slack = opts.finalize_slack.value_or(total_span);
 
   // --- operator nodes -------------------------------------------------------
   // entry_of[i] = the node producers of op i connect into; exit_of[i] = the
@@ -215,10 +213,9 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
   std::vector<UDemand::Upstream> upstreams;
   if (mode == ProvenanceMode::kGenealog) {
     ProvenanceSinkSpec pso;
-    pso.finalize_slack = slack;
+    pso.finalize_slack = total_span;
     pso.file_path = opts.provenance_file;
     pso.consumer = opts.provenance_consumer;
-    pso.engine = engine;
     if (engine.lineage_store || !engine.lineage_serve_addr.empty()) {
       // A serve address implies the store — nothing to serve without one.
       out.lineage_store =
@@ -247,7 +244,7 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       mu_ws = span_of.at(plan.ops[sink_op].instance);
       mu = WeaveMu(*prov_topo, engine.composed_unfolders, "MU", mu_ws, psink);
       const Crossing derived =
-          WeaveCrossing(out, sink_topo, *prov_topo, "U_sink", engine);
+          WeaveCrossing(out, sink_topo, *prov_topo, "U_sink", engine.use_tcp);
       derived_recv = derived.recv;
       entry_of[sink_op] = WeaveSu(out, sink_topo, engine.composed_unfolders,
                                   "SU.sink", sink_node, derived.send);
@@ -255,10 +252,9 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
     }
   } else if (mode == ProvenanceMode::kBaseline) {
     BaselineResolverOptions bro;
-    bro.slack = slack;
+    bro.slack = total_span;
     bro.evict = opts.baseline_oracle_eviction;
     bro.file_path = opts.provenance_file;
-    bro.buffer_bytes = engine.prov_buffer_bytes;
     bro.consumer = opts.provenance_consumer;
     Topology& sink_topo = *topo_of.at(plan.ops[sink_op].instance);
     Node* sink_node = node_of[sink_op];
@@ -278,7 +274,7 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
           prov_topo->Add<BaselineResolverNode>("bl.resolver", bro);
       out.baseline_resolver = resolver;
       const Crossing ann =
-          WeaveCrossing(out, sink_topo, *prov_topo, "sink_ann", engine);
+          WeaveCrossing(out, sink_topo, *prov_topo, "sink_ann", engine.use_tcp);
       sink_topo.Connect(sink_tap, ann.send);
       prov_topo->Connect(ann.recv, resolver);  // port 0
       // Whole source streams shipped to the provenance instance — the
@@ -287,7 +283,7 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
         auto& [src_topo, tap] = source_taps[s];
         const Crossing copy =
             WeaveCrossing(out, *src_topo, *prov_topo,
-                          "source_copy" + std::to_string(s), engine);
+                          "source_copy" + std::to_string(s), engine.use_tcp);
         src_topo->Connect(tap, copy.send);
         prov_topo->Connect(copy.recv, resolver);  // ports 1..
       }
@@ -315,7 +311,7 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       }
       const std::string tag = std::to_string(n_cross++);
       const Crossing data =
-          WeaveCrossing(out, from_topo, to_topo, "data" + tag, engine);
+          WeaveCrossing(out, from_topo, to_topo, "data" + tag, engine.use_tcp);
       if (pull) {
         // The crossing SU retains; the serving node "send.U<tag>" answers
         // the demand step's requests over the same U channel.
@@ -325,18 +321,14 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
         from_topo.Connect(from, su);
         from_topo.Connect(su, data.send);  // the only output: SO
         out.su_nodes.push_back(su);
-        out.u_servers.push_back(from_topo.Add<UServeNode>(
-            "send.U" + tag, su, u.send, engine.wire_codec));
-        // An upstream U stream cut short must fail the run: read as an end
-        // of stream it would let the MU release derived tuples whose
-        // origins never came.
-        auto* recv = prov_topo->Add<ReceiveNode>("recv.U" + tag, u.recv,
-                                                 /*flush_required=*/true);
+        out.u_servers.push_back(
+            from_topo.Add<UServeNode>("send.U" + tag, su, u.send));
+        auto* recv = prov_topo->Add<ReceiveNode>("recv.U" + tag, u.recv);
         prov_topo->Connect(recv, mu.upstream_entry);  // MU ports 1..
         upstreams.push_back({"U" + tag, u.recv});
       } else if (mode == ProvenanceMode::kGenealog) {
-        const Crossing u =
-            WeaveCrossing(out, from_topo, *prov_topo, "U" + tag, engine);
+        const Crossing u = WeaveCrossing(out, from_topo, *prov_topo,
+                                         "U" + tag, engine.use_tcp);
         Node* su = WeaveSu(out, from_topo, engine.composed_unfolders,
                            "SU.send" + tag, data.send, u.send);
         from_topo.Connect(from, su);
@@ -350,8 +342,7 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
 
   if (pull && !upstreams.empty()) {
     auto demand = std::make_unique<UDemand>(derived_recv->name(), mu_ws,
-                                            std::move(upstreams),
-                                            engine.wire_codec);
+                                            std::move(upstreams));
     out.u_demand = demand.get();
     derived_recv->set_tap(std::move(demand));
   }

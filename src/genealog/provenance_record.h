@@ -146,7 +146,8 @@ class ProvenanceFileWriter {
   // Opens `path` for writing (throws std::runtime_error naming it when it
   // cannot); an empty path writes nothing but still counts. `owner` names the
   // node in the write-error warning; `buffer_bytes` is the writer's buffer
-  // swap threshold (EngineOptions::prov_buffer_bytes).
+  // swap threshold (EngineOptions::prov_buffer_bytes in the engine; tests
+  // pass a few bytes to force many background handoffs).
   ProvenanceFileWriter(std::string owner, std::string path,
                        size_t buffer_bytes);
   // Flush(), so teardown after an aborted run leaves whole blocks.

@@ -9,7 +9,7 @@ ProvenanceSinkNode::ProvenanceSinkNode(std::string name,
     : SingleInputNode(std::move(name)),
       options_(std::move(options)),
       output_("ProvenanceSinkNode " + this->name(), options_.file_path,
-              options_.engine.prov_buffer_bytes) {}
+              EngineOptions::prov_buffer_bytes) {}
 
 void ProvenanceSinkNode::OnTuple(TuplePtr t) {
   auto u = StaticPointerCast<UnfoldedTuple>(std::move(t));

@@ -32,11 +32,9 @@ namespace genealog {
 
 class LineageStore;
 
-// What a provenance sink does with finalized records. Engine-wide knobs
-// (the writer buffer size) live in the embedded
-// EngineOptions — one struct, one FromEnv() — so this spec only adds the
-// sink-specific wiring: where the file goes, who consumes records in
-// process, and which lineage store (if any) indexes them.
+// What a provenance sink does with finalized records: where the file goes,
+// who consumes records in process, and which lineage store (if any) indexes
+// them.
 struct ProvenanceSinkSpec {
   // Event-time slack before a group is considered complete; pass the total
   // stateful window span of the deployment (0 is fine for intra-process SU
@@ -51,9 +49,6 @@ struct ProvenanceSinkSpec {
   // record is Ingest()ed after it is written. Not owned; must outlive the
   // node. Null (the default) costs one pointer check per record.
   LineageStore* lineage = nullptr;
-  // Engine knob the sink honors: prov_buffer_bytes (the writer's buffer
-  // swap threshold; ignored without file_path).
-  EngineOptions engine;
 };
 
 class ProvenanceSinkNode final : public SingleInputNode {

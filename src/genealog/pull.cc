@@ -23,13 +23,11 @@ constexpr size_t kPublishEvery = 256;
 
 // --- UServeNode --------------------------------------------------------------
 
-UServeNode::UServeNode(std::string name, SuNode* su, ByteChannel* channel,
-                       WireCodec codec)
+UServeNode::UServeNode(std::string name, SuNode* su, ByteChannel* channel)
     : Node(std::move(name)),
       su_(su),
       index_(su->retention()),
-      channel_(channel),
-      encoder_(codec) {
+      channel_(channel) {
   if (index_ == nullptr) {
     throw std::logic_error(this->name() + ": '" + su->name() +
                            "' is not a pull-mode SU");
@@ -83,8 +81,8 @@ void UServeNode::Serve(const PullRequest& request) {
     samples_.clear();
   }
   CountProcessed(out_.size());
-  // Responses first, then the echoed watermark, in one frame where the
-  // codec allows: the MU sees every origin asked for below W before W.
+  // Responses first, then the echoed watermark, in one frame: the MU sees
+  // every origin asked for below W before W.
   for (std::vector<uint8_t>& frame : encoder_.EncodeBatch(
            std::span<const TuplePtr>(out_.data(), out_.size()),
            request.watermark, /*remotify=*/true)) {
@@ -114,11 +112,10 @@ void UServeNode::Finish() {
 // --- UDemand -------------------------------------------------------------------
 
 UDemand::UDemand(std::string name, int64_t ws,
-                 std::vector<Upstream> upstreams, WireCodec codec)
+                 std::vector<Upstream> upstreams)
     : name_(std::move(name)),
       ws_(ws),
       upstreams_(std::move(upstreams)),
-      codec_(codec),
       last_watermark_(kNoWatermark) {}
 
 void UDemand::Consider(const Tuple& t) {
@@ -137,17 +134,14 @@ void UDemand::Consider(const Tuple& t) {
 void UDemand::OnFrame(const DecodedFrame& frame) {
   request_.entries.clear();
   asked_.clear();
-  if (frame.tuple != nullptr) Consider(*frame.tuple);
   for (const TuplePtr& t : frame.tuples) Consider(*t);
   request_.watermark = kNoWatermark;
-  if (frame.kind != FrameKind::kTuple && frame.watermark != kNoWatermark &&
-      frame.watermark > last_watermark_) {
+  if (frame.watermark != kNoWatermark && frame.watermark > last_watermark_) {
     request_.watermark = frame.watermark;
     last_watermark_ = frame.watermark;
   }
   if (request_.entries.empty() && request_.watermark == kNoWatermark) return;
-  SendToAll(EncodeRequestFrame(request_, codec_),
-            RawRequestFrameBytes(request_));
+  SendToAll(EncodeRequestFrame(request_), RawRequestFrameBytes(request_));
 }
 
 void UDemand::OnEnd() {

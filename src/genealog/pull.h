@@ -19,8 +19,8 @@
 //    event time is never asked for: the MU's join would not match it.
 //  * UServeNode, on its own thread at the edge, serves each request in
 //    order: it unfolds the requested tuples, ships them forward on the U
-//    channel in the channel's codec (the structural form under compact), and
-//    then echoes W as the response stream's watermark. After the echo it
+//    channel in one compact frame (the structural U form), which also
+//    echoes W as the response stream's watermark. After the echo it
 //    evicts every retained tuple with ts + ws < W.
 //
 // Watermark contract. The derived stream is sorted, so every derived tuple
@@ -59,8 +59,7 @@ class UServeNode final : public Node {
  public:
   // `channel` is the sending end of the U channel and must outlive the node;
   // `su` must be a pull-mode SU.
-  UServeNode(std::string name, SuNode* su, ByteChannel* channel,
-             WireCodec codec = WireCodec::kRaw);
+  UServeNode(std::string name, SuNode* su, ByteChannel* channel);
 
   // Blocks on the channel in both directions.
   bool NeedsDedicatedThread() const override { return true; }
@@ -97,8 +96,7 @@ class UDemand final : public FrameTap {
   };
 
   // `name` prefixes error messages; `ws` is the MU's join window.
-  UDemand(std::string name, int64_t ws, std::vector<Upstream> upstreams,
-          WireCodec codec);
+  UDemand(std::string name, int64_t ws, std::vector<Upstream> upstreams);
 
   void OnFrame(const DecodedFrame& frame) override;
   // Ends every request direction: a flush frame, then close.
@@ -114,7 +112,6 @@ class UDemand final : public FrameTap {
   std::string name_;
   int64_t ws_;
   std::vector<Upstream> upstreams_;
-  WireCodec codec_;
   WireStats stats_;
   int64_t last_watermark_;
   PullRequest request_;

@@ -44,8 +44,8 @@ struct QueryVariantResult {
   CellStats source_bytes;
   CellStats network_bytes;
   // Wire-codec accounting over every inter-instance channel: frames shipped,
-  // the bytes the raw codec would have cost, and the bytes actually shipped
-  // (net/frame.h WireStats). raw == encoded under the raw codec.
+  // the bytes the raw reference codec would have cost, and the compact
+  // bytes actually shipped (net/frame.h WireStats).
   CellStats wire_frames;
   CellStats wire_raw_bytes;
   CellStats wire_encoded_bytes;

@@ -8,7 +8,8 @@
 namespace genealog {
 namespace {
 
-constexpr uint64_t kRawWatermarkFrameBytes = 9;  // kind byte + i64
+// u8 kind | u32 count | tuples | i64 watermark.
+constexpr uint64_t kRawBatchFrameOverhead = 1 + 4 + 8;
 
 TupleKind WireKind(const Tuple& t, bool remotify) {
   if (!remotify) return t.kind;
@@ -22,10 +23,6 @@ constexpr uint8_t kFlagHasWatermark = 0x2;
 
 const char* FrameKindName(uint8_t kind) {
   switch (static_cast<FrameKind>(kind)) {
-    case FrameKind::kTuple:
-      return "tuple";
-    case FrameKind::kWatermark:
-      return "watermark";
     case FrameKind::kFlush:
       return "flush";
     case FrameKind::kBatch:
@@ -36,24 +33,6 @@ const char* FrameKindName(uint8_t kind) {
       return "request";
   }
   return "unknown";
-}
-
-std::vector<uint8_t> EncodeTupleFrame(const Tuple& t, bool remotify) {
-  ByteWriter w;
-  w.PutU8(static_cast<uint8_t>(FrameKind::kTuple));
-  if (remotify) {
-    SerializeTupleForSend(t, w);
-  } else {
-    SerializeTuple(t, w);
-  }
-  return w.TakeBytes();
-}
-
-std::vector<uint8_t> EncodeWatermarkFrame(int64_t wm) {
-  ByteWriter w;
-  w.PutU8(static_cast<uint8_t>(FrameKind::kWatermark));
-  w.PutI64(wm);
-  return w.TakeBytes();
 }
 
 std::vector<uint8_t> EncodeFlushFrame() {
@@ -83,12 +62,6 @@ DecodedFrame DecodeFrame(const std::vector<uint8_t>& frame) {
   DecodedFrame out;
   out.kind = static_cast<FrameKind>(r.GetU8());
   switch (out.kind) {
-    case FrameKind::kTuple:
-      out.tuple = DeserializeTuple(r);
-      break;
-    case FrameKind::kWatermark:
-      out.watermark = r.GetI64();
-      break;
     case FrameKind::kFlush:
       break;
     case FrameKind::kBatch: {
@@ -122,6 +95,7 @@ namespace {
 constexpr uint8_t kRequestFlagCompact = 0x1;
 constexpr uint8_t kRequestFlagHasWatermark = 0x2;
 constexpr uint64_t kRawRequestEntryBytes = 8 + 8;
+constexpr uint64_t kMinRequestEntryBytes = 2;
 
 [[noreturn]] void RequestError(const std::string& what) {
   throw std::runtime_error("request frame: " + what);
@@ -129,23 +103,11 @@ constexpr uint64_t kRawRequestEntryBytes = 8 + 8;
 
 }  // namespace
 
-std::vector<uint8_t> EncodeRequestFrame(const PullRequest& request,
-                                        WireCodec codec) {
-  const bool compact = codec == WireCodec::kCompact;
+std::vector<uint8_t> EncodeRequestFrame(const PullRequest& request) {
   const bool has_wm = request.watermark != kNoWatermark;
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(FrameKind::kRequest));
-  w.PutU8((compact ? kRequestFlagCompact : 0) |
-          (has_wm ? kRequestFlagHasWatermark : 0));
-  if (!compact) {
-    w.PutU32(static_cast<uint32_t>(request.entries.size()));
-    for (const PullRequestEntry& e : request.entries) {
-      w.PutU64(e.id);
-      w.PutI64(e.ts);
-    }
-    if (has_wm) w.PutI64(request.watermark);
-    return w.TakeBytes();
-  }
+  w.PutU8(kRequestFlagCompact | (has_wm ? kRequestFlagHasWatermark : 0));
   PutVarint(w, request.entries.size());
   if (has_wm) PutZigzag(w, request.watermark);
   PullRequestEntry prev;
@@ -175,41 +137,30 @@ PullRequest DecodeRequestFrame(const std::vector<uint8_t>& frame) {
     if ((flags & ~(kRequestFlagCompact | kRequestFlagHasWatermark)) != 0) {
       RequestError("reserved flag bits set");
     }
-    const bool compact = (flags & kRequestFlagCompact) != 0;
-    const bool has_wm = (flags & kRequestFlagHasWatermark) != 0;
-    // An entry costs at least 16 bytes raw and 2 bytes compact: a count
-    // whose entries could not fit a frame is malformed, rejected before
-    // anything is reserved for it.
-    const uint64_t min_entry = compact ? 2 : kRawRequestEntryBytes;
-    const uint64_t count = compact ? GetVarint(r) : r.GetU32();
-    if (count > kMaxFrameBytes / min_entry) {
+    if ((flags & kRequestFlagCompact) == 0) {
+      RequestError("fixed-width body is not supported");
+    }
+    // An entry costs at least 2 bytes: a count whose entries could not fit
+    // a frame is malformed, rejected before anything is reserved for it.
+    const uint64_t count = GetVarint(r);
+    if (count > kMaxFrameBytes / kMinRequestEntryBytes) {
       RequestError("declared count " + std::to_string(count) +
                    " is past the 64 MiB frame bound");
     }
-    if (count * min_entry > r.remaining()) {
+    if (count * kMinRequestEntryBytes > r.remaining()) {
       RequestError("truncated id list (" + std::to_string(count) +
                    " entries declared)");
     }
     out.entries.reserve(static_cast<size_t>(count));
-    if (compact) {
-      if (has_wm) out.watermark = GetZigzag(r);
-      PullRequestEntry prev;
-      for (uint64_t i = 0; i < count; ++i) {
-        PullRequestEntry e;
-        e.id = prev.id + static_cast<uint64_t>(GetZigzag(r));
-        e.ts = static_cast<int64_t>(static_cast<uint64_t>(prev.ts) +
-                                    static_cast<uint64_t>(GetZigzag(r)));
-        out.entries.push_back(e);
-        prev = e;
-      }
-    } else {
-      for (uint64_t i = 0; i < count; ++i) {
-        PullRequestEntry e;
-        e.id = r.GetU64();
-        e.ts = r.GetI64();
-        out.entries.push_back(e);
-      }
-      if (has_wm) out.watermark = r.GetI64();
+    if ((flags & kRequestFlagHasWatermark) != 0) out.watermark = GetZigzag(r);
+    PullRequestEntry prev;
+    for (uint64_t i = 0; i < count; ++i) {
+      PullRequestEntry e;
+      e.id = prev.id + static_cast<uint64_t>(GetZigzag(r));
+      e.ts = static_cast<int64_t>(static_cast<uint64_t>(prev.ts) +
+                                  static_cast<uint64_t>(GetZigzag(r)));
+      out.entries.push_back(e);
+      prev = e;
     }
   } catch (const std::out_of_range&) {
     RequestError("truncated id list");
@@ -221,7 +172,7 @@ PullRequest DecodeRequestFrame(const std::vector<uint8_t>& frame) {
 // --- compact codec ----------------------------------------------------------
 
 std::vector<uint8_t> FrameEncoder::EncodeCompactBatch(
-    std::span<const Tuple* const> tuples, int64_t watermark, bool remotify) {
+    std::span<const TuplePtr> tuples, int64_t watermark, bool remotify) {
   const bool has_wm = watermark != kNoWatermark;
   ByteWriter frame;
   frame.PutU8(static_cast<uint8_t>(FrameKind::kCompactBatch));
@@ -231,89 +182,41 @@ std::vector<uint8_t> FrameEncoder::EncodeCompactBatch(
   if (has_wm) PutZigzag(frame, watermark);
 
   uint64_t raw_tuple_bytes = 0;
-  for (const Tuple* t : tuples) {
+  for (const TuplePtr& t : tuples) {
     raw_tuple_bytes +=
         coder_.Put(frame, *t, WireKind(*t, remotify), WireRole::kOuter);
   }
   coder_.EndFrame();
 
-  // What the raw Send path would have shipped for this StreamBatch: one batch
-  // frame, or per-event frames when the batch degenerates.
-  uint64_t raw_equiv;
-  if (tuples.size() > 1) {
-    raw_equiv = 1 + 4 + raw_tuple_bytes + 8;
-  } else {
-    raw_equiv = (tuples.size() == 1 ? 1 + raw_tuple_bytes : 0) +
-                (has_wm ? kRawWatermarkFrameBytes : 0);
-  }
-
   std::vector<uint8_t> out = frame.TakeBytes();
-  stats_.frames += 1;
-  stats_.raw_bytes += raw_equiv;
-  stats_.encoded_bytes += out.size();
+  Count(out, kRawBatchFrameOverhead + raw_tuple_bytes);
   return out;
 }
 
 std::vector<std::vector<uint8_t>> FrameEncoder::EncodeBatch(
     std::span<const TuplePtr> tuples, int64_t watermark, bool remotify) {
-  const bool has_wm = watermark != kNoWatermark;
   std::vector<std::vector<uint8_t>> frames;
+  if (tuples.empty() && watermark == kNoWatermark) return frames;
   if (codec_ == WireCodec::kCompact) {
-    if (tuples.empty() && !has_wm) return frames;
-    std::vector<const Tuple*> ptrs;
-    ptrs.reserve(tuples.size());
-    for (const TuplePtr& t : tuples) ptrs.push_back(t.get());
-    frames.push_back(EncodeCompactBatch(ptrs, watermark, remotify));
-    return frames;
-  }
-  if (tuples.size() > 1) {
-    frames.push_back(EncodeBatchFrame(tuples, watermark, remotify));
+    frames.push_back(EncodeCompactBatch(tuples, watermark, remotify));
   } else {
-    // Degenerate batches travel as the legacy per-event frames, so a
-    // batch-size-1 deployment puts the seed's exact frame sequence on the
-    // wire.
-    if (tuples.size() == 1) {
-      frames.push_back(EncodeTupleFrame(*tuples[0], remotify));
-    }
-    if (has_wm) frames.push_back(EncodeWatermarkFrame(watermark));
-  }
-  for (const auto& f : frames) {
-    stats_.frames += 1;
-    stats_.raw_bytes += f.size();
-    stats_.encoded_bytes += f.size();
+    frames.push_back(EncodeBatchFrame(tuples, watermark, remotify));
+    Count(frames.back(), frames.back().size());
   }
   return frames;
 }
 
-std::vector<uint8_t> FrameEncoder::EncodeTuple(const Tuple& t, bool remotify) {
-  if (codec_ == WireCodec::kCompact) {
-    const Tuple* ptr = &t;
-    return EncodeCompactBatch(std::span<const Tuple* const>(&ptr, 1),
-                              kNoWatermark, remotify);
-  }
-  std::vector<uint8_t> frame = EncodeTupleFrame(t, remotify);
-  stats_.frames += 1;
-  stats_.raw_bytes += frame.size();
-  stats_.encoded_bytes += frame.size();
-  return frame;
-}
-
-std::vector<uint8_t> FrameEncoder::EncodeWatermark(int64_t wm) {
-  // Watermark and flush frames are tiny and stateless; they stay raw under
-  // either codec so a decoder can always interpret them.
-  std::vector<uint8_t> frame = EncodeWatermarkFrame(wm);
-  stats_.frames += 1;
-  stats_.raw_bytes += frame.size();
-  stats_.encoded_bytes += frame.size();
-  return frame;
-}
-
 std::vector<uint8_t> FrameEncoder::EncodeFlush() {
   std::vector<uint8_t> frame = EncodeFlushFrame();
-  stats_.frames += 1;
-  stats_.raw_bytes += frame.size();
-  stats_.encoded_bytes += frame.size();
+  Count(frame, frame.size());
   return frame;
+}
+
+void FrameEncoder::Count(const std::vector<uint8_t>& frame,
+                         uint64_t raw_bytes) {
+  stats_.frames += 1;
+  stats_.raw_bytes += raw_bytes;
+  stats_.encoded_bytes += frame.size();
 }
 
 void FrameEncoder::Reset() {

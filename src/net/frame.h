@@ -1,40 +1,36 @@
 // Wire frames for Send/Receive channels.
 //
-// A frame is one self-contained message: a serialized tuple, a chunk of
-// tuples plus an optional trailing watermark (the batched data plane's
-// unit), a watermark, or a flush (end-of-stream). Channels transport frames
-// as opaque byte blobs; the TCP transport adds a u32 length prefix per
-// frame.
+// A frame is one self-contained message: a batch of tuples plus an optional
+// trailing watermark (the batched data plane's unit), a flush (the one way a
+// channel ends), or a pull request. Channels transport frames as opaque
+// byte blobs; the TCP transport adds a u32 length prefix per frame.
 //
-// Two codecs put batches on the wire (common/engine_options.h, WireCodec):
+// Every channel the engine builds carries compact batch frames
+// (FrameKind::kCompactBatch): a frame header (below) and then the batch's
+// tuples through the compact tuple coder (net/tuple_coder.h, which
+// describes the tuple encoding: dictionary-coded descriptors and node uids,
+// per-uid sequence deltas, per-role ts/stimulus deltas, and a structural
+// payload for unfolded U tuples that ships each shared derived tuple once
+// per frame). The coder's dictionaries and delta bases carry across the
+// frames of one channel; its interned derived tuples do not.
 //
-//  * raw — the seed format: one fixed-width serialized tuple after another
-//    (EncodeBatchFrame below). Stateless; DecodeFrame handles it.
-//
-//  * compact (FrameKind::kCompactBatch) — the edge-to-cloud format: a
-//    frame header (below) and then the batch's tuples through the compact
-//    tuple coder (net/tuple_coder.h, which describes the tuple encoding:
-//    dictionary-coded descriptors and node uids, per-uid sequence deltas,
-//    per-role ts/stimulus deltas, and a structural payload for unfolded U
-//    tuples that ships each shared derived tuple once per frame). The
-//    coder's dictionaries and delta bases carry across the frames of one
-//    channel; its interned derived tuples do not.
-//
-//    Each compact frame leads with a generation byte; FrameEncoder::Reset()
-//    bumps it (reconnect, new stream incarnation), and a decoder seeing an
-//    unexpected generation drops its dictionaries and delta state before
-//    decoding — reset-safe because the first post-reset frame redefines
-//    every entry it uses.
+// Each compact frame leads with a generation byte; FrameEncoder::Reset()
+// bumps it (reconnect, new stream incarnation), and a decoder seeing an
+// unexpected generation drops its dictionaries and delta state before
+// decoding — reset-safe because the first post-reset frame redefines every
+// entry it uses.
 //
 // The compact path is stateful on both sides, hence the FrameEncoder /
-// FrameDecoder classes; the stateless free functions below remain the raw
-// codec and the compatibility surface for existing callers.
+// FrameDecoder classes. The raw codec (FrameKind::kBatch, one fixed-width
+// serialized tuple after another) is FrameEncoder's reference codec: tests
+// and the codec bench decode both and compare, and WireStats counts what
+// raw would have shipped. Flush frames are one kind byte under either.
 //
 // Request frames (FrameKind::kRequest) travel the reverse direction of a
 // pull-based U channel (genealog/pull.h): the ids of the delivering tuples
 // the provenance instance needs unfolded, each with its ts, plus the
-// requester's watermark. They are stateless under both codecs: the raw body
-// is fixed-width, the compact body delta-codes ids and ts within the frame.
+// requester's watermark, delta-coded within the frame and stateless across
+// frames.
 #ifndef GENEALOG_NET_FRAME_H_
 #define GENEALOG_NET_FRAME_H_
 
@@ -54,9 +50,9 @@ namespace genealog {
 // and the request decoder a longer declared id list.
 inline constexpr size_t kMaxFrameBytes = size_t{64} << 20;
 
+// Kinds 1 and 2 (a lone tuple, a lone watermark) are retired; a decoder
+// rejects them as unknown.
 enum class FrameKind : uint8_t {
-  kTuple = 1,
-  kWatermark = 2,
   kFlush = 3,
   // A StreamBatch: u32 tuple count, the tuples, and an i64 high-watermark
   // (INT64_MIN when the batch carries none). One frame per batch keeps the
@@ -69,13 +65,12 @@ enum class FrameKind : uint8_t {
   // the tuples through the compact tuple coder (net/tuple_coder.h).
   kCompactBatch = 5,
   // A pull request (reverse direction only):
-  //   u8 kind | u8 flags | body
-  // flags bit 0 = compact body, bit 1 = the request carries a watermark;
-  // every other bit is reserved and rejected. Bodies:
-  //   raw:     u32 count | count x (u64 id | i64 ts) | [i64 watermark]
-  //   compact: varint count | [zigzag watermark]
-  //            | count x (zigzag id delta | zigzag ts delta)
+  //   u8 kind | u8 flags | varint count | [zigzag watermark]
+  //   | count x (zigzag id delta | zigzag ts delta)
   // with deltas against the previous entry of the frame (first against 0).
+  // flags bit 0 is always set (it marks the compact body; the fixed-width
+  // body it once told apart is gone), bit 1 = the request carries a
+  // watermark; a clear bit 0 and every other bit are rejected.
   kRequest = 6,
 };
 
@@ -83,29 +78,26 @@ enum class FrameKind : uint8_t {
 // Unknown values name themselves "unknown".
 const char* FrameKindName(uint8_t kind);
 
-// --- raw codec (stateless) --------------------------------------------------
+// --- stateless frames -------------------------------------------------------
 
-// Serializes a tuple frame. With `remotify` set (the instrumented Send, §4.1)
-// the wire kind becomes REMOTE unless the tuple is a SOURCE tuple; the local
-// object is never modified.
-std::vector<uint8_t> EncodeTupleFrame(const Tuple& t, bool remotify);
-std::vector<uint8_t> EncodeWatermarkFrame(int64_t wm);
 std::vector<uint8_t> EncodeFlushFrame();
-// Serializes `tuples` plus the batch watermark (pass kNoWatermark for none)
-// as one frame. Remotification is applied per tuple as in EncodeTupleFrame.
+// The raw reference codec: serializes `tuples` plus the batch watermark
+// (pass kNoWatermark for none) as one kBatch frame. With `remotify` set (the
+// instrumented Send, §4.1) each tuple's wire kind becomes REMOTE unless it
+// is a SOURCE tuple; the local objects are never modified.
 std::vector<uint8_t> EncodeBatchFrame(std::span<const TuplePtr> tuples,
                                       int64_t watermark, bool remotify);
 
 struct DecodedFrame {
   FrameKind kind = FrameKind::kFlush;
-  TuplePtr tuple;                // kTuple
   std::vector<TuplePtr> tuples;  // kBatch / kCompactBatch
-  int64_t watermark = 0;         // kWatermark / batches (kNoWatermark = none)
+  int64_t watermark = std::numeric_limits<int64_t>::min();  // = kNoWatermark
 };
 
-// Decodes the stateless frame kinds. Throws std::runtime_error /
-// std::out_of_range on malformed input, and on a kCompactBatch frame, which
-// needs the per-channel state a FrameDecoder carries.
+// Decodes the stateless frame kinds (kBatch, kFlush). Throws
+// std::runtime_error / std::out_of_range on malformed input, and on a
+// kCompactBatch frame, which needs the per-channel state a FrameDecoder
+// carries.
 DecodedFrame DecodeFrame(const std::vector<uint8_t>& frame);
 
 // --- pull requests (stateless) ----------------------------------------------
@@ -124,10 +116,10 @@ struct PullRequest {
   bool operator==(const PullRequest&) const = default;
 };
 
-// Encodes `request` as one kRequest frame under `codec`.
-std::vector<uint8_t> EncodeRequestFrame(const PullRequest& request,
-                                        WireCodec codec);
-// Raw-codec size of `request`, for WireStats::raw_bytes.
+// Encodes `request` as one kRequest frame.
+std::vector<uint8_t> EncodeRequestFrame(const PullRequest& request);
+// Size of `request` in a fixed-width layout (u8 kind | u8 flags | u32 count
+// | count x (u64 id | i64 ts) | [i64 watermark]), for WireStats::raw_bytes.
 uint64_t RawRequestFrameBytes(const PullRequest& request);
 // Decodes a kRequest frame. Throws std::runtime_error naming the defect
 // ("request frame: ...") on a wrong kind byte, a reserved flag bit, a
@@ -135,19 +127,17 @@ uint64_t RawRequestFrameBytes(const PullRequest& request);
 // trailing bytes.
 PullRequest DecodeRequestFrame(const std::vector<uint8_t>& frame);
 
-// --- compact codec (stateful) -----------------------------------------------
+// --- batch codecs (stateful) -------------------------------------------------
 
-// The wire slice of the unified knob struct, for callers that build a
-// FrameEncoder from EngineOptions (edgebench's codec replay). The codec is
-// sender-driven: the receiver decodes whatever codec each frame announces,
-// so no receive-side configuration exists.
+// The engine's codec, for callers that build a FrameEncoder from
+// EngineOptions (edgebench's codec replay).
 inline WireCodec WireCodecFrom(const EngineOptions& o) {
   return o.wire_codec;
 }
 
 // Per-channel wire accounting. raw_bytes is what the raw codec would have
 // put on the wire for the same input (for kRaw the two columns are equal),
-// so ratio() is the bytes-on-wire win of the configured codec.
+// so ratio() is the bytes-on-wire win of the compact codec.
 struct WireStats {
   uint64_t frames = 0;
   uint64_t raw_bytes = 0;
@@ -168,18 +158,16 @@ struct WireStats {
 };
 
 // One per Send node (channels are single-writer, like their operator).
-// EncodeBatch returns the frame sequence the raw Send path would have
-// produced for the same StreamBatch under kRaw (batch frame, or per-event
-// frames for a degenerate batch), and a single kCompactBatch frame under
-// kCompact; watermark and flush frames are raw under either codec.
+// EncodeBatch returns one frame per StreamBatch — kCompactBatch under
+// kCompact, kBatch under the kRaw reference codec — and none for an empty
+// batch without a watermark.
 class FrameEncoder {
  public:
-  explicit FrameEncoder(WireCodec codec = WireCodec::kRaw) : codec_(codec) {}
+  explicit FrameEncoder(WireCodec codec = WireCodec::kCompact)
+      : codec_(codec) {}
 
   std::vector<std::vector<uint8_t>> EncodeBatch(
       std::span<const TuplePtr> tuples, int64_t watermark, bool remotify);
-  std::vector<uint8_t> EncodeTuple(const Tuple& t, bool remotify);
-  std::vector<uint8_t> EncodeWatermark(int64_t wm);
   std::vector<uint8_t> EncodeFlush();
 
   // Drops the dictionaries and delta state and bumps the generation byte, so
@@ -189,8 +177,9 @@ class FrameEncoder {
   const WireStats& stats() const { return stats_; }
 
  private:
-  std::vector<uint8_t> EncodeCompactBatch(std::span<const Tuple* const> tuples,
+  std::vector<uint8_t> EncodeCompactBatch(std::span<const TuplePtr> tuples,
                                           int64_t watermark, bool remotify);
+  void Count(const std::vector<uint8_t>& frame, uint64_t raw_bytes);
 
   WireCodec codec_;
   WireStats stats_;

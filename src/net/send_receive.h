@@ -5,21 +5,19 @@
 // on the wire unless the tuple is a SOURCE tuple (§4.1), which is how each
 // process can locally distinguish tuples produced at other instances.
 //
-// The batched data plane crosses the wire batch-at-a-time: Send serializes
-// each input StreamBatch through its FrameEncoder — under the raw codec a
-// single frame per batch (legacy per-item frames when the batch degenerates
-// to one event, so a batch-size-1 deployment is byte-identical to the
-// unbatched engine), under the compact codec one kCompactBatch frame — and
-// Receive replays a decoded batch tuple-by-tuple into its outputs, where the
-// endpoint re-chunks to the receiving instance's batch knob. The codec knob
-// lives on the Send side only; Receive decodes whatever each frame announces.
+// The batched data plane crosses the wire batch-at-a-time: Send encodes
+// each input StreamBatch as one compact frame (net/frame.h), and Receive
+// replays a decoded batch tuple-by-tuple into its outputs, where the
+// endpoint re-chunks to the receiving instance's batch knob.
 //
-// Two Receive options serve the pull-based U streams (genealog/pull.h): a
-// FrameTap sees every decoded frame before it is replayed (the MU-side
-// demand step reads the derived U stream this way), and `flush_required`
-// makes a channel that ends without a flush frame a named error instead of
-// an end of stream (an upstream U stream cut short must fail the run, not
-// let the MU release derived tuples whose origins never came).
+// Every channel ends one way: Send's flush frame, then a close. A Receive
+// whose channel closes without a flush frame fails the run with an error
+// naming it — the sender went away mid-stream, and reading the close as an
+// end of stream would let the run finish "cleanly" but short (and, on a
+// pulled U stream, let the MU release derived tuples whose origins never
+// came). A FrameTap sees every decoded frame before it is replayed; the
+// MU-side demand step of the pull-based U streams (genealog/pull.h) reads
+// the derived U stream this way.
 #ifndef GENEALOG_NET_SEND_RECEIVE_H_
 #define GENEALOG_NET_SEND_RECEIVE_H_
 
@@ -38,19 +36,22 @@ namespace genealog {
 class SendNode final : public SingleInputNode {
  public:
   // `channel` must outlive the node.
-  SendNode(std::string name, ByteChannel* channel,
-           WireCodec codec = WireCodec::kRaw)
-      : SingleInputNode(std::move(name)), channel_(channel), encoder_(codec) {}
+  SendNode(std::string name, ByteChannel* channel)
+      : SingleInputNode(std::move(name)), channel_(channel) {}
 
   // Channel sends can block on the transport (TCP back-pressure), which a
   // pool task must never do; Send keeps a dedicated thread under the pool.
   bool NeedsDedicatedThread() const override { return true; }
+
+  ByteChannel* channel() const { return channel_; }
 
   // Wire accounting for this node's channel: frames sent, the raw-codec
   // bytes the same input would have cost, and the bytes actually shipped.
   const WireStats& wire_stats() const { return encoder_.stats(); }
 
  protected:
+  // Send overrides OnBatch, so SingleInputNode::Step never hands it a lone
+  // tuple or watermark.
   void OnBatch(StreamBatch& batch) override {
     for (std::vector<uint8_t>& frame : encoder_.EncodeBatch(
              std::span<const TuplePtr>(batch.tuples.data(),
@@ -60,13 +61,7 @@ class SendNode final : public SingleInputNode {
     }
   }
 
-  void OnTuple(TuplePtr t) override {
-    channel_->SendFrame(encoder_.EncodeTuple(*t, /*remotify=*/true));
-  }
-
-  void OnWatermark(int64_t wm) override {
-    channel_->SendFrame(encoder_.EncodeWatermark(wm));
-  }
+  void OnTuple(TuplePtr) override {}
 
   void OnFlush() override {
     channel_->SendFrame(encoder_.EncodeFlush());
@@ -79,8 +74,8 @@ class SendNode final : public SingleInputNode {
 };
 
 // Observes a ReceiveNode's stream: OnFrame runs on the Receive thread for
-// every decoded frame before its tuples and watermark are replayed, OnEnd
-// once at the stream's end (flush frame, or a close the node accepts as one).
+// every decoded batch frame before its tuples and watermark are replayed,
+// OnEnd once at the stream's flush frame.
 class FrameTap {
  public:
   virtual ~FrameTap() = default;
@@ -90,11 +85,8 @@ class FrameTap {
 
 class ReceiveNode final : public Node {
  public:
-  ReceiveNode(std::string name, ByteChannel* channel,
-              bool flush_required = false)
-      : Node(std::move(name)),
-        channel_(channel),
-        flush_required_(flush_required) {}
+  ReceiveNode(std::string name, ByteChannel* channel)
+      : Node(std::move(name)), channel_(channel) {}
 
   // Blocks on the channel for each frame, so Receive keeps a dedicated
   // thread under the pool.
@@ -108,15 +100,8 @@ class ReceiveNode final : public Node {
   StepResult Step(size_t max_frames) override {
     for (size_t n = 0; n < max_frames; ++n) {
       if (!channel_->RecvFrame(frame_)) {
-        if (flush_required_) {
-          throw std::runtime_error(name() +
-                                   ": channel closed without a flush frame");
-        }
-        // Channel closed without an explicit flush (sender aborted): still
-        // propagate end-of-stream so the rest of the instance can unwind.
-        if (tap_ != nullptr) tap_->OnEnd();
-        EmitFlushAll();
-        return StepResult::kDone;
+        throw std::runtime_error(name() +
+                                 ": channel closed without a flush frame");
       }
       DecodedFrame decoded;
       try {
@@ -137,10 +122,6 @@ class ReceiveNode final : public Node {
         }
       }
       switch (decoded.kind) {
-        case FrameKind::kTuple:
-          CountProcessed();
-          if (!EmitTupleAll(decoded.tuple)) return StepResult::kDone;
-          break;
         case FrameKind::kBatch:
         case FrameKind::kCompactBatch:
           CountProcessed(decoded.tuples.size());
@@ -151,9 +132,6 @@ class ReceiveNode final : public Node {
               !ForwardWatermark(decoded.watermark)) {
             return StepResult::kDone;
           }
-          break;
-        case FrameKind::kWatermark:
-          if (!ForwardWatermark(decoded.watermark)) return StepResult::kDone;
           break;
         case FrameKind::kFlush:
           EmitFlushAll();
@@ -168,7 +146,6 @@ class ReceiveNode final : public Node {
  private:
   ByteChannel* channel_;
   std::unique_ptr<FrameTap> tap_;
-  bool flush_required_;
   FrameDecoder decoder_;
   std::vector<uint8_t> frame_;
 };

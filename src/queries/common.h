@@ -32,7 +32,7 @@
 namespace genealog::queries {
 
 // Per-query build options. The engine knobs (batch_size, scheduler,
-// wire_codec, use_tcp, composed_unfolders, ...) live in
+// use_tcp, composed_unfolders, ...) live in
 // the EngineOptions base — `options.batch_size = 64` and friends keep working
 // as before, but are now the one unified knob struct every layer shares
 // (common/engine_options.h). Each knob defaults to its process-wide

@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -81,17 +80,13 @@ struct DataflowOptions {
   // Data-plane and deployment knobs, stamped on every lowered topology
   // (batch_size, scheduler, workers) and consulted by the weaving (use_tcp
   // for inter-instance channels, composed_unfolders for the Figure 5B/8
-  // SU/MU constructions, prov_buffer_bytes for the provenance file writer).
+  // SU/MU constructions, the lineage_* fields for the store).
   // Untouched fields follow the process-wide env defaults.
   EngineOptions engine;
   // If non-empty, provenance records are persisted here (GL and BL).
   std::string provenance_file;
   // Optional per-record observer, called on the provenance-sink thread.
   std::function<void(const ProvenanceRecord&)> provenance_consumer;
-  // Event-time slack before a provenance group / resolver join is finalized.
-  // Defaults to the sum of the plan's stateful window spans, which is always
-  // sufficient; override only to experiment with tighter horizons.
-  std::optional<int64_t> finalize_slack;
   // BL only: oracle eviction ablation for the baseline source store.
   bool baseline_oracle_eviction = false;
 };
@@ -182,7 +177,8 @@ struct BuiltDataflow {
   std::shared_ptr<LineageService> lineage_service;
 
   int n_instances = 1;
-  // Sum of the plan's stateful window spans (provenance finalize slack).
+  // Sum of the plan's stateful window spans: the GL sink's finalize slack
+  // and the BL resolver's join slack, always sufficient.
   int64_t total_window_span = 0;
 
   SourceNodeBase* source() const {

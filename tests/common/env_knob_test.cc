@@ -125,32 +125,5 @@ TEST(EnvKnobTest, SchedulerKnobRejectsTypos) {
   }
 }
 
-TEST(EnvKnobTest, WireCodecKnobAcceptsBothCodecs) {
-  EXPECT_EQ(ParseWireCodecKnob("GENEALOG_WIRE_CODEC", "raw",
-                               WireCodec::kCompact),
-            WireCodec::kRaw);
-  EXPECT_EQ(ParseWireCodecKnob("GENEALOG_WIRE_CODEC", "compact",
-                               WireCodec::kRaw),
-            WireCodec::kCompact);
-  EXPECT_EQ(ParseWireCodecKnob("GENEALOG_WIRE_CODEC", nullptr,
-                               WireCodec::kCompact),
-            WireCodec::kCompact);
-  EXPECT_EQ(ParseWireCodecKnob("GENEALOG_WIRE_CODEC", "", WireCodec::kRaw),
-            WireCodec::kRaw);
-}
-
-TEST(EnvKnobTest, WireCodecKnobRejectsTypos) {
-  for (const char* bad : {"compakt", "RAW", "lz", "0"}) {
-    SCOPED_TRACE(bad);
-    const std::string message = RejectionOf([bad] {
-      return ParseWireCodecKnob("GENEALOG_WIRE_CODEC", bad,
-                                WireCodec::kCompact);
-    });
-    EXPECT_NE(message.find("GENEALOG_WIRE_CODEC"), std::string::npos)
-        << message;
-    EXPECT_NE(message.find(bad), std::string::npos) << message;
-  }
-}
-
 }  // namespace
 }  // namespace genealog

@@ -1,8 +1,9 @@
 // The asynchronous provenance sink must be invisible in the data: for a
 // pinned unfolded stream, the on-disk provenance file must hold exactly the
 // bytes the in-memory block encoder (genealog/provenance_record.h) makes of
-// the same records — also when a tiny buffer cap forces the double-buffer
-// swap through many background handoffs mid-run. Ids and
+// the same records — also when a tiny buffer cap (ProvenanceFileWriter's
+// buffer_bytes argument) forces the double-buffer swap through many
+// background handoffs mid-run. Ids and
 // stimuli of the recorded tuples are pinned by construction, so the
 // comparison really is byte-for-byte. A file that cannot take the bytes
 // (/dev/full) must be reported as a write error. Runs under TSan in CI
@@ -42,6 +43,8 @@ std::string ReadAll(const std::string& path) {
 struct PinnedStream {
   std::vector<IntrusivePtr<ValueTuple>> keep_alive;
   std::vector<IntrusivePtr<UnfoldedTuple>> unfolded;
+  // The records the unfolded stream groups into, in derived-ts order.
+  std::vector<ProvenanceRecord> records;
   // The provenance file the stream must produce: its records in derived-ts
   // order through the in-memory block encoder, sealed once at the end.
   std::string want_bytes;
@@ -77,6 +80,7 @@ PinnedStream MakePinnedStream(int n_records, int origins_per_record) {
       s.unfolded.push_back(std::move(u));
     }
     encoder.Add(record);
+    s.records.push_back(std::move(record));
   }
   encoder.Seal();
   s.want_bytes.assign(encoder.sealed().begin(), encoder.sealed().end());
@@ -86,14 +90,12 @@ PinnedStream MakePinnedStream(int n_records, int origins_per_record) {
 
 // Streams the pinned unfolded tuples through a ProvenanceSinkNode writing
 // to `path` and returns the node's write-error flag after the run.
-bool RunSink(const PinnedStream& stream, const std::string& path,
-             size_t buffer_bytes) {
+bool RunSink(const PinnedStream& stream, const std::string& path) {
   Topology topo(1, ProvenanceMode::kGenealog);
   auto* source =
       topo.Add<VectorSourceNode<UnfoldedTuple>>("src", stream.unfolded);
   ProvenanceSinkSpec pso;
   pso.file_path = path;
-  pso.engine.prov_buffer_bytes = buffer_bytes;
   auto* prov = topo.Add<ProvenanceSinkNode>("k2", pso);
   topo.Connect(source, prov);
   RunToCompletion(topo);
@@ -103,9 +105,24 @@ bool RunSink(const PinnedStream& stream, const std::string& path,
 }
 
 // Runs the sink into a temporary file and returns the file contents.
-std::string RunToFile(const PinnedStream& stream, const std::string& path,
-                      size_t buffer_bytes) {
-  EXPECT_FALSE(RunSink(stream, path, buffer_bytes));
+std::string RunToFile(const PinnedStream& stream, const std::string& path) {
+  EXPECT_FALSE(RunSink(stream, path));
+  const std::string bytes = ReadAll(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+// Writes the pinned records straight through a ProvenanceFileWriter whose
+// buffers swap at `buffer_bytes`, and returns the file contents.
+std::string WriteToFile(const PinnedStream& stream, const std::string& path,
+                        size_t buffer_bytes) {
+  {
+    ProvenanceFileWriter writer("writer", path, buffer_bytes);
+    for (const ProvenanceRecord& record : stream.records) writer.Write(record);
+    writer.Flush();
+    EXPECT_FALSE(writer.write_error());
+    EXPECT_EQ(writer.bytes_written(), stream.want_bytes.size());
+  }
   const std::string bytes = ReadAll(path);
   std::remove(path.c_str());
   return bytes;
@@ -115,25 +132,25 @@ TEST(AsyncProvenanceSinkTest, FileBytesMatchSerializedRecords) {
   const PinnedStream stream = MakePinnedStream(400, 5);
   ASSERT_GT(stream.want_blocks, 1u);
   const std::string path = ::testing::TempDir() + "/prov_async_a.bin";
-  EXPECT_EQ(RunToFile(stream, path, /*buffer_bytes=*/256 * 1024),
-            stream.want_bytes);
+  EXPECT_EQ(RunToFile(stream, path), stream.want_bytes);
 }
 
 TEST(AsyncProvenanceSinkTest, TinyBufferForcesHandoffsAndStaysIdentical) {
   const PinnedStream stream = MakePinnedStream(600, 3);
   ASSERT_GT(stream.want_blocks, 1u);
   const std::string path = ::testing::TempDir() + "/prov_async_b.bin";
-  EXPECT_EQ(RunToFile(stream, path, /*buffer_bytes=*/256 * 1024),
+  EXPECT_EQ(RunToFile(stream, path), stream.want_bytes);
+  EXPECT_EQ(WriteToFile(stream, path, /*buffer_bytes=*/256 * 1024),
             stream.want_bytes);
   // 48-byte buffers: every block spans many background handoffs.
-  EXPECT_EQ(RunToFile(stream, path, /*buffer_bytes=*/48), stream.want_bytes);
+  EXPECT_EQ(WriteToFile(stream, path, /*buffer_bytes=*/48), stream.want_bytes);
 }
 
 TEST(AsyncProvenanceSinkTest, FullDeviceReportsWriteError) {
   // The whole file fits in the writer's first buffer and in the stdio
   // buffer, so the bytes first fail at the end-of-stream fflush.
   const PinnedStream stream = MakePinnedStream(4, 2);
-  EXPECT_TRUE(RunSink(stream, "/dev/full", /*buffer_bytes=*/256 * 1024));
+  EXPECT_TRUE(RunSink(stream, "/dev/full"));
 }
 
 }  // namespace

@@ -162,62 +162,59 @@ TuplePtr MapOver(int64_t ts, uint64_t id, TuplePtr source) {
 }
 
 TEST(UServeNodeTest, AnswersThenEchoesTheRequestWatermarkExactly) {
-  for (const WireCodec codec : {WireCodec::kRaw, WireCodec::kCompact}) {
-    Topology edge(1, ProvenanceMode::kGenealog);
-    auto* su = edge.Add<SuNode>("SU.send0", RetentionSpec{.ws = 50});
-    InMemoryChannel channel;
-    auto* server = edge.Add<UServeNode>("send.U0", su, &channel, codec);
+  Topology edge(1, ProvenanceMode::kGenealog);
+  auto* su = edge.Add<SuNode>("SU.send0", RetentionSpec{.ws = 50});
+  InMemoryChannel channel;
+  auto* server = edge.Add<UServeNode>("send.U0", su, &channel);
 
-    const TuplePtr s1 = V(7, 7);
-    const TuplePtr s2 = V(8, 8);
-    s1->id = 1;
-    s2->id = 2;
-    ASSERT_EQ(su->retention()->Retain(std::vector<TuplePtr>{
-                  MapOver(10, 501, s1), MapOver(11, 502, s2)}),
-              2u);
+  const TuplePtr s1 = V(7, 7);
+  const TuplePtr s2 = V(8, 8);
+  s1->id = 1;
+  s2->id = 2;
+  ASSERT_EQ(su->retention()->Retain(std::vector<TuplePtr>{
+                MapOver(10, 501, s1), MapOver(11, 502, s2)}),
+            2u);
 
-    PullRequest request;
-    request.entries = {{502, 11}};
-    request.watermark = 100;
-    ASSERT_TRUE(channel.SendReverse(EncodeRequestFrame(request, codec)));
-    ASSERT_TRUE(channel.SendReverse(EncodeFlushFrame()));
-    ASSERT_EQ(server->Step(kUnbounded), StepResult::kDone);
+  PullRequest request;
+  request.entries = {{502, 11}};
+  request.watermark = 100;
+  ASSERT_TRUE(channel.SendReverse(EncodeRequestFrame(request)));
+  ASSERT_TRUE(channel.SendReverse(EncodeFlushFrame()));
+  ASSERT_EQ(server->Step(kUnbounded), StepResult::kDone);
 
-    // Forward: the one unfolded tuple, then watermark 100 itself (not
-    // 100 - ws), then the flush.
-    FrameDecoder decoder;
-    std::vector<uint8_t> frame;
-    std::vector<TuplePtr> tuples;
-    std::vector<int64_t> watermarks;
-    bool flushed = false;
-    while (channel.RecvFrame(frame)) {
-      DecodedFrame d = decoder.Decode(frame);
-      if (d.kind == FrameKind::kFlush) {
-        flushed = true;
-        continue;
-      }
-      if (d.tuple != nullptr) tuples.push_back(d.tuple);
-      for (TuplePtr& t : d.tuples) tuples.push_back(t);
-      if (d.kind != FrameKind::kTuple && d.watermark != kNoWatermark) {
-        EXPECT_EQ(tuples.size(), 1u) << "watermark overtook the response";
-        watermarks.push_back(d.watermark);
-      }
+  // Forward: the one unfolded tuple, then watermark 100 itself (not
+  // 100 - ws), then the flush.
+  FrameDecoder decoder;
+  std::vector<uint8_t> frame;
+  std::vector<TuplePtr> tuples;
+  std::vector<int64_t> watermarks;
+  bool flushed = false;
+  while (channel.RecvFrame(frame)) {
+    DecodedFrame d = decoder.Decode(frame);
+    if (d.kind == FrameKind::kFlush) {
+      flushed = true;
+      continue;
     }
-    EXPECT_TRUE(flushed);
-    ASSERT_EQ(tuples.size(), 1u);
-    const auto& u = static_cast<const UnfoldedTuple&>(*tuples[0]);
-    EXPECT_EQ(u.derived_id, 502u);
-    EXPECT_EQ(u.origin_id, 2u);
-    EXPECT_EQ(u.origin_kind, TupleKind::kSource);
-    EXPECT_EQ(watermarks, (std::vector<int64_t>{100}));
-
-    // 501 was never asked for: released at the end, unrequested.
-    EXPECT_EQ(su->retained_count(), 2u);
-    EXPECT_EQ(su->requested_count(), 1u);
-    EXPECT_EQ(su->evicted_unrequested_count(), 1u);
-    EXPECT_EQ(su->traversal_count(), 1u);
-    EXPECT_GT(server->wire_stats().frames, 0u);
+    for (TuplePtr& t : d.tuples) tuples.push_back(t);
+    if (d.watermark != kNoWatermark) {
+      EXPECT_EQ(tuples.size(), 1u) << "watermark overtook the response";
+      watermarks.push_back(d.watermark);
+    }
   }
+  EXPECT_TRUE(flushed);
+  ASSERT_EQ(tuples.size(), 1u);
+  const auto& u = static_cast<const UnfoldedTuple&>(*tuples[0]);
+  EXPECT_EQ(u.derived_id, 502u);
+  EXPECT_EQ(u.origin_id, 2u);
+  EXPECT_EQ(u.origin_kind, TupleKind::kSource);
+  EXPECT_EQ(watermarks, (std::vector<int64_t>{100}));
+
+  // 501 was never asked for: released at the end, unrequested.
+  EXPECT_EQ(su->retained_count(), 2u);
+  EXPECT_EQ(su->requested_count(), 1u);
+  EXPECT_EQ(su->evicted_unrequested_count(), 1u);
+  EXPECT_EQ(su->traversal_count(), 1u);
+  EXPECT_GT(server->wire_stats().frames, 0u);
 }
 
 TEST(UServeNodeTest, RequestDirectionClosedWithoutFlushIsANamedError) {
@@ -255,8 +252,7 @@ IntrusivePtr<UnfoldedTuple> DerivedU(int64_t ts, uint64_t origin_id,
 TEST(UDemandTest, AsksEveryUpstreamForTheRemoteOriginsTheJoinCanUse) {
   InMemoryChannel u0;
   InMemoryChannel u1;
-  UDemand demand("recv.U_sink", /*ws=*/10, {{"U0", &u0}, {"U1", &u1}},
-                 WireCodec::kCompact);
+  UDemand demand("recv.U_sink", /*ws=*/10, {{"U0", &u0}, {"U1", &u1}});
 
   DecodedFrame frame;
   frame.kind = FrameKind::kCompactBatch;
@@ -271,7 +267,7 @@ TEST(UDemandTest, AsksEveryUpstreamForTheRemoteOriginsTheJoinCanUse) {
   demand.OnFrame(frame);
   // A frame with nothing new asks nothing.
   DecodedFrame stale;
-  stale.kind = FrameKind::kWatermark;
+  stale.kind = FrameKind::kCompactBatch;
   stale.watermark = 90;
   demand.OnFrame(stale);
   demand.OnEnd();
@@ -293,9 +289,9 @@ TEST(UDemandTest, AsksEveryUpstreamForTheRemoteOriginsTheJoinCanUse) {
 TEST(UDemandTest, ClosedRequestDirectionNamesTheChannel) {
   InMemoryChannel u0;
   u0.CloseReverse();
-  UDemand demand("recv.U_sink", 10, {{"U0", &u0}}, WireCodec::kRaw);
+  UDemand demand("recv.U_sink", 10, {{"U0", &u0}});
   DecodedFrame frame;
-  frame.kind = FrameKind::kWatermark;
+  frame.kind = FrameKind::kCompactBatch;
   frame.watermark = 5;
   try {
     demand.OnFrame(frame);
@@ -435,12 +431,11 @@ PipelineResult RunPipeline(bool pull, TestChannel& u_channel,
   i2.Connect(su_sink, send_u_sink);
 
   auto* recv_u_sink = i3.Add<ReceiveNode>("recv.U_sink", &ch_u_sink);
-  auto* recv_u = i3.Add<ReceiveNode>("recv.U0", &u_channel,
-                                     /*flush_required=*/pull);
+  auto* recv_u = i3.Add<ReceiveNode>("recv.U0", &u_channel);
   if (pull) {
     recv_u_sink->set_tap(std::make_unique<UDemand>(
         "recv.U_sink", kWindow,
-        std::vector<UDemand::Upstream>{{"U0", &u_channel}}, WireCodec::kRaw));
+        std::vector<UDemand::Upstream>{{"U0", &u_channel}}));
   }
   auto* mu = i3.Add<MuNode>("MU", kWindow);
   ProvenanceSinkSpec pso;

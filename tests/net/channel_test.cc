@@ -20,32 +20,46 @@ using testing::Collector;
 using testing::V;
 using testing::ValueTuple;
 
-TEST(FrameTest, TupleFrameRoundTrip) {
+TEST(FrameTest, BatchFrameRoundTrip) {
   auto t = V(5, 42);
   t->id = 99;
   t->kind = TupleKind::kAggregate;
-  auto frame = EncodeTupleFrame(*t, /*remotify=*/false);
-  DecodedFrame decoded = DecodeFrame(frame);
-  ASSERT_EQ(decoded.kind, FrameKind::kTuple);
-  EXPECT_EQ(decoded.tuple->ts, 5);
-  EXPECT_EQ(decoded.tuple->id, 99u);
-  EXPECT_EQ(decoded.tuple->kind, TupleKind::kAggregate);
-  EXPECT_EQ(static_cast<ValueTuple&>(*decoded.tuple).value, 42);
+  const std::vector<TuplePtr> batch = {t};
+  DecodedFrame decoded =
+      DecodeFrame(EncodeBatchFrame(batch, /*watermark=*/5, /*remotify=*/false));
+  ASSERT_EQ(decoded.kind, FrameKind::kBatch);
+  ASSERT_EQ(decoded.tuples.size(), 1u);
+  EXPECT_EQ(decoded.tuples[0]->ts, 5);
+  EXPECT_EQ(decoded.tuples[0]->id, 99u);
+  EXPECT_EQ(decoded.tuples[0]->kind, TupleKind::kAggregate);
+  EXPECT_EQ(static_cast<ValueTuple&>(*decoded.tuples[0]).value, 42);
+  EXPECT_EQ(decoded.watermark, 5);
 }
 
-TEST(FrameTest, RemotifiedTupleFrame) {
+TEST(FrameTest, RemotifiedBatchFrame) {
   auto t = V(5, 42);
   t->kind = TupleKind::kMap;
-  DecodedFrame decoded = DecodeFrame(EncodeTupleFrame(*t, /*remotify=*/true));
-  EXPECT_EQ(decoded.tuple->kind, TupleKind::kRemote);
+  const std::vector<TuplePtr> batch = {t};
+  DecodedFrame decoded =
+      DecodeFrame(EncodeBatchFrame(batch, kNoWatermark, /*remotify=*/true));
+  EXPECT_EQ(decoded.tuples[0]->kind, TupleKind::kRemote);
+  EXPECT_EQ(decoded.watermark, kNoWatermark);
   EXPECT_EQ(t->kind, TupleKind::kMap);  // local object untouched
 }
 
-TEST(FrameTest, WatermarkAndFlushFrames) {
-  DecodedFrame wm = DecodeFrame(EncodeWatermarkFrame(-17));
-  ASSERT_EQ(wm.kind, FrameKind::kWatermark);
+TEST(FrameTest, WatermarkOnlyBatchAndFlushFrames) {
+  DecodedFrame wm = DecodeFrame(EncodeBatchFrame({}, -17, false));
+  ASSERT_EQ(wm.kind, FrameKind::kBatch);
+  EXPECT_TRUE(wm.tuples.empty());
   EXPECT_EQ(wm.watermark, -17);
   EXPECT_EQ(DecodeFrame(EncodeFlushFrame()).kind, FrameKind::kFlush);
+}
+
+TEST(FrameTest, RetiredPerEventFrameKindsAreRejected) {
+  // Kinds 1 (a lone tuple) and 2 (a lone watermark) are no longer spoken.
+  EXPECT_THROW(DecodeFrame({1, 0, 0}), std::runtime_error);
+  EXPECT_THROW(DecodeFrame({2, 0, 0, 0, 0, 0, 0, 0, 0}), std::runtime_error);
+  EXPECT_STREQ(FrameKindName(1), "unknown");
 }
 
 TEST(FrameTest, MalformedFrameThrows) {

@@ -36,33 +36,17 @@ std::vector<IntrusivePtr<ValueTuple>> Ramp(int n) {
   return out;
 }
 
-TEST(FailureTest, ReceiverTreatsChannelCloseWithoutFlushAsEndOfStream) {
-  // The sender dies (channel closed) before sending a flush frame: the
-  // receiving instance must still unwind and flush downstream.
+TEST(FailureTest, ReceiverFailsByNameWhenChannelClosesWithoutFlush) {
+  // The sender dies (channel closed) before sending a flush frame: the run
+  // must terminate, and fail with an error naming the Receive — read as an
+  // end of stream, the close would let the run finish "cleanly" but short.
   InMemoryChannel channel;
-  channel.SendFrame(EncodeTupleFrame(*V(1, 10), false));
+  channel.SendFrame(EncodeBatchFrame(std::vector<TuplePtr>{V(1, 10)},
+                                     kNoWatermark, false));
   channel.CloseSend();  // no flush frame
 
   Topology topo(2);
-  auto* recv = topo.Add<ReceiveNode>("recv", &channel);
-  Collector c;
-  auto* sink = c.AttachSink(topo);
-  topo.Connect(recv, sink);
-  RunToCompletion(topo);  // must terminate
-  EXPECT_EQ(c.tuples().size(), 1u);
-}
-
-TEST(FailureTest, FlushRequiringReceiverRejectsChannelCloseWithoutFlush) {
-  // A pulled U stream's Receive: a close without a flush frame means the
-  // edge went away mid-stream, and reading it as end-of-stream would let
-  // the MU release derived tuples whose origins never came.
-  InMemoryChannel channel;
-  channel.SendFrame(EncodeTupleFrame(*V(1, 10), false));
-  channel.CloseSend();  // no flush frame
-
-  Topology topo(2);
-  auto* recv = topo.Add<ReceiveNode>("recv.U3", &channel,
-                                     /*flush_required=*/true);
+  auto* recv = topo.Add<ReceiveNode>("recv.data3", &channel);
   Collector c;
   auto* sink = c.AttachSink(topo);
   topo.Connect(recv, sink);
@@ -72,7 +56,10 @@ TEST(FailureTest, FlushRequiringReceiverRejectsChannelCloseWithoutFlush) {
     runner.Join();
     FAIL() << "a close without flush read as a clean end of stream";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("recv.U3"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("recv.data3"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("without a flush frame"),
+              std::string::npos)
         << e.what();
   }
 }
@@ -91,9 +78,10 @@ TEST(FailureTest, CorruptFrameFailsTheRunLoudly) {
   EXPECT_THROW(runner.Join(), std::exception);
 }
 
-TEST(FailureTest, TruncatedTupleFrameFailsTheRunLoudly) {
+TEST(FailureTest, TruncatedBatchFrameFailsTheRunLoudly) {
   InMemoryChannel channel;
-  auto frame = EncodeTupleFrame(*V(1, 10), false);
+  auto frame = EncodeBatchFrame(std::vector<TuplePtr>{V(1, 10)}, kNoWatermark,
+                                false);
   frame.resize(frame.size() / 2);
   channel.SendFrame(std::move(frame));
   channel.CloseSend();
@@ -205,8 +193,15 @@ TEST(FailureTest, TcpPeerResetUnblocksBothSides) {
   receiver->Abort();
   sender->Abort();
   stop.store(true);
-  runner.Join();  // must terminate (no exception contract for remote resets
-                  // on the send path; SendNode drops frames once broken)
+  // Must terminate. SendNode drops frames once the connection is broken;
+  // the Receive, whose stream ended without a flush frame, fails the run.
+  try {
+    runner.Join();
+    ADD_FAILURE() << "a reset connection read as a clean end of stream";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("recv"), std::string::npos)
+        << e.what();
+  }
   EXPECT_GT(sink->count(), 0u);
 }
 
@@ -233,7 +228,7 @@ TEST(FailureTest, NoTupleLeaksAfterMidStreamAbort) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     channel.Abort();
     stop.store(true);
-    runner.Join();
+    EXPECT_THROW(runner.Join(), std::runtime_error);
   }
   EXPECT_EQ(mem::LiveTupleCount() - base, 0);
 }
@@ -301,14 +296,15 @@ TEST(FailureTest, AbortedDownstreamQueueStopsUpstreamGracefully) {
   SUCCEED();
 }
 
-// --- pull-based U streams: the reverse direction breaks ---------------------
+// --- a distributed Q4 run loses a channel mid-run ----------------------------
 //
-// Q4 over three instances pulls its U stream from instance 1 over channel U0
-// (genealog/pull.h). The provenance side breaks that channel mid-run, from
-// the provenance sink's consumer after a few records: the run must end in an
-// error naming U0 — not hang, not finish with records missing origins — and
-// the provenance file must hold whole records, each one a record of the
-// clean run.
+// Q4 over three instances ships its meter readings from instance 1 over data
+// channels and pulls its U stream from instance 1 over channel U0
+// (genealog/pull.h). A channel end breaks mid-run, from the provenance
+// sink's consumer after a few records: the run must end in an error naming
+// the broken channel's node — not hang, not finish "cleanly" short or with
+// records missing origins — and the provenance file must hold whole
+// records, each one a record of the clean run.
 
 sg::SmartGridData PullSg() {
   sg::SmartGridConfig config;
@@ -332,27 +328,33 @@ queries::QueryBuildOptions PullQ4(bool tcp, const std::string& file) {
   options.use_tcp = tcp;
   options.provenance_file = file;
   // Paced (about 0.3 s for the 11,520 readings), so the fourth record
-  // finalizes while the derived stream still has most of its requests to
-  // send: the break lands mid-run, not after the request direction ended.
+  // finalizes while most of the stream is still to come: the break lands
+  // mid-run, not after the channel ended.
   options.source.max_rate_tps = 40'000;
   return options;
 }
 
-// The receiving end of U channel `tag`, found through its Receive node.
-ByteChannel* UChannelRecvEnd(const BuiltDataflow& flow,
-                             const std::string& tag) {
+// The channel end of Send or Receive node `node`.
+ByteChannel* ChannelEndOf(const BuiltDataflow& flow, const std::string& node) {
   for (const auto& topology : flow.topologies) {
-    for (const auto& node : topology->nodes()) {
-      if (node->name() == "recv." + tag) {
-        return static_cast<ReceiveNode*>(node.get())->channel();
+    for (const auto& n : topology->nodes()) {
+      if (n->name() != node) continue;
+      if (auto* recv = dynamic_cast<ReceiveNode*>(n.get())) {
+        return recv->channel();
+      }
+      if (auto* send = dynamic_cast<SendNode*>(n.get())) {
+        return send->channel();
       }
     }
   }
   return nullptr;
 }
 
-void BreakPullChannelMidRun(const std::string& tag,
-                            const std::function<void(ByteChannel*)>& brk) {
+// Breaks the channel end of node `node` with `brk`, over in-memory and TCP
+// channels; the run's error must contain `want_error`.
+void BreakChannelMidRun(const std::string& tag, const std::string& node,
+                        const std::string& want_error,
+                        const std::function<void(ByteChannel*)>& brk) {
   const sg::SmartGridData data = PullSg();
   for (const bool tcp : {false, true}) {
     const std::string clean_path = PullProvPath(tag + "_clean");
@@ -373,13 +375,14 @@ void BreakPullChannelMidRun(const std::string& tag,
     };
     {
       BuiltDataflow flow = queries::BuildQ4Fluent(data, std::move(options));
-      target.store(UChannelRecvEnd(flow, "U0"));
+      target.store(ChannelEndOf(flow, node));
       ASSERT_NE(target.load(), nullptr);
       try {
         flow.Run();
-        ADD_FAILURE() << "tcp " << tcp << ": the run survived a broken U0";
+        ADD_FAILURE() << "tcp " << tcp << ": the run survived a broken "
+                      << node;
       } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("U0"), std::string::npos)
+        EXPECT_NE(std::string(e.what()).find(want_error), std::string::npos)
             << "tcp " << tcp << ": " << e.what();
       }
     }
@@ -399,12 +402,20 @@ void BreakPullChannelMidRun(const std::string& tag,
 }
 
 TEST(FailureTest, PullUChannelAbortedFromTheProvenanceSide) {
-  BreakPullChannelMidRun("abort", [](ByteChannel* ch) { ch->Abort(); });
+  BreakChannelMidRun("abort", "recv.U0", "U0",
+                     [](ByteChannel* ch) { ch->Abort(); });
 }
 
 TEST(FailureTest, PullRequestDirectionClosedWithoutFlush) {
-  BreakPullChannelMidRun("close",
-                         [](ByteChannel* ch) { ch->CloseReverse(); });
+  BreakChannelMidRun("close", "recv.U0", "U0",
+                     [](ByteChannel* ch) { ch->CloseReverse(); });
+}
+
+// The edge closes data channel data0 without a flush frame: the data
+// Receive fails the run by name, as a pulled U Receive does.
+TEST(FailureTest, DataChannelClosedWithoutFlushFailsTheRun) {
+  BreakChannelMidRun("data_close", "send.data0", "recv.data0",
+                     [](ByteChannel* ch) { ch->CloseSend(); });
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Compact wire codec: the decoded stream must be byte-identical to the raw
-// codec's for every batch shape, watermark placement, dictionary state and
-// reset point — and malformed input must be rejected, never mis-decoded.
+// reference codec's for every batch shape, watermark placement, dictionary
+// state and reset point — and malformed input must be rejected, never
+// mis-decoded.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -36,18 +37,12 @@ std::vector<TuplePtr> DecodeAll(FrameDecoder& decoder,
   for (const auto& frame : frames) {
     DecodedFrame d = decoder.Decode(frame);
     switch (d.kind) {
-      case FrameKind::kTuple:
-        out.push_back(d.tuple);
-        break;
       case FrameKind::kBatch:
       case FrameKind::kCompactBatch:
         for (auto& t : d.tuples) out.push_back(std::move(t));
         if (watermarks != nullptr && d.watermark != kNoWatermark) {
           watermarks->push_back(d.watermark);
         }
-        break;
-      case FrameKind::kWatermark:
-        if (watermarks != nullptr) watermarks->push_back(d.watermark);
         break;
       case FrameKind::kFlush:
       case FrameKind::kRequest:  // the decoder rejects it
@@ -341,14 +336,19 @@ TEST(FrameCodecTest, WireStatsTrackRawEquivalentBytes) {
   EXPECT_GT(compact_enc.stats().ratio(), 1.0);
   EXPECT_EQ(compact_enc.stats().frames, 1u);
 
-  // Degenerate batch-of-1 plus watermark: the raw path ships two frames.
+  // A batch of one plus a watermark, and a watermark alone: one frame per
+  // batch under either codec, and an empty batch without a watermark ships
+  // nothing.
   FrameEncoder raw1(WireCodec::kRaw);
   FrameEncoder compact1(WireCodec::kCompact);
   std::vector<TuplePtr> one = {batch[0]};
-  raw1.EncodeBatch(one, 5, true);
-  compact1.EncodeBatch(one, 5, true);
+  for (FrameEncoder* enc : {&raw1, &compact1}) {
+    EXPECT_EQ(enc->EncodeBatch(one, 5, true).size(), 1u);
+    EXPECT_EQ(enc->EncodeBatch({}, 6, true).size(), 1u);
+    EXPECT_TRUE(enc->EncodeBatch({}, kNoWatermark, true).empty());
+  }
   EXPECT_EQ(raw1.stats().frames, 2u);
-  EXPECT_EQ(compact1.stats().frames, 1u);
+  EXPECT_EQ(compact1.stats().frames, 2u);
   EXPECT_EQ(compact1.stats().raw_bytes, raw1.stats().raw_bytes);
 
   // A U batch, structural and fallback forms mixed: the raw-equivalent
@@ -532,10 +532,12 @@ TEST(FrameCodecTest, MalformedUnfoldedPayloadsAreRejected) {
           << e.what();
     }
   };
-  // A raw tuple frame: u8 frame kind | u16 type tag | u8 tuple kind | ...
-  std::vector<uint8_t> raw = EncodeTupleFrame(*V(5, 42), false);
-  EXPECT_EQ(DecodeFrame(raw).tuple->kind, TupleKind::kSource);
-  raw[3] = 6;
+  // A raw batch frame: u8 frame kind | u32 count | u16 type tag | u8 tuple
+  // kind | ...
+  std::vector<uint8_t> raw =
+      EncodeBatchFrame(std::vector<TuplePtr>{V(5, 42)}, kNoWatermark, false);
+  EXPECT_EQ(DecodeFrame(raw).tuples[0]->kind, TupleKind::kSource);
+  raw[7] = 6;
   rejects_kind([&] { DecodeFrame(raw); });
   // A compact descriptor defining kind 0xFF for the derived tuple.
   rejects_kind([] {
@@ -711,32 +713,27 @@ PullRequest RandomRequest(std::mt19937_64& rng) {
   return request;
 }
 
-TEST(FrameCodecTest, RequestFramesRoundTripUnderBothCodecs) {
+TEST(FrameCodecTest, RequestFramesRoundTrip) {
   std::mt19937_64 rng(77);
   for (int round = 0; round < 500; ++round) {
     const PullRequest request = RandomRequest(rng);
-    for (const WireCodec codec : {WireCodec::kRaw, WireCodec::kCompact}) {
-      const std::vector<uint8_t> frame = EncodeRequestFrame(request, codec);
-      EXPECT_EQ(frame[0], static_cast<uint8_t>(FrameKind::kRequest));
-      EXPECT_EQ(DecodeRequestFrame(frame), request) << "round " << round;
-      if (codec == WireCodec::kRaw) {
-        EXPECT_EQ(frame.size(), RawRequestFrameBytes(request));
-      }
-    }
+    const std::vector<uint8_t> frame = EncodeRequestFrame(request);
+    EXPECT_EQ(frame[0], static_cast<uint8_t>(FrameKind::kRequest));
+    EXPECT_EQ(DecodeRequestFrame(frame), request) << "round " << round;
   }
-  // The empty watermark-only request, and the compact body's delta coding
-  // of one node's ascending ids.
+  // The empty watermark-only request, and the delta coding of one node's
+  // ascending ids against the fixed-width size WireStats counts as raw.
   PullRequest wm_only;
   wm_only.watermark = -5;
-  EXPECT_EQ(DecodeRequestFrame(EncodeRequestFrame(wm_only, WireCodec::kRaw)),
-            wm_only);
+  EXPECT_EQ(DecodeRequestFrame(EncodeRequestFrame(wm_only)), wm_only);
+  EXPECT_EQ(RawRequestFrameBytes(wm_only), 1u + 1 + 4 + 8);
   PullRequest run;
   for (uint64_t i = 0; i < 100; ++i) {
     run.entries.push_back({(uint64_t{9} << 40) | (1000 + i),
                            static_cast<int64_t>(24 * i)});
   }
-  EXPECT_LT(EncodeRequestFrame(run, WireCodec::kCompact).size() * 4,
-            EncodeRequestFrame(run, WireCodec::kRaw).size());
+  EXPECT_EQ(RawRequestFrameBytes(run), 1u + 1 + 4 + 100 * 16);
+  EXPECT_LT(EncodeRequestFrame(run).size() * 4, RawRequestFrameBytes(run));
 }
 
 TEST(FrameCodecTest, MalformedRequestFramesAreRejectedByName) {
@@ -754,43 +751,28 @@ TEST(FrameCodecTest, MalformedRequestFramesAreRejectedByName) {
       EXPECT_NE(msg.find(what), std::string::npos) << msg;
     }
   };
-  for (const WireCodec codec : {WireCodec::kRaw, WireCodec::kCompact}) {
-    const std::vector<uint8_t> good = EncodeRequestFrame(request, codec);
-    // A truncated id list, cut anywhere inside it.
-    for (size_t cut = 3; cut + 1 < good.size(); ++cut) {
-      std::vector<uint8_t> truncated(good.begin(), good.begin() + cut);
-      EXPECT_THROW(DecodeRequestFrame(truncated), std::runtime_error)
-          << "cut " << cut;
-    }
-    // A reserved flag bit, alone or with the valid ones.
-    for (const uint8_t bit : {uint8_t{0x4}, uint8_t{0x10}, uint8_t{0x80}}) {
-      std::vector<uint8_t> flagged = good;
-      flagged[1] |= bit;
-      expect_rejected(flagged, "reserved flag");
-    }
-    // Trailing bytes after a complete request.
-    std::vector<uint8_t> trailing = good;
-    trailing.push_back(0);
-    expect_rejected(trailing, "trailing bytes");
+  const std::vector<uint8_t> good = EncodeRequestFrame(request);
+  // A truncated id list, cut anywhere inside it.
+  for (size_t cut = 3; cut + 1 < good.size(); ++cut) {
+    std::vector<uint8_t> truncated(good.begin(), good.begin() + cut);
+    EXPECT_THROW(DecodeRequestFrame(truncated), std::runtime_error)
+        << "cut " << cut;
   }
-  // Raw: a count whose entries cannot fit a frame, and one the body lacks.
-  {
-    ByteWriter w;
-    w.PutU8(static_cast<uint8_t>(FrameKind::kRequest));
-    w.PutU8(0);
-    w.PutU32(0xFFFFFFFFu);
-    expect_rejected(w.TakeBytes(), "64 MiB frame bound");
+  // A reserved flag bit, alone or with the valid ones.
+  for (const uint8_t bit : {uint8_t{0x4}, uint8_t{0x10}, uint8_t{0x80}}) {
+    std::vector<uint8_t> flagged = good;
+    flagged[1] |= bit;
+    expect_rejected(flagged, "reserved flag");
   }
-  {
-    ByteWriter w;
-    w.PutU8(static_cast<uint8_t>(FrameKind::kRequest));
-    w.PutU8(0);
-    w.PutU32(4);
-    w.PutU64(1);
-    w.PutI64(1);
-    expect_rejected(w.TakeBytes(), "truncated id list");
-  }
-  // Compact: the same two, with a varint count.
+  // Bit 0 clear announces the retired fixed-width body.
+  std::vector<uint8_t> fixed_width = good;
+  fixed_width[1] &= static_cast<uint8_t>(~0x1);
+  expect_rejected(fixed_width, "fixed-width body");
+  // Trailing bytes after a complete request.
+  std::vector<uint8_t> trailing = good;
+  trailing.push_back(0);
+  expect_rejected(trailing, "trailing bytes");
+  // A count whose entries cannot fit a frame, and one the body lacks.
   {
     ByteWriter w;
     w.PutU8(static_cast<uint8_t>(FrameKind::kRequest));
@@ -808,9 +790,9 @@ TEST(FrameCodecTest, MalformedRequestFramesAreRejectedByName) {
     expect_rejected(w.TakeBytes(), "truncated id list");
   }
   // A data frame is not a request, and a request is not a data frame.
-  expect_rejected(EncodeWatermarkFrame(3), "wrong frame kind");
+  expect_rejected(EncodeFlushFrame(), "wrong frame kind");
   FrameDecoder decoder;
-  EXPECT_THROW(decoder.Decode(EncodeRequestFrame(request, WireCodec::kRaw)),
+  EXPECT_THROW(decoder.Decode(EncodeRequestFrame(request)),
                std::runtime_error);
 }
 
@@ -820,9 +802,7 @@ TEST(FrameCodecTest, CorruptRequestFramesAreRejectedOrParse) {
   std::mt19937_64 rng(23);
   for (int trial = 0; trial < 2000; ++trial) {
     const PullRequest request = RandomRequest(rng);
-    const WireCodec codec =
-        trial % 2 == 0 ? WireCodec::kRaw : WireCodec::kCompact;
-    std::vector<uint8_t> frame = EncodeRequestFrame(request, codec);
+    std::vector<uint8_t> frame = EncodeRequestFrame(request);
     const int flips = 1 + static_cast<int>(rng() % 3);
     for (int f = 0; f < flips; ++f) {
       frame[rng() % frame.size()] ^= static_cast<uint8_t>(1 + rng() % 255);

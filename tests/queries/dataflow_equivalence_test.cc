@@ -7,11 +7,10 @@
 // frozen from the hand-wired deployments the fluent builders replaced, so
 // BuildQ{1..4}Fluent must reproduce the paper's wiring exactly.
 //
-// Each cell is checked at batch {1, 64}, and the distributed cells
-// additionally under codec {raw, compact}: batching and the wire codec must
-// both be invisible. The
-// key-partitioned `.Parallel(n)` lowering is pinned to the same sink and
-// provenance digests.
+// Each cell is checked at batch {1, 64}: batching must be invisible, and
+// the distributed cells, whose channels carry compact frames, must match
+// the digests the seed wire format produced. The key-partitioned
+// `.Parallel(n)` lowering is pinned to the same sink and provenance digests.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -180,31 +179,22 @@ CellDigest RunCell(const std::string& query, Builder&& builder,
 }
 
 // Every mode and deployment of one query against its golden lines, across
-// batch {1, 64} (x codec {raw, compact} when distributed; intra builds have
-// no channels to encode).
+// batch {1, 64}. Distributed cells put compact frames on every channel.
 template <typename Builder, typename Data>
 void CheckQuery(const std::string& query, Builder builder, const Data& data) {
   for (const Mode mode : {Mode::kNp, Mode::kGl, Mode::kBl, Mode::kGlComposed}) {
     for (const bool distributed : {false, true}) {
-      const std::vector<WireCodec> codecs =
-          distributed ? std::vector<WireCodec>{WireCodec::kRaw,
-                                               WireCodec::kCompact}
-                      : std::vector<WireCodec>{WireCodec::kRaw};
       for (const size_t batch : {size_t{1}, size_t{64}}) {
-        for (const WireCodec codec : codecs) {
-          SCOPED_TRACE(query + " " + ModeName(mode) +
-                       (distributed ? " dist" : " intra") + " batch " +
-                       std::to_string(batch) +
-                       (codec == WireCodec::kCompact ? " compact" : " raw"));
-          QueryBuildOptions options;
-          options.batch_size = batch;
-          options.wire_codec = codec;
-          const CellDigest cell =
-              RunCell(query, builder, data, mode, distributed, options);
-          const CellDigest& golden = Golden(cell.key);
-          EXPECT_EQ(cell.outputs, golden.outputs);
-          EXPECT_EQ(cell.structure, golden.structure);
-        }
+        SCOPED_TRACE(query + " " + ModeName(mode) +
+                     (distributed ? " dist" : " intra") + " batch " +
+                     std::to_string(batch));
+        QueryBuildOptions options;
+        options.batch_size = batch;
+        const CellDigest cell =
+            RunCell(query, builder, data, mode, distributed, options);
+        const CellDigest& golden = Golden(cell.key);
+        EXPECT_EQ(cell.outputs, golden.outputs);
+        EXPECT_EQ(cell.structure, golden.structure);
       }
     }
   }
@@ -267,18 +257,14 @@ TEST(DataflowEquivalenceTest, Q1ParallelMatchesGoldenDistributed) {
   const CellDigest& golden = Golden("Q1 GL dist");
   for (const int shards : {2, 4}) {
     for (const size_t batch : {size_t{1}, size_t{64}}) {
-      for (const WireCodec codec : {WireCodec::kRaw, WireCodec::kCompact}) {
-        SCOPED_TRACE("shards " + std::to_string(shards) + " batch " +
-                     std::to_string(batch) + " codec " +
-                     (codec == WireCodec::kCompact ? "compact" : "raw"));
-        QueryBuildOptions options;
-        options.parallelism = shards;
-        options.batch_size = batch;
-        options.wire_codec = codec;
-        const CellDigest cell = RunCell("Q1", BuildQ1Fluent, data, Mode::kGl,
-                                        /*distributed=*/true, options);
-        EXPECT_EQ(cell.outputs, golden.outputs);
-      }
+      SCOPED_TRACE("shards " + std::to_string(shards) + " batch " +
+                   std::to_string(batch));
+      QueryBuildOptions options;
+      options.parallelism = shards;
+      options.batch_size = batch;
+      const CellDigest cell = RunCell("Q1", BuildQ1Fluent, data, Mode::kGl,
+                                      /*distributed=*/true, options);
+      EXPECT_EQ(cell.outputs, golden.outputs);
     }
   }
 }

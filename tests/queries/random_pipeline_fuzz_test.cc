@@ -344,23 +344,36 @@ struct ParallelFuzzResult {
   bool operator==(const ParallelFuzzResult&) const = default;
 };
 
+// Where a distributed build cuts the plan: everything from the cut on runs
+// on instance 2 (`.At(2)`), so the edge crossing it lowers to Send/Receive.
+// Before the aggregate, the crossing tuples carry one-hop graphs; right
+// after it (Q4's shape), every crossing tuple carries a window graph.
+enum class Cut { kNone, kBeforeAggregate, kAfterAggregate };
+
+const char* CutName(Cut cut) {
+  switch (cut) {
+    case Cut::kNone:
+      return "none";
+    case Cut::kBeforeAggregate:
+      return "before-aggregate";
+    case Cut::kAfterAggregate:
+      return "after-aggregate";
+  }
+  return "?";
+}
+
 // shards == 0 builds the single-instance reference (a plain Aggregate node);
-// shards >= 1 routes the same aggregation through KeyBy/Parallel. `cut`
-// places everything from the aggregate on instance 2 (`.At(2)`), lowering
-// the crossing edge to Send/Receive — whose frames `codec` then encodes.
-ParallelFuzzResult RunFluentParallel(const ParallelFuzzPlan& plan,
-                                     uint64_t seed, int shards,
-                                     size_t batch_size,
-                                     SchedulerMode scheduler,
-                                     size_t workers,
-                                     WireCodec codec = WireCodec::kRaw,
-                                     bool cut = false) {
+// shards >= 1 routes the same aggregation through KeyBy/Parallel. `mode`
+// picks the provenance mechanism (GL or BL).
+ParallelFuzzResult RunFluentParallel(
+    const ParallelFuzzPlan& plan, uint64_t seed, int shards,
+    size_t batch_size, SchedulerMode scheduler, size_t workers,
+    Cut cut = Cut::kNone, ProvenanceMode mode = ProvenanceMode::kGenealog) {
   ParallelFuzzResult out;
   DataflowOptions opts;
-  opts.mode = ProvenanceMode::kGenealog;
+  opts.mode = mode;
   opts.engine.batch_size = batch_size;
   opts.engine.scheduler = scheduler;
-  opts.engine.wire_codec = codec;
   if (workers > 0) opts.engine.workers = workers;
   opts.provenance_consumer = [&out](const ProvenanceRecord& r) {
     out.records.push_back(Canonicalize(r));
@@ -386,7 +399,7 @@ ParallelFuzzResult RunFluentParallel(const ParallelFuzzPlan& plan,
     }
   };
   apply(plan.prefix);
-  if (cut) head = head.At(2);
+  if (cut == Cut::kBeforeAggregate) head = head.At(2);
   const auto key_fn = [](const KeyedTuple& t) { return t.key; };
   const auto combiner = [](const WindowView<KeyedTuple, int64_t>& w) {
     double sum = 0;
@@ -400,6 +413,7 @@ ParallelFuzzResult RunFluentParallel(const ParallelFuzzPlan& plan,
     head = head.KeyBy(key_fn).Parallel(shards).Aggregate<KeyedTuple>(
         "agg", agg_options, combiner);
   }
+  if (cut == Cut::kAfterAggregate) head = head.At(2);
   apply(plan.suffix);
   head.Sink("sink", [&out](const TuplePtr& t) {
     out.sink.push_back(std::to_string(t->ts) + "|" + t->DebugPayload());
@@ -437,27 +451,44 @@ TEST_P(RandomPipelineFuzzTest, FluentPartitionedStageMatchesSingleInstance) {
   }
 }
 
-// The wire codec must be invisible across a deployment cut on every random
-// pipeline: the distributed build (stateless prefix on instance 1, the
-// aggregate and suffix on instance 2, Send/Receive between them) must
-// reproduce the intra-process reference under both codecs at every batch
-// size, including composed with the key-partitioned parallel stage.
-TEST_P(RandomPipelineFuzzTest, FluentDistributedIsWireCodecInvariant) {
+// A deployment cut must be invisible in the provenance of every random
+// pipeline, wherever it falls: the distributed build (instance 1 up to the
+// cut, instance 2 after it, a provenance instance pulling the U streams)
+// must reproduce the single-instance GL run — sink stream and canonical
+// provenance — and the BL run's canonical provenance, at both batch sizes,
+// under both schedulers, including composed with the key-partitioned
+// parallel stage.
+TEST_P(RandomPipelineFuzzTest, FluentDistributedMatchesAtEveryCutPosition) {
   const uint64_t seed = GetParam();
   const ParallelFuzzPlan plan = MakeParallelFuzzPlan(seed);
   const ParallelFuzzResult reference = RunFluentParallel(
       plan, seed, /*shards=*/0, /*batch_size=*/1,
       SchedulerMode::kThreadPerNode, /*workers=*/0);
-  for (const WireCodec codec : {WireCodec::kRaw, WireCodec::kCompact}) {
-    for (const size_t batch : {size_t{1}, size_t{64}}) {
-      for (const int shards : {0, 2}) {
-        const ParallelFuzzResult got = RunFluentParallel(
-            plan, seed, shards, batch, SchedulerMode::kThreadPerNode,
-            /*workers=*/0, codec, /*cut=*/true);
-        EXPECT_EQ(got, reference)
-            << "seed " << seed << " codec "
-            << (codec == WireCodec::kCompact ? "compact" : "raw") << " batch "
-            << batch << " shards " << shards;
+  const ParallelFuzzResult baseline = RunFluentParallel(
+      plan, seed, /*shards=*/0, /*batch_size=*/1,
+      SchedulerMode::kThreadPerNode, /*workers=*/0, Cut::kNone,
+      ProvenanceMode::kBaseline);
+  EXPECT_EQ(baseline.records, reference.records) << "seed " << seed;
+  if (reference.records.empty()) {
+    GTEST_LOG_(INFO) << "seed " << seed << " produced no provenance";
+  }
+  for (const Cut cut : {Cut::kBeforeAggregate, Cut::kAfterAggregate}) {
+    for (const SchedulerMode scheduler :
+         {SchedulerMode::kThreadPerNode, SchedulerMode::kPool}) {
+      for (const size_t batch : {size_t{1}, size_t{64}}) {
+        for (const int shards : {0, 2}) {
+          const ParallelFuzzResult got = RunFluentParallel(
+              plan, seed, shards, batch, scheduler,
+              scheduler == SchedulerMode::kPool ? 3 : 0, cut);
+          EXPECT_EQ(got, reference)
+              << "seed " << seed << " cut " << CutName(cut) << " pool "
+              << (scheduler == SchedulerMode::kPool) << " batch " << batch
+              << " shards " << shards;
+          EXPECT_EQ(got.records, baseline.records)
+              << "seed " << seed << " cut " << CutName(cut) << " pool "
+              << (scheduler == SchedulerMode::kPool) << " batch " << batch
+              << " shards " << shards << " (vs BL)";
+        }
       }
     }
   }
