@@ -37,9 +37,7 @@ int Main() {
                       int64_t span, uint64_t source_bytes) {
     for (ProvenanceMode mode : kModes) {
       QueryFactory factory = [&data, mode, builder, span, &env] {
-        queries::QueryBuildOptions options;
-        options.mode = mode;
-        options.engine() = env.engine;
+        queries::QueryBuildOptions options = CellOptions(env, mode);
         ApplyReplays(options, env.replays, span);
         return builder(data, std::move(options));
       };

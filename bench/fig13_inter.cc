@@ -38,10 +38,8 @@ int Main() {
                       int64_t span, uint64_t source_bytes) {
     for (ProvenanceMode mode : kModes) {
       QueryFactory factory = [&data, mode, builder, span, use_tcp, &env] {
-        queries::QueryBuildOptions options;
-        options.mode = mode;
+        queries::QueryBuildOptions options = CellOptions(env, mode);
         options.distributed = true;
-        options.engine() = env.engine;
         options.use_tcp = use_tcp;
         ApplyReplays(options, env.replays, span);
         return builder(data, std::move(options));

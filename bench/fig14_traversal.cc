@@ -49,10 +49,9 @@ int Main() {
   auto Factory = [&env](auto builder, const auto& data, int64_t span,
                         bool distributed) {
     return QueryFactory([&data, builder, span, distributed, &env] {
-      queries::QueryBuildOptions options;
-      options.mode = ProvenanceMode::kGenealog;
+      queries::QueryBuildOptions options =
+          CellOptions(env, ProvenanceMode::kGenealog);
       options.distributed = distributed;
-      options.engine() = env.engine;
       ApplyReplays(options, env.replays, span);
       return builder(data, std::move(options));
     });

@@ -40,6 +40,18 @@ BenchEnv ReadBenchEnv() {
   return env;
 }
 
+queries::QueryBuildOptions CellOptions(const BenchEnv& env,
+                                       ProvenanceMode mode) {
+  queries::QueryBuildOptions options;
+  options.engine() = env.engine;
+  options.mode = mode;
+  if (mode != ProvenanceMode::kGenealog) {
+    options.lineage_store = false;
+    options.lineage_serve_addr.clear();
+  }
+  return options;
+}
+
 std::vector<int> EnvCountList(const char* name, std::vector<int> fallback) {
   const char* value = std::getenv(name);
   if (KnobUnset(value)) return fallback;

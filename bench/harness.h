@@ -66,6 +66,12 @@ struct SgWorkload {
 LrWorkload MakeLrWorkload(double scale);
 SgWorkload MakeSgWorkload(double scale);
 
+// A cell's build options: the environment's engine settings in `mode`. NP
+// and BL cells drop the lineage settings, which only GL accepts, so one
+// exported GENEALOG_LINEAGE_STORE=1 applies to the GL cells of a binary.
+queries::QueryBuildOptions CellOptions(const BenchEnv& env,
+                                       ProvenanceMode mode);
+
 // Applies the replay settings to a query's source options.
 inline void ApplyReplays(queries::QueryBuildOptions& options, int replays,
                          int64_t span) {

@@ -425,8 +425,8 @@ void BM_StatelessChain_GL(benchmark::State& state) {
   const size_t batch_size = static_cast<size_t>(state.range(0));
   const auto& data = ChainDataset();
   for (auto _ : state) {
-    Topology topo(/*instance_id=*/0, ProvenanceMode::kGenealog);
-    topo.set_default_batch_size(batch_size);
+    Topology topo(/*instance_id=*/0, ProvenanceMode::kGenealog,
+                  EngineOptions{.batch_size = batch_size});
     auto* source = topo.Add<VectorSourceNode<PositionReport>>("src", data);
     auto* map = topo.Add<MapNode<PositionReport, PositionReport>>(
         "map", [](const PositionReport& r, MapCollector<PositionReport>& out) {

@@ -44,9 +44,9 @@ ModeResult RunFleet(const LrWorkload& lr, const BenchEnv& env, int n_queries,
   std::vector<BuiltDataflow> fleet;
   fleet.reserve(n_queries);
   for (int i = 0; i < n_queries; ++i) {
-    queries::QueryBuildOptions options;
-    options.mode = ProvenanceMode::kGenealog;
-    options.engine() = env.engine;
+    queries::QueryBuildOptions options =
+        CellOptions(env, ProvenanceMode::kGenealog);
+    options.scheduler = mode;  // overrides the env default
     ApplyReplays(options, replays, lr.span_s);
     fleet.push_back(queries::BuildQ1Fluent(lr.data, std::move(options)));
   }
@@ -56,9 +56,7 @@ ModeResult RunFleet(const LrWorkload& lr, const BenchEnv& env, int n_queries,
     for (auto& t : q.topologies) topologies.push_back(t.get());
   }
 
-  RunnerOptions runner_options;
-  runner_options.scheduler = mode;  // override whatever the env default is
-  Runner runner(std::move(topologies), runner_options);
+  Runner runner(std::move(topologies));
   const int64_t t0 = NowNanos();
   runner.Start();
   runner.Join();

@@ -63,8 +63,8 @@ CellResult RunOnce(const SgWorkload& workload, const BenchEnv& env,
                    int replays, int shards, SchedulerMode scheduler) {
   DataflowOptions opts;
   opts.mode = ProvenanceMode::kGenealog;
-  opts.engine = env.engine;
-  opts.engine.scheduler = scheduler;
+  opts.engine() = env.engine;
+  opts.scheduler = scheduler;
 
   Dataflow df(opts);
   SourceOptions so;

@@ -135,10 +135,9 @@ struct E2eResult {
 // Q1 GL, distributed (3 instances) or in one instance.
 E2eResult RunQ1(const BenchEnv& env, const LrWorkload& lr, bool distributed,
                 const std::string& prov_file) {
-  queries::QueryBuildOptions options;
-  options.mode = ProvenanceMode::kGenealog;
+  queries::QueryBuildOptions options =
+      CellOptions(env, ProvenanceMode::kGenealog);
   options.distributed = distributed;
-  options.engine() = env.engine;
   options.provenance_file = prov_file;
   ApplyReplays(options, env.replays, lr.span_s);
   BuiltDataflow q = queries::BuildQ1Fluent(lr.data, std::move(options));

@@ -10,6 +10,12 @@
 # GENEALOG_* names opening a row of README's knob table. GENEALOG_BENCH_*
 # variables are read by the benches, not the engine, and are left out of
 # both. Exits 1 and prints the difference when the sets disagree.
+#
+# It also guards the one home of every setting: outside
+# src/common/engine_options.h and src/common/env_knob.h, no src/ code may
+# call engine_defaults:: or an environment reader (std::getenv, EnvBoolKnob,
+# EnvCountKnob). Everything else takes its settings from an EngineOptions.
+# Exits 1 and lists the offending lines otherwise.
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
@@ -24,6 +30,24 @@ documented() {
   grep -oE '^\| `GENEALOG_[A-Z0-9_]+`' README.md | sed -E 's/^\| `//; s/`$//' |
     grep -v '^GENEALOG_BENCH_' | sort -u
 }
+
+# Code lines (comments skipped) outside the two home files that read a
+# setting from the environment themselves.
+stray_readers() {
+  grep -rnE --include='*.h' --include='*.cc' \
+    '\bengine_defaults::|\bgetenv[[:space:]]*\(|\bEnv(Bool|Count)Knob[[:space:]]*\(' \
+    src |
+    grep -vE '^src/common/(engine_options|env_knob)\.h:' |
+    grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true
+}
+
+stray="$(stray_readers)"
+if [[ -n "$stray" ]]; then
+  echo "check_knobs: src/ reads settings outside common/engine_options.h" \
+    "and common/env_knob.h (take them from an EngineOptions instead):" >&2
+  sed 's/^/  /' <<< "$stray" >&2
+  exit 1
+fi
 
 src_knobs="$(read_by_src)"
 doc_knobs="$(documented)"

@@ -104,13 +104,13 @@ std::string DefaultProvenancePath(const char* argv0) {
 int main(int argc, char** argv) {
   // 2. Configure the dataflow. The ProvenanceMode turns the standard
   //    operators into their GeneaLog-instrumented versions and makes Build()
-  //    weave the provenance machinery in; the EngineOptions bundle carries
-  //    the data-plane knobs (streams hand tuples over in chunks of up to
-  //    batch_size; the output is identical at every setting, only the
-  //    throughput changes).
+  //    weave the provenance machinery in; the EngineOptions fields it
+  //    inherits carry the data-plane knobs (streams hand tuples over in
+  //    chunks of up to batch_size; the output is identical at every
+  //    setting, only the throughput changes).
   DataflowOptions options;
   options.mode = ProvenanceMode::kGenealog;
-  options.engine.batch_size = 64;
+  options.batch_size = 64;
   const std::string provenance_path =
       argc > 1 ? argv[1] : DefaultProvenancePath(argv[0]);
   options.provenance_file = provenance_path;

@@ -1,19 +1,20 @@
-// The engine's data-plane and provenance-plane knobs, collected in one
-// struct so every layer spells them the same way.
+// The engine's data-plane and provenance-plane settings, collected in one
+// struct so every layer reads them from one place.
 //
-// One knob, three spellings used to exist (environment variable, Topology
-// setter, QueryBuildOptions field); EngineOptions is now the single source of
-// truth: a default-constructed instance carries the process-wide defaults
-// (each knob honoring its GENEALOG_* environment variable, parsed strictly
-// by env_knob.h: malformed values throw instead of defaulting),
-// Topology::Configure stamps the data-plane subset on a topology,
-// QueryBuildOptions embeds the struct as a base, the dataflow builder
-// forwards it to every topology it lowers, and the bench harness records the
-// same instance in BENCH_*.json.
+// Each setting has one home, EngineOptions. A default-constructed instance
+// carries the process-wide defaults, each honoring its GENEALOG_* environment
+// variable (parsed strictly by env_knob.h: malformed values throw instead of
+// defaulting). The engine reads every setting from the one instance a
+// dataflow was built with, handed to each of its SPE instances: the edges
+// take their batch size from it, and execution its scheduler and worker
+// count. There is no per-edge, per-run or per-call override.
+// DataflowOptions derives from EngineOptions (queries::QueryBuildOptions from
+// DataflowOptions), and the bench harness records the same instance in
+// BENCH_*.json.
 //
 // | Field            | Env var                  | Default         |
 // |------------------|--------------------------|-----------------|
-// | batch_size       | GENEALOG_BATCH_SIZE      | 64              |
+// | batch_size       | GENEALOG_BATCH_SIZE      | kDefaultBatchSize |
 // | scheduler        | GENEALOG_SCHEDULER       | thread-per-node |
 // | workers          | GENEALOG_WORKERS         | 0 (= all cores) |
 // | lineage_store    | GENEALOG_LINEAGE_STORE   | off             |
@@ -36,10 +37,11 @@
 // AsyncFileWriter.
 //
 // batch_size is deliberately *not* read from the environment by the default
-// constructor: a plain `EngineOptions{}` is the engine default (batch 64,
-// with adaptive batching holding idle latency at the batch-1 seed level).
-// FromEnv() additionally honors GENEALOG_BATCH_SIZE — the bench harness and
-// ad-hoc tools use it so one exported variable sweeps a whole binary.
+// constructor: a plain `EngineOptions{}` is the engine default
+// (kDefaultBatchSize, with adaptive batching holding idle latency at the
+// batch-1 seed level). FromEnv() additionally honors GENEALOG_BATCH_SIZE —
+// the bench harness and ad-hoc tools use it so one exported variable sweeps a
+// whole binary.
 #ifndef GENEALOG_COMMON_ENGINE_OPTIONS_H_
 #define GENEALOG_COMMON_ENGINE_OPTIONS_H_
 
@@ -54,7 +56,11 @@
 
 namespace genealog {
 
-// How a Runner executes the nodes of its topologies:
+// Tuples per stream batch on every edge unless EngineOptions::batch_size
+// says otherwise.
+inline constexpr size_t kDefaultBatchSize = 64;
+
+// How the engine executes operator nodes:
 //  * kThreadPerNode — one dedicated std::thread per operator node (the Liebre
 //    model the paper inherits; the seed behavior and the fallback mode);
 //  * kPool — a shared morsel-driven worker pool: nodes become re-armable
@@ -91,8 +97,9 @@ namespace engine_defaults {
 // read (see env_knob.h).
 // 0 clamps to 1 (item-at-a-time handover).
 inline size_t BatchSize() {
-  static const size_t v = static_cast<size_t>(
-      std::max<int64_t>(1, EnvCountKnob("GENEALOG_BATCH_SIZE", 64)));
+  static const size_t v = static_cast<size_t>(std::max<int64_t>(
+      1, EnvCountKnob("GENEALOG_BATCH_SIZE",
+                      static_cast<int64_t>(kDefaultBatchSize))));
   return v;
 }
 inline SchedulerMode Scheduler() {
@@ -133,9 +140,10 @@ inline std::string LineageServeAddr() {
 
 struct EngineOptions {
   // Stream batch size for every edge (1 = item-at-a-time handover, the seed
-  // data plane; 64 = the production default, >2x throughput with adaptive
-  // batching keeping idle latency at the seed level).
-  size_t batch_size = 64;
+  // data plane; kDefaultBatchSize = the production default, >2x throughput
+  // with adaptive batching keeping idle latency at the seed level; 0 clamps
+  // to 1).
+  size_t batch_size = kDefaultBatchSize;
   // Not a setting; edgebench's EngineJson reads it. False: every edge is a
   // mutex StreamQueue.
   static constexpr bool spsc_edges = false;
@@ -146,18 +154,21 @@ struct EngineOptions {
   // Not a setting; edgebench's EngineJson reads it. Swap threshold of the
   // provenance file writer's buffers.
   static constexpr size_t prov_buffer_bytes = 256 * 1024;
-  // Execution model for the Runner: thread-per-node (the seed fallback) or
-  // the shared morsel-driven worker pool. Sink/provenance output is byte
-  // identical across modes (the scheduler sweeps in the determinism suites
-  // pin this); the pool is what lets thousands of queries share a few cores.
+  // Execution model: thread-per-node (the seed fallback) or the shared
+  // morsel-driven worker pool; the pool runs only when every SPE instance in
+  // one run asks for it. Sink/provenance output is byte identical across
+  // modes (the scheduler sweeps in the determinism suites pin this); the
+  // pool is what lets thousands of queries share a few cores.
   SchedulerMode scheduler = engine_defaults::Scheduler();
-  // Worker threads for the pool scheduler; 0 = one per hardware thread
-  // (capped by the task count). Ignored under thread-per-node.
+  // Worker threads for the pool scheduler; 0 = one per physical core
+  // (capped by the task count); a run over several SPE instances takes the
+  // largest count. Ignored under thread-per-node.
   size_t workers = engine_defaults::Workers();
   // Maintain a live in-memory lineage index (genealog/lineage_store.h) fed by
   // the provenance consumer, queryable through LineageQuery while the
   // topology runs. Off by default: when false no store exists and the emit
-  // path pays only a null-pointer check.
+  // path pays only a null-pointer check. GL only: Dataflow::Build rejects
+  // it, and lineage_serve_addr, under NP and BL.
   bool lineage_store = engine_defaults::LineageStore();
   // Lineage retention: evict whole epochs once more than this many records
   // are retained (0 = unbounded) ...
@@ -165,10 +176,10 @@ struct EngineOptions {
   // ... and/or once an epoch's newest derived event-time falls more than this
   // many time units behind the newest ingested record (0 = no horizon).
   int64_t lineage_retain_span = engine_defaults::LineageRetainSpan();
-  // When non-empty ("host:port"; port 0 = ephemeral) and the lineage store
-  // is on, the built query additionally starts a LineageService
-  // (genealog/lineage_service.h) answering LineageQuery over TCP while (and
-  // after) the topology runs. Empty = no serving endpoint.
+  // When non-empty ("host:port"; port 0 = ephemeral) the built query keeps
+  // a lineage store (as if lineage_store were on) and additionally starts a
+  // LineageService (genealog/lineage_service.h) answering LineageQuery over
+  // TCP while (and after) the topology runs. Empty = no serving endpoint.
   std::string lineage_serve_addr = engine_defaults::LineageServeAddr();
   // Not a setting; edgebench's EngineJson reads it. Every inter-instance
   // channel carries compact frames (net/frame.h).

@@ -61,6 +61,12 @@ using TuplePtr = IntrusivePtr<Tuple>;
 void intrusive_ref(const Tuple* t) noexcept;
 void intrusive_unref(const Tuple* t) noexcept;
 
+// Tuple::id layout: the producing node's uid in the high 24 bits, the node's
+// sequence number in the low 40 (Node::NextTupleId mints them).
+inline constexpr int kTupleSeqBits = 40;
+inline constexpr uint64_t kTupleSeqMask = (uint64_t{1} << kTupleSeqBits) - 1;
+inline constexpr uint64_t NodeUidOf(uint64_t id) { return id >> kTupleSeqBits; }
+
 class Tuple {
  public:
   explicit Tuple(int64_t ts) : ts(ts) {}

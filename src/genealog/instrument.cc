@@ -76,7 +76,7 @@ MuEnds WeaveMu(Topology& topo, bool composed, const std::string& name,
 
 void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
   const DataflowOptions& opts = plan.options;
-  const EngineOptions& engine = opts.engine;
+  const EngineOptions& engine = opts.engine();
   const ProvenanceMode mode = opts.mode;
 
   // --- instances, topologies, window spans ---------------------------------
@@ -93,16 +93,14 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
   const int max_instance = topo_of.rbegin()->first;
 
   for (auto& [instance, topo] : topo_of) {
-    auto owned = std::make_unique<Topology>(instance, mode);
-    owned->Configure(engine);
+    auto owned = std::make_unique<Topology>(instance, mode, engine);
     topo = owned.get();
     out.topologies.push_back(std::move(owned));
   }
   // Distributed GL/BL record provenance on a dedicated instance (§6).
   Topology* prov_topo = nullptr;
   if (distributed && mode != ProvenanceMode::kNone) {
-    auto owned = std::make_unique<Topology>(max_instance + 1, mode);
-    owned->Configure(engine);
+    auto owned = std::make_unique<Topology>(max_instance + 1, mode, engine);
     prov_topo = owned.get();
     out.topologies.push_back(std::move(owned));
   }

@@ -70,27 +70,19 @@ LineageService::~LineageService() { Stop(); }
 void LineageService::Start() {
   std::unique_lock lock(mu_);
   if (started_) throw std::logic_error("LineageService: already started");
-  sockaddr_in sa = MakeSockaddr(options_.host, options_.port);
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error("LineageService: socket() failed");
+  const TcpListener l =
+      ListenTcp(MakeSockaddr(options_.host, options_.port).sin_addr.s_addr,
+                options_.port, 16);
+  if (l.fd < 0) {
+    if (std::string(l.failed) == "bind/listen") {
+      throw std::runtime_error("LineageService: cannot bind " + options_.host +
+                               ":" + std::to_string(options_.port));
+    }
+    throw std::runtime_error(std::string("LineageService: ") + l.failed +
+                             " failed");
   }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
-      ::listen(listen_fd_, 16) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("LineageService: cannot bind " + options_.host +
-                             ":" + std::to_string(options_.port));
-  }
-  socklen_t len = sizeof(sa);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&sa), &len) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("LineageService: getsockname failed");
-  }
-  port_ = ntohs(sa.sin_port);
+  listen_fd_ = l.fd;
+  port_ = l.port;
   started_ = true;
   stopping_ = false;
   // The fd goes in by value: the thread's copy is immutable while it runs

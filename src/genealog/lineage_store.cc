@@ -15,11 +15,6 @@ namespace genealog {
 
 namespace {
 
-// Tuple ids carry the producing node's uid in the high bits (Node::NextTupleId
-// packs a 40-bit sequence below it); the store dictionary-codes that uid so
-// each slot stores a u16 code instead of repeating the wide prefix.
-constexpr int kNodeUidShift = 40;
-
 bool Contains(const std::vector<uint32_t>& v, uint32_t x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
@@ -60,7 +55,9 @@ uint32_t LineageStore::InternLocked(uint64_t id, int64_t ts,
   s.live = true;
   s.is_record = false;
 
-  const uint64_t uid = id >> kNodeUidShift;
+  // Dictionary-code the id's node uid, so each slot stores a u16 code
+  // instead of repeating the wide prefix.
+  const uint64_t uid = NodeUidOf(id);
   auto [code_it, inserted] =
       node_code_.emplace(uid, static_cast<uint16_t>(node_code_.size()));
   if (inserted && node_code_.size() > 65536) {

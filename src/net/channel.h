@@ -119,6 +119,18 @@ class TcpChannel final : public ByteChannel {
   std::atomic<uint64_t> bytes_sent_{0};
 };
 
+// A listening TCP socket: socket, SO_REUSEADDR, bind, listen, then
+// getsockname for the bound port. On failure `fd` is -1 and `failed` names
+// the step ("socket()", "bind/listen" or "getsockname"), so each caller can
+// word its own error.
+struct TcpListener {
+  int fd = -1;
+  uint16_t port = 0;  // the bound port (the ephemeral one for port 0)
+  const char* failed = nullptr;
+};
+// `addr` is an IPv4 address in network byte order, `port` in host order.
+TcpListener ListenTcp(uint32_t addr, uint16_t port, int backlog);
+
 // Creates a connected (sender, receiver) TCP pair over loopback.
 std::pair<std::unique_ptr<TcpChannel>, std::unique_ptr<TcpChannel>>
 MakeTcpChannelPair();

@@ -51,19 +51,28 @@ class SendNode final : public SingleInputNode {
 
  protected:
   // Send overrides OnBatch, so SingleInputNode::Step never hands it a lone
-  // tuple or watermark.
+  // tuple or watermark. A refused frame means the channel is closed or
+  // broken: Send stops encoding and aborts its own input, so upstream stops
+  // at its next push and Step returns kDone once the queue drains. It does
+  // not throw: the peer's Receive fails the run by name.
   void OnBatch(StreamBatch& batch) override {
+    if (refused_) return;
     for (std::vector<uint8_t>& frame : encoder_.EncodeBatch(
              std::span<const TuplePtr>(batch.tuples.data(),
                                        batch.tuples.size()),
              batch.watermark, /*remotify=*/true)) {
-      channel_->SendFrame(std::move(frame));
+      if (!channel_->SendFrame(std::move(frame))) {
+        refused_ = true;
+        AbortQueues();
+        return;
+      }
     }
   }
 
   void OnTuple(TuplePtr) override {}
 
   void OnFlush() override {
+    if (refused_) return;
     channel_->SendFrame(encoder_.EncodeFlush());
     channel_->CloseSend();
   }
@@ -71,6 +80,7 @@ class SendNode final : public SingleInputNode {
  private:
   ByteChannel* channel_;
   FrameEncoder encoder_;
+  bool refused_ = false;
 };
 
 // Observes a ReceiveNode's stream: OnFrame runs on the Receive thread for

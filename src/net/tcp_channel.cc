@@ -101,27 +101,45 @@ uint64_t TcpChannel::bytes_sent() const {
   return bytes_sent_.load(std::memory_order_relaxed);
 }
 
+TcpListener ListenTcp(uint32_t addr, uint16_t port, int backlog) {
+  TcpListener l;
+  l.fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (l.fd < 0) {
+    l.failed = "socket()";
+    return l;
+  }
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = addr;
+  sa.sin_port = htons(port);
+  int one = 1;
+  ::setsockopt(l.fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  socklen_t len = sizeof(sa);
+  if (::bind(l.fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0 ||
+      ::listen(l.fd, backlog) != 0) {
+    l.failed = "bind/listen";
+  } else if (::getsockname(l.fd, reinterpret_cast<sockaddr*>(&sa), &len) !=
+             0) {
+    l.failed = "getsockname";
+  }
+  if (l.failed != nullptr) {
+    ::close(l.fd);
+    l.fd = -1;
+    return l;
+  }
+  l.port = ntohs(sa.sin_port);
+  return l;
+}
+
 std::pair<std::unique_ptr<TcpChannel>, std::unique_ptr<TcpChannel>>
 MakeTcpChannelPair() {
-  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listener < 0) throw std::runtime_error("socket() failed");
+  const TcpListener l = ListenTcp(htonl(INADDR_LOOPBACK), 0, 1);
+  if (l.fd < 0) throw std::runtime_error(std::string(l.failed) + " failed");
+  const int listener = l.fd;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // ephemeral
-  int one = 1;
-  ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(listener, 1) != 0) {
-    ::close(listener);
-    throw std::runtime_error("bind/listen failed");
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len) !=
-      0) {
-    ::close(listener);
-    throw std::runtime_error("getsockname failed");
-  }
+  addr.sin_port = htons(l.port);
 
   const int sender = ::socket(AF_INET, SOCK_STREAM, 0);
   if (sender < 0) {

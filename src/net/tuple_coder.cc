@@ -8,11 +8,6 @@
 namespace genealog {
 namespace {
 
-// Tuple ids are node uid (high 24 bits) | per-node sequence (low 40 bits);
-// see core/instrumentation.h.
-constexpr int kSeqBits = 40;
-constexpr uint64_t kSeqMask = (uint64_t{1} << kSeqBits) - 1;
-
 // Raw-codec cost model, for the wire accounting. Mirrors
 // SerializeHeaderAndPayload (type_registry.cc): u16 tag + u8 kind + i64 ts +
 // u64 id + i64 stimulus + u8 annotation flag.
@@ -94,8 +89,8 @@ uint64_t CompactTupleEncoder::PutHeader(ByteWriter& out, const Tuple& t,
     out.PutU8(ann != nullptr ? 1 : 0);
   }
 
-  const uint32_t uid = static_cast<uint32_t>(t.id >> kSeqBits);
-  const uint64_t seq = t.id & kSeqMask;
+  const uint32_t uid = static_cast<uint32_t>(NodeUidOf(t.id));
+  const uint64_t seq = t.id & kTupleSeqMask;
   auto [uid_it, uid_new] =
       uid_index_.try_emplace(uid, static_cast<uint32_t>(uid_index_.size()));
   PutVarint(out,
@@ -205,7 +200,8 @@ TuplePtr CompactTupleDecoder::Get(ByteReader& in, WireRole role) {
   const uint64_t seq =
       static_cast<uint64_t>(static_cast<int64_t>(last_seq) + GetZigzag(in));
   last_seq = seq;
-  const uint64_t id = (uids_[static_cast<size_t>(uid_idx)] << kSeqBits) | seq;
+  const uint64_t id =
+      (uids_[static_cast<size_t>(uid_idx)] << kTupleSeqBits) | seq;
   WireDeltas& last = last_[static_cast<size_t>(role)];
   last.ts += GetZigzag(in);
   last.stimulus += GetZigzag(in);

@@ -40,7 +40,7 @@ StoppedCarCombiner() {
 // provenance are identical to the single-instance build either way.
 BuiltDataflow BuildQ1Fluent(const lr::LinearRoadData& data,
                             QueryBuildOptions options) {
-  Dataflow df(ToDataflowOptions(options));
+  Dataflow df(options);
 
   Stream<PositionReport> reports =
       df.Source<PositionReport>("source", data.reports, options.source)

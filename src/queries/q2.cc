@@ -38,7 +38,7 @@ AggregateCombiner<StoppedCarStats, AccidentStats, int64_t> AccidentCombiner() {
 // stage on instance 2 — one At(2) cut.
 BuiltDataflow BuildQ2Fluent(const lr::LinearRoadData& data,
                             QueryBuildOptions options) {
-  Dataflow df(ToDataflowOptions(options));
+  Dataflow df(options);
 
   Stream<StoppedCarStats> stopped =
       df.Source<PositionReport>("source", data.reports, options.source)

@@ -33,7 +33,7 @@ AggregateCombiner<MeterReading, DailyConsumption, int64_t> DailySumCombiner() {
 // counting day-aggregate (instance 2).
 BuiltDataflow BuildQ3Fluent(const sg::SmartGridData& data,
                             QueryBuildOptions options) {
-  Dataflow df(ToDataflowOptions(options));
+  Dataflow df(options);
 
   Stream<DailyConsumption> zero_days =
       df.Source<MeterReading>("source", data.readings, options.source)

@@ -39,7 +39,7 @@ DailySumCombiner();  // defined in q3.cc
 // both delivering streams get their SU + MU upstream port automatically.
 BuiltDataflow BuildQ4Fluent(const sg::SmartGridData& data,
                             QueryBuildOptions options) {
-  Dataflow df(ToDataflowOptions(options));
+  Dataflow df(options);
 
   std::vector<Stream<MeterReading>> taps =
       df.Source<MeterReading>("source", data.readings, options.source)

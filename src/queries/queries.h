@@ -43,18 +43,6 @@ BuiltDataflow BuildQ3Fluent(const sg::SmartGridData& data,
 BuiltDataflow BuildQ4Fluent(const sg::SmartGridData& data,
                             QueryBuildOptions options);
 
-// Translates the query build options into the fluent builder's options;
-// deployment cuts and sink consumers stay per-query.
-inline DataflowOptions ToDataflowOptions(const QueryBuildOptions& options) {
-  DataflowOptions opts;
-  opts.mode = options.mode;
-  opts.engine = options.engine();
-  opts.provenance_file = options.provenance_file;
-  opts.provenance_consumer = options.provenance_consumer;
-  opts.baseline_oracle_eviction = options.baseline_oracle_eviction;
-  return opts;
-}
-
 }  // namespace genealog::queries
 
 #endif  // GENEALOG_QUERIES_QUERIES_H_

@@ -60,8 +60,9 @@ void ValidatePartitionedStages(const dataflow_internal::Plan& plan) {
   }
 }
 
-// Structural validation before lowering: every stream consumed exactly once,
-// sources and sinks present, provenance modes single-sink.
+// Validation before lowering: every stream consumed exactly once, sources
+// and sinks present, provenance modes single-sink, lineage settings only
+// under GL.
 void Validate(const dataflow_internal::Plan& plan) {
   const auto& ops = plan.ops;
   if (ops.empty()) {
@@ -106,6 +107,20 @@ void Validate(const dataflow_internal::Plan& plan) {
         "Dataflow: provenance modes support exactly one Sink (the paper's "
         "per-sink provenance construction); found " +
         std::to_string(n_sinks));
+  }
+  // The lineage store is fed by GL provenance records: under NP or BL it
+  // would stay empty, so asking for it is a configuration error.
+  const DataflowOptions& options = plan.options;
+  if (options.mode != ProvenanceMode::kGenealog) {
+    const char* setting = options.lineage_store ? "lineage_store"
+                          : !options.lineage_serve_addr.empty()
+                              ? "lineage_serve_addr"
+                              : nullptr;
+    if (setting != nullptr) {
+      throw std::logic_error(std::string("Dataflow: ") + setting +
+                             " needs provenance mode GL, but the mode is " +
+                             ToString(options.mode));
+    }
   }
   ValidatePartitionedStages(plan);
 }

@@ -26,8 +26,8 @@
 //     derived/upstream, Multiplex taps) in deterministic plan order,
 //   * places Send/Receive pairs over serializing channels on every edge that
 //     crosses a deployment instance (see Stream::At), and
-//   * stamps the unified EngineOptions (batch size, scheduler, workers) on
-//     every topology it creates.
+//   * hands the EngineOptions slice of its options (batch size, scheduler,
+//     workers, ...) to every topology it creates.
 // The weaving rules live in genealog/instrument.{h,cc}; ARCHITECTURE.md
 // ("The dataflow builder") documents the lowering in detail.
 //
@@ -74,21 +74,24 @@ class BaselineResolverNode;
 template <typename T, typename KeyFn>
 class KeyedStream;
 
-struct DataflowOptions {
+// The engine settings (the EngineOptions base, handed to every lowered
+// topology and consulted by the weaving: use_tcp for inter-instance
+// channels, composed_unfolders for the Figure 5B/8 SU/MU constructions, the
+// lineage_* fields for the store) plus what the weaving itself needs.
+// Untouched engine fields follow the process-wide env defaults.
+struct DataflowOptions : EngineOptions {
   // Instrumentation woven into the lowered query: NP / GL / BL.
   ProvenanceMode mode = ProvenanceMode::kNone;
-  // Data-plane and deployment knobs, stamped on every lowered topology
-  // (batch_size, scheduler, workers) and consulted by the weaving (use_tcp
-  // for inter-instance channels, composed_unfolders for the Figure 5B/8
-  // SU/MU constructions, the lineage_* fields for the store).
-  // Untouched fields follow the process-wide env defaults.
-  EngineOptions engine;
   // If non-empty, provenance records are persisted here (GL and BL).
   std::string provenance_file;
   // Optional per-record observer, called on the provenance-sink thread.
   std::function<void(const ProvenanceRecord&)> provenance_consumer;
-  // BL only: oracle eviction ablation for the baseline source store.
+  // BL only: let the source store evict tuples that can no longer contribute
+  // (an oracle the paper's baseline does not have) — the eviction ablation.
   bool baseline_oracle_eviction = false;
+
+  const EngineOptions& engine() const { return *this; }
+  EngineOptions& engine() { return *this; }
 };
 
 namespace dataflow_internal {
@@ -411,7 +414,8 @@ class Dataflow {
 
   // Validates the recorded plan and lowers it (one-shot). Throws
   // std::logic_error on malformed plans: unconsumed or doubly-consumed
-  // streams, no source/sink, more than one sink in a provenance mode.
+  // streams, no source/sink, more than one sink in a provenance mode, and
+  // lineage_store or lineage_serve_addr set in a mode other than GL.
   BuiltDataflow Build();
 
   const dataflow_internal::Plan& plan() const { return *plan_; }

@@ -34,9 +34,9 @@ void Node::ThrowSequenceOverflow() const {
                             " ids minted");
 }
 
-Endpoint Node::AddInput(size_t capacity) {
+Endpoint Node::AddInput() {
   if (in_queue_ == nullptr) {
-    in_queue_ = std::make_unique<StreamQueue>(capacity);
+    in_queue_ = std::make_unique<StreamQueue>(kDefaultQueueCapacity);
   }
   return Endpoint{in_queue_.get(), static_cast<uint16_t>(num_ports_++)};
 }

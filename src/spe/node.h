@@ -17,8 +17,9 @@
 //
 // The data plane is batched: queues carry StreamBatches, and each producing
 // Endpoint accumulates tuples until a flush trigger (see Endpoint). The batch
-// size is a per-edge knob stamped by Topology::Connect; at batch size 1 every
-// tuple is handed over individually, reproducing the unbatched engine.
+// size is the topology's EngineOptions::batch_size, stamped on every edge by
+// Topology::Connect; at batch size 1 every tuple is handed over individually,
+// reproducing the unbatched engine.
 #ifndef GENEALOG_SPE_NODE_H_
 #define GENEALOG_SPE_NODE_H_
 
@@ -39,7 +40,6 @@
 namespace genealog {
 
 inline constexpr size_t kDefaultQueueCapacity = 4096;
-inline constexpr size_t kDefaultBatchSize = 64;
 inline constexpr int64_t kWatermarkMin = std::numeric_limits<int64_t>::min();
 inline constexpr int64_t kWatermarkMax = std::numeric_limits<int64_t>::max();
 
@@ -313,7 +313,7 @@ class Node {
 
   // --- wiring (used by Topology) -------------------------------------------
   // Registers a new logical input port and returns the producer-side handle.
-  Endpoint AddInput(size_t capacity = kDefaultQueueCapacity);
+  Endpoint AddInput();
   StreamQueue* input_queue() { return in_queue_.get(); }
   size_t num_inputs() const { return num_ports_; }
 
@@ -331,10 +331,10 @@ class Node {
   }
 
  protected:
-  // Globally unique tuple id: node uid in the high 24 bits, sequence in the
-  // low 40. A sequence past its field would corrupt the uid bits and alias
-  // ids across nodes, so an exhausted node throws std::overflow_error (in
-  // every build type) instead of minting an id.
+  // Globally unique tuple id (layout: kTupleSeqBits in core/tuple.h). A
+  // sequence past its field would corrupt the uid bits and alias ids across
+  // nodes, so an exhausted node throws std::overflow_error (in every build
+  // type) instead of minting an id.
   uint64_t NextTupleId() {
     if (next_seq_ > kTupleSeqMask) ThrowSequenceOverflow();
     return (uid_ << kTupleSeqBits) | next_seq_++;
@@ -375,9 +375,6 @@ class Node {
     tuples_processed_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  static constexpr int kTupleSeqBits = 40;
-  static constexpr uint64_t kTupleSeqMask =
-      (uint64_t{1} << kTupleSeqBits) - 1;
   // Largest uid whose shifted value keeps all its bits: node construction
   // past it throws std::overflow_error rather than alias ids.
   static constexpr uint64_t kMaxNodeUid =

@@ -119,9 +119,7 @@ void EventCount::Wait(uint64_t epoch) {
 using scheduler_internal::NodeTask;
 using scheduler_internal::t_current_worker;
 
-WorkerPool::WorkerPool(WorkerPoolOptions options) : options_(options) {
-  if (options_.morsel_batches == 0) options_.morsel_batches = 1;
-}
+WorkerPool::WorkerPool(size_t workers) : workers_requested_(workers) {}
 
 WorkerPool::~WorkerPool() {
   // A pool abandoned mid-run cannot drain its tasks (the caller owns the
@@ -191,7 +189,7 @@ void WorkerPool::Start(std::function<void(std::exception_ptr)> on_error) {
     InjectorPush(task.get());
   }
 
-  size_t n = options_.workers;
+  size_t n = workers_requested_;
   if (n == 0) {
     // Physical cores, not hardware threads: compute-bound workers on SMT
     // siblings fight over the same execution units (common/cpu_topology.h).
@@ -344,7 +342,7 @@ void WorkerPool::Execute(NodeTask* task) {
     } else if (task->stream_done) {
       result = StepResult::kDone;
     } else {
-      result = task->node->Step(options_.morsel_batches);
+      result = task->node->Step(kMorselBatches);
       if (result == StepResult::kDone) task->stream_done = true;
       if (task->node->HasSpills()) {
         // The quantum emitted into a full edge. Hold the task (no matter

@@ -121,21 +121,18 @@ class EventCount {
 
 }  // namespace scheduler_internal
 
-struct WorkerPoolOptions {
-  // Worker threads; 0 = one per hardware thread. Always capped by the task
-  // count (extra workers would only spin on empty deques).
-  size_t workers = 0;
-  // Input batches one task quantum may drain before yielding.
-  size_t morsel_batches = 32;
-};
-
 // The shared worker pool executing one Runner's schedulable nodes. Lifecycle:
 // AddNode for every pool node, Start (wires edge signals, seeds tasks,
 // launches workers), Join (blocks until every task retired). Thread-safe
 // toward concurrent edge signals and Kick from any thread.
 class WorkerPool {
  public:
-  explicit WorkerPool(WorkerPoolOptions options = {});
+  // Input batches one task quantum may drain before yielding.
+  static constexpr size_t kMorselBatches = 32;
+
+  // `workers` threads; 0 = one per physical core. Always capped by the task
+  // count (extra workers would only spin on empty deques).
+  explicit WorkerPool(size_t workers);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -196,7 +193,7 @@ class WorkerPool {
   void Retire(NodeTask* task);
   void Fail(std::exception_ptr error);
 
-  WorkerPoolOptions options_;
+  const size_t workers_requested_;
   std::vector<std::unique_ptr<NodeTask>> tasks_;
   std::vector<std::unique_ptr<EdgeSignal>> signals_;
   std::vector<Worker> workers_;

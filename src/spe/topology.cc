@@ -8,10 +8,9 @@
 
 namespace genealog {
 
-size_t Topology::Connect(Node* from, Node* to, size_t capacity,
-                         size_t batch_size) {
-  Endpoint e = to->AddInput(capacity);
-  e.set_batch_size(batch_size == 0 ? default_batch_size_ : batch_size);
+size_t Topology::Connect(Node* from, Node* to) {
+  Endpoint e = to->AddInput();
+  e.set_batch_size(default_batch_size());
   // Every edge is a port on the consumer's one StreamQueue, whether `to` has
   // one producer or many (parallel merges, taps, MU fan-in).
   const size_t port = e.port();
@@ -24,8 +23,8 @@ void Topology::AbortAll() {
   for (Abortable* resource : abortables_) resource->Abort();
 }
 
-Runner::Runner(std::vector<Topology*> topologies, RunnerOptions options)
-    : topologies_(std::move(topologies)), options_(options) {}
+Runner::Runner(std::vector<Topology*> topologies)
+    : topologies_(std::move(topologies)) {}
 
 Runner::~Runner() {
   if (started_ && !joined_) {
@@ -49,19 +48,16 @@ void Runner::RecordFailure(std::exception_ptr error) {
 void Runner::Start() {
   started_ = true;
 
-  // Resolve the effective mode: an explicit override wins; otherwise the
-  // pool runs only when every topology asked for it.
-  if (options_.scheduler.has_value()) {
-    scheduler_ = *options_.scheduler;
-  } else {
-    scheduler_ = SchedulerMode::kPool;
-    for (Topology* topology : topologies_) {
-      if (topology->scheduler() != SchedulerMode::kPool) {
-        scheduler_ = SchedulerMode::kThreadPerNode;
-        break;
-      }
+  // The pool runs only when every topology asked for it, with the largest of
+  // their worker counts.
+  scheduler_ = topologies_.empty() ? SchedulerMode::kThreadPerNode
+                                   : SchedulerMode::kPool;
+  size_t workers = 0;
+  for (Topology* topology : topologies_) {
+    if (topology->scheduler() != SchedulerMode::kPool) {
+      scheduler_ = SchedulerMode::kThreadPerNode;
     }
-    if (topologies_.empty()) scheduler_ = SchedulerMode::kThreadPerNode;
+    workers = std::max(workers, topology->workers());
   }
 
   // One placement rule: under the pool, every node that does not block on a
@@ -69,16 +65,7 @@ void Runner::Start() {
   // under its topology's fairness bucket; every other node gets a dedicated
   // thread that steps it to the end of its stream.
   if (scheduler_ == SchedulerMode::kPool) {
-    WorkerPoolOptions pool_options;
-    if (options_.workers.has_value()) {
-      pool_options.workers = *options_.workers;
-    } else {
-      for (Topology* topology : topologies_) {
-        pool_options.workers =
-            std::max(pool_options.workers, topology->workers());
-      }
-    }
-    pool_ = std::make_unique<WorkerPool>(pool_options);
+    pool_ = std::make_unique<WorkerPool>(workers);
   }
   std::vector<Node*> dedicated;
   for (uint32_t q = 0; q < topologies_.size(); ++q) {

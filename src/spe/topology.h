@@ -11,7 +11,6 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -32,39 +31,25 @@ class Abortable {
 
 class Topology {
  public:
-  explicit Topology(int instance_id = 0, ProvenanceMode mode = ProvenanceMode::kNone)
-      : instance_id_(instance_id), mode_(mode) {}
+  // `engine` holds this instance's settings; every reader below takes them
+  // from there.
+  explicit Topology(int instance_id = 0,
+                    ProvenanceMode mode = ProvenanceMode::kNone,
+                    EngineOptions engine = {})
+      : instance_id_(instance_id), mode_(mode), engine_(std::move(engine)) {}
 
   int instance_id() const { return instance_id_; }
   ProvenanceMode mode() const { return mode_; }
 
-  // Batch size stamped on every stream wired by Connect (unless overridden
-  // per edge). 1 = unbatched item-at-a-time handover, the seed behavior.
-  size_t default_batch_size() const { return default_batch_size_; }
-  void set_default_batch_size(size_t n) {
-    default_batch_size_ = n == 0 ? 1 : n;
-  }
-
-  // Execution model requested for this topology (default from
-  // GENEALOG_SCHEDULER): thread-per-node, or the shared morsel-driven worker
-  // pool. The Runner resolves the effective mode across all its topologies
-  // (see RunnerOptions).
-  SchedulerMode scheduler() const { return scheduler_; }
-  void set_scheduler(SchedulerMode mode) { scheduler_ = mode; }
-
-  // Worker threads for pool mode; 0 = auto (one per hardware thread, capped
-  // by the task count). Default from GENEALOG_WORKERS.
-  size_t workers() const { return workers_; }
-  void set_workers(size_t n) { workers_ = n; }
-
-  // Stamps the data-plane subset of a unified EngineOptions (batch size,
-  // scheduler, workers) in one call; the per-knob setters above remain for
-  // targeted overrides.
-  void Configure(const EngineOptions& engine) {
-    set_default_batch_size(engine.batch_size);
-    set_scheduler(engine.scheduler);
-    set_workers(engine.workers);
-  }
+  // Batch size stamped on every stream wired by Connect (the Endpoint clamps
+  // 0 to 1). 1 = unbatched item-at-a-time handover, the seed behavior.
+  size_t default_batch_size() const { return engine_.batch_size; }
+  // Execution model requested for this topology. The Runner resolves the
+  // effective mode across all its topologies.
+  SchedulerMode scheduler() const { return engine_.scheduler; }
+  // Worker threads for pool mode; 0 = auto (one per physical core, capped by
+  // the task count).
+  size_t workers() const { return engine_.workers; }
 
   // Constructs a node in this topology; instance id and provenance mode are
   // inherited. Returns a non-owning pointer valid for the topology's life.
@@ -82,11 +67,8 @@ class Topology {
   // Connect calls defines output indices on `from` (meaningful for Multiplex
   // and SU) and input ports on `to` (meaningful for Join: 0 = left,
   // 1 = right; and MU: 0 = derived, 1.. = upstream).
-  // Returns the input port index on `to`. `batch_size` overrides the
-  // topology default for this edge (0 = use the default).
-  size_t Connect(Node* from, Node* to,
-                 size_t capacity = kDefaultQueueCapacity,
-                 size_t batch_size = 0);
+  // Returns the input port index on `to`.
+  size_t Connect(Node* from, Node* to);
 
   // Registers an external resource (e.g. a channel a Receive node blocks on)
   // to be aborted together with the node queues when a run fails.
@@ -101,30 +83,22 @@ class Topology {
  private:
   int instance_id_;
   ProvenanceMode mode_;
-  size_t default_batch_size_ = kDefaultBatchSize;
-  SchedulerMode scheduler_ = engine_defaults::Scheduler();
-  size_t workers_ = engine_defaults::Workers();
+  EngineOptions engine_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<Abortable*> abortables_;
 };
 
 class WorkerPool;
 
-// Execution overrides a harness can impose on a Runner regardless of what the
-// individual topologies were configured with (benches compare modes on the
-// same topology objects this way).
-struct RunnerOptions {
-  // Unset: pool mode iff every topology asked for it (mixed requests fall
-  // back to thread-per-node, the conservative mode).
-  std::optional<SchedulerMode> scheduler;
-  // Unset: the max of the topologies' nonzero worker counts (0 = auto).
-  std::optional<size_t> workers;
-};
-
 // Runs topologies to completion. Usage:
 //   Runner runner({&t1, &t2});
 //   runner.Start();
 //   runner.Join();   // rethrows the first node failure, if any
+//
+// The Runner reads its topologies' EngineOptions and nothing else: the pool
+// runs only when every topology asks for it (mixed requests fall back to
+// thread-per-node, the conservative mode), with the largest of their worker
+// counts.
 //
 // Every node runs the same body, Node::Step, in one of two places. Under the
 // pool, nodes join one shared morsel-driven WorkerPool (see spe/scheduler.h)
@@ -134,7 +108,7 @@ struct RunnerOptions {
 // dedicated thread that steps it once with an unbounded budget.
 class Runner {
  public:
-  explicit Runner(std::vector<Topology*> topologies, RunnerOptions options = {});
+  explicit Runner(std::vector<Topology*> topologies);
   ~Runner();
   Runner(const Runner&) = delete;
   Runner& operator=(const Runner&) = delete;
@@ -145,7 +119,7 @@ class Runner {
   // Cooperative teardown: aborts every queue; nodes unwind promptly.
   void Abort();
 
-  // Effective mode after resolving overrides (valid after Start).
+  // Effective mode (valid after Start).
   SchedulerMode scheduler() const { return scheduler_; }
   const WorkerPool* pool() const { return pool_.get(); }
 
@@ -153,7 +127,6 @@ class Runner {
   void RecordFailure(std::exception_ptr error);
 
   std::vector<Topology*> topologies_;
-  RunnerOptions options_;
   SchedulerMode scheduler_ = SchedulerMode::kThreadPerNode;
   std::vector<std::thread> threads_;
   std::unique_ptr<WorkerPool> pool_;

@@ -62,11 +62,10 @@ struct ResolverRun {
 ResolverRun RunResolver(int n_tuples, int keep_every, int64_t slack,
                         bool evict) {
   ResolverRun run;
-  Topology topo(1, ProvenanceMode::kBaseline);
   // The eviction-bound assertions measure the store peak under per-tuple
   // watermark cadence; batched handover coarsens eviction granularity (the
   // peak then tracks the batch size, not the slack), so pin batch size 1.
-  topo.set_default_batch_size(1);
+  Topology topo(1, ProvenanceMode::kBaseline, EngineOptions{.batch_size = 1});
   std::vector<IntrusivePtr<ValueTuple>> data;
   for (int i = 0; i < n_tuples; ++i) data.push_back(V(i, i));
   auto* source = topo.Add<VectorSourceNode<ValueTuple>>("src", std::move(data));

@@ -296,6 +296,35 @@ TEST(FailureTest, AbortedDownstreamQueueStopsUpstreamGracefully) {
   SUCCEED();
 }
 
+// A Send whose channel refuses frames (closed or broken under it) stops
+// encoding and aborts its own input, so its upstream stops too instead of
+// replaying into a dead channel until teardown. The run ends without an
+// error of the Send's own: the Receive on the far side names the failure.
+TEST(FailureTest, RefusedFrameStopsSendAndItsUpstream) {
+  InMemoryChannel channel(/*capacity_frames=*/4);
+  Topology topo(1);
+  SourceOptions options;
+  options.replays = 2000;
+  options.replay_ts_shift = 100;
+  auto* source =
+      topo.Add<VectorSourceNode<ValueTuple>>("src", Ramp(100), options);
+  auto* send = topo.Add<SendNode>("send.data0", &channel);
+  topo.Connect(source, send);
+  // The far side reads a few frames, then the channel breaks.
+  std::thread reader([&channel] {
+    std::vector<uint8_t> frame;
+    for (int i = 0; i < 8 && channel.RecvFrame(frame); ++i) {
+    }
+    channel.Abort();
+  });
+  Runner runner({&topo});
+  runner.Start();
+  EXPECT_NO_THROW(runner.Join());
+  reader.join();
+  const uint64_t replayed = 100u * 2000u;
+  EXPECT_LT(source->tuples_processed(), replayed / 10);
+}
+
 // --- a distributed Q4 run loses a channel mid-run ----------------------------
 //
 // Q4 over three instances ships its meter readings from instance 1 over data

@@ -52,8 +52,8 @@ std::vector<IntrusivePtr<KeyedTuple>> RandomKeyed(uint64_t seed, int n) {
 // independently.
 std::vector<std::tuple<int64_t, int64_t, double>> RunDiamond(
     uint64_t seed, size_t batch_size) {
-  Topology topo;
-  topo.set_default_batch_size(batch_size);
+  Topology topo(0, ProvenanceMode::kNone,
+                EngineOptions{.batch_size = batch_size});
   auto* source =
       topo.Add<VectorSourceNode<KeyedTuple>>("src", RandomKeyed(seed, 400));
   auto* mux = topo.Add<MultiplexNode>("mux");
@@ -104,8 +104,8 @@ TEST(BatchingDeterminismTest, DiamondOutputIsDataPlaneInvariant) {
 
 std::vector<std::pair<int64_t, double>> RunUnionChain(uint64_t seed,
                                                       size_t batch_size) {
-  Topology topo;
-  topo.set_default_batch_size(batch_size);
+  Topology topo(0, ProvenanceMode::kNone,
+                EngineOptions{.batch_size = batch_size});
   auto* a = topo.Add<VectorSourceNode<KeyedTuple>>("a", RandomKeyed(seed, 300));
   auto* b =
       topo.Add<VectorSourceNode<KeyedTuple>>("b", RandomKeyed(seed + 1, 300));

@@ -16,6 +16,7 @@
 #include "genealog/provenance_sink.h"
 #include "genealog/su.h"
 #include "lr/linear_road.h"
+#include "queries/queries.h"
 #include "spe/aggregate.h"
 #include "spe/sink.h"
 #include "spe/source.h"
@@ -56,9 +57,8 @@ std::vector<std::string> Canonical(const std::vector<ProvenanceRecord>& recs) {
 TwoQueryRun RunTwoQueries(const lr::LinearRoadData& data, SchedulerMode mode,
                           size_t workers) {
   TwoQueryRun run;
-  Topology topo(1, ProvenanceMode::kGenealog);
-  topo.set_scheduler(mode);
-  topo.set_workers(workers);
+  Topology topo(1, ProvenanceMode::kGenealog,
+                EngineOptions{.scheduler = mode, .workers = workers});
   auto* source =
       topo.Add<VectorSourceNode<PositionReport>>("source", data.reports);
   auto* split = topo.Add<MultiplexNode>("split");
@@ -180,6 +180,42 @@ TEST(MultiQueryTest, SchedulerChoiceIsInvisibleInProvenance) {
     CheckIsolation(pool);
     EXPECT_EQ(Canonical(pool.a_records), ref_a) << "workers " << workers;
     EXPECT_EQ(Canonical(pool.b_records), ref_b) << "workers " << workers;
+  }
+}
+
+// The repository benchmark's fleet: several Q1 dataflows built with
+// `engine().scheduler = kPool`, their topologies run through one Runner.
+// The Runner reads the scheduler from the topologies' EngineOptions alone,
+// so the fleet shares one pool whatever GENEALOG_SCHEDULER says, and every
+// query's output matches a lone thread-per-node run.
+TEST(MultiQueryTest, FleetBuiltForThePoolRunsOnOneRunnersPool) {
+  const auto data = TestData();
+  queries::QueryBuildOptions lone;
+  lone.mode = ProvenanceMode::kGenealog;
+  lone.engine().scheduler = SchedulerMode::kThreadPerNode;
+  BuiltDataflow reference = queries::BuildQ1Fluent(data, std::move(lone));
+  reference.Run();
+  ASSERT_GT(reference.sink()->count(), 0u);
+
+  std::vector<BuiltDataflow> fleet;
+  for (int q = 0; q < 3; ++q) {
+    queries::QueryBuildOptions o;
+    o.mode = ProvenanceMode::kGenealog;
+    o.engine().scheduler = SchedulerMode::kPool;
+    fleet.push_back(queries::BuildQ1Fluent(data, std::move(o)));
+  }
+  std::vector<Topology*> topologies;
+  for (BuiltDataflow& flow : fleet) {
+    for (auto& topology : flow.topologies) topologies.push_back(topology.get());
+  }
+  Runner runner(topologies);
+  runner.Start();
+  runner.Join();
+  EXPECT_EQ(runner.scheduler(), SchedulerMode::kPool);
+  EXPECT_NE(runner.pool(), nullptr);
+  for (const BuiltDataflow& flow : fleet) {
+    EXPECT_EQ(flow.sink()->count(), reference.sink()->count());
+    EXPECT_EQ(flow.provenance_records(), reference.provenance_records());
   }
 }
 

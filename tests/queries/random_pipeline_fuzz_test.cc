@@ -187,12 +187,12 @@ std::vector<CanonicalRecord> RunPlan(const PipelinePlan& plan, uint64_t seed,
                                      ProvenanceMode mode, size_t batch_size = 1,
                                      std::optional<SchedulerMode> scheduler = {},
                                      size_t workers = 0) {
-  Topology topo(1, mode);
-  topo.set_default_batch_size(batch_size);
   // Scheduler left unset keeps the environment default, so the CI scheduler
   // sweeps (GENEALOG_SCHEDULER=pool) cover every test in this file.
-  if (scheduler.has_value()) topo.set_scheduler(*scheduler);
-  if (workers > 0) topo.set_workers(workers);
+  EngineOptions engine{.batch_size = batch_size};
+  if (scheduler.has_value()) engine.scheduler = *scheduler;
+  if (workers > 0) engine.workers = workers;
+  Topology topo(1, mode, engine);
   auto* source =
       topo.Add<VectorSourceNode<KeyedTuple>>("source", MakeInput(seed));
   std::vector<CanonicalRecord> records;
@@ -372,9 +372,9 @@ ParallelFuzzResult RunFluentParallel(
   ParallelFuzzResult out;
   DataflowOptions opts;
   opts.mode = mode;
-  opts.engine.batch_size = batch_size;
-  opts.engine.scheduler = scheduler;
-  if (workers > 0) opts.engine.workers = workers;
+  opts.batch_size = batch_size;
+  opts.scheduler = scheduler;
+  if (workers > 0) opts.workers = workers;
   opts.provenance_consumer = [&out](const ProvenanceRecord& r) {
     out.records.push_back(Canonicalize(r));
   };

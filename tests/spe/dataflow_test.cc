@@ -228,8 +228,8 @@ TEST(DataflowTest, BaselineDistributedShipsSourceStream) {
 
 TEST(DataflowTest, EngineOptionsStampEveryTopology) {
   DataflowOptions opts;
-  opts.engine.batch_size = 64;
-  opts.engine.workers = 3;  // ignored under thread-per-node, still stamped
+  opts.batch_size = 64;
+  opts.workers = 3;  // ignored under thread-per-node, still stamped
   Dataflow df(std::move(opts));
   df.Source<ValueTuple>("src", Values(4))
       .At(2)
@@ -362,6 +362,39 @@ TEST(DataflowTest, RejectsMultipleSinksInProvenanceModes) {
   taps[0].Sink("k1");
   taps[1].Sink("k2");
   EXPECT_THROW(df.Build(), std::logic_error);
+}
+
+// The lineage store is fed by GL provenance records: asking for it, or for
+// serving it, under NP or BL is rejected by name instead of building a
+// dataflow with no store and no service.
+TEST(DataflowTest, RejectsLineageSettingsOutsideGenealog) {
+  struct Case {
+    ProvenanceMode mode;
+    bool store;
+    const char* serve_addr;
+    const char* setting;
+  };
+  for (const Case& c :
+       {Case{ProvenanceMode::kNone, true, "", "lineage_store"},
+        Case{ProvenanceMode::kBaseline, true, "", "lineage_store"},
+        Case{ProvenanceMode::kBaseline, false, "127.0.0.1:0",
+             "lineage_serve_addr"}}) {
+    SCOPED_TRACE(std::string(ToString(c.mode)) + " " + c.setting);
+    DataflowOptions opts;
+    opts.mode = c.mode;
+    opts.lineage_store = c.store;
+    opts.lineage_serve_addr = c.serve_addr;
+    Dataflow df(std::move(opts));
+    df.Source<ValueTuple>("src", Values(2)).Sink("k");
+    try {
+      df.Build();
+      ADD_FAILURE() << "built a dataflow that ignores " << c.setting;
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.setting), std::string::npos) << what;
+      EXPECT_NE(what.find(ToString(c.mode)), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(DataflowTest, ParallelRejectsNonPositiveShardCounts) {

@@ -155,8 +155,7 @@ TEST(KeyPartitionTest, PartitionAssignmentIsPinned) {
 // OnBatch path and the per-tuple OnTuple path are the same function.
 TEST(KeyPartitionTest, BatchSizeDoesNotChangeRouting) {
   auto run = [](size_t batch) {
-    Topology topo;
-    topo.set_default_batch_size(batch);
+    Topology topo(0, ProvenanceMode::kNone, EngineOptions{.batch_size = batch});
     auto* source =
         topo.Add<VectorSourceNode<KeyedTuple>>("src", RandomKeyed(9, 300, 12));
     auto* partition = topo.Add<KeyPartitionNode<KeyedTuple>>(

@@ -29,6 +29,10 @@ using testing::KeyedTuple;
 using testing::V;
 using testing::ValueTuple;
 
+EngineOptions Pool(size_t workers) {
+  return EngineOptions{.scheduler = SchedulerMode::kPool, .workers = workers};
+}
+
 std::vector<IntrusivePtr<ValueTuple>> Sequence(int n) {
   std::vector<IntrusivePtr<ValueTuple>> out;
   for (int i = 0; i < n; ++i) out.push_back(V(i, i));
@@ -52,9 +56,8 @@ std::vector<IntrusivePtr<KeyedTuple>> KeyedSequence(int n) {
 // sequence.
 std::vector<std::string> RunDiamondPipeline(SchedulerMode scheduler,
                                             size_t workers) {
-  Topology topo;
-  topo.set_scheduler(scheduler);
-  topo.set_workers(workers);
+  Topology topo(0, ProvenanceMode::kNone,
+                EngineOptions{.scheduler = scheduler, .workers = workers});
   auto* source =
       topo.Add<VectorSourceNode<KeyedTuple>>("src", KeyedSequence(400));
   auto* filter = topo.Add<FilterNode<KeyedTuple>>(
@@ -111,10 +114,11 @@ TEST(SchedulerTest, PoolOutputMatchesThreadPerNodeAcrossWorkerCounts) {
 // its (slow, externally clocked) pushes. Every push must wake them — a lost
 // wakeup hangs the run, a missed flush drops the tail.
 TEST(SchedulerTest, PinnedSourceWakesParkedPoolWorkers) {
-  Topology topo;
-  topo.set_scheduler(SchedulerMode::kPool);
-  topo.set_workers(2);
-  topo.set_default_batch_size(4);  // many small pushes -> many park/wake cycles
+  // Batch 4: many small pushes -> many park/wake cycles.
+  Topology topo(0, ProvenanceMode::kNone,
+                EngineOptions{.batch_size = 4,
+                              .scheduler = SchedulerMode::kPool,
+                              .workers = 2});
   SourceOptions options;
   options.max_rate_tps = 20000;  // pinned: NeedsDedicatedThread() == true
   auto* source =
@@ -135,9 +139,7 @@ TEST(SchedulerTest, PinnedSourceWakesParkedPoolWorkers) {
 // complete long before the hot one drains — the injector serves buckets
 // round-robin, so the small query's tasks get a quantum every cycle.
 TEST(SchedulerTest, InjectorRoundRobinKeepsSmallQueryResponsive) {
-  Topology big(1);
-  big.set_scheduler(SchedulerMode::kPool);
-  big.set_workers(1);
+  Topology big(1, ProvenanceMode::kNone, Pool(1));
   SourceOptions big_options;
   big_options.replays = 1000;
   big_options.replay_ts_shift = 200;
@@ -148,9 +150,7 @@ TEST(SchedulerTest, InjectorRoundRobinKeepsSmallQueryResponsive) {
   auto* big_sink = big_collector.AttachSink(big, "big.sink");
   big.Connect(big_source, big_sink);
 
-  Topology small(2);
-  small.set_scheduler(SchedulerMode::kPool);
-  small.set_workers(1);
+  Topology small(2, ProvenanceMode::kNone, Pool(1));
   auto* small_source =
       small.Add<VectorSourceNode<ValueTuple>>("small.src", Sequence(50));
   const uint64_t big_total = 200u * 1000u;
@@ -184,9 +184,8 @@ TEST(SchedulerTest, ExceptionInPoolTaskAbortsFleet) {
   std::vector<Topology*> ptrs;
   std::vector<std::unique_ptr<Collector>> collectors;
   for (int q = 0; q < 4; ++q) {
-    auto topo = std::make_unique<Topology>(q + 1);
-    topo->set_scheduler(SchedulerMode::kPool);
-    topo->set_workers(4);
+    auto topo = std::make_unique<Topology>(q + 1, ProvenanceMode::kNone,
+                                           Pool(4));
     auto* source = topo->Add<VectorSourceNode<ValueTuple>>(
         "src", Sequence(100000));
     auto* map = topo->Add<MapNode<ValueTuple, ValueTuple>>(
@@ -210,9 +209,7 @@ TEST(SchedulerTest, ExceptionInPoolTaskAbortsFleet) {
 // not leave a producer stranded with spilled output. The abort drains the
 // spill deques and retires the producer task.
 TEST(SchedulerTest, ExceptionUnblocksSpilledProducerUnderPool) {
-  Topology topo;
-  topo.set_scheduler(SchedulerMode::kPool);
-  topo.set_workers(1);
+  Topology topo(0, ProvenanceMode::kNone, Pool(1));
   auto* source =
       topo.Add<VectorSourceNode<ValueTuple>>("src", Sequence(100000));
   auto* map = topo.Add<MapNode<ValueTuple, ValueTuple>>(
@@ -232,9 +229,7 @@ TEST(SchedulerTest, ExceptionUnblocksSpilledProducerUnderPool) {
 // Destroying a Runner mid-run in pool mode must abort and join cleanly, same
 // contract as thread-per-node.
 TEST(SchedulerTest, RunnerDestructorAbortsUnjoinedPoolRun) {
-  Topology topo;
-  topo.set_scheduler(SchedulerMode::kPool);
-  topo.set_workers(2);
+  Topology topo(0, ProvenanceMode::kNone, Pool(2));
   SourceOptions options;
   options.replays = 1000000;
   options.replay_ts_shift = 100;
@@ -251,12 +246,11 @@ TEST(SchedulerTest, RunnerDestructorAbortsUnjoinedPoolRun) {
   SUCCEED();
 }
 
-// Mode resolution: the pool engages only when every topology opted in, and a
-// RunnerOptions override beats the topologies either way.
-TEST(SchedulerTest, RunnerResolvesSchedulerFromTopologiesAndOverride) {
+// Mode resolution: the pool engages only when every topology opted in.
+TEST(SchedulerTest, RunnerResolvesSchedulerFromTopologies) {
   auto make = [](int id, SchedulerMode mode, Collector& c) {
-    auto topo = std::make_unique<Topology>(id);
-    topo->set_scheduler(mode);
+    auto topo = std::make_unique<Topology>(id, ProvenanceMode::kNone,
+                                           EngineOptions{.scheduler = mode});
     auto* source = topo->Add<VectorSourceNode<ValueTuple>>("src", Sequence(5));
     auto* sink = c.AttachSink(*topo);
     topo->Connect(source, sink);
@@ -283,17 +277,8 @@ TEST(SchedulerTest, RunnerResolvesSchedulerFromTopologiesAndOverride) {
     runner.Start();
     runner.Join();
     EXPECT_EQ(runner.scheduler(), SchedulerMode::kThreadPerNode);
-  }
-  {
-    Collector c1;
-    auto t1 = make(1, SchedulerMode::kThreadPerNode, c1);
-    RunnerOptions options;
-    options.scheduler = SchedulerMode::kPool;
-    Runner runner({t1.get()}, options);
-    runner.Start();
-    runner.Join();
-    EXPECT_EQ(runner.scheduler(), SchedulerMode::kPool);
     EXPECT_EQ(c1.tuples().size(), 5u);
+    EXPECT_EQ(c2.tuples().size(), 5u);
   }
 }
 

@@ -386,14 +386,15 @@ EmissionRecord RunReplayingSource(SchedulerMode scheduler, double rate_tps,
   options.max_rate_tps = rate_tps;
   options.replays = 3;
   options.replay_ts_shift = 10;
-  Topology topo;
-  topo.set_scheduler(scheduler);
-  topo.set_workers(2);
+  Topology topo(0, ProvenanceMode::kNone,
+                EngineOptions{.batch_size = batch_size,
+                              .scheduler = scheduler,
+                              .workers = 2});
   auto* source =
       topo.Add<VectorSourceNode<ValueTuple>>("src", data, options);
   auto* probe = topo.Add<EmissionProbe>("probe", source,
                                         data.size() * options.replays);
-  topo.Connect(source, probe, kDefaultQueueCapacity, batch_size);
+  topo.Connect(source, probe);
   EXPECT_EQ(source->NeedsDedicatedThread(), rate_tps > 0);
   RunToCompletion(topo);
   return {probe->events(), probe->stimuli()};

@@ -146,13 +146,12 @@ TEST(WatermarkTest, AggregateEmitAtEndBound) {
 }
 
 TEST(WatermarkTest, JoinForwardsMergedWatermark) {
-  Topology topo;
   // This test asserts an intermediate (finite) merged watermark reaches the
   // probe. At the default batch size the whole 60-tuple input coalesces into
   // one batch per port whose flush rides along, so the merge jumps straight
   // to +inf (swallowed by design); per-tuple handover keeps the incremental
   // cadence the assertion is about.
-  topo.set_default_batch_size(1);
+  Topology topo(0, ProvenanceMode::kNone, EngineOptions{.batch_size = 1});
   std::vector<IntrusivePtr<KeyedTuple>> left;
   std::vector<IntrusivePtr<KeyedTuple>> right;
   for (int i = 0; i < 60; ++i) {

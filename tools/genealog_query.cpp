@@ -496,7 +496,7 @@ int main(int argc, char** argv) {
     };
   }
 
-  BuiltDataflow query = [&] {
+  auto build = [&] {
     if (is_lr) {
       lr::LinearRoadConfig config;
       config.n_cars = cli.cars;
@@ -528,12 +528,15 @@ int main(int argc, char** argv) {
     return cli.query == "q3"
                ? queries::BuildQ3Fluent(data, std::move(options))
                : queries::BuildQ4Fluent(data, std::move(options));
-  }();
+  };
 
-  // Serving starts before Run(): a remote console can attach and query while
-  // the topology executes (the normal GeneaLog live-query story).
+  // A configuration Dataflow::Build rejects exits 1 with its error. Serving
+  // starts before Run(): a remote console can attach and query while the
+  // topology executes (the normal GeneaLog live-query story).
+  BuiltDataflow query;
   std::shared_ptr<LineageService> service;
   try {
+    query = build();
     if (!cli.serve.empty()) service = StartService(query.lineage_store, cli);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
