@@ -154,18 +154,20 @@ void BM_TraversalJoinTree(benchmark::State& state) {
 }
 BENCHMARK(BM_TraversalJoinTree)->ArgNames({"depth"})->Arg(3)->Arg(6)->Arg(10);
 
-// The whole SU inner loop for one sink tuple: traversal plus building the
-// unfolded tuples (pool-allocated, straight into a chunk-like buffer). This
-// is the per-sink-tuple provenance cost an SU pays end to end.
+// The whole SU unfold step for one sink tuple (Unfolder::Unfold): the timed
+// traversal plus building the unfolded tuples (pool-allocated, straight into
+// a chunk-like buffer). This is the per-sink-tuple provenance cost an SU pays
+// end to end.
 void BM_SuUnfold(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   TuplePtr root = AggregateGraph(n);
-  TraversalScratch scratch;
-  std::vector<Tuple*> origins;
+  Unfolder unfolder;
   std::vector<IntrusivePtr<UnfoldedTuple>> out;
   for (auto _ : state) {
     out.clear();
-    UnfoldInto(root, origins, scratch, out);
+    unfolder.Unfold(root, [&](IntrusivePtr<UnfoldedTuple> u) {
+      out.push_back(std::move(u));
+    });
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n);

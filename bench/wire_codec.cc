@@ -33,7 +33,7 @@ namespace genealog::bench {
 namespace {
 
 std::vector<TuplePtr> MakeUStream(const lr::LinearRoadData& data, size_t n) {
-  // The shape SuNode::UnfoldOne produces: each derived (aggregate) tuple is
+  // The shape Unfolder::Unfold produces: each derived (aggregate) tuple is
   // unfolded into kOrigins U tuples that all hold the same derived object,
   // one per originating position report. Derived tuples come from one node
   // (uid), origins from another — what the per-uid delta coder sees in a

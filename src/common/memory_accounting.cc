@@ -25,9 +25,6 @@ std::array<Counters, kMaxInstances>& counters() {
   return c;
 }
 
-std::atomic<int64_t> g_pool_slab_bytes{0};
-std::atomic<int64_t> g_traversal_scratch_bytes{0};
-
 thread_local int tl_instance = 0;
 
 }  // namespace
@@ -85,20 +82,6 @@ int64_t LiveTupleCount() {
 void AddTupleCount(int instance_id, int64_t delta) {
   counters()[static_cast<size_t>(instance_id)].tuples.fetch_add(
       delta, std::memory_order_relaxed);
-}
-
-int64_t PoolSlabBytes() {
-  return g_pool_slab_bytes.load(std::memory_order_relaxed);
-}
-void AddPoolSlabBytes(int64_t bytes) {
-  g_pool_slab_bytes.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-int64_t TraversalScratchBytes() {
-  return g_traversal_scratch_bytes.load(std::memory_order_relaxed);
-}
-void AddTraversalScratchBytes(int64_t bytes) {
-  g_traversal_scratch_bytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 int64_t ReadRssBytes() {

@@ -5,7 +5,10 @@
 // reasons about — bytes of tuples (and provenance annotations) that are still
 // reachable — exactly, at allocation/release time. A sampling helper turns the
 // instantaneous counters into the avg/max series shown in Figures 12–13, and
-// ReadRssBytes() provides the OS-level sanity check.
+// ReadRssBytes() provides the OS-level sanity check. Counts whose owner keeps
+// them are not repeated here: the tuple pool's slab footprint is
+// pool::Stats::slab_bytes, and traversal scratch growth is
+// TraversalScratch::grows().
 #ifndef GENEALOG_COMMON_MEMORY_ACCOUNTING_H_
 #define GENEALOG_COMMON_MEMORY_ACCOUNTING_H_
 
@@ -38,22 +41,6 @@ void ResetAll();
 // kept per instance beside that instance's live bytes.
 int64_t LiveTupleCount();
 void AddTupleCount(int instance_id, int64_t delta);
-
-// Bytes the tuple pool has reserved from the OS in slabs (process-wide,
-// monotonic — slabs are never returned). Tracked separately from LiveBytes:
-// per-tuple accounting stays identical with the pool on or off, so the
-// paper's memory figures remain comparable, while the slab gauge exposes the
-// pool's actual OS footprint.
-int64_t PoolSlabBytes();
-void AddPoolSlabBytes(int64_t bytes);
-
-// Heap bytes currently held by recycled traversal scratch structures (the
-// BFS work ring and visited pointer set of genealog/traversal.h),
-// process-wide. The structures grow geometrically to the workload's largest
-// contribution graph and then stop: the traversal allocation-regression test
-// asserts this gauge is flat after warm-up.
-int64_t TraversalScratchBytes();
-void AddTraversalScratchBytes(int64_t bytes);
 
 // Resident set size of the host process, in bytes (Linux /proc/self/statm).
 int64_t ReadRssBytes();

@@ -6,8 +6,6 @@
 #include <new>
 #include <vector>
 
-#include "common/memory_accounting.h"
-
 namespace genealog::pool {
 namespace {
 
@@ -68,7 +66,6 @@ void AddSlab(CentralClass& cls, uint8_t size_class) {
   Central& c = central();
   c.slabs.fetch_add(1, std::memory_order_relaxed);
   c.slab_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  mem::AddPoolSlabBytes(static_cast<int64_t>(bytes));
 }
 
 // Per-thread cache: a bounded LIFO of free blocks per class. The destructor

@@ -136,7 +136,7 @@ void LineageService::AcceptLoop(int listen_fd) {
 
 void LineageService::ServeConnection(std::shared_ptr<TcpChannel> channel) {
   {
-    std::lock_guard lock(stats_mu_);
+    std::lock_guard lock(serve_stats_mu_);
     ++counters_.connections;
   }
   LineageHello hello;
@@ -149,7 +149,7 @@ void LineageService::ServeConnection(std::shared_ptr<TcpChannel> channel) {
       if (!channel->RecvFrame(frame)) return;  // orderly close
     } catch (const std::exception&) {
       // Malformed length prefix: the stream is corrupt — disconnect.
-      std::lock_guard lock(stats_mu_);
+      std::lock_guard lock(serve_stats_mu_);
       ++counters_.errors;
       return;
     }
@@ -231,7 +231,7 @@ LineageResponse LineageService::Execute(const LineageRequest& req) {
 
 void LineageService::RecordRequest(size_t in_bytes, size_t out_bytes,
                                    bool error, double latency_us) {
-  std::lock_guard lock(stats_mu_);
+  std::lock_guard lock(serve_stats_mu_);
   ++counters_.requests;
   if (error) ++counters_.errors;
   counters_.bytes_received += in_bytes;
@@ -285,7 +285,7 @@ std::string LineageService::address() const {
 }
 
 ServeStats LineageService::stats() const {
-  std::lock_guard lock(stats_mu_);
+  std::lock_guard lock(serve_stats_mu_);
   ServeStats s = counters_;
   if (latency_us_.count() > 0) {
     s.latency_p50_us = latency_us_.percentile(50);

@@ -130,7 +130,7 @@ class LineageService {
   bool shutdown_requested_ = false;
   std::list<Conn> conns_;
 
-  mutable std::mutex stats_mu_;
+  mutable std::mutex serve_stats_mu_;
   ServeStats counters_;
   SampleStats latency_us_;
 };

@@ -1,5 +1,7 @@
 #include "genealog/lineage_store.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
@@ -363,11 +365,22 @@ void LineageStore::SaveSnapshot(const std::string& path) const {
       std::fwrite(payload.bytes().data(), 1, payload.size(), f) ==
           payload.size();
   const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (!wrote || !flushed || std::rename(tmp.c_str(), path.c_str()) != 0) {
+  // The data must be durable before the rename is: otherwise a power loss
+  // can persist the rename first and lose the previous snapshot too.
+  const char* failed = nullptr;
+  if (!wrote || !flushed) {
+    failed = "write";
+  } else if (::fsync(fileno(f)) != 0) {
+    failed = "fsync";
+  }
+  if (std::fclose(f) != 0 && failed == nullptr) failed = "close";
+  if (failed == nullptr && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    failed = "rename";
+  }
+  if (failed != nullptr) {
     std::remove(tmp.c_str());
-    throw std::runtime_error("LineageStore: snapshot write failed for " +
-                             path);
+    throw std::runtime_error(std::string("LineageStore: snapshot ") + failed +
+                             " failed for " + path);
   }
 }
 

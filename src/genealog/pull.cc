@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/wall_clock.h"
 #include "genealog/unfolded.h"
 #include "spe/stream_batch.h"
 
@@ -17,16 +16,14 @@ bool FartherThan(int64_t a, int64_t b, int64_t ws) {
          static_cast<uint64_t>(ws);
 }
 
-constexpr size_t kPublishEvery = 256;
-
 }  // namespace
 
 // --- UServeNode --------------------------------------------------------------
 
 UServeNode::UServeNode(std::string name, SuNode* su, ByteChannel* channel)
     : Node(std::move(name)),
-      su_(su),
       index_(su->retention()),
+      unfolder_(su->unfolder()),
       channel_(channel) {
   if (index_ == nullptr) {
     throw std::logic_error(this->name() + ": '" + su->name() +
@@ -63,22 +60,10 @@ void UServeNode::Serve(const PullRequest& request) {
   for (const PullRequestEntry& e : request.entries) {
     TuplePtr delivering;
     if (!index_->Take(e.id, e.ts, delivering)) continue;
-    // Timed like the push SU's unfold: the traversal is the per-tuple cost
-    // Figure 14 studies, wherever it runs.
-    const int64_t t0 = NowNanos();
-    origins_.clear();
-    FindProvenance(delivering.get(), origins_, scratch_);
-    samples_.emplace_back(NanosToMillis(NowNanos() - t0),
-                          static_cast<double>(origins_.size()));
-    for (Tuple* o : origins_) {
-      auto u = MakeUnfolded(delivering, o);
+    unfolder_.Unfold(delivering, [&](IntrusivePtr<UnfoldedTuple> u) {
       u->id = NextTupleId();
       out_.push_back(std::move(u));
-    }
-  }
-  if (samples_.size() >= kPublishEvery) {
-    su_->PublishSamples(samples_);
-    samples_.clear();
+    });
   }
   CountProcessed(out_.size());
   // Responses first, then the echoed watermark, in one frame: the MU sees
@@ -105,8 +90,6 @@ void UServeNode::Finish() {
   Send(encoder_.EncodeFlush());
   channel_->CloseSend();
   index_->Clear();
-  su_->PublishSamples(samples_);
-  samples_.clear();
 }
 
 // --- UDemand -------------------------------------------------------------------

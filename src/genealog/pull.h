@@ -18,10 +18,12 @@
 //    the ids it holds. An origin farther than ws from its derived tuple in
 //    event time is never asked for: the MU's join would not match it.
 //  * UServeNode, on its own thread at the edge, serves each request in
-//    order: it unfolds the requested tuples, ships them forward on the U
-//    channel in one compact frame (the structural U form), which also
-//    echoes W as the response stream's watermark. After the echo it
-//    evicts every retained tuple with ts + ws < W.
+//    order: it unfolds the requested tuples through the SU's Unfolder (the
+//    pull-mode SU itself never unfolds, so the serving thread is its one
+//    writer and the SU's traversal stats are exact after the run), ships
+//    them forward on the U channel in one compact frame (the structural U
+//    form), which also echoes W as the response stream's watermark. After
+//    the echo it evicts every retained tuple with ts + ws < W.
 //
 // Watermark contract. The derived stream is sorted, so every derived tuple
 // with ts < W arrived before W, its requests went out before W, and their
@@ -52,9 +54,9 @@ namespace genealog {
 
 // The edge serving node of one pull-based U channel: reads requests from
 // the channel's reverse direction and answers them from `su`'s retention
-// index. It has no stream inputs or outputs; it ends when the request
-// direction ends with a flush frame, forwarding the flush and releasing
-// what the index still holds.
+// index, unfolding through `su`'s Unfolder. It has no stream inputs or
+// outputs; it ends when the request direction ends with a flush frame,
+// forwarding the flush and releasing what the index still holds.
 class UServeNode final : public Node {
  public:
   // `channel` is the sending end of the U channel and must outlive the node;
@@ -75,14 +77,11 @@ class UServeNode final : public Node {
   void Send(std::vector<uint8_t> frame);
   void Finish();
 
-  SuNode* su_;
   RetentionIndex* index_;
+  Unfolder& unfolder_;
   ByteChannel* channel_;
   FrameEncoder encoder_;
-  TraversalScratch scratch_;
-  std::vector<Tuple*> origins_;
   std::vector<TuplePtr> out_;
-  std::vector<std::pair<double, double>> samples_;  // (ms, graph size)
   std::vector<uint8_t> frame_;
 };
 

@@ -1,10 +1,20 @@
 #include "genealog/su.h"
 
+#include "common/wall_clock.h"
+
 namespace genealog {
 
-// SuNode stamps its own sequence, the serving node its own, and the composed
-// path's MapCollector stamps on emit.
-IntrusivePtr<UnfoldedTuple> MakeUnfolded(const TuplePtr& derived, Tuple* o) {
+std::span<Tuple* const> Unfolder::Traverse(const TuplePtr& derived) {
+  const int64_t t0 = NowNanos();
+  origins_.clear();
+  FindProvenance(derived.get(), origins_, scratch_);
+  traversal_ms_.Add(NanosToMillis(NowNanos() - t0));
+  graph_size_.Add(static_cast<double>(origins_.size()));
+  return origins_;
+}
+
+IntrusivePtr<UnfoldedTuple> Unfolder::MakeUnfolded(const TuplePtr& derived,
+                                                   Tuple* o) {
   auto u = MakeTuple<UnfoldedTuple>(derived->ts);
   u->stimulus = derived->stimulus;
   u->derived = derived;
@@ -15,42 +25,6 @@ IntrusivePtr<UnfoldedTuple> MakeUnfolded(const TuplePtr& derived, Tuple* o) {
   u->origin_ts = o->ts;
   u->origin_kind = o->kind;
   return u;
-}
-
-void UnfoldInto(const TuplePtr& derived, std::vector<Tuple*>& origins,
-                TraversalScratch& scratch,
-                std::vector<IntrusivePtr<UnfoldedTuple>>& out) {
-  origins.clear();
-  FindProvenance(derived.get(), origins, scratch);
-  out.reserve(out.size() + origins.size());
-  for (Tuple* o : origins) {
-    out.push_back(MakeUnfolded(derived, o));
-  }
-}
-
-void SuNode::UnfoldOne(const TuplePtr& t, StreamBatch& u_chunk) {
-  // The traversal itself is the per-sink-tuple cost the paper studies in
-  // Figure 14, so it is timed per tuple even when the batch amortizes
-  // everything around it.
-  const int64_t t0 = NowNanos();
-  result_.clear();
-  FindProvenance(t.get(), result_, scratch_);
-  const int64_t elapsed = NowNanos() - t0;
-  pending_samples_.emplace_back(NanosToMillis(elapsed),
-                                static_cast<double>(result_.size()));
-  if (pending_samples_.size() >= kPublishEvery) PublishStats();
-
-  // One unfolded tuple per originating tuple, created straight into the
-  // outgoing chunk — the whole batch's unfolded tuples travel in one queue
-  // handover, and the pool hands their storage back from the previous
-  // graph's reclamation. No reserve: SmallVec::reserve sizes exactly, so
-  // per-tuple reserves would re-copy the chunk per input tuple; push_back
-  // grows geometrically.
-  for (Tuple* o : result_) {
-    auto u = MakeUnfolded(t, o);
-    u->id = NextTupleId();
-    u_chunk.tuples.push_back(std::move(u));
-  }
 }
 
 SuNode::SuNode(std::string name, RetentionSpec retention)
@@ -107,9 +81,17 @@ void SuNode::OnBatch(StreamBatch& batch) {
     // U first: unfolding borrows the delivering tuples before their handles
     // move into the SO chunk. Both outputs still observe their own streams in
     // order; only the interleaving across the two (independent) queues
-    // changes, which no consumer can see.
+    // changes, which no consumer can see. The whole batch's unfolded tuples
+    // travel in one queue handover. No reserve: SmallVec::reserve sizes
+    // exactly, so per-tuple reserves would re-copy the chunk per input
+    // tuple; push_back grows geometrically.
     StreamBatch u_chunk;
-    for (const TuplePtr& t : batch.tuples) UnfoldOne(t, u_chunk);
+    for (const TuplePtr& t : batch.tuples) {
+      unfolder_.Unfold(t, [&](IntrusivePtr<UnfoldedTuple> u) {
+        u->id = NextTupleId();
+        u_chunk.tuples.push_back(std::move(u));
+      });
+    }
 
     // SO: the delivering stream passes through unchanged, as one chunk.
     StreamBatch so_chunk;
@@ -127,72 +109,34 @@ void SuNode::OnTuple(TuplePtr t) {
   OnBatch(batch);
 }
 
-void SuNode::OnFlush() { PublishStats(); }
-
-void SuNode::PublishStats() {
-  PublishSamples(pending_samples_);
-  pending_samples_.clear();
-}
-
-void SuNode::PublishSamples(
-    std::span<const std::pair<double, double>> samples) {
-  if (samples.empty()) return;
-  std::lock_guard lock(stats_mu_);
-  for (const auto& [ms, graph_size] : samples) {
-    traversal_ms_.Add(ms);
-    graph_size_.Add(graph_size);
-  }
-}
-
-uint64_t SuNode::retained_count() const {
-  return retention_ == nullptr ? 0 : retention_->retained();
-}
-
-uint64_t SuNode::requested_count() const {
-  return retention_ == nullptr ? 0 : retention_->requested();
-}
-
-uint64_t SuNode::evicted_unrequested_count() const {
-  return retention_ == nullptr ? 0 : retention_->evicted_unrequested();
-}
-
 double SuNode::mean_traversal_ms() const {
-  std::lock_guard lock(stats_mu_);
-  return traversal_ms_.mean();
+  return unfolder_.traversal_ms().mean();
 }
 
 uint64_t SuNode::traversal_count() const {
-  std::lock_guard lock(stats_mu_);
-  return traversal_ms_.count();
+  return unfolder_.traversal_ms().count();
 }
 
 double SuNode::traversal_percentile_ms(double pct) const {
-  std::lock_guard lock(stats_mu_);
-  return traversal_ms_.percentile(pct);
+  return unfolder_.traversal_ms().percentile(pct);
 }
 
-double SuNode::mean_graph_size() const {
-  std::lock_guard lock(stats_mu_);
-  return graph_size_.mean();
-}
+double SuNode::mean_graph_size() const { return unfolder_.graph_size().mean(); }
 
 ComposedSu BuildComposedSu(Topology& topology, const std::string& name) {
   auto* mux = topology.Add<MultiplexNode>(name + ".multiplex");
   auto* map = topology.Add<MapNode<Tuple, UnfoldedTuple>>(
       name + ".unfold",
-      [scratch = std::make_shared<TraversalScratch>(),
-       origins = std::make_shared<std::vector<Tuple*>>(),
-       buffer = std::make_shared<std::vector<IntrusivePtr<UnfoldedTuple>>>()](
+      [unfolder = std::make_shared<Unfolder>()](
           const Tuple& in, MapCollector<UnfoldedTuple>& collector) {
         // Multiplex copies preserve the delivering tuple's id (they are
         // copies), so unfolding the SM copy carries the ids Def. 6.2 needs.
-        buffer->clear();
         // The tuple is intrusively ref-counted; materializing a new handle
         // from the reference is safe.
         TuplePtr derived(const_cast<Tuple*>(&in));
-        UnfoldInto(derived, *origins, *scratch, *buffer);
-        for (auto& u : *buffer) collector.Emit(std::move(u));
-        buffer->clear();
+        unfolder->Unfold(derived, [&](IntrusivePtr<UnfoldedTuple> u) {
+          collector.Emit(std::move(u));
+        });
       });
   // Build-time wiring: SM = multiplex output 0 feeds the Map. The caller
   // connects multiplex -> sink (SO, output 1) and map -> consumer (U); for a

@@ -4,7 +4,12 @@
 // (output 1, the unfolded stream of SI). Per Theorem 5.3, adding an SU before
 // each Sink provides intra-process fine-grained provenance through U.
 //
-// Two implementations are provided:
+// The unfold step itself — walk a delivering tuple's contribution graph
+// (Listing 1), emit one unfolded tuple per origin (Def. 5.1) — is written
+// once, in Unfolder, which also owns the step's traversal samples (Figure
+// 14). Every unfold site holds one Unfolder and is its only writer thread.
+//
+// Two SU implementations are provided:
 //  * SuNode — the efficient fused operator (the paper notes SU's semantics
 //    can be assigned to one thread / a single user-defined operator);
 //  * BuildComposedSu — the literal Figure 5B construction from standard
@@ -12,29 +17,25 @@
 // Equivalence of the two is covered by tests and an ablation bench.
 //
 // SuNode is batch-aware: one activation processes a whole StreamBatch,
-// forwarding the SO copy as a single chunk, reusing the traversal scratch and
-// origin buffer across the batch, and building every unfolded tuple of the
-// batch straight into one outgoing U chunk (EmitBatchTo), so per-tuple queue
-// handovers disappear at batch sizes > 1.
+// forwarding the SO copy as a single chunk and building every unfolded tuple
+// of the batch straight into one outgoing U chunk (EmitBatchTo), so per-tuple
+// queue handovers disappear at batch sizes > 1.
 //
 // An SU before an instance-crossing Send runs in pull mode instead
 // (genealog/pull.h): constructed with a RetentionSpec it has the SO output
-// only, and retains each delivering tuple in a RetentionIndex; the edge's
-// UServeNode unfolds just the tuples the provenance instance asks for and
-// records their traversal samples here, so the accessors below cover both
-// modes.
+// only, retains each delivering tuple in a RetentionIndex and never unfolds;
+// the edge's UServeNode unfolds just the tuples the provenance instance asks
+// for through this SU's Unfolder, so the stats accessors cover both modes.
 #ifndef GENEALOG_GENEALOG_SU_H_
 #define GENEALOG_GENEALOG_SU_H_
 
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/stats.h"
-#include "common/wall_clock.h"
 #include "genealog/retention.h"
 #include "genealog/traversal.h"
 #include "genealog/unfolded.h"
@@ -44,11 +45,38 @@
 
 namespace genealog {
 
+// The unfold step of one SU. Not thread-safe: exactly one thread unfolds
+// through an Unfolder (the push SU's, the composed Map's, or the pull SU's
+// serving node), and its stats are read once that thread has finished.
+class Unfolder {
+ public:
+  // Walks `derived`'s contribution graph, records one traversal sample, and
+  // calls `emit(IntrusivePtr<UnfoldedTuple>)` once per origin, in BFS
+  // discovery order. The unfolded tuples carry no id; the caller stamps it.
+  template <typename Emit>
+  void Unfold(const TuplePtr& derived, Emit&& emit) {
+    for (Tuple* o : Traverse(derived)) emit(MakeUnfolded(derived, o));
+  }
+
+  // Per-traversal wall time in ms, and origins found per traversal.
+  const SampleStats& traversal_ms() const { return traversal_ms_; }
+  const SampleStats& graph_size() const { return graph_size_; }
+
+ private:
+  // The timed FindProvenance: the per-sink-tuple cost Figure 14 studies.
+  std::span<Tuple* const> Traverse(const TuplePtr& derived);
+  static IntrusivePtr<UnfoldedTuple> MakeUnfolded(const TuplePtr& derived,
+                                                  Tuple* origin);
+
+  TraversalScratch scratch_;
+  std::vector<Tuple*> origins_;
+  SampleStats traversal_ms_;
+  SampleStats graph_size_;
+};
+
 class SuNode final : public SingleInputNode {
  public:
-  explicit SuNode(std::string name) : SingleInputNode(std::move(name)) {
-    pending_samples_.reserve(kPublishEvery);
-  }
+  explicit SuNode(std::string name) : SingleInputNode(std::move(name)) {}
   // Pull mode: retains instead of unfolding.
   SuNode(std::string name, RetentionSpec retention);
 
@@ -57,31 +85,17 @@ class SuNode final : public SingleInputNode {
   bool NeedsDedicatedThread() const override { return retention_ != nullptr; }
   void AbortQueues() override;
 
-  // --- pull mode ------------------------------------------------------------
   // Null for a push-mode SU.
   RetentionIndex* retention() const { return retention_.get(); }
-  // Delivering tuples retained, then requested by the provenance instance
-  // or evicted by its frontier without a request. Exact after
-  // Runner::Join, where retained = requested + evicted_unrequested; all 0
-  // in push mode.
-  uint64_t retained_count() const;
-  uint64_t requested_count() const;
-  uint64_t evicted_unrequested_count() const;
-  // Folds traversal samples (ms, graph size) taken on another thread — the
-  // serving node's unfolds — into the stats below.
-  void PublishSamples(std::span<const std::pair<double, double>> samples);
+  // The push SU unfolds through it on the node's thread; a pull-mode SU's
+  // serving node on its own.
+  Unfolder& unfolder() { return unfolder_; }
 
   // --- contribution-graph traversal cost (Figure 14) -----------------------
   //
-  // Merge-on-read semantics: the hot path appends each traversal's sample to
-  // a buffer confined to the node's processing thread — no lock, no shared
-  // write — and publishes the buffer into the mutex-protected stats every
-  // kPublishEvery samples and at flush. The accessors below merge what has
-  // been published: once the node has flushed (RunToCompletion / Runner::Join
-  // provide the happens-before), they are exact and account for every tuple;
-  // called mid-run they are safe but may trail the hot path by up to
-  // kPublishEvery samples. Samples are published in processing order, so the
-  // resulting statistics are identical to the former per-tuple locked Adds.
+  // Read without a lock from the Unfolder's one writer: exact once
+  // Runner::Join or BuiltDataflow::Run has returned, and not for mid-run
+  // reads.
   double mean_traversal_ms() const;
   uint64_t traversal_count() const;
   double traversal_percentile_ms(double pct) const;
@@ -90,40 +104,13 @@ class SuNode final : public SingleInputNode {
  protected:
   void OnTuple(TuplePtr t) override;
   void OnBatch(StreamBatch& batch) override;
-  void OnFlush() override;
 
  private:
-  static constexpr size_t kPublishEvery = 256;
-
-  // Traverses `t`, records the traversal sample, and appends one unfolded
-  // tuple per origin to `u_chunk`.
-  void UnfoldOne(const TuplePtr& t, StreamBatch& u_chunk);
-  void PublishStats();
   void RetainBatch(StreamBatch& batch);
 
-  // --- node-thread state (never touched by readers) ------------------------
-  TraversalScratch scratch_;
-  std::vector<Tuple*> result_;
-  std::vector<std::pair<double, double>> pending_samples_;  // (ms, graph size)
-
-  // --- published stats (any thread, under stats_mu_) ------------------------
-  mutable std::mutex stats_mu_;
-  SampleStats traversal_ms_;
-  SampleStats graph_size_;
-
+  Unfolder unfolder_;
   std::unique_ptr<RetentionIndex> retention_;  // pull mode only
 };
-
-// One tuple of the unfolded stream (Def. 5.1): `derived` paired with the
-// originating tuple `origin`. The id is left to the caller.
-IntrusivePtr<UnfoldedTuple> MakeUnfolded(const TuplePtr& derived,
-                                         Tuple* origin);
-
-// Builds one UnfoldedTuple for each originating tuple of `derived`.
-// Shared by SuNode and the composed Figure 5B Map function.
-void UnfoldInto(const TuplePtr& derived, std::vector<Tuple*>& origins,
-                TraversalScratch& scratch,
-                std::vector<IntrusivePtr<UnfoldedTuple>>& out);
 
 // The Figure 5B construction: SI -> Multiplex -> {SO, SM}, SM -> Map -> U.
 // Returns the entry node (connect the delivering stream to it), the node

@@ -57,8 +57,6 @@ namespace traversal_internal {
 void PointerSet::Grow() {
   const size_t new_capacity = capacity_ * 2;
   Slot* new_slots = new Slot[new_capacity]();
-  mem::AddTraversalScratchBytes(
-      static_cast<int64_t>(new_capacity * sizeof(Slot)));
   const size_t mask = new_capacity - 1;
   for (size_t i = 0; i < capacity_; ++i) {
     if (slots_[i].gen != gen_) continue;
@@ -66,11 +64,7 @@ void PointerSet::Grow() {
     while (new_slots[j].gen == gen_) j = (j + 1) & mask;
     new_slots[j] = slots_[i];
   }
-  if (slots_ != inline_) {
-    delete[] slots_;
-    mem::AddTraversalScratchBytes(
-        -static_cast<int64_t>(capacity_ * sizeof(Slot)));
-  }
+  if (slots_ != inline_) delete[] slots_;
   slots_ = new_slots;
   capacity_ = new_capacity;
   ++grows_;
@@ -79,18 +73,12 @@ void PointerSet::Grow() {
 void WorkRing::Grow() {
   const size_t new_capacity = capacity_ * 2;
   Tuple** new_data = new Tuple*[new_capacity];
-  mem::AddTraversalScratchBytes(
-      static_cast<int64_t>(new_capacity * sizeof(Tuple*)));
   // Unwrap the live window [head_, tail_) to the front of the new buffer.
   const size_t n = tail_ - head_;
   for (size_t i = 0; i < n; ++i) {
     new_data[i] = data_[(head_ + i) & (capacity_ - 1)];
   }
-  if (data_ != inline_) {
-    delete[] data_;
-    mem::AddTraversalScratchBytes(
-        -static_cast<int64_t>(capacity_ * sizeof(Tuple*)));
-  }
+  if (data_ != inline_) delete[] data_;
   data_ = new_data;
   capacity_ = new_capacity;
   head_ = 0;

@@ -21,7 +21,6 @@
 #include <cstring>
 #include <vector>
 
-#include "common/memory_accounting.h"
 #include "core/tuple.h"
 
 namespace genealog {
@@ -46,11 +45,7 @@ class PointerSet {
 
   PointerSet() { std::memset(inline_, 0, sizeof(inline_)); }
   ~PointerSet() {
-    if (slots_ != inline_) {
-      delete[] slots_;
-      mem::AddTraversalScratchBytes(
-          -static_cast<int64_t>(capacity_ * sizeof(Slot)));
-    }
+    if (slots_ != inline_) delete[] slots_;
   }
   PointerSet(const PointerSet&) = delete;
   PointerSet& operator=(const PointerSet&) = delete;
@@ -119,11 +114,7 @@ class WorkRing {
 
   WorkRing() = default;
   ~WorkRing() {
-    if (data_ != inline_) {
-      delete[] data_;
-      mem::AddTraversalScratchBytes(
-          -static_cast<int64_t>(capacity_ * sizeof(Tuple*)));
-    }
+    if (data_ != inline_) delete[] data_;
   }
   WorkRing(const WorkRing&) = delete;
   WorkRing& operator=(const WorkRing&) = delete;

@@ -178,28 +178,6 @@ TEST(LineageSnapshotTest, SnapshotUnderLoadRestoresConsistentImage) {
   }
 }
 
-TEST(LineageSnapshotTest, SaveIsAtomicNoPartialTargetFile) {
-  // Unwritable tmp location: SaveSnapshot must throw and leave no file at
-  // the target path (the tmp + rename protocol never exposes partials).
-  LineageStore store;
-  uint64_t seq = 1;
-  IngestChain(store, 5, &seq);
-  const std::string path = "/nonexistent-dir/snap.bin";
-  EXPECT_THROW(store.SaveSnapshot(path), std::runtime_error);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_EQ(f, nullptr);
-  if (f != nullptr) std::fclose(f);
-
-  // Overwrite: an existing snapshot is replaced wholesale.
-  const std::string target = ::testing::TempDir() + "/snap_atomic.bin";
-  store.SaveSnapshot(target);
-  IngestChain(store, 5, &seq);
-  store.SaveSnapshot(target);
-  LineageStore restored;
-  EXPECT_EQ(restored.LoadSnapshot(target), store.stats().records_retained);
-  std::remove(target.c_str());
-}
-
 std::vector<uint8_t> ReadAll(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   EXPECT_NE(f, nullptr);
@@ -219,6 +197,47 @@ void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
     ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
   }
   std::fclose(f);
+}
+
+TEST(LineageSnapshotTest, SaveIsAtomicNoPartialTargetFile) {
+  // Unwritable tmp location: SaveSnapshot must throw and leave no file at
+  // the target path (the tmp + rename protocol never exposes partials).
+  LineageStore store;
+  uint64_t seq = 1;
+  IngestChain(store, 5, &seq);
+  const std::string path = "/nonexistent-dir/snap.bin";
+  EXPECT_THROW(store.SaveSnapshot(path), std::runtime_error);
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_EQ(f, nullptr);
+  if (f != nullptr) std::fclose(f);
+
+  // Overwrite: an existing snapshot is replaced wholesale.
+  const std::string target = ::testing::TempDir() + "/snap_atomic.bin";
+  store.SaveSnapshot(target);
+  IngestChain(store, 5, &seq);
+  store.SaveSnapshot(target);
+  LineageStore restored;
+  EXPECT_EQ(restored.LoadSnapshot(target), store.stats().records_retained);
+
+  // A saver killed mid-write leaves a torn <path>.tmp beside the previous
+  // snapshot: that snapshot still loads, and the next save replaces the
+  // stale tmp and renames it away.
+  const std::string tmp = target + ".tmp";
+  const std::vector<uint8_t> previous = ReadAll(target);
+  WriteAll(tmp, std::vector<uint8_t>(previous.begin(),
+                                     previous.begin() + previous.size() / 2));
+  const uint64_t previous_retained = store.stats().records_retained;
+  LineageStore after_kill;
+  EXPECT_EQ(after_kill.LoadSnapshot(target), previous_retained);
+  IngestChain(store, 5, &seq);
+  ASSERT_NE(store.stats().records_retained, previous_retained);
+  store.SaveSnapshot(target);
+  f = std::fopen(tmp.c_str(), "rb");
+  EXPECT_EQ(f, nullptr) << "stale tmp survived the save";
+  if (f != nullptr) std::fclose(f);
+  LineageStore next;
+  EXPECT_EQ(next.LoadSnapshot(target), store.stats().records_retained);
+  std::remove(target.c_str());
 }
 
 TEST(LineageSnapshotTest, CorruptSnapshotsAreRejected) {

@@ -3,13 +3,11 @@
 // same size or smaller — must perform zero heap growths. The
 // old std::unordered_set scratch rehashed every node on every call after
 // clear(); the generation-tagged pointer set and the recycled work ring are
-// pinned here via the scratch's grow counters and the process-wide
-// mem::TraversalScratchBytes gauge.
+// pinned here via the scratch's grow counters and capacities.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "common/memory_accounting.h"
 #include "genealog/traversal.h"
 #include "testing/test_tuples.h"
 
@@ -59,7 +57,6 @@ TEST(TraversalAllocTest, ZeroGrowthsAfterWarmUp) {
   ASSERT_EQ(result.size(), 512u);
 
   const uint64_t grows = scratch.grows();
-  const int64_t scratch_bytes = mem::TraversalScratchBytes();
   for (int i = 0; i < 1000; ++i) {
     result.clear();
     FindProvenance(big.root, result, scratch);
@@ -70,8 +67,6 @@ TEST(TraversalAllocTest, ZeroGrowthsAfterWarmUp) {
   }
   EXPECT_EQ(scratch.grows(), grows)
       << "traversal scratch grew after warm-up";
-  EXPECT_EQ(mem::TraversalScratchBytes(), scratch_bytes)
-      << "process-wide scratch gauge moved after warm-up";
 }
 
 // The small-buffer case: a ≤32-node graph must never touch the heap at all.
@@ -80,14 +75,12 @@ TEST(TraversalAllocTest, SmallGraphStaysInline) {
   TraversalScratch scratch;
   std::vector<Tuple*> result;
   result.reserve(64);
-  const int64_t before = mem::TraversalScratchBytes();
   for (int i = 0; i < 100; ++i) {
     result.clear();
     FindProvenance(g.root, result, scratch);
     ASSERT_EQ(result.size(), 30u);
   }
   EXPECT_EQ(scratch.grows(), 0u);
-  EXPECT_EQ(mem::TraversalScratchBytes(), before);
   EXPECT_EQ(scratch.visited_capacity(),
             traversal_internal::PointerSet::kInlineSlots);
   EXPECT_EQ(scratch.ring_capacity(), traversal_internal::WorkRing::kInlineCap);

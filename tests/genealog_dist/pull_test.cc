@@ -210,9 +210,9 @@ TEST(UServeNodeTest, AnswersThenEchoesTheRequestWatermarkExactly) {
   EXPECT_EQ(watermarks, (std::vector<int64_t>{100}));
 
   // 501 was never asked for: released at the end, unrequested.
-  EXPECT_EQ(su->retained_count(), 2u);
-  EXPECT_EQ(su->requested_count(), 1u);
-  EXPECT_EQ(su->evicted_unrequested_count(), 1u);
+  EXPECT_EQ(su->retention()->retained(), 2u);
+  EXPECT_EQ(su->retention()->requested(), 1u);
+  EXPECT_EQ(su->retention()->evicted_unrequested(), 1u);
   EXPECT_EQ(su->traversal_count(), 1u);
   EXPECT_GT(server->wire_stats().frames, 0u);
 }
@@ -464,10 +464,12 @@ PipelineResult RunPipeline(bool pull, TestChannel& u_channel,
   runner.Join();
 
   std::sort(result.records.begin(), result.records.end());
-  result.retained = su_send->retained_count();
-  result.requested = su_send->requested_count();
-  result.evicted_unrequested = su_send->evicted_unrequested_count();
-  if (pull) result.peak = su_send->retention()->peak();
+  if (const RetentionIndex* index = su_send->retention()) {
+    result.retained = index->retained();
+    result.requested = index->requested();
+    result.evicted_unrequested = index->evicted_unrequested();
+    result.peak = index->peak();
+  }
   return result;
 }
 

@@ -76,7 +76,7 @@ TuplePtr RandomTuple(std::mt19937_64& rng, int64_t i) {
   return t;
 }
 
-// An unfolded tuple as SuNode::UnfoldOne builds it: ts, stimulus and the
+// An unfolded tuple as Unfolder::Unfold builds it: ts, stimulus and the
 // redundant fields copied from the nested tuples.
 IntrusivePtr<UnfoldedTuple> MakeU(const TuplePtr& derived,
                                   const TuplePtr& origin, uint64_t id) {

@@ -177,18 +177,19 @@ TEST(DistributedGlTest, CrossingSusCountRetainedRequestedAndEvicted) {
         static_cast<uint64_t>(config.n_meters) * config.n_days;
     for (const SuNode* su : {daily, midnight}) {
       ASSERT_NE(su->retention(), nullptr) << su->name();
-      EXPECT_EQ(su->requested_count(), records)
-          << su->name() << " tcp " << tcp;
-      EXPECT_GT(su->evicted_unrequested_count(), 0u) << su->name();
-      EXPECT_EQ(su->retained_count(),
-                su->requested_count() + su->evicted_unrequested_count())
+      const RetentionIndex& index = *su->retention();
+      EXPECT_EQ(index.requested(), records) << su->name() << " tcp " << tcp;
+      EXPECT_GT(index.evicted_unrequested(), 0u) << su->name();
+      EXPECT_EQ(index.retained(),
+                index.requested() + index.evicted_unrequested())
           << su->name();
-      EXPECT_LE(su->retained_count(), meter_days) << su->name();
-      EXPECT_EQ(su->traversal_count(), su->requested_count()) << su->name();
+      EXPECT_LE(index.retained(), meter_days) << su->name();
+      EXPECT_EQ(su->traversal_count(), index.requested()) << su->name();
     }
     EXPECT_EQ(daily->name(), "SU.send0");
     EXPECT_EQ(midnight->name(), "SU.send1");
-    EXPECT_EQ(midnight->retained_count(), meter_days);
+    ASSERT_NE(midnight->retention(), nullptr);
+    EXPECT_EQ(midnight->retention()->retained(), meter_days);
     EXPECT_EQ(q4.u_servers.size(), 2u);
     EXPECT_NE(q4.u_demand, nullptr);
   }

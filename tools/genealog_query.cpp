@@ -471,32 +471,37 @@ int main(int argc, char** argv) {
   }
   const bool is_lr = cli.query == "q1" || cli.query == "q2";
 
-  queries::QueryBuildOptions options;
-  options.mode = cli.mode;
-  options.distributed = cli.distributed;
-  options.use_tcp = cli.tcp;
-  options.composed_unfolders = cli.composed;
-  options.provenance_file = cli.provenance_file;
-  options.source.replays = cli.replays;
-  options.source.max_rate_tps = cli.rate;
-  if (cli.WantsLineage() || !cli.serve.empty() || !cli.save_snapshot.empty()) {
-    if (cli.mode != ProvenanceMode::kGenealog) {
-      std::fprintf(stderr, "lineage flags require --mode gl\n");
-      return 2;
-    }
-    options.lineage_store = true;
-    const LineageOptions lo = RetentionFromCli(cli);
-    options.lineage_retain_records = lo.retain_records;
-    options.lineage_retain_span = lo.retain_span;
-  }
-  if (cli.print_alerts) {
-    options.sink_consumer = [](const TuplePtr& t) {
-      std::printf("ALERT ts=%lld %s\n", static_cast<long long>(t->ts),
-                  t->DebugPayload().c_str());
-    };
+  const bool wants_store =
+      cli.WantsLineage() || !cli.serve.empty() || !cli.save_snapshot.empty();
+  if (wants_store && cli.mode != ProvenanceMode::kGenealog) {
+    std::fprintf(stderr, "lineage flags require --mode gl\n");
+    return 2;
   }
 
+  // The options are built here, inside the error handler below: their
+  // EngineOptions defaults parse the GENEALOG_* variables and throw on a
+  // malformed one.
   auto build = [&] {
+    queries::QueryBuildOptions options;
+    options.mode = cli.mode;
+    options.distributed = cli.distributed;
+    options.use_tcp = cli.tcp;
+    options.composed_unfolders = cli.composed;
+    options.provenance_file = cli.provenance_file;
+    options.source.replays = cli.replays;
+    options.source.max_rate_tps = cli.rate;
+    if (wants_store) {
+      options.lineage_store = true;
+      const LineageOptions lo = RetentionFromCli(cli);
+      options.lineage_retain_records = lo.retain_records;
+      options.lineage_retain_span = lo.retain_span;
+    }
+    if (cli.print_alerts) {
+      options.sink_consumer = [](const TuplePtr& t) {
+        std::printf("ALERT ts=%lld %s\n", static_cast<long long>(t->ts),
+                    t->DebugPayload().c_str());
+      };
+    }
     if (is_lr) {
       lr::LinearRoadConfig config;
       config.n_cars = cli.cars;
@@ -530,9 +535,10 @@ int main(int argc, char** argv) {
                : queries::BuildQ4Fluent(data, std::move(options));
   };
 
-  // A configuration Dataflow::Build rejects exits 1 with its error. Serving
-  // starts before Run(): a remote console can attach and query while the
-  // topology executes (the normal GeneaLog live-query story).
+  // A malformed GENEALOG_* variable or a configuration Dataflow::Build
+  // rejects exits 1 with its error. Serving starts before Run(): a remote
+  // console can attach and query while the topology executes (the normal
+  // GeneaLog live-query story).
   BuiltDataflow query;
   std::shared_ptr<LineageService> service;
   try {
