@@ -1,5 +1,7 @@
 #include "common/cpu_topology.h"
 
+#include <sched.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -25,19 +27,17 @@ bool ReadIntFile(const std::string& path, long& out) {
 
 }  // namespace
 
-size_t CountPhysicalCores(const std::string& sysfs_cpu_root) {
-  // cpuN directories are dense from 0 on Linux; walk until the first gap
-  // rather than reading the directory, which keeps the probe dependency-free
-  // and makes the mocked-layout test trivial.
+size_t CountPhysicalCores(const std::vector<int>& cpus,
+                          const std::string& sysfs_cpu_root) {
   std::set<std::pair<long, long>> cores;
-  for (int cpu = 0;; ++cpu) {
+  for (const int cpu : cpus) {
     const std::string topo =
         sysfs_cpu_root + "/cpu" + std::to_string(cpu) + "/topology";
     long package = 0;
     long core = 0;
     if (!ReadIntFile(topo + "/physical_package_id", package) ||
         !ReadIntFile(topo + "/core_id", core)) {
-      break;
+      return 0;
     }
     cores.emplace(package, core);
   }
@@ -45,7 +45,16 @@ size_t CountPhysicalCores(const std::string& sysfs_cpu_root) {
 }
 
 size_t DefaultWorkerCount() {
-  size_t n = CountPhysicalCores();
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &mask)) cpus.push_back(cpu);
+    }
+  }
+  size_t n = CountPhysicalCores(cpus);
+  if (n == 0) n = cpus.size();
   if (n == 0) n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : n;
 }

@@ -16,13 +16,12 @@
 // |------------------|--------------------------|-----------------|
 // | batch_size       | GENEALOG_BATCH_SIZE      | kDefaultBatchSize |
 // | scheduler        | GENEALOG_SCHEDULER       | thread-per-node |
-// | workers          | GENEALOG_WORKERS         | 0 (= all cores) |
+// | workers          | GENEALOG_WORKERS         | 0 (= cores in the CPU mask) |
 // | lineage_store    | GENEALOG_LINEAGE_STORE   | off             |
 // | lineage_retain_records | GENEALOG_LINEAGE_RETAIN_RECORDS | 1M (0 = unbounded) |
 // | lineage_retain_span    | GENEALOG_LINEAGE_RETAIN_SPAN    | 0 (= no horizon)   |
 // | lineage_serve_addr | GENEALOG_LINEAGE_SERVE_ADDR | "" (= no serving) |
 // | use_tcp          | —                        | off             |
-// | composed_unfolders | —                      | off             |
 //
 // The provenance writer's buffer size (prov_buffer_bytes, 256 KiB) and the
 // wire codec (wire_codec, compact) are constants, not settings.
@@ -160,9 +159,10 @@ struct EngineOptions {
   // modes (the scheduler sweeps in the determinism suites pin this); the
   // pool is what lets thousands of queries share a few cores.
   SchedulerMode scheduler = engine_defaults::Scheduler();
-  // Worker threads for the pool scheduler; 0 = one per physical core
-  // (capped by the task count); a run over several SPE instances takes the
-  // largest count. Ignored under thread-per-node.
+  // Worker threads for the pool scheduler; 0 = one per physical core in the
+  // CPU affinity mask (common/cpu_topology.h; capped by the task count); a
+  // run over several SPE instances takes the largest count. Ignored under
+  // thread-per-node.
   size_t workers = engine_defaults::Workers();
   // Maintain a live in-memory lineage index (genealog/lineage_store.h) fed by
   // the provenance consumer, queryable through LineageQuery while the
@@ -190,9 +190,9 @@ struct EngineOptions {
   // Distributed deployments: TCP loopback channels when true, in-memory
   // serializing channels otherwise.
   bool use_tcp = false;
-  // Use the composed (Figure 5B / Figure 8) SU/MU constructions instead of
-  // the fused operators — the C3 demonstration and fusion ablation.
-  bool composed_unfolders = false;
+  // Not a setting; edgebench's EngineJson reads it. False: SU and MU are
+  // always the fused operators (genealog/instrument.h).
+  static constexpr bool composed_unfolders = false;
 
   // The full environment snapshot: the defaults above plus
   // GENEALOG_BATCH_SIZE applied to batch_size.

@@ -21,19 +21,6 @@ inline double NanosToMillis(int64_t ns) {
   return static_cast<double>(ns) / 1e6;
 }
 
-// Simple scope timer accumulating into a caller-owned nanosecond counter.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(int64_t* sink_ns) : sink_ns_(sink_ns), start_(NowNanos()) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() { *sink_ns_ += NowNanos() - start_; }
-
- private:
-  int64_t* sink_ns_;
-  int64_t start_;
-};
-
 }  // namespace genealog
 
 #endif  // GENEALOG_COMMON_WALL_CLOCK_H_

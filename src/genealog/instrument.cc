@@ -37,41 +37,6 @@ Crossing WeaveCrossing(BuiltDataflow& out, Topology& from, Topology& to,
   return {send, to.Add<ReceiveNode>("recv." + tag, ch.recv)};
 }
 
-// Inserts an SU (fused, or the composed Figure 5B construction) whose SO
-// output feeds `so_consumer` and U output feeds `u_consumer`; returns the
-// node the delivering stream connects to.
-Node* WeaveSu(BuiltDataflow& out, Topology& topo, bool composed,
-              const std::string& name, Node* so_consumer, Node* u_consumer) {
-  if (composed) {
-    ComposedSu su = BuildComposedSu(topo, name);
-    topo.Connect(su.so_node, so_consumer);
-    topo.Connect(su.u_node, u_consumer);
-    return su.entry;
-  }
-  auto* su = topo.Add<SuNode>(name);
-  topo.Connect(su, so_consumer);  // output 0 = SO
-  topo.Connect(su, u_consumer);   // output 1 = U
-  out.su_nodes.push_back(su);
-  return su;
-}
-
-struct MuEnds {
-  Node* derived_entry;
-  Node* upstream_entry;
-};
-
-MuEnds WeaveMu(Topology& topo, bool composed, const std::string& name,
-               int64_t ws, Node* consumer) {
-  if (composed) {
-    ComposedMu mu = BuildComposedMu(topo, name, ws);
-    topo.Connect(mu.output, consumer);
-    return {mu.derived_entry, mu.upstream_entry};
-  }
-  auto* mu = topo.Add<MuNode>(name, ws);
-  topo.Connect(mu, consumer);
-  return {mu, mu};
-}
-
 }  // namespace
 
 void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
@@ -132,20 +97,18 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       // partition, consumers read the merge.
       //
       // Parallel-SU placement: when the merged stream feeds the sink
-      // directly (same process, same instance, fused unfolders), each
-      // replica gets its own SU so the per-sink-tuple provenance traversal
-      // (the Figure 14 cost) runs inside the shards, in parallel, instead
-      // of serializing after the merge. SO streams keep flowing into the
-      // merge — the fused SU forwards the same tuple objects, so the
-      // merge's order-token handshake is unaffected — and the U streams
+      // directly (same process, same instance), each replica gets its own
+      // SU so the per-sink-tuple provenance traversal (the Figure 14 cost)
+      // runs inside the shards, in parallel, instead of serializing after
+      // the merge. SO streams keep flowing into the merge — the SU forwards
+      // the same tuple objects, so the merge's order-token handshake is
+      // unaffected — and the U streams
       // union into the provenance sink. Every merged tuple reaches the sink
       // (the merge filters nothing), so the record set is exactly the
-      // single-SU set. The composed (Figure 5B) SU clones tuples instead of
-      // forwarding them, which would break the token handshake: those
-      // builds keep the single SU after the merge.
+      // single-SU set.
       const bool parallel_su =
           mode == ProvenanceMode::kGenealog && !distributed &&
-          !engine.composed_unfolders && sink_op < plan.ops.size() &&
+          sink_op < plan.ops.size() &&
           plan.ops[sink_op].inputs.size() == 1 &&
           plan.ops[sink_op].inputs[0].op == i &&
           plan.ops[sink_op].instance == op.instance;
@@ -200,12 +163,11 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
   }
 
   // --- provenance weaving around the sink -----------------------------------
-  MuEnds mu{nullptr, nullptr};
-  // Fused distributed GL pulls the upstream U streams (genealog/pull.h): the
+  MuNode* mu = nullptr;
+  // Distributed GL pulls the upstream U streams (genealog/pull.h): the
   // derived stream's Receive gets the demand tap once the crossings below
   // have their U channels.
-  const bool pull = mode == ProvenanceMode::kGenealog && distributed &&
-                    !engine.composed_unfolders;
+  const bool pull = mode == ProvenanceMode::kGenealog && distributed;
   int64_t mu_ws = 0;
   ReceiveNode* derived_recv = nullptr;
   std::vector<UDemand::Upstream> upstreams;
@@ -231,8 +193,11 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       if (parallel_u_exit != nullptr) {
         sink_topo.Connect(parallel_u_exit, psink);
       } else {
-        entry_of[sink_op] = WeaveSu(out, sink_topo, engine.composed_unfolders,
-                                    "SU", sink_node, psink);
+        auto* su = sink_topo.Add<SuNode>("SU");
+        sink_topo.Connect(su, sink_node);  // output 0 = SO
+        sink_topo.Connect(su, psink);      // output 1 = U
+        out.su_nodes.push_back(su);
+        entry_of[sink_op] = su;
       }
     } else {
       auto* psink = prov_topo->Add<ProvenanceSinkNode>("K2", pso);
@@ -240,13 +205,17 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       // MU join window: the stateful window span of the instance producing
       // the derived (sink-side) stream (§6.1).
       mu_ws = span_of.at(plan.ops[sink_op].instance);
-      mu = WeaveMu(*prov_topo, engine.composed_unfolders, "MU", mu_ws, psink);
+      mu = prov_topo->Add<MuNode>("MU", mu_ws);
+      prov_topo->Connect(mu, psink);
       const Crossing derived =
           WeaveCrossing(out, sink_topo, *prov_topo, "U_sink", engine.use_tcp);
       derived_recv = derived.recv;
-      entry_of[sink_op] = WeaveSu(out, sink_topo, engine.composed_unfolders,
-                                  "SU.sink", sink_node, derived.send);
-      prov_topo->Connect(derived.recv, mu.derived_entry);  // MU port 0
+      auto* su = sink_topo.Add<SuNode>("SU.sink");
+      sink_topo.Connect(su, sink_node);     // output 0 = SO
+      sink_topo.Connect(su, derived.send);  // output 1 = U
+      out.su_nodes.push_back(su);
+      entry_of[sink_op] = su;
+      prov_topo->Connect(derived.recv, mu);  // MU port 0
     }
   } else if (mode == ProvenanceMode::kBaseline) {
     BaselineResolverOptions bro;
@@ -322,15 +291,8 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
         out.u_servers.push_back(
             from_topo.Add<UServeNode>("send.U" + tag, su, u.send));
         auto* recv = prov_topo->Add<ReceiveNode>("recv.U" + tag, u.recv);
-        prov_topo->Connect(recv, mu.upstream_entry);  // MU ports 1..
+        prov_topo->Connect(recv, mu);  // MU ports 1..
         upstreams.push_back({"U" + tag, u.recv});
-      } else if (mode == ProvenanceMode::kGenealog) {
-        const Crossing u = WeaveCrossing(out, from_topo, *prov_topo,
-                                         "U" + tag, engine.use_tcp);
-        Node* su = WeaveSu(out, from_topo, engine.composed_unfolders,
-                           "SU.send" + tag, data.send, u.send);
-        from_topo.Connect(from, su);
-        prov_topo->Connect(u.recv, mu.upstream_entry);  // MU ports 1..
       } else {
         from_topo.Connect(from, data.send);
       }

@@ -28,9 +28,9 @@
 //    lives on the provenance instance and the source streams ship whole over
 //    channels — the paper's §7 baseline network cost.
 //
-// EngineOptions::composed_unfolders swaps the fused SU/MU operators for the
-// literal Figure 5B / Figure 8 constructions, with the paper's push U
-// streams.
+// SU and MU are always the fused operators §5.1 recommends; the literal
+// Figure 5B / Figure 8 constructions (BuildComposedSu/BuildComposedMu) are
+// node-level reference implementations for the SU and MU tests.
 #ifndef GENEALOG_GENEALOG_INSTRUMENT_H_
 #define GENEALOG_GENEALOG_INSTRUMENT_H_
 

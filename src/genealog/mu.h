@@ -16,7 +16,9 @@
 //  * MuNode — fused operator with hash-indexed windows;
 //  * BuildComposedMu — the literal Figure 8 construction from standard
 //    operators: Union (upstreams) -> Join <- Filter(not SOURCE) <- Multiplex
-//    <- derived, plus Filter(SOURCE) -> Union -> output.
+//    <- derived, plus Filter(SOURCE) -> Union -> output. Dataflow lowering
+//    always uses MuNode; the construction is a node-level reference
+//    implementation that mu_test checks MuNode against.
 #ifndef GENEALOG_GENEALOG_MU_H_
 #define GENEALOG_GENEALOG_MU_H_
 

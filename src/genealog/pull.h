@@ -34,9 +34,6 @@
 // derived watermark by one round trip, never by ws. Eviction is safe for
 // the same reason: a later request comes from a derived tuple with
 // ts >= W and names an origin with ts >= ts - ws >= W - ws.
-//
-// The composed Figure 5B/8 construction (EngineOptions::composed_unfolders)
-// stays the paper's literal push form.
 #ifndef GENEALOG_GENEALOG_PULL_H_
 #define GENEALOG_GENEALOG_PULL_H_
 

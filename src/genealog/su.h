@@ -14,7 +14,8 @@
 //    can be assigned to one thread / a single user-defined operator);
 //  * BuildComposedSu — the literal Figure 5B construction from standard
 //    instrumented operators (Multiplex + Map), demonstrating challenge C3.
-// Equivalence of the two is covered by tests and an ablation bench.
+//    Dataflow lowering always uses SuNode; the construction is a node-level
+//    reference implementation that su_test checks SuNode against.
 //
 // SuNode is batch-aware: one activation processes a whole StreamBatch,
 // forwarding the SO copy as a single chunk and building every unfolded tuple
@@ -46,7 +47,7 @@
 namespace genealog {
 
 // The unfold step of one SU. Not thread-safe: exactly one thread unfolds
-// through an Unfolder (the push SU's, the composed Map's, or the pull SU's
+// through an Unfolder (the push SU's, the Figure 5B Map's, or the pull SU's
 // serving node), and its stats are read once that thread has finished.
 class Unfolder {
  public:

@@ -76,8 +76,8 @@ class KeyedStream;
 
 // The engine settings (the EngineOptions base, handed to every lowered
 // topology and consulted by the weaving: use_tcp for inter-instance
-// channels, composed_unfolders for the Figure 5B/8 SU/MU constructions, the
-// lineage_* fields for the store) plus what the weaving itself needs.
+// channels, the lineage_* fields for the store) plus what the weaving itself
+// needs.
 // Untouched engine fields follow the process-wide env defaults.
 struct DataflowOptions : EngineOptions {
   // Instrumentation woven into the lowered query: NP / GL / BL.

@@ -191,8 +191,9 @@ void WorkerPool::Start(std::function<void(std::exception_ptr)> on_error) {
 
   size_t n = workers_requested_;
   if (n == 0) {
-    // Physical cores, not hardware threads: compute-bound workers on SMT
-    // siblings fight over the same execution units (common/cpu_topology.h).
+    // Physical cores in this thread's CPU mask, which the workers inherit,
+    // not hardware threads: compute-bound workers on SMT siblings fight over
+    // the same execution units (common/cpu_topology.h).
     n = DefaultWorkerCount();
   }
   if (n > tasks_.size()) n = tasks_.size();

@@ -1,4 +1,6 @@
 // MU operator semantics (Definition 6.4) — fused and composed (Figure 8).
+// Dataflow lowering always uses the fused MuNode; the composed construction
+// is the reference it is checked against here.
 #include "genealog/mu.h"
 
 #include <gtest/gtest.h>
@@ -211,22 +213,29 @@ TEST(MuTest, OneUpstreamTupleServesManyDerived) {
   }
 }
 
+// Two randomized upstream ports, as in Q4's distributed deployment (a daily
+// sum and a midnight reading cross on separate channels): the Union in front
+// of the composed MU's join must see both ports' tuples.
 TEST(MuTest, ComposedEqualsFusedOnRandomizedWorkload) {
   SplitMix64 rng(21);
   std::vector<IntrusivePtr<UnfoldedTuple>> derived;
-  std::vector<IntrusivePtr<UnfoldedTuple>> up;
+  std::vector<std::vector<IntrusivePtr<UnfoldedTuple>>> ups(2);
   int64_t dts = 0;
-  int64_t uts = 0;
+  int64_t uts[2] = {0, 0};
   for (int i = 0; i < 150; ++i) {
     dts += rng.UniformInt(0, 3);
-    uts += rng.UniformInt(0, 3);
     const uint64_t shared_id = static_cast<uint64_t>(rng.UniformInt(1, 40));
     const bool is_source = rng.Bernoulli(0.3);
     derived.push_back(U(dts, 100 + i, static_cast<uint64_t>(i), i, shared_id,
                         is_source ? TupleKind::kSource : TupleKind::kRemote));
-    up.push_back(U(uts, 0, static_cast<uint64_t>(rng.UniformInt(1, 40)),
-                   1000 + i, static_cast<uint64_t>(2000 + i),
-                   TupleKind::kSource));
+    for (int p = 0; p < 2; ++p) {
+      uts[p] += rng.UniformInt(0, 3);
+      ups[p].push_back(U(uts[p], 0,
+                         static_cast<uint64_t>(rng.UniformInt(1, 40)),
+                         1000 * (p + 1) + i,
+                         static_cast<uint64_t>(2000 + 1000 * p + i),
+                         TupleKind::kSource));
+    }
   }
   auto Clone = [](const std::vector<IntrusivePtr<UnfoldedTuple>>& v) {
     std::vector<IntrusivePtr<UnfoldedTuple>> out;
@@ -236,10 +245,17 @@ TEST(MuTest, ComposedEqualsFusedOnRandomizedWorkload) {
     }
     return out;
   };
-  auto fused = RunMu(Clone(derived), {Clone(up)}, 20, /*composed=*/false);
-  auto composed = RunMu(Clone(derived), {Clone(up)}, 20, /*composed=*/true);
+  auto fused = RunMu(Clone(derived), {Clone(ups[0]), Clone(ups[1])}, 20,
+                     /*composed=*/false);
+  auto composed = RunMu(Clone(derived), {Clone(ups[0]), Clone(ups[1])}, 20,
+                        /*composed=*/true);
   EXPECT_EQ(fused, composed);
-  EXPECT_FALSE(fused.empty());
+  // Both upstream ports matched at least one derived tuple.
+  for (const uint64_t base : {2000u, 3000u}) {
+    EXPECT_TRUE(std::any_of(fused.begin(), fused.end(), [&](const MuOut& o) {
+      return o.origin_id >= base && o.origin_id < base + 1000;
+    })) << "no match from the upstream port with origin ids " << base;
+  }
 }
 
 }  // namespace

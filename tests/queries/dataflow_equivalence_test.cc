@@ -1,11 +1,11 @@
 // The four evaluation queries, pinned to golden digests. Every cell of
-// tests/queries/golden/queries.golden — Q1–Q4 x {NP, GL, BL, GL with the
-// composed unfolders} x {intra, dist} — records the sink stream (count and
-// digest in emission order), the provenance (record count and digest of the
-// canonical file bytes, see CanonicalProvenanceBytes in query_helpers.h) and
-// the lowered structure (instances, SU nodes, channels). The goldens were
-// frozen from the hand-wired deployments the fluent builders replaced, so
-// BuildQ{1..4}Fluent must reproduce the paper's wiring exactly.
+// tests/queries/golden/queries.golden — Q1–Q4 x {NP, GL, BL} x {intra,
+// dist} — records the sink stream (count and digest in emission order), the
+// provenance (record count and digest of the canonical file bytes, see
+// CanonicalProvenanceBytes in query_helpers.h) and the lowered structure
+// (instances, SU nodes, channels). The goldens were frozen from the
+// hand-wired deployments the fluent builders replaced, so BuildQ{1..4}Fluent
+// must reproduce the paper's wiring exactly.
 //
 // Each cell is checked at batch {1, 64}: batching must be invisible, and
 // the distributed cells, whose channels carry compact frames, must match
@@ -109,7 +109,7 @@ const CellDigest& Golden(const std::string& key) {
   return it == goldens.end() ? missing : it->second;
 }
 
-enum class Mode { kNp, kGl, kBl, kGlComposed };
+enum class Mode { kNp, kGl, kBl };
 
 const char* ModeName(Mode mode) {
   switch (mode) {
@@ -119,8 +119,6 @@ const char* ModeName(Mode mode) {
       return "GL";
     case Mode::kBl:
       return "BL";
-    case Mode::kGlComposed:
-      return "GL-composed";
   }
   return "?";
 }
@@ -132,7 +130,6 @@ ProvenanceMode ToProvenanceMode(Mode mode) {
     case Mode::kBl:
       return ProvenanceMode::kBaseline;
     case Mode::kGl:
-    case Mode::kGlComposed:
       return ProvenanceMode::kGenealog;
   }
   return ProvenanceMode::kNone;
@@ -151,7 +148,6 @@ CellDigest RunCell(const std::string& query, Builder&& builder,
   uint64_t sink_count = 0;
   options.mode = ToProvenanceMode(mode);
   options.distributed = distributed;
-  options.composed_unfolders = mode == Mode::kGlComposed;
   if (mode != Mode::kNp) options.provenance_file = path;
   options.sink_consumer = [&](const TuplePtr& t) {
     sink_lines += std::to_string(t->ts) + "|" + t->DebugPayload() + "\n";
@@ -182,7 +178,7 @@ CellDigest RunCell(const std::string& query, Builder&& builder,
 // batch {1, 64}. Distributed cells put compact frames on every channel.
 template <typename Builder, typename Data>
 void CheckQuery(const std::string& query, Builder builder, const Data& data) {
-  for (const Mode mode : {Mode::kNp, Mode::kGl, Mode::kBl, Mode::kGlComposed}) {
+  for (const Mode mode : {Mode::kNp, Mode::kGl, Mode::kBl}) {
     for (const bool distributed : {false, true}) {
       for (const size_t batch : {size_t{1}, size_t{64}}) {
         SCOPED_TRACE(query + " " + ModeName(mode) +
@@ -201,7 +197,7 @@ void CheckQuery(const std::string& query, Builder builder, const Data& data) {
 }
 
 TEST(DataflowEquivalenceTest, GoldenFileCoversEveryCell) {
-  EXPECT_EQ(Goldens().size(), 32u);
+  EXPECT_EQ(Goldens().size(), 24u);
 }
 
 TEST(DataflowEquivalenceTest, Q1MatchesGolden) {

@@ -1,7 +1,6 @@
 // Inter-process provenance (§6): the 3-instance deployments must produce
 // exactly the sink outputs and provenance records of the intra-process runs,
-// over fully serializing channels (in-memory and TCP loopback), with fused
-// and composed (Figure 8) unfolders.
+// over fully serializing channels (in-memory and TCP loopback).
 #include <gtest/gtest.h>
 
 #include "genealog/pull.h"
@@ -39,13 +38,11 @@ QueryBuildOptions Intra(ProvenanceMode mode) {
   return options;
 }
 
-QueryBuildOptions Dist(ProvenanceMode mode, bool tcp = false,
-                       bool composed = false) {
+QueryBuildOptions Dist(ProvenanceMode mode, bool tcp = false) {
   QueryBuildOptions options;
   options.mode = mode;
   options.distributed = true;
   options.use_tcp = tcp;
-  options.composed_unfolders = composed;
   return options;
 }
 
@@ -112,21 +109,6 @@ TEST(DistributedGlTest, TcpTransportEqualsInMemoryTransport) {
   ASSERT_FALSE(inmem.records.empty());
   EXPECT_EQ(inmem.records, tcp.records);
   EXPECT_EQ(inmem.sink_tuples, tcp.sink_tuples);
-}
-
-TEST(DistributedGlTest, ComposedMuEqualsFusedMu) {
-  auto lr_data = lr::GenerateLinearRoad(LrConfig());
-  auto sg_data = sg::GenerateSmartGrid(SgConfig());
-  auto Check = [](auto builder, const auto& data, const char* name) {
-    auto fused = RunQuery(builder, data, Dist(ProvenanceMode::kGenealog));
-    auto composed = RunQuery(
-        builder, data,
-        Dist(ProvenanceMode::kGenealog, /*tcp=*/false, /*composed=*/true));
-    ASSERT_FALSE(fused.records.empty()) << name;
-    EXPECT_EQ(fused.records, composed.records) << name;
-  };
-  Check(BuildQ1Fluent, lr_data, "Q1");
-  Check(BuildQ4Fluent, sg_data, "Q4");  // two upstream streams into the MU
 }
 
 TEST(DistributedGlTest, NetworkCarriesOnlyProvenanceNotSourceStream) {

@@ -142,17 +142,6 @@ TEST(ProvenanceEquivalenceTest, GlAndBlProduceIdenticalRecords) {
   Check(BuildQ4Fluent, sg_anomaly, "Q4");
 }
 
-TEST(ProvenanceEquivalenceTest, ComposedUnfoldersMatchFused) {
-  auto data = lr::GenerateLinearRoad(LrConfig());
-  auto fused = RunQuery(BuildQ1Fluent, data, Gl());
-  QueryBuildOptions composed = Gl();
-  composed.composed_unfolders = true;
-  auto composed_run = RunQuery(BuildQ1Fluent, data, composed);
-  ASSERT_FALSE(fused.records.empty());
-  EXPECT_EQ(fused.records, composed_run.records);
-  EXPECT_EQ(fused.sink_tuples, composed_run.sink_tuples);
-}
-
 TEST(ProvenanceEquivalenceTest, ProvenanceIsDeterministicAcrossRuns) {
   auto data = sg::GenerateSmartGrid(PaperScaleSgConfig());
   auto first = RunQuery(BuildQ3Fluent, data, Gl());

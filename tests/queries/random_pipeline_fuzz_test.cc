@@ -456,8 +456,8 @@ TEST_P(RandomPipelineFuzzTest, FluentPartitionedStageMatchesSingleInstance) {
 // cut, instance 2 after it, a provenance instance pulling the U streams)
 // must reproduce the single-instance GL run — sink stream and canonical
 // provenance — and the BL run's canonical provenance, at both batch sizes,
-// under both schedulers, including composed with the key-partitioned
-// parallel stage.
+// under both schedulers, with and without the key-partitioned parallel
+// stage.
 TEST_P(RandomPipelineFuzzTest, FluentDistributedMatchesAtEveryCutPosition) {
   const uint64_t seed = GetParam();
   const ParallelFuzzPlan plan = MakeParallelFuzzPlan(seed);

@@ -22,7 +22,6 @@
 //   --mode np|gl|bl          (default gl)
 //   --distributed            3-instance deployment (Figures 7/9C/10C/11C)
 //   --tcp                    TCP loopback channels (with --distributed)
-//   --composed               Figure-5B/8 standard-operator unfolders
 //   --replays N              stream the dataset N times (default 1)
 //   --rate TPS               throttle the source (default: unthrottled)
 //   --cars N / --meters N    workload size (defaults 80 / 60)
@@ -88,7 +87,6 @@ struct CliOptions {
   ProvenanceMode mode = ProvenanceMode::kGenealog;
   bool distributed = false;
   bool tcp = false;
-  bool composed = false;
   int replays = 1;
   double rate = 0;
   int cars = 80;
@@ -124,7 +122,7 @@ struct CliOptions {
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --query q1|q2|q3|q4 [--mode np|gl|bl] "
-               "[--distributed] [--tcp] [--composed] [--replays N] "
+               "[--distributed] [--tcp] [--replays N] "
                "[--rate TPS] [--cars N] [--meters N] [--duration S] "
                "[--days D] [--seed S] [--provenance-file PATH] "
                "[--print-alerts] [--print-provenance] "
@@ -216,8 +214,6 @@ CliOptions ParseArgs(int argc, char** argv) {
       options.distributed = true;
     } else if (arg == "--tcp") {
       options.tcp = true;
-    } else if (arg == "--composed") {
-      options.composed = true;
     } else if (arg == "--replays") {
       options.replays = IntFlag("--replays", next_value(i), argv[0]);
     } else if (arg == "--rate") {
@@ -486,7 +482,6 @@ int main(int argc, char** argv) {
     options.mode = cli.mode;
     options.distributed = cli.distributed;
     options.use_tcp = cli.tcp;
-    options.composed_unfolders = cli.composed;
     options.provenance_file = cli.provenance_file;
     options.source.replays = cli.replays;
     options.source.max_rate_tps = cli.rate;
