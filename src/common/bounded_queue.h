@@ -1,13 +1,15 @@
 // Bounded blocking queue — the frame queue behind InMemoryChannel
 // (net/channel.h), a plain mutex+condvar FIFO between the Send and Receive
-// threads of one in-process channel. The operator-to-operator streams of the
-// SPE use the batch-aware StreamQueue (spe/batch_queue.h) instead.
+// workers of one in-process channel. Blocking here is fine: Send and Receive
+// run on home workers of their own (they block on their channel the way
+// they would on a socket). The operator-to-operator streams of the SPE use
+// the batch-aware StreamQueue (spe/batch_queue.h) instead, which never
+// blocks: a task parks on readiness signals, not inside the queue.
 //
 // Back-pressure is provided by the capacity bound: producers block when the
-// consumer is slower. The busy-path cost is kept low the same way as in
-// StreamQueue: waiter counts let the active side skip condvar notifies
-// entirely when nobody sleeps, so an uncontended push or pop is one lock
-// round-trip and no syscalls.
+// consumer is slower. Waiter counts let the active side skip condvar
+// notifies entirely when nobody sleeps, so an uncontended push or pop is one
+// lock round-trip and no syscalls.
 #ifndef GENEALOG_COMMON_BOUNDED_QUEUE_H_
 #define GENEALOG_COMMON_BOUNDED_QUEUE_H_
 

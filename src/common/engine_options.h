@@ -59,12 +59,14 @@ namespace genealog {
 // says otherwise.
 inline constexpr size_t kDefaultBatchSize = 64;
 
-// How the engine executes operator nodes:
-//  * kThreadPerNode — one dedicated std::thread per operator node (the Liebre
-//    model the paper inherits; the seed behavior and the fallback mode);
-//  * kPool — a shared morsel-driven worker pool: nodes become re-armable
-//    tasks woken by batch arrival, executed by GENEALOG_WORKERS threads with
-//    work stealing and per-query round-robin fairness (spe/scheduler.h).
+// Where the one executor (spe/scheduler.h) places operator nodes. Every
+// node is a re-armable task woken by batch arrival and stepped by
+// WorkerPool::Execute either way; the mode only picks placement:
+//  * kThreadPerNode — every node gets a home worker of its own (the Liebre
+//    model the paper inherits: one thread per operator; the fallback mode);
+//  * kPool — nodes share GENEALOG_WORKERS workers with work stealing and
+//    per-query round-robin fairness; nodes that block on non-queue
+//    resources (Node::NeedsDedicatedThread) keep a home worker.
 enum class SchedulerMode : uint8_t { kThreadPerNode, kPool };
 
 // Frame encoding for batches on inter-instance byte channels (net/frame.h):
@@ -153,16 +155,17 @@ struct EngineOptions {
   // Not a setting; edgebench's EngineJson reads it. Swap threshold of the
   // provenance file writer's buffers.
   static constexpr size_t prov_buffer_bytes = 256 * 1024;
-  // Execution model: thread-per-node (the seed fallback) or the shared
-  // morsel-driven worker pool; the pool runs only when every SPE instance in
-  // one run asks for it. Sink/provenance output is byte identical across
-  // modes (the scheduler sweeps in the determinism suites pin this); the
-  // pool is what lets thousands of queries share a few cores.
+  // Placement: a home worker per node (thread-per-node, the fallback) or
+  // shared pool workers; the pool placement applies only when every SPE
+  // instance in one run asks for it. Sink/provenance output is byte
+  // identical across placements (the scheduler sweeps in the determinism
+  // suites pin this); sharing is what lets thousands of queries run on a
+  // few cores.
   SchedulerMode scheduler = engine_defaults::Scheduler();
   // Worker threads for the pool scheduler; 0 = one per physical core in the
   // CPU affinity mask (common/cpu_topology.h; capped by the task count); a
   // run over several SPE instances takes the largest count. Ignored under
-  // thread-per-node.
+  // thread-per-node, which has no shared workers.
   size_t workers = engine_defaults::Workers();
   // Maintain a live in-memory lineage index (genealog/lineage_store.h) fed by
   // the provenance consumer, queryable through LineageQuery while the

@@ -50,12 +50,23 @@ void SuNode::RetainBatch(StreamBatch& batch) {
     // Full. Only the MU frontier frees room, and it moves only as far as
     // the SO stream got: hand the retained prefix downstream now, with the
     // watermark the sorted stream implies (nothing later is older than the
-    // tuple waiting here), then wait.
+    // tuple waiting here), then wait — but never while holding a spill,
+    // which would keep the frontier from moving: keep the unretained rest
+    // for the next Step, which runs once the spill drained.
     for (; forwarded < retained; ++forwarded) {
       if (!EmitTupleTo(0, std::move(tuples[forwarded]))) return;
     }
     if (!outputs_[0].Flush()) return;
     if (!ForwardWatermark(tuples[retained]->ts)) return;
+    if (HasSpills()) {
+      StreamBatch rest;
+      for (size_t i = retained; i < tuples.size(); ++i) {
+        rest.tuples.push_back(std::move(tuples[i]));
+      }
+      tuples = std::move(rest.tuples);
+      KeepBatch();
+      return;
+    }
     if (!retention_->AwaitRoom()) return;
   }
   if (forwarded == 0) {

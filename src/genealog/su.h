@@ -81,8 +81,8 @@ class SuNode final : public SingleInputNode {
   // Pull mode: retains instead of unfolding.
   SuNode(std::string name, RetentionSpec retention);
 
-  // A full retention index blocks the SU (backpressure), which a pool task
-  // must never do; a pull-mode SU keeps a dedicated thread under the pool.
+  // A full retention index blocks the SU (backpressure), which a shared
+  // worker must never do; a pull-mode SU keeps a home worker.
   bool NeedsDedicatedThread() const override { return retention_ != nullptr; }
   void AbortQueues() override;
 

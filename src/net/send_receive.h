@@ -40,7 +40,7 @@ class SendNode final : public SingleInputNode {
       : SingleInputNode(std::move(name)), channel_(channel) {}
 
   // Channel sends can block on the transport (TCP back-pressure), which a
-  // pool task must never do; Send keeps a dedicated thread under the pool.
+  // shared worker must never do; Send keeps a home worker.
   bool NeedsDedicatedThread() const override { return true; }
 
   ByteChannel* channel() const { return channel_; }
@@ -83,7 +83,7 @@ class SendNode final : public SingleInputNode {
   bool refused_ = false;
 };
 
-// Observes a ReceiveNode's stream: OnFrame runs on the Receive thread for
+// Observes a ReceiveNode's stream: OnFrame runs on the Receive's worker for
 // every decoded batch frame before its tuples and watermark are replayed,
 // OnEnd once at the stream's flush frame.
 class FrameTap {
@@ -98,17 +98,17 @@ class ReceiveNode final : public Node {
   ReceiveNode(std::string name, ByteChannel* channel)
       : Node(std::move(name)), channel_(channel) {}
 
-  // Blocks on the channel for each frame, so Receive keeps a dedicated
-  // thread under the pool.
+  // Blocks on the channel for each frame, so Receive keeps a home worker.
   bool NeedsDedicatedThread() const override { return true; }
 
   ByteChannel* channel() const { return channel_; }
   // Installs a tap; call before the node runs.
   void set_tap(std::unique_ptr<FrameTap> tap) { tap_ = std::move(tap); }
 
-  // Replays up to `max_frames` frames into the outputs.
+  // Replays up to `max_frames` frames into the outputs; a frame whose
+  // emission spilled is the last one read this step.
   StepResult Step(size_t max_frames) override {
-    for (size_t n = 0; n < max_frames; ++n) {
+    for (size_t n = 0; n < max_frames && !HasSpills(); ++n) {
       if (!channel_->RecvFrame(frame_)) {
         throw std::runtime_error(name() +
                                  ": channel closed without a flush frame");

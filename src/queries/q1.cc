@@ -38,12 +38,14 @@ StoppedCarCombiner() {
 // options.parallelism > 1 the aggregate runs as a key-partitioned parallel
 // stage (the Aggregate shorthand for .KeyBy(car_id).Parallel(n)); output and
 // provenance are identical to the single-instance build either way.
-BuiltDataflow BuildQ1Fluent(const lr::LinearRoadData& data,
+BuiltDataflow BuildQ1Fluent(DatasetRef<lr::LinearRoadData> data,
                             QueryBuildOptions options) {
   Dataflow df(options);
 
   Stream<PositionReport> reports =
-      df.Source<PositionReport>("source", data.reports, options.source)
+      df.Source<PositionReport>(
+              "source", data.Share(&lr::LinearRoadData::reports),
+              options.source)
           .Filter("filter.speed0",
                   [](const PositionReport& t) { return t.speed == 0.0; });
   // Figure 7: Source + Filter on instance 1, the rest on instance 2.

@@ -36,12 +36,14 @@ AggregateCombiner<StoppedCarStats, AccidentStats, int64_t> AccidentCombiner() {
 // The whole Q1 chain, then the accident aggregate. Figure 9C's split puts
 // everything up to the stopped-car filter on instance 1 and the accident
 // stage on instance 2 — one At(2) cut.
-BuiltDataflow BuildQ2Fluent(const lr::LinearRoadData& data,
+BuiltDataflow BuildQ2Fluent(DatasetRef<lr::LinearRoadData> data,
                             QueryBuildOptions options) {
   Dataflow df(options);
 
   Stream<StoppedCarStats> stopped =
-      df.Source<PositionReport>("source", data.reports, options.source)
+      df.Source<PositionReport>(
+              "source", data.Share(&lr::LinearRoadData::reports),
+              options.source)
           .Filter("q1.filter.speed0",
                   [](const PositionReport& t) { return t.speed == 0.0; })
           .Aggregate<StoppedCarStats>(

@@ -31,12 +31,14 @@ AggregateCombiner<MeterReading, DailyConsumption, int64_t> DailySumCombiner() {
 
 // Figure 10C's split cuts between the zero-sum filter (instance 1) and the
 // counting day-aggregate (instance 2).
-BuiltDataflow BuildQ3Fluent(const sg::SmartGridData& data,
+BuiltDataflow BuildQ3Fluent(DatasetRef<sg::SmartGridData> data,
                             QueryBuildOptions options) {
   Dataflow df(options);
 
   Stream<DailyConsumption> zero_days =
-      df.Source<MeterReading>("source", data.readings, options.source)
+      df.Source<MeterReading>(
+              "source", data.Share(&sg::SmartGridData::readings),
+              options.source)
           .Aggregate<DailyConsumption>(
               "agg.daily_sum",
               AggregateOptions{kDayHours, kDayHours,

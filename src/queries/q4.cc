@@ -37,12 +37,14 @@ DailySumCombiner();  // defined in q3.cc
 // Multiplex/Aggregate/Filter on instance 1 and runs the Join on instance 2 —
 // rebinding the Join's left input with At(2) places the operator there, and
 // both delivering streams get their SU + MU upstream port automatically.
-BuiltDataflow BuildQ4Fluent(const sg::SmartGridData& data,
+BuiltDataflow BuildQ4Fluent(DatasetRef<sg::SmartGridData> data,
                             QueryBuildOptions options) {
   Dataflow df(options);
 
   std::vector<Stream<MeterReading>> taps =
-      df.Source<MeterReading>("source", data.readings, options.source)
+      df.Source<MeterReading>(
+              "source", data.Share(&sg::SmartGridData::readings),
+              options.source)
           .Multiplex("multiplex", 2);
   Stream<DailyConsumption> daily = taps[0].Aggregate<DailyConsumption>(
       "agg.daily_sum",

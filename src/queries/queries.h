@@ -10,6 +10,9 @@
 #ifndef GENEALOG_QUERIES_QUERIES_H_
 #define GENEALOG_QUERIES_QUERIES_H_
 
+#include <memory>
+#include <utility>
+
 #include "lr/linear_road.h"
 #include "queries/common.h"
 #include "smartgrid/smartgrid.h"
@@ -28,19 +31,43 @@ inline constexpr int64_t kQ3ZeroMeterThreshold = 7;   // alert if count > 7
 inline constexpr int64_t kQ4JoinWindowHours = 1;
 inline constexpr double kQ4DiffThreshold = 200.0;
 
+// The dataset a query's source replays, shared with the source instead of
+// copied. A dataset passed as an lvalue is borrowed: it must outlive every
+// run of the dataflow built from it. A temporary is moved in, and the built
+// dataflow owns it.
+template <typename Data>
+class DatasetRef {
+ public:
+  DatasetRef(const Data& data)  // NOLINT(google-explicit-constructor)
+      : data_(std::shared_ptr<const Data>(), &data) {}
+  DatasetRef(Data&& data)  // NOLINT(google-explicit-constructor)
+      : data_(std::make_shared<const Data>(std::move(data))) {}
+  // A const temporary can be neither borrowed past the call nor moved in.
+  DatasetRef(const Data&&) = delete;
+
+  // One member of the dataset, alive as long as the dataset is.
+  template <typename M>
+  std::shared_ptr<const M> Share(M Data::*member) const {
+    return std::shared_ptr<const M>(data_, &(data_.get()->*member));
+  }
+
+ private:
+  std::shared_ptr<const Data> data_;
+};
+
 // Each query on the fluent dataflow builder (spe/dataflow.h): the logical
 // plan in ~20 lines, with the SU/MU/provenance-sink machinery woven
 // automatically from `options.mode` and the paper's distributed split
 // expressed as a single At(2) deployment cut. dataflow_equivalence_test pins
 // every mode and deployment — sink stream, canonical provenance and lowered
 // structure — to golden digests (tests/queries/golden/queries.golden).
-BuiltDataflow BuildQ1Fluent(const lr::LinearRoadData& data,
+BuiltDataflow BuildQ1Fluent(DatasetRef<lr::LinearRoadData> data,
                             QueryBuildOptions options);
-BuiltDataflow BuildQ2Fluent(const lr::LinearRoadData& data,
+BuiltDataflow BuildQ2Fluent(DatasetRef<lr::LinearRoadData> data,
                             QueryBuildOptions options);
-BuiltDataflow BuildQ3Fluent(const sg::SmartGridData& data,
+BuiltDataflow BuildQ3Fluent(DatasetRef<sg::SmartGridData> data,
                             QueryBuildOptions options);
-BuiltDataflow BuildQ4Fluent(const sg::SmartGridData& data,
+BuiltDataflow BuildQ4Fluent(DatasetRef<sg::SmartGridData> data,
                             QueryBuildOptions options);
 
 }  // namespace genealog::queries

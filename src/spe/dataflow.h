@@ -382,19 +382,29 @@ class Dataflow {
   Dataflow(Dataflow&&) = default;
   Dataflow& operator=(Dataflow&&) = default;
 
-  // Replays a pre-generated, timestamp-sorted dataset.
+  // Replays a pre-generated, timestamp-sorted dataset, owned by the source.
   template <typename T>
   Stream<T> Source(std::string name, std::vector<IntrusivePtr<T>> data,
+                   SourceOptions source_options = {}) {
+    return Source<T>(
+        std::move(name),
+        std::make_shared<const std::vector<IntrusivePtr<T>>>(std::move(data)),
+        source_options);
+  }
+  // Replays a dataset shared with the caller, without a copy. A pointer
+  // that owns nothing (an aliasing shared_ptr with an empty owner) borrows:
+  // the caller keeps the dataset alive until every run of the built
+  // dataflow has ended.
+  template <typename T>
+  Stream<T> Source(std::string name,
+                   std::shared_ptr<const std::vector<IntrusivePtr<T>>> data,
                    SourceOptions source_options = {}) {
     dataflow_internal::PlanOp op;
     op.kind = dataflow_internal::OpKind::kSource;
     op.name = name;
-    // `make` runs at most once (lowering), so the dataset moves through the
-    // plan into the node instead of being copied a second time.
     op.make = [name, data = std::move(data),
-               source_options](Topology& topo) mutable -> Node* {
-      return topo.Add<VectorSourceNode<T>>(name, std::move(data),
-                                           source_options);
+               source_options](Topology& topo) -> Node* {
+      return topo.Add<VectorSourceNode<T>>(name, data, source_options);
     };
     return Stream<T>(plan_.get(), plan_->AddOp(std::move(op)), 0, 1);
   }

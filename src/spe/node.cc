@@ -92,38 +92,20 @@ bool Node::ForwardBatchAll(StreamBatch&& batch) {
 }
 
 StepResult SingleInputNode::Step(size_t max_batches) {
-  // Poll until the queue reports empty/aborted or the budget runs out. A
-  // quantum must never park after an underfull drain without re-polling: an
-  // abort that lands between two drains leaves a residue whose one DataReady
-  // signal was already consumed, and the kAborted verdict only shows once
-  // the residue is gone (the abort-then-drain contract).
-  size_t remaining = max_batches;
-  while (remaining > 0) {
-    step_burst_.clear();
-    switch (PopInput(step_burst_, remaining)) {
-      case PopStatus::kAborted:
-        return StepResult::kDone;
-      case PopStatus::kEmpty:
-        // Pool mode only. Parking is safe: any push or abort after this
-        // observation fires DataReady at the task.
-        return StepResult::kIdle;
-      case PopStatus::kPopped:
-        break;
+  return DrainInput(max_batches, [this](StreamBatch& batch) {
+    const bool flush = batch.flush;
+    batch.flush = false;  // Step owns end-of-stream, OnBatch never sees it
+    OnBatch(batch);
+    if (keep_batch_) {
+      keep_batch_ = false;
+      batch.flush = flush;
+      return BatchVerdict::kKeep;
     }
-    remaining -= std::min(remaining, step_burst_.size());
-    for (StreamBatch& batch : step_burst_) {
-      CountProcessed(batch.tuples.size());
-      const bool flush = batch.flush;
-      batch.flush = false;  // Step owns end-of-stream, OnBatch never sees it
-      OnBatch(batch);
-      if (flush) {
-        OnFlush();
-        EmitFlushAll();
-        return StepResult::kDone;
-      }
-    }
-  }
-  return StepResult::kReady;
+    if (!flush) return BatchVerdict::kNext;
+    OnFlush();
+    EmitFlushAll();
+    return BatchVerdict::kEnd;
+  });
 }
 
 int64_t MergingNode::MinWatermark() const {
@@ -151,7 +133,6 @@ void MergingNode::ReleaseReady() {
     if (best == ports_.size()) break;
     TuplePtr t = std::move(ports_[best].buffer.front());
     ports_[best].buffer.pop_front();
-    CountProcessed();
     OnMergedTuple(best, std::move(t));
   }
   if (min_wm > last_merged_wm_) {
@@ -195,28 +176,13 @@ StepResult MergingNode::Step(size_t max_batches) {
     EmitFlushAll();
     return StepResult::kDone;
   }
-  // Same polling discipline as SingleInputNode::Step: never park after an
-  // underfull drain without re-polling, or an abort residue strands the task.
-  size_t remaining = max_batches;
-  while (remaining > 0) {
-    step_burst_.clear();
-    switch (PopInput(step_burst_, remaining)) {
-      case PopStatus::kAborted:
-        return StepResult::kDone;
-      case PopStatus::kEmpty:
-        return StepResult::kIdle;
-      case PopStatus::kPopped:
-        break;
-    }
-    remaining -= std::min(remaining, step_burst_.size());
-    for (StreamBatch& batch : step_burst_) ConsumeBatch(batch);
-    if (flushed_ports_ >= ports_.size()) {
-      OnAllFlushed();
-      EmitFlushAll();
-      return StepResult::kDone;
-    }
-  }
-  return StepResult::kReady;
+  return DrainInput(max_batches, [this](StreamBatch& batch) {
+    ConsumeBatch(batch);
+    if (flushed_ports_ < ports_.size()) return BatchVerdict::kNext;
+    OnAllFlushed();
+    EmitFlushAll();
+    return BatchVerdict::kEnd;
+  });
 }
 
 }  // namespace genealog

@@ -2,10 +2,11 @@
 //
 // A Node is a runtime operator instance: it owns one physical input queue
 // (logical ports are tags on the batches) and holds endpoints into the input
-// queues of downstream nodes. Its one execution body is Step: a dedicated
-// thread (the Liebre execution model) runs it once with an unbounded budget,
-// the worker pool runs it as a sequence of bounded quanta. Two base
-// behaviours cover all operators:
+// queues of downstream nodes. Its one execution body is Step, a bounded
+// quantum the executor (spe/scheduler.h) runs on a shared or a home worker.
+// Step never blocks on a stream queue: the input pop reports empty instead
+// of waiting, and an emission into a full edge spills at the endpoint. Two
+// base behaviours cover all operators:
 //
 //  * SingleInputNode — processes its one (already timestamp-sorted) input
 //    stream batch by batch;
@@ -14,6 +15,13 @@
 //    below the minimum input watermark, so the processing order is a pure
 //    function of the data (§2's determinism requirement), independent of
 //    thread scheduling, queue interleaving, and batch boundaries.
+//
+// Back-pressure has one rule: a Step ends at the first batch, frame or
+// chunk boundary after any output spilled, and keeps the unprocessed rest of
+// its burst for the next Step, which the executor runs only once the spills
+// drained. So a spill is bounded by what one input batch (frame, chunk)
+// emits, and no node waits on a channel, a pacing clock or a retention
+// index while it holds output it has not delivered.
 //
 // The data plane is batched: queues carry StreamBatches, and each producing
 // Endpoint accumulates tuples until a flush trigger (see Endpoint). The batch
@@ -87,37 +95,22 @@ class Endpoint {
     effective_batch_ = std::min(effective_batch_, batch_size_);
   }
 
-  // --- pool mode (flipped by the scheduler before execution starts) --------
-  // In non-blocking mode a handoff that would block instead parks the batch
-  // in a per-endpoint spill buffer (order-preserving: once anything is
-  // spilled, later handoffs append behind it) and marks the edge
-  // producer-waiting so the consumer's next pop signals RoomFreed. The
-  // emitting operator code is unchanged — it still sees `true` — and the
-  // spill is bounded by what one morsel can emit, because the owning task is
-  // not re-run until DrainSpill succeeds.
-  void set_nonblocking(bool nonblocking) { nonblocking_ = nonblocking; }
+  // A handoff into a full edge parks the batch in a per-endpoint spill
+  // buffer (order-preserving: once anything is spilled, later handoffs
+  // append behind it) and marks the edge producer-waiting so the consumer's
+  // next pop signals RoomFreed. The emitting operator code still sees
+  // `true`; its Step ends at the next batch boundary (see Node), and the
+  // executor re-runs the node only once DrainSpill succeeded.
   bool HasSpill() const { return !spill_.empty(); }
 
   // Re-offers spilled batches to the queue; returns true when the spill is
-  // empty again. An aborted queue discards the spill (the consumer is gone),
-  // matching the blocking push's failed-push semantics.
+  // empty again. An aborted queue discards the spill (the consumer is gone).
   bool DrainSpill() {
     while (!spill_.empty()) {
-      switch (queue_->TryPush(spill_.front(), batch_size_)) {
+      switch (Offer(spill_.front())) {
         case PushStatus::kOk:
           spill_.pop_front();
-          continue;
-        case PushStatus::kAborted:
-          spill_.clear();
-          return true;
-        case PushStatus::kFull:
           break;
-      }
-      queue_->MarkProducerWaiting();
-      switch (queue_->TryPush(spill_.front(), batch_size_)) {
-        case PushStatus::kOk:
-          spill_.pop_front();
-          continue;
         case PushStatus::kAborted:
           spill_.clear();
           return true;
@@ -189,36 +182,28 @@ class Endpoint {
   // queue-side chunk-building is unaffected by the adaptive threshold; the
   // depth sample afterwards steers the next flush decision.
   bool Handoff(StreamBatch&& batch) {
-    if (!nonblocking_) {
-      const bool ok = queue_->Push(std::move(batch), batch_size_);
-      if (ok) Adapt();
-      return ok;
-    }
-    if (!spill_.empty()) {
-      spill_.push_back(std::move(batch));
-      return true;
-    }
-    switch (queue_->TryPush(batch, batch_size_)) {
-      case PushStatus::kOk:
-        Adapt();
-        return true;
-      case PushStatus::kAborted:
-        return false;
-      case PushStatus::kFull:
-        break;
-    }
-    queue_->MarkProducerWaiting();
-    switch (queue_->TryPush(batch, batch_size_)) {
-      case PushStatus::kOk:
-        Adapt();
-        return true;
-      case PushStatus::kAborted:
-        return false;
-      case PushStatus::kFull:
-        break;
+    if (spill_.empty()) {
+      switch (Offer(batch)) {
+        case PushStatus::kOk:
+          Adapt();
+          return true;
+        case PushStatus::kAborted:
+          return false;
+        case PushStatus::kFull:
+          break;
+      }
     }
     spill_.push_back(std::move(batch));
     return true;
+  }
+
+  // TryPush; on kFull, declare this producer waiting and retry once, so
+  // either the retry lands or the consumer's next pop fires RoomFreed.
+  PushStatus Offer(StreamBatch& batch) {
+    const PushStatus status = queue_->TryPush(batch, batch_size_);
+    if (status != PushStatus::kFull) return status;
+    queue_->MarkProducerWaiting();
+    return queue_->TryPush(batch, batch_size_);
   }
 
   void Adapt() {
@@ -234,22 +219,17 @@ class Endpoint {
   uint16_t port_ = 0;
   size_t batch_size_ = 1;
   size_t effective_batch_ = 1;
-  bool nonblocking_ = false;
   StreamBatch pending_;
   std::deque<StreamBatch> spill_;
 };
 
 // Outcome of one execution quantum (Node::Step):
-//  * kIdle  — out of input (pool mode only): park until an edge signal
-//             re-arms the task;
-//  * kReady — the budget ran out with work left: the pool reschedules
-//             through the fair injector, a dedicated thread steps again;
+//  * kIdle  — out of input: park until an edge signal re-arms the task;
+//  * kReady — the budget ran out with work left, or an output spilled: run
+//             again (once the spills drained);
 //  * kDone  — end of stream (flush processed, or input queue aborted and
 //             drained): the node is finished once its output spills drain.
 enum class StepResult : uint8_t { kIdle, kReady, kDone };
-
-// The budget a dedicated thread steps with: run until end of stream.
-inline constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
 
 class Node {
  public:
@@ -261,24 +241,16 @@ class Node {
   // The execution body: consume up to `max_batches` input batches (sources:
   // emit up to that many chunks), emit downstream, and report how to
   // continue. Must drain inputs until flush/abort and emit a final flush
-  // before reporting kDone. Outside pool mode Step may block — the input
-  // pop waits while empty and emission waits for room — so a dedicated
-  // thread is just `while (Step(kUnbounded) != StepResult::kDone) {}`. In
-  // pool mode it must never block on a stream queue.
+  // before reporting kDone. Never blocks on a stream queue, and ends at the
+  // first batch boundary after an output spilled (see the header comment).
   virtual StepResult Step(size_t max_batches) = 0;
 
   // Nodes whose Step blocks on resources other than their stream queues —
-  // network channels (Receive/Send), rate-limiter clocks — keep a dedicated
-  // thread even under the pool scheduler.
+  // network channels (Receive/Send), rate-limiter clocks, a retention index
+  // — get a home worker of their own even when the other nodes share the
+  // worker pool.
   virtual bool NeedsDedicatedThread() const { return false; }
 
-  // Switches the node to pool mode: output endpoints spill instead of
-  // blocking, and the input pop reports empty instead of waiting. Called
-  // once by the scheduler between topology build and execution.
-  void EnterPoolMode() {
-    pool_mode_ = true;
-    for (Endpoint& e : outputs_) e.set_nonblocking(true);
-  }
   // Re-offers spilled output batches; true when every endpoint drained.
   bool DrainSpills() {
     bool all = true;
@@ -343,10 +315,57 @@ class Node {
   // minting 2^40 ids.
   void StartSequenceAtForTesting(uint64_t seq) { next_seq_ = seq; }
 
-  // Moves up to `max_batches` input batches into `out`. Outside pool mode
-  // the pop waits while the queue is empty, so it never reports kEmpty.
-  PopStatus PopInput(std::vector<StreamBatch>& out, size_t max_batches) {
-    return in_queue_->PopSome(out, max_batches, /*wait=*/!pool_mode_);
+  // What DrainInput's `consume` reports for one input batch.
+  enum class BatchVerdict : uint8_t {
+    kNext,  // consumed: go on with the next batch
+    kKeep,  // stopped partway after a spill: hand it back next Step
+    kEnd,   // end of stream: the final flush was emitted
+  };
+
+  // The input half of a Step under the back-pressure rule: feeds the rest of
+  // the previous burst, then batches popped within the `max_batches` budget,
+  // to `consume` in stream order, and stops at the first batch boundary
+  // after an output spilled.
+  template <typename Consume>
+  StepResult DrainInput(size_t max_batches, Consume&& consume) {
+    size_t remaining = max_batches;
+    for (;;) {
+      while (burst_next_ < burst_.size()) {
+        switch (consume(burst_[burst_next_])) {
+          case BatchVerdict::kKeep:
+            return StepResult::kReady;
+          case BatchVerdict::kEnd:
+            return StepResult::kDone;
+          case BatchVerdict::kNext:
+            break;
+        }
+        ++burst_next_;
+        if (HasSpills()) return StepResult::kReady;
+      }
+      if (remaining == 0) return StepResult::kReady;
+      // Poll until the queue reports empty/aborted or the budget runs out. A
+      // quantum must never park after an underfull drain without
+      // re-polling: an abort that lands between two drains leaves a residue
+      // whose one DataReady signal was already consumed, and the kAborted
+      // verdict only shows once the residue is gone (the abort-then-drain
+      // contract).
+      burst_.clear();
+      burst_next_ = 0;
+      switch (in_queue_->PopSome(burst_, remaining)) {
+        case PopStatus::kAborted:
+          return StepResult::kDone;
+        case PopStatus::kEmpty:
+          // Parking is safe: any push or abort after this observation fires
+          // DataReady at the task.
+          return StepResult::kIdle;
+        case PopStatus::kPopped:
+          break;
+      }
+      remaining -= std::min(remaining, burst_.size());
+      for (const StreamBatch& batch : burst_) {
+        CountProcessed(batch.tuples.size());
+      }
+    }
   }
 
   // Emission helpers. All return false when a downstream queue was aborted,
@@ -394,7 +413,10 @@ class Node {
   std::atomic<uint64_t> tuples_processed_{0};
   std::unique_ptr<StreamQueue> in_queue_;
   size_t num_ports_ = 0;
-  bool pool_mode_ = false;
+  // The popped input burst and the next batch to consume; a Step that ends
+  // on a spill leaves the rest here.
+  std::vector<StreamBatch> burst_;
+  size_t burst_next_ = 0;
 };
 
 // Base for one-input operators (Map, Filter, Multiplex, Aggregate, Sink, SU,
@@ -421,8 +443,13 @@ class SingleInputNode : public Node {
     if (batch.has_watermark()) OnWatermark(batch.watermark);
   }
 
+  // Called from OnBatch that stopped partway after a spill and left the
+  // unprocessed rest in its batch: the next Step hands that rest to OnBatch
+  // again, once the spills drained.
+  void KeepBatch() { keep_batch_ = true; }
+
  private:
-  std::vector<StreamBatch> step_burst_;
+  bool keep_batch_ = false;
 };
 
 // Base for multi-input operators (Union, Join, MU). Implements the
@@ -449,8 +476,8 @@ class MergingNode : public Node {
     bool flushed = false;
   };
 
-  // The merge state lives in members so the pool scheduler can execute the
-  // node as a resumable sequence of Steps; initialized once.
+  // The merge state lives in members so the node runs as a resumable
+  // sequence of Steps; initialized once.
   void EnsureMergeState();
   // Folds one input batch into the per-port buffers and releases what the
   // advanced watermark allows.
@@ -462,7 +489,6 @@ class MergingNode : public Node {
   std::vector<PortState> ports_;
   size_t flushed_ports_ = 0;
   bool merge_state_ready_ = false;
-  std::vector<StreamBatch> step_burst_;
   int64_t last_merged_wm_ = kWatermarkMin;
 };
 

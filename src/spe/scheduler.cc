@@ -1,5 +1,6 @@
 #include "spe/scheduler.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 #include <utility>
@@ -13,9 +14,9 @@ namespace scheduler_internal {
 
 namespace {
 
-// Identifies the worker executing on this thread, so Enqueue can prefer the
-// local deque. Pool identity is checked (tests run several pools in one
-// process; a pinned node thread belongs to none).
+// Identifies the shared worker executing on this thread, so Enqueue can
+// prefer the local deque. Pool identity is checked (tests run several pools
+// in one process; a home worker has no deque).
 struct CurrentWorker {
   const void* pool = nullptr;
   TaskDeque* deque = nullptr;
@@ -121,23 +122,14 @@ using scheduler_internal::t_current_worker;
 
 WorkerPool::WorkerPool(size_t workers) : workers_requested_(workers) {}
 
-WorkerPool::~WorkerPool() {
-  // A pool abandoned mid-run cannot drain its tasks (the caller owns the
-  // abort path); it can only stop the workers.
-  if (started_) {
-    done_.store(true, std::memory_order_seq_cst);
-    ec_.Notify(/*all=*/true);
-    for (Worker& w : workers_) {
-      if (w.thread.joinable()) w.thread.join();
-    }
-  }
-}
+WorkerPool::~WorkerPool() { Join(); }
 
-void WorkerPool::AddNode(Node* node, uint32_t query) {
+void WorkerPool::AddNode(Node* node, uint32_t query, bool homed) {
   assert(!started_ && "AddNode after Start");
   auto task = std::make_unique<NodeTask>();
   task->node = node;
   task->query = query;
+  if (homed) task->home = std::make_unique<scheduler_internal::EventCount>();
   if (query >= inject_buckets_.size()) inject_buckets_.resize(query + 1);
   tasks_.push_back(std::move(task));
 }
@@ -148,10 +140,9 @@ void WorkerPool::Start(std::function<void(std::exception_ptr)> on_error) {
   on_error_ = std::move(on_error);
 
   // Wire the edge signals: the consumer side from each task's input queue,
-  // the producer side from each task's output endpoints. Edges whose
-  // consumer is pinned still get a signal when a pool task produces into
-  // them (RoomFreed must reach the spilled producer); edges fed only by
-  // pinned producers still wake their pool consumer through DataReady.
+  // the producer side from each task's output endpoints. Pushes and pops by
+  // any worker, shared or home, fire through them, so readiness crosses
+  // placements in both directions.
   std::unordered_map<StreamQueue*, EdgeSignal*> by_edge;
   auto signal_for = [&](StreamQueue* edge) -> EdgeSignal* {
     auto it = by_edge.find(edge);
@@ -171,7 +162,6 @@ void WorkerPool::Start(std::function<void(std::exception_ptr)> on_error) {
     task->node->ForEachOutputQueue([&](StreamQueue* out) {
       signal_for(out)->producers.push_back(task.get());
     });
-    task->node->EnterPoolMode();
   }
   for (auto& signal : signals_) signal->edge->set_signal(signal.get());
 
@@ -181,25 +171,29 @@ void WorkerPool::Start(std::function<void(std::exception_ptr)> on_error) {
     return;
   }
 
-  // Seed every task through the injector: the round-robin service order
-  // makes the very first quanta fair across queries, and sources start
-  // producing from their first dequeue.
+  // Seed every task: a homed one runs from its worker's first look, shared
+  // ones go through the injector, whose round-robin service order makes the
+  // very first quanta fair across queries.
+  size_t shared = 0;
   for (auto& task : tasks_) {
     task->state.store(NodeTask::kQueued, std::memory_order_seq_cst);
-    InjectorPush(task.get());
+    if (task->home == nullptr) {
+      InjectorPush(task.get());
+      ++shared;
+    }
   }
 
-  size_t n = workers_requested_;
-  if (n == 0) {
+  size_t n = 0;
+  if (shared > 0) {
     // Physical cores in this thread's CPU mask, which the workers inherit,
     // not hardware threads: compute-bound workers on SMT siblings fight over
     // the same execution units (common/cpu_topology.h).
-    n = DefaultWorkerCount();
+    n = workers_requested_ == 0 ? DefaultWorkerCount() : workers_requested_;
+    n = std::min(n, shared);
   }
-  if (n > tasks_.size()) n = tasks_.size();
   workers_.resize(n);
   const size_t deque_capacity =
-      scheduler_internal::PowerOfTwoAtLeast(tasks_.size() + 1);
+      scheduler_internal::PowerOfTwoAtLeast(shared + 1);
   for (size_t i = 0; i < n; ++i) {
     workers_[i].deque =
         std::make_unique<scheduler_internal::TaskDeque>(deque_capacity);
@@ -208,6 +202,11 @@ void WorkerPool::Start(std::function<void(std::exception_ptr)> on_error) {
   for (size_t i = 0; i < n; ++i) {
     workers_[i].thread = std::thread([this, i] { WorkerLoop(i); });
   }
+  for (auto& task : tasks_) {
+    if (task->home != nullptr) {
+      homes_.emplace_back([this, t = task.get()] { HomeLoop(t); });
+    }
+  }
 }
 
 void WorkerPool::Join() {
@@ -215,6 +214,8 @@ void WorkerPool::Join() {
   for (Worker& w : workers_) {
     if (w.thread.joinable()) w.thread.join();
   }
+  for (std::thread& home : homes_) home.join();
+  homes_.clear();
   for (auto& signal : signals_) signal->edge->set_signal(nullptr);
   started_ = false;
 }
@@ -251,6 +252,10 @@ void WorkerPool::Notify(NodeTask* task) {
 }
 
 void WorkerPool::Enqueue(NodeTask* task) {
+  if (task->home != nullptr) {
+    task->home->Notify();
+    return;
+  }
   const auto& current = t_current_worker;
   if (current.pool == this) {
     current.deque->Push(task);
@@ -330,6 +335,23 @@ void WorkerPool::WorkerLoop(size_t index) {
   t_current_worker = {};
 }
 
+void WorkerPool::HomeLoop(NodeTask* task) {
+  for (;;) {
+    // The epoch is read before the state: a Notify that re-arms the task
+    // after the read moves the epoch, so Wait returns at once.
+    const uint64_t epoch = task->home->Epoch();
+    switch (task->state.load(std::memory_order_seq_cst)) {
+      case NodeTask::kFinished:
+        return;
+      case NodeTask::kQueued:
+        Execute(task);
+        break;
+      default:
+        task->home->Wait(epoch);
+    }
+  }
+}
+
 void WorkerPool::Execute(NodeTask* task) {
   task->state.store(NodeTask::kRunning, std::memory_order_seq_cst);
   mem::SetCurrentInstance(task->node->instance_id());
@@ -355,10 +377,9 @@ void WorkerPool::Execute(NodeTask* task) {
     }
   } catch (...) {
     Fail(std::current_exception());
-    // A throwing node is done — the thread-per-node equivalent is the node
-    // thread exiting. The failure handler aborts every queue, which unwinds
-    // the rest of the graph; this task just retires (spills are dropped by
-    // the abort the same way the blocking path drops in-flight batches).
+    // A throwing node is done. The failure handler aborts every queue,
+    // which unwinds the rest of the graph; this task just retires (its
+    // spills are dropped with the aborted queues).
     Retire(task);
     return;
   }
@@ -368,11 +389,14 @@ void WorkerPool::Execute(NodeTask* task) {
     return;
   }
   if (result == StepResult::kReady && !output_blocked) {
-    // Budget exhausted with input left: rotate through the fair injector so
-    // siblings of every query get their turn before this task runs again.
+    // Budget exhausted with input left. A home worker just steps again; a
+    // shared task rotates through the fair injector so siblings of every
+    // query get their turn before it runs again.
     task->state.store(NodeTask::kQueued, std::memory_order_seq_cst);
-    InjectorPush(task);
-    ec_.Notify();
+    if (task->home == nullptr) {
+      InjectorPush(task);
+      ec_.Notify();
+    }
     return;
   }
   // Idle (or output-blocked): park until an edge signal — unless one
@@ -385,7 +409,7 @@ void WorkerPool::Execute(NodeTask* task) {
   }
   // kNotified: data or room arrived mid-quantum; go around again.
   task->state.store(NodeTask::kQueued, std::memory_order_seq_cst);
-  Enqueue(task);
+  if (task->home == nullptr) Enqueue(task);
 }
 
 void WorkerPool::Retire(NodeTask* task) {

@@ -12,6 +12,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -44,9 +46,20 @@ class SourceNodeBase : public Node {
 template <typename T>
 class VectorSourceNode final : public SourceNodeBase {
  public:
-  VectorSourceNode(std::string name, std::vector<IntrusivePtr<T>> data,
+  using Dataset = std::vector<IntrusivePtr<T>>;
+
+  // Replays `data` without copying it: the node reads the shared vector
+  // and clones each element it emits, so several sources (of concurrent
+  // queries, too) may replay one dataset.
+  VectorSourceNode(std::string name, std::shared_ptr<const Dataset> data,
                    SourceOptions options = {})
-      : SourceNodeBase(std::move(name)), data_(std::move(data)), options_(options) {}
+      : SourceNodeBase(std::move(name)),
+        data_(std::move(data)),
+        options_(options) {}
+  VectorSourceNode(std::string name, Dataset data, SourceOptions options = {})
+      : VectorSourceNode(std::move(name),
+                         std::make_shared<const Dataset>(std::move(data)),
+                         options) {}
 
   // Wall-clock span of the emission loop, for throughput computation.
   int64_t active_ns() const override {
@@ -55,25 +68,28 @@ class VectorSourceNode final : public SourceNodeBase {
   }
 
   // Rate-limited sources spin/sleep on the pacing clock — an external wait
-  // the pool must not absorb — so they keep a dedicated thread. Unthrottled
-  // sources are re-armable tasks.
+  // a shared worker must not absorb — so they keep a home worker.
+  // Unthrottled sources are re-armable tasks.
   bool NeedsDedicatedThread() const override {
     return options_.max_rate_tps > 0;
   }
 
   // The emission loop as a resumable step: emits up to max_batches chunks'
-  // worth of tuples (paced: max_batches tuples), then yields kReady. Under
-  // the pool, sources re-arm through the fair injector, so one hot source
-  // cannot starve other queries; emission into a full edge spills at the
-  // endpoint, and the scheduler holds this task until the consumer frees
-  // room, which is what bounds an unthrottled source's memory footprint.
+  // worth of tuples (paced: max_batches tuples), then yields kReady. Shared
+  // sources re-arm through the fair injector, so one hot source cannot
+  // starve other queries. A tuple whose emission spilled ends the step
+  // before the next one is paced or made, and the executor holds this task
+  // until the consumer frees room, which is what bounds a source's memory
+  // footprint.
   StepResult Step(size_t max_batches) override {
     if (!started_) Start();
-    if (data_.empty()) return Finish();
-    const size_t budget = max_batches > kUnbounded / stimulus_every_
-                              ? kUnbounded
-                              : max_batches * stimulus_every_;
-    for (size_t n = 0; n < budget; ++n) {
+    const Dataset& data = *data_;
+    if (data.empty()) return Finish();
+    const size_t budget =
+        max_batches > std::numeric_limits<size_t>::max() / stimulus_every_
+            ? std::numeric_limits<size_t>::max()
+            : max_batches * stimulus_every_;
+    for (size_t n = 0; n < budget && !HasSpills(); ++n) {
       if (lap_ >= options_.replays) return Finish();
       if (options_.stop != nullptr &&
           options_.stop->load(std::memory_order_relaxed)) {
@@ -86,8 +102,8 @@ class VectorSourceNode final : public SourceNodeBase {
       // object so provenance graphs and instance attribution stay exact.
       // T is known statically, so this is the same-class clone fast path
       // by construction — no virtual dispatch.
-      TuplePtr t = MakeTuple<T>(*data_[index_]);
-      t->ts = data_[index_]->ts + ts_shift;
+      TuplePtr t = MakeTuple<T>(*data[index_]);
+      t->ts = data[index_]->ts + ts_shift;
       t->id = NextTupleId();
       if (stimulus_every_ == 1 || emitted_ % stimulus_every_ == 0) {
         stimulus_ = NowNanos();
@@ -100,16 +116,16 @@ class VectorSourceNode final : public SourceNodeBase {
       // Watermark: future tuples have ts >= this tuple's ts; if the next
       // tuple is strictly later we can promise its ts already.
       int64_t wm = t->ts;
-      if (index_ + 1 < data_.size()) {
-        const int64_t next_ts = data_[index_ + 1]->ts + ts_shift;
+      if (index_ + 1 < data.size()) {
+        const int64_t next_ts = data[index_ + 1]->ts + ts_shift;
         if (next_ts > t->ts) wm = next_ts;
       } else if (lap_ + 1 < options_.replays) {
         const int64_t next_ts =
-            data_[0]->ts + ts_shift + options_.replay_ts_shift;
+            data[0]->ts + ts_shift + options_.replay_ts_shift;
         if (next_ts > t->ts) wm = next_ts;
       }
       if (!ForwardWatermark(wm)) return Finish();
-      if (++index_ >= data_.size()) {
+      if (++index_ >= data.size()) {
         index_ = 0;
         ++lap_;
       }
@@ -153,12 +169,12 @@ class VectorSourceNode final : public SourceNodeBase {
     return StepResult::kDone;
   }
 
-  std::vector<IntrusivePtr<T>> data_;
+  std::shared_ptr<const Dataset> data_;
   SourceOptions options_;
   std::atomic<int64_t> start_ns_{0};
   std::atomic<int64_t> end_ns_{0};
-  // Emission cursor (touched only by the executing thread; under the pool
-  // the task state machine hands the node from worker to worker with
+  // Emission cursor (touched only by the executing worker; a shared task's
+  // state machine hands the node from worker to worker with
   // release/acquire).
   bool started_ = false;
   int lap_ = 0;
@@ -179,7 +195,7 @@ class CallbackSourceNode final : public SourceNodeBase {
       : SourceNodeBase(std::move(name)), gen_(std::move(gen)) {}
 
   StepResult Step(size_t max_batches) override {
-    for (size_t i = 0; i < max_batches; ++i) {
+    for (size_t i = 0; i < max_batches && !HasSpills(); ++i) {
       IntrusivePtr<T> t = gen_();
       if (t == nullptr) {
         EmitFlushAll();

@@ -38,9 +38,9 @@ namespace genealog {
 // meanings coincide.
 inline constexpr int64_t kNoWatermark = std::numeric_limits<int64_t>::min();
 
-// Results of StreamQueue's non-blocking operations (the pool scheduler's
-// data plane: tasks must never block on an edge, so every wait turns into
-// one of these statuses plus a readiness signal).
+// Results of StreamQueue's operations, none of which blocks: a task never
+// waits on an edge, so every wait turns into one of these statuses plus a
+// readiness signal.
 enum class PushStatus : uint8_t { kOk, kFull, kAborted };
 enum class PopStatus : uint8_t { kPopped, kEmpty, kAborted };
 

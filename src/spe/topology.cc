@@ -1,12 +1,24 @@
 #include "spe/topology.h"
 
 #include <algorithm>
-#include <thread>
+#include <stdexcept>
+#include <string>
 
 #include "common/memory_accounting.h"
 #include "spe/scheduler.h"
 
 namespace genealog {
+
+Topology::Topology(int instance_id, ProvenanceMode mode, EngineOptions engine)
+    : instance_id_(instance_id), mode_(mode), engine_(std::move(engine)) {
+  if (instance_id_ < 0 || instance_id_ >= mem::kMaxInstances) {
+    throw std::invalid_argument(
+        "SPE instance " + std::to_string(instance_id_) + " is outside [0, " +
+        std::to_string(mem::kMaxInstances) +
+        "): memory accounting keeps one slot per instance id "
+        "(mem::kMaxInstances)");
+  }
+}
 
 size_t Topology::Connect(Node* from, Node* to) {
   Endpoint e = to->AddInput();
@@ -29,10 +41,7 @@ Runner::Runner(std::vector<Topology*> topologies)
 Runner::~Runner() {
   if (started_ && !joined_) {
     Abort();
-    for (auto& t : threads_) {
-      if (t.joinable()) t.join();
-    }
-    if (pool_ != nullptr) pool_->Join();
+    pool_->Join();
   }
 }
 
@@ -48,8 +57,8 @@ void Runner::RecordFailure(std::exception_ptr error) {
 void Runner::Start() {
   started_ = true;
 
-  // The pool runs only when every topology asked for it, with the largest of
-  // their worker counts.
+  // The pool placement applies only when every topology asked for it, with
+  // the largest of their worker counts.
   scheduler_ = topologies_.empty() ? SchedulerMode::kThreadPerNode
                                    : SchedulerMode::kPool;
   size_t workers = 0;
@@ -60,46 +69,22 @@ void Runner::Start() {
     workers = std::max(workers, topology->workers());
   }
 
-  // One placement rule: under the pool, every node that does not block on a
-  // non-queue resource (network, rate-limiter clock) joins the shared pool
-  // under its topology's fairness bucket; every other node gets a dedicated
-  // thread that steps it to the end of its stream.
-  if (scheduler_ == SchedulerMode::kPool) {
-    pool_ = std::make_unique<WorkerPool>(workers);
-  }
-  std::vector<Node*> dedicated;
+  // One placement rule: a node gets a home worker of its own under
+  // thread-per-node, or when it blocks on a non-queue resource (network,
+  // rate-limiter clock, retention index); every other node shares the
+  // pool's workers under its topology's fairness bucket.
+  pool_ = std::make_unique<WorkerPool>(workers);
   for (uint32_t q = 0; q < topologies_.size(); ++q) {
     for (auto& node : topologies_[q]->nodes()) {
-      if (pool_ != nullptr && !node->NeedsDedicatedThread()) {
-        pool_->AddNode(node.get(), q);
-      } else {
-        dedicated.push_back(node.get());
-      }
+      pool_->AddNode(node.get(), q,
+                     scheduler_ != SchedulerMode::kPool ||
+                         node->NeedsDedicatedThread());
     }
   }
-  // Start the pool (which attaches the edge signal hooks) before any
-  // dedicated thread runs: a dedicated producer's first Push may race the
-  // signal attachment otherwise.
-  if (pool_ != nullptr) {
-    pool_->Start([this](std::exception_ptr error) { RecordFailure(error); });
-  }
-  for (Node* node : dedicated) {
-    threads_.emplace_back([this, node] {
-      mem::SetCurrentInstance(node->instance_id());
-      try {
-        while (node->Step(kUnbounded) != StepResult::kDone) {
-        }
-      } catch (...) {
-        RecordFailure(std::current_exception());
-      }
-    });
-  }
+  pool_->Start([this](std::exception_ptr error) { RecordFailure(error); });
 }
 
 void Runner::Join() {
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
   if (pool_ != nullptr) pool_->Join();
   joined_ = true;
   if (failed_.load(std::memory_order_acquire)) {

@@ -1,9 +1,8 @@
 // Query topology and execution.
 //
 // A Topology owns the operator nodes of one SPE instance and wires streams
-// between them; a Runner executes one or more topologies, on a thread per node
-// (the Liebre model) or a shared worker pool, propagating the first failure
-// by aborting all queues.
+// between them; a Runner executes one or more topologies on the one executor
+// (spe/scheduler.h), propagating the first failure by aborting all queues.
 #ifndef GENEALOG_SPE_TOPOLOGY_H_
 #define GENEALOG_SPE_TOPOLOGY_H_
 
@@ -12,7 +11,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -32,11 +30,12 @@ class Abortable {
 class Topology {
  public:
   // `engine` holds this instance's settings; every reader below takes them
-  // from there.
+  // from there. Throws std::invalid_argument for an instance id outside
+  // [0, mem::kMaxInstances): per-instance memory accounting has one counter
+  // slot per id.
   explicit Topology(int instance_id = 0,
                     ProvenanceMode mode = ProvenanceMode::kNone,
-                    EngineOptions engine = {})
-      : instance_id_(instance_id), mode_(mode), engine_(std::move(engine)) {}
+                    EngineOptions engine = {});
 
   int instance_id() const { return instance_id_; }
   ProvenanceMode mode() const { return mode_; }
@@ -44,11 +43,11 @@ class Topology {
   // Batch size stamped on every stream wired by Connect (the Endpoint clamps
   // 0 to 1). 1 = unbatched item-at-a-time handover, the seed behavior.
   size_t default_batch_size() const { return engine_.batch_size; }
-  // Execution model requested for this topology. The Runner resolves the
-  // effective mode across all its topologies.
+  // Placement requested for this topology's nodes. The Runner resolves the
+  // effective placement across all its topologies.
   SchedulerMode scheduler() const { return engine_.scheduler; }
-  // Worker threads for pool mode; 0 = auto (one per physical core, capped by
-  // the task count).
+  // Shared worker threads under the pool placement; 0 = auto (one per
+  // physical core, capped by the shared task count).
   size_t workers() const { return engine_.workers; }
 
   // Constructs a node in this topology; instance id and provenance mode are
@@ -96,16 +95,17 @@ class WorkerPool;
 //   runner.Join();   // rethrows the first node failure, if any
 //
 // The Runner reads its topologies' EngineOptions and nothing else: the pool
-// runs only when every topology asks for it (mixed requests fall back to
-// thread-per-node, the conservative mode), with the largest of their worker
-// counts.
+// placement applies only when every topology asks for it (mixed requests
+// fall back to thread-per-node, the conservative placement), with the
+// largest of their worker counts.
 //
-// Every node runs the same body, Node::Step, in one of two places. Under the
-// pool, nodes join one shared morsel-driven WorkerPool (see spe/scheduler.h)
-// keyed by topology index for fairness, and Step runs in bounded quanta.
-// Every other node — all of them under thread-per-node (the Liebre model),
-// and those reporting NeedsDedicatedThread() under the pool — gets a
-// dedicated thread that steps it once with an unbounded budget.
+// Every node is a task of one WorkerPool (spe/scheduler.h), keyed by
+// topology index for fairness, and every Node::Step runs in bounded quanta
+// from WorkerPool::Execute. The scheduler mode only picks placement: under
+// thread-per-node (the Liebre model) every node has a home worker of its
+// own; under the pool the nodes share the workers, except those reporting
+// NeedsDedicatedThread(), which keep a home worker. The Runner starts no
+// thread itself.
 class Runner {
  public:
   explicit Runner(std::vector<Topology*> topologies);
@@ -119,7 +119,7 @@ class Runner {
   // Cooperative teardown: aborts every queue; nodes unwind promptly.
   void Abort();
 
-  // Effective mode (valid after Start).
+  // Effective placement (valid after Start).
   SchedulerMode scheduler() const { return scheduler_; }
   const WorkerPool* pool() const { return pool_.get(); }
 
@@ -128,7 +128,6 @@ class Runner {
 
   std::vector<Topology*> topologies_;
   SchedulerMode scheduler_ = SchedulerMode::kThreadPerNode;
-  std::vector<std::thread> threads_;
   std::unique_ptr<WorkerPool> pool_;
   std::atomic<bool> failed_{false};
   std::exception_ptr first_error_;

@@ -1,13 +1,12 @@
 // StreamQueue coalescing and the endpoint-level batching protocol built on it.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
 #include "spe/batch_queue.h"
 #include "spe/node.h"
+#include "testing/queue_signal.h"
 #include "testing/test_tuples.h"
 
 namespace genealog {
@@ -22,7 +21,7 @@ TEST(StreamQueueCoalesceTest, ConsecutiveWatermarksCollapse) {
   e.PushWatermark(9);
   e.PushWatermark(7);  // lower: still merged, keeps max
   EXPECT_EQ(queue->Size(), 1u);
-  auto batch = queue->Pop();
+  auto batch = queue->TryPop();
   ASSERT_TRUE(batch.has_value());
   EXPECT_TRUE(batch->tuples.empty());
   EXPECT_EQ(batch->watermark, 9);
@@ -45,7 +44,7 @@ TEST(StreamQueueCoalesceTest, WatermarkJoinsTailTupleBatch) {
   e.PushTuple(V(6, 1));
   e.PushWatermark(7);
   EXPECT_EQ(queue->Size(), 1u);
-  auto batch = queue->Pop();
+  auto batch = queue->TryPop();
   ASSERT_TRUE(batch.has_value());
   ASSERT_EQ(batch->tuples.size(), 1u);
   EXPECT_EQ(batch->tuples[0]->ts, 6);
@@ -99,7 +98,7 @@ TEST(StreamQueueCoalesceTest, FlushMergesIntoTailButSealsIt) {
   e.PushFlush();
   EXPECT_EQ(queue->Size(), 1u);
   {
-    auto batch = queue->Pop();
+    auto batch = queue->TryPop();
     ASSERT_TRUE(batch.has_value());
     EXPECT_TRUE(batch->flush);
   }
@@ -110,17 +109,18 @@ TEST(StreamQueueCoalesceTest, FlushMergesIntoTailButSealsIt) {
   EXPECT_EQ(queue->Size(), 2u);
 }
 
-TEST(StreamQueueCoalesceTest, WatermarkMergesIntoFullQueueWithoutBlocking) {
+TEST(StreamQueueCoalesceTest, WatermarkMergesIntoFullQueueWithoutSpilling) {
   auto queue = std::make_unique<StreamQueue>(2);
   Endpoint e{queue.get(), 0};
   e.PushTuple(V(1, 1));
   e.PushTuple(V(2, 2));  // queue now at weight capacity
-  // The watermark adds no weight: it must land without blocking.
+  // The watermark adds no weight: it must land without spilling.
   EXPECT_TRUE(e.PushWatermark(9));
+  EXPECT_FALSE(e.HasSpill());
   EXPECT_EQ(queue->Weight(), 2u);
   // Drain: last batch carries the watermark.
-  queue->Pop();
-  auto tail = queue->Pop();
+  queue->TryPop();
+  auto tail = queue->TryPop();
   ASSERT_TRUE(tail.has_value());
   EXPECT_EQ(tail->watermark, 9);
 }
@@ -146,61 +146,52 @@ TEST(StreamQueueCoalesceTest, OversizedBatchEntersEmptyQueue) {
   EXPECT_EQ(queue->Weight(), 8u);
 }
 
-// Contract regression: a Push that is parked in the producer wait when
-// Abort() fires must fail *without mutating the queue* — in particular it
-// must not coalesce its batch into the (now dead) tail once capacity frees
-// up during teardown. The schedule arranges exactly that temptation: the
-// blocked batch is coalescible with the tail, and a post-abort pop frees
-// enough weight that a retry-coalesce would succeed if it were attempted.
-TEST(AbortDuringProducerWaitTest, DoesNotCoalesceIntoDeadTail) {
+// Contract regression: a producer whose batch spilled against a full edge
+// when Abort() fires must not land it — in particular it must not coalesce
+// the spill into the (now dead) tail once capacity frees up during
+// teardown. The schedule arranges exactly that temptation: the spilled
+// batch is coalescible with the tail, and a post-abort pop frees enough
+// weight that a retry-coalesce would succeed if it were attempted.
+TEST(AbortDuringSpillTest, DoesNotCoalesceIntoDeadTail) {
   auto queue = std::make_unique<StreamQueue>(2);
-  std::atomic<bool> push_result{true};
-  std::thread producer([&] {
-    // Two weight-1 batches fill the queue; the third is coalescible with the
-    // tail (same port) but the merged tail would exceed capacity, so the
-    // push parks in the producer wait.
-    StreamBatch head;
-    head.port = 1;
-    head.tuples.push_back(V(1, 1));
-    ASSERT_TRUE(queue->Push(std::move(head), 8));
-    StreamBatch tail;
-    tail.port = 0;
-    tail.tuples.push_back(V(2, 2));
-    ASSERT_TRUE(queue->Push(std::move(tail), 8));
-    StreamBatch blocked;
-    blocked.port = 0;
-    blocked.tuples.push_back(V(3, 3));
-    push_result.store(queue->Push(std::move(blocked), 8));
-  });
-  // Wait (deterministically) until both fill batches are queued, then give
-  // the third push a moment to park; then tear the queue down and free
-  // capacity: after the pop, weight 1 + the blocked batch's 1 fits, and the
-  // tail (port 0, one tuple) would accept the merge — were it not dead.
-  // (If the abort still beats the third push, that push fails at entry —
-  // the same contract, so the assertions below hold on either schedule.)
-  while (queue->Weight() < 2) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  StreamBatch head;
+  head.port = 1;
+  head.tuples.push_back(V(1, 1));
+  ASSERT_EQ(queue->TryPush(head, 8), PushStatus::kOk);
+  // Two weight-1 batches fill the queue; the third tuple is coalescible
+  // with the tail (same port) but the merged tail would exceed capacity, so
+  // the endpoint spills it and declares itself waiting.
+  Endpoint e{queue.get(), 0, /*batch_size=*/8};
+  ASSERT_TRUE(e.PushTuple(V(2, 2)));
+  ASSERT_FALSE(e.HasSpill());
+  ASSERT_TRUE(e.PushTuple(V(3, 3)));
+  ASSERT_TRUE(e.Flush());  // the adaptive threshold may still hold it
+  ASSERT_TRUE(e.HasSpill());
+  // Tear the queue down and free capacity: after the pop, weight 1 + the
+  // spilled batch's 1 fits, and the tail (port 0, one tuple) would accept
+  // the merge — were it not dead. The re-offer discards the spill.
   queue->Abort();
-  auto head = queue->Pop();
-  ASSERT_TRUE(head.has_value());
-  EXPECT_EQ(head->port, 1);
-  producer.join();
-  EXPECT_FALSE(push_result.load());
-  auto tail = queue->Pop();
+  auto popped = queue->TryPop();
+  ASSERT_TRUE(popped.has_value());
+  EXPECT_EQ(popped->port, 1);
+  EXPECT_TRUE(e.DrainSpill());
+  EXPECT_FALSE(e.HasSpill());
+  auto tail = queue->TryPop();
   ASSERT_TRUE(tail.has_value());
   EXPECT_EQ(tail->port, 0);
   EXPECT_EQ(tail->tuples.size(), 1u) << "post-abort push coalesced into the "
                                         "dead tail";
   EXPECT_EQ(tail->tuples[0]->ts, 2);
-  EXPECT_FALSE(queue->Pop().has_value());
+  EXPECT_FALSE(queue->TryPop().has_value());
   // And a fresh push after the teardown must fail without queueing anything.
   Endpoint late{queue.get(), 0};
   EXPECT_FALSE(late.PushTuple(V(9, 9)));
-  EXPECT_FALSE(queue->Pop().has_value());
+  EXPECT_FALSE(queue->TryPop().has_value());
 }
 
 TEST(StreamQueueCoalesceTest, ConcurrentProducersStayConsistent) {
   auto queue = std::make_unique<StreamQueue>(4096);
+  testing::WaitingSignal signal(*queue);
   constexpr int kPerProducer = 20000;
   std::vector<std::thread> producers;
   for (int p = 0; p < 4; ++p) {
@@ -208,22 +199,27 @@ TEST(StreamQueueCoalesceTest, ConcurrentProducersStayConsistent) {
       Endpoint e{queue.get(), static_cast<uint16_t>(p)};
       for (int i = 0; i < kPerProducer; ++i) {
         ASSERT_TRUE(e.PushWatermark(i));
+        // Interleaved ports can fill the queue: re-offer the spill, as the
+        // executor does before it steps a producer again.
+        while (!e.DrainSpill()) std::this_thread::yield();
       }
     });
   }
   // Concurrent consumer: per-port watermarks must arrive nondecreasing, and
   // the final watermark of every port must be delivered (a coalesced tail is
-  // never lost). Pop() blocks, so the consumer simply reads until it has
-  // seen every port's last value.
+  // never lost). The consumer parks on the signal while the queue is
+  // empty, and reads until it has seen every port's last value.
   int64_t last_wm[4] = {-1, -1, -1, -1};
   int ports_finished = 0;
+  std::vector<StreamBatch> burst;
   while (ports_finished < 4) {
-    auto batch = queue->Pop();
-    ASSERT_TRUE(batch.has_value());
-    ASSERT_TRUE(batch->has_watermark());
-    ASSERT_GE(batch->watermark, last_wm[batch->port]);
-    last_wm[batch->port] = batch->watermark;
-    if (batch->watermark == kPerProducer - 1) ++ports_finished;
+    burst.clear();
+    ASSERT_EQ(signal.Pop(burst, 1), PopStatus::kPopped);
+    const StreamBatch& batch = burst[0];
+    ASSERT_TRUE(batch.has_watermark());
+    ASSERT_GE(batch.watermark, last_wm[batch.port]);
+    last_wm[batch.port] = batch.watermark;
+    if (batch.watermark == kPerProducer - 1) ++ports_finished;
   }
   for (auto& t : producers) t.join();
   for (int p = 0; p < 4; ++p) {

@@ -42,6 +42,9 @@ using namespace std::chrono_literals;
 using testing::V;
 using testing::ValueTuple;
 
+// A Step budget larger than any request stream these node-level tests send.
+constexpr size_t kFrames = 64;
+
 // --- retention index ----------------------------------------------------------
 
 TuplePtr Delivering(int64_t ts, uint64_t id,
@@ -180,7 +183,7 @@ TEST(UServeNodeTest, AnswersThenEchoesTheRequestWatermarkExactly) {
   request.watermark = 100;
   ASSERT_TRUE(channel.SendReverse(EncodeRequestFrame(request)));
   ASSERT_TRUE(channel.SendReverse(EncodeFlushFrame()));
-  ASSERT_EQ(server->Step(kUnbounded), StepResult::kDone);
+  ASSERT_EQ(server->Step(kFrames), StepResult::kDone);
 
   // Forward: the one unfolded tuple, then watermark 100 itself (not
   // 100 - ws), then the flush.
@@ -224,7 +227,7 @@ TEST(UServeNodeTest, RequestDirectionClosedWithoutFlushIsANamedError) {
   auto* server = edge.Add<UServeNode>("send.U0", su, &channel);
   channel.CloseReverse();
   try {
-    server->Step(kUnbounded);
+    server->Step(kFrames);
     FAIL() << "a request direction closed without flush read as a clean end";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("send.U0"), std::string::npos);
@@ -376,40 +379,21 @@ struct PipelineResult {
 constexpr int kTuples = 400;
 constexpr int64_t kWindow = 10;
 
-// Runs the deployment in the header comment. `pull` false wires the paper's
-// push form (SU with a U output, SendNode) as the reference. `during` runs on
-// the calling thread while the deployment executes.
-PipelineResult RunPipeline(bool pull, TestChannel& u_channel,
-                           RetentionSpec retention = {},
-                           const std::function<void(SuNode*)>& during = {}) {
+std::vector<IntrusivePtr<ValueTuple>> Data() {
   std::vector<IntrusivePtr<ValueTuple>> data;
   for (int i = 0; i < kTuples; ++i) data.push_back(V(i, i));
-  InMemoryChannel ch_data;
-  InMemoryChannel ch_u_sink;
-  Topology i1(1, ProvenanceMode::kGenealog);
-  Topology i2(2, ProvenanceMode::kGenealog);
-  Topology i3(3, ProvenanceMode::kGenealog);
+  return data;
+}
 
-  auto* source = i1.Add<VectorSourceNode<ValueTuple>>("source", std::move(data));
-  auto* map = i1.Add<MapNode<ValueTuple, ValueTuple>>(
+// The query of the header comment, placed piecewise.
+Node* AddDouble(Topology& topo) {
+  return topo.Add<MapNode<ValueTuple, ValueTuple>>(
       "double", [](const ValueTuple& in, MapCollector<ValueTuple>& out) {
         out.Emit(MakeTuple<ValueTuple>(0, in.value * 2));
       });
-  retention.ws = kWindow;
-  auto* su_send = pull ? i1.Add<SuNode>("SU.send0", retention)
-                       : i1.Add<SuNode>("SU.send0");
-  auto* send_data = i1.Add<SendNode>("send.data0", &ch_data);
-  i1.Connect(source, map);
-  i1.Connect(map, su_send);
-  i1.Connect(su_send, send_data);
-  if (pull) {
-    i1.Add<UServeNode>("send.U0", su_send, &u_channel);
-  } else {
-    i1.Connect(su_send, i1.Add<SendNode>("send.U0", &u_channel));
-  }
-
-  auto* recv_data = i2.Add<ReceiveNode>("recv.data0", &ch_data);
-  auto* agg = i2.Add<AggregateNode<ValueTuple, ValueTuple>>(
+}
+Node* AddWindowSum(Topology& topo) {
+  return topo.Add<AggregateNode<ValueTuple, ValueTuple>>(
       "agg", AggregateOptions{kWindow, kWindow},
       [](const ValueTuple&) { return int64_t{0}; },
       [](const WindowView<ValueTuple, int64_t>& w) {
@@ -417,27 +401,17 @@ PipelineResult RunPipeline(bool pull, TestChannel& u_channel,
         for (const auto& t : w.tuples) sum += t->value;
         return MakeTuple<ValueTuple>(0, sum);
       });
-  auto* even = i2.Add<FilterNode<ValueTuple>>(
+}
+Node* AddEven(Topology& topo) {
+  return topo.Add<FilterNode<ValueTuple>>(
       "even", [](const ValueTuple& t) { return (t.ts / kWindow) % 2 == 0; });
-  auto* su_sink = i2.Add<SuNode>("SU.sink");
-  PipelineResult result;
-  auto* sink = i2.Add<SinkNode>(
+}
+Node* AddSink(Topology& topo, PipelineResult& result) {
+  return topo.Add<SinkNode>(
       "K", [&result](const TuplePtr& t) { result.sink_ts.push_back(t->ts); });
-  auto* send_u_sink = i2.Add<SendNode>("send.U_sink", &ch_u_sink);
-  i2.Connect(recv_data, agg);
-  i2.Connect(agg, even);
-  i2.Connect(even, su_sink);
-  i2.Connect(su_sink, sink);
-  i2.Connect(su_sink, send_u_sink);
-
-  auto* recv_u_sink = i3.Add<ReceiveNode>("recv.U_sink", &ch_u_sink);
-  auto* recv_u = i3.Add<ReceiveNode>("recv.U0", &u_channel);
-  if (pull) {
-    recv_u_sink->set_tap(std::make_unique<UDemand>(
-        "recv.U_sink", kWindow,
-        std::vector<UDemand::Upstream>{{"U0", &u_channel}}));
-  }
-  auto* mu = i3.Add<MuNode>("MU", kWindow);
+}
+// K2: every finalized record lands in `result.records` (origin ts sorted).
+Node* AddProvenanceSink(Topology& topo, PipelineResult& result) {
   ProvenanceSinkSpec pso;
   pso.finalize_slack = kWindow;
   pso.consumer = [&result](const ProvenanceRecord& r) {
@@ -449,10 +423,104 @@ PipelineResult RunPipeline(bool pull, TestChannel& u_channel,
     std::sort(rec.origin_ts.begin(), rec.origin_ts.end());
     result.records.push_back(std::move(rec));
   };
-  auto* k2 = i3.Add<ProvenanceSinkNode>("K2", pso);
+  return topo.Add<ProvenanceSinkNode>("K2", pso);
+}
+
+// A stream of capacity 1: a producer's endpoint from Input() pushes into
+// `queue_`, which no node owns as its input, so the executor wires no
+// DataReady to this node; it polls, forwarding one batch per step.
+class CapacityOneEdge final : public Node {
+ public:
+  CapacityOneEdge() : Node("so.capacity1") {}
+
+  Endpoint Input() { return Endpoint{&queue_, 0}; }
+
+  StepResult Step(size_t /*max_batches*/) override {
+    std::vector<StreamBatch> burst;
+    switch (queue_.PopSome(burst, 1)) {
+      case PopStatus::kAborted:
+        return StepResult::kDone;
+      case PopStatus::kEmpty:
+        std::this_thread::yield();
+        return StepResult::kReady;
+      case PopStatus::kPopped:
+        break;
+    }
+    const bool flush = burst[0].flush;
+    burst[0].flush = false;
+    ForwardBatchAll(std::move(burst[0]));
+    if (!flush) return StepResult::kReady;
+    EmitFlushAll();
+    return StepResult::kDone;
+  }
+
+  void AbortQueues() override { queue_.Abort(); }
+
+ private:
+  StreamQueue queue_{1};
+};
+
+// Runs the deployment in the header comment. `pull` false wires the paper's
+// push form (SU with a U output, SendNode) as the reference. `during` runs on
+// the calling thread while the deployment executes. `narrow_so` runs every
+// node on its own home worker (thread-per-node) and puts a capacity-1 edge
+// between the edge SU's SO output and its Send.
+PipelineResult RunPipeline(bool pull, TestChannel& u_channel,
+                           RetentionSpec retention = {},
+                           const std::function<void(SuNode*)>& during = {},
+                           bool narrow_so = false) {
+  InMemoryChannel ch_data;
+  InMemoryChannel ch_u_sink;
+  EngineOptions engine;
+  if (narrow_so) engine.scheduler = SchedulerMode::kThreadPerNode;
+  Topology i1(1, ProvenanceMode::kGenealog, engine);
+  Topology i2(2, ProvenanceMode::kGenealog, engine);
+  Topology i3(3, ProvenanceMode::kGenealog, engine);
+
+  auto* source = i1.Add<VectorSourceNode<ValueTuple>>("source", Data());
+  Node* map = AddDouble(i1);
+  retention.ws = kWindow;
+  auto* su_send = pull ? i1.Add<SuNode>("SU.send0", retention)
+                       : i1.Add<SuNode>("SU.send0");
+  auto* send_data = i1.Add<SendNode>("send.data0", &ch_data);
+  i1.Connect(source, map);
+  i1.Connect(map, su_send);
+  if (narrow_so) {
+    auto* so = i1.Add<CapacityOneEdge>();
+    su_send->AddOutput(so->Input());
+    i1.Connect(so, send_data);
+  } else {
+    i1.Connect(su_send, send_data);
+  }
+  if (pull) {
+    i1.Add<UServeNode>("send.U0", su_send, &u_channel);
+  } else {
+    i1.Connect(su_send, i1.Add<SendNode>("send.U0", &u_channel));
+  }
+
+  PipelineResult result;
+  auto* recv_data = i2.Add<ReceiveNode>("recv.data0", &ch_data);
+  Node* agg = AddWindowSum(i2);
+  Node* even = AddEven(i2);
+  auto* su_sink = i2.Add<SuNode>("SU.sink");
+  auto* send_u_sink = i2.Add<SendNode>("send.U_sink", &ch_u_sink);
+  i2.Connect(recv_data, agg);
+  i2.Connect(agg, even);
+  i2.Connect(even, su_sink);
+  i2.Connect(su_sink, AddSink(i2, result));
+  i2.Connect(su_sink, send_u_sink);
+
+  auto* recv_u_sink = i3.Add<ReceiveNode>("recv.U_sink", &ch_u_sink);
+  auto* recv_u = i3.Add<ReceiveNode>("recv.U0", &u_channel);
+  if (pull) {
+    recv_u_sink->set_tap(std::make_unique<UDemand>(
+        "recv.U_sink", kWindow,
+        std::vector<UDemand::Upstream>{{"U0", &u_channel}}));
+  }
+  auto* mu = i3.Add<MuNode>("MU", kWindow);
   i3.Connect(recv_u_sink, mu);  // port 0: derived
   i3.Connect(recv_u, mu);       // port 1: upstream
-  i3.Connect(mu, k2);
+  i3.Connect(mu, AddProvenanceSink(i3, result));
 
   for (ByteChannel* ch : std::initializer_list<ByteChannel*>{
            &ch_data, &ch_u_sink, &u_channel}) {
@@ -470,6 +538,27 @@ PipelineResult RunPipeline(bool pull, TestChannel& u_channel,
     result.evicted_unrequested = index->evicted_unrequested();
     result.peak = index->peak();
   }
+  return result;
+}
+
+// The same query in one GL instance: SU before the sink, K2 on its U
+// output, no cut.
+PipelineResult RunSingleInstance() {
+  PipelineResult result;
+  Topology i1(1, ProvenanceMode::kGenealog);
+  auto* source = i1.Add<VectorSourceNode<ValueTuple>>("source", Data());
+  Node* map = AddDouble(i1);
+  Node* agg = AddWindowSum(i1);
+  Node* even = AddEven(i1);
+  auto* su = i1.Add<SuNode>("SU");
+  i1.Connect(source, map);
+  i1.Connect(map, agg);
+  i1.Connect(agg, even);
+  i1.Connect(even, su);
+  i1.Connect(su, AddSink(i1, result));
+  i1.Connect(su, AddProvenanceSink(i1, result));
+  RunToCompletion(i1);
+  std::sort(result.records.begin(), result.records.end());
   return result;
 }
 
@@ -543,6 +632,26 @@ TEST(PullProtocolTest, PermanentlyStalledRequestWatermarkIsANamedError) {
     EXPECT_NE(what.find("SU.send0"), std::string::npos) << what;
     EXPECT_NE(what.find("retention index full"), std::string::npos) << what;
   }
+}
+
+// A Step that spilled must not wait on the retention index. Behind a
+// capacity-1 SO edge, every refill of a full index spills the forwarded
+// prefix; the pull-mode SU keeps the unretained rest of its batch, lets the
+// spill drain, and only then waits for the frontier. Waiting while holding
+// the spill would keep the frontier from moving until the stall timeout.
+TEST(PullProtocolTest, SpilledSoEdgeNeverHoldsTheRetentionWait) {
+  constexpr size_t kBound = 48;
+  TestChannel channel;
+  const PipelineResult pull = RunPipeline(
+      /*pull=*/true, channel,
+      RetentionSpec{.capacity = kBound, .stall_timeout = 5s}, {},
+      /*narrow_so=*/true);
+  const PipelineResult single = RunSingleInstance();
+  EXPECT_EQ(single.records, ExpectedRecords());
+  EXPECT_EQ(pull.records, single.records);
+  EXPECT_EQ(pull.sink_ts, single.sink_ts);
+  EXPECT_EQ(pull.peak, kBound);
+  EXPECT_EQ(pull.retained, pull.requested + pull.evicted_unrequested);
 }
 
 }  // namespace

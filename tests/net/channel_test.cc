@@ -257,6 +257,42 @@ BridgeRun RunAcrossBridge(ByteChannel* send_end, ByteChannel* recv_end,
   return run;
 }
 
+// The back-pressure rule at a Receive: a frame whose emission spilled is
+// the last frame a Step reads; the rest waits in the channel until the
+// spill drained.
+TEST(SendReceiveTest, ReceiveStopsReadingFramesOnceAFrameSpilled) {
+  InMemoryChannel channel;
+  for (int64_t i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(channel.SendFrame(EncodeBatchFrame(
+        std::vector<TuplePtr>{V(i, i)}, kNoWatermark, /*remotify=*/true)));
+  }
+  ASSERT_TRUE(channel.SendFrame(EncodeFlushFrame()));
+  ReceiveNode receive("recv", &channel);
+  StreamQueue out(1);
+  receive.AddOutput(Endpoint{&out, 0});
+  std::vector<int64_t> delivered;
+  auto take = [&] {
+    while (auto batch = out.TryPop()) {
+      for (const TuplePtr& t : batch->tuples) delivered.push_back(t->ts);
+    }
+  };
+
+  // Frame 1 lands; frame 2's tuple finds the edge full and spills.
+  ASSERT_EQ(receive.Step(32), StepResult::kReady);
+  EXPECT_EQ(receive.tuples_processed(), 2u);
+  EXPECT_TRUE(receive.HasSpills());
+  // Room frees, the spill drains, and the next Step reads one more frame.
+  take();
+  ASSERT_TRUE(receive.DrainSpills());
+  ASSERT_EQ(receive.Step(32), StepResult::kReady);
+  EXPECT_EQ(receive.tuples_processed(), 3u);
+  take();
+  ASSERT_TRUE(receive.DrainSpills());
+  ASSERT_EQ(receive.Step(32), StepResult::kDone);  // the flush frame
+  take();
+  EXPECT_EQ(delivered, (std::vector<int64_t>{1, 2, 3}));
+}
+
 TEST(SendReceiveTest, TuplesCrossInMemoryChannel) {
   InMemoryChannel channel;
   BridgeRun run = RunAcrossBridge(&channel, &channel, ProvenanceMode::kNone);

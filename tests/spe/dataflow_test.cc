@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -185,6 +186,49 @@ TEST(DataflowTest, GenealogDistributedWeavesSuPerCutAndMu) {
   flow.Run();
   EXPECT_EQ(flow.sink()->count(), 6u);
   EXPECT_EQ(flow.provenance_records(), 6u);
+}
+
+// Instance ids index the per-instance memory counters, so a Topology
+// rejects an id past mem::kMaxInstances by name instead of writing past
+// them. GL weaves its provenance instance after the last placed one.
+TEST(DataflowTest, RejectsInstanceIdsPastTheAccountingSlots) {
+  auto split_at = [](ProvenanceMode mode, int instance) {
+    DataflowOptions opts;
+    opts.mode = mode;
+    Dataflow df(std::move(opts));
+    df.Source<ValueTuple>("src", Values(4))
+        .Filter("stage1", [](const ValueTuple&) { return true; })
+        .At(instance)
+        .Filter("stage2", [](const ValueTuple&) { return true; })
+        .Sink("k");
+    return df;
+  };
+  {
+    // .At(15) under GL puts the provenance instance at 16.
+    Dataflow df = split_at(ProvenanceMode::kGenealog, 15);
+    try {
+      df.Build();
+      FAIL() << "instance 16 was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("instance 16"), std::string::npos) << what;
+      EXPECT_NE(what.find("[0, 16)"), std::string::npos) << what;
+    }
+  }
+  {
+    Dataflow df = split_at(ProvenanceMode::kGenealog, 14);
+    BuiltDataflow flow = df.Build();
+    EXPECT_EQ(flow.topologies.back()->instance_id(), 15);
+    flow.Run();
+    EXPECT_EQ(flow.sink()->count(), 4u);
+    EXPECT_EQ(flow.provenance_records(), 4u);
+  }
+  {
+    Dataflow df = split_at(ProvenanceMode::kNone, 15);
+    BuiltDataflow flow = df.Build();
+    flow.Run();
+    EXPECT_EQ(flow.sink()->count(), 4u);
+  }
 }
 
 TEST(DataflowTest, BaselineWeavesTapsAndResolver) {

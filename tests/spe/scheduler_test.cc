@@ -1,5 +1,6 @@
-// Worker-pool scheduler (spe/scheduler.h) behavioral tests: readiness and
-// wakeup across the pinned-node boundary, injector round-robin fairness,
+// Executor (spe/scheduler.h) behavioral tests: the back-pressure rule at a
+// node's Step, readiness and wakeup between home workers and shared tasks,
+// injector round-robin fairness,
 // failure propagation while tasks are being stolen, and byte-identical
 // output against thread-per-node across worker counts (including the fully
 // serialized workers=1 case, which exposes any reliance on a second thread
@@ -14,6 +15,7 @@
 
 #include "spe/aggregate.h"
 #include "spe/join.h"
+#include "spe/scheduler.h"
 #include "spe/sink.h"
 #include "spe/source.h"
 #include "spe/stateless.h"
@@ -109,8 +111,52 @@ TEST(SchedulerTest, PoolOutputMatchesThreadPerNodeAcrossWorkerCounts) {
   }
 }
 
-// Readiness must cross the pinned-node boundary: a rate-limited source keeps
-// a dedicated thread even in pool mode, and the pool workers park between
+// The back-pressure rule at a single-input node: a Step ends after the first
+// batch whose emission spilled and keeps the rest of its burst, which the
+// next Steps resume in order once the spill drained.
+TEST(BackPressureTest, SpilledBatchEndsTheStepAndTheBurstResumes) {
+  int calls = 0;
+  MapNode<ValueTuple, ValueTuple> node(
+      "copy", [&calls](const ValueTuple& in, MapCollector<ValueTuple>& out) {
+        ++calls;
+        out.Emit(MakeTuple<ValueTuple>(0, in.value));
+      });
+  Endpoint in = node.AddInput();  // batch size 1: one batch per tuple
+  for (int64_t i = 1; i <= 4; ++i) ASSERT_TRUE(in.PushTuple(V(i, i)));
+  ASSERT_EQ(node.input_queue()->Size(), 4u);
+  StreamQueue out(1);
+  node.AddOutput(Endpoint{&out, 0});
+
+  // One pop takes the whole burst; batch 1 lands, batch 2 spills, and the
+  // Step ends there with batches 3 and 4 unprocessed.
+  ASSERT_EQ(node.Step(WorkerPool::kMorselBatches), StepResult::kReady);
+  EXPECT_EQ(node.input_queue()->Size(), 0u);
+  EXPECT_EQ(calls, 2);
+  EXPECT_TRUE(node.HasSpills());
+
+  std::vector<int64_t> delivered;
+  std::vector<int> calls_after;
+  StepResult result = StepResult::kReady;
+  while (result == StepResult::kReady) {
+    // The consumer frees room, the executor drains the spill, and the next
+    // Step resumes the burst: one more batch each round.
+    while (auto batch = out.TryPop()) {
+      for (const TuplePtr& t : batch->tuples) delivered.push_back(t->ts);
+    }
+    ASSERT_TRUE(node.DrainSpills());
+    result = node.Step(WorkerPool::kMorselBatches);
+    calls_after.push_back(calls);
+  }
+  EXPECT_EQ(result, StepResult::kIdle);  // burst done, input empty
+  while (auto batch = out.TryPop()) {
+    for (const TuplePtr& t : batch->tuples) delivered.push_back(t->ts);
+  }
+  EXPECT_EQ(delivered, (std::vector<int64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(calls_after, (std::vector<int>{3, 4, 4}));
+}
+
+// Readiness must cross the placement boundary: a rate-limited source keeps
+// a home worker even under the pool, and the shared workers park between
 // its (slow, externally clocked) pushes. Every push must wake them — a lost
 // wakeup hangs the run, a missed flush drops the tail.
 TEST(SchedulerTest, PinnedSourceWakesParkedPoolWorkers) {
@@ -120,7 +166,7 @@ TEST(SchedulerTest, PinnedSourceWakesParkedPoolWorkers) {
                               .scheduler = SchedulerMode::kPool,
                               .workers = 2});
   SourceOptions options;
-  options.max_rate_tps = 20000;  // pinned: NeedsDedicatedThread() == true
+  options.max_rate_tps = 20000;  // homed: NeedsDedicatedThread() == true
   auto* source =
       topo.Add<VectorSourceNode<ValueTuple>>("src", Sequence(64), options);
   auto* filter = topo.Add<FilterNode<ValueTuple>>(

@@ -347,8 +347,7 @@ class EmissionProbe final : public SingleInputNode {
 
   StepResult Step(size_t max_batches) override {
     if (source_->tuples_processed() < total_) {
-      // A pool task parks and is re-armed by the source's next push; a
-      // dedicated thread steps again.
+      // The task parks and is re-armed by the source's next push.
       std::this_thread::yield();
       return StepResult::kIdle;
     }

@@ -2,30 +2,40 @@
 //
 // Single-thread tests pin the parts of the queue contract that
 // coalesce_test does not (weight counting, weight-capped merges, abort
-// unblocking parked threads) and the pool scheduler's readiness hook. The
+// waking parked threads) and the readiness hook the executor parks on. The
 // stress tests run the dominant edge shape — one producer thread, one
 // consumer thread, with randomized stalls on both sides — over up to a
 // million mixed batches and assert the stream invariants: no tuple lost, no
 // tuple reordered or duplicated, watermarks nondecreasing, flush delivered
-// last, and an abort leaves an exact prefix to drain. CI repeats them under
+// last, and an abort leaves an exact prefix to drain. The threads park on a
+// test Signal between TryPush/PopSome attempts. CI repeats them under
 // -fsanitize=thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "spe/batch_queue.h"
 #include "spe/node.h"
+#include "testing/queue_signal.h"
 #include "testing/test_tuples.h"
 
 namespace genealog {
 namespace {
 
 using testing::V;
+using testing::WaitingSignal;
+
+constexpr size_t kAll = std::numeric_limits<size_t>::max();
+
+PushStatus Offer(StreamQueue& queue, StreamBatch batch, size_t max_coalesce) {
+  return queue.TryPush(batch, max_coalesce);
+}
 
 TEST(StreamQueueTest, WeightCountsTuplesAndControlBatches) {
   StreamQueue queue(64);
@@ -33,12 +43,12 @@ TEST(StreamQueueTest, WeightCountsTuplesAndControlBatches) {
   data.tuples.push_back(V(1, 1));
   data.tuples.push_back(V(2, 2));
   data.tuples.push_back(V(3, 3));
-  queue.Push(std::move(data), 3);
+  ASSERT_EQ(Offer(queue, std::move(data), 3), PushStatus::kOk);
   EXPECT_EQ(queue.Weight(), 3u);  // tuples are the unit
   StreamBatch control;
   control.port = 1;  // different port: no merge
   control.watermark = 9;
-  queue.Push(std::move(control), 3);
+  ASSERT_EQ(Offer(queue, std::move(control), 3), PushStatus::kOk);
   EXPECT_EQ(queue.Weight(), 4u);  // control-only batches weigh 1
   EXPECT_EQ(queue.ApproxWeight(), 4u);
   EXPECT_EQ(queue.Size(), 2u);
@@ -54,8 +64,9 @@ TEST(StreamQueueTest, MergeUpToWeightCapacity) {
   StreamBatch two;
   two.tuples.push_back(V(1, 1));
   two.tuples.push_back(V(2, 2));
-  queue.Push(std::move(two), 8);
-  queue.Push(StreamBatch::MakeTuple(V(3, 3)), 8);  // 2+1 = 3 <= 3: merges
+  ASSERT_EQ(Offer(queue, std::move(two), 8), PushStatus::kOk);
+  // 2+1 = 3 <= 3: merges.
+  ASSERT_EQ(Offer(queue, StreamBatch::MakeTuple(V(3, 3)), 8), PushStatus::kOk);
   EXPECT_EQ(queue.Size(), 1u);
   EXPECT_EQ(queue.Weight(), 3u);
 }
@@ -65,24 +76,24 @@ TEST(StreamQueueTest, MergeRefusedByWeightLandsAsOwnBatch) {
   StreamBatch two;
   two.tuples.push_back(V(1, 1));
   two.tuples.push_back(V(2, 2));
-  queue.Push(std::move(two), 8);
+  ASSERT_EQ(Offer(queue, std::move(two), 8), PushStatus::kOk);
   // 2+2 tuples fit max_coalesce 8 but would exceed weight capacity 3: the
-  // merge is refused, and the non-empty queue has no room for the batch.
+  // merge is refused, and the non-empty queue has no room for the batch,
+  // which stays with the producer untouched.
   StreamBatch more;
   more.tuples.push_back(V(3, 3));
   more.tuples.push_back(V(4, 4));
   EXPECT_EQ(queue.TryPush(more, 8), PushStatus::kFull);
+  ASSERT_EQ(more.tuples.size(), 2u);
   EXPECT_EQ(queue.Size(), 1u);
   EXPECT_EQ(queue.Weight(), 2u);
-  // A blocking push waits for the consumer to drain.
-  std::thread producer(
-      [&] { ASSERT_TRUE(queue.Push(std::move(more), 8)); });
-  auto first = queue.Pop();
+  // Once the consumer drained, the retry lands as its own batch.
+  auto first = queue.TryPop();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->tuples.size(), 2u);  // unmerged: capacity held
   EXPECT_EQ(first->tuples[0]->ts, 1);
-  producer.join();
-  auto second = queue.Pop();
+  ASSERT_EQ(queue.TryPush(more, 8), PushStatus::kOk);
+  auto second = queue.TryPop();
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->tuples.size(), 2u);
   EXPECT_EQ(second->tuples[0]->ts, 3);
@@ -90,70 +101,65 @@ TEST(StreamQueueTest, MergeRefusedByWeightLandsAsOwnBatch) {
 
 TEST(StreamQueueTest, AbortRejectsPushAndDrainsPops) {
   StreamQueue queue(8);
-  queue.Push(StreamBatch::MakeTuple(V(1, 1)), 1);
-  queue.Push(StreamBatch::MakeTuple(V(2, 2)), 1);
-  queue.Push(StreamBatch::MakeTuple(V(3, 3)), 1);
+  for (int64_t i = 1; i <= 3; ++i) {
+    ASSERT_EQ(Offer(queue, StreamBatch::MakeTuple(V(i, i)), 1),
+              PushStatus::kOk);
+  }
   queue.Abort();
-  EXPECT_FALSE(queue.Push(StreamBatch::MakeTuple(V(4, 4)), 1));
+  EXPECT_EQ(Offer(queue, StreamBatch::MakeTuple(V(4, 4)), 1),
+            PushStatus::kAborted);
   // Post-abort pushes must not have coalesced into the dead tail either.
-  auto a = queue.Pop();
+  auto a = queue.TryPop();
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->tuples.size(), 1u);
-  // The waiting pop dedicated nodes make returns the residue first, bounded
-  // by its budget, and only then reports the abort.
+  // The pop returns the residue first, bounded by its budget, and only then
+  // reports the abort.
   std::vector<StreamBatch> rest;
-  ASSERT_EQ(queue.PopSome(rest, 1, /*wait=*/true), PopStatus::kPopped);
+  ASSERT_EQ(queue.PopSome(rest, 1), PopStatus::kPopped);
   ASSERT_EQ(rest.size(), 1u);
   EXPECT_EQ(rest[0].tuples[0]->ts, 2);
-  ASSERT_EQ(queue.PopSome(rest, kUnbounded, /*wait=*/true),
-            PopStatus::kPopped);
+  ASSERT_EQ(queue.PopSome(rest, kAll), PopStatus::kPopped);
   ASSERT_EQ(rest.size(), 2u);
   EXPECT_EQ(rest[1].tuples.size(), 1u);
-  EXPECT_FALSE(queue.Pop().has_value());
-  EXPECT_EQ(queue.PopSome(rest, kUnbounded, /*wait=*/true),
-            PopStatus::kAborted);
-  EXPECT_EQ(queue.PopSome(rest, kUnbounded, /*wait=*/false),
-            PopStatus::kAborted);
+  EXPECT_FALSE(queue.TryPop().has_value());
+  EXPECT_EQ(queue.PopSome(rest, kAll), PopStatus::kAborted);
   EXPECT_EQ(rest.size(), 2u);
 }
 
-TEST(StreamQueueTest, AbortUnblocksParkedProducer) {
+TEST(StreamQueueTest, AbortWakesParkedProducer) {
   StreamQueue queue(1);
-  queue.Push(StreamBatch::MakeTuple(V(1, 1)), 1);  // full
+  WaitingSignal signal(queue);
+  ASSERT_TRUE(signal.Push(StreamBatch::MakeTuple(V(1, 1)), 1));  // full
   std::atomic<bool> push_result{true};
   std::thread producer([&] {
     StreamBatch b = StreamBatch::MakeTuple(V(2, 2));
     b.port = 1;  // different port: cannot coalesce, must wait for weight
-    push_result.store(queue.Push(std::move(b), 1));
+    push_result.store(signal.Push(std::move(b), 1));
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   queue.Abort();
   producer.join();
   EXPECT_FALSE(push_result.load());
-  // The blocked batch was dropped, not queued: only the pre-abort batch
+  // The parked batch was dropped, not queued: only the pre-abort batch
   // drains.
-  auto batch = queue.Pop();
+  auto batch = queue.TryPop();
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(batch->tuples[0]->ts, 1);
-  EXPECT_FALSE(queue.Pop().has_value());
+  EXPECT_FALSE(queue.TryPop().has_value());
 }
 
-TEST(StreamQueueTest, AbortUnblocksParkedConsumer) {
+TEST(StreamQueueTest, AbortWakesParkedConsumer) {
   StreamQueue queue(4);
+  WaitingSignal signal(queue);
   std::thread consumer([&] {
-    EXPECT_FALSE(queue.Pop().has_value());  // blocks until abort, then empty
-  });
-  std::thread burst_consumer([&] {
-    // The dedicated-thread pop: waits while empty, then reports the abort.
+    // Parks while empty, then reports the abort.
     std::vector<StreamBatch> out;
-    EXPECT_EQ(queue.PopSome(out, kUnbounded, /*wait=*/true),
-              PopStatus::kAborted);
+    EXPECT_EQ(signal.Pop(out, kAll), PopStatus::kAborted);
     EXPECT_TRUE(out.empty());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   queue.Abort();
   consumer.join();
-  burst_consumer.join();
 }
 
 // --- readiness hook ----------------------------------------------------------
@@ -172,11 +178,13 @@ TEST(StreamQueueSignalTest, PushFiresDataReadyWaitingPopFiresRoomFreedOnce) {
 
   // Every landed push is data, merged or not; a pop with no waiting
   // producer owes nobody a RoomFreed.
-  ASSERT_TRUE(queue.Push(StreamBatch::MakeTuple(V(1, 1)), 1));
+  ASSERT_EQ(Offer(queue, StreamBatch::MakeTuple(V(1, 1)), 1),
+            PushStatus::kOk);
   EXPECT_EQ(signal.data_ready, 1);
-  ASSERT_TRUE(queue.Push(StreamBatch::MakeWatermark(5), 1));  // merges
+  // Merges.
+  ASSERT_EQ(Offer(queue, StreamBatch::MakeWatermark(5), 1), PushStatus::kOk);
   EXPECT_EQ(signal.data_ready, 2);
-  ASSERT_TRUE(queue.Pop().has_value());
+  ASSERT_TRUE(queue.TryPop().has_value());
   EXPECT_EQ(signal.room_freed, 0);
 
   // Fill, then the spill protocol: kFull, declare, retry, still kFull.
@@ -192,11 +200,11 @@ TEST(StreamQueueSignalTest, PushFiresDataReadyWaitingPopFiresRoomFreedOnce) {
 
   // The first pop after the declaration claims it: exactly one RoomFreed.
   std::vector<StreamBatch> out;
-  ASSERT_EQ(queue.PopSome(out, 8, /*wait=*/false), PopStatus::kPopped);
+  ASSERT_EQ(queue.PopSome(out, 8), PopStatus::kPopped);
   EXPECT_EQ(signal.room_freed, 1);
   ASSERT_EQ(queue.TryPush(blocked, 1), PushStatus::kOk);
   EXPECT_EQ(signal.data_ready, 4);
-  ASSERT_EQ(queue.PopSome(out, 8, /*wait=*/false), PopStatus::kPopped);
+  ASSERT_EQ(queue.PopSome(out, 8), PopStatus::kPopped);
   EXPECT_EQ(signal.room_freed, 1);  // the claim was spent
   EXPECT_EQ(out.size(), 2u);
 
@@ -205,7 +213,7 @@ TEST(StreamQueueSignalTest, PushFiresDataReadyWaitingPopFiresRoomFreedOnce) {
   queue.Abort();
   EXPECT_EQ(signal.data_ready, 5);
   EXPECT_EQ(signal.room_freed, 2);
-  EXPECT_EQ(queue.PopSome(out, 8, /*wait=*/false), PopStatus::kAborted);
+  EXPECT_EQ(queue.PopSome(out, 8), PopStatus::kAborted);
   EXPECT_EQ(signal.room_freed, 2);
   queue.set_signal(nullptr);
 }
@@ -222,11 +230,13 @@ struct StressConfig {
 
 // Producer: `batches` randomized batches — ~70% data (1-3 tuples carrying a
 // global sequence number in `value`), ~30% watermark advances — with
-// occasional stalls, then a final flush. Consumer: Pop or the waiting,
-// unbounded PopSome that dedicated node threads make, with its own stalls.
-// Asserts the full stream contract on the consumer side.
+// occasional stalls, then a final flush. Consumer: single-batch pops or
+// whole-backlog PopSome bursts, with its own stalls. Both park on the test
+// Signal while the queue is full or empty. Asserts the full stream contract
+// on the consumer side.
 void RunStress(const StressConfig& config) {
   StreamQueue queue(config.capacity);
+  WaitingSignal signal(queue);
 
   std::thread producer([&] {
     SplitMix64 rng(config.seed);
@@ -240,11 +250,11 @@ void RunStress(const StressConfig& config) {
           batch.tuples.push_back(V(ts, seq++));
           ts += rng.UniformInt(0, 1);
         }
-        ASSERT_TRUE(queue.Push(std::move(batch), config.max_coalesce));
+        ASSERT_TRUE(signal.Push(std::move(batch), config.max_coalesce));
       } else {
         // Watermark at the highest emitted ts: nondecreasing by construction.
-        ASSERT_TRUE(queue.Push(StreamBatch::MakeWatermark(ts),
-                               config.max_coalesce));
+        ASSERT_TRUE(signal.Push(StreamBatch::MakeWatermark(ts),
+                                config.max_coalesce));
       }
       if (rng.UniformInt(0, 999) == 0) std::this_thread::yield();
       if (rng.UniformInt(0, 9999) == 0) {
@@ -252,7 +262,7 @@ void RunStress(const StressConfig& config) {
             std::chrono::microseconds(rng.UniformInt(1, 50)));
       }
     }
-    ASSERT_TRUE(queue.Push(StreamBatch::MakeFlush(), config.max_coalesce));
+    ASSERT_TRUE(signal.Push(StreamBatch::MakeFlush(), config.max_coalesce));
   });
 
   SplitMix64 rng(config.seed ^ 0x9e3779b97f4a7c15ULL);
@@ -263,14 +273,9 @@ void RunStress(const StressConfig& config) {
   std::vector<StreamBatch> burst;
   while (!flushed) {
     burst.clear();
-    if (config.use_pop_some && rng.UniformInt(0, 1) == 0) {
-      ASSERT_EQ(queue.PopSome(burst, kUnbounded, /*wait=*/true),
-                PopStatus::kPopped);
-    } else {
-      auto batch = queue.Pop();
-      ASSERT_TRUE(batch.has_value());
-      burst.push_back(std::move(*batch));
-    }
+    const size_t budget =
+        config.use_pop_some && rng.UniformInt(0, 1) == 0 ? kAll : 1;
+    ASSERT_EQ(signal.Pop(burst, budget), PopStatus::kPopped);
     for (StreamBatch& batch : burst) {
       ASSERT_FALSE(flushed) << "batch after flush";
       ASSERT_LE(batch.tuples.size(), config.max_coalesce)
@@ -311,8 +316,8 @@ TEST(StreamQueueStressTest, MillionMixedBatchesNoLossNoReorder) {
 }
 
 TEST(StreamQueueStressTest, TinyCapacityMaximizesBlocking) {
-  // Capacity 2 forces constant producer/consumer parking: the waiter-count
-  // notify path gets exercised thousands of times.
+  // Capacity 2 forces constant producer/consumer parking: the RoomFreed and
+  // DataReady wake paths get exercised thousands of times.
   StressConfig config;
   config.seed = 11;
   config.batches = 100'000;
@@ -321,7 +326,7 @@ TEST(StreamQueueStressTest, TinyCapacityMaximizesBlocking) {
   RunStress(config);
 }
 
-TEST(StreamQueueStressTest, PopOnlyConsumerKeepsOrder) {
+TEST(StreamQueueStressTest, SingleBatchPopsKeepOrder) {
   StressConfig config;
   config.seed = 13;
   config.batches = 200'000;
@@ -331,20 +336,22 @@ TEST(StreamQueueStressTest, PopOnlyConsumerKeepsOrder) {
 
 TEST(StreamQueueStressTest, AbortMidStreamDrainsExactPrefix) {
   StreamQueue queue(64);
+  WaitingSignal signal(queue);
   std::atomic<int64_t> pushed{0};
   std::thread producer([&] {
     int64_t seq = 0;
     for (;;) {
-      if (!queue.Push(StreamBatch::MakeTuple(V(seq, seq)), 8)) break;
+      if (!signal.Push(StreamBatch::MakeTuple(V(seq, seq)), 8)) break;
       pushed.store(++seq, std::memory_order_release);
     }
   });
   // Consume a while mid-flight, then tear the stream down and drain.
   int64_t next = 0;
+  std::vector<StreamBatch> burst;
   while (next < 10'000) {
-    auto batch = queue.Pop();
-    ASSERT_TRUE(batch.has_value());
-    for (const TuplePtr& t : batch->tuples) {
+    burst.clear();
+    ASSERT_EQ(signal.Pop(burst, 1), PopStatus::kPopped);
+    for (const TuplePtr& t : burst[0].tuples) {
       ASSERT_EQ(static_cast<const testing::ValueTuple&>(*t).value, next);
       ++next;
     }
@@ -353,11 +360,10 @@ TEST(StreamQueueStressTest, AbortMidStreamDrainsExactPrefix) {
   producer.join();
   // The drain must be an exact prefix of the pushed sequence: every batch
   // that entered the queue arrives, in order, nothing after — the batch
-  // whose push failed never entered. The waiting pop a dedicated node makes
-  // returns the residue first and only then reports the abort.
-  std::vector<StreamBatch> burst;
-  while (queue.PopSome(burst, kUnbounded, /*wait=*/true) ==
-         PopStatus::kPopped) {
+  // whose push failed never entered. The pop returns the residue first and
+  // only then reports the abort.
+  burst.clear();
+  while (signal.Pop(burst, kAll) == PopStatus::kPopped) {
     for (const StreamBatch& batch : burst) {
       for (const TuplePtr& t : batch.tuples) {
         ASSERT_EQ(static_cast<const testing::ValueTuple&>(*t).value, next);
