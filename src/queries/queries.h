@@ -32,9 +32,11 @@ inline constexpr int64_t kQ4JoinWindowHours = 1;
 inline constexpr double kQ4DiffThreshold = 200.0;
 
 // The dataset a query's source replays, shared with the source instead of
-// copied. A dataset passed as an lvalue is borrowed: it must outlive every
-// run of the dataflow built from it. A temporary is moved in, and the built
-// dataflow owns it.
+// copied. A dataset passed as an lvalue is borrowed, not copied: it must
+// outlive every run of the dataflow built from it, so a function that
+// builds the dataflow from a local dataset and returns it must pass
+// std::move(data). A temporary or moved dataset is owned by the built
+// dataflow.
 template <typename Data>
 class DatasetRef {
  public:

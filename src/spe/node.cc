@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <utility>
 
 namespace genealog {
 namespace {
@@ -93,11 +94,12 @@ bool Node::ForwardBatchAll(StreamBatch&& batch) {
 
 StepResult SingleInputNode::Step(size_t max_batches) {
   return DrainInput(max_batches, [this](StreamBatch& batch) {
+    // A batch counts when OnBatch first sees it, not when it resumes.
+    if (!std::exchange(keep_batch_, false)) CountProcessed(batch.tuples.size());
     const bool flush = batch.flush;
     batch.flush = false;  // Step owns end-of-stream, OnBatch never sees it
     OnBatch(batch);
     if (keep_batch_) {
-      keep_batch_ = false;
       batch.flush = flush;
       return BatchVerdict::kKeep;
     }
@@ -133,6 +135,7 @@ void MergingNode::ReleaseReady() {
     if (best == ports_.size()) break;
     TuplePtr t = std::move(ports_[best].buffer.front());
     ports_[best].buffer.pop_front();
+    CountProcessed();
     OnMergedTuple(best, std::move(t));
   }
   if (min_wm > last_merged_wm_) {

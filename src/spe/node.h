@@ -297,7 +297,8 @@ class Node {
   virtual void AbortQueues();
 
   // Tuples processed by this node (inputs for operators, emissions for
-  // sources); read by harnesses after the run.
+  // sources); read by harnesses after the run. A merging node counts a
+  // tuple when its merge releases it, not when it arrives.
   uint64_t tuples_processed() const {
     return tuples_processed_.load(std::memory_order_relaxed);
   }
@@ -362,9 +363,6 @@ class Node {
           break;
       }
       remaining -= std::min(remaining, burst_.size());
-      for (const StreamBatch& batch : burst_) {
-        CountProcessed(batch.tuples.size());
-      }
     }
   }
 
@@ -445,7 +443,7 @@ class SingleInputNode : public Node {
 
   // Called from OnBatch that stopped partway after a spill and left the
   // unprocessed rest in its batch: the next Step hands that rest to OnBatch
-  // again, once the spills drained.
+  // again, once the spills drained (and counts none of it a second time).
   void KeepBatch() { keep_batch_ = true; }
 
  private:

@@ -133,6 +133,7 @@ TEST(BackPressureTest, SpilledBatchEndsTheStepAndTheBurstResumes) {
   EXPECT_EQ(node.input_queue()->Size(), 0u);
   EXPECT_EQ(calls, 2);
   EXPECT_TRUE(node.HasSpills());
+  EXPECT_EQ(node.tuples_processed(), 2u);  // the kept batches count later
 
   std::vector<int64_t> delivered;
   std::vector<int> calls_after;
@@ -153,6 +154,7 @@ TEST(BackPressureTest, SpilledBatchEndsTheStepAndTheBurstResumes) {
   }
   EXPECT_EQ(delivered, (std::vector<int64_t>{1, 2, 3, 4}));
   EXPECT_EQ(calls_after, (std::vector<int>{3, 4, 4}));
+  EXPECT_EQ(node.tuples_processed(), 4u);
 }
 
 // Readiness must cross the placement boundary: a rate-limited source keeps

@@ -192,6 +192,22 @@ TEST(WatermarkTest, UnionForwardsMinimum) {
   probe->CheckInvariant();
 }
 
+// A merging node counts a tuple when its merge releases it: a tuple held
+// behind the merge watermark is progress the node has not made yet.
+TEST(WatermarkTest, UnionCountsTuplesAsTheMergeReleasesThem) {
+  UnionNode merge("union");
+  Endpoint a = merge.AddInput();
+  Endpoint b = merge.AddInput();
+  StreamQueue out(kDefaultQueueCapacity);
+  merge.AddOutput(Endpoint{&out, 0});
+  for (const int64_t ts : {1, 2, 3}) ASSERT_TRUE(a.PushTuple(V(ts, ts)));
+  EXPECT_EQ(merge.Step(8), StepResult::kIdle);
+  EXPECT_EQ(merge.tuples_processed(), 0u);  // port b has promised nothing
+  ASSERT_TRUE(b.PushWatermark(3));
+  EXPECT_EQ(merge.Step(8), StepResult::kIdle);
+  EXPECT_EQ(merge.tuples_processed(), 2u);  // ts 1 and 2 lie below wm 3
+}
+
 TEST(WatermarkTest, TupleTimestampsRaisePortWatermarksImplicitly) {
   // A merge fed by tuple-only streams (watermarks stripped) still makes
   // progress because each tuple's own ts raises its port watermark; the

@@ -510,8 +510,8 @@ int main(int argc, char** argv) {
       std::printf("workload: %zu position reports x%d replays\n",
                   data.reports.size(), cli.replays);
       return cli.query == "q1"
-                 ? queries::BuildQ1Fluent(data, std::move(options))
-                 : queries::BuildQ2Fluent(data, std::move(options));
+                 ? queries::BuildQ1Fluent(std::move(data), std::move(options))
+                 : queries::BuildQ2Fluent(std::move(data), std::move(options));
     }
     sg::SmartGridConfig config;
     config.n_meters = cli.meters;
@@ -526,8 +526,8 @@ int main(int argc, char** argv) {
     std::printf("workload: %zu meter readings x%d replays\n",
                 data.readings.size(), cli.replays);
     return cli.query == "q3"
-               ? queries::BuildQ3Fluent(data, std::move(options))
-               : queries::BuildQ4Fluent(data, std::move(options));
+               ? queries::BuildQ3Fluent(std::move(data), std::move(options))
+               : queries::BuildQ4Fluent(std::move(data), std::move(options));
   };
 
   // A malformed GENEALOG_* variable or a configuration Dataflow::Build
