@@ -45,8 +45,10 @@ class ByteWriter {
 
  private:
   void PutRaw(const void* data, size_t n) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    if (n == 0) return;  // data may be null then
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, data, n);
   }
 
   std::vector<uint8_t> buf_;

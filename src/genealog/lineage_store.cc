@@ -316,7 +316,7 @@ namespace {
 // the live consumer exercises, and the leading checksum is what turns torn
 // writes and bit flips into a load-time rejection.
 constexpr uint32_t kSnapshotMagic = 0x4E534C47;  // "GLSN" little-endian
-constexpr uint32_t kSnapshotVersion = 2;
+constexpr uint32_t kSnapshotVersion = 3;
 
 }  // namespace
 

@@ -14,7 +14,7 @@ namespace genealog {
 namespace {
 
 constexpr uint32_t kFileMagic = 0x46504C47;  // "GLPF" little-endian
-constexpr uint32_t kFileVersion = 1;
+constexpr uint32_t kFileVersion = 2;
 constexpr size_t kFileHeaderBytes = 4 + 4;
 // body bytes + record count + checksum
 constexpr size_t kBlockHeaderBytes = 4 + 4 + 8;
@@ -36,9 +36,7 @@ void ProvenanceBlockEncoder::Add(const ProvenanceRecord& record) {
   PutVarint(body_, record.origins.size());
   coder_.Put(body_, *record.derived, record.derived->kind,
              WireRole::kDerived);
-  for (const TuplePtr& o : record.origins) {
-    coder_.Put(body_, *o, o->kind, WireRole::kOrigin);
-  }
+  for (const TuplePtr& o : record.origins) coder_.PutOrigin(body_, *o);
   ++body_records_;
   if (body_.size() >= kProvenanceBlockBytes) Seal();
 }
@@ -111,7 +109,7 @@ uint64_t ReadProvenanceBlock(
       rec.derived_ts = rec.derived->ts;
       rec.origins.reserve(static_cast<size_t>(n));
       for (uint64_t j = 0; j < n; ++j) {
-        rec.origins.push_back(coder.Get(in, WireRole::kOrigin));
+        rec.origins.push_back(coder.GetOrigin(in));
       }
       records.push_back(std::move(rec));
     } catch (const std::exception& e) {
@@ -164,14 +162,16 @@ uint64_t ReadProvenanceFile(const std::string& path,
 
 std::vector<std::vector<uint8_t>> CanonicalProvenanceRecords(
     const std::string& path) {
-  const auto masked = [](Tuple& t) {
-    t.id = 0;
-    t.stimulus = 0;
+  // Masks a copy: a block's repeated origins share one decoded tuple.
+  const auto masked = [](const Tuple& t) {
+    TuplePtr copy = t.CloneTuple();  // ts, stimulus and payload; id 0
+    copy->kind = t.kind;
+    copy->stimulus = 0;
     if (const auto* ann = t.baseline_annotation()) {
-      t.set_baseline_annotation(std::vector<uint64_t>(ann->size(), 0));
+      copy->set_baseline_annotation(std::vector<uint64_t>(ann->size(), 0));
     }
     ByteWriter w;
-    SerializeTuple(t, w);
+    SerializeTuple(*copy, w);
     return w.TakeBytes();
   };
   std::vector<std::vector<uint8_t>> records;

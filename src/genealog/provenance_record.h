@@ -8,16 +8,21 @@
 // block (LineageStore frames the snapshot around them). Little-endian
 // (common/serialize.h).
 //
-//   file:   u32 magic "GLPF" | u32 version = 1 | block...
+//   file:   u32 magic "GLPF" | u32 version = 2 | block...
 //   block:  u32 body bytes | u32 record count | u64 FNV-1a(body) | body
 //   body:   record × record count
-//   record: varint origin count n | derived | origin × n
+//   record: varint origin count n | derived | (origin | back-ref) × n
 //
 // Tuples go through the compact tuple coder (net/tuple_coder.h): the
-// derived tuple under WireRole::kDerived, origins under WireRole::kOrigin,
-// so descriptors and node uids are dictionary-coded and ids, timestamps and
-// stimuli delta-coded. The coder starts fresh in every block, so a block
-// decodes alone from its offset. A writer seals a block once its body
+// derived tuple under WireRole::kDerived, origins through its block-origin
+// form, so descriptors and node uids are dictionary-coded and ids,
+// timestamps and stimuli delta-coded. Each distinct origin is written in
+// full once per block; a later occurrence of it in the same block is a
+// varint back-reference (sliding-window records share most of their
+// origins), and every reference to it decodes to the same TuplePtr. The
+// coder and its origin table start fresh in every block, so a block
+// decodes alone from its offset. Version 1 files wrote every origin in
+// full; readers reject them by version. A writer seals a block once its body
 // reaches kProvenanceBlockBytes, and on Flush(); the file header goes out
 // with the first block, so a file without records is empty. Records are in
 // finalization order.
@@ -30,21 +35,22 @@
 //
 // Lineage snapshot (LineageStore::SaveSnapshot / LoadSnapshot):
 //
-//   u32 magic "GLSN" | u32 version = 2 | u64 payload size
+//   u32 magic "GLSN" | u32 version = 3 | u64 payload size
 //   | u64 FNV-1a(payload) | payload
 //   payload: u64 records_ingested | u64 records_retained
 //            | u64 records_evicted | u64 epochs_evicted | i64 latest_ts
 //            | u8 any_ingested | u32 epoch count
 //            | per epoch: u8 sealed | u32 block count | block × block count
 //
-// The raw layout of earlier versions,
+// Snapshot version 2 embedded blocks that wrote every origin in full, and
+// LoadSnapshot rejects it by version. Version 1 held the raw layout
 //
 //   SerializeTuple(derived) | u32 origin count n | SerializeTuple(origin) × n
 //
-// (SerializeTuple is the fixed-width tuple encoding of core/type_registry.h)
-// survives only as the canonical form CanonicalProvenanceRecords emits: the
-// query goldens (tests/queries/golden/queries.golden) hash it, so they do
-// not move with the file encoding.
+// (SerializeTuple is the fixed-width tuple encoding of core/type_registry.h),
+// which survives only as the canonical form CanonicalProvenanceRecords
+// emits: the query goldens (tests/queries/golden/queries.golden) hash it, so
+// they do not move with the file encoding.
 #ifndef GENEALOG_GENEALOG_PROVENANCE_RECORD_H_
 #define GENEALOG_GENEALOG_PROVENANCE_RECORD_H_
 

@@ -1,5 +1,6 @@
 #include "net/tuple_coder.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -74,15 +75,17 @@ int64_t GetZigzag(ByteReader& r) { return ZigzagDecode(GetVarint(r)); }
 // --- encoder ----------------------------------------------------------------
 
 uint64_t CompactTupleEncoder::PutHeader(ByteWriter& out, const Tuple& t,
-                                        TupleKind kind, WireRole role) {
+                                        TupleKind kind, WireRole role,
+                                        bool block_origin) {
   const auto* ann = t.baseline_annotation();
   const uint32_t desc_key = (static_cast<uint32_t>(t.type_tag()) << 16) |
                             (static_cast<uint32_t>(kind) << 8) |
                             (ann != nullptr ? 1u : 0u);
   auto [desc_it, desc_new] = desc_index_.try_emplace(
       desc_key, static_cast<uint32_t>(desc_index_.size()));
-  PutVarint(out,
-            (static_cast<uint64_t>(desc_it->second) << 1) | (desc_new ? 1 : 0));
+  const uint64_t desc_code =
+      (static_cast<uint64_t>(desc_it->second) << 1) | (desc_new ? 1 : 0);
+  PutVarint(out, block_origin ? desc_code << 1 : desc_code);
   if (desc_new) {
     out.PutU16(t.type_tag());
     out.PutU8(static_cast<uint8_t>(kind));
@@ -131,6 +134,36 @@ uint64_t CompactTupleEncoder::Put(ByteWriter& out, const Tuple& t,
   return raw_header + (out.size() - before);
 }
 
+void CompactTupleEncoder::PutOrigin(ByteWriter& out, const Tuple& t) {
+  const bool annotated = t.baseline_annotation() != nullptr;
+  const auto seen =
+      annotated ? block_origins_.end() : block_origins_.find(t.id);
+  if (seen != block_origins_.end()) {
+    const OriginEntry& e = seen->second;
+    if (e.type_tag == t.type_tag() && e.kind == t.kind && e.ts == t.ts &&
+        e.stimulus == t.stimulus) {
+      payload_scratch_.Clear();
+      t.SerializePayload(payload_scratch_);
+      const std::vector<uint8_t>& payload = payload_scratch_.bytes();
+      const auto first = out.bytes().begin() + e.payload_at;
+      if (payload.size() == e.payload_bytes &&
+          std::equal(payload.begin(), payload.end(), first)) {
+        PutVarint(out, (uint64_t{e.ref} << 1) | 1);
+        return;
+      }
+    }
+  }
+  PutHeader(out, t, t.kind, WireRole::kOrigin, /*block_origin=*/true);
+  const size_t payload_at = out.size();
+  t.SerializePayload(out);
+  if (!annotated) {
+    block_origins_.try_emplace(
+        t.id, OriginEntry{block_origins_written_, t.type_tag(), t.kind, t.ts,
+                          t.stimulus, payload_at, out.size() - payload_at});
+  }
+  ++block_origins_written_;
+}
+
 uint64_t CompactTupleEncoder::PutUnfoldedPayload(ByteWriter& out,
                                                  const UnfoldedTuple& u) {
   if (!IsStructural(u)) {
@@ -160,12 +193,33 @@ void CompactTupleEncoder::Reset() {
   uid_last_seq_.clear();
   for (WireDeltas& d : last_) d = {};
   frame_derived_.clear();
+  block_origins_.clear();
+  block_origins_written_ = 0;
 }
 
 // --- decoder ----------------------------------------------------------------
 
 TuplePtr CompactTupleDecoder::Get(ByteReader& in, WireRole role) {
-  const uint64_t desc_code = GetVarint(in);
+  return GetTuple(in, role, GetVarint(in));
+}
+
+TuplePtr CompactTupleDecoder::GetOrigin(ByteReader& in) {
+  const uint64_t code = GetVarint(in);
+  if ((code & 1) != 0) {
+    const uint64_t ref = code >> 1;
+    if (ref >= block_origins_.size()) {
+      Malformed("dangling origin reference " + std::to_string(ref) + " (" +
+                std::to_string(block_origins_.size()) +
+                " origins written in full)");
+    }
+    return block_origins_[static_cast<size_t>(ref)];
+  }
+  block_origins_.push_back(GetTuple(in, WireRole::kOrigin, code >> 1));
+  return block_origins_.back();
+}
+
+TuplePtr CompactTupleDecoder::GetTuple(ByteReader& in, WireRole role,
+                                       uint64_t desc_code) {
   const uint64_t desc_idx = desc_code >> 1;
   if ((desc_code & 1) != 0) {
     if (desc_idx != descs_.size()) Malformed("non-contiguous descriptor");
@@ -263,6 +317,7 @@ void CompactTupleDecoder::Reset() {
   uid_last_seq_.clear();
   for (WireDeltas& d : last_) d = {};
   frame_derived_.clear();
+  block_origins_.clear();
 }
 
 }  // namespace genealog

@@ -6,8 +6,9 @@
 //    FrameDecoder add the frame header, the generation byte and the wire
 //    accounting around it;
 //  * provenance-file blocks (genealog/provenance_record.h), which code a
-//    record's derived tuple under WireRole::kDerived and its origins under
-//    WireRole::kOrigin, with a fresh coder per block.
+//    record's derived tuple under WireRole::kDerived and its origins through
+//    PutOrigin/GetOrigin (WireRole::kOrigin plus the block's origin table,
+//    below), with a fresh coder per block.
 //
 // Tuple encoding:
 //
@@ -42,6 +43,19 @@
 // tuples (or whose nested tuple is itself unfolded, or missing) takes form 0
 // followed by its SerializePayload bytes. A nested tuple is never decoded
 // as unfolded, so decoding recurses at most one level.
+//
+// Block origins (PutOrigin/GetOrigin, provenance blocks only) write each
+// distinct origin once per block. The descriptor-code varint carries one
+// more low bit:
+//   varint (desc code << 1) | rest of the tuple as above   (written in full)
+//   varint (ref << 1) | 1                                  (back-reference)
+// where ref indexes the origins written in full since Reset(), in order. A
+// back-reference decodes to the same TuplePtr as its target and leaves every
+// delta base untouched on both sides. The encoder writes one only when an
+// earlier full origin has the same id, type tag, kind, ts, stimulus and
+// payload bytes and neither carries a baseline annotation, so an id that
+// aliases another tuple is written in full and decodes to its own bytes.
+// Wire frames never use this form.
 #ifndef GENEALOG_NET_TUPLE_CODER_H_
 #define GENEALOG_NET_TUPLE_CODER_H_
 
@@ -88,6 +102,12 @@ class CompactTupleEncoder {
   uint64_t Put(ByteWriter& out, const Tuple& t, TupleKind kind,
                WireRole role);
 
+  // Appends block origin `t` with its own kind: a back-reference when an
+  // identical origin was written in full since Reset(), else the whole
+  // tuple. The table points into `out` (payload offsets), so every call
+  // between two Resets must append to the same, never cleared, writer.
+  void PutOrigin(ByteWriter& out, const Tuple& t);
+
   // Forgets the interned derived tuples (a freed derived's address may be
   // reused); call after every frame.
   void EndFrame() { frame_derived_.clear(); }
@@ -97,8 +117,10 @@ class CompactTupleEncoder {
   void Reset();
 
  private:
+  // `block_origin` shifts the descriptor code one more bit (PutOrigin's
+  // full-tuple form).
   uint64_t PutHeader(ByteWriter& out, const Tuple& t, TupleKind kind,
-                     WireRole role);
+                     WireRole role, bool block_origin = false);
   uint64_t PutUnfoldedPayload(ByteWriter& out, const UnfoldedTuple& u);
 
   // Descriptor keys pack (type_tag << 16 | wire kind << 8 | has-annotation);
@@ -115,15 +137,35 @@ class CompactTupleEncoder {
     uint64_t raw_bytes = 0;
   };
   std::unordered_map<const Tuple*, DerivedEntry> frame_derived_;
+
+  // The block origins written in full since Reset(), keyed by tuple id (the
+  // first of each id): what a back-reference must match, with the payload
+  // as an offset and length into the caller's writer rather than a copy.
+  struct OriginEntry {
+    uint32_t ref = 0;
+    uint16_t type_tag = 0;
+    TupleKind kind = TupleKind::kSource;
+    int64_t ts = 0;
+    int64_t stimulus = 0;
+    size_t payload_at = 0;
+    size_t payload_bytes = 0;
+  };
+  std::unordered_map<uint64_t, OriginEntry> block_origins_;
+  uint32_t block_origins_written_ = 0;
+  ByteWriter payload_scratch_;
 };
 
 // The decoding mirror. Throws std::runtime_error naming the defect
 // ("compact tuple: ...") on dangling or non-contiguous dictionary
-// references, unregistered tags, a nested unfolded tuple or an oversized
-// annotation count, and ByteReader's std::out_of_range on truncation.
+// references, unregistered tags, a nested unfolded tuple, an oversized
+// annotation count or a back-reference past the block's origins, and
+// ByteReader's std::out_of_range on truncation.
 class CompactTupleDecoder {
  public:
   TuplePtr Get(ByteReader& in, WireRole role);
+  // Reads what PutOrigin wrote: every back-reference to one origin returns
+  // that origin's TuplePtr, so callers must not mutate what it returns.
+  TuplePtr GetOrigin(ByteReader& in);
 
   // Releases the interned derived tuples; call after every frame.
   void EndFrame() { frame_derived_.clear(); }
@@ -131,6 +173,8 @@ class CompactTupleDecoder {
   void Reset();
 
  private:
+  // Get, after the caller read the descriptor code.
+  TuplePtr GetTuple(ByteReader& in, WireRole role, uint64_t desc_code);
   TuplePtr GetUnfoldedPayload(ByteReader& in, int64_t ts);
 
   struct Descriptor {
@@ -145,6 +189,7 @@ class CompactTupleDecoder {
   std::vector<uint64_t> uid_last_seq_;
   WireDeltas last_[kWireRoles];
   std::vector<TuplePtr> frame_derived_;
+  std::vector<TuplePtr> block_origins_;  // the full origins since Reset()
 };
 
 }  // namespace genealog

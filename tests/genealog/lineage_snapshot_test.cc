@@ -284,29 +284,66 @@ TEST(LineageSnapshotTest, CorruptSnapshotsAreRejected) {
   std::remove(bad.c_str());
 }
 
-// Version 1 snapshots held raw-layout records; version 2 holds provenance
-// blocks (genealog/provenance_record.h). A version-1 file, even with an
-// intact payload checksum, is rejected by name rather than mis-decoded.
-TEST(LineageSnapshotTest, VersionOneSnapshotIsRejectedByName) {
-  const std::string path = ::testing::TempDir() + "/snap_v1.bin";
+// A snapshot whose version word reads `version` is rejected by name rather
+// than mis-decoded, even with an intact payload checksum.
+void ExpectVersionRejected(uint32_t version) {
+  const std::string path = ::testing::TempDir() + "/snap_old_version.bin";
   LineageStore store;
   uint64_t seq = 1;
   IngestChain(store, 8, &seq);
   store.SaveSnapshot(path);
   std::vector<uint8_t> bytes = ReadAll(path);
-  const uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 4, &v1, sizeof(v1));  // after the magic
+  std::memcpy(bytes.data() + 4, &version, sizeof(version));  // after magic
   WriteAll(path, bytes);
   LineageStore s;
   try {
     s.LoadSnapshot(path);
-    ADD_FAILURE() << "a version-1 snapshot loaded";
+    ADD_FAILURE() << "a version-" << version << " snapshot loaded";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 1"),
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version " +
+                                         std::to_string(version)),
               std::string::npos)
         << e.what();
   }
   EXPECT_EQ(s.stats().records_ingested, 0u);
+  std::remove(path.c_str());
+}
+
+// Version 1 snapshots held raw-layout records.
+TEST(LineageSnapshotTest, VersionOneSnapshotIsRejectedByName) {
+  ExpectVersionRejected(1);
+}
+
+// Version 2 snapshots held provenance blocks that wrote every origin in
+// full; version 3 blocks point back to an origin's first occurrence.
+TEST(LineageSnapshotTest, VersionTwoSnapshotIsRejectedByName) {
+  ExpectVersionRejected(2);
+}
+
+// Records sharing most of their origins (a sliding window's consecutive
+// alerts) save as back-references and restore to the same store.
+TEST(LineageSnapshotTest, SharedOriginsRoundTrip) {
+  const std::string path = ::testing::TempDir() + "/snap_shared.bin";
+  LineageStore store;
+  for (int i = 0; i < 300; ++i) {
+    ProvenanceRecord rec;
+    auto d = V(i + 3, i);
+    d->id = MakeId(9, static_cast<uint64_t>(i) + 1);
+    rec.derived = TuplePtr(d.get());
+    rec.derived_id = d->id;
+    rec.derived_ts = d->ts;
+    for (int k = 0; k < 4; ++k) {
+      auto src = V(i + k, 100 * (i + k));
+      src->id = MakeId(1, static_cast<uint64_t>(i + k) + 1);
+      rec.origins.push_back(TuplePtr(src.get()));
+    }
+    store.Ingest(rec);
+  }
+  store.SaveSnapshot(path);
+  LineageStore restored;
+  EXPECT_EQ(restored.LoadSnapshot(path), 300u);
+  ExpectSameStats(restored.stats(), store.stats());
+  ExpectSameClosures(restored, store);
   std::remove(path.c_str());
 }
 

@@ -3,8 +3,9 @@
 // tooling. A reader sees a prefix of whole blocks: a torn or corrupt block is
 // rejected with an error naming the file, the block and its offset, after
 // the records of the blocks before it, never a crash, a torn record or an
-// allocation the input cannot back. GL and BL write through one file
-// writer, so both report a failed write.
+// allocation the input cannot back. Each distinct origin is written once
+// per block, and only an exact repeat becomes a back-reference. GL and BL
+// write through one file writer, so both report a failed write.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,6 +25,7 @@ namespace genealog::queries {
 namespace {
 
 using genealog::testing::V;
+using genealog::testing::ValueTuple;
 
 std::vector<ProvenanceRecord> ReadRecords(const std::string& path) {
   std::vector<ProvenanceRecord> records;
@@ -221,6 +223,29 @@ ProvenanceRecord MakeRecord(int i) {
   return rec;
 }
 
+// A sliding-window record, as consecutive Q1 alerts of one stopped car are:
+// record i's four origins are source tuples i..i+3, so it shares three with
+// record i-1.
+ProvenanceRecord MakeSlidingRecord(int i) {
+  ProvenanceRecord rec;
+  auto derived = V(15 * i + 45, i);
+  derived->id = (uint64_t{9} << 40) | static_cast<uint64_t>(i + 1);
+  derived->kind = TupleKind::kAggregate;
+  derived->stimulus = 1'000'000 + 15 * i + 45;
+  rec.derived = derived;
+  rec.derived_id = derived->id;
+  rec.derived_ts = derived->ts;
+  for (int k = 0; k < 4; ++k) {
+    const int s = i + k;
+    auto origin = V(15 * s, 100 * s);
+    origin->id = (uint64_t{2} << 40) | static_cast<uint64_t>(s + 1);
+    origin->kind = TupleKind::kSource;
+    origin->stimulus = 1'000'000 + 15 * s;
+    rec.origins.push_back(origin);
+  }
+  return rec;
+}
+
 // Where each block of a provenance file starts, read off the block headers
 // (genealog/provenance_record.h: an 8-byte file header, then per block
 // u32 body bytes | u32 record count | u64 checksum | body).
@@ -245,19 +270,20 @@ std::vector<BlockSpan> Blocks(const std::vector<uint8_t>& file) {
   return blocks;
 }
 
-// Writes records through a ProvenanceFileWriter until it has sealed two
-// full blocks, then five more into a short third block, and returns what
-// it wrote.
-std::vector<ProvenanceRecord> WriteThreeBlockFile(const std::string& path) {
+// Writes records of `make` through a ProvenanceFileWriter until it has
+// sealed two full blocks, then five more into a short third block, and
+// returns what it wrote.
+std::vector<ProvenanceRecord> WriteThreeBlockFile(
+    const std::string& path, ProvenanceRecord (*make)(int) = MakeRecord) {
   std::vector<ProvenanceRecord> written;
   ProvenanceFileWriter writer("test", path, 4096);
   int i = 0;
   for (; writer.bytes_written() < 2 * kProvenanceBlockBytes; ++i) {
-    written.push_back(MakeRecord(i));
+    written.push_back(make(i));
     writer.Write(written.back());
   }
   for (int end = i + 5; i < end; ++i) {
-    written.push_back(MakeRecord(i));
+    written.push_back(make(i));
     writer.Write(written.back());
   }
   writer.Flush();
@@ -383,26 +409,182 @@ TEST(ProvenanceFileTest, BlockLengthPastTheEndFailsByName) {
 }
 
 // Every block decodes alone from its offset to the records a full read
-// gives: the coder's dictionaries and delta bases start fresh per block.
+// gives: the coder's dictionaries, delta bases and origin table start fresh
+// per block. The sliding records repeat origins across every block boundary,
+// so a block whose first record pointed back into the previous block would
+// fail here.
 TEST(ProvenanceFileTest, OneBlockDecodesAloneFromItsOffset) {
-  const std::string path = ::testing::TempDir() + "/prov_alone.bin";
-  WriteThreeBlockFile(path);
-  const auto full = AllRecordBytes(ReadRecords(path));
-  const std::vector<uint8_t> bytes = ReadFileBytes(path, "provenance file");
-  size_t first = 0;
-  for (const BlockSpan& b : Blocks(bytes)) {
-    ByteReader r(bytes.data() + b.offset, bytes.size() - b.offset);
-    std::vector<std::vector<uint8_t>> got;
-    EXPECT_EQ(ReadProvenanceBlock(r, "block alone", 0,
-                                  [&got](ProvenanceRecord& rec) {
-                                    got.push_back(RecordBytes(rec));
-                                  }),
-              b.records);
-    EXPECT_EQ(got, std::vector<std::vector<uint8_t>>(
-                       full.begin() + first, full.begin() + first + b.records));
-    first += b.records;
+  for (const auto make : {MakeRecord, MakeSlidingRecord}) {
+    const std::string path = ::testing::TempDir() + "/prov_alone.bin";
+    const auto written = AllRecordBytes(WriteThreeBlockFile(path, make));
+    const auto full = AllRecordBytes(ReadRecords(path));
+    EXPECT_EQ(full, written);
+    const std::vector<uint8_t> bytes = ReadFileBytes(path, "provenance file");
+    size_t first = 0;
+    for (const BlockSpan& b : Blocks(bytes)) {
+      ByteReader r(bytes.data() + b.offset, bytes.size() - b.offset);
+      std::vector<std::vector<uint8_t>> got;
+      EXPECT_EQ(ReadProvenanceBlock(r, "block alone", 0,
+                                    [&got](ProvenanceRecord& rec) {
+                                      got.push_back(RecordBytes(rec));
+                                    }),
+                b.records);
+      EXPECT_EQ(got,
+                std::vector<std::vector<uint8_t>>(
+                    full.begin() + first, full.begin() + first + b.records));
+      first += b.records;
+    }
+    EXPECT_EQ(first, full.size());
+    std::remove(path.c_str());
   }
-  EXPECT_EQ(first, full.size());
+}
+
+// Sliding-window records write each shared origin once per block: they
+// round-trip field by field, every repeat of an origin in a block decodes
+// to the one tuple its first occurrence did, and the file is smaller than
+// the same records with every origin given an id of its own (same ts,
+// stimulus and payload), so that none repeats.
+TEST(ProvenanceFileTest, RepeatedOriginsRoundTripAsBackReferences) {
+  const std::string shared_path = ::testing::TempDir() + "/prov_shared.bin";
+  const std::string distinct_path =
+      ::testing::TempDir() + "/prov_distinct.bin";
+  constexpr int kRecords = 200;
+  std::vector<ProvenanceRecord> written;
+  uint64_t shared_bytes = 0;
+  uint64_t distinct_bytes = 0;
+  {
+    ProvenanceFileWriter shared("test", shared_path, 4096);
+    ProvenanceFileWriter distinct("test", distinct_path, 4096);
+    for (int i = 0; i < kRecords; ++i) {
+      written.push_back(MakeSlidingRecord(i));
+      shared.Write(written.back());
+      ProvenanceRecord unshared = MakeSlidingRecord(i);
+      for (size_t k = 0; k < unshared.origins.size(); ++k) {
+        unshared.origins[k]->id = (uint64_t{2} << 40) | (4 * i + k + 1);
+      }
+      distinct.Write(unshared);
+    }
+    shared.Flush();
+    distinct.Flush();
+    shared_bytes = shared.bytes_written();
+    distinct_bytes = distinct.bytes_written();
+  }
+  const std::vector<ProvenanceRecord> got = ReadRecords(shared_path);
+  EXPECT_EQ(AllRecordBytes(got), AllRecordBytes(written));
+  EXPECT_EQ(ReadRecords(distinct_path).size(), written.size());
+
+  const std::vector<uint8_t> file = ReadFileBytes(shared_path, "test");
+  ASSERT_EQ(file.size(), shared_bytes);
+  ASSERT_EQ(Blocks(file).size(), 1u);  // so every repeat is in one block
+  for (size_t i = 1; i < got.size(); ++i) {
+    for (size_t k = 0; k + 1 < 4; ++k) {
+      EXPECT_EQ(got[i].origins[k].get(), got[i - 1].origins[k + 1].get())
+          << "record " << i << " origin " << k;
+    }
+  }
+  // Three of four origins become back-references of a byte or two.
+  EXPECT_LT(shared_bytes * 4, distinct_bytes * 3)
+      << shared_bytes << " vs " << distinct_bytes;
+  std::remove(shared_path.c_str());
+  std::remove(distinct_path.c_str());
+}
+
+// A back-reference needs the whole origin to match, not just its id: an
+// origin reusing an earlier origin's id with another payload, ts, stimulus
+// or kind, or carrying a baseline annotation, is written in full and
+// decodes to its own bytes.
+TEST(ProvenanceFileTest, OriginAliasingAnEarlierIdIsWrittenInFull) {
+  const ProvenanceRecord base = MakeRecord(0);
+  const TuplePtr& first = base.origins[0];
+  const auto alias = [&first](int64_t ts, int64_t value) {
+    auto t = V(ts, value);
+    t->id = first->id;
+    t->kind = first->kind;
+    t->stimulus = first->stimulus;
+    return t;
+  };
+  const int64_t value = static_cast<const ValueTuple&>(*first).value;
+  std::vector<TuplePtr> aliases;
+  aliases.push_back(alias(first->ts, value + 1));  // payload
+  aliases.push_back(alias(first->ts + 1, value));  // ts
+  aliases.push_back(alias(first->ts, value));
+  aliases.back()->stimulus += 1;
+  aliases.push_back(alias(first->ts, value));
+  aliases.back()->kind = TupleKind::kAggregate;
+  aliases.push_back(alias(first->ts, value));
+  aliases.back()->set_baseline_annotation({7, 9});
+  aliases.push_back(alias(first->ts, value));  // the same tuple: a reference
+
+  std::vector<ProvenanceRecord> written{base};
+  for (size_t i = 0; i < aliases.size(); ++i) {
+    ProvenanceRecord rec = MakeRecord(static_cast<int>(i) + 1);
+    rec.origins[0] = aliases[i];
+    written.push_back(std::move(rec));
+  }
+  const std::string path = ::testing::TempDir() + "/prov_alias.bin";
+  {
+    ProvenanceFileWriter writer("test", path, 4096);
+    for (const ProvenanceRecord& rec : written) writer.Write(rec);
+  }
+  const std::vector<ProvenanceRecord> got = ReadRecords(path);
+  ASSERT_EQ(got.size(), written.size());
+  EXPECT_EQ(AllRecordBytes(got), AllRecordBytes(written));
+  for (size_t i = 1; i < got.size(); ++i) {
+    const bool same_tuple = i == got.size() - 1;
+    EXPECT_EQ(got[i].origins[0].get() == got[0].origins[0].get(), same_tuple)
+        << "record " << i;
+  }
+  std::remove(path.c_str());
+}
+
+// A back-reference past the origins the block wrote in full is rejected,
+// even under a valid checksum, naming the file, the block and the record;
+// nothing of the block reaches the consumer.
+TEST(ProvenanceFileTest, DanglingBackReferenceFailsByName) {
+  const ProvenanceRecord rec = MakeRecord(0);
+  ByteWriter body;
+  CompactTupleEncoder coder;
+  PutVarint(body, 1);  // record 0: one origin, written in full
+  coder.Put(body, *rec.derived, rec.derived->kind, WireRole::kDerived);
+  coder.PutOrigin(body, *rec.origins[0]);
+  PutVarint(body, 2);  // record 1: a reference to origin 0, then origin 1
+  coder.Put(body, *rec.derived, rec.derived->kind, WireRole::kDerived);
+  PutVarint(body, (0 << 1) | 1);
+  PutVarint(body, (1 << 1) | 1);
+  ByteWriter w;
+  w.PutU32(0x46504C47);  // "GLPF"
+  w.PutU32(2);
+  w.PutU32(static_cast<uint32_t>(body.size()));
+  w.PutU32(2);
+  w.PutU64(Fnv1a(body.bytes().data(), body.size()));
+  w.PutBytes(body.bytes().data(), body.size());
+  const std::string path = ::testing::TempDir() + "/prov_dangling.bin";
+  WriteBytes(path, w.bytes());
+  auto [got, what] = ReadUntilThrow<std::runtime_error>(path);
+  EXPECT_TRUE(got.empty());
+  EXPECT_NE(what.find(path), std::string::npos) << what;
+  EXPECT_NE(what.find("block 0 at byte 8: record 1: compact tuple: dangling "
+                      "origin reference 1"),
+            std::string::npos)
+      << what;
+  std::remove(path.c_str());
+}
+
+// Version 1 files wrote every origin in full; a reader rejects one by
+// version instead of mis-decoding its origins.
+TEST(ProvenanceFileTest, VersionOneFileIsRejectedByName) {
+  const std::string path = ::testing::TempDir() + "/prov_v1.bin";
+  WriteThreeBlockFile(path);
+  std::vector<uint8_t> bytes = ReadFileBytes(path, "provenance file");
+  const uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, sizeof(v1));  // after the magic
+  WriteBytes(path, bytes);
+  auto [got, what] = ReadUntilThrow<std::runtime_error>(path);
+  EXPECT_TRUE(got.empty());
+  EXPECT_NE(what.find(path), std::string::npos) << what;
+  EXPECT_NE(what.find("unsupported provenance file version 1"),
+            std::string::npos)
+      << what;
   std::remove(path.c_str());
 }
 
@@ -453,7 +635,7 @@ TEST(ProvenanceFileTest, OversizedOriginCountIsRejected) {
   coder.Put(body, *derived, derived->kind, WireRole::kDerived);
   ByteWriter w;
   w.PutU32(0x46504C47);  // "GLPF"
-  w.PutU32(1);
+  w.PutU32(2);
   w.PutU32(static_cast<uint32_t>(body.size()));
   w.PutU32(1);
   w.PutU64(Fnv1a(body.bytes().data(), body.size()));
