@@ -423,8 +423,12 @@ const std::vector<IntrusivePtr<PositionReport>>& ChainDataset() {
   return *data;
 }
 
+// chained:0 wires every edge through a queue (Connect), chained:1 runs the
+// Map, Filters and Sink inside the source's task (Chain), so the pair of
+// arms prices the per-tuple handoff between tasks.
 void BM_StatelessChain_GL(benchmark::State& state) {
   const size_t batch_size = static_cast<size_t>(state.range(0));
+  const bool chained = state.range(1) != 0;
   const auto& data = ChainDataset();
   for (auto _ : state) {
     Topology topo(/*instance_id=*/0, ProvenanceMode::kGenealog,
@@ -445,11 +449,15 @@ void BM_StatelessChain_GL(benchmark::State& state) {
     // Throughput micro: skip the sink's latency sampling (RunCell-style
     // benches measure that; here it would just add a clock+mutex per tuple).
     sink->set_record_after_ns(std::numeric_limits<int64_t>::max());
-    topo.Connect(source, map);
-    topo.Connect(map, f1);
-    topo.Connect(f1, f2);
-    topo.Connect(f2, f3);
-    topo.Connect(f3, sink);
+    const std::pair<Node*, SingleInputNode*> edges[] = {
+        {source, map}, {map, f1}, {f1, f2}, {f2, f3}, {f3, sink}};
+    for (const auto& [from, to] : edges) {
+      if (chained) {
+        topo.Chain(from, to);
+      } else {
+        topo.Connect(from, to);
+      }
+    }
     RunToCompletion(topo);
     benchmark::DoNotOptimize(sink->count());
   }
@@ -457,13 +465,8 @@ void BM_StatelessChain_GL(benchmark::State& state) {
                           static_cast<int64_t>(data.size()));
 }
 BENCHMARK(BM_StatelessChain_GL)
-    ->ArgNames({"batch"})
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
+    ->ArgNames({"batch", "chained"})
+    ->ArgsProduct({{1, 4, 16, 64, 256, 1024}, {0, 1}})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -155,7 +155,7 @@ struct EngineOptions {
   // Not a setting; edgebench's EngineJson reads it. Swap threshold of the
   // provenance file writer's buffers.
   static constexpr size_t prov_buffer_bytes = 256 * 1024;
-  // Placement: a home worker per node (thread-per-node, the fallback) or
+  // Placement: a home worker per task (thread-per-node, the fallback) or
   // shared pool workers; the pool placement applies only when every SPE
   // instance in one run asks for it. Sink/provenance output is byte
   // identical across placements (the scheduler sweeps in the determinism

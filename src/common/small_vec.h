@@ -74,6 +74,11 @@ class SmallVec {
     return *slot;
   }
 
+  void pop_back() {
+    assert(size_ > 0);
+    std::destroy_at(data_ + --size_);
+  }
+
   // Destroys the elements; keeps the current (possibly heap) buffer.
   void clear() {
     std::destroy_n(data_, size_);

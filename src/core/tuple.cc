@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/small_vec.h"
+
 namespace genealog {
 
 const char* ToString(TupleKind kind) {
@@ -96,8 +98,9 @@ void intrusive_unref(const Tuple* tc) noexcept {
   // is recycled into the tuple pool under the size class stamped at
   // MakeTuple time — the releasing thread's cache, which keeps cross-thread
   // release (producer allocates, downstream drops the last ref) a local
-  // operation.
-  std::vector<Tuple*> dead;
+  // operation. The work stack lives inline: a release allocates nothing
+  // unless more than 16 tuples die at once.
+  SmallVec<Tuple*, 16> dead;
   dead.push_back(t);
   while (!dead.empty()) {
     Tuple* d = dead.back();

@@ -21,6 +21,18 @@ using dataflow_internal::Plan;
 using dataflow_internal::PlanInput;
 using dataflow_internal::PlanOp;
 
+// A same-instance edge. A Chainable consumer (Filter, Map, Multiplex,
+// Router, push SU, Sink) runs inside its producer's task with no queue
+// between them (Topology::Chain); every other consumer gets a queue.
+void Wire(Topology& topo, Node* from, Node* to) {
+  auto* consumer = dynamic_cast<SingleInputNode*>(to);
+  if (consumer != nullptr && consumer->Chainable()) {
+    topo.Chain(from, consumer);
+  } else {
+    topo.Connect(from, to);
+  }
+}
+
 struct Crossing {
   SendNode* send;
   ReceiveNode* recv;
@@ -119,15 +131,15 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
                           : nullptr;
       for (int r = 0; r < op.parallelism; ++r) {
         Node* replica = op.make_replica(topo, merge, r);
-        topo.Connect(partition, replica);
+        topo.Connect(partition, replica);  // shards keep their own tasks
         if (parallel_su) {
           auto* su = topo.Add<SuNode>("SU.par" + std::to_string(r));
-          topo.Connect(replica, su);
-          topo.Connect(su, merge);    // output 0 = SO
-          topo.Connect(su, u_merge);  // output 1 = U
+          Wire(topo, replica, su);
+          Wire(topo, su, merge);    // output 0 = SO
+          Wire(topo, su, u_merge);  // output 1 = U
           out.su_nodes.push_back(su);
         } else {
-          topo.Connect(replica, merge);
+          Wire(topo, replica, merge);
         }
       }
       if (parallel_su) parallel_u_exit = u_merge;
@@ -147,7 +159,7 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
         if (mode == ProvenanceMode::kBaseline) {
           // BL ships (a copy of) every source stream to the resolver.
           auto* tap = topo.Add<MultiplexNode>("bl.source_tap." + op.name);
-          topo.Connect(node_of[i], tap);
+          Wire(topo, node_of[i], tap);
           exit_of[i] = tap;
           source_taps.emplace_back(&topo, tap);
         }
@@ -191,11 +203,11 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       auto* psink = sink_topo.Add<ProvenanceSinkNode>("K2", pso);
       out.provenance_sink = psink;
       if (parallel_u_exit != nullptr) {
-        sink_topo.Connect(parallel_u_exit, psink);
+        Wire(sink_topo, parallel_u_exit, psink);
       } else {
         auto* su = sink_topo.Add<SuNode>("SU");
-        sink_topo.Connect(su, sink_node);  // output 0 = SO
-        sink_topo.Connect(su, psink);      // output 1 = U
+        Wire(sink_topo, su, sink_node);  // output 0 = SO
+        Wire(sink_topo, su, psink);      // output 1 = U
         out.su_nodes.push_back(su);
         entry_of[sink_op] = su;
       }
@@ -206,16 +218,16 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       // the derived (sink-side) stream (§6.1).
       mu_ws = span_of.at(plan.ops[sink_op].instance);
       mu = prov_topo->Add<MuNode>("MU", mu_ws);
-      prov_topo->Connect(mu, psink);
+      Wire(*prov_topo, mu, psink);
       const Crossing derived =
           WeaveCrossing(out, sink_topo, *prov_topo, "U_sink", engine.use_tcp);
       derived_recv = derived.recv;
       auto* su = sink_topo.Add<SuNode>("SU.sink");
-      sink_topo.Connect(su, sink_node);     // output 0 = SO
-      sink_topo.Connect(su, derived.send);  // output 1 = U
+      Wire(sink_topo, su, sink_node);     // output 0 = SO
+      Wire(sink_topo, su, derived.send);  // output 1 = U
       out.su_nodes.push_back(su);
       entry_of[sink_op] = su;
-      prov_topo->Connect(derived.recv, mu);  // MU port 0
+      Wire(*prov_topo, derived.recv, mu);  // MU port 0
     }
   } else if (mode == ProvenanceMode::kBaseline) {
     BaselineResolverOptions bro;
@@ -226,7 +238,7 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
     Topology& sink_topo = *topo_of.at(plan.ops[sink_op].instance);
     Node* sink_node = node_of[sink_op];
     auto* sink_tap = sink_topo.Add<MultiplexNode>("bl.sink_tap");
-    sink_topo.Connect(sink_tap, sink_node);
+    Wire(sink_topo, sink_tap, sink_node);
     entry_of[sink_op] = sink_tap;
     if (!distributed) {
       auto* resolver =
@@ -234,16 +246,16 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       out.baseline_resolver = resolver;
       // Resolver port order matters: 0 = annotated sink stream, 1.. = source
       // streams.
-      sink_topo.Connect(sink_tap, resolver);
-      for (auto& [topo, tap] : source_taps) topo->Connect(tap, resolver);
+      Wire(sink_topo, sink_tap, resolver);
+      for (auto& [topo, tap] : source_taps) Wire(*topo, tap, resolver);
     } else {
       auto* resolver =
           prov_topo->Add<BaselineResolverNode>("bl.resolver", bro);
       out.baseline_resolver = resolver;
       const Crossing ann =
           WeaveCrossing(out, sink_topo, *prov_topo, "sink_ann", engine.use_tcp);
-      sink_topo.Connect(sink_tap, ann.send);
-      prov_topo->Connect(ann.recv, resolver);  // port 0
+      Wire(sink_topo, sink_tap, ann.send);
+      Wire(*prov_topo, ann.recv, resolver);  // port 0
       // Whole source streams shipped to the provenance instance — the
       // network cost §7 observes sinking the distributed baseline.
       for (size_t s = 0; s < source_taps.size(); ++s) {
@@ -251,8 +263,8 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
         const Crossing copy =
             WeaveCrossing(out, *src_topo, *prov_topo,
                           "source_copy" + std::to_string(s), engine.use_tcp);
-        src_topo->Connect(tap, copy.send);
-        prov_topo->Connect(copy.recv, resolver);  // ports 1..
+        Wire(*src_topo, tap, copy.send);
+        Wire(*prov_topo, copy.recv, resolver);  // ports 1..
       }
     }
   }
@@ -260,9 +272,10 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
   // --- data edges -----------------------------------------------------------
   // Consumers in plan order, input ports in declared order: input port
   // indices (Join left/right, Union/MU merge order) are a pure function of
-  // the plan. Same-instance edges connect directly; instance-crossing edges
-  // get a serializing channel — and, under GL, the per-delivering-stream SU
-  // whose U feeds the next MU upstream port.
+  // the plan. Same-instance edges are wired directly (chained where the
+  // consumer is Chainable); instance-crossing edges get a serializing
+  // channel — and, under GL, the per-delivering-stream SU whose U feeds the
+  // next MU upstream port.
   size_t n_cross = 0;
   for (size_t i = 0; i < plan.ops.size(); ++i) {
     const PlanOp& op = plan.ops[i];
@@ -273,7 +286,7 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
       Node* from = exit_of[in.op];
       Node* to = entry_of[i];
       if (producer.instance == op.instance) {
-        from_topo.Connect(from, to);
+        Wire(from_topo, from, to);
         continue;
       }
       const std::string tag = std::to_string(n_cross++);
@@ -285,18 +298,18 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
         ChannelEnds u = AddChannelTo(out.channels, engine.use_tcp);
         auto* su = from_topo.Add<SuNode>("SU.send" + tag,
                                          RetentionSpec{.ws = mu_ws});
-        from_topo.Connect(from, su);
-        from_topo.Connect(su, data.send);  // the only output: SO
+        Wire(from_topo, from, su);
+        Wire(from_topo, su, data.send);  // the only output: SO
         out.su_nodes.push_back(su);
         out.u_servers.push_back(
             from_topo.Add<UServeNode>("send.U" + tag, su, u.send));
         auto* recv = prov_topo->Add<ReceiveNode>("recv.U" + tag, u.recv);
-        prov_topo->Connect(recv, mu);  // MU ports 1..
+        Wire(*prov_topo, recv, mu);  // MU ports 1..
         upstreams.push_back({"U" + tag, u.recv});
       } else {
-        from_topo.Connect(from, data.send);
+        Wire(from_topo, from, data.send);
       }
-      to_topo.Connect(data.recv, to);
+      Wire(to_topo, data.recv, to);
     }
   }
 

@@ -84,6 +84,9 @@ class SuNode final : public SingleInputNode {
   // A full retention index blocks the SU (backpressure), which a shared
   // worker must never do; a pull-mode SU keeps a home worker.
   bool NeedsDedicatedThread() const override { return retention_ != nullptr; }
+  // The push SU chains into its producer; the pull SU may block and keep a
+  // batch, so it stays a task.
+  bool Chainable() const override { return retention_ == nullptr; }
   void AbortQueues() override;
 
   // Null for a push-mode SU.

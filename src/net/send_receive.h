@@ -136,7 +136,7 @@ class ReceiveNode final : public Node {
         case FrameKind::kCompactBatch:
           CountProcessed(decoded.tuples.size());
           for (TuplePtr& t : decoded.tuples) {
-            if (!EmitTupleAll(t)) return StepResult::kDone;
+            if (!EmitTupleAll(std::move(t))) return StepResult::kDone;
           }
           if (decoded.watermark != kNoWatermark &&
               !ForwardWatermark(decoded.watermark)) {

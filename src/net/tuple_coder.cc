@@ -135,13 +135,13 @@ uint64_t CompactTupleEncoder::Put(ByteWriter& out, const Tuple& t,
 }
 
 void CompactTupleEncoder::PutOrigin(ByteWriter& out, const Tuple& t) {
-  const bool annotated = t.baseline_annotation() != nullptr;
-  const auto seen =
-      annotated ? block_origins_.end() : block_origins_.find(t.id);
+  const std::vector<uint64_t>* ann = t.baseline_annotation();
+  const auto seen = block_origins_.find(t.id);
   if (seen != block_origins_.end()) {
     const OriginEntry& e = seen->second;
     if (e.type_tag == t.type_tag() && e.kind == t.kind && e.ts == t.ts &&
-        e.stimulus == t.stimulus) {
+        e.stimulus == t.stimulus && e.annotated == (ann != nullptr) &&
+        (ann == nullptr || *ann == e.annotation)) {
       payload_scratch_.Clear();
       t.SerializePayload(payload_scratch_);
       const std::vector<uint8_t>& payload = payload_scratch_.bytes();
@@ -156,11 +156,12 @@ void CompactTupleEncoder::PutOrigin(ByteWriter& out, const Tuple& t) {
   PutHeader(out, t, t.kind, WireRole::kOrigin, /*block_origin=*/true);
   const size_t payload_at = out.size();
   t.SerializePayload(out);
-  if (!annotated) {
-    block_origins_.try_emplace(
-        t.id, OriginEntry{block_origins_written_, t.type_tag(), t.kind, t.ts,
-                          t.stimulus, payload_at, out.size() - payload_at});
-  }
+  block_origins_.try_emplace(
+      t.id,
+      OriginEntry{block_origins_written_, t.type_tag(), t.kind, t.ts,
+                  t.stimulus, payload_at, out.size() - payload_at,
+                  ann != nullptr,
+                  ann != nullptr ? *ann : std::vector<uint64_t>{}});
   ++block_origins_written_;
 }
 

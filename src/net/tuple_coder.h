@@ -53,8 +53,9 @@
 // back-reference decodes to the same TuplePtr as its target and leaves every
 // delta base untouched on both sides. The encoder writes one only when an
 // earlier full origin has the same id, type tag, kind, ts, stimulus and
-// payload bytes and neither carries a baseline annotation, so an id that
-// aliases another tuple is written in full and decodes to its own bytes.
+// payload bytes and the same baseline annotation (or neither has one), so
+// an id that aliases another tuple is written in full and decodes to its own
+// bytes.
 // Wire frames never use this form.
 #ifndef GENEALOG_NET_TUPLE_CODER_H_
 #define GENEALOG_NET_TUPLE_CODER_H_
@@ -149,6 +150,9 @@ class CompactTupleEncoder {
     int64_t stimulus = 0;
     size_t payload_at = 0;
     size_t payload_bytes = 0;
+    // A BL origin's annotation, which a reference must repeat exactly.
+    bool annotated = false;
+    std::vector<uint64_t> annotation;
   };
   std::unordered_map<uint64_t, OriginEntry> block_origins_;
   uint32_t block_origins_written_ = 0;

@@ -1,8 +1,9 @@
 // Bounded queue of StreamBatches — the physical stream between two operator
-// nodes. Every node owns one as its input queue; logical ports are tags on
-// the batches, so fan-in edges (parallel partitions merging into a Union,
-// Multiplex taps, MU upstream ports fed by several Receive nodes) and the
-// dominant one-producer edge share the same queue.
+// nodes. Every node not chained into its producer owns one as its input
+// queue; logical ports are tags on the batches, so fan-in edges (parallel
+// partitions merging into a Union, Multiplex taps, MU upstream ports fed by
+// several Receive nodes) and the dominant one-producer edge share the same
+// queue.
 //
 // Three things distinguish it from the generic BoundedQueue:
 //
@@ -80,7 +81,7 @@ class StreamQueue {
   // queue — exactly like the seed's watermark coalescing.
   PushStatus TryPush(StreamBatch& batch, size_t max_coalesce) {
     std::unique_lock lock(mu_);
-    if (aborted_) return PushStatus::kAborted;
+    if (aborted_.load(std::memory_order_relaxed)) return PushStatus::kAborted;
     if (!TryCoalesce(batch, max_coalesce)) {
       const size_t w = batch.weight();
       if (weight_ + w > capacity_ && !items_.empty()) return PushStatus::kFull;
@@ -99,7 +100,8 @@ class StreamQueue {
   PopStatus PopSome(std::vector<StreamBatch>& out, size_t max_batches) {
     std::unique_lock lock(mu_);
     if (items_.empty()) {
-      return aborted_ ? PopStatus::kAborted : PopStatus::kEmpty;
+      return aborted_.load(std::memory_order_relaxed) ? PopStatus::kAborted
+                                                      : PopStatus::kEmpty;
     }
     size_t released = 0;
     for (size_t taken = 0; !items_.empty() && taken < max_batches; ++taken) {
@@ -128,7 +130,7 @@ class StreamQueue {
   void Abort() {
     {
       std::lock_guard lock(mu_);
-      aborted_ = true;
+      aborted_.store(true, std::memory_order_relaxed);
     }
     if (signal_ != nullptr) signal_->DataReady();
     NotifyRoom();
@@ -151,6 +153,10 @@ class StreamQueue {
   }
 
   size_t capacity() const { return capacity_; }
+
+  // Lock-free abort probe: a chain head asks it on every push through its
+  // chain, so the flag keeps a cache line of its own that only Abort writes.
+  bool aborted() const { return aborted_.load(std::memory_order_relaxed); }
 
  private:
   // Merges `batch` into the tail if stream order and the caps allow it.
@@ -198,9 +204,11 @@ class StreamQueue {
   std::deque<StreamBatch> items_;
   size_t weight_ = 0;
   std::atomic<size_t> approx_weight_{0};
-  bool aborted_ = false;
   Signal* signal_ = nullptr;
   std::atomic<bool> producer_waiting_{false};
+  // Written under mu_; read under it, or lock-free by aborted(). Last and
+  // line-aligned, so no other member shares its cache line.
+  alignas(64) std::atomic<bool> aborted_{false};
 };
 
 }  // namespace genealog

@@ -1,6 +1,7 @@
 #include "spe/node.h"
 
 #include <atomic>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -36,21 +37,51 @@ void Node::ThrowSequenceOverflow() const {
 }
 
 Endpoint Node::AddInput() {
+  if (chained_) {
+    throw std::logic_error("node '" + name_ +
+                           "' is fed by a chained edge and has no queue for "
+                           "a second input");
+  }
   if (in_queue_ == nullptr) {
     in_queue_ = std::make_unique<StreamQueue>(kDefaultQueueCapacity);
   }
   return Endpoint{in_queue_.get(), static_cast<uint16_t>(num_ports_++)};
 }
 
-void Node::AbortQueues() {
-  if (in_queue_ != nullptr) in_queue_->Abort();
+void Node::MarkChained() {
+  if (num_ports_ != 0) {
+    throw std::logic_error("node '" + name_ +
+                           "' already has an input; a chained edge must be "
+                           "its only one");
+  }
+  chained_ = true;
+  num_ports_ = 1;
 }
 
-bool Node::EmitTupleAll(const TuplePtr& t) {
+void Node::AbortQueues() {
+  abort_requested_.store(true, std::memory_order_relaxed);
+  if (in_queue_ != nullptr) in_queue_->Abort();
   for (Endpoint& e : outputs_) {
-    if (!e.PushTuple(t)) return false;
+    if (e.chained() != nullptr) e.chained()->AbortQueues();
   }
-  return true;
+}
+
+void Node::ForEachOutputQueue(const std::function<void(StreamQueue*)>& fn) {
+  for (Endpoint& e : outputs_) {
+    if (e.chained() != nullptr) {
+      e.chained()->ForEachOutputQueue(fn);
+    } else {
+      fn(e.queue());
+    }
+  }
+}
+
+bool Node::EmitTupleAll(TuplePtr t) {
+  const size_t n = outputs_.size();
+  for (size_t i = 0; i + 1 < n; ++i) {
+    if (!outputs_[i].PushTuple(t)) return false;
+  }
+  return n == 0 || outputs_[n - 1].PushTuple(std::move(t));
 }
 
 bool Node::ForwardWatermark(int64_t wm) {
@@ -92,22 +123,36 @@ bool Node::ForwardBatchAll(StreamBatch&& batch) {
   return true;
 }
 
+Endpoint SingleInputNode::AddChainedInput(size_t batch_size) {
+  if (!Chainable()) {
+    throw std::logic_error("node '" + name() +
+                           "' cannot be chained into its producer");
+  }
+  MarkChained();
+  return Endpoint{this, batch_size};
+}
+
+Node::BatchVerdict SingleInputNode::ProcessBatch(StreamBatch& batch) {
+  // A batch counts when OnBatch first sees it, not when it resumes.
+  if (!std::exchange(keep_batch_, false) && !batch.tuples.empty()) {
+    CountProcessed(batch.tuples.size());
+  }
+  const bool flush = batch.flush;
+  batch.flush = false;  // this method owns end-of-stream, OnBatch never sees it
+  OnBatch(batch);
+  if (keep_batch_) {
+    batch.flush = flush;
+    return BatchVerdict::kKeep;
+  }
+  if (!flush) return BatchVerdict::kNext;
+  OnFlush();
+  EmitFlushAll();
+  return BatchVerdict::kEnd;
+}
+
 StepResult SingleInputNode::Step(size_t max_batches) {
-  return DrainInput(max_batches, [this](StreamBatch& batch) {
-    // A batch counts when OnBatch first sees it, not when it resumes.
-    if (!std::exchange(keep_batch_, false)) CountProcessed(batch.tuples.size());
-    const bool flush = batch.flush;
-    batch.flush = false;  // Step owns end-of-stream, OnBatch never sees it
-    OnBatch(batch);
-    if (keep_batch_) {
-      batch.flush = flush;
-      return BatchVerdict::kKeep;
-    }
-    if (!flush) return BatchVerdict::kNext;
-    OnFlush();
-    EmitFlushAll();
-    return BatchVerdict::kEnd;
-  });
+  auto consume = [this](StreamBatch& batch) { return ProcessBatch(batch); };
+  return DrainInput(max_batches, consume);
 }
 
 int64_t MergingNode::MinWatermark() const {

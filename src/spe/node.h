@@ -1,8 +1,9 @@
 // Operator node framework.
 //
 // A Node is a runtime operator instance: it owns one physical input queue
-// (logical ports are tags on the batches) and holds endpoints into the input
-// queues of downstream nodes. Its one execution body is Step, a bounded
+// (logical ports are tags on the batches; a chained node has none) and holds
+// endpoints into the input queues of downstream nodes, or into chained
+// nodes. Its one execution body is Step, a bounded
 // quantum the executor (spe/scheduler.h) runs on a shared or a home worker.
 // Step never blocks on a stream queue: the input pop reports empty instead
 // of waiting, and an emission into a full edge spills at the endpoint. Two
@@ -28,13 +29,22 @@
 // size is the topology's EngineOptions::batch_size, stamped on every edge by
 // Topology::Connect; at batch size 1 every tuple is handed over individually,
 // reproducing the unbatched engine.
+//
+// A chained edge (Topology::Chain) has no queue: its endpoint calls the
+// consuming SingleInputNode on the producer's thread for every push, so a
+// run of cheap operators costs no handoff between cores (the paper's §2
+// operator chaining). The chained node keeps its name, uid, id sequence and
+// counters, but has no input queue and no task: its producer's Step runs
+// it, and the spill, queue and abort walks below reach through it.
 #ifndef GENEALOG_SPE_NODE_H_
 #define GENEALOG_SPE_NODE_H_
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -46,6 +56,8 @@
 #include "spe/stream_batch.h"
 
 namespace genealog {
+
+class SingleInputNode;
 
 inline constexpr size_t kDefaultQueueCapacity = 4096;
 inline constexpr int64_t kWatermarkMin = std::numeric_limits<int64_t>::min();
@@ -76,6 +88,12 @@ inline constexpr int64_t kWatermarkMax = std::numeric_limits<int64_t>::max();
 // still glue together toward the batch size at the queue tail. Batch
 // boundaries are semantically invisible (the determinism suites pin this),
 // so the feedback loop affects latency and throughput only.
+//
+// A chained endpoint targets a SingleInputNode instead of a queue. It keeps
+// no pending batch and no spill: each push hands the tuple, batch, watermark
+// or flush straight to the consumer's ProcessBatch on the calling thread,
+// and reports whether a queue after the chain was aborted. Its spills are
+// the spills of the consumer's own outputs.
 class Endpoint {
  public:
   Endpoint() = default;
@@ -83,6 +101,11 @@ class Endpoint {
       : queue_(queue), port_(port) {
     set_batch_size(batch_size);
     pending_.port = port;
+  }
+  // A chained edge into `consumer`. The batch size only informs the
+  // producer (a source's stimulus cadence); nothing accumulates here.
+  Endpoint(SingleInputNode* consumer, size_t batch_size) : chained_(consumer) {
+    set_batch_size(batch_size);
   }
 
   Endpoint(Endpoint&&) = default;
@@ -101,42 +124,40 @@ class Endpoint {
   // next pop signals RoomFreed. The emitting operator code still sees
   // `true`; its Step ends at the next batch boundary (see Node), and the
   // executor re-runs the node only once DrainSpill succeeded.
-  bool HasSpill() const { return !spill_.empty(); }
+  inline bool HasSpill() const;
 
   // Re-offers spilled batches to the queue; returns true when the spill is
   // empty again. An aborted queue discards the spill (the consumer is gone).
-  bool DrainSpill() {
-    while (!spill_.empty()) {
-      switch (Offer(spill_.front())) {
-        case PushStatus::kOk:
-          spill_.pop_front();
-          break;
-        case PushStatus::kAborted:
-          spill_.clear();
-          return true;
-        case PushStatus::kFull:
-          return false;
-      }
-    }
-    return true;
-  }
+  inline bool DrainSpill();
 
+  // Null for a chained edge.
   StreamQueue* queue() const { return queue_; }
+  // The consumer of a chained edge; null for a queue edge.
+  SingleInputNode* chained() const { return chained_; }
 
-  // All return false when the downstream queue was aborted, which Step
-  // treats as a request to stop.
+  // The queue this endpoint feeds, or a queue after its chain, was aborted.
+  inline bool Aborted() const;
+
+  // All return false when the downstream queue (for a chained edge: any
+  // queue after the chain) was aborted, which Step treats as a request to
+  // stop.
   bool PushTuple(TuplePtr t) {
+    if (chained_ != nullptr) {
+      return Deliver(StreamBatch::MakeTuple(std::move(t)));
+    }
     pending_.tuples.push_back(std::move(t));
     if (pending_.tuples.size() >= effective_batch_) return Flush();
     return true;
   }
 
   bool PushWatermark(int64_t wm) {
+    if (chained_ != nullptr) return Deliver(StreamBatch::MakeWatermark(wm));
     pending_.watermark = std::max(pending_.watermark, wm);
     return Flush();
   }
 
   bool PushFlush() {
+    if (chained_ != nullptr) return Deliver(StreamBatch::MakeFlush());
     pending_.flush = true;
     return Flush();
   }
@@ -146,6 +167,7 @@ class Endpoint {
   // would otherwise re-push tuple by tuple. When nothing is pending the
   // chunk is adopted wholesale (a pointer steal for heap-spilled batches).
   bool ForwardBatch(StreamBatch batch) {
+    if (chained_ != nullptr) return Deliver(std::move(batch));
     if (pending_.tuples.empty()) {
       batch.port = port_;
       batch.flush = batch.flush || pending_.flush;
@@ -168,7 +190,8 @@ class Endpoint {
     return true;
   }
 
-  // Hands the pending batch to the queue (no-op when nothing is pending).
+  // Hands the pending batch to the queue (no-op when nothing is pending,
+  // which a chained edge always is).
   bool Flush() {
     if (pending_.empty()) return true;
     StreamBatch batch = std::move(pending_);
@@ -178,6 +201,9 @@ class Endpoint {
   }
 
  private:
+  // Runs the chained consumer on one batch (defined after SingleInputNode).
+  inline bool Deliver(StreamBatch batch);
+
   // One queue handover. The coalescing cap stays at the full batch size so
   // queue-side chunk-building is unaffected by the adaptive threshold; the
   // depth sample afterwards steers the next flush decision.
@@ -216,6 +242,7 @@ class Endpoint {
   }
 
   StreamQueue* queue_ = nullptr;
+  SingleInputNode* chained_ = nullptr;
   uint16_t port_ = 0;
   size_t batch_size_ = 1;
   size_t effective_batch_ = 1;
@@ -252,6 +279,8 @@ class Node {
   virtual bool NeedsDedicatedThread() const { return false; }
 
   // Re-offers spilled output batches; true when every endpoint drained.
+  // Like HasSpills, ForEachOutputQueue and AbortQueues, it reaches through
+  // chained consumers: a chain's head answers for the whole chain.
   bool DrainSpills() {
     bool all = true;
     for (Endpoint& e : outputs_) all = e.DrainSpill() && all;
@@ -263,11 +292,18 @@ class Node {
     }
     return false;
   }
-  // Enumerates the downstream queues this node produces into (the scheduler
-  // maps them to producer tasks for RoomFreed wiring).
-  template <typename Fn>
-  void ForEachOutputQueue(Fn&& fn) {
-    for (Endpoint& e : outputs_) fn(e.queue());
+  // Enumerates the downstream queues this node produces into, through its
+  // chained consumers (the scheduler maps them to producer tasks for
+  // RoomFreed wiring).
+  void ForEachOutputQueue(const std::function<void(StreamQueue*)>& fn);
+  // An abort reached this node (a chained node has no queue to carry it),
+  // or a queue it or its chain produces into.
+  bool ChainAborted() const {
+    if (abort_requested_.load(std::memory_order_relaxed)) return true;
+    for (const Endpoint& e : outputs_) {
+      if (e.Aborted()) return true;
+    }
+    return false;
   }
 
   const std::string& name() const { return name_; }
@@ -285,15 +321,21 @@ class Node {
 
   // --- wiring (used by Topology) -------------------------------------------
   // Registers a new logical input port and returns the producer-side handle.
+  // Throws std::logic_error on a chained node, which has no queue.
   Endpoint AddInput();
+  // Null for a chained node.
   StreamQueue* input_queue() { return in_queue_.get(); }
   size_t num_inputs() const { return num_ports_; }
+  // Fed by a chained edge: stepped inside its producer's Step, never a task
+  // of its own.
+  bool chained() const { return chained_; }
 
   void AddOutput(Endpoint e) { outputs_.push_back(std::move(e)); }
   size_t num_outputs() const { return outputs_.size(); }
 
   // Aborts the input queue (and, in overrides, whatever else a node blocks
-  // on) so the node's Step unwinds; the failure path of Topology::AbortAll.
+  // on) so the node's Step unwinds, and every chained consumer with it; the
+  // failure path of Topology::AbortAll.
   virtual void AbortQueues();
 
   // Tuples processed by this node (inputs for operators, emissions for
@@ -378,19 +420,29 @@ class Node {
   bool EmitBatchTo(size_t out_idx, StreamBatch&& batch) {
     return outputs_[out_idx].ForwardBatch(std::move(batch));
   }
-  bool EmitTupleAll(const TuplePtr& t);
+  // The last output takes `t` itself: a caller that moves its handle in
+  // pays no reference-count round trip on a one-output node.
+  bool EmitTupleAll(TuplePtr t);
   // Monotonic watermark broadcast: non-increasing or infinite values are
   // swallowed (flush carries the end-of-stream meaning).
   bool ForwardWatermark(int64_t wm);
   void EmitFlushAll();
   // Forwards a chunk to every output, applying the same watermark
   // de-duplication as ForwardWatermark. With a single output the chunk moves
-  // wholesale; the flush flag must be left to Step (see OnBatch).
+  // wholesale; the flush flag must be left to ProcessBatch (see OnBatch).
   bool ForwardBatchAll(StreamBatch&& batch);
 
+  // One writer at a time (the thread stepping the node, or its chain's
+  // head), so a plain store suffices; readers load relaxed.
   void CountProcessed(uint64_t n = 1) {
-    tuples_processed_.fetch_add(n, std::memory_order_relaxed);
+    tuples_processed_.store(
+        tuples_processed_.load(std::memory_order_relaxed) + n,
+        std::memory_order_relaxed);
   }
+
+  // Makes this node the consumer of one chained edge (SingleInputNode's
+  // AddChainedInput); throws std::logic_error if it already has an input.
+  void MarkChained();
 
   // Largest uid whose shifted value keeps all its bits: node construction
   // past it throws std::overflow_error rather than alias ids.
@@ -411,6 +463,8 @@ class Node {
   std::atomic<uint64_t> tuples_processed_{0};
   std::unique_ptr<StreamQueue> in_queue_;
   size_t num_ports_ = 0;
+  bool chained_ = false;
+  std::atomic<bool> abort_requested_{false};
   // The popped input burst and the next batch to consume; a Step that ends
   // on a spill leaves the rest here.
   std::vector<StreamBatch> burst_;
@@ -425,6 +479,17 @@ class SingleInputNode : public Node {
 
   StepResult Step(size_t max_batches) override;
 
+  // Whether the lowering runs this operator inside its producer's task
+  // (Topology::Chain): a cheap per-batch operator that never keeps a batch,
+  // never blocks and needs no thread of its own. Stateful and blocking
+  // operators stay tasks, so they keep their own core.
+  virtual bool Chainable() const { return false; }
+
+  // Wiring (used by Topology::Chain): the producer-side handle of this
+  // node's one chained input. Throws std::logic_error if the node already
+  // has an input or is not Chainable.
+  Endpoint AddChainedInput(size_t batch_size);
+
  protected:
   virtual void OnTuple(TuplePtr t) = 0;
   // Default: forward. Stateful operators override to fire windows first.
@@ -434,8 +499,8 @@ class SingleInputNode : public Node {
   // Whole-batch hook: the default dispatches to OnTuple/OnWatermark in
   // stream order. Operators that can exploit the chunk (Send's
   // batch-at-a-time serialization, Filter's in-place chunk filtering)
-  // override this; the flush marker is owned by Step — it is cleared before
-  // this call and never visible here.
+  // override this; the flush marker is owned by ProcessBatch — it is cleared
+  // before this call and never visible here.
   virtual void OnBatch(StreamBatch& batch) {
     for (TuplePtr& t : batch.tuples) OnTuple(std::move(t));
     if (batch.has_watermark()) OnWatermark(batch.watermark);
@@ -444,9 +509,16 @@ class SingleInputNode : public Node {
   // Called from OnBatch that stopped partway after a spill and left the
   // unprocessed rest in its batch: the next Step hands that rest to OnBatch
   // again, once the spills drained (and counts none of it a second time).
+  // A Chainable operator never keeps a batch.
   void KeepBatch() { keep_batch_ = true; }
 
  private:
+  friend class Endpoint;
+
+  // One input batch, whether popped by Step or pushed by a chained edge:
+  // counts its tuples, runs OnBatch and handles the flush.
+  BatchVerdict ProcessBatch(StreamBatch& batch);
+
   bool keep_batch_ = false;
 };
 
@@ -489,6 +561,42 @@ class MergingNode : public Node {
   bool merge_state_ready_ = false;
   int64_t last_merged_wm_ = kWatermarkMin;
 };
+
+// --- the chained half of Endpoint --------------------------------------------
+
+inline bool Endpoint::HasSpill() const {
+  if (chained_ != nullptr) return chained_->HasSpills();
+  return !spill_.empty();
+}
+
+inline bool Endpoint::DrainSpill() {
+  if (chained_ != nullptr) return chained_->DrainSpills();
+  while (!spill_.empty()) {
+    switch (Offer(spill_.front())) {
+      case PushStatus::kOk:
+        spill_.pop_front();
+        break;
+      case PushStatus::kAborted:
+        spill_.clear();
+        return true;
+      case PushStatus::kFull:
+        return false;
+    }
+  }
+  return true;
+}
+
+inline bool Endpoint::Aborted() const {
+  if (chained_ != nullptr) return chained_->ChainAborted();
+  return queue_->aborted();
+}
+
+inline bool Endpoint::Deliver(StreamBatch batch) {
+  [[maybe_unused]] const SingleInputNode::BatchVerdict verdict =
+      chained_->ProcessBatch(batch);
+  assert(verdict != SingleInputNode::BatchVerdict::kKeep);
+  return !chained_->ChainAborted();
+}
 
 }  // namespace genealog
 

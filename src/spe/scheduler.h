@@ -1,5 +1,5 @@
-// The executor: every node of a run is a task stepped by
-// WorkerPool::Execute. It is the morsel-driven worker pool (the Leis et al.
+// The executor: every node of a run that is not chained into its producer
+// (Topology::Chain) is a task stepped by WorkerPool::Execute. It is the morsel-driven worker pool (the Leis et al.
 // execution model adapted to the streaming engine — thousands of queries on
 // a handful of threads) with one placement choice per task:
 //
@@ -159,6 +159,9 @@ class WorkerPool {
 
   // Wakes every parked shared worker (teardown aid alongside queue aborts).
   void Kick();
+
+  // Registered tasks, homed and shared.
+  size_t task_count() const { return tasks_.size(); }
 
  private:
   using NodeTask = scheduler_internal::NodeTask;

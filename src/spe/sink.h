@@ -24,6 +24,8 @@ class SinkNode final : public SingleInputNode {
   explicit SinkNode(std::string name, Consumer consumer = nullptr)
       : SingleInputNode(std::move(name)), consumer_(std::move(consumer)) {}
 
+  bool Chainable() const override { return true; }
+
   // Latency samples before this wall-clock instant are discarded (warm-up,
   // matching the paper's "statistics are taken after a warm-up phase").
   void set_record_after_ns(int64_t ns) {

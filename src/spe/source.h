@@ -112,17 +112,18 @@ class VectorSourceNode final : public SourceNodeBase {
       InstrumentSource(mode(), *t);
       CountProcessed();
       ++emitted_;
-      if (!EmitTupleAll(t)) return Finish();
+      const int64_t ts = t->ts;
+      if (!EmitTupleAll(std::move(t))) return Finish();
       // Watermark: future tuples have ts >= this tuple's ts; if the next
       // tuple is strictly later we can promise its ts already.
-      int64_t wm = t->ts;
+      int64_t wm = ts;
       if (index_ + 1 < data.size()) {
         const int64_t next_ts = data[index_ + 1]->ts + ts_shift;
-        if (next_ts > t->ts) wm = next_ts;
+        if (next_ts > ts) wm = next_ts;
       } else if (lap_ + 1 < options_.replays) {
         const int64_t next_ts =
             data[0]->ts + ts_shift + options_.replay_ts_shift;
-        if (next_ts > t->ts) wm = next_ts;
+        if (next_ts > ts) wm = next_ts;
       }
       if (!ForwardWatermark(wm)) return Finish();
       if (++index_ >= data.size()) {
@@ -206,7 +207,7 @@ class CallbackSourceNode final : public SourceNodeBase {
       InstrumentSource(mode(), *t);
       const int64_t last_ts = t->ts;
       CountProcessed();
-      if (!EmitTupleAll(t) || !ForwardWatermark(last_ts)) {
+      if (!EmitTupleAll(std::move(t)) || !ForwardWatermark(last_ts)) {
         EmitFlushAll();
         return StepResult::kDone;
       }

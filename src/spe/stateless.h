@@ -40,6 +40,8 @@ class MapNode final : public SingleInputNode {
   MapNode(std::string name, Fn fn)
       : SingleInputNode(std::move(name)), fn_(std::move(fn)) {}
 
+  bool Chainable() const override { return true; }
+
  protected:
   // Whole-chunk path: outputs are created straight into one outgoing chunk
   // (allocated from the tuple pool) and handed over in a single
@@ -94,6 +96,8 @@ class FilterNode final : public SingleInputNode {
   FilterNode(std::string name, Predicate pred)
       : SingleInputNode(std::move(name)), pred_(std::move(pred)) {}
 
+  bool Chainable() const override { return true; }
+
  protected:
   void OnBatch(StreamBatch& batch) override {
     size_t kept = 0;
@@ -108,9 +112,7 @@ class FilterNode final : public SingleInputNode {
   }
 
   void OnTuple(TuplePtr t) override {
-    if (pred_(static_cast<const T&>(*t))) {
-      EmitTupleAll(t);
-    }
+    if (pred_(static_cast<const T&>(*t))) EmitTupleAll(std::move(t));
   }
 
  private:
@@ -125,6 +127,8 @@ class FilterNode final : public SingleInputNode {
 class MultiplexNode final : public SingleInputNode {
  public:
   explicit MultiplexNode(std::string name) : SingleInputNode(std::move(name)) {}
+
+  bool Chainable() const override { return true; }
 
  protected:
   // Whole-chunk path: each output gets one chunk of clones built in place
@@ -167,7 +171,9 @@ class UnionNode final : public MergingNode {
   explicit UnionNode(std::string name) : MergingNode(std::move(name)) {}
 
  protected:
-  void OnMergedTuple(size_t /*port*/, TuplePtr t) override { EmitTupleAll(t); }
+  void OnMergedTuple(size_t /*port*/, TuplePtr t) override {
+    EmitTupleAll(std::move(t));
+  }
 };
 
 // Router: forwards each input tuple to the output streams whose condition it
@@ -184,6 +190,8 @@ class RouterNode final : public SingleInputNode {
 
   RouterNode(std::string name, std::vector<Condition> conditions)
       : SingleInputNode(std::move(name)), conditions_(std::move(conditions)) {}
+
+  bool Chainable() const override { return true; }
 
  protected:
   void OnTuple(TuplePtr t) override {

@@ -30,6 +30,10 @@ size_t Topology::Connect(Node* from, Node* to) {
   return port;
 }
 
+void Topology::Chain(Node* from, SingleInputNode* to) {
+  from->AddOutput(to->AddChainedInput(default_batch_size()));
+}
+
 void Topology::AbortAll() {
   for (auto& node : nodes_) node->AbortQueues();
   for (Abortable* resource : abortables_) resource->Abort();
@@ -69,13 +73,15 @@ void Runner::Start() {
     workers = std::max(workers, topology->workers());
   }
 
-  // One placement rule: a node gets a home worker of its own under
+  // One placement rule: a task gets a home worker of its own under
   // thread-per-node, or when it blocks on a non-queue resource (network,
-  // rate-limiter clock, retention index); every other node shares the
-  // pool's workers under its topology's fairness bucket.
+  // rate-limiter clock, retention index); every other task shares the
+  // pool's workers under its topology's fairness bucket. A chained node is
+  // no task: its chain's head steps it.
   pool_ = std::make_unique<WorkerPool>(workers);
   for (uint32_t q = 0; q < topologies_.size(); ++q) {
     for (auto& node : topologies_[q]->nodes()) {
+      if (node->chained()) continue;
       pool_->AddNode(node.get(), q,
                      scheduler_ != SchedulerMode::kPool ||
                          node->NeedsDedicatedThread());

@@ -69,6 +69,13 @@ class Topology {
   // Returns the input port index on `to`.
   size_t Connect(Node* from, Node* to);
 
+  // Wires a chained edge from `from` into `to`, both of this topology; `to`
+  // must be Chainable and have no other input. Every push runs `to` on the
+  // thread stepping `from`, with no queue between them. `to` stays in
+  // nodes() but gets no input queue and no task. Throws std::logic_error
+  // otherwise.
+  void Chain(Node* from, SingleInputNode* to);
+
   // Registers an external resource (e.g. a channel a Receive node blocks on)
   // to be aborted together with the node queues when a run fails.
   void RegisterAbortable(Abortable* resource) {
@@ -99,13 +106,13 @@ class WorkerPool;
 // fall back to thread-per-node, the conservative placement), with the
 // largest of their worker counts.
 //
-// Every node is a task of one WorkerPool (spe/scheduler.h), keyed by
-// topology index for fairness, and every Node::Step runs in bounded quanta
-// from WorkerPool::Execute. The scheduler mode only picks placement: under
-// thread-per-node (the Liebre model) every node has a home worker of its
-// own; under the pool the nodes share the workers, except those reporting
-// NeedsDedicatedThread(), which keep a home worker. The Runner starts no
-// thread itself.
+// Every node that is not chained into a producer is a task of one WorkerPool
+// (spe/scheduler.h), keyed by topology index for fairness, and every
+// Node::Step runs in bounded quanta from WorkerPool::Execute. The scheduler
+// mode only picks placement: under thread-per-node (the Liebre model) every
+// task has a home worker of its own; under the pool the tasks share the
+// workers, except those reporting NeedsDedicatedThread(), which keep a home
+// worker. The Runner starts no thread itself.
 class Runner {
  public:
   explicit Runner(std::vector<Topology*> topologies);

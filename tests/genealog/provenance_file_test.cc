@@ -491,8 +491,8 @@ TEST(ProvenanceFileTest, RepeatedOriginsRoundTripAsBackReferences) {
 
 // A back-reference needs the whole origin to match, not just its id: an
 // origin reusing an earlier origin's id with another payload, ts, stimulus
-// or kind, or carrying a baseline annotation, is written in full and
-// decodes to its own bytes.
+// or kind, or carrying a baseline annotation the first lacks, is written in
+// full and decodes to its own bytes.
 TEST(ProvenanceFileTest, OriginAliasingAnEarlierIdIsWrittenInFull) {
   const ProvenanceRecord base = MakeRecord(0);
   const TuplePtr& first = base.origins[0];
@@ -534,6 +534,51 @@ TEST(ProvenanceFileTest, OriginAliasingAnEarlierIdIsWrittenInFull) {
     EXPECT_EQ(got[i].origins[0].get() == got[0].origins[0].get(), same_tuple)
         << "record " << i;
   }
+  std::remove(path.c_str());
+}
+
+// BL origins carry a baseline annotation (a source tuple's is {own id}). A
+// repeat with the same annotation is a back-reference like any other, while
+// an origin reusing the id with another annotation is written in full.
+TEST(ProvenanceFileTest, AnnotatedRepeatIsABackReference) {
+  constexpr int kRecords = 50;
+  std::vector<ProvenanceRecord> written;
+  for (int i = 0; i < kRecords; ++i) {
+    written.push_back(MakeSlidingRecord(i));
+    for (const TuplePtr& o : written.back().origins) {
+      o->set_baseline_annotation({o->id});
+    }
+  }
+  ProvenanceRecord relabelled = MakeSlidingRecord(kRecords - 1);
+  for (const TuplePtr& o : relabelled.origins) {
+    o->set_baseline_annotation({o->id});
+  }
+  relabelled.origins[0]->set_baseline_annotation(
+      {relabelled.origins[0]->id, 1});
+  written.push_back(std::move(relabelled));
+
+  const std::string path = ::testing::TempDir() + "/prov_annotated.bin";
+  {
+    ProvenanceFileWriter writer("test", path, 4096);
+    for (const ProvenanceRecord& rec : written) writer.Write(rec);
+  }
+  const std::vector<ProvenanceRecord> got = ReadRecords(path);
+  ASSERT_EQ(got.size(), written.size());
+  EXPECT_EQ(AllRecordBytes(got), AllRecordBytes(written));
+  ASSERT_EQ(Blocks(ReadFileBytes(path, "test")).size(), 1u);
+  for (int i = 1; i < kRecords; ++i) {
+    for (size_t k = 0; k + 1 < 4; ++k) {
+      EXPECT_EQ(got[i].origins[k].get(), got[i - 1].origins[k + 1].get())
+          << "record " << i << " origin " << k;
+    }
+  }
+  // The relabelled origin shares its id with record kRecords-1's first
+  // origin but not its annotation: its own tuple, its own annotation.
+  const ProvenanceRecord& last = got.back();
+  EXPECT_NE(last.origins[0].get(), got[kRecords - 1].origins[0].get());
+  EXPECT_EQ(last.origins[1].get(), got[kRecords - 1].origins[1].get());
+  ASSERT_NE(last.origins[0]->baseline_annotation(), nullptr);
+  EXPECT_EQ(last.origins[0]->baseline_annotation()->size(), 2u);
   std::remove(path.c_str());
 }
 
