@@ -3,27 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 
 namespace genealog::mem {
 namespace {
-
-// One cache line per instance. A tuple's birth and death update its
-// instance's live bytes and tuple count on the same line, and no two
-// instances share one. Left to the linker, the hot counters' line sharing
-// moved with unrelated code size and swung the data plane by 10-15%.
-struct alignas(64) Counters {
-  std::atomic<int64_t> live{0};
-  std::atomic<int64_t> peak{0};
-  std::atomic<int64_t> tuples{0};
-};
-
-std::array<Counters, kMaxInstances>& counters() {
-  static std::array<Counters, kMaxInstances> c;
-  return c;
-}
 
 thread_local int tl_instance = 0;
 
@@ -32,56 +16,33 @@ thread_local int tl_instance = 0;
 void SetCurrentInstance(int instance_id) { tl_instance = instance_id; }
 int CurrentInstance() { return tl_instance; }
 
-void Add(int instance_id, int64_t bytes) {
-  Counters& c = counters()[static_cast<size_t>(instance_id)];
-  const int64_t now =
-      c.live.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  // Lossy peak update is fine: sampling races can only under-report peaks by
-  // a few tuples' worth of bytes.
-  int64_t prev = c.peak.load(std::memory_order_relaxed);
-  while (now > prev &&
-         !c.peak.compare_exchange_weak(prev, now, std::memory_order_relaxed)) {
-  }
+void Add(int instance_id, int64_t bytes, int64_t tuples) {
+  counters::Shard& s = counters::Local();
+  s.Add(counters::kBytes + instance_id, bytes);
+  s.Add(counters::kTuples + instance_id, tuples);
 }
 
-void Sub(int instance_id, int64_t bytes) {
-  counters()[static_cast<size_t>(instance_id)].live.fetch_sub(
-      bytes, std::memory_order_relaxed);
+void Sub(int instance_id, int64_t bytes, int64_t tuples) {
+  Add(instance_id, -bytes, -tuples);
 }
 
 int64_t LiveBytes(int instance_id) {
-  return counters()[static_cast<size_t>(instance_id)].live.load(
-      std::memory_order_relaxed);
+  return counters::Fold()[counters::kBytes + instance_id];
 }
 
 int64_t PeakBytes(int instance_id) {
-  return counters()[static_cast<size_t>(instance_id)].peak.load(
-      std::memory_order_relaxed);
-}
-
-int64_t TotalLiveBytes() {
-  int64_t total = 0;
-  for (int i = 0; i < kMaxInstances; ++i) total += LiveBytes(i);
-  return total;
+  return counters::Highest(counters::kBytes + instance_id);
 }
 
 void ResetAll() {
-  for (Counters& c : counters()) {
-    c.live.store(0, std::memory_order_relaxed);
-    c.peak.store(0, std::memory_order_relaxed);
-  }
+  counters::Reset(counters::kBytes, counters::kBytes + kMaxInstances);
 }
 
 int64_t LiveTupleCount() {
+  const counters::Totals t = counters::Fold();
   int64_t total = 0;
-  for (const Counters& c : counters()) {
-    total += c.tuples.load(std::memory_order_relaxed);
-  }
+  for (int i = 0; i < kMaxInstances; ++i) total += t[counters::kTuples + i];
   return total;
-}
-void AddTupleCount(int instance_id, int64_t delta) {
-  counters()[static_cast<size_t>(instance_id)].tuples.fetch_add(
-      delta, std::memory_order_relaxed);
 }
 
 int64_t ReadRssBytes() {
@@ -111,9 +72,10 @@ void MemorySampler::Stop() {
 
 void MemorySampler::Run() {
   while (!stop_.load(std::memory_order_acquire)) {
+    const counters::Totals folded = counters::Fold();
     int64_t total = 0;
     for (int i = 0; i < n_instances_; ++i) {
-      const int64_t live = LiveBytes(i);
+      const int64_t live = folded[counters::kBytes + i];
       sum_[static_cast<size_t>(i)] += live;
       max_[static_cast<size_t>(i)] =
           std::max(max_[static_cast<size_t>(i)], live);

@@ -1,10 +1,11 @@
 #include "common/tuple_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <new>
 #include <vector>
+
+#include "common/counter_shard.h"
 
 namespace genealog::pool {
 namespace {
@@ -19,6 +20,9 @@ constexpr size_t kCacheCapacity = 256;
 // Blocks carved per slab.
 constexpr size_t kBlocksPerSlab = 256;
 
+constexpr size_t kCacheLine = 64;
+static_assert(kClassStride % kCacheLine == 0);
+
 // The central free list is an array of block pointers, not an intrusive
 // linked list: spill and refill are memcpys over the array's own storage, so
 // the lock hold time never includes chasing next-pointers through block
@@ -29,19 +33,11 @@ struct CentralClass {
   char* bump = nullptr;            // unallocated region of the newest slab
   char* bump_end = nullptr;        // guarded by mu
   std::vector<void*> slabs;        // guarded by mu; freed never
-};
-
-struct alignas(64) FlowCounters {
-  std::atomic<uint64_t> pool_allocs{0};
-  std::atomic<uint64_t> fresh_carves{0};
-  std::atomic<uint64_t> heap_allocs{0};
+  uint64_t fresh_carves = 0;       // guarded by mu; blocks carved from slabs
 };
 
 struct Central {
   CentralClass classes[kNumClasses];
-  FlowCounters flow;
-  std::atomic<uint64_t> slabs{0};
-  std::atomic<uint64_t> slab_bytes{0};
 };
 
 // Leaked on purpose: thread caches flush into it from thread_local
@@ -56,29 +52,27 @@ Central& central() {
 void AddSlab(CentralClass& cls, uint8_t size_class) {
   const size_t block = ClassBytes(size_class);
   const size_t bytes = block * kBlocksPerSlab;
-  char* slab = static_cast<char*>(::operator new(bytes));
+  // Cache-line aligned: every class stride is a multiple of 64 bytes, so no
+  // two blocks share a line, and two threads' neighbouring blocks never
+  // false-share.
+  char* slab =
+      static_cast<char*>(::operator new(bytes, std::align_val_t{kCacheLine}));
   cls.slabs.push_back(slab);
   cls.bump = slab;
   cls.bump_end = slab + bytes;
   // Every block this slab adds could end up on the free array at once; grow
   // it outside the hot path so spills never reallocate mid-lock.
   cls.free_blocks.reserve(cls.slabs.size() * kBlocksPerSlab);
-  Central& c = central();
-  c.slabs.fetch_add(1, std::memory_order_relaxed);
-  c.slab_bytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
-// Per-thread cache: a bounded LIFO of free blocks per class. The destructor
-// flushes everything back to the central lists so short-lived threads (bench
-// repetitions spawn one thread per operator) don't strand blocks.
+// Per-thread cache: a bounded LIFO of free blocks per class. It is
+// trivially destructible, so it stays usable for as long as its thread runs:
+// a release from a thread-local or static destructor still lands here. A
+// separate FlushAtExit spills it back to the central lists at thread exit, so
+// short-lived threads (bench repetitions spawn one thread per operator) don't
+// strand blocks.
 class ThreadCache {
  public:
-  ~ThreadCache() {
-    for (int c = 0; c < kNumClasses; ++c) {
-      Spill(static_cast<uint8_t>(c), counts_[c]);
-    }
-  }
-
   void* Pop(uint8_t size_class) {
     size_t& n = counts_[size_class];
     if (n == 0 && !Refill(size_class)) return nullptr;
@@ -106,7 +100,6 @@ class ThreadCache {
   bool Refill(uint8_t size_class) {
     CentralClass& cls = central().classes[size_class];
     size_t got = 0;
-    bool fresh = false;
     {
       std::lock_guard lock(cls.mu);
       const size_t take = std::min(kRefillBatch, cls.free_blocks.size());
@@ -120,11 +113,8 @@ class ThreadCache {
         if (cls.bump == cls.bump_end) AddSlab(cls, size_class);
         blocks_[size_class][got++] = cls.bump;
         cls.bump += ClassBytes(size_class);
-        fresh = true;
+        ++cls.fresh_carves;
       }
-    }
-    if (fresh) {
-      central().flow.fresh_carves.fetch_add(1, std::memory_order_relaxed);
     }
     counts_[size_class] = got;
     return got > 0;
@@ -142,16 +132,27 @@ class ThreadCache {
     n -= n_spill;
   }
 
-  void* blocks_[kNumClasses][kCacheCapacity];
+  void* blocks_[kNumClasses][kCacheCapacity] = {};
   size_t counts_[kNumClasses] = {};
 };
 
+constinit thread_local ThreadCache tl_cache;
+constinit thread_local bool tl_flush_at_exit = false;
+
+struct FlushAtExit {
+  ~FlushAtExit() { tl_cache.SpillAll(); }
+};
+
 ThreadCache& thread_cache() {
-  // Touch the central pool first so its (leaked) storage outlives every
-  // thread cache, including the main thread's.
-  central();
-  thread_local ThreadCache cache;
-  return cache;
+  if (!tl_flush_at_exit) {
+    tl_flush_at_exit = true;
+    // Touch the central pool first so its (leaked) storage outlives every
+    // thread cache, including the main thread's.
+    central();
+    thread_local FlushAtExit flush;
+    (void)flush;
+  }
+  return tl_cache;
 }
 
 }  // namespace
@@ -160,11 +161,11 @@ void* Allocate(size_t bytes, uint8_t& size_class) {
   const uint8_t cls = SizeClassFor(bytes);
   if (cls == kHeapClass) {
     size_class = kHeapClass;
-    central().flow.heap_allocs.fetch_add(1, std::memory_order_relaxed);
+    counters::Local().Add(counters::kHeapAllocs, 1);
     return ::operator new(bytes);
   }
   size_class = cls;
-  central().flow.pool_allocs.fetch_add(1, std::memory_order_relaxed);
+  counters::Local().Add(counters::kPoolAllocs, 1);
   return thread_cache().Pop(cls);
 }
 
@@ -180,22 +181,29 @@ void Deallocate(void* p, uint8_t size_class) noexcept {
 void FlushThreadCache() { thread_cache().SpillAll(); }
 
 Stats GetStats() {
-  Central& c = central();
+  const counters::Totals flow = counters::Fold();
   Stats s;
-  s.slabs = c.slabs.load(std::memory_order_relaxed);
-  s.slab_bytes = c.slab_bytes.load(std::memory_order_relaxed);
-  s.pool_allocs = c.flow.pool_allocs.load(std::memory_order_relaxed);
-  const uint64_t fresh = c.flow.fresh_carves.load(std::memory_order_relaxed);
+  s.pool_allocs = static_cast<uint64_t>(flow[counters::kPoolAllocs]);
+  s.heap_allocs = static_cast<uint64_t>(flow[counters::kHeapAllocs]);
+  uint64_t fresh = 0;
+  for (int c = 0; c < kNumClasses; ++c) {
+    CentralClass& cls = central().classes[c];
+    std::lock_guard lock(cls.mu);
+    fresh += cls.fresh_carves;
+    s.slabs += cls.slabs.size();
+    s.slab_bytes +=
+        cls.slabs.size() * ClassBytes(static_cast<uint8_t>(c)) * kBlocksPerSlab;
+  }
   s.recycled_allocs = s.pool_allocs > fresh ? s.pool_allocs - fresh : 0;
-  s.heap_allocs = c.flow.heap_allocs.load(std::memory_order_relaxed);
   return s;
 }
 
 void ResetStats() {
-  FlowCounters& f = central().flow;
-  f.pool_allocs.store(0, std::memory_order_relaxed);
-  f.fresh_carves.store(0, std::memory_order_relaxed);
-  f.heap_allocs.store(0, std::memory_order_relaxed);
+  counters::Reset(counters::kPoolAllocs, counters::kHeapAllocs + 1);
+  for (CentralClass& cls : central().classes) {
+    std::lock_guard lock(cls.mu);
+    cls.fresh_carves = 0;
+  }
 }
 
 }  // namespace genealog::pool

@@ -15,7 +15,11 @@
 //    a downstream thread, in which case the block simply migrates to the
 //    releasing thread's cache (and eventually to the central list);
 //  * once warmed up, query execution allocates from the OS only when the
-//    live-tuple high-water mark grows — slabs are never returned.
+//    live-tuple high-water mark grows — slabs are never returned;
+//  * an allocation is counted on the calling thread's counter shard
+//    (common/counter_shard.h), beside the tuple's own birth, so the hot pair
+//    writes no cache line another thread writes; slab carving is counted
+//    under the class mutex it already holds. GetStats folds both.
 //
 // Callers record the size class a block came from (tuples stash it in their
 // header, see core/tuple.h) and hand it back to Deallocate. Blocks larger
@@ -88,10 +92,12 @@ struct Stats {
   }
 };
 
+// Exact once the allocating threads have joined (see common/counter_shard.h).
 Stats GetStats();
-// Zeroes the flow counters (between benchmark repetitions / tests). Slabs and
-// free lists are untouched, so slabs/slab_bytes — gauges of reserved memory —
-// keep their values.
+// Zeroes the flow counters (between benchmark repetitions / tests), in the
+// shards of running and of exited threads alike; call only while no thread
+// allocates. Slabs and free lists are untouched, so slabs/slab_bytes — gauges
+// of reserved memory — keep their values.
 void ResetStats();
 
 }  // namespace genealog::pool

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <span>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/fnv.h"
 #include "core/type_registry.h"
@@ -18,6 +19,15 @@ constexpr uint32_t kFileVersion = 2;
 constexpr size_t kFileHeaderBytes = 4 + 4;
 // body bytes + record count + checksum
 constexpr size_t kBlockHeaderBytes = 4 + 4 + 8;
+
+// Unsigned byte-lexicographic, as std::vector<uint8_t>'s operator< orders;
+// compared as string_views, which gcc 12 does not misreport as an overread.
+bool BytesLess(const std::vector<uint8_t>& a, const std::vector<uint8_t>& b) {
+  const auto view = [](const std::vector<uint8_t>& v) {
+    return std::string_view(reinterpret_cast<const char*>(v.data()), v.size());
+  };
+  return view(a) < view(b);
+}
 
 }  // namespace
 
@@ -178,7 +188,7 @@ std::vector<std::vector<uint8_t>> CanonicalProvenanceRecords(
   ReadProvenanceFile(path, [&](ProvenanceRecord& rec) {
     std::vector<std::vector<uint8_t>> origins;
     for (const TuplePtr& o : rec.origins) origins.push_back(masked(*o));
-    std::sort(origins.begin(), origins.end());
+    std::sort(origins.begin(), origins.end(), BytesLess);
     // The raw layout: SerializeTuple(derived) | u32 n | SerializeTuple × n.
     std::vector<uint8_t> record = masked(*rec.derived);
     ByteWriter n;
@@ -189,7 +199,7 @@ std::vector<std::vector<uint8_t>> CanonicalProvenanceRecords(
     }
     records.push_back(std::move(record));
   });
-  std::sort(records.begin(), records.end());
+  std::sort(records.begin(), records.end(), BytesLess);
   return records;
 }
 

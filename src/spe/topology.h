@@ -31,8 +31,8 @@ class Topology {
  public:
   // `engine` holds this instance's settings; every reader below takes them
   // from there. Throws std::invalid_argument for an instance id outside
-  // [0, mem::kMaxInstances): per-instance memory accounting has one counter
-  // slot per id.
+  // [0, mem::kMaxInstances): each thread's counter shard has one slot per
+  // instance id (common/counter_shard.h).
   explicit Topology(int instance_id = 0,
                     ProvenanceMode mode = ProvenanceMode::kNone,
                     EngineOptions engine = {});

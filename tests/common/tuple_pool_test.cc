@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -184,6 +185,62 @@ TEST_F(TuplePoolTest, ManyThreadsChurnConcurrently) {
     });
   }
   for (auto& t : workers) t.join();
+}
+
+// Four threads allocate while four others release the previous round: every
+// allocation is counted on its own thread's shard, and the fold sums them.
+TEST_F(TuplePoolTest, AllocationsOnManyThreadsFoldExactly) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 300;
+  const int64_t live_before = mem::LiveTupleCount();
+  std::vector<std::vector<TuplePtr>> held(kThreads);
+  for (auto& h : held) {
+    for (int i = 0; i < kPerThread; ++i) {
+      h.push_back(MakeTuple<ValueTuple>(i, i));
+    }
+  }
+  pool::ResetStats();
+  std::vector<std::vector<TuplePtr>> made(kThreads);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([w, &made] {
+      for (int i = 0; i < kPerThread; ++i) {
+        made[static_cast<size_t>(w)].push_back(MakeTuple<ValueTuple>(i, w));
+      }
+    });
+    threads.emplace_back([w, &held] {
+      held[static_cast<size_t>(w)].clear();
+      pool::FlushThreadCache();
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(pool::GetStats().pool_allocs,
+            static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(mem::LiveTupleCount() - live_before, kThreads * kPerThread);
+  made.clear();
+  EXPECT_EQ(mem::LiveTupleCount(), live_before);
+}
+
+TEST_F(TuplePoolTest, ResetStatsZeroesRunningAndExitedShards) {
+  std::latch allocated(1);
+  std::latch reset(1);
+  std::thread running([&] {
+    { auto t = MakeTuple<ValueTuple>(1, 1); }
+    allocated.count_down();
+    reset.wait();
+    { auto t = MakeTuple<ValueTuple>(2, 2); }
+  });
+  std::thread([] {
+    for (int i = 0; i < 10; ++i) auto t = MakeTuple<ValueTuple>(i, i);
+  }).join();
+  allocated.wait();
+  EXPECT_EQ(pool::GetStats().pool_allocs, 11u);
+  pool::ResetStats();
+  EXPECT_EQ(pool::GetStats().pool_allocs, 0u);
+  EXPECT_EQ(pool::GetStats().recycled_allocs, 0u);
+  reset.count_down();
+  running.join();
+  EXPECT_EQ(pool::GetStats().pool_allocs, 1u);
 }
 
 TEST_F(TuplePoolTest, OversizeTuplesFallBackToHeap) {
