@@ -60,9 +60,7 @@ RunResult RunPeakQuery(const SgWorkload& workload, int replays,
       "peaks", [](const DailyConsumption& d) { return d.cons_sum > 2.5; });
   auto* su = topo.Add<SuNode>("su");
   auto* sink = topo.Add<SinkNode>("sink");
-  ProvenanceSinkSpec pso;
-  pso.finalize_slack = 24;
-  auto* provenance = topo.Add<ProvenanceSinkNode>("k2", pso);
+  auto* provenance = topo.Add<ProvenanceSinkNode>("k2", ProvenanceSinkSpec{});
   topo.Connect(source, agg);
   topo.Connect(agg, peaks);
   topo.Connect(peaks, su);

@@ -65,7 +65,6 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
     span_of[op.instance] += op.window_span;
     total_span += op.window_span;
   }
-  out.total_window_span = total_span;
   const bool distributed = topo_of.size() > 1;
   const int max_instance = topo_of.rbegin()->first;
 
@@ -185,7 +184,6 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
   std::vector<UDemand::Upstream> upstreams;
   if (mode == ProvenanceMode::kGenealog) {
     ProvenanceSinkSpec pso;
-    pso.finalize_slack = total_span;
     pso.file_path = opts.provenance_file;
     pso.consumer = opts.provenance_consumer;
     if (engine.lineage_store || !engine.lineage_serve_addr.empty()) {
@@ -231,6 +229,7 @@ void LowerDataflow(const Plan& plan, BuiltDataflow& out) {
     }
   } else if (mode == ProvenanceMode::kBaseline) {
     BaselineResolverOptions bro;
+    // BL's source copies can trail a sink tuple by every window of the plan.
     bro.slack = total_span;
     bro.evict = opts.baseline_oracle_eviction;
     bro.file_path = opts.provenance_file;

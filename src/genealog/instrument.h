@@ -15,8 +15,9 @@
 //    every instance-crossing data edge gets its own SU whose SO continues to
 //    the consumer over the data channel while its U stream feeds the next MU
 //    upstream port (ports 1..). The MU join window is the stateful window
-//    span of the sink's instance (§6.1); the finalize slack is the plan's
-//    total stateful span. The upstream U streams are pulled, not pushed
+//    span of the sink's instance (§6.1); the MU forwards its watermark less
+//    that window, and the provenance sink finalizes each record once that
+//    watermark passes it. The upstream U streams are pulled, not pushed
 //    (genealog/pull.h): each crossing SU retains its delivering tuples, the
 //    derived stream's Receive asks for the REMOTE origins it names over the
 //    reverse direction of every upstream U channel, and a serving node

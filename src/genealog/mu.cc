@@ -63,7 +63,10 @@ void MuNode::OnMergedWatermark(int64_t wm) {
   const int64_t horizon = SatSub(wm, ws_);
   derived_.PurgeBefore(horizon, &OriginKey);
   upstream_.PurgeBefore(horizon, &DerivedKey);
-  ForwardWatermark(wm);
+  // A later upstream tuple has ts >= wm, so it joins only derived tuples
+  // with ts >= horizon, and a later derived tuple has ts >= wm: every record
+  // still to come has derived_ts >= horizon (see the header).
+  ForwardWatermark(wm == kWatermarkMax ? wm : horizon);
 }
 
 void MuNode::EmitRewrite(const UnfoldedTuple& derived,

@@ -12,13 +12,26 @@
 // the derived stream apart in event time (§6.1), which is the `ws` the
 // deployment passes here.
 //
+// Watermark. MuNode forwards its merged watermark minus ws, the horizon it
+// purges its windows at: a later upstream tuple has ts >= wm and matches
+// only derived tuples with ts >= wm - ws, and a later derived tuple has
+// ts >= wm. An SU's U stream carries ts == derived_ts, so every record the
+// MU still emits has derived_ts >= the forwarded watermark, which is what
+// lets the provenance sink finalize a record as soon as the watermark
+// passes it (genealog/provenance_sink.h). A chained MU, whose derived port
+// reads another MU's rewrites (ts = the later of the pair, so up to that
+// MU's ws past derived_ts), keeps the promise only with a ws that covers
+// both windows.
+//
 // Two implementations:
 //  * MuNode — fused operator with hash-indexed windows;
 //  * BuildComposedMu — the literal Figure 8 construction from standard
 //    operators: Union (upstreams) -> Join <- Filter(not SOURCE) <- Multiplex
 //    <- derived, plus Filter(SOURCE) -> Union -> output. Dataflow lowering
 //    always uses MuNode; the construction is a node-level reference
-//    implementation that mu_test checks MuNode against.
+//    implementation that mu_test checks MuNode's tuples against (its Join
+//    forwards the merged watermark unchanged, so it cannot feed a
+//    provenance sink).
 #ifndef GENEALOG_GENEALOG_MU_H_
 #define GENEALOG_GENEALOG_MU_H_
 

@@ -1,5 +1,8 @@
 #include "genealog/provenance_sink.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "genealog/lineage_store.h"
 
 namespace genealog {
@@ -13,16 +16,20 @@ ProvenanceSinkNode::ProvenanceSinkNode(std::string name,
 
 void ProvenanceSinkNode::OnTuple(TuplePtr t) {
   auto u = StaticPointerCast<UnfoldedTuple>(std::move(t));
-  auto it = by_id_.find(u->derived_id);
-  if (it == by_id_.end()) {
-    groups_.emplace_back();
-    auto group_it = std::prev(groups_.end());
-    group_it->record.derived = u->derived;
-    group_it->record.derived_id = u->derived_id;
-    group_it->record.derived_ts = u->derived_ts;
-    it = by_id_.emplace(u->derived_id, group_it).first;
+  if (u->derived_ts < finalized_before_) {
+    throw std::runtime_error(
+        name() + ": U tuple for derived id " + std::to_string(u->derived_id) +
+        " at ts " + std::to_string(u->derived_ts) +
+        " arrived after its record was finalized (horizon " +
+        std::to_string(finalized_before_) + ")");
   }
-  Group& group = *it->second;
+  auto [it, inserted] = groups_.try_emplace({u->derived_ts, u->derived_id});
+  Group& group = it->second;
+  if (inserted) {
+    group.record.derived = u->derived;
+    group.record.derived_id = u->derived_id;
+    group.record.derived_ts = u->derived_ts;
+  }
   // The same source tuple can reach a sink tuple over two paths that split
   // across SPE instances (it is deduplicated within one instance by the
   // traversal's visited set, but not across MU rewrites); dedup by id here.
@@ -31,9 +38,7 @@ void ProvenanceSinkNode::OnTuple(TuplePtr t) {
   }
 }
 
-void ProvenanceSinkNode::OnWatermark(int64_t wm) {
-  FinalizeBefore(SatSub(wm, options_.finalize_slack));
-}
+void ProvenanceSinkNode::OnWatermark(int64_t wm) { FinalizeBefore(wm); }
 
 void ProvenanceSinkNode::OnFlush() {
   FinalizeBefore(kWatermarkMax);
@@ -43,27 +48,15 @@ void ProvenanceSinkNode::OnFlush() {
 }
 
 void ProvenanceSinkNode::FinalizeBefore(int64_t ts_horizon) {
-  // Groups are in first-appearance order, which for MU outputs is not always
-  // derived_ts order; scan the whole (small) list.
-  for (auto it = groups_.begin(); it != groups_.end();) {
-    if (it->record.derived_ts < ts_horizon) {
-      Finalize(*it);
-      by_id_.erase(it->record.derived_id);
-      it = groups_.erase(it);
-    } else {
-      ++it;
-    }
+  auto it = groups_.begin();
+  for (; it != groups_.end() && it->first.first < ts_horizon; ++it) {
+    const ProvenanceRecord& record = it->second.record;
+    output_.Write(record);
+    if (options_.lineage != nullptr) options_.lineage->Ingest(record);
+    if (options_.consumer) options_.consumer(record);
   }
-}
-
-void ProvenanceSinkNode::Finalize(Group& group) {
-  output_.Write(group.record);
-  if (options_.lineage != nullptr) {
-    options_.lineage->Ingest(group.record);
-  }
-  if (options_.consumer) {
-    options_.consumer(group.record);
-  }
+  groups_.erase(groups_.begin(), it);
+  finalized_before_ = ts_horizon;
 }
 
 }  // namespace genealog

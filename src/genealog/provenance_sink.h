@@ -3,27 +3,30 @@
 // to a writer (the paper stores provenance on disk; the evaluation notes its
 // volume is 0.003%–0.5% of the source data, a ratio the benches also report).
 //
-// Unfolded tuples of one sink tuple arrive within a bounded event-time
-// horizon (the MU join window); a group is finalized once the watermark
-// passes derived_ts + finalize_slack, and all groups finalize at flush.
+// Completeness is the input watermark's promise: no unfolded tuple for a
+// derived ts below a watermark the sink has seen ever arrives. The intra SU
+// keeps it by construction (Theorem 5.3: a sink tuple's U tuples carry its
+// ts and leave together), and the MU keeps it by forwarding its merged
+// watermark minus its join window (genealog/mu.h). So a group is finalized
+// as soon as the watermark passes its derived_ts, and all groups finalize at
+// flush. A U tuple that breaks the promise fails the run by name rather
+// than start a second, partial record for the same sink tuple.
 //
 // Records go to a ProvenanceFileWriter (genealog/provenance_record.h, which
 // also defines the file layout): compact checksummed blocks, written
 // double-buffered and asynchronously with bounded buffering, the file
-// holding exactly the records in finalization order.
+// holding exactly the records in (derived_ts, derived_id) order.
 #ifndef GENEALOG_GENEALOG_PROVENANCE_SINK_H_
 #define GENEALOG_GENEALOG_PROVENANCE_SINK_H_
 
 #include <cstdint>
 #include <functional>
-#include <list>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
-#include <vector>
+#include <utility>
 
 #include "common/engine_options.h"
-#include "common/int_math.h"
 #include "genealog/provenance_record.h"
 #include "genealog/unfolded.h"
 #include "spe/node.h"
@@ -36,10 +39,6 @@ class LineageStore;
 // who consumes records in process, and which lineage store (if any) indexes
 // them.
 struct ProvenanceSinkSpec {
-  // Event-time slack before a group is considered complete; pass the total
-  // stateful window span of the deployment (0 is fine for intra-process SU
-  // streams, whose groups arrive contiguously).
-  int64_t finalize_slack = 0;
   // If non-empty, records are encoded and appended to this file, like the
   // paper's on-disk provenance store.
   std::string file_path;
@@ -62,6 +61,8 @@ class ProvenanceSinkNode final : public SingleInputNode {
   const ProvenanceFileWriter& output() const { return output_; }
 
  protected:
+  // Throws std::runtime_error for a U tuple whose derived_ts is below the
+  // horizon already finalized.
   void OnTuple(TuplePtr t) override;
   void OnWatermark(int64_t wm) override;
   void OnFlush() override;
@@ -73,13 +74,14 @@ class ProvenanceSinkNode final : public SingleInputNode {
   };
 
   void FinalizeBefore(int64_t ts_horizon);
-  void Finalize(Group& group);
 
   ProvenanceSinkSpec options_;
   ProvenanceFileWriter output_;
-  // Groups in creation (= derived ts) order, with an id index.
-  std::list<Group> groups_;
-  std::unordered_map<uint64_t, std::list<Group>::iterator> by_id_;
+  // Open groups keyed (derived_ts, derived_id): the prefix below the
+  // watermark is what finalizes.
+  std::map<std::pair<int64_t, uint64_t>, Group> groups_;
+  // Every group with derived_ts below this has been finalized.
+  int64_t finalized_before_ = kWatermarkMin;
 };
 
 }  // namespace genealog

@@ -31,7 +31,9 @@
 // (ts, port) order below the minimum port watermark, so it never releases a
 // derived tuple before the origins requested for it, and the unchanged
 // MuNode join matches exactly what the push form matched. The echo lags the
-// derived watermark by one round trip, never by ws. Eviction is safe for
+// derived watermark by one round trip, never by ws. The MU forwards W - ws
+// (genealog/mu.h), and that is what lets the provenance sink finalize every
+// record with derived ts below it. Eviction is safe for
 // the same reason: a later request comes from a derived tuple with
 // ts >= W and names an origin with ts >= ts - ws >= W - ws.
 #ifndef GENEALOG_GENEALOG_PULL_H_

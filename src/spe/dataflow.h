@@ -113,9 +113,10 @@ struct PlanOp {
   int instance = 1;
   std::vector<PlanInput> inputs;  // in input-port order
   size_t n_outputs = 1;           // Multiplex tap count; 0 for sinks
-  // Stateful window span (Aggregate WS, Join WS) — summed into the
-  // provenance finalize slack and the MU join window (§6.1). Counted once
-  // for a parallel stage: the replicas share one logical window.
+  // Stateful window span (Aggregate WS, Join WS) — summed per instance into
+  // the MU join window (§6.1), and over the plan into the BL resolver's
+  // slack. Counted once for a parallel stage: the replicas share one
+  // logical window.
   int64_t window_span = 0;
   // Stateful operators (Aggregate, Join) buffer tuples across time; the
   // validator uses this to reject plans where a parallel stage feeds a
@@ -180,9 +181,6 @@ struct BuiltDataflow {
   std::shared_ptr<LineageService> lineage_service;
 
   int n_instances = 1;
-  // Sum of the plan's stateful window spans: the GL sink's finalize slack
-  // and the BL resolver's join slack, always sufficient.
-  int64_t total_window_span = 0;
 
   SourceNodeBase* source() const {
     return sources.empty() ? nullptr : sources.front();

@@ -48,7 +48,6 @@ std::vector<CanonicalRecord> RunWithParallelSu(int su_parallelism) {
 
   std::vector<CanonicalRecord> records;
   ProvenanceSinkSpec pso;
-  pso.finalize_slack = 20;
   pso.consumer = [&records](const ProvenanceRecord& r) {
     CanonicalRecord rec;
     rec.ts = r.derived_ts;

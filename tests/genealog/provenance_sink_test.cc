@@ -1,10 +1,15 @@
 // ProvenanceSinkNode behaviour beyond the happy path covered in su_test:
-// watermark-driven finalization (records must not wait for flush), slack
-// handling, cross-path deduplication, and group interleaving.
+// watermark-driven finalization (records must not wait for flush), the
+// completeness contract, cross-path deduplication, and group interleaving.
 #include "genealog/provenance_sink.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
+#include "genealog/mu.h"
 #include "genealog/unfolded.h"
 #include "spe/sink.h"
 #include "spe/source.h"
@@ -42,7 +47,6 @@ TEST(ProvenanceSinkDetailTest, WatermarkFinalizesBeforeFlush) {
   // the consumer records how many records existed when the probe passed.
   ProvenanceSinkSpec options;
   SinkRun run;
-  options.finalize_slack = 10;
   options.consumer = [&run](const ProvenanceRecord& r) {
     run.records.push_back(r);
   };
@@ -50,7 +54,7 @@ TEST(ProvenanceSinkDetailTest, WatermarkFinalizesBeforeFlush) {
   std::vector<IntrusivePtr<UnfoldedTuple>> data;
   data.push_back(U(1, 100, 1));
   data.push_back(U(1, 100, 2));
-  data.push_back(U(50, 200, 3));  // advances the watermark past 1+10
+  data.push_back(U(50, 200, 3));  // advances the watermark past 1
   auto* source =
       topo.Add<VectorSourceNode<UnfoldedTuple>>("src", std::move(data));
   auto* sink = topo.Add<ProvenanceSinkNode>("k2", options);
@@ -67,52 +71,91 @@ TEST(ProvenanceSinkDetailTest, WatermarkFinalizesBeforeFlush) {
   EXPECT_EQ(run.records[1].derived_id, 200u);
 }
 
-TEST(ProvenanceSinkDetailTest, SlackDelaysFinalization) {
-  // With slack larger than the stream span, only flush finalizes; all
-  // records still appear exactly once.
-  ProvenanceSinkSpec options;
-  std::vector<uint64_t> finalized;
-  options.finalize_slack = 1000000;
-  options.consumer = [&finalized](const ProvenanceRecord& r) {
-    finalized.push_back(r.derived_id);
-  };
-  Topology topo;
-  std::vector<IntrusivePtr<UnfoldedTuple>> data;
-  data.push_back(U(1, 100, 1));
-  data.push_back(U(50, 200, 2));
-  auto* source =
-      topo.Add<VectorSourceNode<UnfoldedTuple>>("src", std::move(data));
-  auto* sink = topo.Add<ProvenanceSinkNode>("k2", options);
-  topo.Connect(source, sink);
-  RunToCompletion(topo);
-  EXPECT_EQ(finalized, (std::vector<uint64_t>{100, 200}));
-}
-
 TEST(ProvenanceSinkDetailTest, InterleavedGroupsRegroupById) {
-  // MU outputs can interleave unfolded tuples of different sink tuples, with
-  // unfolded ts trailing derived_ts by up to the MU window — the reason the
-  // deployments pass the query's window span as finalize_slack.
+  // MU outputs interleave unfolded tuples of different sink tuples, with
+  // unfolded ts trailing derived_ts by up to the MU window; the MU holds its
+  // watermark that window behind, so both records finalize whole, before
+  // the flush.
+  auto remote = [](int64_t ts, uint64_t derived_id, uint64_t origin_id) {
+    auto u = U(ts, derived_id, origin_id);
+    u->origin->kind = TupleKind::kRemote;
+    u->origin_kind = TupleKind::kRemote;
+    return u;
+  };
+  std::vector<IntrusivePtr<UnfoldedTuple>> derived;
+  derived.push_back(remote(10, 100, 1000));
+  derived.push_back(remote(10, 200, 2000));
+  derived.push_back(U(20, 300, 5));  // a SOURCE origin passes through
+  std::vector<IntrusivePtr<UnfoldedTuple>> upstream;
+  upstream.push_back(U(10, 1000, 1));
+  upstream.push_back(U(10, 2000, 2));
+  upstream.push_back(U(11, 1000, 3));
+  upstream.push_back(U(11, 2000, 4));
+  upstream.push_back(U(20, 9999, 6));  // matches nothing
+
   ProvenanceSinkSpec options;
-  options.finalize_slack = 10;
   std::vector<ProvenanceRecord> records;
   options.consumer = [&records](const ProvenanceRecord& r) {
     records.push_back(r);
   };
   Topology topo;
+  auto* derived_src =
+      topo.Add<VectorSourceNode<UnfoldedTuple>>("derived", std::move(derived));
+  auto* upstream_src = topo.Add<VectorSourceNode<UnfoldedTuple>>(
+      "upstream", std::move(upstream));
+  auto* mu = topo.Add<MuNode>("mu", /*ws=*/1);
+  auto* sink = topo.Add<ProvenanceSinkNode>("k2", options);
+  topo.Connect(derived_src, mu);   // port 0
+  topo.Connect(upstream_src, mu);  // port 1
+  topo.Connect(mu, sink);
+  RunToCompletion(topo);
+
+  ASSERT_EQ(records.size(), 3u);
+  auto origin_ids = [](const ProvenanceRecord& r) {
+    std::vector<uint64_t> ids;
+    for (const TuplePtr& o : r.origins) ids.push_back(o->id);
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  EXPECT_EQ(records[0].derived_id, 100u);
+  EXPECT_EQ(origin_ids(records[0]), (std::vector<uint64_t>{1, 3}));
+  EXPECT_EQ(records[1].derived_id, 200u);
+  EXPECT_EQ(origin_ids(records[1]), (std::vector<uint64_t>{2, 4}));
+  EXPECT_EQ(records[2].derived_id, 300u);
+  EXPECT_EQ(origin_ids(records[2]), (std::vector<uint64_t>{5}));
+}
+
+TEST(ProvenanceSinkDetailTest, UTupleBelowTheFinalizedHorizonIsANamedError) {
+  // The watermark after the ts=5 tuple is 6, so record 100 (derived ts 1) is
+  // finalized before its late origin arrives: the run fails naming the
+  // node, the derived id, its ts and the horizon, instead of writing a
+  // second, partial record for the same sink tuple. Batch size 1 keeps the
+  // queue from coalescing the late tuple in ahead of the watermark.
+  ProvenanceSinkSpec options;
+  std::vector<ProvenanceRecord> records;
+  options.consumer = [&records](const ProvenanceRecord& r) {
+    records.push_back(r);
+  };
+  Topology topo(1, ProvenanceMode::kGenealog, EngineOptions{.batch_size = 1});
   std::vector<IntrusivePtr<UnfoldedTuple>> data;
-  data.push_back(U(10, 100, 1, /*derived_ts=*/10));
-  data.push_back(U(10, 200, 2, /*derived_ts=*/10));
-  data.push_back(U(11, 100, 3, /*derived_ts=*/10));
-  data.push_back(U(11, 200, 4, /*derived_ts=*/10));
+  data.push_back(U(1, 100, 1));
+  data.push_back(U(5, 200, 2));
+  data.push_back(U(6, 100, 3, /*derived_ts=*/1));
   auto* source =
       topo.Add<VectorSourceNode<UnfoldedTuple>>("src", std::move(data));
   auto* sink = topo.Add<ProvenanceSinkNode>("k2", options);
   topo.Connect(source, sink);
-  RunToCompletion(topo);
-
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].origins.size(), 2u);
-  EXPECT_EQ(records[1].origins.size(), 2u);
+  try {
+    RunToCompletion(topo);
+    FAIL() << "a U tuple below the finalized horizon was accepted; records: "
+           << records.size();
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("k2"), std::string::npos) << what;
+    EXPECT_NE(what.find("derived id 100"), std::string::npos) << what;
+    EXPECT_NE(what.find("ts 1 "), std::string::npos) << what;
+    EXPECT_NE(what.find("horizon 6"), std::string::npos) << what;
+  }
 }
 
 TEST(ProvenanceSinkDetailTest, DuplicateOriginIdsDeduplicated) {

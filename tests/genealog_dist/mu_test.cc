@@ -213,6 +213,74 @@ TEST(MuTest, OneUpstreamTupleServesManyDerived) {
   }
 }
 
+// Records what reaches it, chained into its producer so that every
+// forwarded watermark is seen on its own: the watermarks in order, the
+// tuples that arrived with a derived ts below an earlier watermark, and the
+// flush.
+class StreamProbe final : public SingleInputNode {
+ public:
+  using SingleInputNode::SingleInputNode;
+  bool Chainable() const override { return true; }
+
+  std::vector<int64_t> watermarks;
+  size_t tuples = 0;
+  size_t below_watermark = 0;
+  bool flushed = false;
+
+ protected:
+  void OnTuple(TuplePtr t) override {
+    ++tuples;
+    const auto& u = static_cast<const UnfoldedTuple&>(*t);
+    if (!watermarks.empty() && u.derived_ts < watermarks.back()) {
+      ++below_watermark;
+    }
+  }
+  void OnWatermark(int64_t wm) override { watermarks.push_back(wm); }
+  void OnFlush() override { flushed = true; }
+};
+
+// The MU forwards its merged watermark less ws: an upstream tuple that
+// trails its derived tuple by up to ws still joins it, and the rewrite's
+// derived ts is never below a watermark already forwarded. The flush still
+// ends the stream.
+TEST(MuTest, ForwardsTheMergedWatermarkLessTheWindow) {
+  constexpr int64_t kWs = 3;
+  std::vector<IntrusivePtr<UnfoldedTuple>> derived;
+  std::vector<IntrusivePtr<UnfoldedTuple>> upstream;
+  for (int64_t t = 0; t < 10; ++t) {
+    const auto id = static_cast<uint64_t>(t);
+    derived.push_back(U(t, t, 100 + id, 0, 500 + id, TupleKind::kRemote));
+    upstream.push_back(
+        U(t + 2, 0, 500 + id, t, 700 + id, TupleKind::kSource, t));
+  }
+  derived.push_back(U(11, 11, 111, 0, 611, TupleKind::kSource));
+  Topology topo(1, ProvenanceMode::kNone, EngineOptions{.batch_size = 1});
+  auto* derived_src = topo.Add<VectorSourceNode<UnfoldedTuple>>(
+      "derived", std::move(derived));
+  auto* upstream_src = topo.Add<VectorSourceNode<UnfoldedTuple>>(
+      "up", std::move(upstream));
+  auto* mu = topo.Add<MuNode>("mu", kWs);
+  auto* probe = topo.Add<StreamProbe>("probe");
+  topo.Connect(derived_src, mu);   // port 0
+  topo.Connect(upstream_src, mu);  // port 1
+  topo.Chain(mu, probe);
+  RunToCompletion(topo);
+
+  // Both streams end at ts 11. The merged watermark runs from 0 (the first
+  // derived tuple) to at least 9, the ts of the derived stream's last tuple
+  // before its end: the last port to flush can carry its final advance in
+  // its flush batch, which ends the merge instead.
+  ASSERT_FALSE(probe->watermarks.empty());
+  EXPECT_GE(probe->watermarks.back(), 9 - kWs);
+  for (int64_t wm : probe->watermarks) {
+    EXPECT_GE(wm, 0 - kWs);
+    EXPECT_LE(wm, 11 - kWs);
+  }
+  EXPECT_EQ(probe->tuples, 11u);  // 10 rewrites and the pass-through
+  EXPECT_EQ(probe->below_watermark, 0u);
+  EXPECT_TRUE(probe->flushed);
+}
+
 // Two randomized upstream ports, as in Q4's distributed deployment (a daily
 // sum and a midnight reading cross on separate channels): the Union in front
 // of the composed MU's join must see both ports' tuples.

@@ -108,10 +108,12 @@ TEST(MultiHopProvenanceTest, ThreeHopChainResolvesToSources) {
   auto* recv_u_b = i4.Add<ReceiveNode>("recv_u_b", &ch_u_b);
   auto* recv_u_c = i4.Add<ReceiveNode>("recv_u_c", &ch_u_c);
   auto* mu_x = i4.Add<MuNode>("mu_x", /*ws=*/16);
+  // mu_y's derived port reads mu_x's rewrites, which trail their derived ts
+  // by up to agg2's window, so its ws covers both windows (10 + 2,
+  // genealog/mu.h) and the watermark it forwards still bounds every record.
   auto* mu_y = i4.Add<MuNode>("mu_y", /*ws=*/16);
   std::vector<ProvenanceRecord> records;
   ProvenanceSinkSpec pso;
-  pso.finalize_slack = 16;
   pso.consumer = [&records](const ProvenanceRecord& r) {
     records.push_back(r);
   };

@@ -413,7 +413,6 @@ Node* AddSink(Topology& topo, PipelineResult& result) {
 // K2: every finalized record lands in `result.records` (origin ts sorted).
 Node* AddProvenanceSink(Topology& topo, PipelineResult& result) {
   ProvenanceSinkSpec pso;
-  pso.finalize_slack = kWindow;
   pso.consumer = [&result](const ProvenanceRecord& r) {
     Record rec{r.derived_ts, {}};
     for (const TuplePtr& o : r.origins) {

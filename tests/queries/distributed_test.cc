@@ -1,14 +1,26 @@
 // Inter-process provenance (§6): the 3-instance deployments must produce
 // exactly the sink outputs and provenance records of the intra-process runs,
-// over fully serializing channels (in-memory and TCP loopback).
+// over fully serializing channels (in-memory and TCP loopback), and a record
+// must reach the provenance consumer as soon as the watermark passes it,
+// intra and distributed.
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <numeric>
 
 #include "genealog/pull.h"
 #include "genealog/su.h"
 #include "queries/query_helpers.h"
+#include "testing/test_tuples.h"
 
 namespace genealog::queries {
 namespace {
+
+using namespace std::chrono_literals;
+using genealog::testing::V;
+using genealog::testing::ValueTuple;
 
 lr::LinearRoadConfig LrConfig() {
   lr::LinearRoadConfig config;
@@ -174,6 +186,103 @@ TEST(DistributedGlTest, CrossingSusCountRetainedRequestedAndEvicted) {
     EXPECT_EQ(midnight->retention()->retained(), meter_days);
     EXPECT_EQ(q4.u_servers.size(), 2u);
     EXPECT_NE(q4.u_demand, nullptr);
+  }
+}
+
+// A provenance record is whole once the unfolded stream's watermark passes
+// it, so it must reach the consumer without waiting for further input.
+// Readings 0, 1, 2, ... are summed over tumbling 4-tick windows, and those
+// sums over tumbling 10-tick windows into the alerts; distributed, the cut
+// falls between the two windows, so the plan's total window span (14)
+// exceeds the MU's join window (10). The source pauses at the watermark
+// where the first alert's record is whole: an aggregate forwards its input
+// watermark less its window, plus one (spe/aggregate.h), so the alert for
+// [0, 10) fires once the source's watermark reaches 4 + 10 - 1, and the
+// intra SU's U stream passes it there; distributed, the MU holds its
+// watermark a further 10 (its window) behind. While the source waits, the
+// record must reach the consumer; then the run ends normally.
+struct PausedRun {
+  bool record_while_paused = false;
+  std::vector<int64_t> first_origin_ts;
+  size_t records = 0;
+};
+
+PausedRun RunWithPausingSource(bool distributed, SchedulerMode scheduler,
+                               size_t batch_size) {
+  constexpr int64_t kInner = 4;   // instance 1's window
+  constexpr int64_t kOuter = 10;  // the sink side's window (the MU's ws)
+  constexpr int64_t kTicks = 60;
+  const int64_t pause_after =
+      kInner + kOuter - 1 + (distributed ? kOuter : 0);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  PausedRun run;
+  bool first_record = false;
+  DataflowOptions opts;
+  opts.mode = ProvenanceMode::kGenealog;
+  opts.batch_size = batch_size;
+  opts.scheduler = scheduler;
+  // The paused source holds a shared worker; the others keep running.
+  if (scheduler == SchedulerMode::kPool) opts.workers = 3;
+  opts.provenance_consumer = [&](const ProvenanceRecord& r) {
+    std::lock_guard lock(mu);
+    ++run.records;
+    if (r.derived_ts != 0) return;
+    for (const TuplePtr& o : r.origins) run.first_origin_ts.push_back(o->ts);
+    std::sort(run.first_origin_ts.begin(), run.first_origin_ts.end());
+    first_record = true;
+    cv.notify_all();
+  };
+  Dataflow df(std::move(opts));
+  int64_t next = 0;
+  const auto sum = [](const WindowView<ValueTuple, int64_t>& w) {
+    int64_t total = 0;
+    for (const auto& t : w.tuples) total += t->value;
+    return MakeTuple<ValueTuple>(0, total);
+  };
+  const auto one_key = [](const ValueTuple&) { return int64_t{0}; };
+  Stream<ValueTuple> inner =
+      df.Source<ValueTuple>(
+            "readings",
+            [&]() -> IntrusivePtr<ValueTuple> {
+              if (next == kTicks) return nullptr;
+              if (next == pause_after + 1) {
+                std::unique_lock lock(mu);
+                run.record_while_paused =
+                    cv.wait_for(lock, 20s, [&] { return first_record; });
+              }
+              const int64_t ts = next++;
+              return V(ts, ts);
+            })
+          .Aggregate<ValueTuple>("inner", {kInner, kInner}, one_key, sum);
+  if (distributed) inner = inner.At(2);
+  inner.Aggregate<ValueTuple>("outer", {kOuter, kOuter}, one_key, sum)
+      .Sink("alerts");
+  BuiltDataflow flow = df.Build();
+  flow.Run();
+  return run;
+}
+
+TEST(DistributedGlTest, RecordReachesConsumerOnceTheWatermarkPassesIt) {
+  for (const bool distributed : {false, true}) {
+    for (const SchedulerMode scheduler :
+         {SchedulerMode::kThreadPerNode, SchedulerMode::kPool}) {
+      for (const size_t batch : {size_t{1}, size_t{64}}) {
+        const PausedRun run =
+            RunWithPausingSource(distributed, scheduler, batch);
+        const std::string where =
+            std::string(distributed ? "distributed" : "intra") + " pool " +
+            std::to_string(scheduler == SchedulerMode::kPool) + " batch " +
+            std::to_string(batch);
+        EXPECT_TRUE(run.record_while_paused) << where;
+        // The alert for [0, 10) sums the 4-tick windows at 0, 4 and 8.
+        std::vector<int64_t> whole(12);
+        std::iota(whole.begin(), whole.end(), 0);
+        EXPECT_EQ(run.first_origin_ts, whole) << where;
+        EXPECT_EQ(run.records, 6u) << where;  // 60 ticks, 10 per alert
+      }
+    }
   }
 }
 

@@ -84,7 +84,6 @@ TwoQueryRun RunTwoQueries(const lr::LinearRoadData& data, SchedulerMode mode,
   auto* a_su = topo.Add<SuNode>("a.su");
   auto* a_sink = topo.Add<SinkNode>("a.sink");
   ProvenanceSinkSpec a_pso;
-  a_pso.finalize_slack = 120;
   a_pso.consumer = [&run](const ProvenanceRecord& r) {
     run.a_records.push_back(r);
   };
@@ -111,7 +110,6 @@ TwoQueryRun RunTwoQueries(const lr::LinearRoadData& data, SchedulerMode mode,
   auto* b_su = topo.Add<SuNode>("b.su");
   auto* b_sink = topo.Add<SinkNode>("b.sink");
   ProvenanceSinkSpec b_pso;
-  b_pso.finalize_slack = 300;
   b_pso.consumer = [&run](const ProvenanceRecord& r) {
     run.b_records.push_back(r);
   };

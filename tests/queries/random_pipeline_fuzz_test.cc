@@ -205,7 +205,6 @@ std::vector<CanonicalRecord> RunPlan(const PipelinePlan& plan, uint64_t seed,
     auto* su = topo.Add<SuNode>("su");
     auto* sink = topo.Add<SinkNode>("sink");
     ProvenanceSinkSpec pso;
-    pso.finalize_slack = plan.total_window_span;
     pso.consumer = on_record;
     auto* prov = topo.Add<ProvenanceSinkNode>("k2", pso);
     topo.Connect(exit, su);
